@@ -301,7 +301,8 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
       Exec.create ~engine ~costs:cfg.costs ~server:exec_server ~z:cfg.z
         ~self:cfg.self ~store ~ledger ~txn_table ~current_primaries:primaries
         ~respond ~metrics ~reorder ~materialize:cfg.materialize_state
-        ~sign_speculative:cfg.sign_speculative ~sched ()
+        ~sign_speculative:cfg.sign_speculative ~sched
+        ~checkpoint_interval:cfg.checkpoint_interval ()
     in
     (match cfg.journal with
     | Some j ->
@@ -315,6 +316,10 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
               (fun ~frontier -> Rcc_journal.Journal.log_rollback j ~frontier);
             p_stable =
               (fun ~floor -> Rcc_journal.Journal.log_stable j ~floor);
+            p_snapshot =
+              (fun snap ->
+                Rcc_journal.Journal.write_snapshot j
+                  ~seq:snap.Rcc_storage.Snapshot.seq snap);
           }
     | None -> ());
     let instances =
@@ -418,12 +423,7 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
           primaries = initial_primaries;
           send = (fun ~dst msg -> send ~dst msg);
           broadcast = (fun msg -> broadcast ~n:cfg.n msg);
-          head = (fun () -> Rcc_storage.Ledger.head_hash ledger);
-          kv_entries =
-            (fun () ->
-              if cfg.materialize_state then
-                Some (Rcc_storage.Kv_store.entries store)
-              else None);
+          boundaries = (fun () -> Exec.boundaries exec);
           blocks_prefix = (fun ~upto -> Rcc_storage.Ledger.prefix ledger ~upto);
           replied_entries = (fun () -> Exec.replied_entries exec);
           executed_upto = (fun () -> Exec.next_round exec - 1);
@@ -461,45 +461,14 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
               Array.iter (fun inst -> P.fast_forward inst ~proof) instances);
         }
     in
-    (* Durable checkpoint cadence: every state-transfer boundary (4 x the
-       protocol checkpoint interval, matching the boundary latch), persist
-       a full snapshot into a disk slot. Gated on [Exec.settled] so a
-       parallel window mid-flight never leaks a half-executed KV state
-       into a durable checkpoint — a skipped boundary just lengthens the
-       replay suffix. *)
-    let journal_checkpoint =
-      match cfg.journal with
-      | None -> fun _ -> ()
-      | Some j ->
-          let interval = max 1 (4 * cfg.checkpoint_interval) in
-          fun round ->
-            let seq = round + 1 in
-            if
-              seq mod interval = 0
-              && Exec.settled exec
-              && Rcc_storage.Ledger.next_round ledger = seq
-            then
-              Rcc_journal.Journal.write_snapshot j ~seq
-                {
-                  Rcc_storage.Snapshot.seq;
-                  blocks = Rcc_storage.Ledger.prefix ledger ~upto:seq;
-                  kv =
-                    (if cfg.materialize_state then
-                       Some (Rcc_storage.Kv_store.entries store)
-                     else None);
-                  replied = Exec.replied_entries exec;
-                }
-    in
     (match coordinator with
     | Some c ->
         Exec.set_on_executed exec (fun round accs ->
             Transfer.on_executed transfer ~round;
-            journal_checkpoint round;
             Coordinator.on_round_executed c ~round accs)
     | None ->
         Exec.set_on_executed exec (fun round _ ->
-            Transfer.on_executed transfer ~round;
-            journal_checkpoint round));
+            Transfer.on_executed transfer ~round));
     let t =
       {
         cfg;

@@ -17,6 +17,8 @@ type persist = {
       (* ledger truncated back to [frontier] *)
   p_stable : floor:int -> unit;
       (* cross-instance stable floor advanced *)
+  p_snapshot : Rcc_storage.Snapshot.t -> unit;
+      (* a checkpoint boundary was captured *)
 }
 
 (* One round of an in-flight parallel window. [ordered] is the round's
@@ -56,11 +58,18 @@ type t = {
   materialize : bool;
   sign_speculative : bool;
   pending : (int, Acceptance.t option array) Hashtbl.t;
-  (* (client, batch digest) -> (round, result digest, instance) of the
-     first execution: duplicate-ordered batches re-send the cached reply
-     instead of re-executing (§3.1 request-duplication prevention). The
-     instance tag feeds the per-instance retained-count stat. *)
-  replied : (Rcc_common.Ids.client_id * string, int * string * int) Hashtbl.t;
+  (* (client, batch digest) -> (round, result digest, instance, batch id)
+     of the first execution: duplicate-ordered batches re-send the cached
+     reply instead of re-executing (§3.1 request-duplication prevention).
+     The instance tag feeds the per-instance retained-count stat. *)
+  replied :
+    (Rcc_common.Ids.client_id * string, int * string * int * int) Hashtbl.t;
+  (* client -> newest batch id evicted from [replied]. A client issues one
+     batch at a time with increasing ids, so every batch of it up to this
+     id has executed; a retransmission ordered after its reply was evicted
+     must still not execute twice. Evicted rounds are below the stable
+     floor and never roll back, so this needs no undo. *)
+  settled_ids : (Rcc_common.Ids.client_id, int) Hashtbl.t;
   mutable next_round : int;
   mutable executed_rounds : int;
   mutable executed_txns : int;
@@ -96,12 +105,23 @@ type t = {
   mutable evict_floor : int;
   mutable replied_evicted : int;
   mutable persist : persist option;
+  (* Checkpoint boundaries: one every [boundary_every] rounds (0 = none),
+     the newest [boundary_capacity] captures kept newest first. *)
+  boundary_every : int;
+  mutable boundaries : Rcc_storage.Snapshot.boundary list;
 }
+
+(* Snapshot boundaries are sparser than checkpoint boundaries: capturing
+   one copies the KV table, so doing it every checkpoint would tax the
+   fault-free hot path for a state few peers will ever fetch. *)
+let boundary_multiple = 4
+let boundary_capacity = 4
 
 let create ~engine ~costs ~server ~z ~self ~store ~ledger ~txn_table
     ~current_primaries ~respond ~metrics ?(reorder = fun a -> a)
     ?(on_executed = fun _ _ -> ()) ?(materialize = true)
-    ?(sign_speculative = false) ?(sched = Serial) () =
+    ?(sign_speculative = false) ?(sched = Serial) ?(checkpoint_interval = 0)
+    () =
   (* Rollback needs per-round undo records for every KV write. *)
   if materialize then Rcc_storage.Kv_store.enable_journal store;
   {
@@ -123,6 +143,7 @@ let create ~engine ~costs ~server ~z ~self ~store ~ledger ~txn_table
     sign_speculative;
     pending = Hashtbl.create 256;
     replied = Hashtbl.create 256;
+    settled_ids = Hashtbl.create 256;
     next_round = 0;
     executed_rounds = 0;
     executed_txns = 0;
@@ -137,19 +158,68 @@ let create ~engine ~costs ~server ~z ~self ~store ~ledger ~txn_table
     evict_floor = 0;
     replied_evicted = 0;
     persist = None;
+    boundary_every = max 0 (boundary_multiple * checkpoint_interval);
+    boundaries = [];
   }
 
 let set_on_executed t f = t.on_executed <- f
 let set_persist t p = t.persist <- Some p
+let boundaries t = t.boundaries
+
+let at_boundary t seq = t.boundary_every > 0 && seq mod t.boundary_every = 0
 
 (* True when no round is mid-execution: serial always (rounds run whole
    on one server job), parallel only between windows with all commits
-   drained. Snapshot capture is gated on this so the KV never leaks a
-   half-window state into a durable checkpoint. *)
+   drained. The parallel scheduler guarantees it at every boundary. *)
 let settled t =
   match t.sched with
   | Serial -> true
   | Parallel _ -> t.active = None && Hashtbl.length t.uncommitted = 0
+
+let replied_entries t =
+  Hashtbl.fold
+    (fun (client, digest) (round, result, _, _) acc ->
+      (client, digest, round, result) :: acc)
+    t.replied []
+
+(* Duplicate-ordered: the batch's reply is cached, or its client already
+   had a batch this new settled. *)
+let executed_before t (batch : Batch.t) key =
+  (not (Batch.is_null batch))
+  && (Hashtbl.mem t.replied key
+     ||
+     match Hashtbl.find_opt t.settled_ids batch.Batch.client with
+     | Some id -> batch.Batch.id <= id
+     | None -> false)
+
+(* The one checkpoint producer: once [round]'s block is appended and
+   journaled, a round completing a boundary captures [(seq, head, KV)]
+   for state transfer to serve and the journal to persist. *)
+let capture_boundary t ~round =
+  let seq = round + 1 in
+  if at_boundary t seq then begin
+    assert (settled t);
+    let kv =
+      if t.materialize then Some (Rcc_storage.Kv_store.entries t.store)
+      else None
+    in
+    let b =
+      Rcc_storage.Snapshot.boundary ~seq
+        ~head:(Rcc_storage.Ledger.head_hash t.ledger) ~kv
+    in
+    t.boundaries <-
+      b :: List.filteri (fun i _ -> i < boundary_capacity - 1) t.boundaries;
+    match t.persist with
+    | Some p ->
+        p.p_snapshot
+          {
+            Rcc_storage.Snapshot.seq;
+            blocks = Rcc_storage.Ledger.prefix t.ledger ~upto:seq;
+            kv;
+            replied = replied_entries t;
+          }
+    | None -> ()
+  end
 
 let slots t round =
   match Hashtbl.find_opt t.pending round with
@@ -218,9 +288,7 @@ let execute_round t round =
           (Rcc_trace.Event.Slot_exec
              { round; batch = batch.Batch.id; txns = ntxns });
       let key = (batch.Batch.client, batch.Batch.digest) in
-      let dup =
-        (not (Batch.is_null batch)) && Hashtbl.mem t.replied key
-      in
+      let dup = executed_before t batch key in
       (* The proof always enters the block — the batch was agreed in
          sequence — but a duplicate-ordered batch is not re-executed:
          the client gets the cached reply of the first execution. *)
@@ -234,18 +302,20 @@ let execute_round t round =
       if not (Batch.is_null batch) then
         clients := batch.Batch.client :: !clients;
       if dup then begin
-        let first_round, result_digest, _ = Hashtbl.find t.replied key in
-        t.respond batch.Batch.client
-          (Msg.Response
-             {
-               client = batch.Batch.client;
-               batch_id = batch.Batch.id;
-               round = first_round;
-               result_digest;
-               txn_count = ntxns;
-               speculative = a.speculative;
-               history = a.history;
-             })
+        match Hashtbl.find_opt t.replied key with
+        | Some (first_round, result_digest, _, _) ->
+            t.respond batch.Batch.client
+              (Msg.Response
+                 {
+                   client = batch.Batch.client;
+                   batch_id = batch.Batch.id;
+                   round = first_round;
+                   result_digest;
+                   txn_count = ntxns;
+                   speculative = a.speculative;
+                   history = a.history;
+                 })
+        | None -> ()  (* reply evicted; the client has moved on *)
       end
       else begin
         if t.materialize then
@@ -267,7 +337,8 @@ let execute_round t round =
             txn_count = ntxns;
           };
         if not (Batch.is_null batch) then begin
-          Hashtbl.replace t.replied key (round, result_digest, a.instance);
+          Hashtbl.replace t.replied key
+            (round, result_digest, a.instance, batch.Batch.id);
           t.respond batch.Batch.client
             (Msg.Response
                {
@@ -299,6 +370,7 @@ let execute_round t round =
   (match t.persist with
   | Some p -> p.p_round ~round ordered
   | None -> ());
+  capture_boundary t ~round;
   t.on_executed round accs
   | Some _ | None -> ()
 
@@ -333,10 +405,12 @@ let execute_member t (w : wround) rank (a : Acceptance.t) =
       (Rcc_trace.Event.Slot_exec
          { round = w.w_round; batch = batch.Batch.id; txns = ntxns });
   let key = (batch.Batch.client, batch.Batch.digest) in
-  if (not (Batch.is_null batch)) && Hashtbl.mem t.replied key then begin
-    let first_round, result_digest, _ = Hashtbl.find t.replied key in
-    w.reply_round.(rank) <- first_round;
-    w.reply_digest.(rank) <- result_digest
+  if executed_before t batch key then begin
+    match Hashtbl.find_opt t.replied key with
+    | Some (first_round, result_digest, _, _) ->
+        w.reply_round.(rank) <- first_round;
+        w.reply_digest.(rank) <- result_digest
+    | None -> ()  (* reply evicted: [reply_round] stays -1, nothing sent *)
   end
   else begin
     if t.materialize then begin
@@ -353,7 +427,8 @@ let execute_member t (w : wround) rank (a : Acceptance.t) =
         ]
     in
     if not (Batch.is_null batch) then
-      Hashtbl.replace t.replied key (w.w_round, result_digest, a.instance);
+      Hashtbl.replace t.replied key
+        (w.w_round, result_digest, a.instance, batch.Batch.id);
     w.reply_round.(rank) <- w.w_round;
     w.reply_digest.(rank) <- result_digest;
     w.did_exec.(rank) <- true
@@ -398,7 +473,7 @@ let commit_round t (w : wround) =
           Metrics.record_exec t.metrics ~replica:t.self
             ~now:(Engine.now t.engine) ~ntxns
         end;
-        if not (Batch.is_null batch) then
+        if (not (Batch.is_null batch)) && w.reply_round.(rank) >= 0 then
           t.respond batch.Batch.client
             (Msg.Response
                {
@@ -430,12 +505,20 @@ let commit_round t (w : wround) =
     (match t.persist with
     | Some p -> p.p_round ~round:w.w_round w.ordered
     | None -> ());
+    capture_boundary t ~round:w.w_round;
     t.on_executed w.w_round w.ordered
   end
 
+(* Windows end on checkpoint boundaries, and the window past one is not
+   gathered until every commit before it has run. Group execution applies
+   KV writes ahead of the in-order commits, so this is what makes the
+   boundary commit see exactly the state after rounds [< seq]. *)
 let rec try_advance_parallel t pool window =
   match t.active with
   | Some _ -> ()  (* one window in flight; re-triggered on completion *)
+  | None when at_boundary t t.next_round && Hashtbl.length t.uncommitted > 0
+    ->
+      ()  (* re-triggered once the last commit drains *)
   | None ->
       let gathered = ref [] in
       let n = ref 0 in
@@ -448,7 +531,8 @@ let rec try_advance_parallel t pool window =
             Hashtbl.remove t.pending round;
             t.next_round <- round + 1;
             gathered := (round, accs) :: !gathered;
-            incr n
+            incr n;
+            if at_boundary t t.next_round then continue_ := false
         | _ -> continue_ := false
       done;
       if !n > 0 then dispatch_window t pool window (List.rev !gathered)
@@ -463,7 +547,7 @@ and dispatch_window t pool window rounds_list =
            {
              w_round = round;
              ordered;
-             reply_round = Array.make nslots 0;
+             reply_round = Array.make nslots (-1);
              reply_digest = Array.make nslots "";
              did_exec = Array.make nslots false;
            })
@@ -548,7 +632,12 @@ and complete_window t pool window ws =
     (fun w ->
       Rcc_sim.Cpu.submit t.server
         ~cost:(Costs.hash_cost t.costs 256)
-        (fun () -> if ws.gen = t.gen then commit_round t w))
+        (fun () ->
+          if ws.gen = t.gen then begin
+            commit_round t w;
+            if Hashtbl.length t.uncommitted = 0 then
+              try_advance_parallel t pool window
+          end))
     ws.rounds;
   t.active <- None;
   try_advance_parallel t pool window
@@ -598,10 +687,18 @@ let accepted t ~round ~instance =
 let evict_replied t floor =
   let dead =
     Hashtbl.fold
-      (fun key (round, _, _) acc -> if round < floor then key :: acc else acc)
+      (fun key (round, _, _, id) acc ->
+        if round < floor then (key, id) :: acc else acc)
       t.replied []
   in
-  List.iter (Hashtbl.remove t.replied) dead;
+  List.iter
+    (fun (((client, _) as key), id) ->
+      let settled =
+        Option.value (Hashtbl.find_opt t.settled_ids client) ~default:(-1)
+      in
+      if id > settled then Hashtbl.replace t.settled_ids client id;
+      Hashtbl.remove t.replied key)
+    dead;
   t.replied_evicted <- t.replied_evicted + List.length dead
 
 let on_stable t ~instance ~seq =
@@ -632,7 +729,7 @@ let on_stable t ~instance ~seq =
 let replied_retained t =
   let counts = Array.make t.z 0 in
   Hashtbl.iter
-    (fun _ (_, _, instance) ->
+    (fun _ (_, _, instance, _) ->
       if instance >= 0 && instance < t.z then
         counts.(instance) <- counts.(instance) + 1)
     t.replied;
@@ -697,7 +794,7 @@ let rollback_to t ~frontier ~instance =
      below re-records it. *)
   let dead =
     Hashtbl.fold
-      (fun key (round, _, _) acc ->
+      (fun key (round, _, _, _) acc ->
         if round >= kv_undo then key :: acc else acc)
       t.replied []
   in
@@ -729,6 +826,12 @@ let rollback_to t ~frontier ~instance =
     (fun round sl -> if round >= frontier then sl.(instance) <- None)
     t.pending;
   t.next_round <- resume;
+  (* Boundaries past the resume point captured state that no longer
+     exists; re-execution captures them afresh. *)
+  t.boundaries <-
+    List.filter
+      (fun (b : Rcc_storage.Snapshot.boundary) -> b.b_seq <= resume)
+      t.boundaries;
   (match t.persist with
   | Some p -> p.p_rollback ~frontier:resume
   | None -> ());
@@ -740,12 +843,6 @@ let rollback_to t ~frontier ~instance =
   try_advance t
 
 (* --- state transfer --------------------------------------------------- *)
-
-let replied_entries t =
-  Hashtbl.fold
-    (fun (client, digest) (round, result, _) acc ->
-      (client, digest, round, result) :: acc)
-    t.replied []
 
 let install_snapshot t ~seq ~replied =
   (* Rounds below [seq] are baked into the installed state. In parallel
@@ -782,7 +879,7 @@ let install_snapshot t ~seq ~replied =
       (fun (client, digest, round, result) ->
         let key = (client, digest) in
         if not (Hashtbl.mem t.replied key) then
-          Hashtbl.replace t.replied key (round, result, 0))
+          Hashtbl.replace t.replied key (round, result, 0, -1))
       replied;
     try_advance t
   end

@@ -22,7 +22,12 @@
       scheduler lane, so ledger layout, replay order and the report
       digest are identical to serial execution for any workload. Windows
       are pipelined one at a time: the next window's conflict scan and
-      pool execution overlap the previous window's commit jobs. *)
+      pool execution overlap the previous window's commit jobs, except
+      across a checkpoint boundary — a window never straddles one, and
+      the next is not gathered until the boundary round committed.
+
+    Either way, committing the last round before a boundary captures the
+    replica's one checkpoint value ({!boundaries}) from settled state. *)
 
 type sched =
   | Serial
@@ -41,10 +46,13 @@ type persist = {
   p_stable : floor:Rcc_common.Ids.round -> unit;
       (** the cross-instance stable checkpoint floor advanced to
           [floor] *)
+  p_snapshot : Rcc_storage.Snapshot.t -> unit;
+      (** a checkpoint boundary was captured: the snapshot holds its KV
+          copy, the ledger prefix and the duplicate-reply cache *)
 }
 (** Observer seam for the durable write-ahead journal: the journal layer
     (which lives above this library) registers callbacks instead of this
-    module depending on it. All three fire synchronously on the execute
+    module depending on it. All four fire synchronously on the execute
     lane, after the corresponding state change is applied. *)
 
 type t
@@ -66,6 +74,7 @@ val create :
   ?materialize:bool ->
   ?sign_speculative:bool ->
   ?sched:sched ->
+  ?checkpoint_interval:int ->
   unit ->
   t
 (** [reorder] implements §3.4.1's execution-order selection; the default
@@ -83,7 +92,10 @@ val create :
     signed responses, whereas under RCC recovery is unification's job and
     responses carry MACs.
     [sched] defaults to {!Serial}, which is byte-identical to the
-    pre-scheduler execute thread. *)
+    pre-scheduler execute thread.
+    [checkpoint_interval] (default 0 = none) paces checkpoint boundaries:
+    one every few checkpoint intervals, the multiple fixed in this module
+    and nowhere else. *)
 
 val set_on_executed : t -> (Rcc_common.Ids.round -> Acceptance.t array -> unit) -> unit
 (** Late wiring for the coordinator, which is constructed after the
@@ -92,11 +104,11 @@ val set_on_executed : t -> (Rcc_common.Ids.round -> Acceptance.t array -> unit) 
 val set_persist : t -> persist -> unit
 (** Register the durable-journal observer (see {!persist}). *)
 
-val settled : t -> bool
-(** No round is mid-execution: always true in serial mode; in parallel
-    mode, true between windows once every commit job drained. Durable
-    snapshot capture is gated on this so a checkpoint never serializes a
-    half-executed window. *)
+val boundaries : t -> Rcc_storage.Snapshot.boundary list
+(** The newest captured checkpoint boundaries (at most four), newest
+    first. A boundary is captured when the round before it commits, from
+    state settled exactly there; a rollback drops those past its resume
+    point, and re-execution captures them again. *)
 
 val certificate_digest : string -> int list -> string
 (** [certificate_digest batch_digest cert] is the digest stored in block
@@ -130,7 +142,9 @@ val on_stable : t -> instance:Rcc_common.Ids.instance_id -> seq:Rcc_common.Ids.r
     instance's stable frontier passes a round, duplicate-reply entries
     first executed below the common frontier are evicted — bounding the
     cache to the unstable window (a client replaying a batch that old
-    would already hold 2f+1 replies). *)
+    would already hold 2f+1 replies). Each client's newest evicted batch
+    id is kept, so a retransmission of an evicted batch that is ordered
+    again later is still skipped, not executed twice. *)
 
 val replied_retained : t -> int array
 (** Per-instance count of duplicate-reply entries currently retained

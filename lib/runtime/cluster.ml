@@ -123,13 +123,14 @@ let log_stats t x =
   | R_hs a -> B_hs.log_stats a.(0) x
   | R_cft a -> B_cft.log_stats a.(0) x
 
-(* Replica 0's execute stage, for the duplicate-reply cache stats. *)
-let exec0 t =
+let exec_of t r =
   match t.replicas with
-  | R_pbft a -> B_pbft.exec a.(0)
-  | R_zyz a -> B_zyz.exec a.(0)
-  | R_hs a -> B_hs.exec a.(0)
-  | R_cft a -> B_cft.exec a.(0)
+  | R_pbft a -> B_pbft.exec a.(r)
+  | R_zyz a -> B_zyz.exec a.(r)
+  | R_hs a -> B_hs.exec a.(r)
+  | R_cft a -> B_cft.exec a.(r)
+
+let boundaries t r = Rcc_replica.Exec.boundaries (exec_of t r)
 
 let net t = t.net
 
@@ -559,7 +560,7 @@ let run t =
           })
         (Client_pool.open_loop_stats t.pool);
     per_instance =
-      (let replied_retained = Rcc_replica.Exec.replied_retained (exec0 t) in
+      (let replied_retained = Rcc_replica.Exec.replied_retained (exec_of t 0) in
       Array.init (Metrics.instances t.metrics) (fun x ->
           let i_retained_slots, i_live_words =
             if x < t.cfg.Config.z then log_stats t x else (0, 0)

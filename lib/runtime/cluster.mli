@@ -85,6 +85,10 @@ val recovery_floor : t -> Rcc_common.Ids.replica_id -> int
     never restarted) — a recovered replica's ledger must never regress
     below this. *)
 
+val boundaries :
+  t -> Rcc_common.Ids.replica_id -> Rcc_storage.Snapshot.boundary list
+(** Replica [r]'s newest captured checkpoint boundaries, newest first. *)
+
 val restarts : t -> int
 val disk : t -> Rcc_common.Ids.replica_id -> Rcc_journal.Sim_disk.t
 val journal_of :

@@ -16,8 +16,7 @@ type hooks = {
   primaries : replica_id list;
   send : dst:replica_id -> Msg.t -> unit;
   broadcast : Msg.t -> unit;
-  head : unit -> string;
-  kv_entries : unit -> (int * int * int) array option;
+  boundaries : unit -> Snapshot.boundary list;
   blocks_prefix : upto:round -> Rcc_storage.Block.t array;
   replied_entries : unit -> (client_id * string * round * string) list;
   executed_upto : unit -> round;
@@ -64,7 +63,6 @@ type phase = Idle | Probing of probing | Fetching of fetch
 
 type t = {
   hooks : hooks;
-  latch : Latch.t;
   mutable phase : phase;
   mutable last_exec : round;
   mutable last_change : Engine.time;
@@ -75,20 +73,9 @@ type t = {
   mutable bytes_out : int;
 }
 
-(* Snapshot boundaries are sparser than checkpoint boundaries: latching
-   copies the KV table, so doing it every checkpoint would tax the
-   fault-free hot path for a state few peers will ever fetch. *)
-let snap_multiple = 4
-
 let create hooks =
-  let interval =
-    if hooks.checkpoint_interval > 0 then
-      snap_multiple * hooks.checkpoint_interval
-    else 0
-  in
   {
     hooks;
-    latch = Latch.create ~interval ();
     phase = Idle;
     last_exec = -1;
     last_change = Engine.now hooks.engine;
@@ -108,25 +95,17 @@ let stats t =
     bytes_out = t.bytes_out;
   }
 
-let enabled t = Latch.interval t.latch > 0
+let enabled t = t.hooks.checkpoint_interval > 0
 
 let trace t payload =
   if Engine.tracing t.hooks.engine then
     Engine.trace t.hooks.engine ~replica:t.hooks.self ~instance:(-1) payload
 
-let note_progress t ~round =
+let on_executed t ~round =
   if round > t.last_exec then begin
     t.last_exec <- round;
     t.last_change <- Engine.now t.hooks.engine
   end
-
-let on_executed t ~round =
-  note_progress t ~round;
-  match Latch.boundary t.latch ~executed:round with
-  | Some seq ->
-      Latch.record t.latch ~seq ~head:(t.hooks.head ())
-        ~kv:(t.hooks.kv_entries ())
-  | None -> ()
 
 (* --- requester side --------------------------------------------------- *)
 
@@ -270,7 +249,7 @@ let on_full_reply t ~src ~sp_seq blob =
                        })
                 end;
                 t.phase <- Idle;
-                note_progress t ~round:(t.hooks.executed_upto ())
+                on_executed t ~round:(t.hooks.executed_upto ())
               end)
     end
   | Fetching _ | Probing _ | Idle -> ()
@@ -278,18 +257,18 @@ let on_full_reply t ~src ~sp_seq blob =
 (* --- donor side ------------------------------------------------------- *)
 
 let on_offer_probe t ~src ~sr_seq =
-  match Latch.latest t.latch with
-  | Some e when e.seq > sr_seq ->
+  match t.hooks.boundaries () with
+  | b :: _ when b.b_seq > sr_seq ->
       t.hooks.send ~dst:src
         (Msg.Snapshot_reply
            {
-             sp_seq = e.seq;
-             sp_head = e.head;
-             sp_kv = Latch.digest_of e;
-             sp_attesters = t.hooks.attesters ~seq:e.seq;
+             sp_seq = b.b_seq;
+             sp_head = b.b_head;
+             sp_kv = Lazy.force b.b_kv_digest;
+             sp_attesters = t.hooks.attesters ~seq:b.b_seq;
              sp_payload = None;
            })
-  | Some _ | None -> ()
+  | _ -> ()
 
 (* Flip a byte every ~1/64th of the blob rather than one byte total: a
    single flip can land in a field excluded from block identity
@@ -307,31 +286,37 @@ let corrupt blob =
   Bytes.unsafe_to_string b
 
 let on_fetch t ~src ~sr_seq =
-  match Latch.find t.latch ~seq:sr_seq with
-  | None -> ()  (* latch rotated out; the requester's timeout fails over *)
-  | Some e ->
-      let blocks = t.hooks.blocks_prefix ~upto:e.seq in
+  match
+    List.find_opt
+      (fun (b : Snapshot.boundary) -> b.b_seq = sr_seq)
+      (t.hooks.boundaries ())
+  with
+  | None -> ()  (* boundary rotated out; the requester's timeout fails over *)
+  | Some b ->
+      let blocks = t.hooks.blocks_prefix ~upto:b.b_seq in
       (* A donor that itself installed a snapshot may hold a ledger
-         shorter than its latch claims only transiently; never serve a
+         shorter than its boundary claims only transiently; never serve a
          partial prefix. *)
-      if Array.length blocks = e.seq then begin
+      if Array.length blocks = b.b_seq then begin
         let replied =
-          List.filter (fun (_, _, r, _) -> r < e.seq) (t.hooks.replied_entries ())
+          List.filter
+            (fun (_, _, r, _) -> r < b.b_seq)
+            (t.hooks.replied_entries ())
         in
         let blob =
-          Snapshot.encode { Snapshot.seq = e.seq; blocks; kv = e.kv; replied }
+          Snapshot.encode { Snapshot.seq = b.b_seq; blocks; kv = b.b_kv; replied }
         in
         let blob = if t.hooks.corrupt_reply () then corrupt blob else blob in
         t.bytes_out <- t.bytes_out + String.length blob;
         trace t
-          (Event.St_served { seq = e.seq; bytes = String.length blob; dst = src });
+          (Event.St_served { seq = b.b_seq; bytes = String.length blob; dst = src });
         t.hooks.send ~dst:src
           (Msg.Snapshot_reply
              {
-               sp_seq = e.seq;
-               sp_head = e.head;
-               sp_kv = Latch.digest_of e;
-               sp_attesters = t.hooks.attesters ~seq:e.seq;
+               sp_seq = b.b_seq;
+               sp_head = b.b_head;
+               sp_kv = Lazy.force b.b_kv_digest;
+               sp_attesters = t.hooks.attesters ~seq:b.b_seq;
                sp_payload = Some blob;
              })
       end

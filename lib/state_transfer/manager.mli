@@ -2,7 +2,7 @@
     verification, and install for lagging and healed replicas.
 
     One manager runs per replica, driven by three inputs: the execution
-    callback ({!on_executed}, which also latches boundaries), the liveness
+    callback ({!on_executed}), the liveness
     monitor's heartbeat ({!tick}), and routed [Snapshot_request] /
     [Snapshot_reply] traffic ({!on_msg}). Checkpoint votes observed on the
     wire ({!observe_checkpoint}) give passive gap detection the moment a
@@ -13,9 +13,9 @@
     + {b Probe.} A replica whose execution frontier has stalled past the
       replica timeout — or that observes checkpoint votes far beyond its
       frontier — broadcasts [Snapshot_request {fetch = false}] carrying
-      its frontier. Peers answer light offers from their latest boundary
-      latch: [(seq, head, kv digest)] plus supporting attesters, no
-      payload.
+      its frontier. Peers answer light offers from their latest captured
+      checkpoint boundary ({!Rcc_storage.Snapshot.boundary}):
+      [(seq, head, kv digest)] plus supporting attesters, no payload.
     + {b Fetch.} Once [f+1] distinct peers offer the {e same}
       [(seq, head, kv)] triple — so at least one correct replica attests
       it — and the boundary is far enough ahead to be worth installing,
@@ -43,8 +43,8 @@ type hooks = {
   timeout : Rcc_sim.Engine.time;
       (** stall threshold for probing and per-donor fetch timeout *)
   checkpoint_interval : int;
-      (** boundaries latch every [4 * checkpoint_interval] rounds;
-          [<= 0] disables the manager entirely *)
+      (** paces probing and the minimum gap worth a fetch; [<= 0]
+          disables the manager entirely *)
   materialized : bool;
       (** this replica executes against a real KV table, so a snapshot
           without a KV section is useless to it *)
@@ -52,9 +52,9 @@ type hooks = {
       (** initial primary assignment — pins the genesis hash *)
   send : dst:Rcc_common.Ids.replica_id -> Rcc_messages.Msg.t -> unit;
   broadcast : Rcc_messages.Msg.t -> unit;
-  head : unit -> string;  (** current ledger head hash (boundary latching) *)
-  kv_entries : unit -> (int * int * int) array option;
-      (** canonical copy of the KV table, [None] if not materialized *)
+  boundaries : unit -> Rcc_storage.Snapshot.boundary list;
+      (** checkpoint boundaries the execute stage captured, newest first;
+          donors serve offers and fetches from these *)
   blocks_prefix : upto:Rcc_common.Ids.round -> Rcc_storage.Block.t array;
   replied_entries :
     unit ->
@@ -89,8 +89,8 @@ val create : hooks -> t
 val stats : t -> stats
 
 val on_executed : t -> round:Rcc_common.Ids.round -> unit
-(** Note execution progress; latch the boundary if [round] completed
-    one. Call from the execution callback for every executed round. *)
+(** Note execution progress for stall detection. Call from the execution
+    callback for every executed round. *)
 
 val observe_checkpoint : t -> seq:Rcc_common.Ids.round -> unit
 (** A checkpoint vote for [seq] passed through this replica's router.

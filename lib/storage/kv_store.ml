@@ -197,31 +197,6 @@ let entries t =
       incr i);
   out
 
-let copy t =
-  {
-    direct =
-      Array.map (Option.map (fun r -> { value = r.value; version = r.version }))
-        t.direct;
-    spill =
-      (let s = Hashtbl.create (max 16 (Hashtbl.length t.spill)) in
-       Hashtbl.iter
-         (fun k r -> Hashtbl.replace s k { value = r.value; version = r.version })
-         t.spill;
-       s);
-    direct_count = t.direct_count;
-    reads = 0;
-    writes = 0;
-    (* Copies are scratch stores (digest previews, tests); they start
-       with journalling off and an empty undo log. *)
-    journal_on = false;
-    j_round = [||];
-    j_key = [||];
-    j_value = [||];
-    j_version = [||];
-    j_len = 0;
-    j_current = -1;
-  }
-
 (* Wholesale replacement for snapshot install. The access counters are
    cumulative effort counters, not state, so they survive the install. *)
 let install t new_entries =

@@ -39,11 +39,6 @@ val entries : t -> (int * int * int) array
 (** The whole table as [(key, value, version)] triples in canonical
     order; the snapshot wire representation. *)
 
-val copy : t -> t
-(** Deep copy of the current state (access counters reset). Snapshot
-    boundary latches copy the store so a later fetch serializes the state
-    as of the boundary, not the live one. *)
-
 val install : t -> (int * int * int) array -> unit
 (** Replace the entire table with the given triples (state transfer
     install). Access counters are left untouched; the undo journal is

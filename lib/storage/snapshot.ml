@@ -25,6 +25,16 @@ let kv_digest = function
         entries;
       Rcc_crypto.Sha256.finalize ctx
 
+type boundary = {
+  b_seq : Rcc_common.Ids.round;
+  b_head : string;
+  b_kv : (int * int * int) array option;
+  b_kv_digest : string Lazy.t;
+}
+
+let boundary ~seq ~head ~kv =
+  { b_seq = seq; b_head = head; b_kv = kv; b_kv_digest = lazy (kv_digest kv) }
+
 (* Walk the chain exactly as [Ledger.validate] does, but standalone — a
    requester must reject a forged prefix BEFORE installing it. Returns
    the head hash the chain pins (the genesis hash for an empty chain). *)

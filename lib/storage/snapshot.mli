@@ -32,8 +32,31 @@ type t = {
 
 val kv_digest : (int * int * int) array option -> string
 (** Digest over the canonical KV triples; [""] for [None]. This is the
-    value boundary latches attest and {!Msg.Snapshot_reply} carries as
-    [sp_kv]. *)
+    value a captured {!boundary} attests and {!Msg.Snapshot_reply}
+    carries as [sp_kv]. *)
+
+type boundary = private {
+  b_seq : Rcc_common.Ids.round;  (** state after rounds [< b_seq] *)
+  b_head : string;  (** ledger head hash at the boundary *)
+  b_kv : (int * int * int) array option;
+      (** canonical KV triples; [None] when state is not materialized *)
+  b_kv_digest : string Lazy.t;
+      (** {!kv_digest} of [b_kv], computed on first use: offers are rare,
+          and digesting the table at every boundary would tax the
+          fault-free hot path for nothing *)
+}
+(** One checkpoint boundary, captured once by the execute stage the
+    moment execution settles on it. State transfer serves it and the
+    durable journal persists it, so any two honest replicas capturing
+    the same boundary vouch for identical bytes. The ledger prefix and
+    duplicate-reply cache are not part of it: donors read them at serve
+    time. *)
+
+val boundary :
+  seq:Rcc_common.Ids.round ->
+  head:string ->
+  kv:(int * int * int) array option ->
+  boundary
 
 val chain_head : primaries:Rcc_common.Ids.replica_id list -> Block.t array ->
   (string, string) result

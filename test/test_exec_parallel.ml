@@ -159,12 +159,19 @@ type outcome = {
   o_state : string;
   o_txns : int;
   o_responses : (int * int * string) list;  (* sorted (client, round, digest) *)
+  o_boundaries : (int * string * string) list;  (* captured (seq, head, kv) *)
 }
+
+let captured exec =
+  List.map
+    (fun (b : Rcc_storage.Snapshot.boundary) ->
+      (b.b_seq, b.b_head, Lazy.force b.b_kv_digest))
+    (Exec.boundaries exec)
 
 (* Drive a bare execute stage with a synthetic workload: [batches.(r).(i)]
    ordered by instance [i] in round [r], notified in [order], engine run
    to quiescence. *)
-let run_exec ~sched_kind ~z ~batches ~order =
+let run_exec ~checkpoint_interval ~sched_kind ~z ~batches ~order =
   let engine = Engine.create () in
   let server = Cpu.server engine ~name:"exec" () in
   let sched =
@@ -190,7 +197,7 @@ let run_exec ~sched_kind ~z ~batches ~order =
   let exec =
     Exec.create ~engine ~costs:Costs.default ~server ~z ~self:0 ~store ~ledger
       ~txn_table ~current_primaries:(fun () -> primaries)
-      ~respond ~metrics ~sched ()
+      ~respond ~metrics ~sched ~checkpoint_interval ()
   in
   List.iter
     (fun (round, i) -> Exec.notify exec (acc ~instance:i ~round batches.(round).(i)))
@@ -202,6 +209,7 @@ let run_exec ~sched_kind ~z ~batches ~order =
     o_state = Rcc_storage.Kv_store.state_digest store;
     o_txns = Exec.executed_txns exec;
     o_responses = List.sort compare !responses;
+    o_boundaries = captured exec;
   }
 
 (* Synthetic workload: [rounds] x [z] batches; key range controls the
@@ -249,6 +257,10 @@ let equivalence_prop ~conflict_free (seed, threads, window) =
       (fun round -> List.init z (fun i -> (round, i)))
       (List.init rounds (fun r -> r))
   in
+  (* Boundaries every 4 or 8 rounds, or none: parallel windows must end
+     on them and capture exactly serial's (seq, head, kv). *)
+  let checkpoint_interval = seed mod 3 in
+  let run_exec = run_exec ~checkpoint_interval in
   let reference = run_exec ~sched_kind:`Serial ~z ~batches ~order:slots in
   let same label o =
     if
@@ -257,6 +269,7 @@ let equivalence_prop ~conflict_free (seed, threads, window) =
       || o.o_state <> reference.o_state
       || o.o_txns <> reference.o_txns
       || o.o_responses <> reference.o_responses
+      || o.o_boundaries <> reference.o_boundaries
     then
       QCheck2.Test.fail_reportf
         "%s diverged from serial: rounds %d vs %d, txns %d vs %d, head %s vs %s"
@@ -290,7 +303,8 @@ let equivalence_test ~name ~conflict_free =
    from [final], and run to quiescence again. Other instances' rounds
    above the frontier re-execute from the exec layer's own uncommitted
    window — the caller re-notifies nothing for them. *)
-let run_fork_heal ~sched_kind ~z ~fork ~final ~frontier ~x =
+let run_fork_heal ~checkpoint_interval ~sched_kind ~z ~fork ~final ~frontier
+    ~x =
   let rounds = Array.length fork in
   let engine = Engine.create () in
   let server = Cpu.server engine ~name:"exec" () in
@@ -311,7 +325,7 @@ let run_fork_heal ~sched_kind ~z ~fork ~final ~frontier ~x =
       ~current_primaries:(fun () -> primaries)
       ~respond:(fun _ _ -> ())
       ~metrics:(Metrics.create ~n:1 ~instances:z ~warmup:0 ())
-      ~sched ()
+      ~sched ~checkpoint_interval ()
   in
   for round = 0 to rounds - 1 do
     for i = 0 to z - 1 do
@@ -333,13 +347,16 @@ let run_fork_heal ~sched_kind ~z ~fork ~final ~frontier ~x =
     o_state = Rcc_storage.Kv_store.state_digest store;
     o_txns = Exec.executed_txns exec;
     o_responses = [];
+    o_boundaries = captured exec;
   }
 
 (* Execute -> rollback -> re-execute must leave exactly the state of
    executing the final ordering directly: same ledger head and length,
    same KV digest, same net executed-txn count — in serial AND parallel
    mode. This is the tentpole invariant of the speculative-rollback
-   path: a healed fork is indistinguishable from never having forked. *)
+   path: a healed fork is indistinguishable from never having forked —
+   down to the checkpoint boundaries captured, which a rollback below
+   them must drop and re-execution capture afresh. *)
 let rollback_equivalence_prop (seed, threads, window) =
   let rng = Random.State.make [| seed |] in
   let z = 1 + Random.State.int rng 3 in
@@ -364,12 +381,14 @@ let rollback_equivalence_prop (seed, threads, window) =
       (fun round -> List.init z (fun i -> (round, i)))
       (List.init rounds (fun r -> r))
   in
+  let checkpoint_interval = seed mod 3 in
   let same label (healed : outcome) (direct : outcome) =
     if
       healed.o_head <> direct.o_head
       || healed.o_rounds <> direct.o_rounds
       || healed.o_state <> direct.o_state
       || healed.o_txns <> direct.o_txns
+      || healed.o_boundaries <> direct.o_boundaries
     then
       QCheck2.Test.fail_reportf
         "%s: rollback/re-execute diverged from direct execution (frontier %d, \
@@ -383,13 +402,15 @@ let rollback_equivalence_prop (seed, threads, window) =
         (String.sub (Rcc_common.Bytes_util.hex direct.o_state) 0 12)
   in
   let direct_serial =
-    run_exec ~sched_kind:`Serial ~z ~batches:final ~order:slots
+    run_exec ~checkpoint_interval ~sched_kind:`Serial ~z ~batches:final
+      ~order:slots
   in
   same "serial"
-    (run_fork_heal ~sched_kind:`Serial ~z ~fork ~final ~frontier ~x)
+    (run_fork_heal ~checkpoint_interval ~sched_kind:`Serial ~z ~fork ~final
+       ~frontier ~x)
     direct_serial;
   same "parallel"
-    (run_fork_heal
+    (run_fork_heal ~checkpoint_interval
        ~sched_kind:(`Parallel (threads, window))
        ~z ~fork ~final ~frontier ~x)
     { direct_serial with o_responses = [] };
@@ -405,9 +426,15 @@ let rollback_equivalence_test =
 
 (* --- watermark --------------------------------------------------------- *)
 
-let bare_exec ~z =
+let bare_exec ?(parallel = false) ~z () =
   let engine = Engine.create () in
   let server = Cpu.server engine ~name:"exec" () in
+  let sched =
+    if parallel then
+      Exec.Parallel
+        { pool = Cpu.pool engine ~name:"exec-pool" ~size:2 (); window = 4 }
+    else Exec.Serial
+  in
   let store = Rcc_storage.Kv_store.create () in
   let primaries = List.init z (fun i -> i) in
   let ledger = Rcc_storage.Ledger.create ~primaries in
@@ -417,12 +444,12 @@ let bare_exec ~z =
       ~current_primaries:(fun () -> primaries)
       ~respond:(fun _ _ -> ())
       ~metrics:(Metrics.create ~n:1 ~instances:z ~warmup:0 ())
-      ()
+      ~sched ()
   in
   (engine, exec)
 
 let test_watermark () =
-  let engine, exec = bare_exec ~z:2 in
+  let engine, exec = bare_exec ~z:2 () in
   check Alcotest.int "empty: next_round - 1" (-1) (Exec.max_pending_round exec);
   let put round i =
     Exec.notify exec
@@ -448,7 +475,7 @@ let test_watermark () =
 (* --- duplicate-reply cache GC ------------------------------------------ *)
 
 let test_replied_gc () =
-  let engine, exec = bare_exec ~z:2 in
+  let engine, exec = bare_exec ~z:2 () in
   (* 4 rounds x 2 instances, distinct clients: 8 cache entries. *)
   for round = 0 to 3 do
     for i = 0 to 1 do
@@ -473,6 +500,28 @@ let test_replied_gc () =
   Exec.on_stable exec ~instance:1 ~seq:2;
   check Alcotest.int "monotone" 4 (total ())
 
+(* A retransmission can be ordered again after the stable floor passed
+   its first execution and evicted the cached reply: it must still not
+   execute twice, in either mode. *)
+let test_evicted_duplicate_not_reexecuted () =
+  List.iter
+    (fun parallel ->
+      let engine, exec = bare_exec ~parallel ~z:1 () in
+      let retransmitted = mk_batch ~id:7 ~client:3 [ w 1; w 2 ] in
+      Exec.notify exec (acc ~instance:0 ~round:0 retransmitted);
+      Engine.run engine ~until:(Engine.of_seconds 1.);
+      Exec.on_stable exec ~instance:0 ~seq:1;
+      check Alcotest.int "first execution's reply evicted" 1
+        (Exec.replied_evicted exec);
+      Exec.notify exec (acc ~instance:0 ~round:1 retransmitted);
+      Exec.notify exec
+        (acc ~instance:0 ~round:2 (mk_batch ~id:9 ~client:3 [ w 3 ]));
+      Engine.run engine ~until:(Engine.of_seconds 2.);
+      check Alcotest.int "all three rounds committed" 3 (Exec.next_round exec);
+      check Alcotest.int "duplicate skipped, the client's next batch ran" 3
+        (Exec.executed_txns exec))
+    [ false; true ]
+
 let suite =
   ( "exec_parallel",
     [
@@ -488,6 +537,8 @@ let suite =
       Alcotest.test_case "conflict: total keys" `Quick test_total_keys;
       Alcotest.test_case "watermark: max_pending_round" `Quick test_watermark;
       Alcotest.test_case "replied cache: checkpoint GC" `Quick test_replied_gc;
+      Alcotest.test_case "replied cache: evicted duplicate not re-executed"
+        `Quick test_evicted_duplicate_not_reexecuted;
       equivalence_test
         ~name:"parallel = serial (conflict-free workloads, any order/threads)"
         ~conflict_free:true;

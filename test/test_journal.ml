@@ -279,13 +279,13 @@ let test_snapshot_plus_suffix () =
   let disk = Sim_disk.create ~seed:8 in
   let rounds = mk_rounds ~seed:41 10 in
   let j = log_and_flush ~engine ~disk rounds in
-  (* Build the checkpoint the way the builder does: from the recovered
-     (= live) state at the boundary. *)
+  (* Build the checkpoint the way the execute stage does: from the
+     recovered (= live) state at the boundary. *)
   let _, ledger, store, _ = recover_fresh disk in
   let snap =
     (* Checkpoint state at the boundary: KV as of round 8, not the
-       frontier — the builder snapshots only when execution has settled
-       at the boundary. *)
+       frontier — the execute stage captures a boundary as the round
+       before it commits, before any later round has applied. *)
     {
       Snapshot.seq = 8;
       blocks = Ledger.prefix ledger ~upto:8;

@@ -12,7 +12,8 @@ module Kv = Rcc_storage.Kv_store
 module Snapshot = Rcc_storage.Snapshot
 module Batch = Rcc_messages.Batch
 module Manager = Rcc_state_transfer.Manager
-module Latch = Rcc_state_transfer.Latch
+module Exec = Rcc_replica.Exec
+module Journal = Rcc_journal.Journal
 module Config = Rcc_runtime.Config
 module Report = Rcc_runtime.Report
 module Cluster = Rcc_runtime.Cluster
@@ -186,10 +187,10 @@ let donor_rounds = 32
 (* checkpoint_interval 4 -> snapshot boundary every 16 rounds. *)
 let interval = 4
 
-let make_world ?(corrupt = ref false) () =
+let make_world ?(corrupt = ref false) ?(ledger = Ledger.create ~primaries)
+    ?(boundaries = fun () -> []) () =
   let engine = Engine.create () in
   let sent = ref [] in
-  let ledger = Ledger.create ~primaries in
   let store = Kv.create () in
   let executed = ref (-1) in
   let installed = ref 0 in
@@ -205,8 +206,7 @@ let make_world ?(corrupt = ref false) () =
       primaries;
       send = (fun ~dst msg -> sent := (Some dst, msg) :: !sent);
       broadcast = (fun msg -> sent := (None, msg) :: !sent);
-      head = (fun () -> Ledger.head_hash ledger);
-      kv_entries = (fun () -> Some (Kv.entries store));
+      boundaries;
       blocks_prefix = (fun ~upto -> Ledger.prefix ledger ~upto);
       replied_entries = (fun () -> []);
       executed_upto = (fun () -> !executed);
@@ -357,6 +357,109 @@ let test_manager_rejects_head_mismatch () =
   check Alcotest.int "nothing installed" 0 !(w.installed);
   check Alcotest.int "rejected" 1 (Manager.stats w.mgr).Manager.rejects
 
+(* --- donor side: captured boundaries ------------------------------------ *)
+
+let keychain = Rcc_crypto.Keychain.create ~seed:5 ~n:4 ~clients:8
+
+(* Instance [i]'s round-[round] batch: one write of [value] to a key of
+   its own, so the two orderings below differ in KV state and digests. *)
+let write_acc ~round ~instance ~value =
+  let client = instance in
+  {
+    Rcc_replica.Acceptance.instance;
+    round;
+    batch =
+      Batch.create ~id:((round * 2) + instance) ~client
+        ~txns:[| { Rcc_workload.Txn.key = (round * 2) + instance; op = Write value } |]
+        ~secret:(Rcc_crypto.Keychain.client_secret keychain client);
+    cert = [ 0; 1; 2 ];
+    speculative = false;
+    history = "";
+  }
+
+(* Execute 8 rounds (boundaries at 4 and 8), roll instance 1 back to round
+   2 and re-execute it with different batches. The rollback unwinds both
+   boundaries; a donor must then offer and serve the re-executed state,
+   never the captured-then-unwound one. *)
+let test_rollback_recaptures_boundaries () =
+  List.iter
+    (fun parallel ->
+      let engine = Engine.create () in
+      let sched =
+        if parallel then
+          Exec.Parallel
+            { pool = Rcc_sim.Cpu.pool engine ~name:"pool" ~size:2 (); window = 8 }
+        else Exec.Serial
+      in
+      let ledger = Ledger.create ~primaries in
+      let store = Kv.create () in
+      Kv.init_records store ~count:16;
+      let exec =
+        Exec.create ~engine ~costs:Rcc_sim.Costs.default
+          ~server:(Rcc_sim.Cpu.server engine ~name:"exec" ())
+          ~z:2 ~self:0 ~store ~ledger
+          ~txn_table:(Rcc_storage.Txn_table.create ())
+          ~current_primaries:(fun () -> primaries)
+          ~respond:(fun _ _ -> ())
+          ~metrics:(Rcc_replica.Metrics.create ~n:1 ~instances:2 ~warmup:0 ())
+          ~sched ~checkpoint_interval:1 ()
+      in
+      for round = 0 to 7 do
+        for instance = 0 to 1 do
+          Exec.notify exec (write_acc ~round ~instance ~value:1)
+        done
+      done;
+      Engine.run engine ~until:(Engine.of_seconds 1.);
+      let unwound = Ledger.head_hash ledger in
+      Exec.rollback_to exec ~frontier:2 ~instance:1;
+      check (Alcotest.list Alcotest.int) "rollback drops unwound boundaries" []
+        (List.map (fun (b : Snapshot.boundary) -> b.b_seq) (Exec.boundaries exec));
+      for round = 2 to 7 do
+        Exec.notify exec (write_acc ~round ~instance:1 ~value:99)
+      done;
+      Engine.run engine ~until:(Engine.of_seconds 2.);
+      check Alcotest.int "re-executed" 8 (Ledger.length ledger);
+      check (Alcotest.list Alcotest.int) "re-execution captures them again"
+        [ 8; 4 ]
+        (List.map (fun (b : Snapshot.boundary) -> b.b_seq) (Exec.boundaries exec));
+      let head_at seq =
+        match Snapshot.chain_head ~primaries (Ledger.prefix ledger ~upto:seq) with
+        | Ok h -> h
+        | Error e -> Alcotest.failf "chain: %s" e
+      in
+      check Alcotest.bool "the new ordering changed the head" false
+        (String.equal unwound (head_at 8));
+      let w = make_world ~ledger ~boundaries:(fun () -> Exec.boundaries exec) () in
+      (* (seq, head, kv digest, payload) of the donor's last reply. *)
+      let reply () =
+        match !(w.sent) with
+        | (Some 0, Msg.Snapshot_reply { sp_seq; sp_head; sp_kv; sp_payload; _ })
+          :: _ ->
+            (sp_seq, sp_head, sp_kv, sp_payload)
+        | _ -> Alcotest.fail "donor did not reply"
+      in
+      Manager.on_msg w.mgr ~src:0 (Msg.Snapshot_request { sr_seq = 0; fetch = false });
+      let seq, head, kv, _ = reply () in
+      check Alcotest.int "offers the newest boundary" 8 seq;
+      check Alcotest.string "offered head = new ledger head at seq"
+        (Rcc_common.Bytes_util.hex (head_at 8))
+        (Rcc_common.Bytes_util.hex head);
+      check Alcotest.string "offered kv = re-executed state"
+        (Snapshot.kv_digest (Some (Kv.entries store)))
+        kv;
+      Manager.on_msg w.mgr ~src:0 (Msg.Snapshot_request { sr_seq = 4; fetch = true });
+      let _, head, _, payload = reply () in
+      check Alcotest.string "served head = new ledger head at seq"
+        (Rcc_common.Bytes_util.hex (head_at 4))
+        (Rcc_common.Bytes_util.hex head);
+      match Option.map Snapshot.decode payload with
+      | Some (Ok snap) ->
+          check Alcotest.bool "served blob chains to the served head" true
+            (Snapshot.verify ~primaries snap = Ok head)
+      | Some (Error e) -> Alcotest.failf "decode: %s" e
+      | None -> Alcotest.fail "fetch served no payload")
+    [ false; true ]
+
 (* --- install cache invalidation (satellite: digest-after-install) ------ *)
 
 let test_install_invalidates_caches () =
@@ -450,6 +553,75 @@ let test_cluster_partition_heal_transfer () =
     true
     (report.Report.ledger_rounds > 4_000)
 
+(* Fault-free MultiP with parallel execution, every replica materialized
+   and journaling. Each replica's captured boundaries are sampled every
+   2 simulated ms (the ring keeps only the newest few). Every replica
+   must capture each boundary it crosses, all with the same (head, KV
+   digest) — a window applying later rounds' writes before the boundary
+   commit would make them differ — and its journal must persist each
+   one. *)
+let test_parallel_boundaries_agree () =
+  let duration = Engine.of_seconds 0.3 in
+  let interval = 32 in
+  let cfg =
+    {
+      (Config.make ~protocol:Config.MultiP ~n:4 ~batch_size:10 ~clients:40
+         ~records:5_000 ~duration ~warmup:(duration / 4)
+         ~exec_mode:Config.Exec_parallel ~journal:true ~seed:3 ())
+      with
+      Config.checkpoint_interval = interval;
+    }
+  in
+  let cluster = Cluster.build cfg in
+  let engine = Cluster.engine cluster in
+  let n = cfg.Config.n in
+  let seen = Array.init n (fun _ -> Hashtbl.create 64) in
+  let sample () =
+    Array.iteri
+      (fun r tbl ->
+        List.iter
+          (fun (b : Snapshot.boundary) ->
+            Hashtbl.replace tbl b.b_seq
+              ( Rcc_common.Bytes_util.hex b.b_head,
+                Rcc_common.Bytes_util.hex (Lazy.force b.b_kv_digest) ))
+          (Cluster.boundaries cluster r))
+      seen
+  in
+  let rec poll () =
+    sample ();
+    Engine.schedule_after engine (Engine.ms 2) poll
+  in
+  Engine.schedule_after engine (Engine.ms 2) poll;
+  ignore (Cluster.run cluster);
+  Cluster.stop_clients cluster;
+  Engine.run engine ~until:(duration + Engine.ms 20);
+  sample ();
+  let crossed r = Ledger.next_round (Cluster.ledger cluster r) / (4 * interval) in
+  check Alcotest.bool "run crossed many boundaries" true (crossed 0 >= 10);
+  for r = 0 to n - 1 do
+    check Alcotest.int
+      (Printf.sprintf "replica %d captured every boundary it crossed" r)
+      (crossed r) (Hashtbl.length seen.(r));
+    match Cluster.journal_of cluster r with
+    | Some j ->
+        check Alcotest.int
+          (Printf.sprintf "replica %d journaled every boundary" r)
+          (crossed r) (Journal.snapshots_written j)
+    | None -> Alcotest.fail "journal off"
+  done;
+  Hashtbl.iter
+    (fun seq v ->
+      for r = 1 to n - 1 do
+        match Hashtbl.find_opt seen.(r) seq with
+        | Some v' ->
+            check
+              Alcotest.(pair string string)
+              (Printf.sprintf "replica %d (head, kv) at boundary %d" r seq)
+              v v'
+        | None -> ()
+      done)
+    seen.(0)
+
 let suite =
   ( "state_transfer",
     [
@@ -467,6 +639,10 @@ let suite =
         test_manager_rejects_head_mismatch;
       Alcotest.test_case "install invalidates caches" `Quick
         test_install_invalidates_caches;
+      Alcotest.test_case "rollback re-captures boundaries donors serve" `Quick
+        test_rollback_recaptures_boundaries;
+      Alcotest.test_case "parallel exec: replicas capture identical boundaries"
+        `Slow test_parallel_boundaries_agree;
       Alcotest.test_case "cluster partition-heal converges via snapshot" `Slow
         test_cluster_partition_heal_transfer;
     ] )
