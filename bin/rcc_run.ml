@@ -127,7 +127,7 @@ let run protocol n batch_size clients duration warmup replica_timeout
 let cmd =
   let protocol =
     Arg.(value & opt protocol_conv Rcc_runtime.Config.MultiP
-         & info [ "p"; "protocol" ] ~doc:"Protocol: pbft, zyzzyva, hotstuff, multip, multiz.")
+         & info [ "p"; "protocol" ] ~doc:"Protocol: pbft, zyzzyva, hotstuff, cft, multip, multiz, multic.")
   in
   let n = Arg.(value & opt int 16 & info [ "n"; "replicas" ] ~doc:"Number of replicas.") in
   let batch = Arg.(value & opt int 100 & info [ "b"; "batch" ] ~doc:"Transactions per batch.") in

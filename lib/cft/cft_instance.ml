@@ -68,7 +68,7 @@ let acked_round t ~round =
    contracts, which the coordinator serves from its own history. The vote
    digest is the batch digest at the boundary round. *)
 let maybe_checkpoint t =
-  match Checkpointing.due t.ckpt ~exec_upto:(SL.frontier t.log) with
+  match Checkpointing.due t.ckpt t.log with
   | Some target ->
       let digest =
         match SL.find_opt t.log target with
@@ -81,23 +81,13 @@ let maybe_checkpoint t =
   | None -> ()
 
 let on_checkpoint t ~src seq digest =
-  match
-    Checkpointing.on_vote t.ckpt ~src ~seq ~digest
-      ~exec_upto:(SL.frontier t.log)
-  with
-  | Some stable ->
-      SL.gc_upto t.log (stable - 1);
-      t.env.Env.on_stable ~seq:stable
-  | None -> ()
+  Checkpointing.on_vote t.ckpt t.log ~src ~seq ~digest
+    ~on_stable:t.env.Env.on_stable
 
 let advance_exec_upto t =
   ignore (SL.drain t.log ~accept:(fun s -> s.SL.accepted));
   SL.touch t.log;
-  match Checkpointing.try_stabilize t.ckpt ~exec_upto:(SL.frontier t.log) with
-  | Some stable ->
-      SL.gc_upto t.log (stable - 1);
-      t.env.Env.on_stable ~seq:stable
-  | None -> ()
+  Checkpointing.try_stabilize t.ckpt t.log ~on_stable:t.env.Env.on_stable
 
 let accept t s =
   if not s.SL.accepted then

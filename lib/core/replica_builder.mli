@@ -1,11 +1,13 @@
 (** Assembly of one full replica: [z] protocol instances + pipeline +
     execute thread + coordinator.
 
-    [Make (P)] instantiates the RCC paradigm over any protocol satisfying
-    the black-box interface (MultiP = Make(Pbft), MultiZ = Make(Zyzzyva)).
-    With [z = 1] and [unified = false] the same assembly runs the
-    standalone protocol, which is how the baselines share the paper's
-    parallel-pipelined architecture (§7.1). *)
+    The protocol is a value: {!create} takes any module satisfying the
+    black-box interface {!Rcc_replica.Instance_intf.S} (MultiP passes
+    [Pbft_instance], MultiZ [Zyzzyva_instance]), and the resulting
+    replica has one type whatever the protocol. With [z = 1] and
+    [unified = false] the same assembly runs the standalone protocol,
+    which is how the baselines share the paper's parallel-pipelined
+    architecture (§7.1). *)
 
 open Rcc_common.Ids
 
@@ -53,62 +55,61 @@ type config = {
           (the digest-gated default) *)
 }
 
-module Make (P : Rcc_replica.Instance_intf.S) : sig
-  type t
+type t
 
-  val create :
-    engine:Rcc_sim.Engine.t ->
-    net:Rcc_messages.Msg.t Rcc_sim.Net.t ->
-    keychain:Rcc_crypto.Keychain.t ->
-    metrics:Rcc_replica.Metrics.t ->
-    config ->
-    t
-  (** Builds the node, installs routing, creates instances 0..z-1 (instance
-      x initially led by replica x) and, in unified mode, the coordinator. *)
+val create :
+  (module Rcc_replica.Instance_intf.S) ->
+  engine:Rcc_sim.Engine.t ->
+  net:Rcc_messages.Msg.t Rcc_sim.Net.t ->
+  keychain:Rcc_crypto.Keychain.t ->
+  metrics:Rcc_replica.Metrics.t ->
+  config ->
+  t
+(** Builds the node, installs routing, creates instances 0..z-1 of the
+    given protocol (instance x initially led by replica x) and, in
+    unified mode, the coordinator. *)
 
-  val start : t -> unit
-  (** Arm all instance watchdogs. *)
+val start : t -> unit
+(** Arm all instance watchdogs. *)
 
-  val halt : t -> unit
-  (** Silence this incarnation permanently (restart-from-disk): deliveries
-      drop, queued sends become no-ops, the liveness monitor stops, and
-      un-flushed journal records are lost. The persistent disk survives. *)
+val halt : t -> unit
+(** Silence this incarnation permanently (restart-from-disk): deliveries
+    drop, queued sends become no-ops, the liveness monitor stops, and
+    un-flushed journal records are lost. The persistent disk survives. *)
 
-  val restore : t -> Rcc_journal.Journal.recovery option
-  (** Run restart-from-disk recovery on a freshly created builder (before
-      {!start}): install the newest verifiable snapshot, replay the
-      journal suffix through the real execution path, and fast-forward
-      the execute stage and every instance to the recovered frontier.
-      Returns the recovery summary; [None] without a journal. *)
+val restore : t -> Rcc_journal.Journal.recovery option
+(** Run restart-from-disk recovery on a freshly created builder (before
+    {!start}): install the newest verifiable snapshot, replay the
+    journal suffix through the real execution path, and fast-forward
+    the execute stage and every instance to the recovered frontier.
+    Returns the recovery summary; [None] without a journal. *)
 
-  val journal : t -> Rcc_journal.Journal.t option
+val journal : t -> Rcc_journal.Journal.t option
 
-  val config : t -> config
-  val instance : t -> instance_id -> P.t
-  val exec : t -> Rcc_replica.Exec.t
-  val coordinator : t -> Coordinator.t option
-  val store : t -> Rcc_storage.Kv_store.t
-  val ledger : t -> Rcc_storage.Ledger.t
-  val txn_table : t -> Rcc_storage.Txn_table.t
+val config : t -> config
+val exec : t -> Rcc_replica.Exec.t
+val coordinator : t -> Coordinator.t option
+val store : t -> Rcc_storage.Kv_store.t
+val ledger : t -> Rcc_storage.Ledger.t
+val txn_table : t -> Rcc_storage.Txn_table.t
 
-  val current_primary : t -> instance_id -> replica_id
-  (** The primary this replica currently believes leads the instance. *)
+val current_primary : t -> instance_id -> replica_id
+(** The primary this replica currently believes leads the instance. *)
 
-  val transfer_stats : t -> Rcc_state_transfer.Manager.stats
-  (** Snapshot installs / rejects / bytes moved by this replica's
-      state-transfer manager (all zero in fault-free runs). *)
+val transfer_stats : t -> Rcc_state_transfer.Manager.stats
+(** Snapshot installs / rejects / bytes moved by this replica's
+    state-transfer manager (all zero in fault-free runs). *)
 
-  val log_stats : t -> instance_id -> int * int
-  (** [(retained slots, estimated live words)] of the instance's slot
-      log — how tightly checkpoint GC bounds consensus memory. *)
+val log_stats : t -> instance_id -> int * int
+(** [(retained slots, estimated live words)] of the instance's slot
+    log — how tightly checkpoint GC bounds consensus memory. *)
 
-  val exec_utilization : t -> since:Rcc_sim.Engine.time -> float
-  (** Busy fraction of the execute thread since [since] — the ceiling the
-      paper identifies for the MultiBFT variants. In parallel mode this is
-      the scheduler lane (conflict scan + in-order commits). *)
+val exec_utilization : t -> since:Rcc_sim.Engine.time -> float
+(** Busy fraction of the execute thread since [since] — the ceiling the
+    paper identifies for the MultiBFT variants. In parallel mode this is
+    the scheduler lane (conflict scan + in-order commits). *)
 
-  val exec_pool_utilization : t -> since:Rcc_sim.Engine.time -> float option
-  (** Mean busy fraction of the execute pool; [None] in serial mode. *)
+val exec_pool_utilization : t -> since:Rcc_sim.Engine.time -> float option
+(** Mean busy fraction of the execute pool; [None] in serial mode. *)
 
-  val worker_utilization : t -> instance_id -> since:Rcc_sim.Engine.time -> float
-end
+val worker_utilization : t -> instance_id -> since:Rcc_sim.Engine.time -> float

@@ -100,12 +100,8 @@ let decide t s null =
    contracts, which the coordinator serves from its own history. The vote
    digest is the decided batch digest at the boundary round. *)
 let advance_ckpt t =
-  (match Checkpointing.try_stabilize t.ckpt ~exec_upto:(SL.frontier t.log) with
-  | Some stable ->
-      SL.gc_upto t.log (stable - 1);
-      t.env.Env.on_stable ~seq:stable
-  | None -> ());
-  match Checkpointing.due t.ckpt ~exec_upto:(SL.frontier t.log) with
+  Checkpointing.try_stabilize t.ckpt t.log ~on_stable:t.env.Env.on_stable;
+  match Checkpointing.due t.ckpt t.log with
   | Some target ->
       let digest =
         match SL.find_opt t.log target with
@@ -118,14 +114,8 @@ let advance_ckpt t =
   | None -> ()
 
 let on_checkpoint t ~src seq digest =
-  match
-    Checkpointing.on_vote t.ckpt ~src ~seq ~digest
-      ~exec_upto:(SL.frontier t.log)
-  with
-  | Some stable ->
-      SL.gc_upto t.log (stable - 1);
-      t.env.Env.on_stable ~seq:stable
-  | None -> ()
+  Checkpointing.on_vote t.ckpt t.log ~src ~seq ~digest
+    ~on_stable:t.env.Env.on_stable
 
 (* Advance the frontier; blacklisted leaders' pending rounds are skip-voted
    without waiting for the timeout. *)

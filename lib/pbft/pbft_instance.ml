@@ -7,6 +7,7 @@ module SL = Rcc_proto_core.Slot_log
 module Quorum = Rcc_proto_core.Quorum
 module Held_batches = Rcc_proto_core.Held_batches
 module Checkpointing = Rcc_proto_core.Checkpointing
+module Ordered_batches = Rcc_proto_core.Ordered_batches
 
 (* Protocol-specific slot state; batch / digest / accepted / created_at
    live in the shared {!Rcc_proto_core.Slot_log}. *)
@@ -30,10 +31,7 @@ type t = {
   mutable last_failure_report : int;  (* round of last report, -1 if none *)
   ckpt : Checkpointing.t;
   held : Held_batches.t;  (* submitted during a view change *)
-  ordered : (Rcc_common.Ids.client_id, string * int) Hashtbl.t;
-      (* primary only: each client's last ordered (digest, seq), so a
-         retransmission of an already-ordered batch has no chance
-         of being ordered — and executed — a second time *)
+  ordered : Ordered_batches.t;  (* primary only: retransmission dedup *)
   mutable running : bool;
 }
 
@@ -61,7 +59,7 @@ let create env =
     last_failure_report = -1;
     ckpt = Checkpointing.create ~n ~f ~interval:env.Env.checkpoint_interval ();
     held = Held_batches.create ();
-    ordered = Hashtbl.create 64;
+    ordered = Ordered_batches.create ();
     running = false;
   }
 
@@ -81,14 +79,10 @@ let prepared_round t ~round =
 let advance_exec_upto t =
   ignore (SL.drain t.log ~accept:(fun s -> s.SL.accepted));
   SL.touch t.log;
-  match Checkpointing.try_stabilize t.ckpt ~exec_upto:(SL.frontier t.log) with
-  | Some stable ->
-      SL.gc_upto t.log (stable - 1);
-      t.env.Env.on_stable ~seq:stable
-  | None -> ()
+  Checkpointing.try_stabilize t.ckpt t.log ~on_stable:t.env.Env.on_stable
 
 let maybe_checkpoint t =
-  match Checkpointing.due t.ckpt ~exec_upto:(SL.frontier t.log) with
+  match Checkpointing.due t.ckpt t.log with
   | Some target ->
       let digest =
         match SL.find_opt t.log target with
@@ -101,14 +95,8 @@ let maybe_checkpoint t =
   | None -> ()
 
 let on_checkpoint t ~src seq digest =
-  match
-    Checkpointing.on_vote t.ckpt ~src ~seq ~digest
-      ~exec_upto:(SL.frontier t.log)
-  with
-  | Some stable ->
-      SL.gc_upto t.log (stable - 1);
-      t.env.Env.on_stable ~seq:stable
-  | None -> ()
+  Checkpointing.on_vote t.ckpt t.log ~src ~seq ~digest
+    ~on_stable:t.env.Env.on_stable
 
 (* --- normal case ---------------------------------------------------- *)
 
@@ -221,31 +209,13 @@ let on_commit t ~src ~view ~seq ~digest =
 
 (* --- proposing ------------------------------------------------------ *)
 
-(* A client retransmission of a batch this primary already ordered must
-   not burn a fresh slot: once the duplicate-reply cache entry for the
-   first slot ages past the checkpoint floor, the second slot would
-   re-execute the batch. Re-announce the original order instead — replicas
-   that missed it catch up, the rest treat it as the duplicate it is. *)
-let already_ordered t (batch : Batch.t) =
-  match Hashtbl.find_opt t.ordered batch.Batch.client with
-  | Some (digest, seq) when String.equal digest batch.Batch.digest -> (
-      match SL.find_opt t.log seq with
-      | Some { SL.batch = Some b; _ } when String.equal b.Batch.digest digest ->
-          Some (Some seq)
-      | None when seq <= SL.frontier t.log ->
-          (* Stable and collected: every correct replica executed and
-             replied; nothing to re-order. *)
-          Some None
-      | Some _ | None -> None (* slot unwound or replaced: order afresh *))
-  | Some _ | None -> None
-
 let propose_fresh t batch =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let s = slot t seq in
   s.SL.batch <- Some batch;
   s.SL.digest <- Some batch.Batch.digest;
-  Hashtbl.replace t.ordered batch.Batch.client (batch.Batch.digest, seq);
+  Ordered_batches.record t.ordered batch ~seq;
   ignore (Quorum.vote (ph s).prepares t.env.Env.self);
   (ph s).prepare_sent <- true;
   if t.env.Env.byz.Rcc_replica.Byz.equivocate then begin
@@ -272,13 +242,13 @@ let propose_fresh t batch =
   check_prepared t s
 
 let propose t batch =
-  match already_ordered t batch with
-  | Some None -> ()
-  | Some (Some seq) ->
+  match Ordered_batches.check t.ordered t.log batch with
+  | Ordered_batches.Collected -> ()
+  | Ordered_batches.Reannounce seq ->
       t.env.Env.broadcast
         (Msg.Pre_prepare
            { instance = t.env.Env.instance; view = t.view; seq; batch })
-  | None -> propose_fresh t batch
+  | Ordered_batches.Fresh -> propose_fresh t batch
 
 let submit_batch t batch =
   if is_primary t then begin
@@ -403,7 +373,7 @@ let install_view t ~view ~primary =
   t.view <- view;
   t.primary <- primary;
   t.in_view_change <- false;
-  Hashtbl.reset t.ordered;
+  Ordered_batches.reset t.ordered;
   (* Batches held through the view change flush at the end of
      [finish_repropose] if we lead the new view; a backup must not sit
      on them — its clients' requests are the new primary's job. *)
@@ -448,7 +418,7 @@ let on_new_view t ~src ~view reproposals =
     t.view <- view;
     t.primary <- primary;
     t.in_view_change <- false;
-    Hashtbl.reset t.ordered;
+    Ordered_batches.reset t.ordered;
     t.last_failure_report <- -1;
     List.iter
       (fun (seq, batch) ->

@@ -23,14 +23,18 @@ let stable t = t.stable
 let provable_stable t = t.provable
 let log t = t.log
 
-let due t ~exec_upto =
+let due t log =
+  let exec_upto = Slot_log.frontier log in
   if t.interval <= 0 then None
   else
     let target = exec_upto - (exec_upto mod t.interval) in
     if target > t.stable && target > 0 then Some target else None
 
-let try_stabilize t ~exec_upto =
-  if t.provable > t.stable && t.provable <= exec_upto then begin
+(* The one place the stability rule lives: a checkpoint becomes stable
+   only once the accept frontier covers it, and a newly stable round [s]
+   collects every slot below it before being reported upward. *)
+let try_stabilize t log ~on_stable =
+  if t.provable > t.stable && t.provable <= Slot_log.frontier log then begin
     t.stable <- t.provable;
     (match Quorum.Tally.find_opt t.votes t.stable with
     | Some votes ->
@@ -46,9 +50,9 @@ let try_stabilize t ~exec_upto =
     Hashtbl.filter_map_inplace
       (fun seq d -> if seq <= t.stable - 1 then None else Some d)
       t.digests;
-    Some t.stable
+    Slot_log.gc_upto log (t.stable - 1);
+    on_stable ~seq:t.stable
   end
-  else None
 
 (* Adopt a checkpoint this replica just INSTALLED (state transfer) rather
    than voted to stability: record the transferred proof and drop every
@@ -66,18 +70,16 @@ let install t (proof : Store.proof) =
       t.digests
   end
 
-let on_vote t ~src ~seq ~digest ~exec_upto =
+let on_vote t log ~src ~seq ~digest ~on_stable =
   if seq > t.stable then begin
     if not (Hashtbl.mem t.digests seq) then Hashtbl.replace t.digests seq digest;
     let votes = Quorum.Tally.votes t.votes seq in
     (* A checkpoint only becomes stable locally once this replica holds
-       the state it covers (seq <= exec_upto); a replica kept in the dark
-       must keep its incomplete slots so the watchdog can blame the
-       primary instead of silently skipping the round. *)
+       the state it covers (seq <= the accept frontier); a replica kept in
+       the dark must keep its incomplete slots so the watchdog can blame
+       the primary instead of silently skipping the round. *)
     if Quorum.vote votes src && Quorum.has_weak votes then begin
       if seq > t.provable then t.provable <- seq;
-      try_stabilize t ~exec_upto
+      try_stabilize t log ~on_stable
     end
-    else None
   end
-  else None

@@ -7,8 +7,10 @@
     the dark must not garbage-collect rounds it never executed. Stable
     proofs are recorded in a {!Rcc_storage.Checkpoint_store.t}.
 
-    The caller owns the slot log: whenever a call reports a newly stable
-    round [s], the caller should [Slot_log.gc_upto log (s - 1)]. *)
+    The caller owns the slot log and passes it in: its accept frontier is
+    the executed prefix, and whenever a call makes a round [s] stable this
+    module collects the log's slots below [s] and then calls the caller's
+    [on_stable ~seq:s]. *)
 
 type t
 
@@ -24,27 +26,28 @@ val provable_stable : t -> Rcc_common.Ids.round
 val log : t -> Rcc_storage.Checkpoint_store.t
 (** The proofs recorded as checkpoints became stable. *)
 
-val due : t -> exec_upto:Rcc_common.Ids.round -> Rcc_common.Ids.round option
+val due : t -> 'a Slot_log.t -> Rcc_common.Ids.round option
 (** The checkpoint boundary the caller should announce (broadcast a
-    CHECKPOINT vote for), if the executed prefix has crossed one that is
-    not yet stable. *)
+    CHECKPOINT vote for), if the log's accepted prefix has crossed one
+    that is not yet stable. *)
 
 val on_vote :
   t ->
+  'a Slot_log.t ->
   src:Rcc_common.Ids.replica_id ->
   seq:Rcc_common.Ids.round ->
   digest:string ->
-  exec_upto:Rcc_common.Ids.round ->
-  Rcc_common.Ids.round option
+  on_stable:(seq:Rcc_common.Ids.round -> unit) ->
+  unit
 (** Count a CHECKPOINT vote (double votes ignored; the first digest seen
-    per round wins). Returns the newly stable round, if this vote made
-    one stable. *)
+    per round wins). If this vote made a round stable, collect the slots
+    below it and report it through [on_stable]. *)
 
 val try_stabilize :
-  t -> exec_upto:Rcc_common.Ids.round -> Rcc_common.Ids.round option
-(** Adopt the provable-stable checkpoint once execution has caught up
-    with it (call after the accept frontier advances). Returns the newly
-    stable round, if any. *)
+  t -> 'a Slot_log.t -> on_stable:(seq:Rcc_common.Ids.round -> unit) -> unit
+(** Adopt the provable-stable checkpoint once the log's accept frontier
+    has caught up with it (call after the frontier advances), collecting
+    and reporting it like {!on_vote}. *)
 
 val install : t -> Rcc_storage.Checkpoint_store.proof -> unit
 (** Adopt a checkpoint installed via state transfer: record the

@@ -1,8 +1,10 @@
 (** Interface every pluggable BFT protocol instance implements.
 
     RCC treats the protocol as a black box satisfying requirements R1–R4
-    (§3.3); this module type is that black box. PBFT and Zyzzyva implement
-    it; RCC composes [z] of them per replica. *)
+    (§3.3); this module type is that black box. PBFT, Zyzzyva, HotStuff
+    and the crash-fault protocol implement it; RCC composes [z] instances
+    of one of them per replica, taking the module as a value
+    ({!Rcc_core.Replica_builder.create}). *)
 
 open Rcc_common.Ids
 

@@ -8,16 +8,14 @@ module Builder = Rcc_core.Replica_builder
 module Journal = Rcc_journal.Journal
 module Sim_disk = Rcc_journal.Sim_disk
 
-module B_pbft = Builder.Make (Rcc_pbft.Pbft_instance)
-module B_zyz = Builder.Make (Rcc_zyzzyva.Zyzzyva_instance)
-module B_hs = Builder.Make (Rcc_hotstuff.Hotstuff_replica)
-module B_cft = Builder.Make (Rcc_cft.Cft_instance)
-
-type replicas =
-  | R_pbft of B_pbft.t array
-  | R_zyz of B_zyz.t array
-  | R_hs of B_hs.t array
-  | R_cft of B_cft.t array
+(* The one place a protocol is chosen: the RCC variants run the same
+   instance module as their standalone baseline, with unification on. *)
+let instance_module : Config.protocol -> (module Rcc_replica.Instance_intf.S)
+    = function
+  | Config.Pbft | Config.MultiP -> (module Rcc_pbft.Pbft_instance)
+  | Config.Zyzzyva | Config.MultiZ -> (module Rcc_zyzzyva.Zyzzyva_instance)
+  | Config.Hotstuff -> (module Rcc_hotstuff.Hotstuff_replica)
+  | Config.Cft | Config.MultiC -> (module Rcc_cft.Cft_instance)
 
 type t = {
   cfg : Config.t;
@@ -25,7 +23,7 @@ type t = {
   net : Msg.t Net.t;
   keychain : Rcc_crypto.Keychain.t;
   metrics : Metrics.t;
-  replicas : replicas;
+  replicas : Builder.t array;
   pool : Client_pool.t;
   machines : int;
   (* Persistent per-replica disks: they outlive builder incarnations, so
@@ -33,7 +31,8 @@ type t = {
      flushed. Empty-of-content but always allocated (allocation costs no
      engine events, so digests are unaffected). *)
   disks : Sim_disk.t array;
-  mk_cfg : Rcc_common.Ids.replica_id -> Builder.config;
+  (* A fresh incarnation of replica [r] over its persistent disk. *)
+  spawn : Rcc_common.Ids.replica_id -> Builder.t;
   (* Durable frontier proved by replica [r]'s most recent recovery; the
      chaos invariant asserts its ledger never regresses below this. *)
   recovery_floor : int array;
@@ -47,53 +46,42 @@ let metrics t = t.metrics
 let engine t = t.engine
 let client_pool t = t.pool
 
-let ledger t r =
-  match t.replicas with
-  | R_pbft a -> B_pbft.ledger a.(r)
-  | R_zyz a -> B_zyz.ledger a.(r)
-  | R_hs a -> B_hs.ledger a.(r)
-  | R_cft a -> B_cft.ledger a.(r)
-
-let store t r =
-  match t.replicas with
-  | R_pbft a -> B_pbft.store a.(r)
-  | R_zyz a -> B_zyz.store a.(r)
-  | R_hs a -> B_hs.store a.(r)
-  | R_cft a -> B_cft.store a.(r)
-
-let txn_table t r =
-  match t.replicas with
-  | R_pbft a -> B_pbft.txn_table a.(r)
-  | R_zyz a -> B_zyz.txn_table a.(r)
-  | R_hs a -> B_hs.txn_table a.(r)
-  | R_cft a -> B_cft.txn_table a.(r)
+let ledger t r = Builder.ledger t.replicas.(r)
+let store t r = Builder.store t.replicas.(r)
+let txn_table t r = Builder.txn_table t.replicas.(r)
 
 let primary_lookup protocol replicas x =
   match protocol with
   | Config.Hotstuff -> x
   | Config.Pbft | Config.Zyzzyva | Config.MultiP | Config.MultiZ | Config.Cft
-  | Config.MultiC -> (
-      match replicas with
-      | R_pbft a -> B_pbft.current_primary a.(0) x
-      | R_zyz a -> B_zyz.current_primary a.(0) x
-      | R_hs a -> B_hs.current_primary a.(0) x
-      | R_cft a -> B_cft.current_primary a.(0) x)
+  | Config.MultiC ->
+      Builder.current_primary replicas.(0) x
 
 let primary_of_instance t x = primary_lookup t.cfg.Config.protocol t.replicas x
 
-let coordinator_of t r =
-  match t.replicas with
-  | R_pbft a -> B_pbft.coordinator a.(r)
-  | R_zyz a -> B_zyz.coordinator a.(r)
-  | R_hs a -> B_hs.coordinator a.(r)
-  | R_cft a -> B_cft.coordinator a.(r)
+let coordinator_of t r = Builder.coordinator t.replicas.(r)
 
 let replacements_of t r =
   match coordinator_of t r with
   | Some c -> Rcc_core.Coordinator.replacements c
   | None -> 0
 
-let replacements t = replacements_of t 0
+(* The replica whose own state the report reads: the lowest-id one the
+   configured fault did not kill — a dead replica's ledger, threads and
+   coordinator sit idle from the start. *)
+let reporting_replica (cfg : Config.t) =
+  let dead =
+    match cfg.Config.fault with
+    | Config.Crash dead -> dead
+    | Config.No_fault | Config.Dark _ | Config.Collusion _ | Config.Client_dos _ ->
+        []
+  in
+  let rec first r =
+    if r < cfg.Config.n - 1 && List.mem r dead then first (r + 1) else r
+  in
+  first 0
+
+let replacements t = replacements_of t (reporting_replica t.cfg)
 
 (* Snapshot-transfer totals, summed over every replica's manager. *)
 let transfer_totals t =
@@ -107,39 +95,13 @@ let transfer_totals t =
         d + s.Rcc_state_transfer.Manager.bytes_in,
         e + s.Rcc_state_transfer.Manager.bytes_out )
   in
-  (match t.replicas with
-  | R_pbft a -> Array.iter (fun r -> add (B_pbft.transfer_stats r)) a
-  | R_zyz a -> Array.iter (fun r -> add (B_zyz.transfer_stats r)) a
-  | R_hs a -> Array.iter (fun r -> add (B_hs.transfer_stats r)) a
-  | R_cft a -> Array.iter (fun r -> add (B_cft.transfer_stats r)) a);
+  Array.iter (fun r -> add (Builder.transfer_stats r)) t.replicas;
   !acc
 
-(* Replica 0's slot-log footprint for instance [x]: how tightly the
-   checkpoint GC is bounding consensus memory. *)
-let log_stats t x =
-  match t.replicas with
-  | R_pbft a -> B_pbft.log_stats a.(0) x
-  | R_zyz a -> B_zyz.log_stats a.(0) x
-  | R_hs a -> B_hs.log_stats a.(0) x
-  | R_cft a -> B_cft.log_stats a.(0) x
-
-let exec_of t r =
-  match t.replicas with
-  | R_pbft a -> B_pbft.exec a.(r)
-  | R_zyz a -> B_zyz.exec a.(r)
-  | R_hs a -> B_hs.exec a.(r)
-  | R_cft a -> B_cft.exec a.(r)
-
-let boundaries t r = Rcc_replica.Exec.boundaries (exec_of t r)
+let boundaries t r = Rcc_replica.Exec.boundaries (Builder.exec t.replicas.(r))
 
 let net t = t.net
-
-let byz_spec t r =
-  match t.replicas with
-  | R_pbft a -> (B_pbft.config a.(r)).Builder.byz
-  | R_zyz a -> (B_zyz.config a.(r)).Builder.byz
-  | R_hs a -> (B_hs.config a.(r)).Builder.byz
-  | R_cft a -> (B_cft.config a.(r)).Builder.byz
+let byz_spec t r = (Builder.config t.replicas.(r)).Builder.byz
 
 (* --- restart-from-disk ---------------------------------------------------- *)
 
@@ -151,49 +113,11 @@ let byz_spec t r =
    nemesis [Restart]: that revives the same in-memory incarnation; this
    one trusts nothing but the disk. *)
 let restart_from_disk t r =
-  let recov =
-    match t.replicas with
-    | R_pbft a ->
-        B_pbft.halt a.(r);
-        let b =
-          B_pbft.create ~engine:t.engine ~net:t.net ~keychain:t.keychain
-            ~metrics:t.metrics (t.mk_cfg r)
-        in
-        let recov = B_pbft.restore b in
-        a.(r) <- b;
-        B_pbft.start b;
-        recov
-    | R_zyz a ->
-        B_zyz.halt a.(r);
-        let b =
-          B_zyz.create ~engine:t.engine ~net:t.net ~keychain:t.keychain
-            ~metrics:t.metrics (t.mk_cfg r)
-        in
-        let recov = B_zyz.restore b in
-        a.(r) <- b;
-        B_zyz.start b;
-        recov
-    | R_hs a ->
-        B_hs.halt a.(r);
-        let b =
-          B_hs.create ~engine:t.engine ~net:t.net ~keychain:t.keychain
-            ~metrics:t.metrics (t.mk_cfg r)
-        in
-        let recov = B_hs.restore b in
-        a.(r) <- b;
-        B_hs.start b;
-        recov
-    | R_cft a ->
-        B_cft.halt a.(r);
-        let b =
-          B_cft.create ~engine:t.engine ~net:t.net ~keychain:t.keychain
-            ~metrics:t.metrics (t.mk_cfg r)
-        in
-        let recov = B_cft.restore b in
-        a.(r) <- b;
-        B_cft.start b;
-        recov
-  in
+  Builder.halt t.replicas.(r);
+  let b = t.spawn r in
+  let recov = Builder.restore b in
+  t.replicas.(r) <- b;
+  Builder.start b;
   Net.set_dead t.net r false;
   t.restarts <- t.restarts + 1;
   (match recov with
@@ -211,12 +135,7 @@ let recovery_floor t r = t.recovery_floor.(r)
 let restarts t = t.restarts
 let disk t r = t.disks.(r)
 
-let journal_of t r =
-  match t.replicas with
-  | R_pbft a -> B_pbft.journal a.(r)
-  | R_zyz a -> B_zyz.journal a.(r)
-  | R_hs a -> B_hs.journal a.(r)
-  | R_cft a -> B_cft.journal a.(r)
+let journal_of t r = Builder.journal t.replicas.(r)
 
 (* Journal-writer totals over the *current* incarnations (a restart drops
    the orphan's counters) plus disk-level fault totals, which persist. *)
@@ -242,12 +161,7 @@ let primaries_view t r =
   match coordinator_of t r with
   | Some c -> Rcc_core.Coordinator.primaries c
   | None ->
-      List.init t.cfg.Config.z (fun x ->
-          match t.replicas with
-          | R_pbft a -> B_pbft.current_primary a.(r) x
-          | R_zyz a -> B_zyz.current_primary a.(r) x
-          | R_hs a -> B_hs.current_primary a.(r) x
-          | R_cft a -> B_cft.current_primary a.(r) x)
+      List.init t.cfg.Config.z (Builder.current_primary t.replicas.(r))
 
 let known_malicious_view t r =
   match coordinator_of t r with
@@ -395,25 +309,11 @@ let build ?tracer (cfg : Config.t) =
          else None);
     }
   in
-  let replicas =
-    match cfg.Config.protocol with
-    | Config.Pbft | Config.MultiP ->
-        R_pbft
-          (Array.init cfg.Config.n (fun self ->
-               B_pbft.create ~engine ~net ~keychain ~metrics (builder_cfg self)))
-    | Config.Zyzzyva | Config.MultiZ ->
-        R_zyz
-          (Array.init cfg.Config.n (fun self ->
-               B_zyz.create ~engine ~net ~keychain ~metrics (builder_cfg self)))
-    | Config.Hotstuff ->
-        R_hs
-          (Array.init cfg.Config.n (fun self ->
-               B_hs.create ~engine ~net ~keychain ~metrics (builder_cfg self)))
-    | Config.Cft | Config.MultiC ->
-        R_cft
-          (Array.init cfg.Config.n (fun self ->
-               B_cft.create ~engine ~net ~keychain ~metrics (builder_cfg self)))
+  let protocol = instance_module cfg.Config.protocol in
+  let spawn self =
+    Builder.create protocol ~engine ~net ~keychain ~metrics (builder_cfg self)
   in
+  let replicas = Array.init cfg.Config.n spawn in
   let pool =
     Client_pool.create ~engine ~net ~keychain ~metrics
       ~primary_of_instance:(fun x ->
@@ -446,7 +346,7 @@ let build ?tracer (cfg : Config.t) =
     pool;
     machines;
     disks;
-    mk_cfg = builder_cfg;
+    spawn;
     recovery_floor = Array.make cfg.Config.n 0;
     restarts = 0;
     replayed_rounds = 0;
@@ -472,14 +372,11 @@ let client_requests_sent t = Client_pool.requests_sent t.pool
 let run t =
   let wall_start = Sys.time () in
   apply_crashes t;
-  (match t.replicas with
-  | R_pbft a -> Array.iter B_pbft.start a
-  | R_zyz a -> Array.iter B_zyz.start a
-  | R_hs a -> Array.iter B_hs.start a
-  | R_cft a -> Array.iter B_cft.start a);
+  Array.iter Builder.start t.replicas;
   Client_pool.start t.pool;
   Engine.run t.engine ~until:t.cfg.Config.duration;
-  let ledger0 = ledger t 0 in
+  let reporter = t.replicas.(reporting_replica t.cfg) in
+  let ledger = Builder.ledger reporter in
   let snap_installs, snap_rejects, snap_rounds_skipped, snap_bytes_in,
       snap_bytes_out =
     transfer_totals t
@@ -506,30 +403,16 @@ let run t =
     replacements = replacements t;
     messages = Net.messages_sent t.net;
     bytes_sent = Net.bytes_sent t.net;
-    ledger_rounds = Rcc_storage.Ledger.length ledger0;
+    ledger_rounds = Rcc_storage.Ledger.length ledger;
     ledger_valid =
-      (match Rcc_storage.Ledger.validate ledger0 with
+      (match Rcc_storage.Ledger.validate ledger with
       | Ok () -> true
       | Error _ -> false);
-    exec_utilization =
-      (match t.replicas with
-      | R_pbft a -> B_pbft.exec_utilization a.(0) ~since:0
-      | R_zyz a -> B_zyz.exec_utilization a.(0) ~since:0
-      | R_hs a -> B_hs.exec_utilization a.(0) ~since:0
-      | R_cft a -> B_cft.exec_utilization a.(0) ~since:0);
+    exec_utilization = Builder.exec_utilization reporter ~since:0;
     exec_pool_utilization =
       Option.value ~default:0.0
-        (match t.replicas with
-        | R_pbft a -> B_pbft.exec_pool_utilization a.(0) ~since:0
-        | R_zyz a -> B_zyz.exec_pool_utilization a.(0) ~since:0
-        | R_hs a -> B_hs.exec_pool_utilization a.(0) ~since:0
-        | R_cft a -> B_cft.exec_pool_utilization a.(0) ~since:0);
-    worker_utilization =
-      (match t.replicas with
-      | R_pbft a -> B_pbft.worker_utilization a.(0) 0 ~since:0
-      | R_zyz a -> B_zyz.worker_utilization a.(0) 0 ~since:0
-      | R_hs a -> B_hs.worker_utilization a.(0) 0 ~since:0
-      | R_cft a -> B_cft.worker_utilization a.(0) 0 ~since:0);
+        (Builder.exec_pool_utilization reporter ~since:0);
+    worker_utilization = Builder.worker_utilization reporter 0 ~since:0;
     sim_events = Engine.events_processed t.engine;
     wall_seconds = Sys.time () -. wall_start;
     snap_installs;
@@ -560,10 +443,12 @@ let run t =
           })
         (Client_pool.open_loop_stats t.pool);
     per_instance =
-      (let replied_retained = Rcc_replica.Exec.replied_retained (exec_of t 0) in
+      (let replied_retained =
+         Rcc_replica.Exec.replied_retained (Builder.exec reporter)
+       in
       Array.init (Metrics.instances t.metrics) (fun x ->
           let i_retained_slots, i_live_words =
-            if x < t.cfg.Config.z then log_stats t x else (0, 0)
+            if x < t.cfg.Config.z then Builder.log_stats reporter x else (0, 0)
           in
           {
             Report.instance = x;

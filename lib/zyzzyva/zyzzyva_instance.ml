@@ -7,6 +7,7 @@ module SL = Rcc_proto_core.Slot_log
 module Quorum = Rcc_proto_core.Quorum
 module Held_batches = Rcc_proto_core.Held_batches
 module Checkpointing = Rcc_proto_core.Checkpointing
+module Ordered_batches = Rcc_proto_core.Ordered_batches
 
 (* Protocol-specific slot state; batch / accepted / created_at live in
    the shared {!Rcc_proto_core.Slot_log}. *)
@@ -26,10 +27,7 @@ type t = {
   mutable recovering : bool;  (* new primary syncing in-flight slots *)
   ckpt : Checkpointing.t;
   held : Held_batches.t;  (* submitted while recovering *)
-  ordered : (Rcc_common.Ids.client_id, string * int) Hashtbl.t;
-      (* primary only: each client's last ordered (digest, seq), so a
-         retransmitted batch is re-announced at its original slot instead
-         of being ordered — and executed — a second time *)
+  ordered : Ordered_batches.t;  (* primary only: retransmission dedup *)
   mutable running : bool;
 }
 
@@ -52,7 +50,7 @@ let create env =
     recovering = false;
     ckpt = Checkpointing.create ~n ~f ~interval:env.Env.checkpoint_interval ();
     held = Held_batches.create ();
-    ordered = Hashtbl.create 64;
+    ordered = Ordered_batches.create ();
     running = false;
   }
 
@@ -76,12 +74,8 @@ let extend_history t digest =
    so any two replicas voting for one boundary vouch for the same
    execution prefix. *)
 let advance_ckpt t =
-  (match Checkpointing.try_stabilize t.ckpt ~exec_upto:(SL.frontier t.log) with
-  | Some stable ->
-      SL.gc_upto t.log (stable - 1);
-      t.env.Env.on_stable ~seq:stable
-  | None -> ());
-  match Checkpointing.due t.ckpt ~exec_upto:(SL.frontier t.log) with
+  Checkpointing.try_stabilize t.ckpt t.log ~on_stable:t.env.Env.on_stable;
+  match Checkpointing.due t.ckpt t.log with
   | Some target ->
       let digest =
         match SL.find_opt t.log target with
@@ -94,14 +88,8 @@ let advance_ckpt t =
   | None -> ()
 
 let on_checkpoint t ~src seq digest =
-  match
-    Checkpointing.on_vote t.ckpt ~src ~seq ~digest
-      ~exec_upto:(SL.frontier t.log)
-  with
-  | Some stable ->
-      SL.gc_upto t.log (stable - 1);
-      t.env.Env.on_stable ~seq:stable
-  | None -> ()
+  Checkpointing.on_vote t.ckpt t.log ~src ~seq ~digest
+    ~on_stable:t.env.Env.on_stable
 
 (* Accept pending slots strictly in sequence order, chaining the history
    digest (speculative execution). *)
@@ -177,28 +165,10 @@ let on_order_request t ~src ~view ~seq batch ~history:_ =
     | Some _ -> if conflict_rollback t ~seq batch then drain_accepts t
   end
 
-(* A client retransmission of a batch this primary already ordered must
-   not burn a fresh slot: once the duplicate-reply cache entry for the
-   first slot ages past the checkpoint floor, the second slot would
-   re-execute the batch. Re-announce the original order instead — replicas
-   that missed it catch up, the rest treat it as the duplicate it is. *)
-let already_ordered t (batch : Batch.t) =
-  match Hashtbl.find_opt t.ordered batch.Batch.client with
-  | Some (digest, seq) when String.equal digest batch.Batch.digest -> (
-      match SL.find_opt t.log seq with
-      | Some { SL.batch = Some b; _ } when String.equal b.Batch.digest digest ->
-          Some (Some seq)
-      | None when seq < next_accept t ->
-          (* Stable and collected: every correct replica executed and
-             replied; nothing to re-order. *)
-          Some None
-      | Some _ | None -> None (* slot unwound or replaced: order afresh *))
-  | Some _ | None -> None
-
 let propose t batch =
-  match already_ordered t batch with
-  | Some None -> ()
-  | Some (Some seq) ->
+  match Ordered_batches.check t.ordered t.log batch with
+  | Ordered_batches.Collected -> ()
+  | Ordered_batches.Reannounce seq ->
       t.env.Env.broadcast
         (Msg.Order_request
            {
@@ -208,12 +178,12 @@ let propose t batch =
              batch;
              history = t.history;
            })
-  | None ->
+  | Ordered_batches.Fresh ->
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
       let s = slot t seq in
       s.SL.batch <- Some batch;
-      Hashtbl.replace t.ordered batch.Batch.client (batch.Batch.digest, seq);
+      Ordered_batches.record t.ordered batch ~seq;
       let exclude dst = Rcc_replica.Byz.excludes t.env.Env.byz ~round:seq dst in
       t.env.Env.broadcast ~exclude
         (Msg.Order_request
@@ -338,7 +308,7 @@ let install_view t ~view ~primary =
   t.view <- view;
   t.primary <- primary;
   t.recovering <- false;
-  Hashtbl.reset t.ordered;
+  Ordered_batches.reset t.ordered;
   Held_batches.clear t.held;
   t.last_failure_report <- -1;
   Quorum.Tally.prune t.vc_votes ~upto:view;
@@ -370,7 +340,7 @@ let on_new_view t ~src ~view reproposals =
     t.view <- view;
     t.primary <- src;
     t.recovering <- false;
-    Hashtbl.reset t.ordered;
+    Ordered_batches.reset t.ordered;
     Held_batches.clear t.held;
     t.last_failure_report <- -1;
     List.iter

@@ -258,5 +258,63 @@ let slot_log_suite =
         test_slot_log_gc_clamped_to_frontier;
     ] )
 
+(* The primary-side retransmission dedup PBFT and Zyzzyva share, judged
+   against a real slot log: a resend is re-announced at its original slot
+   while that slot still holds it, skipped once the slot is stable and
+   collected, and ordered afresh once the slot was unwound. *)
+let test_ordered_batches_outcomes () =
+  let module SL = Rcc_proto_core.Slot_log in
+  let module OB = Rcc_proto_core.Ordered_batches in
+  let check = Alcotest.check in
+  let decision =
+    Alcotest.testable
+      (fun fmt -> function
+        | OB.Fresh -> Format.pp_print_string fmt "Fresh"
+        | OB.Reannounce seq -> Format.fprintf fmt "Reannounce %d" seq
+        | OB.Collected -> Format.pp_print_string fmt "Collected")
+      ( = )
+  in
+  let engine = Rcc_sim.Engine.create () in
+  let log = SL.create ~engine ~init:(fun _ -> ()) () in
+  let ordered = OB.create () in
+  let batch = { (Batch.null ~round:3) with Batch.client = 7 } in
+  let resend_other = { (Batch.null ~round:4) with Batch.client = 7 } in
+  check decision "never ordered" OB.Fresh (OB.check ordered log batch);
+  for round = 0 to 3 do
+    (SL.get log round).SL.batch <- Some (Batch.null ~round)
+  done;
+  (SL.get log 3).SL.batch <- Some batch;
+  OB.record ordered batch ~seq:3;
+  check decision "live at its slot" (OB.Reannounce 3)
+    (OB.check ordered log batch);
+  check decision "a different batch of the client" OB.Fresh
+    (OB.check ordered log resend_other);
+  SL.unwind log ~round:3;
+  check decision "slot unwound" OB.Fresh (OB.check ordered log batch);
+  (SL.get log 3).SL.batch <- Some batch;
+  ignore (SL.drain log ~accept:(fun _ -> true));
+  SL.gc_upto log 3;
+  check decision "stable and collected" OB.Collected
+    (OB.check ordered log batch);
+  OB.reset ordered;
+  check decision "forgotten on view install" OB.Fresh
+    (OB.check ordered log batch)
+
+(* Suite names stay within 20 characters: Alcotest narrows the column every
+   test name is printed in to fit the longest suite name. *)
+let ordered_batches_suite =
+  ( "conformance:ordered",
+    [
+      Alcotest.test_case "three dedup outcomes" `Quick
+        test_ordered_batches_outcomes;
+    ] )
+
 let suites =
-  [ Pbft.suite; Zyzzyva.suite; Cft.suite; Hotstuff.suite; slot_log_suite ]
+  [
+    Pbft.suite;
+    Zyzzyva.suite;
+    Cft.suite;
+    Hotstuff.suite;
+    slot_log_suite;
+    ordered_batches_suite;
+  ]

@@ -146,6 +146,30 @@ let test_multip_crashed_primary_replaced () =
   check Alcotest.bool "ledger valid" true report.Report.ledger_valid;
   check_ledger_prefix_equal cluster 7
 
+let test_report_reads_live_replica () =
+  (* Replica 0 dead from the start: the report's per-replica figures
+     (ledger, utilizations, slot stats, replacements) must come from a
+     live replica, not from replica 0's empty ledger and idle threads. *)
+  let cfg =
+    Config.make ~protocol:Config.MultiP ~n:7 ~batch_size:10 ~clients:42
+      ~records:5_000
+      ~duration:(Engine.of_seconds 1.5)
+      ~warmup:(Engine.of_seconds 0.3)
+      ~replica_timeout:(Engine.ms 250)
+      ~client_timeout:(Engine.ms 400)
+      ~fault:(Config.Crash [ 0 ])
+      ()
+  in
+  let report = Cluster.run_config cfg in
+  check Alcotest.bool "service recovered" true (report.Report.committed_txns > 0);
+  check Alcotest.bool "ledger rounds from a live replica" true
+    (report.Report.ledger_rounds > 0);
+  check Alcotest.bool "ledger valid" true report.Report.ledger_valid;
+  check Alcotest.bool "execute thread busy" true
+    (report.Report.exec_utilization > 0.0);
+  check Alcotest.bool "replacement counted" true
+    (report.Report.replacements >= 1)
+
 let test_collusion_recovery_end_to_end () =
   (* n=7, f=2, z=3: the fig. 12 attack at small scale. *)
   let cfg =
@@ -255,6 +279,8 @@ let suite =
       Alcotest.test_case "dark victim" `Slow test_multip_dark_victim_stalls_but_service_lives;
       Alcotest.test_case "crashed primary replaced" `Slow
         test_multip_crashed_primary_replaced;
+      Alcotest.test_case "report reads a live replica" `Slow
+        test_report_reads_live_replica;
       Alcotest.test_case "collusion recovery" `Slow test_collusion_recovery_end_to_end;
       Alcotest.test_case "client DoS instance change" `Slow test_client_dos_instance_change;
       Alcotest.test_case "permutation safety" `Slow test_permutation_execution_safe;

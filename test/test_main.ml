@@ -23,5 +23,6 @@ let () =
       Test_journal.suite;
       Test_chaos.suite;
       Test_integration.suite;
+      Test_golden.suite;
     ]
     @ Conformance.suites)
