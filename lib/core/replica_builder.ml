@@ -457,20 +457,9 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
         corrupt_reply = (fun () -> cfg.byz.Rcc_replica.Byz.corrupt_snapshot);
         install =
           (fun snap ~proof ->
-            (* Wholesale install, in dependency order: the chain the
-               digests verified against, the KV table it led to, the
-               execution frontier, then every instance's slot log. The
-               Batch memo and the ledger's cached head are both
-               invalidated so nothing digests against pre-install
-               state. *)
-            Rcc_storage.Ledger.install ledger snap.Rcc_storage.Snapshot.blocks;
-            Batch.reset_memo ();
-            (match snap.Rcc_storage.Snapshot.kv with
-            | Some entries when cfg.materialize_state ->
-                Rcc_storage.Kv_store.install store entries
-            | Some _ | None -> ());
-            Exec.install_snapshot exec ~seq:snap.Rcc_storage.Snapshot.seq
-              ~replied:snap.Rcc_storage.Snapshot.replied;
+            (* The execute stage's state first, then every instance's
+               slot log. *)
+            Exec.install_snapshot exec snap;
             Array.iter (fun inst -> P.fast_forward inst ~proof) instances);
       }
   in
@@ -648,11 +637,11 @@ let halt t =
   Option.iter Rcc_journal.Journal.halt t.cfg.journal
 
 (* Restart-from-disk recovery, run on a freshly created builder before
-   [start]: rebuild ledger / KV / txn-table from the newest verifiable
-   snapshot plus the journal suffix, then advance the execution
-   frontier and every instance's slot log to the recovered boundary.
-   Anything the disk could not prove is left behind the frontier;
-   state transfer closes that gap once the replica is live. *)
+   [start]: rebuild the execute stage from the newest verifiable
+   snapshot plus the journal suffix, then advance every instance's slot
+   log to the recovered frontier. Anything the disk could not prove is
+   left behind the frontier; state transfer closes that gap once the
+   replica is live. *)
 let restore t =
   let (I ((module P), instances)) = t.instances in
   (* Regardless of what the disk proves, the successor must not resume
@@ -669,15 +658,12 @@ let restore t =
         Rcc_journal.Journal.recover ~engine:(Node.engine t.node)
           ~self:t.cfg.self
           ~disk:(Rcc_journal.Journal.disk j)
-          ~ledger:t.ledger ~store:t.store ~txn_table:t.txn_table
+          ~exec:t.exec
           ~primaries:(List.init t.cfg.z (fun x -> x))
-          ~materialize:t.cfg.materialize_state ()
+          ()
       in
-      Batch.reset_memo ();
       let frontier = r.Rcc_journal.Journal.r_frontier in
       if frontier > 0 then begin
-        Exec.install_snapshot t.exec ~seq:frontier
-          ~replied:r.Rcc_journal.Journal.r_replied;
         let proof =
           {
             Rcc_storage.Checkpoint_store.seq = frontier;

@@ -21,10 +21,10 @@ type persist = {
       (* a checkpoint boundary was captured *)
 }
 
-(* One round of an in-flight parallel window. [ordered] is the round's
-   acceptances in the configured deterministic replay order; the reply
-   arrays are filled by group execution (out of commit order) and read by
-   the in-order commit stage. *)
+(* One round being replayed. [ordered] is the round's acceptances in the
+   configured deterministic replay order; the reply arrays are filled by
+   member execution (out of commit order in a parallel window) and read
+   by the in-order commit. *)
 type wround = {
   w_round : int;
   ordered : Acceptance.t array;
@@ -80,9 +80,9 @@ type t = {
      again), so max(high_water, next_round - 1) equals the max over
      pending U {next_round - 1}. *)
   mutable high_water : int;
-  (* Parallel-mode state. [install_horizon]: rounds below it were
-     superseded by a snapshot install while their window was in flight;
-     queued group members and commit jobs skip them. *)
+  (* [install_horizon]: rounds below it were superseded by a snapshot
+     install while queued or in flight; queued group members and commit
+     jobs skip them. *)
   mutable install_horizon : int;
   mutable active : window_state option;
   mutable group_seq : int;
@@ -168,13 +168,10 @@ let boundaries t = t.boundaries
 
 let at_boundary t seq = t.boundary_every > 0 && seq mod t.boundary_every = 0
 
-(* True when no round is mid-execution: serial always (rounds run whole
-   on one server job), parallel only between windows with all commits
-   drained. The parallel scheduler guarantees it at every boundary. *)
-let settled t =
-  match t.sched with
-  | Serial -> true
-  | Parallel _ -> t.active = None && Hashtbl.length t.uncommitted = 0
+(* True when no round is mid-execution: no window in flight and every
+   commit drained. Serial rounds run whole on one server job; the
+   parallel scheduler guarantees it at every boundary. *)
+let settled t = t.active = None && Hashtbl.length t.uncommitted = 0
 
 let replied_entries t =
   Hashtbl.fold
@@ -236,11 +233,11 @@ let member_cost t (a : Acceptance.t) =
   + t.costs.Costs.response_create
   + if a.speculative && t.sign_speculative then t.costs.Costs.sign else 0
 
-let round_cost t accs =
+let round_cost t slots =
   Array.fold_left
-    (fun acc a -> acc + member_cost t a)
+    (fun acc a -> acc + member_cost t (Option.get a))
     (Costs.hash_cost t.costs 256 (* block hash *))
-    accs
+    slots
 
 (* digest(batch_digest ^ u64(r) ^ ...) over one flat buffer —
    byte-identical to the digest_list of the per-voter strings it
@@ -257,153 +254,30 @@ let certificate_digest batch_digest cert =
     cert;
   Rcc_crypto.Sha256.digest (Bytes.unsafe_to_string buf)
 
-(* --- serial path (the ablation baseline; kept byte-identical) ---------- *)
+(* --- the one replay path ------------------------------------------------ *)
 
-let execute_round t round =
-  (* The round's acceptances are re-read from the buffer at run time, not
-     captured at submit: a rollback between submit and execution replaces
-     them (and clears the conflicted instance's slot), so a stale queued
-     job either sees an incomplete round and skips, or executes the
-     post-rollback ordering — both correct. The ledger guard also covers
-     snapshot installs superseding a queued round: its effects are
-     already part of the installed state, so replaying it would
-     double-execute. Fault-free, neither guard ever fires — rounds
-     execute in exactly ledger order. *)
-  match Hashtbl.find_opt t.pending round with
-  | Some slots
-    when Array.for_all Option.is_some slots
-         && Rcc_storage.Ledger.next_round t.ledger = round ->
-  let accs = Array.map Option.get slots in
-  Hashtbl.remove t.pending round;
-  if t.materialize then Rcc_storage.Kv_store.journal_round t.store round;
-  let ordered = t.reorder (Array.copy accs) in
-  let proofs = ref [] in
-  let clients = ref [] in
-  Array.iter
-    (fun (a : Acceptance.t) ->
-      let batch = a.batch in
-      let ntxns = Array.length batch.Batch.txns in
-      if Engine.tracing t.engine then
-        Engine.trace t.engine ~replica:t.self ~instance:a.instance
-          (Rcc_trace.Event.Slot_exec
-             { round; batch = batch.Batch.id; txns = ntxns });
-      let key = (batch.Batch.client, batch.Batch.digest) in
-      let dup = executed_before t batch key in
-      (* The proof always enters the block — the batch was agreed in
-         sequence — but a duplicate-ordered batch is not re-executed:
-         the client gets the cached reply of the first execution. *)
-      proofs :=
-        {
-          Rcc_storage.Block.instance = a.instance;
-          batch_digest = batch.Batch.digest;
-          certificate_digest = certificate_digest batch.Batch.digest a.cert;
-        }
-        :: !proofs;
-      if not (Batch.is_null batch) then
-        clients := batch.Batch.client :: !clients;
-      if dup then begin
-        match Hashtbl.find_opt t.replied key with
-        | Some (first_round, result_digest, _, _) ->
-            t.respond batch.Batch.client
-              (Msg.Response
-                 {
-                   client = batch.Batch.client;
-                   batch_id = batch.Batch.id;
-                   round = first_round;
-                   result_digest;
-                   txn_count = ntxns;
-                   speculative = a.speculative;
-                   history = a.history;
-                 })
-        | None -> ()  (* reply evicted; the client has moved on *)
-      end
-      else begin
-        if t.materialize then
-          Array.iter
-            (fun txn -> ignore (Rcc_workload.Txn.apply t.store txn))
-            batch.Batch.txns;
-        let result_digest =
-          Rcc_crypto.Sha256.digest_list
-            [ batch.Batch.digest; Rcc_common.Bytes_util.u64_string (Int64.of_int round) ]
-        in
-        t.executed_txns <- t.executed_txns + ntxns;
-        Rcc_storage.Txn_table.record t.txn_table
-          {
-            Rcc_storage.Txn_table.round;
-            instance = a.instance;
-            client = batch.Batch.client;
-            batch_digest = batch.Batch.digest;
-            response_digest = result_digest;
-            txn_count = ntxns;
-          };
-        if not (Batch.is_null batch) then begin
-          Hashtbl.replace t.replied key
-            (round, result_digest, a.instance, batch.Batch.id);
-          t.respond batch.Batch.client
-            (Msg.Response
-               {
-                 client = batch.Batch.client;
-                 batch_id = batch.Batch.id;
-                 round;
-                 result_digest;
-                 txn_count = ntxns;
-                 speculative = a.speculative;
-                 history = a.history;
-               })
-        end;
-        Metrics.record_exec t.metrics ~replica:t.self ~now:(Engine.now t.engine)
-          ~ntxns
-      end)
+(* Every round — a serial round, a parallel window's round, a round
+   replayed from the journal — becomes state the same way:
+   [execute_member] for each rank in replay order, then [append_round].
+   Live rounds wrap that in [commit_round]'s effects. *)
+
+let wround round ordered =
+  let nslots = Array.length ordered in
+  {
+    w_round = round;
     ordered;
-  let block =
-    {
-      Rcc_storage.Block.round;
-      prev_hash = Rcc_storage.Ledger.head_hash t.ledger;
-      proofs = List.rev !proofs;
-      primaries = t.current_primaries ();
-      clients = List.rev !clients;
-    }
-  in
-  Rcc_storage.Ledger.append_exn t.ledger block;
-  t.executed_rounds <- t.executed_rounds + 1;
-  Hashtbl.replace t.spec_log round accs;
-  (match t.persist with
-  | Some p -> p.p_round ~round ordered
-  | None -> ());
-  capture_boundary t ~round;
-  t.on_executed round accs
-  | Some _ | None -> ()
+    reply_round = Array.make nslots (-1);
+    reply_digest = Array.make nslots "";
+    did_exec = Array.make nslots false;
+  }
 
-let rec try_advance_serial t =
-  match Hashtbl.find_opt t.pending t.next_round with
-  | None -> ()
-  | Some slots ->
-      if Array.for_all Option.is_some slots then begin
-        let round = t.next_round in
-        let accs = Array.map Option.get slots in
-        t.next_round <- round + 1;
-        (* The buffer entry stays until execution runs (see
-           [execute_round]); [notify] cannot mutate it — its round guard
-           rejects rounds below [next_round]. *)
-        Rcc_sim.Cpu.submit t.server ~cost:(round_cost t accs) (fun () ->
-            execute_round t round);
-        try_advance_serial t
-      end
-
-(* --- parallel path ----------------------------------------------------- *)
-
-(* Replay one batch at group-execution time: duplicate check, KV apply
-   and duplicate-reply recording happen here (other groups of the window
-   are disjoint, so state order within the window is the serial one);
-   client responses, txn-table rows and the ledger block are deferred to
-   the in-order commit stage via the reply arrays. *)
+(* Duplicate check, KV apply and duplicate-reply recording for one batch.
+   A parallel window runs this at group-execution time (other groups are
+   disjoint, so state order within the window is the serial one); client
+   responses, txn-table rows and the ledger block wait for the in-order
+   commit, which reads the reply arrays. *)
 let execute_member t (w : wround) rank (a : Acceptance.t) =
   let batch = a.batch in
-  let ntxns = Array.length batch.Batch.txns in
-  if Engine.tracing t.engine then
-    Engine.trace t.engine ~replica:t.self ~instance:a.instance
-      (Rcc_trace.Event.Slot_exec
-         { round = w.w_round; batch = batch.Batch.id; txns = ntxns });
   let key = (batch.Batch.client, batch.Batch.digest) in
   if executed_before t batch key then begin
     match Hashtbl.find_opt t.replied key with
@@ -434,42 +308,75 @@ let execute_member t (w : wround) rank (a : Acceptance.t) =
     w.did_exec.(rank) <- true
   end
 
-(* In-order commit of a fully executed round: block build, txn-table
-   rows, metrics, client responses, coordinator callback. Runs on the
-   scheduler FIFO, so commits retain round order; the ledger guard skips
-   rounds a snapshot install superseded mid-flight. *)
+(* Live execution of one member: traced, unlike a journal replay. *)
+let run_member t (w : wround) rank (a : Acceptance.t) =
+  if Engine.tracing t.engine then
+    Engine.trace t.engine ~replica:t.self ~instance:a.instance
+      (Rcc_trace.Event.Slot_exec
+         {
+           round = w.w_round;
+           batch = a.batch.Batch.id;
+           txns = Array.length a.batch.Batch.txns;
+         });
+  execute_member t w rank a
+
+(* The state half of a commit: the round's block (every proof enters it —
+   the batch was agreed in sequence — even a duplicate's) and the
+   txn-table rows of the batches that executed. *)
+let append_round t (w : wround) ~primaries =
+  let proofs = ref [] in
+  let clients = ref [] in
+  Array.iteri
+    (fun rank (a : Acceptance.t) ->
+      let batch = a.batch in
+      proofs :=
+        {
+          Rcc_storage.Block.instance = a.instance;
+          batch_digest = batch.Batch.digest;
+          certificate_digest = certificate_digest batch.Batch.digest a.cert;
+        }
+        :: !proofs;
+      if not (Batch.is_null batch) then
+        clients := batch.Batch.client :: !clients;
+      if w.did_exec.(rank) then
+        Rcc_storage.Txn_table.record t.txn_table
+          {
+            Rcc_storage.Txn_table.round = w.w_round;
+            instance = a.instance;
+            client = batch.Batch.client;
+            batch_digest = batch.Batch.digest;
+            response_digest = w.reply_digest.(rank);
+            txn_count = Array.length batch.Batch.txns;
+          })
+    w.ordered;
+  Rcc_storage.Ledger.append_exn t.ledger
+    {
+      Rcc_storage.Block.round = w.w_round;
+      prev_hash = Rcc_storage.Ledger.head_hash t.ledger;
+      proofs = List.rev !proofs;
+      primaries;
+      clients = List.rev !clients;
+    }
+
+(* In-order commit of a fully executed round: the state half, then
+   metrics, client responses, the journal, the boundary capture and the
+   coordinator callback. Serial rounds commit in their execute job;
+   parallel ones on the scheduler FIFO, so commits retain round order.
+   The horizon and ledger guards skip rounds a snapshot install
+   superseded while queued. *)
 let commit_round t (w : wround) =
   Hashtbl.remove t.uncommitted w.w_round;
   if
     w.w_round >= t.install_horizon
     && Rcc_storage.Ledger.next_round t.ledger = w.w_round
   then begin
-    let proofs = ref [] in
-    let clients = ref [] in
+    append_round t w ~primaries:(t.current_primaries ());
     Array.iteri
       (fun rank (a : Acceptance.t) ->
         let batch = a.batch in
         let ntxns = Array.length batch.Batch.txns in
-        proofs :=
-          {
-            Rcc_storage.Block.instance = a.instance;
-            batch_digest = batch.Batch.digest;
-            certificate_digest = certificate_digest batch.Batch.digest a.cert;
-          }
-          :: !proofs;
-        if not (Batch.is_null batch) then
-          clients := batch.Batch.client :: !clients;
         if w.did_exec.(rank) then begin
           t.executed_txns <- t.executed_txns + ntxns;
-          Rcc_storage.Txn_table.record t.txn_table
-            {
-              Rcc_storage.Txn_table.round = w.w_round;
-              instance = a.instance;
-              client = batch.Batch.client;
-              batch_digest = batch.Batch.digest;
-              response_digest = w.reply_digest.(rank);
-              txn_count = ntxns;
-            };
           Metrics.record_exec t.metrics ~replica:t.self
             ~now:(Engine.now t.engine) ~ntxns
         end;
@@ -486,19 +393,10 @@ let commit_round t (w : wround) =
                  history = a.history;
                }))
       w.ordered;
-    let block =
-      {
-        Rcc_storage.Block.round = w.w_round;
-        prev_hash = Rcc_storage.Ledger.head_hash t.ledger;
-        proofs = List.rev !proofs;
-        primaries = t.current_primaries ();
-        clients = List.rev !clients;
-      }
-    in
-    Rcc_storage.Ledger.append_exn t.ledger block;
     t.executed_rounds <- t.executed_rounds + 1;
-    (* Re-index by instance for the speculative log: a rollback
-       re-buffers these into the per-instance pending slots. *)
+    (* Re-index by instance: a rollback re-buffers the speculative log
+       into the per-instance pending slots, and the coordinator looks
+       acceptances up by instance. *)
     let by_instance = Array.make t.z w.ordered.(0) in
     Array.iter (fun (a : Acceptance.t) -> by_instance.(a.instance) <- a) w.ordered;
     Hashtbl.replace t.spec_log w.w_round by_instance;
@@ -506,8 +404,42 @@ let commit_round t (w : wround) =
     | Some p -> p.p_round ~round:w.w_round w.ordered
     | None -> ());
     capture_boundary t ~round:w.w_round;
-    t.on_executed w.w_round w.ordered
+    t.on_executed w.w_round by_instance
   end
+
+(* --- serial scheduling: one-round windows on the execute thread ------- *)
+
+let rec try_advance_serial t =
+  match Hashtbl.find_opt t.pending t.next_round with
+  | None -> ()
+  | Some slots ->
+      if Array.for_all Option.is_some slots then begin
+        let round = t.next_round in
+        t.next_round <- round + 1;
+        (* The buffer entry stays until the job runs; [notify] cannot
+           mutate it — its round guard rejects rounds below
+           [next_round]. *)
+        Rcc_sim.Cpu.submit t.server ~cost:(round_cost t slots) (fun () ->
+            (* Re-read at run time, not captured at submit: a rollback in
+               between replaces the round (and clears the conflicted
+               instance's slot), so a stale job either sees an incomplete
+               round and skips, or executes the post-rollback ordering.
+               The ledger guard covers a snapshot install superseding the
+               queued round: its effects are already installed. Fault-free,
+               neither guard fires. *)
+            match Hashtbl.find_opt t.pending round with
+            | Some slots
+              when Array.for_all Option.is_some slots
+                   && Rcc_storage.Ledger.next_round t.ledger = round ->
+                Hashtbl.remove t.pending round;
+                let w = wround round (t.reorder (Array.map Option.get slots)) in
+                Array.iteri (run_member t w) w.ordered;
+                commit_round t w
+            | Some _ | None -> ());
+        try_advance_serial t
+      end
+
+(* --- parallel scheduling: conflict-partitioned windows ----------------- *)
 
 (* Windows end on checkpoint boundaries, and the window past one is not
    gathered until every commit before it has run. Group execution applies
@@ -527,32 +459,19 @@ let rec try_advance_parallel t pool window =
         match Hashtbl.find_opt t.pending t.next_round with
         | Some slots when Array.for_all Option.is_some slots ->
             let round = t.next_round in
-            let accs = Array.map Option.get slots in
             Hashtbl.remove t.pending round;
             t.next_round <- round + 1;
-            gathered := (round, accs) :: !gathered;
+            gathered :=
+              wround round (t.reorder (Array.map Option.get slots))
+              :: !gathered;
             incr n;
             if at_boundary t t.next_round then continue_ := false
         | _ -> continue_ := false
       done;
-      if !n > 0 then dispatch_window t pool window (List.rev !gathered)
+      if !n > 0 then
+        dispatch_window t pool window (Array.of_list (List.rev !gathered))
 
-and dispatch_window t pool window rounds_list =
-  let wrounds =
-    Array.of_list
-      (List.map
-         (fun (round, accs) ->
-           let ordered = t.reorder (Array.copy accs) in
-           let nslots = Array.length ordered in
-           {
-             w_round = round;
-             ordered;
-             reply_round = Array.make nslots (-1);
-             reply_digest = Array.make nslots "";
-             did_exec = Array.make nslots false;
-           })
-         rounds_list)
-  in
+and dispatch_window t pool window wrounds =
   let w_base = wrounds.(0).w_round in
   let items =
     Array.concat
@@ -614,7 +533,7 @@ and dispatch_window t pool window rounds_list =
             List.iter
               (fun (it : Conflict.item) ->
                 if it.Conflict.round >= t.install_horizon then
-                  execute_member t
+                  run_member t
                     wrounds.(it.Conflict.round - w_base)
                     it.Conflict.rank it.Conflict.acc)
               g.members;
@@ -739,17 +658,36 @@ let replied_evicted t = t.replied_evicted
 
 (* --- speculative rollback ---------------------------------------------- *)
 
+(* The state half of a rollback, shared with journal replay: undo the KV
+   writes of rounds at or above [kv_undo] (newest first, from the write
+   journal), drop ledger blocks and txn-table rows at or above
+   [frontier] (the head-hash chain re-derives from the surviving
+   prefix), and evict the duplicate-reply entries whose first execution
+   was undone — they would answer a future duplicate from state that no
+   longer exists; re-execution re-records them. Returns the txns
+   unwound. *)
+let unwind t ~frontier ~kv_undo =
+  if t.materialize then Rcc_storage.Kv_store.undo_above t.store ~round:kv_undo;
+  Rcc_storage.Ledger.truncate_to t.ledger ~round:frontier;
+  let _, txns = Rcc_storage.Txn_table.remove_from t.txn_table ~round:frontier in
+  let dead =
+    Hashtbl.fold
+      (fun key (round, _, _, _) acc ->
+        if round >= kv_undo then key :: acc else acc)
+      t.replied []
+  in
+  List.iter (Hashtbl.remove t.replied) dead;
+  t.replied_evicted <- t.replied_evicted + List.length dead;
+  txns
+
 (* Unwind every executed-but-unstable round at or above [frontier]: a
    view change in [instance] exposed a conflicting ordering, so the
-   speculative suffix is discarded and rebuilt. KV effects are undone
-   from the write journal (reverse order), ledger blocks above the
-   frontier are dropped (the head-hash chain re-derives from the
-   surviving prefix), their txn-table rows and duplicate-reply entries
-   are evicted, and the surviving instances' acceptances re-enter the
-   pending buffer for re-execution once [instance]'s new view re-orders
-   its slots. The caller guarantees [frontier] is above both the commit
-   certificate and the stable checkpoint, so undo records still exist
-   (see [on_stable]'s forget floor). *)
+   speculative suffix is discarded ([unwind]) and the surviving
+   instances' acceptances re-enter the pending buffer for re-execution
+   once [instance]'s new view re-orders its slots. The caller guarantees
+   [frontier] is above both the commit certificate and the stable
+   checkpoint, so undo records still exist (see [on_stable]'s forget
+   floor). *)
 let rollback_to t ~frontier ~instance =
   let from = Rcc_storage.Ledger.next_round t.ledger in
   if Engine.tracing t.engine then begin
@@ -780,26 +718,11 @@ let rollback_to t ~frontier ~instance =
   let kv_undo =
     List.fold_left (fun m (w : wround) -> min m w.w_round) frontier in_flight
   in
-  if t.materialize then Rcc_storage.Kv_store.undo_above t.store ~round:kv_undo;
-  Rcc_storage.Ledger.truncate_to t.ledger ~round:frontier;
-  let _, rb_txns =
-    Rcc_storage.Txn_table.remove_from t.txn_table ~round:frontier
-  in
+  let rb_txns = unwind t ~frontier ~kv_undo in
   let resume = Rcc_storage.Ledger.next_round t.ledger in
   let rb_rounds = from - resume in
   t.executed_rounds <- t.executed_rounds - rb_rounds;
   t.executed_txns <- t.executed_txns - rb_txns;
-  (* A cached reply whose first execution was just undone would answer a
-     future duplicate from state that no longer exists; the re-execution
-     below re-records it. *)
-  let dead =
-    Hashtbl.fold
-      (fun key (round, _, _, _) acc ->
-        if round >= kv_undo then key :: acc else acc)
-      t.replied []
-  in
-  List.iter (Hashtbl.remove t.replied) dead;
-  t.replied_evicted <- t.replied_evicted + List.length dead;
   (* Re-buffer the unwound rounds' surviving acceptances — committed
      rounds from the speculative log plus fenced in-flight window rounds
      — then clear the conflicted instance's slots at or above the
@@ -842,15 +765,23 @@ let rollback_to t ~frontier ~instance =
          { frontier; rounds = rb_rounds; txns = rb_txns });
   try_advance t
 
-(* --- state transfer --------------------------------------------------- *)
+(* --- snapshot install and journal replay ------------------------------ *)
 
-let install_snapshot t ~seq ~replied =
-  (* Rounds below [seq] are baked into the installed state. In parallel
-     mode a window covering them may be mid-execution: raising the
-     horizon makes its queued members and commit jobs skip themselves. *)
-  (match t.sched with
-  | Serial -> ()
-  | Parallel _ -> if seq > t.install_horizon then t.install_horizon <- seq);
+let install_snapshot t (snap : Rcc_storage.Snapshot.t) =
+  let seq = snap.Rcc_storage.Snapshot.seq in
+  (* Wholesale, in dependency order: the chain, then the KV table it led
+     to. The Batch memo is invalidated so nothing digests against
+     pre-install state. *)
+  Rcc_storage.Ledger.install t.ledger snap.Rcc_storage.Snapshot.blocks;
+  Batch.reset_memo ();
+  (match snap.Rcc_storage.Snapshot.kv with
+  | Some entries when t.materialize ->
+      Rcc_storage.Kv_store.install t.store entries
+  | Some _ | None -> ());
+  (* Rounds below [seq] are baked into the installed state. A queued
+     serial job or an in-flight window may cover them: raising the
+     horizon makes its members and commits skip themselves. *)
+  if seq > t.install_horizon then t.install_horizon <- seq;
   if seq > t.next_round then begin
     (* Acceptances buffered for covered rounds are obsolete — the
        snapshot already contains their effects. Buffered rounds at or
@@ -871,15 +802,38 @@ let install_snapshot t ~seq ~replied =
     in
     List.iter (Hashtbl.remove t.spec_log) stale_spec;
     t.next_round <- seq;
-    (* The donor's duplicate-reply cache keeps §3.1 duplicate suppression
-       alive across the jump; existing (newer) local entries win. Donor
-       entries are attributed to instance 0 in the retained-count stat
-       (the wire format does not carry the owning instance). *)
+    (* The snapshot's duplicate-reply cache keeps §3.1 duplicate
+       suppression alive across the jump; existing (newer) local entries
+       win. Its entries carry neither the owning instance nor the batch
+       id: they count toward instance 0 in the retained-count stat, and
+       their eviction settles no client id. *)
     List.iter
       (fun (client, digest, round, result) ->
         let key = (client, digest) in
         if not (Hashtbl.mem t.replied key) then
           Hashtbl.replace t.replied key (round, result, 0, -1))
-      replied;
+      snap.Rcc_storage.Snapshot.replied;
     try_advance t
   end
+
+let replay_round t ~round ~primaries ordered =
+  let w = wround round ordered in
+  Array.iteri (execute_member t w) ordered;
+  append_round t w ~primaries;
+  t.next_round <- round + 1;
+  let txns = ref 0 in
+  Array.iteri
+    (fun rank (a : Acceptance.t) ->
+      if w.did_exec.(rank) then
+        txns := !txns + Array.length a.batch.Batch.txns)
+    ordered;
+  !txns
+
+let replay_rollback t ~frontier =
+  if frontier < Rcc_storage.Ledger.next_round t.ledger then begin
+    ignore (unwind t ~frontier ~kv_undo:frontier);
+    t.next_round <- Rcc_storage.Ledger.next_round t.ledger
+  end
+
+let replay_stable t ~floor =
+  if t.materialize then Rcc_storage.Kv_store.forget_below t.store ~round:floor

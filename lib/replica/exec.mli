@@ -7,24 +7,29 @@
     ahead (§3.5 pipelining), which is the only cross-instance coordination
     in the fault-free case.
 
-    Two scheduling modes:
+    This module is the only code that turns ordered acceptances into
+    state, and it does so one way: each batch of a round runs through the
+    member step (duplicate check, KV apply, duplicate-reply record) in
+    replay order, then the commit step appends the round's block and
+    txn-table rows. Live rounds add responses, metrics, the journal
+    record, the boundary capture and the coordinator callback on top;
+    journal recovery ({!replay_round}) runs the same two steps without
+    them. Two schedulers feed that one path:
 
-    - {!Serial} (the ablation baseline): one execute thread replays a
-      round's batches back-to-back — the global ordering barrier that
-      caps MultiP throughput.
+    - {!Serial} (the ablation baseline): each round is a one-round window
+      run whole as one job on the execute thread — the global ordering
+      barrier that caps MultiP throughput.
     - [Parallel]: a conflict-aware scheduler. Complete consecutive
       rounds are gathered into a window, partitioned into dependency
       groups by read/write key-set intersection ({!Conflict}), and the
-      groups run on a multi-server execute pool in any interleaving.
-      Group execution applies KV effects and records duplicate replies;
-      block building, transaction-table rows, metrics and client
-      responses are deferred to an in-order commit stage on the
-      scheduler lane, so ledger layout, replay order and the report
-      digest are identical to serial execution for any workload. Windows
-      are pipelined one at a time: the next window's conflict scan and
-      pool execution overlap the previous window's commit jobs, except
-      across a checkpoint boundary — a window never straddles one, and
-      the next is not gathered until the boundary round committed.
+      groups' member steps run on a multi-server execute pool in any
+      interleaving. The commit steps run in round order on the scheduler
+      lane, so ledger layout, replay order and the report digest are
+      identical to serial execution for any workload. Windows are
+      pipelined one at a time: the next window's conflict scan and pool
+      execution overlap the previous window's commit jobs, except across
+      a checkpoint boundary — a window never straddles one, and the next
+      is not gathered until the boundary round committed.
 
     Either way, committing the last round before a boundary captures the
     replica's one checkpoint value ({!boundaries}) from settled state. *)
@@ -35,6 +40,7 @@ type sched =
       (** [window] = max consecutive rounds analyzed per conflict scan;
           larger windows expose more inter-round parallelism at the cost
           of a quadratic (in batches) pairwise scan. *)
+(** How rounds are scheduled onto the one replay path. *)
 
 type persist = {
   p_round : round:Rcc_common.Ids.round -> Acceptance.t array -> unit;
@@ -80,9 +86,8 @@ val create :
 (** [reorder] implements §3.4.1's execution-order selection; the default
     is instance order. RCC installs the digest-seeded permutation.
     [on_executed] fires after a round executes (the coordinator retains
-    the round for contracts and drives pessimistic recovery from it); in
-    parallel mode it receives the round's acceptances in replay order,
-    which is safe because the coordinator looks slots up by instance id.
+    the round for contracts and drives pessimistic recovery from it); it
+    receives the round's acceptances indexed by instance.
     [materialize = false] (large-scale experiments) charges the CPU cost
     of execution without mutating the KV store, so n replicas need not
     hold n copies of the half-million-record YCSB table; the runtime keeps
@@ -91,8 +96,7 @@ val create :
     response: standalone Zyzzyva clients assemble commit certificates from
     signed responses, whereas under RCC recovery is unification's job and
     responses carry MACs.
-    [sched] defaults to {!Serial}, which is byte-identical to the
-    pre-scheduler execute thread.
+    [sched] defaults to {!Serial}.
     [checkpoint_interval] (default 0 = none) paces checkpoint boundaries:
     one every few checkpoint intervals, the multiple fixed in this module
     and nowhere else. *)
@@ -109,11 +113,6 @@ val boundaries : t -> Rcc_storage.Snapshot.boundary list
     first. A boundary is captured when the round before it commits, from
     state settled exactly there; a rollback drops those past its resume
     point, and re-execution captures them again. *)
-
-val certificate_digest : string -> int list -> string
-(** [certificate_digest batch_digest cert] is the digest stored in block
-    proofs for an acceptance backed by [cert]. Exposed so journal replay
-    can rebuild byte-identical blocks from logged acceptances. *)
 
 val notify : t -> Acceptance.t -> unit
 (** An instance replicated its round-[r] batch. Idempotent per
@@ -148,7 +147,7 @@ val on_stable : t -> instance:Rcc_common.Ids.instance_id -> seq:Rcc_common.Ids.r
 
 val replied_retained : t -> int array
 (** Per-instance count of duplicate-reply entries currently retained
-    (donor-merged entries count toward instance 0). *)
+    (entries merged from a snapshot count toward instance 0). *)
 
 val replied_evicted : t -> int
 (** Total entries evicted by checkpoint-driven GC since creation. *)
@@ -172,15 +171,43 @@ val replied_entries :
 (** The duplicate-reply cache as [(client, batch digest, round, result
     digest)] tuples, for bundling into a served snapshot. *)
 
-val install_snapshot :
-  t ->
-  seq:Rcc_common.Ids.round ->
-  replied:(Rcc_common.Ids.client_id * string * Rcc_common.Ids.round * string) list ->
-  unit
-(** A verified snapshot covering rounds [< seq] was installed into the
-    ledger and KV store: jump the execution frontier to [seq], drop
-    buffered acceptances the snapshot covers, merge the donor's
-    duplicate-reply cache (local entries win), and drain any buffered
-    rounds at or past the boundary. In parallel mode, an in-flight window
+val install_snapshot : t -> Rcc_storage.Snapshot.t -> unit
+(** Install a verified snapshot covering rounds [< seq] — from a state
+    transfer donor or from a disk slot: replace the ledger with its chain
+    and (when materialized) the KV store with its table, reset the batch
+    digest memo, jump the execution frontier to [seq], drop buffered
+    acceptances the snapshot covers, merge its duplicate-reply cache
+    (local entries win), and drain any buffered rounds at or past the
+    boundary. A queued serial round or an in-flight parallel window
     overtaken by the install skips its superseded members and commits.
-    No-op unless [seq] advances the frontier. *)
+    The frontier part is a no-op unless [seq] advances it. *)
+
+(** {2 Journal replay}
+
+    Recovery from disk rebuilds a fresh incarnation's state through the
+    same member and commit steps as live execution. Replay sends no
+    responses, records no metrics, writes no journal record, captures no
+    boundary and calls no [on_executed]. *)
+
+val replay_round :
+  t ->
+  round:Rcc_common.Ids.round ->
+  primaries:Rcc_common.Ids.replica_id list ->
+  Acceptance.t array ->
+  int
+(** Replay a journaled round (acceptances in replay order, [round] =
+    {!next_round}): execute its batches, append its block with the
+    journaled [primaries], record its txn-table rows and duplicate-reply
+    entries (with their real instance and batch id), and advance
+    {!next_round} past it. Returns the txns executed (duplicates
+    excluded). *)
+
+val replay_rollback : t -> frontier:Rcc_common.Ids.round -> unit
+(** Replay a journaled rollback: undo the KV effects, ledger blocks,
+    txn-table rows and duplicate-reply entries of rounds [>= frontier],
+    and move {!next_round} back to it. No-op unless [frontier] is below
+    the ledger's next round. *)
+
+val replay_stable : t -> floor:Rcc_common.Ids.round -> unit
+(** Replay a journaled stable floor: rounds below it can never roll
+    back, so their KV undo records are dropped. *)

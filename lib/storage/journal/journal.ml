@@ -4,6 +4,7 @@ module Costs = Rcc_sim.Costs
 module Bytes_util = Rcc_common.Bytes_util
 module Batch = Rcc_messages.Batch
 module Acceptance = Rcc_replica.Acceptance
+module Exec = Rcc_replica.Exec
 
 let record_magic = "RJL1"
 let snap_magic = "RJS1"
@@ -286,21 +287,12 @@ let r_batch r =
     keys = None;
   }
 
-type slot_rec = {
-  sr_instance : int;
-  sr_speculative : bool;
-  sr_cert : int list;
-  sr_batch : Batch.t;
-}
-
-type round_rec = {
-  rr_round : int;
-  rr_primaries : int list;
-  rr_slots : slot_rec list;
-}
-
 type record =
-  | Round of round_rec
+  | Round of {
+      round : int;
+      primaries : int list;
+      ordered : Acceptance.t array;  (* replay order *)
+    }
   | Attest of int
   | Rollback of int
   | View of int list
@@ -310,19 +302,19 @@ let parse_body kind body =
   let record =
     match kind with
     | 'R' ->
-        let rr_round = r_int r in
-        let rr_primaries = r_int_list r in
+        let round = r_int r in
+        let primaries = r_int_list r in
         let nslots = r_int r in
         if nslots < 0 || nslots > 10_000 then raise (Bad "bad slot count");
-        let rr_slots =
-          List.init nslots (fun _ ->
-              let sr_instance = r_int r in
-              let sr_speculative = r_bool r in
-              let sr_cert = r_int_list r in
-              let sr_batch = r_batch r in
-              { sr_instance; sr_speculative; sr_cert; sr_batch })
+        let ordered =
+          Array.init nslots (fun _ ->
+              let instance = r_int r in
+              let speculative = r_bool r in
+              let cert = r_int_list r in
+              let batch = r_batch r in
+              { Acceptance.instance; round; batch; cert; speculative; history = "" })
         in
-        Round { rr_round; rr_primaries; rr_slots }
+        Round { round; primaries; ordered }
     | 'A' -> Attest (r_int r)
     | 'B' -> Rollback (r_int r)
     | 'V' -> View (r_int_list r)
@@ -377,7 +369,6 @@ type recovery = {
   r_replayed_rounds : int;
   r_replayed_txns : int;
   r_dropped_bytes : int;
-  r_replied : (int * string * int * string) list;
 }
 
 (* Pick the newest snapshot slot whose framing checksum, decode and chain
@@ -412,25 +403,13 @@ let load_snapshot disk ~primaries =
     None
     (Sim_disk.snapshots disk)
 
-let recover ~engine ~self ~disk ~ledger ~store ~txn_table ~primaries
-    ~materialize () =
-  let replied : (int * string, int * string * int) Hashtbl.t =
-    Hashtbl.create 256
-  in
+let recover ~engine ~self ~disk ~exec ~primaries () =
   (* 1. Newest verifiable snapshot, installed wholesale. *)
   let base =
     match load_snapshot disk ~primaries with
     | None -> 0
     | Some snap ->
-        Rcc_storage.Ledger.install ledger snap.Rcc_storage.Snapshot.blocks;
-        (match snap.Rcc_storage.Snapshot.kv with
-        | Some entries when materialize ->
-            Rcc_storage.Kv_store.install store entries
-        | _ -> ());
-        List.iter
-          (fun (client, digest, round, result) ->
-            Hashtbl.replace replied (client, digest) (round, result, 0))
-          snap.Rcc_storage.Snapshot.replied;
+        Exec.install_snapshot exec snap;
         snap.Rcc_storage.Snapshot.seq
   in
   if Engine.tracing engine then
@@ -446,120 +425,51 @@ let recover ~engine ~self ~disk ~ledger ~store ~txn_table ~primaries
       (fun floor r -> match r with Attest f when f > floor -> f | _ -> floor)
       base records
   in
+  (* 4. Replay through the execute stage, in journal order. A round gap
+     (lost record) or an unproven speculative round stops the replay —
+     the suffix past it is state transfer's job. *)
   let replayed_rounds = ref 0 in
   let replayed_txns = ref 0 in
-  let replay_round (rr : round_rec) =
-    let round = rr.rr_round in
-    if materialize then Rcc_storage.Kv_store.journal_round store round;
-    let proofs = ref [] in
-    let clients = ref [] in
-    List.iter
-      (fun (s : slot_rec) ->
-        let batch = s.sr_batch in
-        let ntxns = Array.length batch.Batch.txns in
-        let key = (batch.Batch.client, batch.Batch.digest) in
-        let dup = (not (Batch.is_null batch)) && Hashtbl.mem replied key in
-        proofs :=
-          {
-            Rcc_storage.Block.instance = s.sr_instance;
-            batch_digest = batch.Batch.digest;
-            certificate_digest =
-              Rcc_replica.Exec.certificate_digest batch.Batch.digest s.sr_cert;
-          }
-          :: !proofs;
-        if not (Batch.is_null batch) then
-          clients := batch.Batch.client :: !clients;
-        if not dup then begin
-          if materialize then
-            Array.iter
-              (fun txn -> ignore (Rcc_workload.Txn.apply store txn))
-              batch.Batch.txns;
-          let result_digest =
-            Rcc_crypto.Sha256.digest_list
-              [ batch.Batch.digest; Bytes_util.u64_string (Int64.of_int round) ]
-          in
-          replayed_txns := !replayed_txns + ntxns;
-          Rcc_storage.Txn_table.record txn_table
-            {
-              Rcc_storage.Txn_table.round;
-              instance = s.sr_instance;
-              client = batch.Batch.client;
-              batch_digest = batch.Batch.digest;
-              response_digest = result_digest;
-              txn_count = ntxns;
-            };
-          if not (Batch.is_null batch) then
-            Hashtbl.replace replied key (round, result_digest, s.sr_instance)
-        end)
-      rr.rr_slots;
-    let block =
-      {
-        Rcc_storage.Block.round;
-        prev_hash = Rcc_storage.Ledger.head_hash ledger;
-        proofs = List.rev !proofs;
-        primaries = rr.rr_primaries;
-        clients = List.rev !clients;
-      }
-    in
-    Rcc_storage.Ledger.append_exn ledger block;
-    incr replayed_rounds;
-    if Engine.tracing engine then
-      Engine.trace engine ~replica:self ~instance:(-1)
-        (Rcc_trace.Event.Journal_replay_round
-           {
-             round;
-             txns =
-               List.fold_left
-                 (fun acc (s : slot_rec) ->
-                   acc + Array.length s.sr_batch.Batch.txns)
-                 0 rr.rr_slots;
-           })
-  in
-  let apply_rollback frontier =
-    (* Clamp to the snapshot base: rounds the snapshot bakes in have no
-       undo records and can never be unwound here. *)
-    let frontier = max frontier base in
-    if frontier < Rcc_storage.Ledger.next_round ledger then begin
-      if materialize then Rcc_storage.Kv_store.undo_above store ~round:frontier;
-      Rcc_storage.Ledger.truncate_to ledger ~round:frontier;
-      ignore (Rcc_storage.Txn_table.remove_from txn_table ~round:frontier);
-      let dead =
-        Hashtbl.fold
-          (fun key (round, _, _) acc ->
-            if round >= frontier then key :: acc else acc)
-          replied []
-      in
-      List.iter (Hashtbl.remove replied) dead
-    end
-  in
-  (* 4. Replay, in journal order. A round gap (lost record) or an
-     unproven speculative round stops the replay — the suffix past it is
-     state transfer's job. *)
   let stopped = ref false in
   List.iter
     (fun record ->
       if not !stopped then
         match record with
-        | Round rr ->
-            let next = Rcc_storage.Ledger.next_round ledger in
-            if rr.rr_round < next then ()  (* covered by the snapshot *)
-            else if rr.rr_round > next then stopped := true
+        | Round { round; primaries; ordered } ->
+            let next = Exec.next_round exec in
+            if round < next then ()  (* covered by the snapshot *)
+            else if round > next then stopped := true
             else if
-              rr.rr_round >= attest_floor
-              && List.exists (fun s -> s.sr_speculative) rr.rr_slots
+              round >= attest_floor
+              && Array.exists (fun (a : Acceptance.t) -> a.speculative) ordered
             then stopped := true
-            else replay_round rr
-        | Rollback frontier -> apply_rollback frontier
-        | Attest floor ->
-            if floor > base && materialize then
-              Rcc_storage.Kv_store.forget_below store ~round:floor
+            else begin
+              replayed_txns :=
+                !replayed_txns + Exec.replay_round exec ~round ~primaries ordered;
+              incr replayed_rounds;
+              if Engine.tracing engine then
+                Engine.trace engine ~replica:self ~instance:(-1)
+                  (Rcc_trace.Event.Journal_replay_round
+                     {
+                       round;
+                       txns =
+                         Array.fold_left
+                           (fun acc (a : Acceptance.t) ->
+                             acc + Array.length a.batch.Batch.txns)
+                           0 ordered;
+                     })
+            end
+        | Rollback frontier ->
+            (* Clamp to the snapshot base: rounds the snapshot bakes in
+               have no undo records and can never be unwound here. *)
+            Exec.replay_rollback exec ~frontier:(max frontier base)
+        | Attest floor -> if floor > base then Exec.replay_stable exec ~floor
         | View _ -> ())
     records;
+  let frontier = Exec.next_round exec in
   if dropped > 0 && Engine.tracing engine then
     Engine.trace engine ~replica:self ~instance:(-1)
-      (Rcc_trace.Event.Journal_truncated
-         { durable = Rcc_storage.Ledger.next_round ledger; dropped });
-  let frontier = Rcc_storage.Ledger.next_round ledger in
+      (Rcc_trace.Event.Journal_truncated { durable = frontier; dropped });
   if Engine.tracing engine then
     Engine.trace engine ~replica:self ~instance:(-1)
       (Rcc_trace.Event.Journal_replay_complete
@@ -570,9 +480,4 @@ let recover ~engine ~self ~disk ~ledger ~store ~txn_table ~primaries
     r_replayed_rounds = !replayed_rounds;
     r_replayed_txns = !replayed_txns;
     r_dropped_bytes = dropped;
-    r_replied =
-      Hashtbl.fold
-        (fun (client, digest) (round, result, _) acc ->
-          (client, digest, round, result) :: acc)
-        replied [];
   }

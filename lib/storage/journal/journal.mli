@@ -11,11 +11,15 @@
     {!Rcc_storage.Snapshot} into one of the disk's two alternating slots.
 
     Recovery ({!recover}) rebuilds a fresh replica's state from the disk
-    alone: install the newest verifiable snapshot, then replay the
-    journal suffix — re-executing rounds, re-applying rollbacks, stopping
-    at the first torn/corrupt/missing record or at the first speculative
-    round the stable floor does not cover. Whatever the disk cannot prove
-    is left to state transfer.
+    alone, through its execute stage: {!Rcc_replica.Exec.install_snapshot}
+    installs the newest verifiable snapshot, then
+    {!Rcc_replica.Exec.replay_round} and
+    {!Rcc_replica.Exec.replay_rollback} replay the journal suffix.
+    Recovery itself only frames and checksums records, finds the longest
+    valid prefix and the final stable floor, and stops at the first
+    torn/corrupt/missing record, round gap, or speculative round that
+    floor does not cover. Whatever the disk cannot prove is left to state
+    transfer.
 
     Record framing: each record is [magic "RJL1" | type byte | u64 body
     length | 8-byte SHA-256 prefix of the body | body]. Snapshot slots
@@ -79,25 +83,22 @@ type recovery = {
   r_replayed_rounds : int;
   r_replayed_txns : int;
   r_dropped_bytes : int;  (** journal bytes discarded at a torn/corrupt record *)
-  r_replied :
-    (Rcc_common.Ids.client_id * string * Rcc_common.Ids.round * string) list;
-      (** duplicate-reply cache rebuilt from snapshot + replay *)
 }
 
 val recover :
   engine:Rcc_sim.Engine.t ->
   self:Rcc_common.Ids.replica_id ->
   disk:Sim_disk.t ->
-  ledger:Rcc_storage.Ledger.t ->
-  store:Rcc_storage.Kv_store.t ->
-  txn_table:Rcc_storage.Txn_table.t ->
+  exec:Rcc_replica.Exec.t ->
   primaries:Rcc_common.Ids.replica_id list ->
-  materialize:bool ->
   unit ->
   recovery
-(** Rebuild [ledger]/[store]/[txn_table] (assumed fresh) from the disk:
+(** Rebuild a fresh incarnation's execute stage [exec] — its ledger, KV
+    store, txn table, duplicate-reply cache and frontier — from the disk:
     newest verifiable snapshot first, then the journal suffix. Every
-    replayed round re-runs through the same KV-apply / block-build path
-    as live execution, so a clean disk reproduces the pre-crash state
-    byte-for-byte up to the durable frontier. Faulty records truncate
-    the replay — never install corrupt state. *)
+    replayed round runs through the same member and commit steps as live
+    execution, so a clean disk reproduces the pre-crash state
+    byte-for-byte up to the durable frontier, reply-cache entries
+    included. [primaries] is the genesis configuration snapshot chains
+    are verified against. Faulty records truncate the replay — never
+    install corrupt state. *)

@@ -15,8 +15,10 @@
     section is pinned separately by {!kv_digest} because certificate
     digests and primaries are excluded from block identity, so the chain
     alone does not commit to it byte-for-byte. The reply cache is
-    unattested best-effort data: it only suppresses duplicate client
-    responses and cannot affect agreed state. *)
+    unattested, yet it does affect agreed state: it decides whether a
+    batch ordered again executes or is skipped as a duplicate. Its
+    entries carry no batch id, so the installer cannot rebuild which
+    batches the donor has already settled past eviction. *)
 
 type t = {
   seq : Rcc_common.Ids.round;  (** state after rounds [< seq] *)

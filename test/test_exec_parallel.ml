@@ -469,7 +469,24 @@ let test_watermark () =
   check Alcotest.int "watermark survives execution" 5
     (Exec.max_pending_round exec);
   (* A snapshot install past everything collapses it to next_round - 1. *)
-  Exec.install_snapshot exec ~seq:9 ~replied:[];
+  let donor = Rcc_storage.Ledger.create ~primaries:[ 0; 1 ] in
+  for round = 0 to 8 do
+    Rcc_storage.Ledger.append_exn donor
+      {
+        Rcc_storage.Block.round;
+        prev_hash = Rcc_storage.Ledger.head_hash donor;
+        proofs = [];
+        primaries = [ 0; 1 ];
+        clients = [];
+      }
+  done;
+  Exec.install_snapshot exec
+    {
+      Rcc_storage.Snapshot.seq = 9;
+      blocks = Rcc_storage.Ledger.prefix donor ~upto:9;
+      kv = None;
+      replied = [];
+    };
   check Alcotest.int "install drops stale rounds" 8 (Exec.max_pending_round exec)
 
 (* --- duplicate-reply cache GC ------------------------------------------ *)

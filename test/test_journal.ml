@@ -15,6 +15,7 @@ module Kv = Rcc_storage.Kv_store
 module Txn_table = Rcc_storage.Txn_table
 module Snapshot = Rcc_storage.Snapshot
 module Acceptance = Rcc_replica.Acceptance
+module Exec = Rcc_replica.Exec
 module Txn = Rcc_workload.Txn
 module Rng = Rcc_common.Rng
 module Keychain = Rcc_crypto.Keychain
@@ -67,19 +68,42 @@ let mk_rounds ~seed ?(speculative = false) n =
   let next_id = ref (1 + (1_000_000 * seed)) in
   List.init n (fun round -> (round, mk_round ~next_id ~rng ~speculative round))
 
-let fresh_state () =
-  (Ledger.create ~primaries, Kv.create (), Txn_table.create ())
-
-let recover_fresh ?(engine = Engine.create ()) disk =
-  let ledger, store, txn_table = fresh_state () in
-  (* Mirror the builder: the live store has undo-journaling on, which
-     rollback replay depends on. *)
-  Kv.enable_journal store;
-  let rv =
-    Journal.recover ~engine ~self:0 ~disk ~ledger ~store ~txn_table ~primaries
-      ~materialize:true ()
+(* A bare execute stage over fresh state, wired like the builder's (its
+   store keeps the undo journal rollback replay depends on). *)
+let fresh_exec engine =
+  let ledger = Ledger.create ~primaries in
+  let store = Kv.create () in
+  let txn_table = Txn_table.create () in
+  let exec =
+    Exec.create ~engine ~costs:Costs.default
+      ~server:(Rcc_sim.Cpu.server engine ~name:"exec" ())
+      ~z:(List.length primaries) ~self:0 ~store ~ledger ~txn_table
+      ~current_primaries:(fun () -> primaries)
+      ~respond:(fun _ _ -> ())
+      ~metrics:
+        (Rcc_replica.Metrics.create ~n:1 ~instances:(List.length primaries)
+           ~warmup:0 ())
+      ()
   in
+  (exec, ledger, store, txn_table)
+
+(* Recover a fresh incarnation's execute stage from [disk]. *)
+let recover_exec ?(engine = Engine.create ()) disk =
+  let ((exec, _, _, _) as fresh) = fresh_exec engine in
+  (Journal.recover ~engine ~self:0 ~disk ~exec ~primaries (), fresh)
+
+let recover_fresh disk =
+  let rv, (_, ledger, store, txn_table) = recover_exec disk in
   (rv, ledger, store, txn_table)
+
+(* The live reference: a fresh execute stage that executes [rounds] and
+   runs to quiescence. *)
+let execute_live rounds =
+  let engine = Engine.create () in
+  let ((exec, _, _, _) as live) = fresh_exec engine in
+  List.iter (fun (_, slots) -> Array.iter (Exec.notify exec) slots) rounds;
+  Engine.run engine ~until:max_int;
+  live
 
 (* The in-memory oracle: apply the batches directly, in (round, slot)
    order — what live execution would have produced. *)
@@ -362,6 +386,10 @@ let test_fault_sweep () =
 
 (* --- QCheck: random crash points ---------------------------------------- *)
 
+(* Recovery must rebuild what live execution of the durable prefix built:
+   the oracle's KV state, and the live execute stage's ledger head,
+   txn-table rows and duplicate-reply cache (per-instance counts
+   included). *)
 let prop_crash_point =
   qtest ~count:40 "replay == execution at random crash points"
     QCheck2.Gen.(
@@ -380,13 +408,78 @@ let prop_crash_point =
         (fun (round, slots) -> Journal.log_round j ~round ~primaries slots)
         lost;
       Journal.halt j;
-      let rv, ledger, store, _ = recover_fresh disk in
+      let rv, (exec, ledger, store, txn_table) = recover_exec disk in
+      let live, live_ledger, _, live_table = execute_live durable in
+      let sorted_replies e = List.sort compare (Exec.replied_entries e) in
       rv.Journal.r_frontier = durable_n
       && Ledger.next_round ledger = durable_n
       && Result.is_ok (Ledger.validate ledger)
       && String.equal
            (Kv.state_digest (oracle_store durable))
-           (Kv.state_digest store))
+           (Kv.state_digest store)
+      && String.equal (Ledger.head_hash live_ledger) (Ledger.head_hash ledger)
+      && List.for_all
+           (fun (round, _) ->
+             Txn_table.find live_table ~round = Txn_table.find txn_table ~round)
+           durable
+      && sorted_replies live = sorted_replies exec
+      && Exec.replied_retained live = Exec.replied_retained exec)
+
+(* A reply-cache entry rebuilt by replay keeps its batch id and instance,
+   so once the stable floor evicts it, a retransmission of the batch that
+   is ordered again is skipped — exactly as on the replica that never
+   went down. *)
+let test_recovered_dedup_survives_eviction () =
+  let rng = Rng.create 3 in
+  let next_id = ref 1 in
+  let round0 = mk_round ~next_id ~rng 0 in
+  let round1 =
+    [| { (round0.(0)) with Acceptance.round = 1 }; (mk_round ~next_id ~rng 1).(1) |]
+  in
+  (* The live replica executes round 0 and journals it. *)
+  let engine = Engine.create () in
+  let disk = Sim_disk.create ~seed:12 in
+  let live, live_ledger, live_store, _ = fresh_exec engine in
+  let j = Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 () in
+  Exec.set_persist live
+    {
+      Exec.p_round =
+        (fun ~round ordered -> Journal.log_round j ~round ~primaries ordered);
+      p_rollback = (fun ~frontier -> Journal.log_rollback j ~frontier);
+      p_stable = (fun ~floor -> Journal.log_stable j ~floor);
+      p_snapshot = (fun _ -> ());
+    };
+  Array.iter (Exec.notify live) round0;
+  Engine.run engine ~until:(Engine.ms 100);
+  (* A fresh incarnation recovers from the disk. *)
+  let recovered_engine = Engine.create () in
+  let rv, (recovered, ledger, store, _) =
+    recover_exec ~engine:recovered_engine disk
+  in
+  check Alcotest.int "round 0 recovered" 1 rv.Journal.r_frontier;
+  (* Both stabilize past round 0, evicting its replies; then instance 0's
+     batch is ordered again at round 1. *)
+  List.iter
+    (fun (exec, engine) ->
+      Exec.on_stable exec ~instance:0 ~seq:1;
+      Exec.on_stable exec ~instance:1 ~seq:1;
+      check Alcotest.int "round 0's replies evicted" 2
+        (Exec.replied_evicted exec);
+      Array.iter (Exec.notify exec) round1;
+      Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
+      check Alcotest.int "round 1 committed" 2 (Exec.next_round exec))
+    [ (live, engine); (recovered, recovered_engine) ];
+  let txns (a : Acceptance.t) = Array.length a.batch.Batch.txns in
+  check Alcotest.int "live: retransmission skipped"
+    (txns round0.(0) + txns round0.(1) + txns round1.(1))
+    (Exec.executed_txns live);
+  (* Replay is recovery, not execution: only round 1 counts here. *)
+  check Alcotest.int "recovered: retransmission skipped" (txns round1.(1))
+    (Exec.executed_txns recovered);
+  check Alcotest.string "same KV state as the live replica"
+    (Kv.state_digest live_store) (Kv.state_digest store);
+  check Alcotest.string "same ledger head as the live replica"
+    (Ledger.head_hash live_ledger) (Ledger.head_hash ledger)
 
 let suite =
   ( "journal",
@@ -402,5 +495,7 @@ let suite =
         test_replay_stops_at_unproven_speculation;
       Alcotest.test_case "snapshot + suffix" `Quick test_snapshot_plus_suffix;
       Alcotest.test_case "fault sweep never diverges" `Quick test_fault_sweep;
+      Alcotest.test_case "recovered reply cache settles evicted batches"
+        `Quick test_recovered_dedup_survives_eviction;
       prop_crash_point;
     ] )
