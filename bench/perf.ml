@@ -15,7 +15,7 @@
    - report_digest         SHA-256 over the deterministic report fields
                            (excludes wall time), the fixed-seed determinism
                            fingerprint CI compares against bench/simperf.digest
-   - heap/net/codec microbench rows (ns/op and words/op)
+   - heap/net/codec/journal microbench rows (ns/op and words/op)
 
    Wall time is [Sys.time] (process CPU time): the simulator is
    single-threaded and this keeps the harness dependency-free. *)
@@ -193,6 +193,46 @@ let bench_msg_size () =
   let ns, words = measure ~iters:200_000 (fun () -> ignore (Msg.size msg)) in
   { m_name = "msg-size-contract"; m_ns = ns; m_words = words }
 
+(* One op = one committed round of z = 6 acceptances of 100-txn batches
+   through [Journal.log_round], flushes included; each block of 64 rounds
+   runs on a fresh engine and disk. The batches are built once, so their
+   cached payloads are shared across blocks as across replicas, and the
+   row is the per-replica cost. CI gates its words/op against
+   bench/journal.words. *)
+let bench_journal () =
+  let secret, _ = Rcc_crypto.Signature.keygen (Rcc_common.Rng.create 3) in
+  let primaries = List.init 6 Fun.id in
+  let rounds = 64 in
+  let ordered =
+    Array.init rounds (fun round ->
+        Array.init 6 (fun instance ->
+            {
+              Rcc_replica.Acceptance.instance;
+              round;
+              batch =
+                Batch.create ~id:((round * 6) + instance) ~client:instance
+                  ~txns:(bench_txns ()) ~secret;
+              cert = List.init 11 Fun.id;
+              speculative = false;
+              history = "";
+            }))
+  in
+  let ns, words =
+    measure ~iters:40 (fun () ->
+        let engine = Engine.create () in
+        let j =
+          Rcc_journal.Journal.attach ~engine ~costs:Rcc_sim.Costs.default
+            ~disk:(Rcc_journal.Sim_disk.create ~seed:1) ~self:0 ()
+        in
+        Array.iteri
+          (fun round accs ->
+            Rcc_journal.Journal.log_round j ~round ~primaries accs)
+          ordered;
+        Engine.run engine ~until:(Engine.now engine + Engine.ms 10))
+  in
+  let per = float_of_int rounds in
+  { m_name = "journal-log-round"; m_ns = ns /. per; m_words = words /. per }
+
 (* --- JSON output -------------------------------------------------------- *)
 
 let json_of_entry ~label smoke micros =
@@ -315,6 +355,7 @@ let () =
         bench_net ~rules:true;
         bench_codec ();
         bench_msg_size ();
+        bench_journal ();
       ]
     in
     List.iter

@@ -3,9 +3,10 @@
    Words are kept in the low 32 bits of OCaml's 63-bit int and masked
    after additions. This keeps the compression loop allocation-free —
    the original [int32]-based version boxed every intermediate (about
-   4.7 minor-heap words per message byte), and hashing dominates the
-   simulator's wall-clock profile (batch digests are recomputed at every
-   replica). Digests are bit-identical to the boxed implementation;
+   4.7 minor-heap words per message byte), and hashing is a large share
+   of the simulator's wall-clock profile (each client batch is hashed
+   once at creation; a replica re-hashes only a batch it did not receive
+   by reference). Digests are bit-identical to the boxed implementation;
    verified against the FIPS vectors in the test suite. *)
 
 let mask = 0xffffffff
@@ -101,17 +102,19 @@ let compress ctx block off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
-let update ctx s =
-  let len = String.length s in
+let update_sub ctx s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Sha256.update_sub";
   ctx.total <- ctx.total + len;
-  let pos = ref 0 in
+  let stop = off + len in
+  let pos = ref off in
   (* Fill a partial block first. *)
   if ctx.buf_len > 0 then begin
     let room = 64 - ctx.buf_len in
     let take = if room < len then room else len in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
+    Bytes.blit_string s off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
+    pos := off + take;
     if ctx.buf_len = 64 then begin
       compress ctx ctx.buf 0;
       ctx.buf_len <- 0
@@ -119,14 +122,16 @@ let update ctx s =
   end;
   (* Whole blocks straight from the input, no copy. *)
   let block = Bytes.unsafe_of_string s in
-  while len - !pos >= 64 do
+  while stop - !pos >= 64 do
     compress ctx block !pos;
     pos := !pos + 64
   done;
-  if !pos < len then begin
-    Bytes.blit_string s !pos ctx.buf 0 (len - !pos);
-    ctx.buf_len <- len - !pos
+  if !pos < stop then begin
+    Bytes.blit_string s !pos ctx.buf 0 (stop - !pos);
+    ctx.buf_len <- stop - !pos
   end
+
+let update ctx s = update_sub ctx s 0 (String.length s)
 
 let finalize ctx =
   let bits = Int64.of_int (8 * ctx.total) in

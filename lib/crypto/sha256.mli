@@ -8,6 +8,11 @@ type ctx
 
 val init : unit -> ctx
 val update : ctx -> string -> unit
+
+val update_sub : ctx -> string -> int -> int -> unit
+(** [update_sub ctx s off len] absorbs [String.sub s off len] without
+    copying it. Raises [Invalid_argument] if the range is not inside [s]. *)
+
 val finalize : ctx -> string
 (** 32-byte binary digest. The context must not be reused afterwards. *)
 

@@ -8,46 +8,24 @@ type t = {
   signature : Rcc_crypto.Signature.signature;
   wire : int;
   mutable keys : key_sets option;
+  mutable payload : string;
+  seal_txns : Rcc_workload.Txn.t array;
+  seal_digest : string;
 }
 
 let encoded_size = Rcc_workload.Txn.encoded_size
 
-(* Encode all transactions into one flat buffer and hash it in a single
-   pass — byte-identical to digesting the concatenation of the per-txn
-   encodings, without the per-txn strings and list cells. *)
-let compute_digest txns =
+(* All transactions in one flat buffer: the bytes [digest] hashes and the
+   journal stores. *)
+let encode_txns txns =
   let n = Array.length txns in
   let buf = Bytes.create (n * encoded_size) in
   for i = 0 to n - 1 do
     Rcc_workload.Txn.encode_into buf (i * encoded_size) txns.(i)
   done;
-  Rcc_crypto.Sha256.digest (Bytes.unsafe_to_string buf)
+  Bytes.unsafe_to_string buf
 
-(* One-entry memo keyed by PHYSICAL array identity. The simulator passes
-   messages by reference, so the primary verifying a client batch hashes
-   the very array the client just hashed in [create] — the second pass is
-   free. Physical keying makes the memo transparent: any other array
-   (including a structurally equal copy, e.g. a forged batch in tests)
-   misses and is recomputed. Empty arrays are excluded because OCaml
-   shares [[||]] as one atom, which would alias all of them. *)
-let memo_txns : Rcc_workload.Txn.t array ref = ref [||]
-let memo_digest = ref ""
-
-let digest_of_txns txns =
-  if Array.length txns > 0 && txns == !memo_txns then !memo_digest
-  else begin
-    let d = compute_digest txns in
-    memo_txns := txns;
-    memo_digest := d;
-    d
-  end
-
-(* A snapshot install swaps whole object graphs; dropping the memo costs
-   one recompute and removes any chance of the retired graph's array
-   being resurrected at the same address and hitting a stale entry. *)
-let reset_memo () =
-  memo_txns := [||];
-  memo_digest := ""
+let digest_of_txns txns = Rcc_crypto.Sha256.digest (encode_txns txns)
 
 let wire_size ~ntxns = ntxns * Rcc_workload.Txn.wire_size
 
@@ -103,6 +81,14 @@ let key_sets t =
       t.keys <- Some k;
       k
 
+(* Encoded on the first journal write and shared by every replica that
+   journals the record; runs without a journal never encode. "" stands
+   for "not yet encoded", which is also the encoding of no txns. *)
+let payload t =
+  if t.payload = "" && Array.length t.txns > 0 then
+    t.payload <- encode_txns t.txns;
+  t.payload
+
 let create ~id ~client ~txns ~secret =
   let digest = digest_of_txns txns in
   {
@@ -113,25 +99,49 @@ let create ~id ~client ~txns ~secret =
     signature = Rcc_crypto.Signature.sign secret digest;
     wire = wire_size ~ntxns:(Array.length txns);
     keys = None;
+    payload = "";
+    seal_txns = txns;
+    seal_digest = digest;
+  }
+
+(* The seal's digest is a private copy, never physically the record's, so
+   [verify] recomputes; it still equals [digest] structurally, so a
+   decoded batch compares equal to the one that was encoded. *)
+let of_parts ~id ~client ~txns ~digest ~signature =
+  {
+    id;
+    client;
+    txns;
+    digest;
+    signature;
+    wire = wire_size ~ntxns:(Array.length txns);
+    keys = None;
+    payload = "";
+    seal_txns = txns;
+    seal_digest = Bytes.to_string (Bytes.of_string digest);
   }
 
 let null_client = -1
 
 let null ~round =
   {
-    id = -round - 1;
-    client = null_client;
-    txns = [||];
-    digest = Rcc_crypto.Sha256.digest ("rcc-null" ^ string_of_int round);
-    signature = String.make Rcc_crypto.Signature.signature_size '\x00';
-    wire = 0;
+    (of_parts ~id:(-round - 1) ~client:null_client ~txns:[||]
+       ~digest:(Rcc_crypto.Sha256.digest ("rcc-null" ^ string_of_int round))
+       ~signature:(String.make Rcc_crypto.Signature.signature_size '\x00'))
+    with
     keys = Some empty_keys;
   }
 
 let is_null t = t.client = null_client
 
+(* The simulator passes messages by reference, so the batch a replica
+   verifies is usually the record [create] sealed: its [txns] and
+   [digest] are physically the pair that was hashed, and hashing again
+   would give the same bytes. Any other record, including a
+   [{b with txns}] or [{b with digest}] copy, is recomputed. *)
 let verify t ~public =
-  String.equal t.digest (digest_of_txns t.txns)
+  ((t.txns == t.seal_txns && t.digest == t.seal_digest)
+  || String.equal t.digest (digest_of_txns t.txns))
   && Rcc_crypto.Signature.verify public t.digest t.signature
 
 let size t = t.wire

@@ -23,7 +23,17 @@ type t = {
   mutable keys : key_sets option;
       (** cached {!key_sets}, computed on first use; serial execution
           never touches it *)
+  mutable payload : string;
+      (** cached {!payload}, [""] until first use; only the journal uses
+          it *)
+  seal_txns : Rcc_workload.Txn.t array;
+  seal_digest : string;
+      (** the [(txns, digest)] pair {!create} hashed. {!verify} skips the
+          hash when both fields are still physically this pair. *)
 }
+(** Like [keys] and [payload], a batch with other transactions is built
+    with {!create} or {!of_parts}, never as [{b with txns}]: the caches
+    would still describe [b]'s transactions. *)
 
 val create :
   id:int ->
@@ -31,6 +41,16 @@ val create :
   txns:Rcc_workload.Txn.t array ->
   secret:Rcc_crypto.Signature.secret_key ->
   t
+
+val of_parts :
+  id:int ->
+  client:Rcc_common.Ids.client_id ->
+  txns:Rcc_workload.Txn.t array ->
+  digest:string ->
+  signature:Rcc_crypto.Signature.signature ->
+  t
+(** A batch read back from bytes (codec, journal). It is not sealed:
+    {!verify} recomputes its digest. *)
 
 val null : round:Rcc_common.Ids.round -> t
 (** The no-op batch a new primary proposes to fill a hole left by its
@@ -42,18 +62,20 @@ val null_client : Rcc_common.Ids.client_id
 val is_null : t -> bool
 
 val digest_of_txns : Rcc_workload.Txn.t array -> string
+(** SHA-256 over the concatenated {!Rcc_workload.Txn.encode_into} bytes,
+    i.e. over {!payload}. *)
 
 val key_sets : t -> key_sets
 (** The batch's read/write key sets, sorted ascending and deduplicated;
     computed on first use and cached in the record. *)
 
-val reset_memo : unit -> unit
-(** Drop the one-entry digest memo. Called after a snapshot install
-    retires whole object graphs, so a txn array allocated at a recycled
-    address can never alias a stale memo entry. *)
+val payload : t -> string
+(** The encoded transactions, the exact bytes [digest] covers; computed on
+    first use and cached in the record. *)
 
 val verify : t -> public:Rcc_crypto.Signature.public_key -> bool
-(** Recompute the digest and check the client signature. *)
+(** Check that the digest covers the transactions and the client signed
+    it. The digest is recomputed unless the record is sealed. *)
 
 val size : t -> int
 (** The cached [wire] field. *)

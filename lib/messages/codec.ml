@@ -86,8 +86,7 @@ let r_batch r =
   in
   let digest = r_string r in
   let signature = r_string r in
-  { Batch.id; client; txns; digest; signature;
-    wire = Batch.wire_size ~ntxns; keys = None }
+  Batch.of_parts ~id ~client ~txns ~digest ~signature
 
 let r_vote r =
   let bv_accuser = r_int r in

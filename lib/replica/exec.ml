@@ -770,10 +770,8 @@ let rollback_to t ~frontier ~instance =
 let install_snapshot t (snap : Rcc_storage.Snapshot.t) =
   let seq = snap.Rcc_storage.Snapshot.seq in
   (* Wholesale, in dependency order: the chain, then the KV table it led
-     to. The Batch memo is invalidated so nothing digests against
-     pre-install state. *)
+     to. *)
   Rcc_storage.Ledger.install t.ledger snap.Rcc_storage.Snapshot.blocks;
-  Batch.reset_memo ();
   (match snap.Rcc_storage.Snapshot.kv with
   | Some entries when t.materialize ->
       Rcc_storage.Kv_store.install t.store entries

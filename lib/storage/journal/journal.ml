@@ -16,64 +16,179 @@ let max_body = 16_777_216
 let flush_interval = Engine.us 200
 let flush_bytes = 65_536
 
+(* --- record layout -------------------------------------------------------
+
+   [magic | kind | u64 body length | checksum | body]. The checksum is the
+   first [checksum_len] bytes of a SHA-256 over the body minus its payload
+   spans ([payload_spans]): a round record's batches keep their encoded
+   txns outside it, because each batch's stored digest is already a
+   SHA-256 over exactly those bytes ([Batch.digest_of_txns]), and [scan]
+   checks that binding instead. Every other byte of every record,
+   digests and signatures included, is under the checksum. An honest
+   disk always passes: a batch with txns was built by [Batch.create],
+   which computed its digest from them, and a null batch has no txns. *)
+
+let header_len = String.length record_magic + 1 + 8 + checksum_len
+let checksum_at = header_len - checksum_len
+
+exception Bad of string
+
+type reader = { buf : string; mutable pos : int; limit : int }
+
+let need r n = if r.pos + n > r.limit then raise (Bad "truncated")
+
+let r_int r =
+  need r 8;
+  let v = Int64.to_int (String.get_int64_be r.buf r.pos) in
+  r.pos <- r.pos + 8;
+  v
+
+let skip r n =
+  need r n;
+  r.pos <- r.pos + n
+
+let r_count r ~max what =
+  let n = r_int r in
+  if n < 0 || n > max then raise (Bad ("bad " ^ what));
+  n
+
+let max_list = 1_000_000
+let max_slots = 10_000
+let max_txns = 1_000_000
+
+(* A batch's encoded txns and the stored digest that must hash them. *)
+type payload_span = { p_off : int; p_len : int; d_off : int; d_len : int }
+
+(* The payload spans of the body at [s.[off .. off + len - 1]], in body
+   order: one per batch with txns in a round record, none in the other
+   kinds. Walks the layout [round_record] writes without decoding a txn;
+   raises [Bad] where it does not parse. The writer and [scan] both
+   derive the checksum from this one walk. *)
+let payload_spans kind s ~off ~len =
+  if kind <> 'R' then []
+  else begin
+    let r = { buf = s; pos = off; limit = off + len } in
+    let skip_int_list () = skip r (8 * r_count r ~max:max_list "list length") in
+    skip r 8 (* round *);
+    skip_int_list () (* primaries *);
+    let spans = ref [] in
+    for _ = 1 to r_count r ~max:max_slots "slot count" do
+      skip r 9 (* instance, speculative flag *);
+      skip_int_list () (* cert *);
+      skip r 16 (* batch id, client *);
+      let ntxns = r_count r ~max:max_txns "txn count" in
+      let p_off = r.pos and p_len = ntxns * Rcc_workload.Txn.encoded_size in
+      skip r p_len;
+      let d_len = r_count r ~max:max_body "string length" in
+      let d_off = r.pos in
+      skip r d_len;
+      skip r (r_count r ~max:max_body "string length");
+      if ntxns > 0 then spans := { p_off; p_len; d_off; d_len } :: !spans
+    done;
+    List.rev !spans
+  end
+
+let checksum s ~off ~len spans =
+  let ctx = Rcc_crypto.Sha256.init () in
+  let rest =
+    List.fold_left
+      (fun pos sp ->
+        Rcc_crypto.Sha256.update_sub ctx s pos (sp.p_off - pos);
+        sp.p_off + sp.p_len)
+      off spans
+  in
+  Rcc_crypto.Sha256.update_sub ctx s rest (off + len - rest);
+  String.sub (Rcc_crypto.Sha256.finalize ctx) 0 checksum_len
+
+let payload_bound s sp =
+  let ctx = Rcc_crypto.Sha256.init () in
+  Rcc_crypto.Sha256.update_sub ctx s sp.p_off sp.p_len;
+  let d = Rcc_crypto.Sha256.finalize ctx in
+  sp.d_len = String.length d && String.equal d (String.sub s sp.d_off sp.d_len)
+
 (* --- record encoding ---------------------------------------------------- *)
 
-let w_int buf v = Buffer.add_string buf (Bytes_util.u64_string (Int64.of_int v))
+(* Records are written into one buffer of their exact size. *)
+type writer = { out : Bytes.t; mutable at : int }
 
-let w_string buf s =
-  w_int buf (String.length s);
-  Buffer.add_string buf s
+let w_int w v =
+  Bytes.set_int64_be w.out w.at (Int64.of_int v);
+  w.at <- w.at + 8
 
-let w_int_list buf l =
-  w_int buf (List.length l);
-  List.iter (w_int buf) l
+let w_char w c =
+  Bytes.set w.out w.at c;
+  w.at <- w.at + 1
 
-let w_batch buf (b : Batch.t) =
-  w_int buf b.Batch.id;
-  w_int buf b.Batch.client;
-  w_int buf (Array.length b.Batch.txns);
-  Array.iter
-    (fun txn -> Buffer.add_string buf (Rcc_workload.Txn.encode txn))
-    b.Batch.txns;
-  w_string buf b.Batch.digest;
-  w_string buf b.Batch.signature
+let w_raw w s =
+  Bytes.blit_string s 0 w.out w.at (String.length s);
+  w.at <- w.at + String.length s
 
-(* [frame kind body]: magic | kind | u64 length | sha256-prefix | body.
-   The checksum covers the body only; the header fields are validated
-   structurally (magic match, sane length). *)
-let frame kind body =
-  let buf = Buffer.create (String.length body + 21) in
-  Buffer.add_string buf record_magic;
-  Buffer.add_char buf kind;
-  w_int buf (String.length body);
-  Buffer.add_string buf
-    (String.sub (Rcc_crypto.Sha256.digest body) 0 checksum_len);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+let w_string w s =
+  w_int w (String.length s);
+  w_raw w s
+
+let w_int_list w l =
+  w_int w (List.length l);
+  List.iter (w_int w) l
+
+let int_list_size l = 8 * (1 + List.length l)
+
+let w_batch w (b : Batch.t) =
+  w_int w b.Batch.id;
+  w_int w b.Batch.client;
+  w_int w (Array.length b.Batch.txns);
+  w_raw w (Batch.payload b);
+  w_string w b.Batch.digest;
+  w_string w b.Batch.signature
+
+(* id, client, txn count; the payload; two length-prefixed strings. *)
+let batch_size (b : Batch.t) =
+  (3 * 8)
+  + String.length (Batch.payload b)
+  + 8 + String.length b.Batch.digest
+  + 8 + String.length b.Batch.signature
+
+(* [frame kind len fill]: a record whose [len]-byte body [fill] writes. *)
+let frame kind len fill =
+  let w = { out = Bytes.create (header_len + len); at = 0 } in
+  w_raw w record_magic;
+  w_char w kind;
+  w_int w len;
+  w.at <- header_len;
+  fill w;
+  assert (w.at = header_len + len);
+  let s = Bytes.unsafe_to_string w.out in
+  let spans = payload_spans kind s ~off:header_len ~len in
+  Bytes.blit_string (checksum s ~off:header_len ~len spans) 0 w.out
+    checksum_at checksum_len;
+  s
 
 let round_record ~round ~primaries (ordered : Acceptance.t array) =
-  let buf = Buffer.create 512 in
-  w_int buf round;
-  w_int_list buf primaries;
-  w_int buf (Array.length ordered);
-  Array.iter
-    (fun (a : Acceptance.t) ->
-      w_int buf a.instance;
-      Buffer.add_char buf (if a.speculative then '\x01' else '\x00');
-      w_int_list buf a.cert;
-      w_batch buf a.batch)
-    ordered;
-  frame 'R' (Buffer.contents buf)
+  (* round, primaries, slot count; per slot instance, speculative flag,
+     certificate and batch. *)
+  let len =
+    Array.fold_left
+      (fun acc (a : Acceptance.t) ->
+        acc + 8 + 1 + int_list_size a.cert + batch_size a.batch)
+      (8 + int_list_size primaries + 8)
+      ordered
+  in
+  frame 'R' len (fun w ->
+      w_int w round;
+      w_int_list w primaries;
+      w_int w (Array.length ordered);
+      Array.iter
+        (fun (a : Acceptance.t) ->
+          w_int w a.instance;
+          w_char w (if a.speculative then '\x01' else '\x00');
+          w_int_list w a.cert;
+          w_batch w a.batch)
+        ordered)
 
-let int_record kind v =
-  let buf = Buffer.create 8 in
-  w_int buf v;
-  frame kind (Buffer.contents buf)
+let int_record kind v = frame kind 8 (fun w -> w_int w v)
 
 let view_record primaries =
-  let buf = Buffer.create 16 in
-  w_int_list buf primaries;
-  frame 'V' (Buffer.contents buf)
+  frame 'V' (int_list_size primaries) (fun w -> w_int_list w primaries)
 
 (* --- writer ------------------------------------------------------------- *)
 
@@ -191,13 +306,13 @@ let write_snapshot t ~seq snapshot =
   if not t.halted then begin
     let body = Rcc_storage.Snapshot.encode snapshot in
     let blob =
-      let buf = Buffer.create (String.length body + 20) in
-      Buffer.add_string buf snap_magic;
-      w_int buf (String.length body);
-      Buffer.add_string buf
-        (String.sub (Rcc_crypto.Sha256.digest body) 0 checksum_len);
-      Buffer.add_string buf body;
-      Buffer.contents buf
+      String.concat ""
+        [
+          snap_magic;
+          Bytes_util.u64_string (Int64.of_int (String.length body));
+          checksum body ~off:0 ~len:(String.length body) [];
+          body;
+        ]
     in
     Cpu.submit t.io ~cost:(io_cost t (String.length blob)) (fun () ->
         if not t.halted then begin
@@ -227,30 +342,15 @@ let durable_round t = t.durable
 
 (* --- decoding ----------------------------------------------------------- *)
 
-exception Bad of string
-
-type reader = { buf : string; mutable pos : int }
-
-let need r n = if r.pos + n > String.length r.buf then raise (Bad "truncated")
-
-let r_int r =
-  need r 8;
-  let v = Int64.to_int (Bytes_util.get_u64be r.buf r.pos) in
-  r.pos <- r.pos + 8;
-  v
-
 let r_string r =
-  let len = r_int r in
-  if len < 0 || len > max_body then raise (Bad "bad string length");
+  let len = r_count r ~max:max_body "string length" in
   need r len;
   let s = String.sub r.buf r.pos len in
   r.pos <- r.pos + len;
   s
 
 let r_int_list r =
-  let len = r_int r in
-  if len < 0 || len > 1_000_000 then raise (Bad "bad list length");
-  List.init len (fun _ -> r_int r)
+  List.init (r_count r ~max:max_list "list length") (fun _ -> r_int r)
 
 let r_bool r =
   need r 1;
@@ -264,8 +364,7 @@ let r_bool r =
 let r_batch r =
   let id = r_int r in
   let client = r_int r in
-  let ntxns = r_int r in
-  if ntxns < 0 || ntxns > 1_000_000 then raise (Bad "bad txn count");
+  let ntxns = r_count r ~max:max_txns "txn count" in
   let txns =
     Array.init ntxns (fun _ ->
         need r Rcc_workload.Txn.encoded_size;
@@ -277,15 +376,7 @@ let r_batch r =
   in
   let digest = r_string r in
   let signature = r_string r in
-  {
-    Batch.id;
-    client;
-    txns;
-    digest;
-    signature;
-    wire = Batch.wire_size ~ntxns;
-    keys = None;
-  }
+  Batch.of_parts ~id ~client ~txns ~digest ~signature
 
 type record =
   | Round of {
@@ -297,17 +388,15 @@ type record =
   | Rollback of int
   | View of int list
 
-let parse_body kind body =
-  let r = { buf = body; pos = 0 } in
+let parse_body kind s ~off ~len =
+  let r = { buf = s; pos = off; limit = off + len } in
   let record =
     match kind with
     | 'R' ->
         let round = r_int r in
         let primaries = r_int_list r in
-        let nslots = r_int r in
-        if nslots < 0 || nslots > 10_000 then raise (Bad "bad slot count");
         let ordered =
-          Array.init nslots (fun _ ->
+          Array.init (r_count r ~max:max_slots "slot count") (fun _ ->
               let instance = r_int r in
               let speculative = r_bool r in
               let cert = r_int_list r in
@@ -320,46 +409,54 @@ let parse_body kind body =
     | 'V' -> View (r_int_list r)
     | _ -> raise (Bad "unknown record type")
   in
-  if r.pos <> String.length body then raise (Bad "trailing bytes");
+  if r.pos <> r.limit then raise (Bad "trailing bytes");
   record
+
+(* The record framed at [p] and the offset past it, if its header, its
+   checksum, every payload's digest binding and its body all check out. *)
+let record_at s p =
+  if not (String.equal (String.sub s p 4) record_magic) then None
+  else
+    let kind = s.[p + 4] in
+    let len = Int64.to_int (String.get_int64_be s (p + 5)) in
+    let off = p + header_len in
+    if len < 0 || len > max_body || off + len > String.length s then None
+    else
+      match
+        let spans = payload_spans kind s ~off ~len in
+        if
+          String.equal (String.sub s (p + checksum_at) checksum_len)
+            (checksum s ~off ~len spans)
+          && List.for_all (payload_bound s) spans
+        then Some (parse_body kind s ~off ~len, off + len)
+        else None
+      with
+      | result -> result
+      | exception Bad _ -> None
 
 (* Scan the journal area, returning the longest valid record prefix and
    the bytes dropped past the first torn / corrupt / malformed record.
-   A checksum mismatch anywhere stops the scan — a lying disk gets its
-   suffix truncated, never trusted. *)
+   A checksum or digest mismatch anywhere stops the scan — a lying disk
+   gets its suffix truncated, never trusted. *)
 let scan journal =
   let total = String.length journal in
-  let header_len = String.length record_magic + 1 + 8 + checksum_len in
   let records = ref [] in
   let pos = ref 0 in
   let ok = ref true in
   while !ok && !pos + header_len <= total do
-    let p = !pos in
-    if not (String.equal (String.sub journal p 4) record_magic) then ok := false
-    else begin
-      let kind = journal.[p + 4] in
-      let len = Int64.to_int (Bytes_util.get_u64be journal (p + 5)) in
-      if len < 0 || len > max_body || p + header_len + len > total then
-        ok := false
-      else begin
-        let sum = String.sub journal (p + 13) checksum_len in
-        let body = String.sub journal (p + header_len) len in
-        if
-          not
-            (String.equal sum
-               (String.sub (Rcc_crypto.Sha256.digest body) 0 checksum_len))
-        then ok := false
-        else
-          match parse_body kind body with
-          | record ->
-              records := record :: !records;
-              pos := p + header_len + len
-          | exception Bad _ -> ok := false
-      end
-    end
+    match record_at journal !pos with
+    | Some (record, next) ->
+        records := record :: !records;
+        pos := next
+    | None -> ok := false
   done;
   (* Trailing bytes shorter than a header are a torn tail, too. *)
   (List.rev !records, total - !pos)
+
+let scan_rounds journal =
+  List.filter_map
+    (function Round { round; ordered; _ } -> Some (round, ordered) | _ -> None)
+    (fst (scan journal))
 
 (* --- recovery ----------------------------------------------------------- *)
 
@@ -380,16 +477,12 @@ let load_snapshot disk ~primaries =
     if String.length blob < header then None
     else if not (String.equal (String.sub blob 0 4) snap_magic) then None
     else
-      let len = Int64.to_int (Bytes_util.get_u64be blob 4) in
+      let len = Int64.to_int (String.get_int64_be blob 4) in
       if len < 0 || String.length blob <> header + len then None
       else
         let sum = String.sub blob 12 checksum_len in
         let body = String.sub blob header len in
-        if
-          not
-            (String.equal sum
-               (String.sub (Rcc_crypto.Sha256.digest body) 0 checksum_len))
-        then None
+        if not (String.equal sum (checksum body ~off:0 ~len [])) then None
         else
           match Rcc_storage.Snapshot.decode body with
           | Ok snap -> (

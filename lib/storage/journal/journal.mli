@@ -22,8 +22,18 @@
     transfer.
 
     Record framing: each record is [magic "RJL1" | type byte | u64 body
-    length | 8-byte SHA-256 prefix of the body | body]. Snapshot slots
-    use the same discipline with magic "RJS1" around a
+    length | 8-byte checksum | body]. The checksum is a SHA-256 prefix
+    over the whole body of stable, rollback and view records. In a round
+    record it covers every body byte except each batch's encoded txns:
+    ids, certificates, flags, digests and signatures. Those txn bytes
+    are bound by the batch's stored 32-byte digest, which is a SHA-256
+    over exactly them ({!Rcc_messages.Batch.digest_of_txns}). So the txn
+    bytes are hashed once, by the client, rather than by every
+    journaling replica, and their encoding is cached in the batch
+    ({!Rcc_messages.Batch.payload}) and shared. Recovery rejects a round
+    record whose checksum fails or whose payload does not hash to its
+    stored digest.
+    Snapshot slots use a whole-body checksum with magic "RJS1" around a
     {!Rcc_storage.Snapshot.encode} blob, because [Snapshot.verify] pins
     the chain but not the KV/reply bytes. *)
 
@@ -102,3 +112,11 @@ val recover :
     included. [primaries] is the genesis configuration snapshot chains
     are verified against. Faulty records truncate the replay — never
     install corrupt state. *)
+
+(** {2 Test support} *)
+
+val scan_rounds :
+  string -> (Rcc_common.Ids.round * Rcc_replica.Acceptance.t array) list
+(** The round records in the longest valid record prefix of a journal
+    area ({!Sim_disk.journal}), in order — what recovery would replay
+    before its round-gap and speculation checks. *)

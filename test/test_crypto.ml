@@ -47,6 +47,37 @@ let test_sha256_vectors () =
         (Sha256.hex_digest (Bytes_util.of_hex hex_msg)))
     sha_cavs_vectors
 
+(* [update_sub] over every two-way split of each vector, read out of a
+   padded string so the offsets are not 0. The million-byte vector is
+   split at block-boundary offsets only. *)
+let test_sha256_update_sub () =
+  let messages =
+    List.map fst sha_vectors
+    @ List.map (fun (hex, _) -> Bytes_util.of_hex hex) sha_cavs_vectors
+  in
+  List.iter
+    (fun msg ->
+      let len = String.length msg in
+      let padded = "pad" ^ msg ^ "ding" in
+      let want = Sha256.digest msg in
+      let splits =
+        if len > 10_000 then [ 0; 1; 63; 64; 65; 127; 128; len / 2; len - 1; len ]
+        else List.init (len + 1) Fun.id
+      in
+      List.iter
+        (fun k ->
+          let ctx = Sha256.init () in
+          Sha256.update_sub ctx padded 3 k;
+          Sha256.update_sub ctx padded (3 + k) (len - k);
+          if not (String.equal want (Sha256.finalize ctx)) then
+            Alcotest.failf "%d-byte message split at %d" len k)
+        splits)
+    messages;
+  check Alcotest.bool "range outside the string rejected" true
+    (match Sha256.update_sub (Sha256.init ()) "abc" 2 2 with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 let sha_incremental =
   qtest "sha256: incremental = one-shot"
     QCheck2.Gen.(list_size (int_range 0 8) string)
@@ -240,6 +271,7 @@ let suite =
   ( "crypto",
     [
       Alcotest.test_case "sha256 FIPS vectors" `Quick test_sha256_vectors;
+      Alcotest.test_case "sha256 update_sub splits" `Quick test_sha256_update_sub;
       sha_incremental;
       sha_distinct;
       Alcotest.test_case "hmac RFC 4231" `Quick test_hmac_rfc4231;

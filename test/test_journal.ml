@@ -384,6 +384,86 @@ let test_fault_sweep () =
   check Alcotest.bool "at least one recovery was truncated" true
     (!truncations > 0)
 
+(* --- round-record framing ------------------------------------------------ *)
+
+(* One round holding a Write txn, a Read txn and a null batch, journaled on
+   an honest disk; returns the journal area and the offset of the round
+   record (a view record precedes it). *)
+let framed_round ?(tamper = Fun.id) () =
+  let batch =
+    Batch.create ~id:5 ~client:2
+      ~txns:
+        [|
+          { Txn.key = 11; op = Txn.Write 77 }; { Txn.key = 12; op = Txn.Read };
+        |]
+      ~secret:(Keychain.client_secret (Lazy.force keychain) 2)
+  in
+  let slot instance batch =
+    {
+      Acceptance.instance;
+      round = 0;
+      batch;
+      cert = [ 0; 2; 3 ];
+      speculative = instance = 1;
+      history = "";
+    }
+  in
+  let ordered = [| slot 0 (tamper batch); slot 1 (Batch.null ~round:0) |] in
+  let disk = Sim_disk.create ~seed:1 in
+  ignore
+    (log_and_flush ~engine:(Engine.create ()) ~disk [ (0, ordered) ]);
+  let journal = Sim_disk.journal disk in
+  let view_len =
+    21 + Int64.to_int (Rcc_common.Bytes_util.get_u64be journal 5)
+  in
+  (ordered, journal, view_len)
+
+let test_round_record_roundtrip () =
+  let ordered, journal, _ = framed_round () in
+  match Journal.scan_rounds journal with
+  | [ (0, decoded) ] ->
+      check Alcotest.int "slots" (Array.length ordered) (Array.length decoded);
+      Array.iter2
+        (fun (a : Acceptance.t) (d : Acceptance.t) ->
+          check Alcotest.int "instance" a.instance d.instance;
+          check Alcotest.int "round" a.round d.round;
+          check Alcotest.bool "speculative" a.speculative d.speculative;
+          check Alcotest.(list int) "cert" a.cert d.cert;
+          let b = a.batch and e = d.batch in
+          check Alcotest.int "batch id" b.Batch.id e.Batch.id;
+          check Alcotest.int "client" b.Batch.client e.Batch.client;
+          check Alcotest.bool "txns" true
+            (Array.length b.Batch.txns = Array.length e.Batch.txns
+            && Array.for_all2 Txn.equal b.Batch.txns e.Batch.txns);
+          check Alcotest.string "digest" b.Batch.digest e.Batch.digest;
+          check Alcotest.string "signature" b.Batch.signature e.Batch.signature)
+        ordered decoded
+  | rounds -> Alcotest.failf "expected one round, scanned %d" (List.length rounds)
+
+(* The same flip [Sim_disk.corrupt_record] makes, at every byte of the
+   round record: header, ids, certificates, flags, digests, signatures
+   and the txn payload — Read value bytes included, which decoding alone
+   would ignore. *)
+let test_round_record_flip_sweep () =
+  let _, journal, view_len = framed_round () in
+  check Alcotest.int "clean record scans" 1
+    (List.length (Journal.scan_rounds journal));
+  for pos = view_len to String.length journal - 1 do
+    let b = Bytes.of_string journal in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
+    if Journal.scan_rounds (Bytes.to_string b) <> [] then
+      Alcotest.failf "flip at byte %d of the round record accepted"
+        (pos - view_len)
+  done
+
+let test_round_record_digest_mismatch () =
+  let forged (b : Batch.t) =
+    { b with Batch.digest = Batch.digest_of_txns [| { Txn.key = 1; op = Txn.Read } |] }
+  in
+  let _, journal, _ = framed_round ~tamper:forged () in
+  check Alcotest.int "payload not matching its digest rejected" 0
+    (List.length (Journal.scan_rounds journal))
+
 (* --- QCheck: random crash points ---------------------------------------- *)
 
 (* Recovery must rebuild what live execution of the durable prefix built:
@@ -495,6 +575,12 @@ let suite =
         test_replay_stops_at_unproven_speculation;
       Alcotest.test_case "snapshot + suffix" `Quick test_snapshot_plus_suffix;
       Alcotest.test_case "fault sweep never diverges" `Quick test_fault_sweep;
+      Alcotest.test_case "round record round trip" `Quick
+        test_round_record_roundtrip;
+      Alcotest.test_case "round record flip sweep" `Quick
+        test_round_record_flip_sweep;
+      Alcotest.test_case "round record digest mismatch" `Quick
+        test_round_record_digest_mismatch;
       Alcotest.test_case "recovered reply cache settles evicted batches"
         `Quick test_recovered_dedup_survives_eviction;
       prop_crash_point;

@@ -93,6 +93,50 @@ let test_batch_verify () =
   in
   check Alcotest.bool "wrong signer rejected" false (Batch.verify resigned ~public)
 
+(* [verify] trusts a record's own seal only while its [txns] and [digest]
+   are physically the pair [create] hashed. *)
+let test_batch_seal () =
+  let b = batch_of 10 in
+  let forged_txns = Array.copy b.Batch.txns in
+  forged_txns.(0) <- Rcc_workload.Txn.{ key = 0; op = Write 99 };
+  check Alcotest.bool "{b with txns} rejected" false
+    (Batch.verify { b with Batch.txns = forged_txns } ~public);
+  check Alcotest.bool "{b with digest} rejected" false
+    (Batch.verify
+       { b with Batch.digest = Batch.digest_of_txns forged_txns }
+       ~public);
+  check Alcotest.bool "consistent txns and digest, old signature" false
+    (Batch.verify
+       {
+         b with
+         Batch.txns = forged_txns;
+         digest = Batch.digest_of_txns forged_txns;
+       }
+       ~public);
+  check Alcotest.bool "equal copy of the txns recomputed and accepted" true
+    (Batch.verify { b with Batch.txns = Array.copy b.Batch.txns } ~public);
+  let parts txns digest =
+    Batch.of_parts ~id:b.Batch.id ~client:b.Batch.client ~txns ~digest
+      ~signature:b.Batch.signature
+  in
+  check Alcotest.bool "decoded batch verifies" true
+    (Batch.verify (parts b.Batch.txns b.Batch.digest) ~public);
+  check Alcotest.bool "decoded batch with a stale digest rejected" false
+    (Batch.verify (parts forged_txns b.Batch.digest) ~public);
+  check Alcotest.bool "decoded batch compares equal to the original" true
+    (parts b.Batch.txns b.Batch.digest = b)
+
+let test_batch_payload () =
+  let b = batch_of 7 in
+  check Alcotest.int "24 bytes per txn" (7 * Rcc_workload.Txn.encoded_size)
+    (String.length (Batch.payload b));
+  check Alcotest.string "digest covers exactly the payload"
+    (Rcc_common.Bytes_util.hex b.Batch.digest)
+    (Rcc_crypto.Sha256.hex_digest (Batch.payload b));
+  check Alcotest.bool "cached" true (Batch.payload b == Batch.payload b);
+  check Alcotest.string "null batch has none" ""
+    (Batch.payload (Batch.null ~round:3))
+
 let test_null_batch () =
   let null = Batch.null ~round:7 in
   check Alcotest.bool "is_null" true (Batch.is_null null);
@@ -158,6 +202,8 @@ let suite =
       Alcotest.test_case "contract size" `Quick test_contract_size_ballpark;
       Alcotest.test_case "hs proposal size" `Quick test_hs_proposal_size;
       Alcotest.test_case "batch verify" `Quick test_batch_verify;
+      Alcotest.test_case "batch verify seal" `Quick test_batch_seal;
+      Alcotest.test_case "batch payload" `Quick test_batch_payload;
       Alcotest.test_case "null batch" `Quick test_null_batch;
       Alcotest.test_case "instance_of/kind/pp" `Quick test_instance_of_and_kind;
       size_monotone;
