@@ -15,7 +15,7 @@
    - report_digest         SHA-256 over the deterministic report fields
                            (excludes wall time), the fixed-seed determinism
                            fingerprint CI compares against bench/simperf.digest
-   - heap/net/codec/journal microbench rows (ns/op and words/op)
+   - heap/net/codec/journal/conflict microbench rows (ns/op and words/op)
 
    Wall time is [Sys.time] (process CPU time): the simulator is
    single-threaded and this keeps the harness dependency-free. *)
@@ -233,6 +233,43 @@ let bench_journal () =
   let per = float_of_int rounds in
   { m_name = "journal-log-round"; m_ns = ns /. per; m_words = words /. per }
 
+(* One op = [Conflict.partition] of one parallel-lowconflict scheduler
+   window: 8 rounds of z = 6 100-txn batches, YCSB theta 0.3 over 2M
+   records (the shape of the e2e replica.conflict.partition micro). A
+   warm-up call sizes the reused key index and caches the key sets, so
+   the row counts the steady-state per-window cost. CI gates its
+   words/op against bench/conflict.words. *)
+let bench_conflict () =
+  let secret, _ = Rcc_crypto.Signature.keygen (Rcc_common.Rng.create 3) in
+  let y =
+    Rcc_workload.Ycsb.create ~records:2_000_000 ~write_ratio:0.9 ~theta:0.3
+      ~seed:6 ()
+  in
+  let items =
+    Array.init 48 (fun i ->
+        let round = i / 6 and rank = i mod 6 in
+        {
+          Rcc_replica.Conflict.round;
+          rank;
+          acc =
+            {
+              Rcc_replica.Acceptance.instance = rank;
+              round;
+              batch =
+                Batch.create ~id:i ~client:i
+                  ~txns:(Rcc_workload.Ycsb.batch y ~size:100) ~secret;
+              cert = [];
+              speculative = false;
+              history = "";
+            };
+        })
+  in
+  ignore (Rcc_replica.Conflict.partition items);
+  let ns, words =
+    measure ~iters:200 (fun () -> ignore (Rcc_replica.Conflict.partition items))
+  in
+  { m_name = "conflict-partition"; m_ns = ns; m_words = words }
+
 (* --- JSON output -------------------------------------------------------- *)
 
 let json_of_entry ~label smoke micros =
@@ -356,6 +393,7 @@ let () =
         bench_codec ();
         bench_msg_size ();
         bench_journal ();
+        bench_conflict ();
       ]
     in
     List.iter

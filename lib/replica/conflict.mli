@@ -24,19 +24,19 @@ type group = {
   members : item list;  (** ascending (round, rank) — the replay order *)
   txns : int;  (** total transactions across members *)
   conflict_keys : int;
-      (** overlapping key relations that glued the group together; 0 for
-          singletons and for duplicate-digest-only merges *)
+      (** (batch pair, key) WW/WR/RW relations inside the group: per
+          key, [W(W-1)/2 + W*R - B] over the group's W writers, R readers
+          and B batches doing both; 0 for singletons and for
+          duplicate-digest-only merges *)
 }
 
 val partition : item array -> group list
 (** [partition items] with [items] sorted ascending by (round, rank).
     Deterministic: groups are ordered by their first member, members keep
-    (round, rank) order. *)
+    (round, rank) order. One pass over the window's keys through a key
+    index kept per domain and reused across windows: host time is
+    O(window keys), not O(window{^2}). *)
 
 val total_keys : item array -> int
 (** Total read+write key-set cardinality over the window — the size of
     the conflict scan, used for CPU cost accounting. *)
-
-val overlap : Rcc_messages.Batch.t -> Rcc_messages.Batch.t -> int
-(** Conflicting key count between two batches (WW + WR + RW overlaps;
-    read/read sharing is free). Exposed for tests. *)

@@ -39,19 +39,101 @@ let r k = { Txn.key = k; op = Txn.Read }
 let item ~round ~rank ~instance batch =
   { Conflict.round; rank; acc = acc ~instance ~round batch }
 
+(* --- oracle: the pairwise scan ------------------------------------------ *)
+
+(* The definition [Conflict.partition] must agree with, written the
+   direct way: compare every pair of batches in the window. *)
+
+(* Common elements of two ascending, deduplicated key arrays. *)
+let intersect_count (a : int array) (b : int array) =
+  let i = ref 0 and j = ref 0 and hits = ref 0 in
+  while !i < Array.length a && !j < Array.length b do
+    if a.(!i) < b.(!j) then incr i
+    else if a.(!i) > b.(!j) then incr j
+    else begin
+      incr hits;
+      incr i;
+      incr j
+    end
+  done;
+  !hits
+
+(* Conflicting key count between two batches: write/write and write/read
+   overlaps order the pair; read/read sharing commutes and is free. *)
+let overlap a b =
+  let ka = Batch.key_sets a and kb = Batch.key_sets b in
+  intersect_count ka.Batch.wset kb.Batch.wset
+  + intersect_count ka.Batch.wset kb.Batch.rset
+  + intersect_count ka.Batch.rset kb.Batch.wset
+
+let duplicates a b =
+  (not (Batch.is_null a))
+  && (not (Batch.is_null b))
+  && String.equal a.Batch.digest b.Batch.digest
+
+(* Groups as ((round, rank) members, txns, conflict_keys), ordered by
+   first member: union every overlapping or duplicate pair, then sum each
+   component's pairwise overlaps. *)
+let oracle_partition (items : Conflict.item array) =
+  let n = Array.length items in
+  let batch i = items.(i).Conflict.acc.Acceptance.batch in
+  let comp = Array.init n (fun i -> i) in
+  let rec root i = if comp.(i) = i then i else root comp.(i) in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if overlap (batch i) (batch j) > 0 || duplicates (batch i) (batch j)
+      then begin
+        let ri = root i and rj = root j in
+        comp.(max ri rj) <- min ri rj
+      end
+    done
+  done;
+  List.filter_map
+    (fun r ->
+      if root r <> r then None
+      else
+        let mem = List.filter (fun i -> root i = r) (List.init n Fun.id) in
+        let keys = ref 0 in
+        List.iter
+          (fun i ->
+            List.iter
+              (fun j ->
+                if i < j then keys := !keys + overlap (batch i) (batch j))
+              mem)
+          mem;
+        Some
+          ( List.map
+              (fun i -> (items.(i).Conflict.round, items.(i).Conflict.rank))
+              mem,
+            List.fold_left
+              (fun t i -> t + Array.length (batch i).Batch.txns)
+              0 mem,
+            !keys ))
+    (List.init n Fun.id)
+
+let flatten_groups groups =
+  List.map
+    (fun (g : Conflict.group) ->
+      ( List.map
+          (fun it -> (it.Conflict.round, it.Conflict.rank))
+          g.Conflict.members,
+        g.Conflict.txns,
+        g.Conflict.conflict_keys ))
+    groups
+
 (* --- partitioner units ------------------------------------------------- *)
 
 let test_overlap () =
   let a = mk_batch ~id:0 ~client:0 [ w 1; w 2 ] in
   let b = mk_batch ~id:1 ~client:1 [ w 2; w 3 ] in
-  check Alcotest.int "write/write overlap" 1 (Conflict.overlap a b);
+  check Alcotest.int "write/write overlap" 1 (overlap a b);
   let c = mk_batch ~id:2 ~client:2 [ r 1; r 9 ] in
-  check Alcotest.int "write/read overlap" 1 (Conflict.overlap a c);
-  check Alcotest.int "read/write overlap" 1 (Conflict.overlap c a);
+  check Alcotest.int "write/read overlap" 1 (overlap a c);
+  check Alcotest.int "read/write overlap" 1 (overlap c a);
   let d = mk_batch ~id:3 ~client:3 [ r 1; r 9 ] in
-  check Alcotest.int "read/read sharing is free" 0 (Conflict.overlap c d);
+  check Alcotest.int "read/read sharing is free" 0 (overlap c d);
   let e = mk_batch ~id:4 ~client:4 [ w 7 ] in
-  check Alcotest.int "disjoint" 0 (Conflict.overlap a e)
+  check Alcotest.int "disjoint" 0 (overlap a e)
 
 let test_partition_disjoint () =
   let items =
@@ -102,7 +184,7 @@ let test_partition_duplicates () =
   let a = mk_batch ~id:0 ~client:9 txns in
   let b = mk_batch ~id:1 ~client:9 txns in
   check Alcotest.int "read-only duplicates share no conflicting keys" 0
-    (Conflict.overlap a b);
+    (overlap a b);
   let items =
     [| item ~round:0 ~rank:0 ~instance:0 a; item ~round:1 ~rank:0 ~instance:0 b |]
   in
@@ -150,6 +232,83 @@ let test_total_keys () =
   in
   (* dedup: {1}w {2}r + {9}r = 3 *)
   check Alcotest.int "total keys deduped" 3 (Conflict.total_keys items)
+
+(* --- partition = oracle --------------------------------------------------- *)
+
+(* One batch of a generated window: a null batch, a repeat of an earlier
+   batch's transactions (so of its digest), or (key, op) transactions. *)
+type batch_spec = Null | Dup of int | Txns of (int * [ `R | `W | `RW ]) list
+
+let show_spec = function
+  | Null -> "null"
+  | Dup k -> Printf.sprintf "dup %d" k
+  | Txns t ->
+      String.concat " "
+        (List.map
+           (fun (k, op) ->
+             (match op with `R -> "r" | `W -> "w" | `RW -> "rw")
+             ^ string_of_int k)
+           t)
+
+(* Windows of 1-48 batches over 8-64 keys, so key sets overlap heavily
+   and groups span many batches; [z] batches per round. *)
+let gen_window =
+  let open QCheck2.Gen in
+  let* keys = int_range 8 64 in
+  let* z = int_range 1 6 in
+  let txn = pair (int_bound (keys - 1)) (oneofl [ `R; `W; `RW ]) in
+  let spec =
+    frequency
+      [
+        (1, return Null);
+        (1, map (fun k -> Dup k) nat);
+        (8, map (fun t -> Txns t) (list_size (int_range 1 6) txn));
+      ]
+  in
+  let* specs = list_size (int_range 1 48) spec in
+  return (z, specs)
+
+let print_window (z, specs) =
+  Printf.sprintf "z=%d [%s]" z (String.concat "; " (List.map show_spec specs))
+
+let window_items (z, specs) =
+  let earlier = ref [] in
+  Array.of_list
+    (List.mapi
+       (fun i spec ->
+         let round = i / z and rank = i mod z in
+         let batch txns = mk_batch ~id:i ~client:(i mod 256) txns in
+         let b =
+           match spec with
+           | Null -> Batch.null ~round
+           | Dup k -> (
+               match !earlier with
+               | [] -> batch [ r 0 ]
+               | l -> batch (List.nth l (k mod List.length l)))
+           | Txns t ->
+               let txns =
+                 List.concat_map
+                   (fun (k, op) ->
+                     match op with
+                     | `R -> [ r k ]
+                     | `W -> [ w k ]
+                     | `RW -> [ r k; w k ])
+                   t
+               in
+               earlier := txns :: !earlier;
+               batch txns
+         in
+         item ~round ~rank ~instance:rank b)
+       specs)
+
+let partition_oracle_test =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print:print_window
+       ~name:"conflict: partition = pairwise oracle (groups, order, txns, keys)"
+       gen_window
+       (fun window ->
+         let items = window_items window in
+         flatten_groups (Conflict.partition items) = oracle_partition items))
 
 (* --- exec harness ------------------------------------------------------ *)
 
@@ -552,6 +711,7 @@ let suite =
       Alcotest.test_case "conflict: cross-round window" `Quick
         test_partition_cross_round;
       Alcotest.test_case "conflict: total keys" `Quick test_total_keys;
+      partition_oracle_test;
       Alcotest.test_case "watermark: max_pending_round" `Quick test_watermark;
       Alcotest.test_case "replied cache: checkpoint GC" `Quick test_replied_gc;
       Alcotest.test_case "replied cache: evicted duplicate not re-executed"

@@ -92,6 +92,55 @@ let test_golden_reports () =
   Alcotest.(check (list (pair string string)))
     "report digests" expected got
 
+(* Parallel-mode cells: the conflict scheduler at high contention (theta
+   0.99 over 200 records), so dependency groups span several batches.
+   Each cell pins the report digest and the sum of the traced
+   [exec_conflict.keys], which moves if the partitioner glues a
+   different set of batches or counts their relations differently. *)
+let parallel_cfg protocol =
+  Config.make ~protocol ~n:4 ~batch_size:10 ~clients:40 ~records:200
+    ~theta:0.99 ~exec_mode:Config.Exec_parallel
+    ~duration:(Engine.of_seconds 0.3)
+    ~warmup:(Engine.of_seconds 0.075)
+    ~replica_timeout:(Engine.ms 100) ~client_timeout:(Engine.ms 150) ()
+
+let parallel_cell protocol =
+  let tracer = Rcc_trace.Recorder.create ~capacity:2_000_000 () in
+  let r = Cluster.run_config ~tracer (parallel_cfg protocol) in
+  Alcotest.(check int) "trace ring kept every event" 0
+    (Rcc_trace.Recorder.dropped tracer);
+  let keys = ref 0 in
+  Rcc_trace.Recorder.iter tracer (fun e ->
+      match e.Rcc_trace.Event.payload with
+      | Rcc_trace.Event.Exec_conflict { keys = k; _ } -> keys := !keys + k
+      | _ -> ());
+  ( Rcc_crypto.Sha256.hex_digest
+      (Format.asprintf "%a" Report.pp { r with Report.wall_seconds = 0. }),
+    !keys )
+
+let parallel_expected =
+  [
+    ("multip",
+     ("f2a24581fd26c6f786bca8c42aabdf0a29ed96aba5202afc0e78b51776468e26",
+      276309));
+    ("multiz",
+     ("751a1ddca217c4f1ed25785c045546272577836c0ab09dfa393a7d53314ed4b2",
+      323506));
+  ]
+
+let test_parallel_reports () =
+  let got =
+    List.map
+      (fun protocol ->
+        (Config.protocol_name protocol, parallel_cell protocol))
+      Config.[ MultiP; MultiZ ]
+  in
+  Alcotest.(check (list (pair string (pair string int))))
+    "parallel report digests and conflict keys" parallel_expected got
+
 let suite =
   ( "golden",
-    [ Alcotest.test_case "every protocol's report" `Slow test_golden_reports ] )
+    [
+      Alcotest.test_case "every protocol's report" `Slow test_golden_reports;
+      Alcotest.test_case "parallel exec reports" `Slow test_parallel_reports;
+    ] )
