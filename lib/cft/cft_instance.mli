@@ -10,8 +10,8 @@
 
     On the wire it reuses the PBFT message constructors (PRE-PREPARE =
     propose, PREPARE = ack, COMMIT = commit-notify). Composed under RCC
-    ([Replica_builder.Make (Cft_instance)]) it yields the "MultiCFT"
-    configuration benchmarked in the ablations. *)
+    (the module passed as a value to [Replica_builder.create]) it yields
+    the "MultiCFT" configuration benchmarked in the ablations. *)
 
 include Rcc_replica.Instance_intf.S
 

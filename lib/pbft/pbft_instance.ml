@@ -1,13 +1,12 @@
-module Engine = Rcc_sim.Engine
 module Costs = Rcc_sim.Costs
 module Msg = Rcc_messages.Msg
 module Batch = Rcc_messages.Batch
 module Env = Rcc_replica.Instance_env
 module SL = Rcc_proto_core.Slot_log
 module Quorum = Rcc_proto_core.Quorum
-module Held_batches = Rcc_proto_core.Held_batches
 module Checkpointing = Rcc_proto_core.Checkpointing
 module Ordered_batches = Rcc_proto_core.Ordered_batches
+module Leader = Rcc_proto_core.Leader
 
 (* Protocol-specific slot state; batch / digest / accepted / created_at
    live in the shared {!Rcc_proto_core.Slot_log}. *)
@@ -21,53 +20,31 @@ type phase = {
 
 type t = {
   env : Env.t;
-  mutable view : int;
-  mutable primary : int;
-  mutable next_seq : int;  (* primary: next round to propose *)
   log : phase SL.t;
-  mutable in_view_change : bool;
-  vc_votes : Quorum.Tally.t;  (* new_view -> voters *)
-  mutable vc_sent_for : int;  (* highest new_view we voted for *)
-  mutable last_failure_report : int;  (* round of last report, -1 if none *)
-  ckpt : Checkpointing.t;
-  held : Held_batches.t;  (* submitted during a view change *)
+  lead : phase Leader.t;
   ordered : Ordered_batches.t;  (* primary only: retransmission dedup *)
-  mutable running : bool;
 }
 
 let create env =
   let n = env.Env.n and f = env.Env.f in
-  {
-    env;
-    view = 0;
-    primary = env.Env.instance;  (* P_x initially runs on replica x (§4) *)
-    next_seq = 0;
-    log =
-      SL.create ~tag:(env.Env.self, env.Env.instance) ~engine:env.Env.engine
-        ~init:(fun _ ->
-          {
-            prepares = Quorum.create ~n ~f;
-            commits = Quorum.create ~n ~f;
-            prepared = false;
-            prepare_sent = false;
-            commit_sent = false;
-          })
-        ();
-    in_view_change = false;
-    vc_votes = Quorum.Tally.create ~n ~f;
-    vc_sent_for = 0;
-    last_failure_report = -1;
-    ckpt = Checkpointing.create ~n ~f ~interval:env.Env.checkpoint_interval ();
-    held = Held_batches.create ();
-    ordered = Ordered_batches.create ();
-    running = false;
-  }
+  let log =
+    SL.create ~tag:(env.Env.self, env.Env.instance) ~engine:env.Env.engine
+      ~init:(fun _ ->
+        {
+          prepares = Quorum.create ~n ~f;
+          commits = Quorum.create ~n ~f;
+          prepared = false;
+          prepare_sent = false;
+          commit_sent = false;
+        })
+      ()
+  in
+  { env; log; lead = Leader.create env log; ordered = Ordered_batches.create () }
 
-let primary t = t.primary
-let view t = t.view
-let in_view_change t = t.in_view_change
-let stable_checkpoint t = Checkpointing.stable t.ckpt
-let is_primary t = t.primary = t.env.Env.self
+let primary t = t.lead.Leader.primary
+let view t = t.lead.Leader.view
+let in_view_change t = t.lead.Leader.holding
+let stable_checkpoint t = Checkpointing.stable t.lead.Leader.ckpt
 let slot t seq = SL.get t.log seq
 let ph (s : phase SL.slot) = s.SL.state
 
@@ -79,10 +56,11 @@ let prepared_round t ~round =
 let advance_exec_upto t =
   ignore (SL.drain t.log ~accept:(fun s -> s.SL.accepted));
   SL.touch t.log;
-  Checkpointing.try_stabilize t.ckpt t.log ~on_stable:t.env.Env.on_stable
+  Checkpointing.try_stabilize t.lead.Leader.ckpt t.log
+    ~on_stable:t.env.Env.on_stable
 
 let maybe_checkpoint t =
-  match Checkpointing.due t.ckpt t.log with
+  match Checkpointing.due t.lead.Leader.ckpt t.log with
   | Some target ->
       let digest =
         match SL.find_opt t.log target with
@@ -93,10 +71,6 @@ let maybe_checkpoint t =
         (Msg.Checkpoint
            { instance = t.env.Env.instance; seq = target; state_digest = digest })
   | None -> ()
-
-let on_checkpoint t ~src seq digest =
-  Checkpointing.on_vote t.ckpt t.log ~src ~seq ~digest
-    ~on_stable:t.env.Env.on_stable
 
 (* --- normal case ---------------------------------------------------- *)
 
@@ -136,7 +110,7 @@ let send_commit t s =
           (Msg.Commit
              {
                instance = t.env.Env.instance;
-               view = t.view;
+               view = t.lead.Leader.view;
                seq = s.SL.round;
                digest;
              });
@@ -151,16 +125,17 @@ let check_prepared t s =
   end
 
 let on_pre_prepare t ~src ~view ~seq batch =
+  let l = t.lead in
   if
-    src = t.primary && view = t.view && (not t.in_view_change)
-    && seq > Checkpointing.stable t.ckpt
+    src = l.Leader.primary && view = l.Leader.view && (not l.Leader.holding)
+    && seq > Checkpointing.stable l.Leader.ckpt
   then begin
     let s = slot t seq in
     match s.SL.digest with
     | Some d when not (String.equal d batch.Batch.digest) ->
         (* Equivocation evidence: the primary proposed two different
            batches for one round. *)
-        t.env.Env.report_failure ~round:seq ~blamed:t.primary
+        t.env.Env.report_failure ~round:seq ~blamed:l.Leader.primary
     | Some _ | None ->
         if Option.is_none s.SL.batch then begin
           s.SL.batch <- Some batch;
@@ -184,9 +159,9 @@ let on_pre_prepare t ~src ~view ~seq batch =
   end
 
 let on_prepare t ~src ~view ~seq ~digest =
-  if view = t.view && seq > Checkpointing.stable t.ckpt then begin
+  if view = t.lead.Leader.view && seq > stable_checkpoint t then begin
     let s = slot t seq in
-    if Option.is_none s.SL.digest && src <> t.primary then
+    if Option.is_none s.SL.digest && src <> t.lead.Leader.primary then
       s.SL.digest <- Some digest;
     match s.SL.digest with
     | Some d when String.equal d digest ->
@@ -196,9 +171,9 @@ let on_prepare t ~src ~view ~seq ~digest =
   end
 
 let on_commit t ~src ~view ~seq ~digest =
-  if view = t.view && seq > Checkpointing.stable t.ckpt then begin
+  if view = t.lead.Leader.view && seq > stable_checkpoint t then begin
     let s = slot t seq in
-    if Option.is_none s.SL.digest && src <> t.primary then
+    if Option.is_none s.SL.digest && src <> t.lead.Leader.primary then
       s.SL.digest <- Some digest;
     match s.SL.digest with
     | Some d when String.equal d digest ->
@@ -210,8 +185,9 @@ let on_commit t ~src ~view ~seq ~digest =
 (* --- proposing ------------------------------------------------------ *)
 
 let propose_fresh t batch =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
+  let view = t.lead.Leader.view in
+  let seq = t.lead.Leader.next_seq in
+  t.lead.Leader.next_seq <- seq + 1;
   let s = slot t seq in
   s.SL.batch <- Some batch;
   s.SL.digest <- Some batch.Batch.digest;
@@ -226,10 +202,10 @@ let propose_fresh t batch =
     let lower dst = dst < t.env.Env.n / 2 in
     t.env.Env.broadcast
       ~exclude:(fun dst -> not (lower dst))
-      (Msg.Pre_prepare { instance = t.env.Env.instance; view = t.view; seq; batch });
+      (Msg.Pre_prepare { instance = t.env.Env.instance; view; seq; batch });
     t.env.Env.broadcast ~exclude:lower
       (Msg.Pre_prepare
-         { instance = t.env.Env.instance; view = t.view; seq; batch = conflicting })
+         { instance = t.env.Env.instance; view; seq; batch = conflicting })
   end
   else begin
     (* A byzantine primary may keep selected replicas in the dark
@@ -237,7 +213,7 @@ let propose_fresh t batch =
        PREPAREs, which never suffice for them to accept. *)
     let exclude dst = Rcc_replica.Byz.excludes t.env.Env.byz ~round:seq dst in
     t.env.Env.broadcast ~exclude
-      (Msg.Pre_prepare { instance = t.env.Env.instance; view = t.view; seq; batch })
+      (Msg.Pre_prepare { instance = t.env.Env.instance; view; seq; batch })
   end;
   check_prepared t s
 
@@ -247,63 +223,24 @@ let propose t batch =
   | Ordered_batches.Reannounce seq ->
       t.env.Env.broadcast
         (Msg.Pre_prepare
-           { instance = t.env.Env.instance; view = t.view; seq; batch })
+           { instance = t.env.Env.instance; view = t.lead.Leader.view; seq; batch })
   | Ordered_batches.Fresh -> propose_fresh t batch
 
-let submit_batch t batch =
-  if is_primary t then begin
-    if t.in_view_change then
-      (* Hold rather than drop: the liveness monitor's null fills and
-         fresh client batches arriving inside the recovery grace window
-         would otherwise vanish — and the monitor only fills a stalled
-         round once, so a swallowed fill stalls the instance forever. *)
-      Held_batches.hold t.held batch
-    else propose t batch
-  end
+let submit_batch t batch = Leader.submit_batch t.lead batch ~propose:(propose t)
 
 (* --- view changes ---------------------------------------------------- *)
 
-let broadcast_view_change t ~round =
-  let new_view = t.view + 1 in
-  t.vc_sent_for <- max t.vc_sent_for new_view;
-  let msg =
-    Msg.View_change
-      {
-        instance = t.env.Env.instance;
-        new_view;
-        blamed = t.primary;
-        round;
-        last_exec = SL.frontier t.log;
-        signature = t.env.Env.sign_blame ~view:t.view ~blamed:t.primary ~round;
-      }
-  in
-  t.env.Env.broadcast msg;
-  (* Count our own vote. *)
-  if not t.env.Env.unified then
-    ignore (Quorum.vote (Quorum.Tally.votes t.vc_votes new_view) t.env.Env.self)
-
-let detect_failure t ~round =
-  if t.last_failure_report < round then begin
-    t.last_failure_report <- round;
-    t.in_view_change <- not t.env.Env.unified;
-    broadcast_view_change t ~round;
-    t.env.Env.report_failure ~round ~blamed:t.primary
-  end
-
-(* Re-propose every incomplete round in the new view. Rounds this replica
-   never learned are recovered from peers first in unified mode (§3.3
-   state exchange): another replica may hold — or have executed — the
-   deposed primary's in-flight batch for the round, and hole-filling a
-   null over it would fork the ledgers. Nulls go out only for rounds
-   nobody vouches for within the grace period. Only the new primary
-   calls this. *)
-let recover_grace t = max (Engine.ms 1) (t.env.Env.timeout / 8)
-
+(* Re-propose every incomplete round in the new view, null-filling the
+   rounds nobody vouched for (under RCC, within the takeover's grace
+   period: another replica may hold — or have executed — the deposed
+   primary's in-flight batch for a round, and a null over it would fork
+   the ledgers). Only the new primary calls this. *)
 let repropose_now t reproposals =
+  let view = t.lead.Leader.view in
   (* Announce the new view even with nothing to re-propose, so backups
      adopt the new primary and accept its future proposals. *)
   t.env.Env.broadcast
-    (Msg.New_view { instance = t.env.Env.instance; view = t.view; reproposals });
+    (Msg.New_view { instance = t.env.Env.instance; view; reproposals });
   (* Treat our own reproposals as fresh proposals in the new view. *)
   List.iter
     (fun (seq, batch) ->
@@ -317,7 +254,7 @@ let repropose_now t reproposals =
       Quorum.clear (ph s).commits;
       ignore (Quorum.vote (ph s).prepares t.env.Env.self);
       t.env.Env.broadcast
-        (Msg.Pre_prepare { instance = t.env.Env.instance; view = t.view; seq; batch }))
+        (Msg.Pre_prepare { instance = t.env.Env.instance; view; seq; batch }))
     reproposals
 
 let gather_reproposals t =
@@ -334,92 +271,48 @@ let gather_reproposals t =
   done;
   !reproposals
 
-let finish_repropose t =
-  t.in_view_change <- false;
-  let reproposals = gather_reproposals t in
-  t.next_seq <- max t.next_seq (SL.max_seen t.log + 1);
-  repropose_now t reproposals;
-  Held_batches.flush t.held ~propose:(propose t)
+let set_primary t replica ~view =
+  Leader.install_view t.lead ~view ~primary:replica
+    ~on_install:(fun () -> Ordered_batches.reset t.ordered)
+    ~finish:(fun () -> repropose_now t (gather_reproposals t))
+    ~propose:(propose t)
 
-let repropose_incomplete t =
-  if t.env.Env.unified then begin
-    (* Announce the new view immediately so backups adopt the new
-       primary, but defer all re-proposing until the cluster-wide
-       in-flight frontier has been recovered from peers (§3.3 state
-       exchange): a primary taking over an instance it was cut off from
-       does not know how far the deposed primary ran, and proposing a
-       fresh batch — or a null — at a slot others already prepared would
-       fork the instance. [in_view_change] stays set through the grace
-       period, holding fresh proposals back; the contract reply covers
-       the whole contiguous window above the requested round. *)
-    t.in_view_change <- true;
-    t.env.Env.broadcast
-      (Msg.New_view
-         { instance = t.env.Env.instance; view = t.view; reproposals = [] });
-    t.env.Env.broadcast
-      (Msg.Contract_request
-         { round = SL.frontier t.log + 1; instance = t.env.Env.instance });
-    let view = t.view in
-    Engine.schedule_after t.env.Env.engine (recover_grace t) (fun () ->
-        if t.view = view && is_primary t && t.in_view_change then
-          finish_repropose t)
-  end
-  else
-    (* Standalone PBFT: no contract machinery; re-propose what we have
-       and null-fill the rest immediately. *)
-    finish_repropose t
-
-let install_view t ~view ~primary =
-  t.view <- view;
-  t.primary <- primary;
-  t.in_view_change <- false;
-  Ordered_batches.reset t.ordered;
-  (* Batches held through the view change flush at the end of
-     [finish_repropose] if we lead the new view; a backup must not sit
-     on them — its clients' requests are the new primary's job. *)
-  if primary <> t.env.Env.self then Held_batches.clear t.held;
-  t.last_failure_report <- -1;
-  Quorum.Tally.prune t.vc_votes ~upto:view;
-  if is_primary t then repropose_incomplete t
-
-let set_primary t replica ~view = install_view t ~view ~primary:replica
-
-(* Restart-from-disk: the lost incarnation may have pre-prepared rounds
-   past the durable frontier; re-assigning those seqs would equivocate.
-   Hold everything until a view change re-elects sequencing. *)
-let resign_primary t = if is_primary t then t.in_view_change <- true
+let resign_primary t = Leader.resign_primary t.lead
 
 let on_view_change t ~src ~new_view =
+  let l = t.lead in
   (* Standalone PBFT election: the new primary is view mod n. Under RCC the
      router sends VIEW-CHANGE messages to the coordinator instead. *)
-  if (not t.env.Env.unified) && new_view > t.view then begin
-    let votes = Quorum.Tally.votes t.vc_votes new_view in
+  if (not t.env.Env.unified) && new_view > l.Leader.view then begin
+    let votes = Quorum.Tally.votes l.Leader.vc_votes new_view in
     ignore (Quorum.vote votes src);
     (* Join a view change supported by f+1 others (one must be honest). *)
-    if Quorum.has_weak votes && t.vc_sent_for < new_view then begin
-      t.in_view_change <- true;
-      t.view <- new_view - 1;
-      broadcast_view_change t ~round:(SL.frontier t.log + 1);
+    if Quorum.has_weak votes && l.Leader.vc_sent_for < new_view then begin
+      l.Leader.holding <- true;
+      l.Leader.view <- new_view - 1;
+      Leader.broadcast_view_change l ~round:(SL.frontier t.log + 1);
       ignore (Quorum.vote votes t.env.Env.self)
     end;
     if Quorum.has_quorum votes then begin
       let primary = new_view mod t.env.Env.n in
-      if primary = t.env.Env.self then install_view t ~view:new_view ~primary
+      if primary = t.env.Env.self then set_primary t primary ~view:new_view
       (* Backups adopt the view when the NEW-VIEW arrives. *)
     end
   end
 
 let on_new_view t ~src ~view reproposals =
+  let l = t.lead in
   (* Same-view NEW-VIEWs from the current primary carry late hole-filling
      reproposals (rounds it first tried to recover from peers). *)
-  if view > t.view || (view = t.view && (t.in_view_change || src = t.primary))
+  if
+    view > l.Leader.view
+    || (view = l.Leader.view && (l.Leader.holding || src = l.Leader.primary))
   then begin
-    let primary = src in
-    t.view <- view;
-    t.primary <- primary;
-    t.in_view_change <- false;
+    l.Leader.view <- view;
+    l.Leader.primary <- src;
+    l.Leader.holding <- false;
     Ordered_batches.reset t.ordered;
-    t.last_failure_report <- -1;
+    l.Leader.last_failure_report <- -1;
     List.iter
       (fun (seq, batch) ->
         (match SL.find_opt t.log seq with
@@ -457,17 +350,10 @@ let adopt t ~round batch ~cert =
       }
   end
 
-let proposed_upto t = t.next_seq - 1
-
-let fast_forward t ~proof =
-  let round = proof.Rcc_storage.Checkpoint_store.seq in
-  SL.fast_forward t.log ~round;
-  Checkpointing.install t.ckpt proof;
-  (* A lagging primary must not re-propose rounds the snapshot covers. *)
-  if t.next_seq < round then t.next_seq <- round
-
-let log_stats t = (SL.retained_slots t.log, SL.live_words t.log)
-let checkpoint_log t = Checkpointing.log t.ckpt
+let proposed_upto t = Leader.proposed_upto t.lead
+let fast_forward t ~proof = Leader.fast_forward t.lead ~proof
+let log_stats t = Leader.log_stats t.lead
+let checkpoint_log t = Leader.checkpoint_log t.lead
 
 let accepted_batch t ~round =
   match SL.find_opt t.log round with
@@ -477,23 +363,12 @@ let accepted_batch t ~round =
 
 let incomplete_rounds t = SL.incomplete_rounds t.log
 
-(* --- failure detection ------------------------------------------------ *)
-
-let rec watchdog t =
-  if t.running then begin
-    let timeout = t.env.Env.timeout in
-    (match SL.oldest_incomplete t.log with
-    | Some (round, since) when Engine.now t.env.Env.engine - since > timeout ->
-        detect_failure t ~round
-    | Some _ | None -> ());
-    Engine.schedule_after t.env.Env.engine (timeout / 2) (fun () -> watchdog t)
-  end
-
+(* Standalone PBFT holds through its own view change; under RCC a blame
+   clears the hold instead. *)
 let start t =
-  if not t.running then begin
-    t.running <- true;
-    Engine.schedule_after t.env.Env.engine t.env.Env.timeout (fun () -> watchdog t)
-  end
+  Leader.start t.lead
+    ~on_blame:(fun () -> t.lead.Leader.holding <- not t.env.Env.unified)
+    ~stalled:(fun () -> SL.oldest_incomplete t.log)
 
 (* --- dispatch --------------------------------------------------------- *)
 
@@ -502,7 +377,8 @@ let handle t ~src msg =
   | Msg.Pre_prepare { view; seq; batch; _ } -> on_pre_prepare t ~src ~view ~seq batch
   | Msg.Prepare { view; seq; digest; _ } -> on_prepare t ~src ~view ~seq ~digest
   | Msg.Commit { view; seq; digest; _ } -> on_commit t ~src ~view ~seq ~digest
-  | Msg.Checkpoint { seq; state_digest; _ } -> on_checkpoint t ~src seq state_digest
+  | Msg.Checkpoint { seq; state_digest; _ } ->
+      Leader.on_checkpoint t.lead ~src ~seq ~digest:state_digest
   | Msg.View_change { new_view; _ } -> on_view_change t ~src ~new_view
   | Msg.New_view { view; reproposals; _ } -> on_new_view t ~src ~view reproposals
   | Msg.Client_request _ | Msg.Order_request _ | Msg.Commit_cert _

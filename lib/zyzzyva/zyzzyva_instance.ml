@@ -1,4 +1,3 @@
-module Engine = Rcc_sim.Engine
 module Costs = Rcc_sim.Costs
 module Msg = Rcc_messages.Msg
 module Batch = Rcc_messages.Batch
@@ -8,6 +7,7 @@ module Quorum = Rcc_proto_core.Quorum
 module Held_batches = Rcc_proto_core.Held_batches
 module Checkpointing = Rcc_proto_core.Checkpointing
 module Ordered_batches = Rcc_proto_core.Ordered_batches
+module Leader = Rcc_proto_core.Leader
 
 (* Protocol-specific slot state; batch / accepted / created_at live in
    the shared {!Rcc_proto_core.Slot_log}. *)
@@ -15,50 +15,32 @@ type spec = { mutable history : string (* chain head after accepting *) }
 
 type t = {
   env : Env.t;
-  mutable view : int;
-  mutable primary : int;
-  mutable next_seq : int;  (* primary: next round to order *)
   log : spec SL.t;  (* frontier = next_accept - 1: accepts strictly in order *)
+  lead : spec Leader.t;
   mutable history : string;  (* running history digest *)
   mutable committed : int;  (* highest round with a client commit cert *)
-  vc_votes : Quorum.Tally.t;
-  mutable vc_sent_for : int;
-  mutable last_failure_report : int;
-  mutable recovering : bool;  (* new primary syncing in-flight slots *)
-  ckpt : Checkpointing.t;
-  held : Held_batches.t;  (* submitted while recovering *)
   ordered : Ordered_batches.t;  (* primary only: retransmission dedup *)
-  mutable running : bool;
 }
 
 let create env =
-  let n = env.Env.n and f = env.Env.f in
+  let log =
+    SL.create ~tag:(env.Env.self, env.Env.instance) ~engine:env.Env.engine
+      ~init:(fun _ -> { history = "" })
+      ()
+  in
   {
     env;
-    view = 0;
-    primary = env.Env.instance;
-    next_seq = 0;
-    log =
-      SL.create ~tag:(env.Env.self, env.Env.instance) ~engine:env.Env.engine
-        ~init:(fun _ -> { history = "" })
-        ();
+    log;
+    lead = Leader.create env log;
     history = "";
     committed = -1;
-    vc_votes = Quorum.Tally.create ~n ~f;
-    vc_sent_for = 0;
-    last_failure_report = -1;
-    recovering = false;
-    ckpt = Checkpointing.create ~n ~f ~interval:env.Env.checkpoint_interval ();
-    held = Held_batches.create ();
     ordered = Ordered_batches.create ();
-    running = false;
   }
 
-let primary t = t.primary
-let view t = t.view
+let primary t = t.lead.Leader.primary
+let view t = t.lead.Leader.view
 let committed_upto t = t.committed
 let history_digest t = t.history
-let is_primary t = t.primary = t.env.Env.self
 let slot t seq = SL.get t.log seq
 let next_accept t = SL.frontier t.log + 1
 
@@ -74,8 +56,9 @@ let extend_history t digest =
    so any two replicas voting for one boundary vouch for the same
    execution prefix. *)
 let advance_ckpt t =
-  Checkpointing.try_stabilize t.ckpt t.log ~on_stable:t.env.Env.on_stable;
-  match Checkpointing.due t.ckpt t.log with
+  let ckpt = t.lead.Leader.ckpt in
+  Checkpointing.try_stabilize ckpt t.log ~on_stable:t.env.Env.on_stable;
+  match Checkpointing.due ckpt t.log with
   | Some target ->
       let digest =
         match SL.find_opt t.log target with
@@ -86,10 +69,6 @@ let advance_ckpt t =
         (Msg.Checkpoint
            { instance = t.env.Env.instance; seq = target; state_digest = digest })
   | None -> ()
-
-let on_checkpoint t ~src seq digest =
-  Checkpointing.on_vote t.ckpt t.log ~src ~seq ~digest
-    ~on_stable:t.env.Env.on_stable
 
 (* Accept pending slots strictly in sequence order, chaining the history
    digest (speculative execution). *)
@@ -105,7 +84,7 @@ let drain_accepts t =
                  Rcc_replica.Acceptance.instance = t.env.Env.instance;
                  round = s.SL.round;
                  batch;
-                 cert = [ t.primary; t.env.Env.self ];
+                 cert = [ t.lead.Leader.primary; t.env.Env.self ];
                  speculative = true;
                  history = s.SL.state.history;
                };
@@ -126,7 +105,8 @@ let drain_accepts t =
    which is state transfer's job, not rollback's. Returns whether the
    rollback ran (the new batch only installs when it did). *)
 let conflict_rollback t ~seq batch =
-  if seq > t.committed && seq > Checkpointing.stable t.ckpt then begin
+  let stable = Checkpointing.stable t.lead.Leader.ckpt in
+  if seq > t.committed && seq > stable then begin
     let reseed =
       if seq = 0 then Some ""
       else
@@ -150,7 +130,7 @@ let conflict_rollback t ~seq batch =
   else false
 
 let on_order_request t ~src ~view ~seq batch ~history:_ =
-  if src = t.primary && view = t.view then begin
+  if src = t.lead.Leader.primary && view = t.lead.Leader.view then begin
     let s = slot t seq in
     match s.SL.batch with
     | None ->
@@ -165,65 +145,34 @@ let on_order_request t ~src ~view ~seq batch ~history:_ =
     | Some _ -> if conflict_rollback t ~seq batch then drain_accepts t
   end
 
+let reorder ?exclude t seq batch =
+  t.env.Env.broadcast ?exclude
+    (Msg.Order_request
+       {
+         instance = t.env.Env.instance;
+         view = t.lead.Leader.view;
+         seq;
+         batch;
+         history = t.history;
+       })
+
 let propose t batch =
   match Ordered_batches.check t.ordered t.log batch with
   | Ordered_batches.Collected -> ()
-  | Ordered_batches.Reannounce seq ->
-      t.env.Env.broadcast
-        (Msg.Order_request
-           {
-             instance = t.env.Env.instance;
-             view = t.view;
-             seq;
-             batch;
-             history = t.history;
-           })
+  | Ordered_batches.Reannounce seq -> reorder t seq batch
   | Ordered_batches.Fresh ->
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
+      let seq = t.lead.Leader.next_seq in
+      t.lead.Leader.next_seq <- seq + 1;
       let s = slot t seq in
       s.SL.batch <- Some batch;
       Ordered_batches.record t.ordered batch ~seq;
       let exclude dst = Rcc_replica.Byz.excludes t.env.Env.byz ~round:seq dst in
-      t.env.Env.broadcast ~exclude
-        (Msg.Order_request
-           {
-             instance = t.env.Env.instance;
-             view = t.view;
-             seq;
-             batch;
-             history = t.history;
-           });
+      reorder ~exclude t seq batch;
       drain_accepts t
 
-let submit_batch t batch =
-  if is_primary t then
-    if t.recovering then Held_batches.hold t.held batch else propose t batch
+let submit_batch t batch = Leader.submit_batch t.lead batch ~propose:(propose t)
 
 (* --- failure detection / view change --------------------------------- *)
-
-let broadcast_view_change t ~round =
-  let new_view = t.view + 1 in
-  t.vc_sent_for <- max t.vc_sent_for new_view;
-  t.env.Env.broadcast
-    (Msg.View_change
-       {
-         instance = t.env.Env.instance;
-         new_view;
-         blamed = t.primary;
-         round;
-         last_exec = SL.frontier t.log;
-         signature = t.env.Env.sign_blame ~view:t.view ~blamed:t.primary ~round;
-       });
-  if not t.env.Env.unified then
-    ignore (Quorum.vote (Quorum.Tally.votes t.vc_votes new_view) t.env.Env.self)
-
-let detect_failure t ~round =
-  if t.last_failure_report < round then begin
-    t.last_failure_report <- round;
-    broadcast_view_change t ~round;
-    t.env.Env.report_failure ~round ~blamed:t.primary
-  end
 
 (* A commit certificate for a sequence number we never accepted is proof
    (relayed through a retrying client) that the primary skipped us. *)
@@ -240,31 +189,25 @@ let on_commit_cert t ~seq ~client ~replicas:_ =
     t.env.Env.respond client
       (Msg.Local_commit { instance = t.env.Env.instance; seq; client })
   end
-  else if seq >= next_accept t then detect_failure t ~round:(next_accept t)
-
-let reorder t seq batch =
-  t.env.Env.broadcast
-    (Msg.Order_request
-       {
-         instance = t.env.Env.instance;
-         view = t.view;
-         seq;
-         batch;
-         history = t.history;
-       })
-
-(* How long a new primary waits for peers to vouch for in-flight slots
-   before hole-filling them with nulls. *)
-let recover_grace t = max (Engine.ms 1) (t.env.Env.timeout / 8)
+  else if seq >= next_accept t then
+    Leader.detect_failure t.lead ~round:(next_accept t)
 
 (* Finish taking over the instance: re-order in the new view everything
    between our accept frontier and the highest slot we know about,
-   hole-filling the rest with nulls, then resume fresh proposals past the
-   frontier. Only safe once [max_seen] reflects the cluster-wide in-flight
-   frontier — see [repropose_incomplete]. *)
+   hole-filling the rest with nulls. Under RCC this runs after the
+   takeover's grace period, once [max_seen] reflects the cluster-wide
+   in-flight frontier; standalone it runs at once, and first announces
+   the view (the unified takeover already did) so backups adopt the new
+   primary even when there is nothing to re-order. *)
 let finish_repropose t =
-  t.recovering <- false;
-  t.next_seq <- max t.next_seq (SL.max_seen t.log + 1);
+  if not t.env.Env.unified then
+    t.env.Env.broadcast
+      (Msg.New_view
+         {
+           instance = t.env.Env.instance;
+           view = t.lead.Leader.view;
+           reproposals = [];
+         });
   for seq = next_accept t to SL.max_seen t.log do
     let s = slot t seq in
     match s.SL.batch with
@@ -273,76 +216,40 @@ let finish_repropose t =
         s.SL.batch <- Some (Batch.null ~round:seq);
         reorder t seq (Batch.null ~round:seq)
   done;
-  drain_accepts t;
-  Held_batches.flush t.held ~propose:(propose t)
+  drain_accepts t
 
-let repropose_incomplete t =
-  (* Announce the new view so backups adopt the new primary even when
-     there is nothing to re-order. *)
-  t.env.Env.broadcast
-    (Msg.New_view { instance = t.env.Env.instance; view = t.view; reproposals = [] });
-  if t.env.Env.unified then begin
-    (* A primary taking over an instance it was cut off from (partition,
-       dark attack) does not know how far the deposed primary ran: peers
-       may have speculatively executed slots far past our [max_seen], and
-       proposing a fresh batch — or a null — at such a slot forks the
-       ledgers. First recover the cluster-wide in-flight frontier from
-       peers (§3.3 state exchange; the contract reply covers the whole
-       contiguous window above the requested round), and only propose
-       once the grace period has let the answers arrive. *)
-    t.recovering <- true;
-    t.env.Env.broadcast
-      (Msg.Contract_request
-         { round = next_accept t; instance = t.env.Env.instance });
-    let view = t.view in
-    Engine.schedule_after t.env.Env.engine (recover_grace t) (fun () ->
-        if t.view = view && is_primary t then finish_repropose t)
-  end
-  else begin
-    (* Standalone Zyzzyva: no contract machinery; null-fill immediately. *)
-    t.recovering <- false;
-    finish_repropose t
-  end
+let set_primary t replica ~view =
+  Leader.install_view t.lead ~view ~primary:replica
+    ~on_install:(fun () -> Ordered_batches.reset t.ordered)
+    ~finish:(fun () -> finish_repropose t)
+    ~propose:(propose t)
 
-let install_view t ~view ~primary =
-  t.view <- view;
-  t.primary <- primary;
-  t.recovering <- false;
-  Ordered_batches.reset t.ordered;
-  Held_batches.clear t.held;
-  t.last_failure_report <- -1;
-  Quorum.Tally.prune t.vc_votes ~upto:view;
-  if is_primary t then repropose_incomplete t
-
-let set_primary t replica ~view = install_view t ~view ~primary:replica
-
-(* Restart-from-disk: the lost incarnation may have ordered slots past
-   the durable frontier; re-assigning them would fork the speculative
-   histories. Hold everything until a view change re-elects sequencing. *)
-let resign_primary t = if is_primary t then t.recovering <- true
+let resign_primary t = Leader.resign_primary t.lead
 
 let on_view_change t ~src ~new_view =
-  if (not t.env.Env.unified) && new_view > t.view then begin
-    let votes = Quorum.Tally.votes t.vc_votes new_view in
+  let l = t.lead in
+  if (not t.env.Env.unified) && new_view > l.Leader.view then begin
+    let votes = Quorum.Tally.votes l.Leader.vc_votes new_view in
     ignore (Quorum.vote votes src);
-    if Quorum.has_weak votes && t.vc_sent_for < new_view then begin
-      broadcast_view_change t ~round:(next_accept t);
+    if Quorum.has_weak votes && l.Leader.vc_sent_for < new_view then begin
+      Leader.broadcast_view_change l ~round:(next_accept t);
       ignore (Quorum.vote votes t.env.Env.self)
     end;
     if Quorum.has_quorum votes then begin
       let primary = new_view mod t.env.Env.n in
-      if primary = t.env.Env.self then install_view t ~view:new_view ~primary
+      if primary = t.env.Env.self then set_primary t primary ~view:new_view
     end
   end
 
 let on_new_view t ~src ~view reproposals =
-  if view > t.view then begin
-    t.view <- view;
-    t.primary <- src;
-    t.recovering <- false;
+  let l = t.lead in
+  if view > l.Leader.view then begin
+    l.Leader.view <- view;
+    l.Leader.primary <- src;
+    l.Leader.holding <- false;
     Ordered_batches.reset t.ordered;
-    Held_batches.clear t.held;
-    t.last_failure_report <- -1;
+    Held_batches.clear l.Leader.held;
+    l.Leader.last_failure_report <- -1;
     List.iter
       (fun (seq, batch) -> on_order_request t ~src ~view ~seq batch ~history:"")
       reproposals
@@ -365,28 +272,26 @@ let adopt t ~round batch ~cert:_ =
         if conflict_rollback t ~seq:round batch then drain_accepts t
     | Some _ | None -> ()
 
-let proposed_upto t = t.next_seq - 1
+let proposed_upto t = Leader.proposed_upto t.lead
 
 let fast_forward t ~proof =
-  let round = proof.Rcc_storage.Checkpoint_store.seq in
-  SL.fast_forward t.log ~round;
-  Checkpointing.install t.ckpt proof;
+  Leader.fast_forward t.lead ~proof;
   (* Re-seed the speculative history chain from the attested state digest:
      every replica installing this snapshot chains identically from here.
      (Never-lagged peers keep their longer chain, so this replica's
      responses stop counting toward speculative certificates — clients
      fall back to the commit-certificate path, a liveness nuance only.) *)
   t.history <- proof.Rcc_storage.Checkpoint_store.state_digest;
-  if t.committed < round - 1 then t.committed <- round - 1;
-  if t.next_seq < round then t.next_seq <- round
+  let round = proof.Rcc_storage.Checkpoint_store.seq in
+  if t.committed < round - 1 then t.committed <- round - 1
 
-let log_stats t = (SL.retained_slots t.log, SL.live_words t.log)
-let checkpoint_log t = Checkpointing.log t.ckpt
+let log_stats t = Leader.log_stats t.lead
+let checkpoint_log t = Leader.checkpoint_log t.lead
 
 let accepted_batch t ~round =
   match SL.find_opt t.log round with
   | Some { SL.accepted = true; batch = Some b; _ } ->
-      Some (b, [ t.primary; t.env.Env.self ])
+      Some (b, [ t.lead.Leader.primary; t.env.Env.self ])
   | Some _ | None -> None
 
 let incomplete_rounds t =
@@ -396,27 +301,14 @@ let incomplete_rounds t =
   done;
   !acc
 
-(* The frontier slot (created on demand so a round we only heard about
-   indirectly still gets a stall clock). *)
-let oldest_incomplete t =
-  if next_accept t > SL.max_seen t.log then None
-  else Some (slot t (next_accept t))
-
-let rec watchdog t =
-  if t.running then begin
-    let timeout = t.env.Env.timeout in
-    (match oldest_incomplete t with
-    | Some s when Engine.now t.env.Env.engine - s.SL.created_at > timeout ->
-        detect_failure t ~round:s.SL.round
-    | Some _ | None -> ());
-    Engine.schedule_after t.env.Env.engine (timeout / 2) (fun () -> watchdog t)
-  end
-
+(* The watchdog blames the frontier slot (created on demand so a round we
+   only heard about indirectly still gets a stall clock). *)
 let start t =
-  if not t.running then begin
-    t.running <- true;
-    Engine.schedule_after t.env.Env.engine t.env.Env.timeout (fun () -> watchdog t)
-  end
+  Leader.start t.lead ~stalled:(fun () ->
+      if next_accept t > SL.max_seen t.log then None
+      else
+        let s = slot t (next_accept t) in
+        Some (s.SL.round, s.SL.created_at))
 
 let handle t ~src msg =
   match msg with
@@ -426,7 +318,8 @@ let handle t ~src msg =
       on_commit_cert t ~seq:cc_seq ~client:cc_client ~replicas:cc_replicas
   | Msg.View_change { new_view; _ } -> on_view_change t ~src ~new_view
   | Msg.New_view { view; reproposals; _ } -> on_new_view t ~src ~view reproposals
-  | Msg.Checkpoint { seq; state_digest; _ } -> on_checkpoint t ~src seq state_digest
+  | Msg.Checkpoint { seq; state_digest; _ } ->
+      Leader.on_checkpoint t.lead ~src ~seq ~digest:state_digest
   | Msg.Pre_prepare _ | Msg.Prepare _ | Msg.Commit _
   | Msg.Client_request _ | Msg.Local_commit _ | Msg.Hs_proposal _
   | Msg.Hs_vote _ | Msg.Response _ | Msg.Contract _ | Msg.Contract_request _

@@ -15,13 +15,22 @@
      coordinator can null-fill and contracts can target the right gap
      (R3: every started round eventually terminates);
    - batches submitted mid-leader-transfer are held and flushed, not
-     dropped (the liveness half of R3 under unified recovery). *)
+     dropped (the liveness half of R3 under unified recovery), including
+     when the holding primary is re-installed as primary;
+   - for primary-backup instances ([Info.takeover]): [resign_primary]
+     holds proposals until [set_primary], and a fresh unified primary
+     recovers the in-flight frontier from its peers (one CONTRACT-REQUEST
+     for [frontier + 1]) before it proposes anything. *)
 
 module Batch = Rcc_messages.Batch
 
 module Make
     (P : Rcc_replica.Instance_intf.S) (Info : sig
       val name : string
+
+      val takeover : bool
+      (** Primary-backup leadership ([resign_primary] / [set_primary]
+          hold and take over); false for rotating-leader protocols. *)
     end) =
 struct
   module H = Harness.Make (P)
@@ -105,21 +114,95 @@ struct
     check Alcotest.bool "nothing past the known frontier" true
       (List.for_all (fun r -> r <= 3) rounds)
 
+  (* Whether [replica] accepted batch [id] in one of the first rounds. *)
+  let has_accepted t ~replica id =
+    List.exists
+      (fun round -> H.accepted_batch_id t ~replica ~round = Some id)
+      (List.init 9 Fun.id)
+
+  let install_all t replica ~view =
+    Array.iter (fun node -> P.set_primary node.H.inst replica ~view) t.H.nodes
+
   let test_held_batch_flush () =
     let t = H.create ~n:4 ~unified:true () in
-    for r = 0 to 3 do
-      P.set_primary (H.inst t r) 1 ~view:1
-    done;
+    install_all t 1 ~view:1;
     (* Inside the takeover window: the new primary must hold the batch
        through its recovery grace period and flush it, not drop it. *)
     H.submit t ~replica:1 (Harness.make_batch 99);
     H.run t 0.3;
-    let found = ref false in
-    for round = 0 to 8 do
-      if H.accepted_batch_id t ~replica:0 ~round = Some 99 then found := true
-    done;
     check Alcotest.bool "batch submitted mid-transfer eventually accepted"
-      true !found
+      true
+      (has_accepted t ~replica:0 99)
+
+  (* [Held_batches] is cleared only when a replica installs as backup: a
+     primary re-installed as primary must flush what it held, whether it
+     held because it resigned or because its previous takeover was still
+     inside the recovery grace period. *)
+  let test_held_survives_reinstall () =
+    let t = H.create ~n:4 ~unified:true () in
+    P.resign_primary (H.inst t 0);
+    H.submit t ~replica:0 (Harness.make_batch 91);
+    install_all t 0 ~view:1;
+    H.run t 0.3;
+    check Alcotest.bool "held through resign, flushed on re-install" true
+      (has_accepted t ~replica:2 91);
+    let t = H.create ~n:4 ~unified:true () in
+    install_all t 1 ~view:1;
+    H.submit t ~replica:1 (Harness.make_batch 92);
+    install_all t 1 ~view:2;
+    H.run t 0.3;
+    check Alcotest.bool "held through grace, flushed on re-install" true
+      (has_accepted t ~replica:2 92)
+
+  let is_proposal = function
+    | Rcc_messages.Msg.Pre_prepare _ | Rcc_messages.Msg.Order_request _ -> true
+    | _ -> false
+
+  let test_resign_holds () =
+    let t = H.create ~n:4 ~unified:true () in
+    P.resign_primary (H.inst t 0);
+    H.submit t ~replica:0 (Harness.make_batch 93);
+    H.run t 0.1;
+    check Alcotest.bool "a resigned primary proposes nothing" true
+      ((not (List.exists (fun (_, m) -> is_proposal m) (H.sent t ~replica:0)))
+      && not (has_accepted t ~replica:2 93));
+    install_all t 0 ~view:1;
+    H.run t 0.4;
+    check Alcotest.bool "set_primary flushes the held batch" true
+      (has_accepted t ~replica:2 93)
+
+  (* The unified takeover (§3.4): announce the view, ask peers once for
+     the frontier's successor, and propose only after the grace period
+     ([timeout / 8]) — flushing batches held meanwhile. *)
+  let test_unified_takeover () =
+    let timeout = Rcc_sim.Engine.ms 200 in
+    let t = H.create ~timeout ~n:4 ~unified:true () in
+    H.submit t ~replica:0 (Harness.make_batch 7);
+    H.run t 0.05;
+    check Alcotest.(option int) "round 0 accepted before the takeover"
+      (Some 7) (H.accepted_batch_id t ~replica:1 ~round:0);
+    let t0 = Rcc_sim.Engine.now t.H.engine in
+    let grace = timeout / 8 in
+    install_all t 1 ~view:1;
+    H.submit t ~replica:1 (Harness.make_batch 94);
+    Rcc_sim.Engine.run t.H.engine ~until:(t0 + grace - 1);
+    let since_takeover =
+      List.filter (fun (at, _) -> at >= t0) (H.sent t ~replica:1)
+    in
+    let contract_requests =
+      List.filter_map
+        (function
+          | _, Rcc_messages.Msg.Contract_request { round; _ } -> Some round
+          | _ -> None)
+        since_takeover
+    in
+    check Alcotest.(list int) "one contract request for frontier + 1" [ 1 ]
+      contract_requests;
+    check Alcotest.bool "no proposal inside the grace period" false
+      (List.exists (fun (_, m) -> is_proposal m) since_takeover);
+    H.run t 0.3;
+    check Alcotest.bool "held batch flushed after the grace period" true
+      (has_accepted t ~replica:2 94)
 
   (* Every backend must leave the same structured footprint: a round is
      proposed, then accepted, then executed, at non-decreasing simulated
@@ -182,8 +265,18 @@ struct
           test_incomplete_ordering;
         Alcotest.test_case "held-batch flush after set_primary" `Quick
           test_held_batch_flush;
+        Alcotest.test_case "held batch survives re-install as primary"
+          `Quick test_held_survives_reinstall;
         Alcotest.test_case "trace order" `Quick test_trace_order;
-      ] )
+      ]
+      @
+      if Info.takeover then
+        [
+          Alcotest.test_case "resign_primary holds proposals until set_primary"
+            `Quick test_resign_holds;
+          Alcotest.test_case "unified takeover" `Quick test_unified_takeover;
+        ]
+      else [] )
 end
 
 module Pbft =
@@ -191,6 +284,7 @@ module Pbft =
     (Rcc_pbft.Pbft_instance)
     (struct
       let name = "pbft"
+      let takeover = true
     end)
 
 module Zyzzyva =
@@ -198,6 +292,7 @@ module Zyzzyva =
     (Rcc_zyzzyva.Zyzzyva_instance)
     (struct
       let name = "zyzzyva"
+      let takeover = true
     end)
 
 module Cft =
@@ -205,6 +300,7 @@ module Cft =
     (Rcc_cft.Cft_instance)
     (struct
       let name = "cft"
+      let takeover = true
     end)
 
 module Hotstuff =
@@ -212,6 +308,7 @@ module Hotstuff =
     (Rcc_hotstuff.Hotstuff_replica)
     (struct
       let name = "hotstuff"
+      let takeover = false
     end)
 
 (* Regression for the layer the functor suites build on: gc_upto used to

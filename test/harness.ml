@@ -17,6 +17,8 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
     mutable failures : (int * int) list;  (* (round, blamed) *)
     mutable responses : Msg.t list;  (* replica -> client messages *)
     mutable rollbacks : int list;  (* frontiers, most recent first *)
+    mutable sent : (Engine.time * Msg.t) list;
+        (* every send / broadcast, with its send time, most recent first *)
   }
 
   type t = {
@@ -46,6 +48,10 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
         Engine.schedule_after engine latency (fun () ->
             if not dead.(dst) then P.handle (node_of dst).inst ~src msg)
     in
+    let log_sent self msg =
+      let node = node_of self in
+      node.sent <- (Engine.now engine, msg) :: node.sent
+    in
     for self = 0 to n - 1 do
       let env =
         {
@@ -59,9 +65,13 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
           timeout;
           checkpoint_interval;
           on_stable = (fun ~seq:_ -> ());
-          send = (fun ?sign:_ ~dst msg -> deliver ~src:self ~dst msg);
+          send =
+            (fun ?sign:_ ~dst msg ->
+              log_sent self msg;
+              deliver ~src:self ~dst msg);
           broadcast =
             (fun ?sign:_ ?(exclude = fun _ -> false) msg ->
+              log_sent self msg;
               for dst = 0 to n - 1 do
                 if dst <> self && not (exclude dst) then deliver ~src:self ~dst msg
               done);
@@ -118,6 +128,7 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
             failures = [];
             responses = [];
             rollbacks = [];
+            sent = [];
           }
     done;
     let t = { engine; nodes = Array.map Option.get nodes; dead; tracer } in
@@ -133,6 +144,9 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
     match Hashtbl.find_opt t.nodes.(replica).accepted round with
     | Some a -> Some a.Rcc_replica.Acceptance.batch.Batch.id
     | None -> None
+
+  (* Messages [replica] sent, oldest first, with their send times. *)
+  let sent t ~replica = List.rev t.nodes.(replica).sent
 
   let submit t ~replica batch = P.submit_batch t.nodes.(replica).inst batch
 
