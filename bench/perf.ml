@@ -15,7 +15,8 @@
    - report_digest         SHA-256 over the deterministic report fields
                            (excludes wall time), the fixed-seed determinism
                            fingerprint CI compares against bench/simperf.digest
-   - heap/net/codec/journal/conflict microbench rows (ns/op and words/op)
+   - heap/net/codec/journal/conflict/snapshot microbench rows (ns/op and
+     words/op)
 
    Wall time is [Sys.time] (process CPU time): the simulator is
    single-threaded and this keeps the harness dependency-free. *)
@@ -270,6 +271,59 @@ let bench_conflict () =
   in
   { m_name = "conflict-partition"; m_ns = ns; m_words = words }
 
+(* One op = [Journal.write_snapshot] of a checkpoint at round 256 with
+   50 000 materialized records and 120 reply-cache entries (the shape of
+   the e2e storage.snapshot.encode micro), its disk-lane write included.
+   The slot blob itself is one major-heap block, so the row counts the
+   per-write bookkeeping: it grows with per-field allocations in the
+   encoder or the checksum. CI gates its words/op against
+   bench/snapshot.words. *)
+let bench_snapshot () =
+  let primaries = List.init 6 Fun.id in
+  let ledger = Rcc_storage.Ledger.create ~primaries in
+  for round = 0 to 255 do
+    let proofs =
+      List.map
+        (fun x ->
+          {
+            Rcc_storage.Block.instance = x;
+            batch_digest =
+              Rcc_crypto.Sha256.digest (string_of_int ((round * 6) + x));
+            certificate_digest = Rcc_crypto.Sha256.digest (string_of_int x);
+          })
+        primaries
+    in
+    Rcc_storage.Ledger.append_exn ledger
+      {
+        Rcc_storage.Block.round;
+        prev_hash = Rcc_storage.Ledger.head_hash ledger;
+        proofs;
+        primaries;
+        clients = primaries;
+      }
+  done;
+  let snap =
+    {
+      Rcc_storage.Snapshot.seq = 256;
+      blocks = Rcc_storage.Ledger.prefix ledger ~upto:256;
+      kv = Some (Array.init 50_000 (fun k -> (k, k * 7, 1)));
+      replied =
+        List.init 120 (fun c ->
+            (c, Rcc_crypto.Sha256.digest (string_of_int c), 250, "r"));
+    }
+  in
+  let engine = Engine.create () in
+  let j =
+    Rcc_journal.Journal.attach ~engine ~costs:Rcc_sim.Costs.default
+      ~disk:(Rcc_journal.Sim_disk.create ~seed:1) ~self:0 ()
+  in
+  let ns, words =
+    measure ~iters:20 (fun () ->
+        Rcc_journal.Journal.write_snapshot j ~seq:256 snap;
+        Engine.run engine ~until:(Engine.now engine + Engine.ms 100))
+  in
+  { m_name = "snapshot-write"; m_ns = ns; m_words = words }
+
 (* --- JSON output -------------------------------------------------------- *)
 
 let json_of_entry ~label smoke micros =
@@ -394,6 +448,7 @@ let () =
         bench_msg_size ();
         bench_journal ();
         bench_conflict ();
+        bench_snapshot ();
       ]
     in
     List.iter

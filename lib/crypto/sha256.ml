@@ -1,13 +1,15 @@
-(* FIPS 180-4 over native [int] arithmetic.
+(* FIPS 180-4, allocation-free.
 
-   Words are kept in the low 32 bits of OCaml's 63-bit int and masked
-   after additions. This keeps the compression loop allocation-free —
-   the original [int32]-based version boxed every intermediate (about
-   4.7 minor-heap words per message byte), and hashing is a large share
-   of the simulator's wall-clock profile (each client batch is hashed
-   once at creation; a replica re-hashes only a batch it did not receive
-   by reference). Digests are bit-identical to the boxed implementation;
-   verified against the FIPS vectors in the test suite. *)
+   Words are kept in the low 32 bits of a wider machine word and masked
+   after additions: the state and message schedule in OCaml's 63-bit
+   [int], the compression rounds in unboxed [nativeint] locals (see
+   [compress]). The original [int32]-based version boxed every
+   intermediate (about 4.7 minor-heap words per message byte), and
+   hashing is a large share of the simulator's wall-clock profile (each
+   client batch is hashed once at creation, every journal record and
+   snapshot slot is checksummed). Digests are bit-identical to the boxed
+   implementation; the test suite checks the FIPS vectors and a rolled
+   reference kernel. *)
 
 let mask = 0xffffffff
 
@@ -49,58 +51,122 @@ let init () =
     w = Array.make 64 0;
   }
 
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* The compression rounds run on [nativeint] locals, which ocamlopt keeps
+   unboxed in registers: untagged 64-bit words, so no tag fix-ups per
+   operation. A 32-bit word [x] doubled into both halves of a 64-bit one
+   turns every rotation into one shift: bits [0, 32) of
+   [(x lor (x lsl 32)) lsr n] are [rotr x n]. *)
+let mask_n = 0xffffffffn
+let[@inline] double x = Nativeint.logor x (Nativeint.shift_left x 32)
+let[@inline] shr x n = Nativeint.shift_right_logical x n
+
+(* Σ0 = rotr 2 13 22, Σ1 = rotr 6 11 25 (rounds). *)
+let[@inline] big_sigma x r1 r2 r3 =
+  let d = double x in
+  Nativeint.logand
+    (Nativeint.logxor (shr d r1) (Nativeint.logxor (shr d r2) (shr d r3)))
+    mask_n
+
+(* σ0 = rotr 7 18, shr 3; σ1 = rotr 17 19, shr 10 (message schedule). *)
+let[@inline] small_sigma x r1 r2 s =
+  let d = double x in
+  Nativeint.logxor
+    (Nativeint.logand (Nativeint.logxor (shr d r1) (shr d r2)) mask_n)
+    (shr x s)
+
+(* Ch(e, f, g) = g xor (e and (f xor g)); Maj(a, b, c) =
+   (a and b) or (c and (a or b)). *)
+let[@inline] ch e f g =
+  Nativeint.logxor g (Nativeint.logand e (Nativeint.logxor f g))
+
+let[@inline] maj a b c =
+  Nativeint.logor (Nativeint.logand a b)
+    (Nativeint.logand c (Nativeint.logor a b))
+
+(* One round's [t1] for round [t]: a sum of five 32-bit values, so it
+   fits a native word unmasked; masking happens once where it lands. *)
+let[@inline] t1 w t e f g h =
+  Nativeint.add
+    (Nativeint.add h (big_sigma e 6 11 25))
+    (Nativeint.add (ch e f g)
+       (Nativeint.of_int (Array.unsafe_get k t + Array.unsafe_get w t)))
+
+let[@inline] t2 a b c = Nativeint.add (big_sigma a 2 13 22) (maj a b c)
+let[@inline] add_mask x y = Nativeint.logand (Nativeint.add x y) mask_n
+
+(* One unchecked 32-bit load per message word; callers guarantee
+   [off + 64 <= Bytes.length block]. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] load_be32 b i =
+  if Sys.big_endian then get32u b i else bswap32 (get32u b i)
 
 let compress ctx block off =
   let w = ctx.w in
   for t = 0 to 15 do
-    let i = off + (4 * t) in
     Array.unsafe_set w t
-      ((Char.code (Bytes.unsafe_get block i) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (i + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (i + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (i + 3)))
+      (Int32.to_int (load_be32 block (off + (4 * t))) land mask)
   done;
   for t = 16 to 63 do
-    let x15 = Array.unsafe_get w (t - 15) in
-    let x2 = Array.unsafe_get w (t - 2) in
-    let s0 = rotr x15 7 lxor rotr x15 18 lxor (x15 lsr 3) in
-    let s1 = rotr x2 17 lxor rotr x2 19 lxor (x2 lsr 10) in
+    let x15 = Nativeint.of_int (Array.unsafe_get w (t - 15)) in
+    let x2 = Nativeint.of_int (Array.unsafe_get w (t - 2)) in
+    let s0 = small_sigma x15 7 18 3 and s1 = small_sigma x2 17 19 10 in
     Array.unsafe_set w t
-      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
+      ((Array.unsafe_get w (t - 16) + Array.unsafe_get w (t - 7)
+       + Nativeint.to_int (Nativeint.add s0 s1))
       land mask)
   done;
-  let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    (* [lnot !e] sets the bits above 32 too; [land !g] clears them. *)
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    (* [t1]/[t2] are sums of a few 32-bit values, so they fit a native
-       int unmasked; masking happens once where they land in [e]/[a]
-       (whose bits feed the next round's rotations). *)
-    let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = s0 + maj in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
+  let st = ctx.h in
+  let ra = ref (Nativeint.of_int st.(0)) in
+  let rb = ref (Nativeint.of_int st.(1)) in
+  let rc = ref (Nativeint.of_int st.(2)) in
+  let rd = ref (Nativeint.of_int st.(3)) in
+  let re = ref (Nativeint.of_int st.(4)) in
+  let rf = ref (Nativeint.of_int st.(5)) in
+  let rg = ref (Nativeint.of_int st.(6)) in
+  let rh = ref (Nativeint.of_int st.(7)) in
+  (* Eight rounds per iteration. Each round writes only its new [e] and
+     [a], under the names of the retiring [d] and [h]; the roles rotate
+     one name per round, so after eight rounds every name is back in its
+     own role and no value is moved. *)
+  for i = 0 to 7 do
+    let t = 8 * i in
+    let a = !ra and b = !rb and c = !rc and d = !rd in
+    let e = !re and f = !rf and g = !rg and h = !rh in
+    let x = t1 w t e f g h in
+    let d = add_mask d x and h = add_mask x (t2 a b c) in
+    let x = t1 w (t + 1) d e f g in
+    let c = add_mask c x and g = add_mask x (t2 h a b) in
+    let x = t1 w (t + 2) c d e f in
+    let b = add_mask b x and f = add_mask x (t2 g h a) in
+    let x = t1 w (t + 3) b c d e in
+    let a = add_mask a x and e = add_mask x (t2 f g h) in
+    let x = t1 w (t + 4) a b c d in
+    let h = add_mask h x and d = add_mask x (t2 e f g) in
+    let x = t1 w (t + 5) h a b c in
+    let g = add_mask g x and c = add_mask x (t2 d e f) in
+    let x = t1 w (t + 6) g h a b in
+    let f = add_mask f x and b = add_mask x (t2 c d e) in
+    let x = t1 w (t + 7) f g h a in
+    let e = add_mask e x and a = add_mask x (t2 b c d) in
+    ra := a;
+    rb := b;
+    rc := c;
+    rd := d;
+    re := e;
+    rf := f;
+    rg := g;
+    rh := h
   done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  st.(0) <- (st.(0) + Nativeint.to_int !ra) land mask;
+  st.(1) <- (st.(1) + Nativeint.to_int !rb) land mask;
+  st.(2) <- (st.(2) + Nativeint.to_int !rc) land mask;
+  st.(3) <- (st.(3) + Nativeint.to_int !rd) land mask;
+  st.(4) <- (st.(4) + Nativeint.to_int !re) land mask;
+  st.(5) <- (st.(5) + Nativeint.to_int !rf) land mask;
+  st.(6) <- (st.(6) + Nativeint.to_int !rg) land mask;
+  st.(7) <- (st.(7) + Nativeint.to_int !rh) land mask
 
 let update_sub ctx s off len =
   if off < 0 || len < 0 || off > String.length s - len then

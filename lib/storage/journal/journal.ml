@@ -1,7 +1,6 @@
 module Engine = Rcc_sim.Engine
 module Cpu = Rcc_sim.Cpu
 module Costs = Rcc_sim.Costs
-module Bytes_util = Rcc_common.Bytes_util
 module Batch = Rcc_messages.Batch
 module Acceptance = Rcc_replica.Acceptance
 module Exec = Rcc_replica.Exec
@@ -29,6 +28,7 @@ let flush_bytes = 65_536
    which computed its digest from them, and a null batch has no txns. *)
 
 let header_len = String.length record_magic + 1 + 8 + checksum_len
+let snap_header_len = String.length snap_magic + 8 + checksum_len
 let checksum_at = header_len - checksum_len
 
 exception Bad of string
@@ -304,16 +304,19 @@ let log_stable t ~floor = append t (int_record 'A' floor)
 
 let write_snapshot t ~seq snapshot =
   if not t.halted then begin
-    let body = Rcc_storage.Snapshot.encode snapshot in
-    let blob =
-      String.concat ""
-        [
-          snap_magic;
-          Bytes_util.u64_string (Int64.of_int (String.length body));
-          checksum body ~off:0 ~len:(String.length body) [];
-          body;
-        ]
+    (* [snap_magic | u64 body length | checksum | body], the body encoded
+       in place and checksummed where it lies. *)
+    let len = Rcc_storage.Snapshot.encoded_size snapshot in
+    let out = Bytes.create (snap_header_len + len) in
+    Bytes.blit_string snap_magic 0 out 0 (String.length snap_magic);
+    Bytes.set_int64_be out (String.length snap_magic) (Int64.of_int len);
+    let stop =
+      Rcc_storage.Snapshot.encode_into snapshot out ~off:snap_header_len
     in
+    assert (stop = Bytes.length out);
+    let blob = Bytes.unsafe_to_string out in
+    Bytes.blit_string (checksum blob ~off:snap_header_len ~len []) 0 out
+      (snap_header_len - checksum_len) checksum_len;
     Cpu.submit t.io ~cost:(io_cost t (String.length blob)) (fun () ->
         if not t.halted then begin
           let before = Sim_disk.faults_injected t.disk in
@@ -473,18 +476,17 @@ type recovery = {
    one. *)
 let load_snapshot disk ~primaries =
   let unwrap blob =
-    let header = String.length snap_magic + 8 + checksum_len in
+    let header = snap_header_len in
     if String.length blob < header then None
     else if not (String.equal (String.sub blob 0 4) snap_magic) then None
     else
       let len = Int64.to_int (String.get_int64_be blob 4) in
       if len < 0 || String.length blob <> header + len then None
       else
-        let sum = String.sub blob 12 checksum_len in
-        let body = String.sub blob header len in
-        if not (String.equal sum (checksum body ~off:0 ~len [])) then None
+        let sum = String.sub blob (header - checksum_len) checksum_len in
+        if not (String.equal sum (checksum blob ~off:header ~len [])) then None
         else
-          match Rcc_storage.Snapshot.decode body with
+          match Rcc_storage.Snapshot.decode (String.sub blob header len) with
           | Ok snap -> (
               match Rcc_storage.Snapshot.verify ~primaries snap with
               | Ok _ -> Some snap

@@ -115,6 +115,13 @@ val recover :
 
 (** {2 Test support} *)
 
+val load_snapshot :
+  Sim_disk.t ->
+  primaries:Rcc_common.Ids.replica_id list ->
+  Rcc_storage.Snapshot.t option
+(** The newest snapshot slot whose framing, checksum, decode and chain
+    verification all pass — the one {!recover} installs. *)
+
 val scan_rounds :
   string -> (Rcc_common.Ids.round * Rcc_replica.Acceptance.t array) list
 (** The round records in the longest valid record prefix of a journal

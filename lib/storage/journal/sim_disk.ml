@@ -4,7 +4,8 @@ let no_faults = { torn = 0.0; corrupt = 0.0; lost = 0.0 }
 let uniform_faults p = { torn = p; corrupt = p; lost = p }
 
 type t = {
-  buf : Buffer.t;  (* journal area, append-only *)
+  mutable area : string list;  (* journal area: stored records, newest first *)
+  mutable area_bytes : int;
   mutable slot_seq : int array;  (* -1 = slot empty *)
   mutable slot_blob : string array;
   rng : Rcc_common.Rng.t;
@@ -16,7 +17,8 @@ type t = {
 
 let create ~seed =
   {
-    buf = Buffer.create 4096;
+    area = [];
+    area_bytes = 0;
     slot_seq = [| -1; -1 |];
     slot_blob = [| ""; "" |];
     rng = Rcc_common.Rng.create seed;
@@ -45,6 +47,12 @@ let corrupt_record t record =
     Bytes.to_string b
   end
 
+(* Stored records are kept as they are, never copied into one area;
+   [journal] concatenates them when recovery reads the disk back. *)
+let store t record =
+  t.area <- record :: t.area;
+  t.area_bytes <- t.area_bytes + String.length record
+
 let append t records =
   t.writes <- t.writes + 1;
   let rec go = function
@@ -60,7 +68,7 @@ let append t records =
           inject t "torn";
           let n = String.length record in
           let keep = if n <= 1 then 0 else Rcc_common.Rng.int t.rng n in
-          Buffer.add_substring t.buf record 0 keep
+          if keep > 0 then store t (String.sub record 0 keep)
         end
         else begin
           let record =
@@ -70,14 +78,18 @@ let append t records =
             end
             else record
           in
-          Buffer.add_string t.buf record;
+          store t record;
           go rest
         end
   in
   go records
 
-let journal t = Buffer.contents t.buf
-let journal_bytes t = Buffer.length t.buf
+let journal t =
+  let s = String.concat "" (List.rev t.area) in
+  t.area <- [ s ];
+  s
+
+let journal_bytes t = t.area_bytes
 
 let write_snapshot t ~seq blob =
   t.writes <- t.writes + 1;

@@ -16,7 +16,13 @@
 
     The journal area is append-only; checkpoint snapshots live in two
     alternating slots so a fault while writing one never destroys the
-    other (the classic A/B superblock discipline). *)
+    other (the classic A/B superblock discipline).
+
+    Storing costs the host no copy: the area keeps each stored record
+    (or a torn record's surviving prefix) as the string it was handed,
+    in a list with a byte count, and {!journal} concatenates them only
+    when the area is read back. The stored bytes are exactly those of a
+    contiguous append-only area. *)
 
 type faults = {
   torn : float;  (** probability a flush tears mid-record *)
@@ -43,7 +49,8 @@ val append : t -> string list -> unit
     and discards the rest of the flush. *)
 
 val journal : t -> string
-(** Everything the journal area currently holds, in append order. *)
+(** Everything the journal area currently holds, in append order. The
+    concatenation is built here, on read (recovery and tests). *)
 
 val journal_bytes : t -> int
 

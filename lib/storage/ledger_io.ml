@@ -4,36 +4,67 @@ let magic = "RCCL1\n"
 
 (* --- writer ----------------------------------------------------------- *)
 
-let w_int buf v = Buffer.add_string buf (Bytes_util.u64_string (Int64.of_int v))
+(* Every writer stores at [off] and returns the offset past what it
+   wrote; callers size the buffer exactly first. *)
 
-let w_string buf s =
-  w_int buf (String.length s);
-  Buffer.add_string buf s
+let put_int b off v =
+  Bytes.set_int64_be b off (Int64.of_int v);
+  off + 8
 
-let w_int_list buf l =
-  w_int buf (List.length l);
-  List.iter (w_int buf) l
+let put_string b off s =
+  let n = String.length s in
+  let off = put_int b off n in
+  Bytes.blit_string s 0 b off n;
+  off + n
 
-let write_block buf (b : Block.t) =
-  w_int buf b.Block.round;
-  w_string buf b.Block.prev_hash;
-  w_int buf (List.length b.Block.proofs);
-  List.iter
-    (fun (p : Block.proof) ->
-      w_int buf p.Block.instance;
-      w_string buf p.Block.batch_digest;
-      w_string buf p.Block.certificate_digest)
-    b.Block.proofs;
-  w_int_list buf b.Block.primaries;
-  w_int_list buf b.Block.clients
+(* Lists are walked by top-level recursion, not [List.fold_left] with a
+   closure over the buffer, so writing a block allocates nothing. *)
+let rec put_ints b off = function
+  | [] -> off
+  | v :: rest -> put_ints b (put_int b off v) rest
+
+let put_int_list b off l = put_ints b (put_int b off (List.length l)) l
+
+let rec put_proofs b off = function
+  | [] -> off
+  | (p : Block.proof) :: rest ->
+      let off = put_int b off p.Block.instance in
+      let off = put_string b off p.Block.batch_digest in
+      put_proofs b (put_string b off p.Block.certificate_digest) rest
+
+let int_list_size l = 8 * (1 + List.length l)
+
+(* round, prev hash, proof count; per proof instance and two strings;
+   primaries; clients. *)
+let block_size (b : Block.t) =
+  List.fold_left
+    (fun acc (p : Block.proof) ->
+      acc + 8
+      + (8 + String.length p.Block.batch_digest)
+      + (8 + String.length p.Block.certificate_digest))
+    (8 + (8 + String.length b.Block.prev_hash) + 8)
+    b.Block.proofs
+  + int_list_size b.Block.primaries
+  + int_list_size b.Block.clients
+
+let write_block (b : Block.t) buf ~off =
+  let off = put_int buf off b.Block.round in
+  let off = put_string buf off b.Block.prev_hash in
+  let off = put_int buf off (List.length b.Block.proofs) in
+  let off = put_proofs buf off b.Block.proofs in
+  let off = put_int_list buf off b.Block.primaries in
+  put_int_list buf off b.Block.clients
 
 let save ledger ~primaries =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  w_int_list buf primaries;
-  w_int buf (Ledger.length ledger);
-  Ledger.iter ledger (fun block -> write_block buf block);
-  Buffer.contents buf
+  let size = ref (String.length magic + int_list_size primaries + 8) in
+  Ledger.iter ledger (fun block -> size := !size + block_size block);
+  let buf = Bytes.create !size in
+  Bytes.blit_string magic 0 buf 0 (String.length magic);
+  let off = put_int_list buf (String.length magic) primaries in
+  let off = ref (put_int buf off (Ledger.length ledger)) in
+  Ledger.iter ledger (fun block -> off := write_block block buf ~off:!off);
+  assert (!off = !size);
+  Bytes.unsafe_to_string buf
 
 (* --- reader ------------------------------------------------------------ *)
 

@@ -17,11 +17,28 @@ val save_file : Ledger.t -> primaries:Rcc_common.Ids.replica_id list -> path:str
 val load_file : path:string -> (Ledger.t, string) result
 
 (** Block-record framing, exposed so {!Snapshot} can embed a chain prefix
-    inside its own format without a second encoder. *)
+    inside its own format without a second encoder. Writers are
+    exact-size: the caller sums {!block_size} (and its own fields) into
+    one [Bytes.t] and every writer stores at an offset and returns the
+    offset just past what it wrote, so a whole file or snapshot is
+    encoded in one pass with no intermediate buffers. *)
 
 exception Malformed of string
 
-val write_block : Buffer.t -> Block.t -> unit
+val put_int : Bytes.t -> int -> int -> int
+(** [put_int buf off v] stores [v] as a big-endian u64 at [off]; returns
+    [off + 8]. *)
+
+val put_string : Bytes.t -> int -> string -> int
+(** [put_string buf off s] stores [s] with a u64 length prefix; returns
+    [off + 8 + String.length s]. *)
+
+val block_size : Block.t -> int
+(** Exact length of the block record {!write_block} emits. *)
+
+val write_block : Block.t -> Bytes.t -> off:int -> int
+(** [write_block b buf ~off] stores [b]'s record at [off] and returns
+    [off + block_size b]. *)
 
 val read_block : string -> pos:int -> Block.t * int
 (** Parse one block record at [pos]; returns the block and the position

@@ -11,18 +11,39 @@ type t = {
 
 (* --- digests ------------------------------------------------------------ *)
 
+(* One canonical KV triple: three big-endian u64s. The bulk of a large
+   snapshot and of its digest, so the stores are inline. *)
+let[@inline] put_triple buf off (key, value, version) =
+  Bytes.set_int64_be buf off (Int64.of_int key);
+  Bytes.set_int64_be buf (off + 8) (Int64.of_int value);
+  Bytes.set_int64_be buf (off + 16) (Int64.of_int version);
+  off + 24
+
+(* The triples go through one reused buffer, a chunk of them per SHA-256
+   update: the digest is over the same byte stream as hashing each
+   field's u64 on its own. *)
+let kv_chunk = 256
+
 let kv_digest = function
   | None -> ""
   | Some entries ->
       let ctx = Rcc_crypto.Sha256.init () in
       Rcc_crypto.Sha256.update ctx "rcc-snapshot-kv";
-      Array.iter
-        (fun (key, value, version) ->
-          Rcc_crypto.Sha256.update ctx (Bytes_util.u64_string (Int64.of_int key));
-          Rcc_crypto.Sha256.update ctx (Bytes_util.u64_string (Int64.of_int value));
-          Rcc_crypto.Sha256.update ctx
-            (Bytes_util.u64_string (Int64.of_int version)))
-        entries;
+      let buf = Bytes.create (24 * kv_chunk) in
+      let flush len =
+        Rcc_crypto.Sha256.update_sub ctx (Bytes.unsafe_to_string buf) 0 len
+      in
+      let off =
+        Array.fold_left
+          (fun off triple ->
+            if off < Bytes.length buf then put_triple buf off triple
+            else begin
+              flush off;
+              put_triple buf 0 triple
+            end)
+          0 entries
+      in
+      flush off;
       Rcc_crypto.Sha256.finalize ctx
 
 type boundary = {
@@ -55,38 +76,58 @@ let chain_head ~primaries blocks =
 
 (* --- encode ------------------------------------------------------------- *)
 
-let w_int buf v = Buffer.add_string buf (Bytes_util.u64_string (Int64.of_int v))
+let put_int = Ledger_io.put_int
+let put_string = Ledger_io.put_string
 
-let w_string buf s =
-  w_int buf (String.length s);
-  Buffer.add_string buf s
+(* magic, seq, block count, blocks; kv flag [and count, triples]; reply
+   count and per entry client, digest, round, result. *)
+let encoded_size t =
+  let blocks =
+    Array.fold_left (fun acc b -> acc + Ledger_io.block_size b) 0 t.blocks
+  in
+  let kv =
+    match t.kv with Some e -> 1 + 8 + (24 * Array.length e) | None -> 1
+  in
+  let replied =
+    List.fold_left
+      (fun acc (_, digest, _, result) ->
+        acc + 8 + (8 + String.length digest) + 8 + (8 + String.length result))
+      8 t.replied
+  in
+  String.length magic + 8 + 8 + blocks + kv + replied
+
+let encode_into t buf ~off =
+  Bytes.blit_string magic 0 buf off (String.length magic);
+  let off = put_int buf (off + String.length magic) t.seq in
+  let off = put_int buf off (Array.length t.blocks) in
+  let off =
+    Array.fold_left (fun off b -> Ledger_io.write_block b buf ~off) off t.blocks
+  in
+  let off =
+    match t.kv with
+    | Some entries ->
+        Bytes.set buf off '\x01';
+        Array.fold_left (put_triple buf)
+          (put_int buf (off + 1) (Array.length entries))
+          entries
+    | None ->
+        Bytes.set buf off '\x00';
+        off + 1
+  in
+  List.fold_left
+    (fun off (client, digest, round, result) ->
+      let off = put_int buf off client in
+      let off = put_string buf off digest in
+      let off = put_int buf off round in
+      put_string buf off result)
+    (put_int buf off (List.length t.replied))
+    t.replied
 
 let encode t =
-  let buf = Buffer.create (4096 + (Array.length t.blocks * 128)) in
-  Buffer.add_string buf magic;
-  w_int buf t.seq;
-  w_int buf (Array.length t.blocks);
-  Array.iter (fun b -> Ledger_io.write_block buf b) t.blocks;
-  (match t.kv with
-  | Some entries ->
-      Buffer.add_char buf '\x01';
-      w_int buf (Array.length entries);
-      Array.iter
-        (fun (key, value, version) ->
-          w_int buf key;
-          w_int buf value;
-          w_int buf version)
-        entries
-  | None -> Buffer.add_char buf '\x00');
-  w_int buf (List.length t.replied);
-  List.iter
-    (fun (client, digest, round, result) ->
-      w_int buf client;
-      w_string buf digest;
-      w_int buf round;
-      w_string buf result)
-    t.replied;
-  Buffer.contents buf
+  let buf = Bytes.create (encoded_size t) in
+  let stop = encode_into t buf ~off:0 in
+  assert (stop = Bytes.length buf);
+  Bytes.unsafe_to_string buf
 
 (* --- decode ------------------------------------------------------------- *)
 

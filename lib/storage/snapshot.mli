@@ -65,7 +65,16 @@ val chain_head : primaries:Rcc_common.Ids.replica_id list -> Block.t array ->
 (** Head hash a standalone chain pins, walking it from the genesis
     derived from [primaries]; [Error] when rounds or links are broken. *)
 
+val encoded_size : t -> int
+(** Exact length of {!encode}'s output. *)
+
+val encode_into : t -> Bytes.t -> off:int -> int
+(** [encode_into t buf ~off] writes {!encode}'s bytes into [buf] at [off]
+    and returns [off + encoded_size t], so a caller framing the snapshot
+    (the journal's slot blob) encodes it in place with no copy. *)
+
 val encode : t -> string
+(** One exact-size buffer filled by {!encode_into}. *)
 
 val decode : string -> (t, string) result
 

@@ -78,6 +78,115 @@ let test_sha256_update_sub () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* The rolled compression kernel the unrolled one replaced, kept as a
+   test-only reference: one round per iteration over 63-bit ints, with
+   every rotation masked. [ref_digest] pads the whole message and runs
+   it block by block. *)
+let ref_k =
+  [|
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
+  |]
+
+let ref_compress h block off =
+  let mask = 0xffffffff in
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask in
+  let w = Array.make 64 0 in
+  for t = 0 to 15 do
+    let i = off + (4 * t) in
+    w.(t) <-
+      (Char.code block.[i] lsl 24)
+      lor (Char.code block.[i + 1] lsl 16)
+      lor (Char.code block.[i + 2] lsl 8)
+      lor Char.code block.[i + 3]
+  done;
+  for t = 16 to 63 do
+    let x15 = w.(t - 15) and x2 = w.(t - 2) in
+    let s0 = rotr x15 7 lxor rotr x15 18 lxor (x15 lsr 3) in
+    let s1 = rotr x2 17 lxor rotr x2 19 lxor (x2 lsr 10) in
+    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+  done;
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  for t = 0 to 63 do
+    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let ch = (!e land !f) lxor (lnot !e land !g) in
+    let t1 = !hh + s1 + ch + ref_k.(t) + w.(t) in
+    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+    let t2 = s0 + maj in
+    hh := !g;
+    g := !f;
+    f := !e;
+    e := (!d + t1) land mask;
+    d := !c;
+    c := !b;
+    b := !a;
+    a := (t1 + t2) land mask
+  done;
+  List.iteri
+    (fun i v -> h.(i) <- (h.(i) + v) land mask)
+    [ !a; !b; !c; !d; !e; !f; !g; !hh ]
+
+let ref_digest msg =
+  let len = String.length msg in
+  let padded_len = (len + 9 + 63) / 64 * 64 in
+  let p = Bytes.make padded_len '\x00' in
+  Bytes.blit_string msg 0 p 0 len;
+  Bytes.set p len '\x80';
+  Bytes.set_int64_be p (padded_len - 8) (Int64.of_int (8 * len));
+  let p = Bytes.to_string p in
+  let h =
+    [|
+      0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+      0x1f83d9ab; 0x5be0cd19;
+    |]
+  in
+  for blk = 0 to (padded_len / 64) - 1 do
+    ref_compress h p (64 * blk)
+  done;
+  let out = Bytes.create 32 in
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
+  Bytes.to_string out
+
+let test_sha256_reference_vectors () =
+  List.iter
+    (fun (msg, expected) ->
+      check Alcotest.string "reference kernel" expected
+        (Bytes_util.hex (ref_digest msg)))
+    sha_vectors
+
+(* Random messages of 0-4 KiB, fed to the unrolled kernel through random
+   [update_sub] splits, against the rolled reference's one-shot digest. *)
+let sha_kernel_oracle =
+  qtest ~count:200 "sha256: unrolled kernel = rolled reference"
+    QCheck2.Gen.(
+      pair (string_size (int_range 0 4096)) (list_size (int_range 0 6) nat))
+    (fun (msg, cuts) ->
+      let len = String.length msg in
+      let cuts =
+        List.sort_uniq compare (List.map (fun c -> c mod (len + 1)) cuts)
+      in
+      let ctx = Sha256.init () in
+      let last =
+        List.fold_left
+          (fun pos cut ->
+            Sha256.update_sub ctx msg pos (cut - pos);
+            cut)
+          0 cuts
+      in
+      Sha256.update_sub ctx msg last (len - last);
+      String.equal (Sha256.finalize ctx) (ref_digest msg))
+
 let sha_incremental =
   qtest "sha256: incremental = one-shot"
     QCheck2.Gen.(list_size (int_range 0 8) string)
@@ -272,6 +381,9 @@ let suite =
     [
       Alcotest.test_case "sha256 FIPS vectors" `Quick test_sha256_vectors;
       Alcotest.test_case "sha256 update_sub splits" `Quick test_sha256_update_sub;
+      Alcotest.test_case "sha256 reference kernel vectors" `Quick
+        test_sha256_reference_vectors;
+      sha_kernel_oracle;
       sha_incremental;
       sha_distinct;
       Alcotest.test_case "hmac RFC 4231" `Quick test_hmac_rfc4231;

@@ -188,6 +188,48 @@ let test_disk_snapshot_slots () =
     [ (384, "CCCC"); (256, "BBBB") ]
     (Sim_disk.snapshots disk)
 
+(* One seed at 5% of each fault, 200 flushes of 1-4 records of 0-599
+   bytes and a snapshot write every 50 flushes. The digests were
+   recorded before the journal area became a record list; the stored
+   bytes, fault rolls and slots must not move. *)
+let test_disk_golden () =
+  let rng = Rng.create 2024 in
+  let disk = Sim_disk.create ~seed:11 in
+  Sim_disk.set_faults disk (Sim_disk.uniform_faults 0.05);
+  for i = 0 to 199 do
+    let records =
+      List.init
+        (1 + Rng.int rng 4)
+        (fun j ->
+          String.init (Rng.int rng 600) (fun k ->
+              Char.chr (((i * 31) + (j * 7) + k) land 0xff)))
+    in
+    Sim_disk.append disk records;
+    if i mod 50 = 49 then
+      Sim_disk.write_snapshot disk ~seq:(i + 1)
+        (String.init (1000 + Rng.int rng 3000) (fun k ->
+             Char.chr (((k * 13) + i) land 0xff)))
+  done;
+  let sha = Rcc_crypto.Sha256.hex_digest in
+  check Alcotest.string "journal area"
+    "16f177bec5cddc6513232739e7d2733193ed759b406130002ad951ad4e078368"
+    (sha (Sim_disk.journal disk));
+  check Alcotest.int "journal bytes" 124139 (Sim_disk.journal_bytes disk);
+  check Alcotest.int "bytes = area length"
+    (String.length (Sim_disk.journal disk))
+    (Sim_disk.journal_bytes disk);
+  check Alcotest.string "fault log"
+    "3724fd12818ad3c6d1fb84f0fed04df7ada126125b20339a303a2ff629627f8d"
+    (sha (String.concat "," (Sim_disk.fault_log disk)));
+  check
+    Alcotest.(list (pair int string))
+    "slots"
+    [
+      (200, "97a6f72126ecfe795d2e536a4a46c1431420c685e160421809b44944de9ebbb2");
+      (150, "fd62e3c3909402ed011b65c507016d4ba0c448947cf9bebedf2f7f00ef5678d3");
+    ]
+    (List.map (fun (seq, blob) -> (seq, sha blob)) (Sim_disk.snapshots disk))
+
 (* --- group commit ------------------------------------------------------- *)
 
 let test_group_commit_crash () =
@@ -345,6 +387,57 @@ let test_snapshot_plus_suffix () =
     rv3.Journal.r_snapshot_seq;
   check Alcotest.string "state still correct" (Kv.state_digest store)
     (Kv.state_digest store3)
+
+(* A small checkpoint: 3 chained blocks, 5 KV triples, 2 replies. *)
+let small_snapshot () =
+  let engine = Engine.create () in
+  let disk = Sim_disk.create ~seed:8 in
+  ignore (log_and_flush ~engine ~disk (mk_rounds ~seed:43 3));
+  let _, ledger, _, _ = recover_fresh disk in
+  {
+    Snapshot.seq = 3;
+    blocks = Ledger.prefix ledger ~upto:3;
+    kv = Some (Array.init 5 (fun k -> (k, k * 3, 1)));
+    replied = [ (1, String.make 32 'd', 2, "r"); (4, "", 0, "") ];
+  }
+
+let written_slot snap =
+  let engine = Engine.create () in
+  let disk = Sim_disk.create ~seed:9 in
+  let j = Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 () in
+  Journal.write_snapshot j ~seq:snap.Snapshot.seq snap;
+  Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
+  disk
+
+let test_snapshot_slot_roundtrip () =
+  let snap = small_snapshot () in
+  let disk = written_slot snap in
+  check Alcotest.bool "slot loads back as written" true
+    (Journal.load_snapshot disk ~primaries = Some snap);
+  match Sim_disk.snapshots disk with
+  | [ (3, blob) ] ->
+      check Alcotest.int "blob = 20-byte header + encoding"
+        (20 + String.length (Snapshot.encode snap))
+        (String.length blob)
+  | _ -> Alcotest.fail "expected one slot at seq 3"
+
+(* The same flip [Sim_disk.corrupt_record] makes, at every byte of a
+   slot blob: magic, length, checksum and body. *)
+let test_snapshot_slot_flip_sweep () =
+  let snap = small_snapshot () in
+  let blob =
+    match Sim_disk.snapshots (written_slot snap) with
+    | [ (_, blob) ] -> blob
+    | _ -> Alcotest.fail "expected one slot"
+  in
+  for pos = 0 to String.length blob - 1 do
+    let b = Bytes.of_string blob in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
+    let disk = Sim_disk.create ~seed:10 in
+    Sim_disk.write_snapshot disk ~seq:3 (Bytes.to_string b);
+    if Journal.load_snapshot disk ~primaries <> None then
+      Alcotest.failf "flip at byte %d of the slot blob accepted" pos
+  done
 
 (* --- fault sweep: detected or truncated, never divergent ---------------- *)
 
@@ -567,6 +660,7 @@ let suite =
       Alcotest.test_case "sim-disk determinism" `Quick test_disk_determinism;
       Alcotest.test_case "sim-disk snapshot slots" `Quick
         test_disk_snapshot_slots;
+      Alcotest.test_case "sim-disk golden bytes" `Quick test_disk_golden;
       Alcotest.test_case "group commit crash" `Quick test_group_commit_crash;
       Alcotest.test_case "replay matches execution" `Quick
         test_replay_matches_execution;
@@ -574,6 +668,10 @@ let suite =
       Alcotest.test_case "unproven speculation truncates" `Quick
         test_replay_stops_at_unproven_speculation;
       Alcotest.test_case "snapshot + suffix" `Quick test_snapshot_plus_suffix;
+      Alcotest.test_case "snapshot slot round trip" `Quick
+        test_snapshot_slot_roundtrip;
+      Alcotest.test_case "snapshot slot flip sweep" `Quick
+        test_snapshot_slot_flip_sweep;
       Alcotest.test_case "fault sweep never diverges" `Quick test_fault_sweep;
       Alcotest.test_case "round record round trip" `Quick
         test_round_record_roundtrip;

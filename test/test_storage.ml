@@ -198,6 +198,161 @@ let test_ledger_io_files () =
   check Alcotest.bool "missing file is an error" true
     (Result.is_error (Ledger_io.load_file ~path:"/nonexistent/rcc.bin"))
 
+(* A fixed 50-block ledger whose saved bytes are pinned by SHA-256; the
+   digest was recorded from the Buffer-based writer the exact-size one
+   replaced. *)
+let test_ledger_io_golden () =
+  let ledger = Ledger.create ~primaries:[ 0; 1; 2 ] in
+  for round = 0 to 49 do
+    Ledger.append_exn ledger
+      {
+        Block.round;
+        prev_hash = Ledger.head_hash ledger;
+        proofs = List.init (round mod 4) proof;
+        primaries = [ 0; 1; 2 ];
+        clients = List.init (round mod 3) (fun c -> (c * 17) + round);
+      }
+  done;
+  check Alcotest.string "saved bytes"
+    "9d1f1df0ef886c10045727df14ce43588b34ad8f198c34ad9adc56aa6d4a05d0"
+    (Rcc_crypto.Sha256.hex_digest
+       (Ledger_io.save ledger ~primaries:[ 0; 1; 2 ]))
+
+(* --- snapshot encoding ---------------------------------------------------- *)
+
+module Snapshot = Rcc_storage.Snapshot
+
+(* The Buffer-based snapshot encoder and per-field KV digest the
+   exact-size writers replaced, kept as oracles: the new code must emit
+   the same bytes and the same digest. *)
+module Oracle = struct
+  let u64 v = Rcc_common.Bytes_util.u64_string (Int64.of_int v)
+  let w_int buf v = Buffer.add_string buf (u64 v)
+
+  let w_string buf s =
+    w_int buf (String.length s);
+    Buffer.add_string buf s
+
+  let w_int_list buf l =
+    w_int buf (List.length l);
+    List.iter (w_int buf) l
+
+  let write_block buf (b : Block.t) =
+    w_int buf b.Block.round;
+    w_string buf b.Block.prev_hash;
+    w_int buf (List.length b.Block.proofs);
+    List.iter
+      (fun (p : Block.proof) ->
+        w_int buf p.Block.instance;
+        w_string buf p.Block.batch_digest;
+        w_string buf p.Block.certificate_digest)
+      b.Block.proofs;
+    w_int_list buf b.Block.primaries;
+    w_int_list buf b.Block.clients
+
+  let encode (t : Snapshot.t) =
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf "RCCS1\n";
+    w_int buf t.Snapshot.seq;
+    w_int buf (Array.length t.Snapshot.blocks);
+    Array.iter (write_block buf) t.Snapshot.blocks;
+    (match t.Snapshot.kv with
+    | Some entries ->
+        Buffer.add_char buf '\x01';
+        w_int buf (Array.length entries);
+        Array.iter
+          (fun (key, value, version) ->
+            w_int buf key;
+            w_int buf value;
+            w_int buf version)
+          entries
+    | None -> Buffer.add_char buf '\x00');
+    w_int buf (List.length t.Snapshot.replied);
+    List.iter
+      (fun (client, digest, round, result) ->
+        w_int buf client;
+        w_string buf digest;
+        w_int buf round;
+        w_string buf result)
+      t.Snapshot.replied;
+    Buffer.contents buf
+
+  let kv_digest = function
+    | None -> ""
+    | Some entries ->
+        let ctx = Rcc_crypto.Sha256.init () in
+        Rcc_crypto.Sha256.update ctx "rcc-snapshot-kv";
+        Array.iter
+          (fun (key, value, version) ->
+            Rcc_crypto.Sha256.update ctx (u64 key);
+            Rcc_crypto.Sha256.update ctx (u64 value);
+            Rcc_crypto.Sha256.update ctx (u64 version))
+          entries;
+        Rcc_crypto.Sha256.finalize ctx
+end
+
+(* KV sections: absent, present but empty, up to a few thousand triples
+   over the whole int range, or sized around kv_digest's 256-triple
+   chunks. *)
+let gen_kv =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, pure None);
+        (1, pure (Some [||]));
+        (4, map Option.some (array_size (int_range 0 3000) (triple int int int)));
+        ( 1,
+          map
+            (fun n -> Some (Array.init n (fun i -> (i, -i, i * 7))))
+            (oneofl [ 255; 256; 257; 512 ]) );
+      ])
+
+let gen_snapshot =
+  let open QCheck2.Gen in
+  let digest = string_size (int_range 0 40) in
+  let proof =
+    map3
+      (fun instance batch_digest certificate_digest ->
+        { Block.instance; batch_digest; certificate_digest })
+      small_nat digest digest
+  in
+  let ints = list_size (int_range 0 6) int in
+  let block =
+    map5
+      (fun round prev_hash proofs primaries clients ->
+        { Block.round; prev_hash; proofs; primaries; clients })
+      small_nat digest
+      (list_size (int_range 0 6) proof)
+      ints ints
+  in
+  (* Empty and long reply strings both occur. *)
+  let text =
+    frequency
+      [ (1, pure ""); (3, digest); (1, string_size (int_range 200 3000)) ]
+  in
+  let reply = tup4 int text small_nat text in
+  map4
+    (fun seq blocks kv replied -> { Snapshot.seq; blocks; kv; replied })
+    small_nat
+    (array_size (int_range 0 300) block)
+    gen_kv
+    (list_size (int_range 0 40) reply)
+
+let snapshot_encode_oracle =
+  qtest ~count:60 "snapshot: encode = Buffer oracle, encoded_size exact"
+    gen_snapshot (fun snap ->
+      let enc = Snapshot.encode snap in
+      let buf = Bytes.make (Snapshot.encoded_size snap + 10) '#' in
+      String.equal enc (Oracle.encode snap)
+      && Snapshot.encoded_size snap = String.length enc
+      && Snapshot.encode_into snap buf ~off:3 = 3 + String.length enc
+      && String.equal (Bytes.sub_string buf 3 (String.length enc)) enc
+      && Snapshot.decode enc = Ok snap)
+
+let kv_digest_oracle =
+  qtest ~count:100 "snapshot: kv_digest = per-field oracle" gen_kv (fun kv ->
+      String.equal (Snapshot.kv_digest kv) (Oracle.kv_digest kv))
+
 (* --- checkpoint store ----------------------------------------------------- *)
 
 module Ckpt = Rcc_storage.Checkpoint_store
@@ -234,6 +389,9 @@ let suite =
       Alcotest.test_case "ledger io roundtrip" `Quick test_ledger_io_roundtrip;
       Alcotest.test_case "ledger io corruption" `Quick test_ledger_io_rejects_corruption;
       Alcotest.test_case "ledger io files" `Quick test_ledger_io_files;
+      Alcotest.test_case "ledger io golden bytes" `Quick test_ledger_io_golden;
+      snapshot_encode_oracle;
+      kv_digest_oracle;
       Alcotest.test_case "checkpoint store" `Quick test_checkpoint_store_basic;
       Alcotest.test_case "checkpoint ring" `Quick test_checkpoint_store_ring_eviction;
       Alcotest.test_case "kv basic" `Quick test_kv_basic;
