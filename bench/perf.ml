@@ -16,7 +16,7 @@
                            (excludes wall time), the fixed-seed determinism
                            fingerprint CI compares against bench/simperf.digest
    - heap/net/codec/journal/conflict/snapshot microbench rows (ns/op and
-     words/op)
+     words/op), and the kv-store row (build ns and footprint words)
 
    Wall time is [Sys.time] (process CPU time): the simulator is
    single-threaded and this keeps the harness dependency-free. *)
@@ -324,6 +324,21 @@ let bench_snapshot () =
   in
   { m_name = "snapshot-write"; m_ns = ns; m_words = words }
 
+(* One op = [Kv_store.init_records ~count:500_000] into a fresh store
+   (the default YCSB table). Unlike the other rows, [m_words] is the
+   store's footprint, [Obj.reachable_words] after the build: it is
+   exact, and it grows if records go back to being boxed. CI gates it
+   against bench/kv.words. *)
+let bench_kv_store () =
+  let build () =
+    let s = Rcc_storage.Kv_store.create () in
+    Rcc_storage.Kv_store.init_records s ~count:500_000;
+    s
+  in
+  let ns, _ = measure ~iters:5 (fun () -> ignore (build ())) in
+  let words = float_of_int (Obj.reachable_words (Obj.repr (build ()))) in
+  { m_name = "kv-store"; m_ns = ns; m_words = words }
+
 (* --- JSON output -------------------------------------------------------- *)
 
 let json_of_entry ~label smoke micros =
@@ -449,6 +464,7 @@ let () =
         bench_journal ();
         bench_conflict ();
         bench_snapshot ();
+        bench_kv_store ();
       ]
     in
     List.iter

@@ -4,9 +4,14 @@
     order deterministic among equal priorities (FIFO among ties). This is
     the event queue of the simulator, so determinism here is load-bearing.
 
-    Storage is three parallel unboxed arrays; the unused slots of the
-    payload array hold the [dummy] element given at creation, so neither
-    {!push} nor the {!min_priority}/{!pop_min_exn} pair allocates. *)
+    Storage: the heap itself is three parallel unboxed [int] arrays
+    (priority, sequence, and the payload's slot index), so sifting moves
+    only ints. Payloads sit in a separate slot array: {!push} writes a
+    payload once into a vacant slot, {!pop_min_exn} reads it once and
+    resets the slot to the [dummy] element given at creation, and vacant
+    slots are recycled through a free-slot stack. Neither {!push} nor the
+    {!min_priority}/{!pop_min_exn} pair allocates, and a popped or
+    cleared payload is no longer referenced by the heap. *)
 
 type 'a t
 

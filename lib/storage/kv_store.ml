@@ -1,12 +1,17 @@
+(* Spill entries only: keys outside the direct range. *)
 type record = { mutable value : int; mutable version : int }
 
 (* YCSB keys are dense record ids counted up from zero, and [apply] hits
    the store once per transaction — the hottest storage path in the
-   simulator. Small non-negative keys are direct-indexed in an array
-   (one load, no hashing); anything outside the direct range spills to a
-   Hashtbl so arbitrary keys still behave exactly as before. *)
+   simulator. Small non-negative keys are direct-indexed in two unboxed
+   int columns (one load, no hashing, no pointer for the major GC to
+   follow); anything outside the direct range spills to a Hashtbl so
+   arbitrary keys still behave exactly as before. *)
 type t = {
-  mutable direct : record option array;
+  mutable values : int array;
+  mutable versions : int array;
+      (* [absent] marks a missing key; its [values] cell is then 0, so
+         [value] needs no presence check. *)
   spill : (int, record) Hashtbl.t;
   mutable direct_count : int;
   mutable reads : int;
@@ -27,12 +32,15 @@ type t = {
   mutable j_current : int;  (* round tag stamped on new entries *)
 }
 
-(* Beyond this the direct array would no longer be a win; spill instead. *)
+(* Beyond this the direct columns would no longer be a win; spill instead. *)
 let max_direct = 1 lsl 22
+
+let absent = -1
 
 let create () =
   {
-    direct = Array.make 4096 None;
+    values = Array.make 4096 0;
+    versions = Array.make 4096 absent;
     spill = Hashtbl.create 16;
     direct_count = 0;
     reads = 0;
@@ -46,35 +54,76 @@ let create () =
     j_current = -1;
   }
 
-let grow t key =
-  let n = ref (Array.length t.direct) in
-  while key >= !n do
-    n := !n * 2
-  done;
-  let direct = Array.make !n None in
-  Array.blit t.direct 0 direct 0 (Array.length t.direct);
-  t.direct <- direct
+let[@inline] is_direct key = key >= 0 && key < max_direct
 
-let[@inline] find t key =
-  if key >= 0 && key < max_direct then
-    if key < Array.length t.direct then Array.unsafe_get t.direct key else None
-  else Hashtbl.find_opt t.spill key
+(* Grow both columns to the first power of two above [key], in one step. *)
+let reserve t key =
+  let len = Array.length t.versions in
+  if key >= len then begin
+    let n = ref len in
+    while key >= !n do
+      n := !n * 2
+    done;
+    let values = Array.make !n 0 and versions = Array.make !n absent in
+    Array.blit t.values 0 values 0 len;
+    Array.blit t.versions 0 versions 0 len;
+    t.values <- values;
+    t.versions <- versions
+  end
 
-let set_direct t key r =
-  if key >= Array.length t.direct then grow t key;
-  (match Array.unsafe_get t.direct key with
-  | None -> t.direct_count <- t.direct_count + 1
-  | Some _ -> ());
-  Array.unsafe_set t.direct key (Some r)
+(* Store [(value, version)] under [key], creating the entry if needed. *)
+let set t key value version =
+  if is_direct key then begin
+    reserve t key;
+    if Array.unsafe_get t.versions key = absent then
+      t.direct_count <- t.direct_count + 1;
+    Array.unsafe_set t.values key value;
+    Array.unsafe_set t.versions key version
+  end
+  else
+    match Hashtbl.find_opt t.spill key with
+    | Some r ->
+        r.value <- value;
+        r.version <- version
+    | None -> Hashtbl.replace t.spill key { value; version }
+
+let remove_key t key =
+  if is_direct key then begin
+    if key < Array.length t.versions && Array.unsafe_get t.versions key <> absent
+    then begin
+      Array.unsafe_set t.values key 0;
+      Array.unsafe_set t.versions key absent;
+      t.direct_count <- t.direct_count - 1
+    end
+  end
+  else Hashtbl.remove t.spill key
 
 let init_records t ~count =
+  if count > 0 then reserve t (min count max_direct - 1);
   for key = 0 to count - 1 do
-    set_direct t key { value = key * 7; version = 0 }
+    set t key (key * 7) 0
   done
+
+(* Direct version of [key], [absent] when missing. *)
+let[@inline] direct_version t key =
+  if key < Array.length t.versions then Array.unsafe_get t.versions key
+  else absent
 
 let read t key =
   t.reads <- t.reads + 1;
-  match find t key with Some r -> Some r.value | None -> None
+  if is_direct key then
+    if direct_version t key = absent then None
+    else Some (Array.unsafe_get t.values key)
+  else
+    match Hashtbl.find_opt t.spill key with
+    | Some r -> Some r.value
+    | None -> None
+
+let value t key =
+  t.reads <- t.reads + 1;
+  if is_direct key then
+    if key < Array.length t.values then Array.unsafe_get t.values key else 0
+  else match Hashtbl.find_opt t.spill key with Some r -> r.value | None -> 0
 
 (* --- speculative undo journal ----------------------------------------- *)
 
@@ -97,17 +146,6 @@ let journal_push t key value version =
   t.j_value.(i) <- value;
   t.j_version.(i) <- version;
   t.j_len <- i + 1
-
-let remove_key t key =
-  if key >= 0 && key < max_direct then begin
-    if key < Array.length t.direct then
-      match Array.unsafe_get t.direct key with
-      | Some _ ->
-          Array.unsafe_set t.direct key None;
-          t.direct_count <- t.direct_count - 1
-      | None -> ()
-  end
-  else Hashtbl.remove t.spill key
 
 (* Keep only journal entries satisfying [keep], preserving append order. *)
 let journal_filter t keep =
@@ -135,15 +173,7 @@ let undo_above t ~round =
     if t.j_round.(i) >= round then begin
       let key = t.j_key.(i) in
       if t.j_version.(i) < 0 then remove_key t key
-      else
-        match find t key with
-        | Some r ->
-            r.value <- t.j_value.(i);
-            r.version <- t.j_version.(i)
-        | None ->
-            let r = { value = t.j_value.(i); version = t.j_version.(i) } in
-            if key >= 0 && key < max_direct then set_direct t key r
-            else Hashtbl.replace t.spill key r
+      else set t key t.j_value.(i) t.j_version.(i)
     end
   done;
   journal_filter t (fun r -> r < round)
@@ -154,19 +184,34 @@ let journal_clear t = t.j_len <- 0
 
 let write t ~key ~value =
   t.writes <- t.writes + 1;
-  match find t key with
-  | Some r ->
-      if t.journal_on then journal_push t key r.value r.version;
-      r.value <- value;
-      r.version <- r.version + 1
-  | None ->
-      if t.journal_on then journal_push t key 0 (-1);
-      let r = { value; version = 1 } in
-      if key >= 0 && key < max_direct then set_direct t key r
-      else Hashtbl.replace t.spill key r
+  if is_direct key then begin
+    reserve t key;
+    let version = Array.unsafe_get t.versions key in
+    if version = absent then begin
+      if t.journal_on then journal_push t key 0 absent;
+      t.direct_count <- t.direct_count + 1;
+      Array.unsafe_set t.versions key 1
+    end
+    else begin
+      if t.journal_on then
+        journal_push t key (Array.unsafe_get t.values key) version;
+      Array.unsafe_set t.versions key (version + 1)
+    end;
+    Array.unsafe_set t.values key value
+  end
+  else
+    match Hashtbl.find_opt t.spill key with
+    | Some r ->
+        if t.journal_on then journal_push t key r.value r.version;
+        r.value <- value;
+        r.version <- r.version + 1
+    | None ->
+        if t.journal_on then journal_push t key 0 absent;
+        Hashtbl.replace t.spill key { value; version = 1 }
 
 let version t key =
-  match find t key with Some r -> r.version | None -> 0
+  if is_direct key then max 0 (direct_version t key)
+  else match Hashtbl.find_opt t.spill key with Some r -> r.version | None -> 0
 
 let size t = t.direct_count + Hashtbl.length t.spill
 
@@ -175,11 +220,13 @@ let writes_performed t = t.writes
 
 (* Canonical order — direct keys ascending, then spill keys ascending —
    so two stores holding the same state enumerate identically no matter
-   how entries are split between the array and the spill. *)
+   how entries are split between the columns and the spill. *)
 let iter t f =
-  Array.iteri
-    (fun key r -> match r with Some r -> f key r.value r.version | None -> ())
-    t.direct;
+  let values = t.values and versions = t.versions in
+  for key = 0 to Array.length versions - 1 do
+    let version = Array.unsafe_get versions key in
+    if version <> absent then f key (Array.unsafe_get values key) version
+  done;
   if Hashtbl.length t.spill > 0 then begin
     let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.spill [] in
     List.iter
@@ -200,36 +247,27 @@ let entries t =
 (* Wholesale replacement for snapshot install. The access counters are
    cumulative effort counters, not state, so they survive the install. *)
 let install t new_entries =
-  Array.fill t.direct 0 (Array.length t.direct) None;
+  Array.fill t.values 0 (Array.length t.values) 0;
+  Array.fill t.versions 0 (Array.length t.versions) absent;
   Hashtbl.reset t.spill;
   t.direct_count <- 0;
   (* Journal entries describe pre-install state; none can ever be undone
      into the installed table. *)
   t.j_len <- 0;
-  Array.iter
-    (fun (key, value, version) ->
-      let r = { value; version } in
-      if key >= 0 && key < max_direct then set_direct t key r
-      else Hashtbl.replace t.spill key r)
-    new_entries
+  Array.iter (fun (key, value, version) -> set t key value version) new_entries
 
 let state_digest t =
-  (* Xor of per-entry digests is order-insensitive, so the digest does
-     not depend on whether an entry lives in the array or the spill. *)
+  (* Xor of per-entry digests is order-insensitive: equal states give
+     equal digests however their entries are placed. *)
   let acc = Bytes.make 32 '\x00' in
-  let fold key (r : record) =
-    let entry =
-      Rcc_common.Bytes_util.u64_string (Int64.of_int key)
-      ^ Rcc_common.Bytes_util.u64_string (Int64.of_int r.value)
-      ^ Rcc_common.Bytes_util.u64_string (Int64.of_int r.version)
-    in
-    let d = Rcc_crypto.Sha256.digest entry in
-    for i = 0 to 31 do
-      Bytes.set acc i (Char.chr (Char.code (Bytes.get acc i) lxor Char.code d.[i]))
-    done
-  in
-  Array.iteri
-    (fun key r -> match r with Some r -> fold key r | None -> ())
-    t.direct;
-  Hashtbl.iter fold t.spill;
+  let entry = Bytes.create 24 in
+  iter t (fun key value version ->
+      Rcc_common.Bytes_util.put_u64be entry 0 (Int64.of_int key);
+      Rcc_common.Bytes_util.put_u64be entry 8 (Int64.of_int value);
+      Rcc_common.Bytes_util.put_u64be entry 16 (Int64.of_int version);
+      let d = Rcc_crypto.Sha256.digest (Bytes.unsafe_to_string entry) in
+      for i = 0 to 31 do
+        Bytes.set acc i
+          (Char.chr (Char.code (Bytes.get acc i) lxor Char.code d.[i]))
+      done);
   Bytes.unsafe_to_string acc

@@ -2,7 +2,15 @@
 
     Holds the YCSB table: integer keys to fixed-size records. Tracks a
     monotone version per key and a state digest accumulator so replicas can
-    compare states cheaply in tests. *)
+    compare states cheaply in tests.
+
+    Layout: keys in the direct range [\[0, 2^22)] live in two unboxed
+    [int array] columns, [value] and [version], indexed by key; a version
+    of [-1] marks an absent key (whose value cell is kept at 0). The
+    columns grow by doubling and {!init_records} sizes them once, so a
+    record costs two words and holds no pointer for the major GC to
+    follow. Keys outside the direct range (negative or [>= 2^22]) spill
+    to a hash table. *)
 
 type t
 
@@ -14,6 +22,10 @@ val init_records : t -> count:int -> unit
 
 val read : t -> int -> int option
 (** Current value, if the key exists. *)
+
+val value : t -> int -> int
+(** Current value, or 0 if the key is absent; {!read} without the
+    option box (counted as a read the same way). *)
 
 val write : t -> key:int -> value:int -> unit
 

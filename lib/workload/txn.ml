@@ -31,7 +31,7 @@ let decode buf off =
 
 let apply store t =
   match t.op with
-  | Read -> (match Rcc_storage.Kv_store.read store t.key with Some v -> v | None -> 0)
+  | Read -> Rcc_storage.Kv_store.value store t.key
   | Write v ->
       Rcc_storage.Kv_store.write store ~key:t.key ~value:v;
       v

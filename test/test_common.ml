@@ -148,6 +148,83 @@ let test_heap_nonalloc_accessors () =
   check Alcotest.int "next pop" 90 (Binary_heap.pop_min_exn h);
   check Alcotest.bool "empty" true (Binary_heap.is_empty h)
 
+(* Model test for the slot-array layout: random interleavings of [push],
+   [pop_min_exn] (with [min_priority]), [pop] and [clear], starting from
+   the minimum capacity so the heap grows several times and reuses
+   payload slots after pops and clears. Pops must equal a stable sort by
+   (priority, insertion order). *)
+type heap_op = Push of int | Pop_min | Pop | Clear
+
+let heap_slots_model =
+  qtest ~count:300 "heap: push/pop_min_exn/pop/clear vs stable sort"
+    QCheck2.Gen.(
+      list_size (int_range 0 400)
+        (frequency
+           [
+             (10, map (fun p -> Push p) (int_range 0 30));
+             (4, pure Pop_min);
+             (4, pure Pop);
+             (1, pure Clear);
+           ]))
+    (fun ops ->
+      let h = Binary_heap.create ~capacity:1 ~dummy:(-1, -1) () in
+      let model = ref [] and id = ref 0 in
+      let insert e =
+        let rec go = function
+          | ((p', _) as x) :: rest when p' <= fst e -> x :: go rest
+          | rest -> e :: rest
+        in
+        model := go !model
+      in
+      List.for_all
+        (fun op ->
+          (match (op, !model) with
+          | Push p, _ ->
+              Binary_heap.push h ~priority:p (p, !id);
+              insert (p, !id);
+              incr id;
+              true
+          | Pop_min, [] -> Binary_heap.is_empty h
+          | Pop_min, ((mp, _) as e) :: rest ->
+              model := rest;
+              Binary_heap.min_priority h = mp && Binary_heap.pop_min_exn h = e
+          | Pop, [] -> Binary_heap.pop h = None
+          | Pop, ((mp, _) as e) :: rest ->
+              model := rest;
+              Binary_heap.pop h = Some (mp, e)
+          | Clear, _ ->
+              Binary_heap.clear h;
+              model := [];
+              true)
+          && Binary_heap.size h = List.length !model)
+        ops
+      && List.for_all (fun e -> Binary_heap.pop_min_exn h = e) !model
+      && Binary_heap.is_empty h)
+
+(* The engine's [cancel] relies on the heap dropping its reference to a
+   payload as soon as it is popped or cleared. *)
+let test_heap_releases_payloads () =
+  let h = Binary_heap.create ~dummy:Bytes.empty () in
+  let w = Weak.create 4 in
+  let[@inline never] push_tracked i =
+    let b = Bytes.make 16 (Char.chr (65 + i)) in
+    Weak.set w i (Some b);
+    Binary_heap.push h ~priority:i b
+  in
+  List.iter push_tracked [ 0; 1; 2; 3 ];
+  ignore (Binary_heap.pop_min_exn h);
+  ignore (Binary_heap.pop h);
+  Gc.full_major ();
+  check Alcotest.bool "pop_min_exn payload collected" false (Weak.check w 0);
+  check Alcotest.bool "pop payload collected" false (Weak.check w 1);
+  check Alcotest.bool "queued payloads kept" true (Weak.check w 2 && Weak.check w 3);
+  Binary_heap.clear h;
+  Gc.full_major ();
+  check Alcotest.bool "cleared payloads collected" false
+    (Weak.check w 2 || Weak.check w 3);
+  (* The heap itself must outlive the checks above. *)
+  check Alcotest.bool "heap reusable" true (Binary_heap.is_empty h)
+
 (* --- bitset -------------------------------------------------------------- *)
 
 let bitset_membership =
@@ -289,6 +366,9 @@ let suite =
       Alcotest.test_case "heap size/clear" `Quick test_heap_size_clear;
       Alcotest.test_case "heap non-allocating accessors" `Quick
         test_heap_nonalloc_accessors;
+      heap_slots_model;
+      Alcotest.test_case "heap releases payloads" `Quick
+        test_heap_releases_payloads;
       bitset_membership;
       Alcotest.test_case "bitset add reports new" `Quick test_bitset_add_reports_new;
       Alcotest.test_case "bitset bounds" `Quick test_bitset_bounds;

@@ -49,6 +49,206 @@ let test_kv_digest_differs () =
   check Alcotest.bool "different states, different digests" false
     (String.equal (Kv.state_digest a) (Kv.state_digest b))
 
+(* Model test: random operation sequences against a plain Hashtbl model
+   of the store and its undo journal. Keys cover the dense direct range,
+   holes across column growth, negative keys and keys at or above 2^22
+   (the spill). Every read-style result and, at each [Check], the full
+   canonical enumeration, size, counters and state digest must agree. *)
+type kv_op =
+  | Write of int * int
+  | Read of int
+  | Value of int
+  | Version of int
+  | Journal_round of int
+  | Undo_above of int
+  | Forget_below of int
+  | Install of (int * int * int) list
+  | Journal_clear
+  | Check
+
+let kv_direct_limit = 1 lsl 22
+
+let gen_kv_key =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, int_range 0 40);
+        (2, int_range 4090 4200);
+        (1, int_range 0 70_000);
+        (1, int_range (-20) (-1));
+        (1, map (fun k -> kv_direct_limit + k) (int_range 0 20));
+      ])
+
+let gen_kv_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (10, map2 (fun k v -> Write (k, v)) gen_kv_key (int_range (-5) 1000));
+        (3, map (fun k -> Read k) gen_kv_key);
+        (3, map (fun k -> Value k) gen_kv_key);
+        (3, map (fun k -> Version k) gen_kv_key);
+        (3, map (fun r -> Journal_round r) (int_range 0 12));
+        (1, map (fun r -> Undo_above r) (int_range 0 12));
+        (1, map (fun r -> Forget_below r) (int_range 0 12));
+        ( 1,
+          map
+            (fun l -> Install l)
+            (list_size (int_range 0 20)
+               (triple gen_kv_key (int_range 0 99) (int_range 0 5))) );
+        (1, pure Journal_clear);
+        (2, pure Check);
+      ])
+
+module Kv_model = struct
+  type t = {
+    tbl : (int, int * int) Hashtbl.t;
+    mutable journal : (int * int * (int * int) option) list;  (* newest first *)
+    mutable round : int;
+    mutable reads : int;
+    mutable writes : int;
+    journal_on : bool;
+  }
+
+  let create ~journal_on =
+    { tbl = Hashtbl.create 16; journal = []; round = -1; reads = 0; writes = 0; journal_on }
+
+  let write m key value =
+    m.writes <- m.writes + 1;
+    let prior = Hashtbl.find_opt m.tbl key in
+    if m.journal_on then m.journal <- (m.round, key, prior) :: m.journal;
+    let version = match prior with Some (_, v) -> v + 1 | None -> 1 in
+    Hashtbl.replace m.tbl key (value, version)
+
+  let read m key =
+    m.reads <- m.reads + 1;
+    Option.map fst (Hashtbl.find_opt m.tbl key)
+
+  let version m key = match Hashtbl.find_opt m.tbl key with Some (_, v) -> v | None -> 0
+
+  let undo_above m r =
+    List.iter
+      (fun (round, key, prior) ->
+        if round >= r then
+          match prior with
+          | None -> Hashtbl.remove m.tbl key
+          | Some p -> Hashtbl.replace m.tbl key p)
+      m.journal;
+    m.journal <- List.filter (fun (round, _, _) -> round < r) m.journal
+
+  let forget_below m r =
+    m.journal <- List.filter (fun (round, _, _) -> round >= r) m.journal
+
+  let install m l =
+    Hashtbl.reset m.tbl;
+    m.journal <- [];
+    List.iter (fun (k, v, ver) -> Hashtbl.replace m.tbl k (v, ver)) l
+
+  (* Canonical order: direct keys ascending, then spill keys ascending. *)
+  let entries m =
+    Hashtbl.fold (fun k (v, ver) acc -> (k, v, ver) :: acc) m.tbl []
+    |> List.sort (fun (a, _, _) (b, _, _) ->
+           let spill k = k < 0 || k >= kv_direct_limit in
+           compare (spill a, a) (spill b, b))
+
+  let state_digest m =
+    let u64 x = Rcc_common.Bytes_util.u64_string (Int64.of_int x) in
+    List.fold_left
+      (fun acc (k, v, ver) ->
+        Rcc_common.Bytes_util.xor acc
+          (Rcc_crypto.Sha256.digest (u64 k ^ u64 v ^ u64 ver)))
+      (String.make 32 '\x00') (entries m)
+end
+
+let kv_model =
+  qtest ~count:300 "kv: model equivalence (columns + spill + journal vs Hashtbl)"
+    QCheck2.Gen.(pair bool (list_size (int_range 0 150) gen_kv_op))
+    (fun (journal_on, ops) ->
+      let s = Kv.create () and m = Kv_model.create ~journal_on in
+      if journal_on then Kv.enable_journal s;
+      let step = function
+        | Write (key, value) ->
+            Kv.write s ~key ~value;
+            Kv_model.write m key value;
+            true
+        | Read key -> Kv.read s key = Kv_model.read m key
+        | Value key ->
+            Kv.value s key = Option.value ~default:0 (Kv_model.read m key)
+        | Version key -> Kv.version s key = Kv_model.version m key
+        | Journal_round r ->
+            Kv.journal_round s r;
+            m.Kv_model.round <- r;
+            true
+        | Undo_above r ->
+            Kv.undo_above s ~round:r;
+            Kv_model.undo_above m r;
+            true
+        | Forget_below r ->
+            Kv.forget_below s ~round:r;
+            Kv_model.forget_below m r;
+            true
+        | Install l ->
+            Kv.install s (Array.of_list l);
+            Kv_model.install m l;
+            true
+        | Journal_clear ->
+            Kv.journal_clear s;
+            m.Kv_model.journal <- [];
+            true
+        | Check ->
+            let want = Kv_model.entries m in
+            let iterated = ref [] in
+            Kv.iter s (fun k v ver -> iterated := (k, v, ver) :: !iterated);
+            Array.to_list (Kv.entries s) = want
+            && List.rev !iterated = want
+            && Kv.size s = List.length want
+            && String.equal (Kv.state_digest s) (Kv_model.state_digest m)
+            && Kv.reads_performed s = m.Kv_model.reads
+            && Kv.writes_performed s = m.Kv_model.writes
+            && Kv.journal_length s = List.length m.Kv_model.journal
+      in
+      List.for_all step (ops @ [ Check ]))
+
+(* A fixed operation sequence over direct keys, holes, negative keys and
+   spill keys, with journal rounds, undo, forget and an install; the
+   canonical KV digest was recorded from the record-per-key store the
+   columnar layout replaced. *)
+let test_kv_golden () =
+  let s = Kv.create () in
+  Kv.init_records s ~count:1000;
+  Kv.enable_journal s;
+  for round = 0 to 19 do
+    Kv.journal_round s round;
+    for i = 0 to 49 do
+      let key =
+        match i mod 5 with
+        | 0 -> ((round * 131) + (i * 17)) mod 1000
+        | 1 -> 5000 + (((round * 7) + i) mod 300 * 3)
+        | 2 -> -1 - ((round + i) mod 40)
+        | 3 -> kv_direct_limit + (((round * 3) + i) mod 60)
+        | _ -> round * i mod 2000
+      in
+      Kv.write s ~key ~value:((round * 1000) + i)
+    done;
+    if round mod 5 = 4 then Kv.undo_above s ~round:(round - 1);
+    if round mod 7 = 6 then Kv.forget_below s ~round:(round - 3)
+  done;
+  let e = Kv.entries s in
+  Kv.install s (Array.sub e 0 ((Array.length e / 2) + 7));
+  for i = 0 to 99 do
+    Kv.journal_round s (20 + (i / 50));
+    Kv.write s ~key:((i * 37 mod 6000) - 50) ~value:i
+  done;
+  Kv.undo_above s ~round:21;
+  check Alcotest.int "size" 617 (Kv.size s);
+  check Alcotest.int "journal" 50 (Kv.journal_length s);
+  check Alcotest.string "kv_digest"
+    "69cde7c8b8704dcdeb22d1be49239a96ba6a9caaa28cfec5fe4ffec2cece2fa3"
+    (Rcc_common.Bytes_util.hex
+       (Rcc_storage.Snapshot.kv_digest (Some (Kv.entries s))));
+  check Alcotest.string "state_digest"
+    "71131693ecd24bf8af872a19b3c13ca2d7da801f090c7998f76cd37449486423"
+    (Rcc_common.Bytes_util.hex (Kv.state_digest s))
+
 (* --- blocks & ledger -------------------------------------------------------------- *)
 
 let proof i =
@@ -398,6 +598,8 @@ let suite =
       Alcotest.test_case "kv insert" `Quick test_kv_insert_new_key;
       kv_state_digest;
       Alcotest.test_case "kv digest differs" `Quick test_kv_digest_differs;
+      kv_model;
+      Alcotest.test_case "kv golden digest" `Quick test_kv_golden;
       Alcotest.test_case "block hash" `Quick test_block_hash_deterministic;
       Alcotest.test_case "genesis primaries" `Quick test_genesis_depends_on_primaries;
       Alcotest.test_case "ledger append/validate" `Quick test_ledger_append_validate;
