@@ -13,16 +13,21 @@ type t = {
   seal_digest : string;
 }
 
-let encoded_size = Rcc_workload.Txn.encoded_size
+module Txn = Rcc_workload.Txn
+module Wire = Rcc_common.Wire
+
+let put_txns b txns off =
+  let n = Array.length txns in
+  for i = 0 to n - 1 do
+    Txn.encode_into b (off + (i * Txn.encoded_size)) txns.(i)
+  done;
+  off + (n * Txn.encoded_size)
 
 (* All transactions in one flat buffer: the bytes [digest] hashes and the
    journal stores. *)
 let encode_txns txns =
-  let n = Array.length txns in
-  let buf = Bytes.create (n * encoded_size) in
-  for i = 0 to n - 1 do
-    Rcc_workload.Txn.encode_into buf (i * encoded_size) txns.(i)
-  done;
+  let buf = Bytes.create (Array.length txns * Txn.encoded_size) in
+  ignore (put_txns buf txns 0);
   Bytes.unsafe_to_string buf
 
 let digest_of_txns txns = Rcc_crypto.Sha256.digest (encode_txns txns)
@@ -145,3 +150,58 @@ let verify t ~public =
   && Rcc_crypto.Signature.verify public t.digest t.signature
 
 let size t = t.wire
+
+(* --- binary record ------------------------------------------------------ *)
+
+(* id, client, txn count, the encoded txns, digest, signature. *)
+
+let max_txns = 1_000_000
+
+let encoded_size t =
+  24
+  + (Array.length t.txns * Txn.encoded_size)
+  + Wire.string_size t.digest
+  + Wire.string_size t.signature
+
+(* The txns are copied from the cached payload when there is one and
+   encoded in place otherwise, so writing never fills the cache. *)
+let write b t off =
+  let off =
+    Wire.put_int b t.id off
+    |> Wire.put_int b t.client
+    |> Wire.put_int b (Array.length t.txns)
+  in
+  (if t.payload = "" then put_txns b t.txns off else Wire.put_raw b t.payload off)
+  |> Wire.put_string b t.digest
+  |> Wire.put_string b t.signature
+
+(* Digest and signature are bounded by the reader's limit alone. *)
+let read (r : Wire.reader) =
+  let id = Wire.int r in
+  let client = Wire.int r in
+  let ntxns = Wire.count r ~max:max_txns "txn count" in
+  Wire.need r (ntxns * Txn.encoded_size);
+  let txns =
+    Array.init ntxns (fun _ ->
+        let off = r.pos in
+        r.pos <- off + Txn.encoded_size;
+        match Txn.decode r.buf off with
+        | Ok txn -> txn
+        | Error e -> raise (Wire.Malformed e))
+  in
+  let digest = Wire.string r ~max:max_int in
+  let signature = Wire.string r ~max:max_int in
+  of_parts ~id ~client ~txns ~digest ~signature
+
+type span = { p_off : int; p_len : int; d_off : int; d_len : int }
+
+let span (r : Wire.reader) =
+  Wire.skip r 16;
+  let p_len = Txn.encoded_size * Wire.count r ~max:max_txns "txn count" in
+  let p_off = r.pos in
+  Wire.skip r p_len;
+  let d_len = Wire.count r ~max:max_int "string length" in
+  let d_off = r.pos in
+  Wire.skip r d_len;
+  Wire.skip r (Wire.count r ~max:max_int "string length");
+  { p_off; p_len; d_off; d_len }

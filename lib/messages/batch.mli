@@ -83,3 +83,37 @@ val size : t -> int
 val wire_size : ntxns:int -> int
 (** Bytes a batch occupies inside a message; 100 transactions give the
     paper's 5000-byte batch payload. *)
+
+(** {2 Binary record}
+
+    The one layout of a batch inside codec messages and journal round
+    records: id, client, txn count, the encoded transactions
+    ({!payload}), then digest and signature as length-prefixed strings
+    ({!Rcc_common.Wire}). *)
+
+val encoded_size : t -> int
+(** Exact length of the record {!write} emits; does not encode the
+    transactions. *)
+
+val write : Bytes.t -> t -> int -> int
+(** [write buf t off] stores [t]'s record at [off] and returns
+    [off + encoded_size t]. The transactions are copied from the
+    {!payload} cache when it is filled and encoded in place otherwise;
+    [write] never fills it, so a writer that wants the encoding shared
+    calls {!payload} first. *)
+
+val read : Rcc_common.Wire.reader -> t
+(** Parse one record into an unsealed batch ({!of_parts}). At most
+    1 000 000 transactions; raises {!Rcc_common.Wire.Malformed}. *)
+
+type span = {
+  p_off : int;  (** offset of the encoded transactions *)
+  p_len : int;  (** their length, 0 for a batch without transactions *)
+  d_off : int;  (** offset of the digest's bytes *)
+  d_len : int;  (** the digest's length *)
+}
+
+val span : Rcc_common.Wire.reader -> span
+(** Skip one record without decoding a transaction, returning where its
+    payload and its digest lie, so a caller can check that one hashes to
+    the other. Raises {!Rcc_common.Wire.Malformed} where {!read} would. *)

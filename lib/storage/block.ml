@@ -1,3 +1,5 @@
+module Wire = Rcc_common.Wire
+
 type proof = {
   instance : Rcc_common.Ids.instance_id;
   batch_digest : string;
@@ -17,6 +19,13 @@ let u64 i = Rcc_common.Bytes_util.u64_string (Int64.of_int i)
 let genesis_hash ~primaries =
   Rcc_crypto.Sha256.digest_list ("rcc-genesis" :: List.map u64 primaries)
 
+let rec put_digests b proofs off =
+  match proofs with
+  | [] -> off
+  | p :: rest ->
+      put_digests b rest
+        (Wire.put_int b p.instance off |> Wire.put_raw b p.batch_digest)
+
 (* Certificate digests and primaries are intentionally excluded from the
    block identity: different replicas accept a round with different
    (equally valid) 2f+1 quorums, and replicas racing a primary
@@ -35,24 +44,70 @@ let encode t =
     + (8 * List.length t.clients)
   in
   let buf = Bytes.create len in
-  Rcc_common.Bytes_util.put_u64be buf 0 (Int64.of_int t.round);
-  Bytes.blit_string t.prev_hash 0 buf 8 (String.length t.prev_hash);
-  let off = ref (8 + String.length t.prev_hash) in
-  List.iter
-    (fun p ->
-      Rcc_common.Bytes_util.put_u64be buf !off (Int64.of_int p.instance);
-      let n = String.length p.batch_digest in
-      Bytes.blit_string p.batch_digest 0 buf (!off + 8) n;
-      off := !off + 8 + n)
-    t.proofs;
-  List.iter
-    (fun c ->
-      Rcc_common.Bytes_util.put_u64be buf !off (Int64.of_int c);
-      off := !off + 8)
-    t.clients;
+  let stop =
+    Wire.put_int buf t.round 0
+    |> Wire.put_raw buf t.prev_hash
+    |> put_digests buf t.proofs
+    |> Wire.put_ints buf t.clients
+  in
+  assert (stop = len);
   Bytes.unsafe_to_string buf
 
 let hash t = Rcc_crypto.Sha256.digest (encode t)
+
+(* --- stored record ---------------------------------------------------------
+
+   round, prev hash, proof count; per proof instance and two strings;
+   primaries; clients. *)
+
+let max_string = 10_000_000
+let max_proofs = 100_000
+let max_list = 1_000_000
+
+let proof_size p =
+  8 + Wire.string_size p.batch_digest + Wire.string_size p.certificate_digest
+
+let record_size t =
+  List.fold_left
+    (fun acc p -> acc + proof_size p)
+    (8 + Wire.string_size t.prev_hash + 8)
+    t.proofs
+  + Wire.int_list_size t.primaries
+  + Wire.int_list_size t.clients
+
+let rec put_proofs b proofs off =
+  match proofs with
+  | [] -> off
+  | p :: rest ->
+      put_proofs b rest
+        (Wire.put_int b p.instance off
+        |> Wire.put_string b p.batch_digest
+        |> Wire.put_string b p.certificate_digest)
+
+let write b t off =
+  Wire.put_int b t.round off
+  |> Wire.put_string b t.prev_hash
+  |> Wire.put_int b (List.length t.proofs)
+  |> put_proofs b t.proofs
+  |> Wire.put_int_list b t.primaries
+  |> Wire.put_int_list b t.clients
+
+let read_proof r =
+  let instance = Wire.int r in
+  let batch_digest = Wire.string r ~max:max_string in
+  let certificate_digest = Wire.string r ~max:max_string in
+  { instance; batch_digest; certificate_digest }
+
+let read r =
+  let round = Wire.int r in
+  let prev_hash = Wire.string r ~max:max_string in
+  let proofs =
+    List.init (Wire.count r ~max:max_proofs "proof count") (fun _ ->
+        read_proof r)
+  in
+  let primaries = Wire.int_list r ~max:max_list in
+  let clients = Wire.int_list r ~max:max_list in
+  { round; prev_hash; proofs; primaries; clients }
 
 let pp fmt t =
   Format.fprintf fmt "block[%a prev=%s.. proofs=%d primaries=%d]"

@@ -30,5 +30,26 @@ val hash : t -> string
     replacement install at different rounds of their execution stream. *)
 
 val encode : t -> string
+(** The hash preimage: round, previous hash, each proof's instance and
+    batch digest, the clients — fixed-width or fixed-length fields with
+    no length prefixes. *)
+
+(** {2 Stored record}
+
+    The full block, as {!Ledger_io} files and {!Snapshot}s store it:
+    round, previous hash, the proofs (instance and both digests), the
+    primaries and the clients, in {!Rcc_common.Wire} framing. *)
+
+val record_size : t -> int
+(** Exact length of the record {!write} emits. *)
+
+val write : Bytes.t -> t -> int -> int
+(** [write buf b off] stores [b]'s record at [off] and returns
+    [off + record_size b]. *)
+
+val read : Rcc_common.Wire.reader -> t
+(** Parse one record: strings of at most 10 000 000 bytes, at most
+    100 000 proofs and 1 000 000 primaries or clients. Raises
+    {!Rcc_common.Wire.Malformed}. *)
 
 val pp : Format.formatter -> t -> unit

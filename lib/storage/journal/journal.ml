@@ -2,6 +2,7 @@ module Engine = Rcc_sim.Engine
 module Cpu = Rcc_sim.Cpu
 module Costs = Rcc_sim.Costs
 module Batch = Rcc_messages.Batch
+module Wire = Rcc_common.Wire
 module Acceptance = Rcc_replica.Acceptance
 module Exec = Rcc_replica.Exec
 
@@ -29,61 +30,29 @@ let flush_bytes = 65_536
 
 let header_len = String.length record_magic + 1 + 8 + checksum_len
 let snap_header_len = String.length snap_magic + 8 + checksum_len
-let checksum_at = header_len - checksum_len
-
-exception Bad of string
-
-type reader = { buf : string; mutable pos : int; limit : int }
-
-let need r n = if r.pos + n > r.limit then raise (Bad "truncated")
-
-let r_int r =
-  need r 8;
-  let v = Int64.to_int (String.get_int64_be r.buf r.pos) in
-  r.pos <- r.pos + 8;
-  v
-
-let skip r n =
-  need r n;
-  r.pos <- r.pos + n
-
-let r_count r ~max what =
-  let n = r_int r in
-  if n < 0 || n > max then raise (Bad ("bad " ^ what));
-  n
-
 let max_list = 1_000_000
 let max_slots = 10_000
-let max_txns = 1_000_000
-
-(* A batch's encoded txns and the stored digest that must hash them. *)
-type payload_span = { p_off : int; p_len : int; d_off : int; d_len : int }
 
 (* The payload spans of the body at [s.[off .. off + len - 1]], in body
    order: one per batch with txns in a round record, none in the other
    kinds. Walks the layout [round_record] writes without decoding a txn;
-   raises [Bad] where it does not parse. The writer and [scan] both
-   derive the checksum from this one walk. *)
+   raises [Wire.Malformed] where it does not parse. The writer and
+   [scan] both derive the checksum from this one walk. *)
 let payload_spans kind s ~off ~len =
   if kind <> 'R' then []
   else begin
-    let r = { buf = s; pos = off; limit = off + len } in
-    let skip_int_list () = skip r (8 * r_count r ~max:max_list "list length") in
-    skip r 8 (* round *);
+    let r = Wire.reader s ~pos:off ~limit:(off + len) in
+    let skip_int_list () =
+      Wire.skip r (8 * Wire.count r ~max:max_list "list length")
+    in
+    Wire.skip r 8 (* round *);
     skip_int_list () (* primaries *);
     let spans = ref [] in
-    for _ = 1 to r_count r ~max:max_slots "slot count" do
-      skip r 9 (* instance, speculative flag *);
+    for _ = 1 to Wire.count r ~max:max_slots "slot count" do
+      Wire.skip r 9 (* instance, speculative flag *);
       skip_int_list () (* cert *);
-      skip r 16 (* batch id, client *);
-      let ntxns = r_count r ~max:max_txns "txn count" in
-      let p_off = r.pos and p_len = ntxns * Rcc_workload.Txn.encoded_size in
-      skip r p_len;
-      let d_len = r_count r ~max:max_body "string length" in
-      let d_off = r.pos in
-      skip r d_len;
-      skip r (r_count r ~max:max_body "string length");
-      if ntxns > 0 then spans := { p_off; p_len; d_off; d_len } :: !spans
+      let sp = Batch.span r in
+      if sp.Batch.p_len > 0 then spans := sp :: !spans
     done;
     List.rev !spans
   end
@@ -92,7 +61,7 @@ let checksum s ~off ~len spans =
   let ctx = Rcc_crypto.Sha256.init () in
   let rest =
     List.fold_left
-      (fun pos sp ->
+      (fun pos (sp : Batch.span) ->
         Rcc_crypto.Sha256.update_sub ctx s pos (sp.p_off - pos);
         sp.p_off + sp.p_len)
       off spans
@@ -100,7 +69,7 @@ let checksum s ~off ~len spans =
   Rcc_crypto.Sha256.update_sub ctx s rest (off + len - rest);
   String.sub (Rcc_crypto.Sha256.finalize ctx) 0 checksum_len
 
-let payload_bound s sp =
+let payload_bound s (sp : Batch.span) =
   let ctx = Rcc_crypto.Sha256.init () in
   Rcc_crypto.Sha256.update_sub ctx s sp.p_off sp.p_len;
   let d = Rcc_crypto.Sha256.finalize ctx in
@@ -108,87 +77,50 @@ let payload_bound s sp =
 
 (* --- record encoding ---------------------------------------------------- *)
 
-(* Records are written into one buffer of their exact size. *)
-type writer = { out : Bytes.t; mutable at : int }
-
-let w_int w v =
-  Bytes.set_int64_be w.out w.at (Int64.of_int v);
-  w.at <- w.at + 8
-
-let w_char w c =
-  Bytes.set w.out w.at c;
-  w.at <- w.at + 1
-
-let w_raw w s =
-  Bytes.blit_string s 0 w.out w.at (String.length s);
-  w.at <- w.at + String.length s
-
-let w_string w s =
-  w_int w (String.length s);
-  w_raw w s
-
-let w_int_list w l =
-  w_int w (List.length l);
-  List.iter (w_int w) l
-
-let int_list_size l = 8 * (1 + List.length l)
-
-let w_batch w (b : Batch.t) =
-  w_int w b.Batch.id;
-  w_int w b.Batch.client;
-  w_int w (Array.length b.Batch.txns);
-  w_raw w (Batch.payload b);
-  w_string w b.Batch.digest;
-  w_string w b.Batch.signature
-
-(* id, client, txn count; the payload; two length-prefixed strings. *)
-let batch_size (b : Batch.t) =
-  (3 * 8)
-  + String.length (Batch.payload b)
-  + 8 + String.length b.Batch.digest
-  + 8 + String.length b.Batch.signature
-
-(* [frame kind len fill]: a record whose [len]-byte body [fill] writes. *)
+(* [frame kind len fill]: a record whose [len]-byte body [fill b off]
+   writes at [off], in one buffer of the record's exact size. *)
 let frame kind len fill =
-  let w = { out = Bytes.create (header_len + len); at = 0 } in
-  w_raw w record_magic;
-  w_char w kind;
-  w_int w len;
-  w.at <- header_len;
-  fill w;
-  assert (w.at = header_len + len);
-  let s = Bytes.unsafe_to_string w.out in
+  let b = Bytes.create (header_len + len) in
+  let off =
+    Wire.put_raw b record_magic 0 |> Wire.put_byte b kind |> Wire.put_int b len
+  in
+  let stop = fill b (off + checksum_len) in
+  assert (stop = header_len + len);
+  let s = Bytes.unsafe_to_string b in
   let spans = payload_spans kind s ~off:header_len ~len in
-  Bytes.blit_string (checksum s ~off:header_len ~len spans) 0 w.out
-    checksum_at checksum_len;
+  Bytes.blit_string (checksum s ~off:header_len ~len spans) 0 b off checksum_len;
   s
 
 let round_record ~round ~primaries (ordered : Acceptance.t array) =
   (* round, primaries, slot count; per slot instance, speculative flag,
-     certificate and batch. *)
+     certificate and batch. Each batch's txns are encoded once, into its
+     cached payload, and copied from there by every replica. *)
   let len =
     Array.fold_left
       (fun acc (a : Acceptance.t) ->
-        acc + 8 + 1 + int_list_size a.cert + batch_size a.batch)
-      (8 + int_list_size primaries + 8)
+        ignore (Batch.payload a.batch);
+        acc + 9 + Wire.int_list_size a.cert + Batch.encoded_size a.batch)
+      (8 + Wire.int_list_size primaries + 8)
       ordered
   in
-  frame 'R' len (fun w ->
-      w_int w round;
-      w_int_list w primaries;
-      w_int w (Array.length ordered);
-      Array.iter
-        (fun (a : Acceptance.t) ->
-          w_int w a.instance;
-          w_char w (if a.speculative then '\x01' else '\x00');
-          w_int_list w a.cert;
-          w_batch w a.batch)
-        ordered)
+  frame 'R' len (fun b off ->
+      let off =
+        Wire.put_int b round off
+        |> Wire.put_int_list b primaries
+        |> Wire.put_int b (Array.length ordered)
+      in
+      Array.fold_left
+        (fun off (a : Acceptance.t) ->
+          Wire.put_int b a.instance off
+          |> Wire.put_bool b a.speculative
+          |> Wire.put_int_list b a.cert
+          |> Batch.write b a.batch)
+        off ordered)
 
-let int_record kind v = frame kind 8 (fun w -> w_int w v)
+let int_record kind v = frame kind 8 (fun b -> Wire.put_int b v)
 
 let view_record primaries =
-  frame 'V' (int_list_size primaries) (fun w -> w_int_list w primaries)
+  frame 'V' (Wire.int_list_size primaries) (fun b -> Wire.put_int_list b primaries)
 
 (* --- writer ------------------------------------------------------------- *)
 
@@ -308,8 +240,7 @@ let write_snapshot t ~seq snapshot =
        in place and checksummed where it lies. *)
     let len = Rcc_storage.Snapshot.encoded_size snapshot in
     let out = Bytes.create (snap_header_len + len) in
-    Bytes.blit_string snap_magic 0 out 0 (String.length snap_magic);
-    Bytes.set_int64_be out (String.length snap_magic) (Int64.of_int len);
+    ignore (Wire.put_raw out snap_magic 0 |> Wire.put_int out len);
     let stop =
       Rcc_storage.Snapshot.encode_into snapshot out ~off:snap_header_len
     in
@@ -345,42 +276,6 @@ let durable_round t = t.durable
 
 (* --- decoding ----------------------------------------------------------- *)
 
-let r_string r =
-  let len = r_count r ~max:max_body "string length" in
-  need r len;
-  let s = String.sub r.buf r.pos len in
-  r.pos <- r.pos + len;
-  s
-
-let r_int_list r =
-  List.init (r_count r ~max:max_list "list length") (fun _ -> r_int r)
-
-let r_bool r =
-  need r 1;
-  let c = r.buf.[r.pos] in
-  r.pos <- r.pos + 1;
-  match c with
-  | '\x00' -> false
-  | '\x01' -> true
-  | _ -> raise (Bad "bad boolean")
-
-let r_batch r =
-  let id = r_int r in
-  let client = r_int r in
-  let ntxns = r_count r ~max:max_txns "txn count" in
-  let txns =
-    Array.init ntxns (fun _ ->
-        need r Rcc_workload.Txn.encoded_size;
-        match Rcc_workload.Txn.decode r.buf r.pos with
-        | Ok txn ->
-            r.pos <- r.pos + Rcc_workload.Txn.encoded_size;
-            txn
-        | Error e -> raise (Bad e))
-  in
-  let digest = r_string r in
-  let signature = r_string r in
-  Batch.of_parts ~id ~client ~txns ~digest ~signature
-
 type record =
   | Round of {
       round : int;
@@ -392,50 +287,48 @@ type record =
   | View of int list
 
 let parse_body kind s ~off ~len =
-  let r = { buf = s; pos = off; limit = off + len } in
+  let r = Wire.reader s ~pos:off ~limit:(off + len) in
   let record =
     match kind with
     | 'R' ->
-        let round = r_int r in
-        let primaries = r_int_list r in
+        let round = Wire.int r in
+        let primaries = Wire.int_list r ~max:max_list in
         let ordered =
-          Array.init (r_count r ~max:max_slots "slot count") (fun _ ->
-              let instance = r_int r in
-              let speculative = r_bool r in
-              let cert = r_int_list r in
-              let batch = r_batch r in
+          Array.init (Wire.count r ~max:max_slots "slot count") (fun _ ->
+              let instance = Wire.int r in
+              let speculative = Wire.bool r in
+              let cert = Wire.int_list r ~max:max_list in
+              let batch = Batch.read r in
               { Acceptance.instance; round; batch; cert; speculative; history = "" })
         in
         Round { round; primaries; ordered }
-    | 'A' -> Attest (r_int r)
-    | 'B' -> Rollback (r_int r)
-    | 'V' -> View (r_int_list r)
-    | _ -> raise (Bad "unknown record type")
+    | 'A' -> Attest (Wire.int r)
+    | 'B' -> Rollback (Wire.int r)
+    | 'V' -> View (Wire.int_list r ~max:max_list)
+    | _ -> raise (Wire.Malformed "unknown record type")
   in
-  if r.pos <> r.limit then raise (Bad "trailing bytes");
+  Wire.finish r;
   record
 
 (* The record framed at [p] and the offset past it, if its header, its
    checksum, every payload's digest binding and its body all check out. *)
 let record_at s p =
-  if not (String.equal (String.sub s p 4) record_magic) then None
-  else
-    let kind = s.[p + 4] in
-    let len = Int64.to_int (String.get_int64_be s (p + 5)) in
-    let off = p + header_len in
-    if len < 0 || len > max_body || off + len > String.length s then None
-    else
-      match
-        let spans = payload_spans kind s ~off ~len in
-        if
-          String.equal (String.sub s (p + checksum_at) checksum_len)
-            (checksum s ~off ~len spans)
-          && List.for_all (payload_bound s) spans
-        then Some (parse_body kind s ~off ~len, off + len)
-        else None
-      with
-      | result -> result
-      | exception Bad _ -> None
+  let r = Wire.reader s ~pos:p ~limit:(String.length s) in
+  match
+    Wire.magic r record_magic;
+    let kind = Wire.byte r in
+    let len = Wire.count r ~max:max_body "body length" in
+    let sum = r.pos and off = r.pos + checksum_len in
+    Wire.skip r (checksum_len + len);
+    let spans = payload_spans kind s ~off ~len in
+    if
+      String.equal (String.sub s sum checksum_len) (checksum s ~off ~len spans)
+      && List.for_all (payload_bound s) spans
+    then Some (parse_body kind s ~off ~len, off + len)
+    else None
+  with
+  | result -> result
+  | exception Wire.Malformed _ -> None
 
 (* Scan the journal area, returning the longest valid record prefix and
    the bytes dropped past the first torn / corrupt / malformed record.
@@ -476,22 +369,25 @@ type recovery = {
    one. *)
 let load_snapshot disk ~primaries =
   let unwrap blob =
-    let header = snap_header_len in
-    if String.length blob < header then None
-    else if not (String.equal (String.sub blob 0 4) snap_magic) then None
-    else
-      let len = Int64.to_int (String.get_int64_be blob 4) in
-      if len < 0 || String.length blob <> header + len then None
-      else
-        let sum = String.sub blob (header - checksum_len) checksum_len in
-        if not (String.equal sum (checksum blob ~off:header ~len [])) then None
-        else
-          match Rcc_storage.Snapshot.decode (String.sub blob header len) with
-          | Ok snap -> (
-              match Rcc_storage.Snapshot.verify ~primaries snap with
-              | Ok _ -> Some snap
-              | Error _ -> None)
-          | Error _ -> None
+    let r = Wire.reader blob ~pos:0 ~limit:(String.length blob) in
+    match
+      Wire.magic r snap_magic;
+      let len = Wire.int r in
+      let sum = r.pos in
+      Wire.skip r checksum_len;
+      if
+        len = r.limit - r.pos
+        && String.equal
+             (String.sub blob sum checksum_len)
+             (checksum blob ~off:r.pos ~len [])
+      then Rcc_storage.Snapshot.decode (String.sub blob r.pos len)
+      else Error "bad slot"
+    with
+    | Ok snap -> (
+        match Rcc_storage.Snapshot.verify ~primaries snap with
+        | Ok _ -> Some snap
+        | Error _ -> None)
+    | Error _ | (exception Wire.Malformed _) -> None
   in
   List.fold_left
     (fun acc (_, blob) -> match acc with Some _ -> acc | None -> unwrap blob)

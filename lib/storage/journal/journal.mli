@@ -32,7 +32,9 @@
     journaling replica, and their encoding is cached in the batch
     ({!Rcc_messages.Batch.payload}) and shared. Recovery rejects a round
     record whose checksum fails or whose payload does not hash to its
-    stored digest.
+    stored digest. Each batch in a round record is a
+    {!Rcc_messages.Batch.write} record, the one {!Rcc_messages.Codec}
+    puts in messages, and every field is {!Rcc_common.Wire} framing.
     Snapshot slots use a whole-body checksum with magic "RJS1" around a
     {!Rcc_storage.Snapshot.encode} blob, because [Snapshot.verify] pins
     the chain but not the KV/reply bytes. *)

@@ -1,4 +1,4 @@
-module Bytes_util = Rcc_common.Bytes_util
+module Wire = Rcc_common.Wire
 
 let magic = "RCCS1\n"
 
@@ -11,8 +11,9 @@ type t = {
 
 (* --- digests ------------------------------------------------------------ *)
 
-(* One canonical KV triple: three big-endian u64s. The bulk of a large
-   snapshot and of its digest, so the stores are inline. *)
+(* One canonical KV triple: three big-endian u64s, as three
+   [Wire.put_int]s would write them. The bulk of a large snapshot and of
+   its digest, so the stores are inline here rather than calls. *)
 let[@inline] put_triple buf off (key, value, version) =
   Bytes.set_int64_be buf off (Int64.of_int key);
   Bytes.set_int64_be buf (off + 8) (Int64.of_int value);
@@ -76,14 +77,16 @@ let chain_head ~primaries blocks =
 
 (* --- encode ------------------------------------------------------------- *)
 
-let put_int = Ledger_io.put_int
-let put_string = Ledger_io.put_string
+(* At most 10M blocks, replies and bytes per reply string; 100M KV
+   triples. *)
+let max_entries = 10_000_000
+let max_kv = 100_000_000
 
 (* magic, seq, block count, blocks; kv flag [and count, triples]; reply
    count and per entry client, digest, round, result. *)
 let encoded_size t =
   let blocks =
-    Array.fold_left (fun acc b -> acc + Ledger_io.block_size b) 0 t.blocks
+    Array.fold_left (fun acc b -> acc + Block.record_size b) 0 t.blocks
   in
   let kv =
     match t.kv with Some e -> 1 + 8 + (24 * Array.length e) | None -> 1
@@ -91,36 +94,34 @@ let encoded_size t =
   let replied =
     List.fold_left
       (fun acc (_, digest, _, result) ->
-        acc + 8 + (8 + String.length digest) + 8 + (8 + String.length result))
+        acc + 16 + Wire.string_size digest + Wire.string_size result)
       8 t.replied
   in
   String.length magic + 8 + 8 + blocks + kv + replied
 
 let encode_into t buf ~off =
-  Bytes.blit_string magic 0 buf off (String.length magic);
-  let off = put_int buf (off + String.length magic) t.seq in
-  let off = put_int buf off (Array.length t.blocks) in
   let off =
-    Array.fold_left (fun off b -> Ledger_io.write_block b buf ~off) off t.blocks
+    Wire.put_raw buf magic off
+    |> Wire.put_int buf t.seq
+    |> Wire.put_int buf (Array.length t.blocks)
   in
+  let off = Array.fold_left (fun off b -> Block.write buf b off) off t.blocks in
   let off =
     match t.kv with
     | Some entries ->
-        Bytes.set buf off '\x01';
-        Array.fold_left (put_triple buf)
-          (put_int buf (off + 1) (Array.length entries))
-          entries
-    | None ->
-        Bytes.set buf off '\x00';
-        off + 1
+        let off =
+          Wire.put_bool buf true off |> Wire.put_int buf (Array.length entries)
+        in
+        Array.fold_left (put_triple buf) off entries
+    | None -> Wire.put_bool buf false off
   in
   List.fold_left
     (fun off (client, digest, round, result) ->
-      let off = put_int buf off client in
-      let off = put_string buf off digest in
-      let off = put_int buf off round in
-      put_string buf off result)
-    (put_int buf off (List.length t.replied))
+      Wire.put_int buf client off
+      |> Wire.put_string buf digest
+      |> Wire.put_int buf round
+      |> Wire.put_string buf result)
+    (Wire.put_int buf (List.length t.replied) off)
     t.replied
 
 let encode t =
@@ -131,83 +132,42 @@ let encode t =
 
 (* --- decode ------------------------------------------------------------- *)
 
-exception Malformed of string
+let read_triple r =
+  let key = Wire.int r in
+  let value = Wire.int r in
+  let version = Wire.int r in
+  (key, value, version)
 
-type reader = { buf : string; mutable pos : int }
+let read_reply r =
+  let client = Wire.int r in
+  let digest = Wire.string r ~max:max_entries in
+  let round = Wire.int r in
+  let result = Wire.string r ~max:max_entries in
+  (client, digest, round, result)
 
-let need r n =
-  if r.pos + n > String.length r.buf then raise (Malformed "snapshot truncated")
+let read r =
+  Wire.magic r magic;
+  let seq = Wire.int r in
+  if seq < 0 then raise (Wire.Malformed "negative seq");
+  let blocks =
+    Array.init (Wire.count r ~max:max_entries "block count") (fun _ ->
+        Block.read r)
+  in
+  let kv =
+    if Wire.bool r then begin
+      let count = Wire.count r ~max:max_kv "kv count" in
+      Wire.need r (24 * count);
+      Some (Array.init count (fun _ -> read_triple r))
+    end
+    else None
+  in
+  let replied =
+    List.init (Wire.count r ~max:max_entries "replied count") (fun _ ->
+        read_reply r)
+  in
+  { seq; blocks; kv; replied }
 
-let r_int r =
-  need r 8;
-  let v = Int64.to_int (Bytes_util.get_u64be r.buf r.pos) in
-  r.pos <- r.pos + 8;
-  v
-
-let r_string r =
-  let len = r_int r in
-  if len < 0 || len > 10_000_000 then raise (Malformed "bad string length");
-  need r len;
-  let s = String.sub r.buf r.pos len in
-  r.pos <- r.pos + len;
-  s
-
-let r_byte r =
-  need r 1;
-  let c = r.buf.[r.pos] in
-  r.pos <- r.pos + 1;
-  c
-
-let decode s =
-  match
-    (let mlen = String.length magic in
-     if String.length s < mlen || not (String.equal (String.sub s 0 mlen) magic)
-     then raise (Malformed "bad magic");
-     let r = { buf = s; pos = mlen } in
-     let seq = r_int r in
-     if seq < 0 then raise (Malformed "negative seq");
-     let nblocks = r_int r in
-     if nblocks < 0 || nblocks > 10_000_000 then
-       raise (Malformed "bad block count");
-     let blocks =
-       Array.init nblocks (fun _ ->
-           match Ledger_io.read_block s ~pos:r.pos with
-           | block, pos ->
-               r.pos <- pos;
-               block
-           | exception Ledger_io.Malformed e -> raise (Malformed e))
-     in
-     let kv =
-       match r_byte r with
-       | '\x00' -> None
-       | '\x01' ->
-           let count = r_int r in
-           if count < 0 || count > 100_000_000 then
-             raise (Malformed "bad kv count");
-           Some
-             (Array.init count (fun _ ->
-                  let key = r_int r in
-                  let value = r_int r in
-                  let version = r_int r in
-                  (key, value, version)))
-       | _ -> raise (Malformed "bad kv flag")
-     in
-     let nreplied = r_int r in
-     if nreplied < 0 || nreplied > 10_000_000 then
-       raise (Malformed "bad replied count");
-     let replied =
-       List.init nreplied (fun _ ->
-           let client = r_int r in
-           let digest = r_string r in
-           let round = r_int r in
-           let result = r_string r in
-           (client, digest, round, result))
-     in
-     if r.pos <> String.length s then raise (Malformed "trailing bytes");
-     { seq; blocks; kv; replied })
-  with
-  | snapshot -> Ok snapshot
-  | exception Malformed e -> Error e
+let decode = Wire.decode read
 
 (* A snapshot is self-consistent when its chain really covers rounds
    [0, seq) and hashes to a single head. The caller then compares that

@@ -18,7 +18,14 @@
     unattested, yet it does affect agreed state: it decides whether a
     batch ordered again executes or is skipped as a duplicate. Its
     entries carry no batch id, so the installer cannot rebuild which
-    batches the donor has already settled past eviction. *)
+    batches the donor has already settled past eviction.
+
+    Layout, in {!Rcc_common.Wire} framing: magic "RCCS1\n", [seq], the
+    block count and one {!Block.write} record per block, a KV flag byte
+    (then the triple count and each triple as three u64s), the reply
+    count and per entry client, digest, round and result. {!decode}
+    bounds every count and length: 10 000 000 blocks, replies and bytes
+    per reply string, 100 000 000 KV triples. *)
 
 type t = {
   seq : Rcc_common.Ids.round;  (** state after rounds [< seq] *)

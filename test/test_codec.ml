@@ -182,6 +182,109 @@ let test_encoded_size () =
   check Alcotest.int "encoded_size matches" (String.length (Codec.encode msg))
     (Codec.encoded_size msg)
 
+(* One message of every constructor, with fixed fields: batches with and
+   without txns (a null one too), optional batch and payload both ways,
+   empty and non-empty lists. The SHA-256 of the concatenated encodings
+   was recorded before the codec moved onto the shared wire layer; a
+   writer and reader changed together would still round-trip, so this
+   pins the bytes themselves. *)
+let golden_msgs () =
+  let batch id n =
+    Batch.create ~id ~client:(id mod 7)
+      ~txns:
+        (Array.init n (fun i ->
+             if i mod 3 = 0 then Rcc_workload.Txn.{ key = (id * 10) + i; op = Read }
+             else Rcc_workload.Txn.{ key = (id * 10) + i; op = Write (i * 1000) }))
+      ~secret
+  in
+  let d tag = Rcc_crypto.Sha256.digest tag in
+  [
+    Msg.Client_request { instance = 1; batch = batch 1 4 };
+    Msg.Pre_prepare { instance = 2; view = 3; seq = 4; batch = batch 2 0 };
+    Msg.Prepare { instance = 5; view = 6; seq = 7; digest = d "p" };
+    Msg.Commit { instance = 8; view = 9; seq = 10; digest = d "c" };
+    Msg.Checkpoint { instance = 11; seq = 12; state_digest = d "k" };
+    Msg.View_change
+      { instance = 13; new_view = 14; blamed = 15; round = 16; last_exec = 15;
+        signature = d "v" };
+    Msg.New_view
+      { instance = 17; view = 18;
+        reproposals = [ (19, batch 3 2); (20, Batch.null ~round:20) ] };
+    Msg.Order_request
+      { instance = 21; view = 22; seq = 23; batch = batch 4 5; history = d "h" };
+    Msg.Commit_cert
+      { cc_instance = 24; cc_seq = 25; cc_client = 26; cc_digest = d "cc";
+        cc_replicas = [ 0; 2; 3 ] };
+    Msg.Local_commit { instance = 27; seq = 28; client = 29 };
+    Msg.Hs_proposal { view = 30; phase = 1; seq = 31; batch = Some (batch 5 3); digest = d "hp" };
+    Msg.Hs_proposal { view = 32; phase = 2; seq = 33; batch = None; digest = "" };
+    Msg.Hs_vote { view = 34; phase = 3; seq = 35; digest = d "hv" };
+    Msg.Response
+      { client = 36; batch_id = 37; round = 38; result_digest = d "r";
+        txn_count = 100; speculative = true; history = d "rh" };
+    Msg.Response
+      { client = 39; batch_id = -40; round = 41; result_digest = "";
+        txn_count = 0; speculative = false; history = "" };
+    Msg.Contract
+      { round = 42;
+        entries =
+          [
+            { Msg.ce_instance = 0; ce_round = 42; ce_batch = batch 6 1;
+              ce_cert_replicas = [ 1; 2; 3 ] };
+            { Msg.ce_instance = 1; ce_round = 42; ce_batch = Batch.null ~round:42;
+              ce_cert_replicas = [] };
+          ] };
+    Msg.Contract { round = 43; entries = [] };
+    Msg.Contract_request { round = 44; instance = 45 };
+    Msg.Instance_change { client = 46; instance = 47 };
+    Msg.View_sync
+      { instance = 48; view = 49; primary = 50; kmal = [ 3; 1 ];
+        cert =
+          [ { Msg.bv_accuser = 2; bv_round = 51; bv_sig = d "bv" };
+            { Msg.bv_accuser = 4; bv_round = 52; bv_sig = "" } ] };
+    Msg.Snapshot_request { sr_seq = 53; fetch = true };
+    Msg.Snapshot_request { sr_seq = 54; fetch = false };
+    Msg.Snapshot_reply
+      { sp_seq = 55; sp_head = d "sh"; sp_kv = d "sk"; sp_attesters = [ 0; 1 ];
+        sp_payload = Some "RCCS1\nblob" };
+    Msg.Snapshot_reply
+      { sp_seq = 56; sp_head = d "sh2"; sp_kv = ""; sp_attesters = [];
+        sp_payload = None };
+  ]
+
+let test_golden_bytes () =
+  let msgs = golden_msgs () in
+  let encoded = List.map Codec.encode msgs in
+  check Alcotest.string "sha256 of every constructor's encoding"
+    "450666e5d29dac2a61959c200f87e1f3e167c76b395dcfb6c28aeb618ac0e608"
+    (Rcc_crypto.Sha256.hex_digest (String.concat "" encoded));
+  check Alcotest.int "total bytes" 2802
+    (List.fold_left (fun acc s -> acc + String.length s) 0 encoded);
+  List.iter2
+    (fun msg s ->
+      check Alcotest.int "encoded_size" (String.length s) (Codec.encoded_size msg);
+      (* Re-encoded, not compared: a null batch's cached key sets are not
+         part of the encoding. *)
+      check Alcotest.bool "round trip" true
+        (Result.map Codec.encode (Codec.decode s) = Ok s))
+    msgs encoded
+
+(* A length field of 0x3FFF_FFFF_FFFF_FFFF (max_int once read) made
+   [pos + len] wrap around, so the bounds check passed and [String.sub]
+   raised. *)
+let test_max_length_probe () =
+  let b = Buffer.create 33 in
+  Buffer.add_char b '\x03';
+  Buffer.add_string b (String.make 24 '\x00');
+  Buffer.add_string b "\x3f\xff\xff\xff\xff\xff\xff\xff";
+  let probe = Buffer.contents b in
+  check Alcotest.int "probe length" 33 (String.length probe);
+  check Alcotest.bool "oversized length is an error" true
+    (match Codec.decode probe with
+    | Error _ -> true
+    | Ok _ -> false
+    | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e))
+
 let suite =
   ( "codec",
     [
@@ -193,4 +296,6 @@ let suite =
       Alcotest.test_case "unknown tag" `Quick test_unknown_tag_rejected;
       Alcotest.test_case "batch payload" `Quick test_batch_payload_survives;
       Alcotest.test_case "encoded_size" `Quick test_encoded_size;
+      Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
+      Alcotest.test_case "max-length probe" `Quick test_max_length_probe;
     ] )

@@ -5,6 +5,7 @@ module Binary_heap = Rcc_common.Binary_heap
 module Bitset = Rcc_common.Bitset
 module Stats = Rcc_common.Stats
 module Bytes_util = Rcc_common.Bytes_util
+module Wire = Rcc_common.Wire
 
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop =
@@ -352,6 +353,61 @@ let test_xor () =
     (Bytes_util.xor "abcd" "abcd");
   check Alcotest.string "xor known" "\x03\x01" (Bytes_util.xor "\x01\x02" "\x02\x03")
 
+(* --- wire ----------------------------------------------------------------- *)
+
+(* Every writer emits exactly its size helper's bytes, the readers get
+   the values back, and the bytes are the big-endian layout. *)
+let wire_roundtrip =
+  qtest ~count:300 "wire: write sizes and read back"
+    QCheck2.Gen.(
+      quad int (string_size (int_range 0 40)) (list_size (int_range 0 8) int) bool)
+    (fun (v, str, ints, flag) ->
+      let len = 8 + Wire.string_size str + Wire.int_list_size ints + 1 + 2 in
+      let b = Bytes.create len in
+      let stop =
+        Wire.put_int b v 0
+        |> Wire.put_string b str
+        |> Wire.put_int_list b ints
+        |> Wire.put_bool b flag
+        |> Wire.put_raw b "ok"
+      in
+      let s = Bytes.to_string b in
+      let decoded =
+        Wire.decode
+          (fun r ->
+            let v' = Wire.int r in
+            let str' = Wire.string r ~max:40 in
+            let ints' = Wire.int_list r ~max:8 in
+            let flag' = Wire.bool r in
+            Wire.magic r "ok";
+            (v', str', ints', flag'))
+          s
+      in
+      stop = len
+      && Bytes_util.get_u64be s 0 = Int64.of_int v
+      && decoded = Ok (v, str, ints, flag))
+
+let test_wire_bounds () =
+  let u64 v = Bytes_util.u64_string (Int64.of_int v) in
+  let err what read s =
+    check Alcotest.bool what true (Result.is_error (Wire.decode read s))
+  in
+  (* [need] must not overflow on a forged length near max_int. *)
+  err "huge string length" (Wire.string ~max:max_int) (u64 max_int ^ "abc");
+  err "negative string length" (Wire.string ~max:max_int) (u64 (-1) ^ "abc");
+  err "string over its bound" (Wire.string ~max:2) (u64 3 ^ "abc");
+  err "list over its bound" (Wire.int_list ~max:1) (u64 2 ^ u64 0 ^ u64 0);
+  err "truncated int" Wire.int "\x00\x00";
+  err "bad boolean" Wire.bool "\x02";
+  err "bad magic" (fun r -> Wire.magic r "RCC") "RCX";
+  err "short magic" (fun r -> Wire.magic r "RCC") "RC";
+  err "trailing bytes" Wire.int (u64 1 ^ "x");
+  let r = Wire.reader "abcdef" ~pos:1 ~limit:4 in
+  Wire.skip r 3;
+  check Alcotest.bool "limit honoured" true
+    (match Wire.byte r with _ -> false | exception Wire.Malformed _ -> true);
+  Wire.finish r
+
 let suite =
   ( "common",
     [
@@ -380,4 +436,6 @@ let suite =
       hex_roundtrip;
       u64_roundtrip;
       Alcotest.test_case "xor" `Quick test_xor;
+      wire_roundtrip;
+      Alcotest.test_case "wire bounds" `Quick test_wire_bounds;
     ] )

@@ -654,6 +654,88 @@ let test_recovered_dedup_survives_eviction () =
   check Alcotest.string "same ledger head as the live replica"
     (Ledger.head_hash live_ledger) (Ledger.head_hash ledger)
 
+(* --- golden bytes --------------------------------------------------------- *)
+
+(* A fixed writer sequence on an honest disk: plain rounds, a speculative
+   round holding a null batch, a rollback, a stable floor, a change of
+   primaries (which writes a view record) and a snapshot slot. The
+   digests were recorded before the journal moved onto the shared wire
+   layer; a writer and reader changed together would still round-trip,
+   so this pins the bytes themselves. *)
+let test_journal_golden () =
+  let rng = Rng.create 77 in
+  let next_id = ref 500 in
+  let slot ?(speculative = false) ~round instance batch =
+    { Acceptance.instance; round; batch; cert = [ 0; 1; 3 ]; speculative;
+      history = "" }
+  in
+  let fresh instance round =
+    let id = !next_id in
+    incr next_id;
+    slot ~round instance (mk_batch ~id ~client:(Rng.int rng 8) ~rng)
+  in
+  let engine = Engine.create () in
+  let disk = Sim_disk.create ~seed:21 in
+  let j = Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 () in
+  for round = 0 to 2 do
+    Journal.log_round j ~round ~primaries [| fresh 0 round; fresh 1 round |]
+  done;
+  Journal.log_round j ~round:3 ~primaries
+    [|
+      { (fresh 0 3) with Acceptance.speculative = true };
+      slot ~speculative:true ~round:3 1 (Batch.null ~round:3);
+    |];
+  Journal.log_rollback j ~frontier:3;
+  Journal.log_stable j ~floor:3;
+  Journal.log_round j ~round:3 ~primaries:[ 1; 2 ]
+    [| fresh 0 3; slot ~round:3 1 (Batch.null ~round:3) |];
+  Journal.log_round j ~round:4 ~primaries:[ 1; 2 ] [| fresh 0 4; fresh 1 4 |];
+  Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
+  Journal.write_snapshot j ~seq:3 (small_snapshot ());
+  Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
+  let sha = Rcc_crypto.Sha256.hex_digest in
+  check Alcotest.string "journal area" "a056966646f90a3f6b1d748ff599b537dc98853443ae89faebe701ae3883c6ba" (sha (Sim_disk.journal disk));
+  check Alcotest.int "journal bytes" 3022 (Sim_disk.journal_bytes disk);
+  check
+    Alcotest.(list (pair int string))
+    "snapshot slot" [ (3, "5a845a2dc8c09bdef3c1b21322e3cb925e84e785cc382ed5588c1e44674590d1") ]
+    (List.map (fun (seq, blob) -> (seq, sha blob)) (Sim_disk.snapshots disk));
+  check Alcotest.int "rounds scanned" 6
+    (List.length (Journal.scan_rounds (Sim_disk.journal disk)))
+
+(* Framed records whose checksums hold but whose bodies carry a length or
+   count of 0x3FFF_FFFF_FFFF_FFFF (max_int once read): scanning drops
+   them, it never raises. *)
+let test_max_length_probe () =
+  let huge = "\x3f\xff\xff\xff\xff\xff\xff\xff" in
+  let record kind body =
+    let len = Bytes.create 8 in
+    Bytes.set_int64_be len 0 (Int64.of_int (String.length body));
+    String.concat ""
+      [ "RJL1"; String.make 1 kind; Bytes.to_string len;
+        String.sub (Rcc_crypto.Sha256.digest body) 0 8; body ]
+  in
+  let u64 v = Rcc_common.Bytes_util.u64_string (Int64.of_int v) in
+  List.iter
+    (fun (what, journal) ->
+      match Journal.scan_rounds journal with
+      | [] -> ()
+      | _ -> Alcotest.failf "%s: probe accepted" what
+      | exception e ->
+          Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    [
+      ("view list", record 'V' huge);
+      ("round primaries", record 'R' (u64 0 ^ huge));
+      ("slot count", record 'R' (u64 0 ^ u64 0 ^ huge));
+      ( "txn count",
+        record 'R' (u64 0 ^ u64 0 ^ u64 1 ^ u64 0 ^ "\x00" ^ u64 0 ^ u64 1
+                    ^ u64 2 ^ huge) );
+      ( "digest length",
+        record 'R' (u64 0 ^ u64 0 ^ u64 1 ^ u64 0 ^ "\x00" ^ u64 0 ^ u64 1
+                    ^ u64 2 ^ u64 0 ^ huge) );
+      ("body length", "RJL1R" ^ huge ^ String.make 8 '\x00');
+    ]
+
 let suite =
   ( "journal",
     [
@@ -681,5 +763,7 @@ let suite =
         test_round_record_digest_mismatch;
       Alcotest.test_case "recovered reply cache settles evicted batches"
         `Quick test_recovered_dedup_survives_eviction;
+      Alcotest.test_case "journal golden bytes" `Quick test_journal_golden;
+      Alcotest.test_case "max-length probe" `Quick test_max_length_probe;
       prop_crash_point;
     ] )

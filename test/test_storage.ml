@@ -418,6 +418,34 @@ let test_ledger_io_golden () =
     (Rcc_crypto.Sha256.hex_digest
        (Ledger_io.save ledger ~primaries:[ 0; 1; 2 ]))
 
+(* Inputs whose length or count fields read 0x3FFF_FFFF_FFFF_FFFF
+   (max_int once read): every decoder returns an error, never raises. *)
+let test_max_length_probes () =
+  let huge = "\x3f\xff\xff\xff\xff\xff\xff\xff" in
+  let u64 v = Rcc_common.Bytes_util.u64_string (Int64.of_int v) in
+  let rejects what decode input =
+    match decode input with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: probe accepted" what
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  let ledger what input = rejects ("ledger " ^ what) Ledger_io.load input in
+  let block_head = u64 0 ^ u64 1 ^ u64 0 in
+  ledger "primaries" ("RCCL1\n" ^ huge);
+  ledger "block count" ("RCCL1\n" ^ u64 0 ^ huge);
+  ledger "prev hash" ("RCCL1\n" ^ u64 0 ^ u64 1 ^ u64 0 ^ huge);
+  ledger "proof count" ("RCCL1\n" ^ u64 0 ^ block_head ^ huge);
+  ledger "proof digest" ("RCCL1\n" ^ u64 0 ^ block_head ^ u64 1 ^ u64 0 ^ huge);
+  ledger "clients" ("RCCL1\n" ^ u64 0 ^ block_head ^ u64 0 ^ u64 0 ^ huge);
+  let snap what input = rejects ("snapshot " ^ what) Rcc_storage.Snapshot.decode input in
+  snap "block count" ("RCCS1\n" ^ u64 0 ^ huge);
+  snap "prev hash" ("RCCS1\n" ^ u64 1 ^ u64 1 ^ u64 0 ^ huge);
+  snap "kv count" ("RCCS1\n" ^ u64 0 ^ u64 0 ^ "\x01" ^ huge);
+  snap "replied count" ("RCCS1\n" ^ u64 0 ^ u64 0 ^ "\x00" ^ huge);
+  snap "reply digest" ("RCCS1\n" ^ u64 0 ^ u64 0 ^ "\x00" ^ u64 1 ^ u64 3 ^ huge);
+  snap "reply result"
+    ("RCCS1\n" ^ u64 0 ^ u64 0 ^ "\x00" ^ u64 1 ^ u64 3 ^ u64 0 ^ u64 2 ^ huge)
+
 (* --- snapshot encoding ---------------------------------------------------- *)
 
 module Snapshot = Rcc_storage.Snapshot
@@ -590,6 +618,7 @@ let suite =
       Alcotest.test_case "ledger io corruption" `Quick test_ledger_io_rejects_corruption;
       Alcotest.test_case "ledger io files" `Quick test_ledger_io_files;
       Alcotest.test_case "ledger io golden bytes" `Quick test_ledger_io_golden;
+      Alcotest.test_case "max-length probes" `Quick test_max_length_probes;
       snapshot_encode_oracle;
       kv_digest_oracle;
       Alcotest.test_case "checkpoint store" `Quick test_checkpoint_store_basic;
