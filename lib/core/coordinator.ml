@@ -529,48 +529,53 @@ let on_contract t msg =
 (* Bound on how many consecutive rounds one contract reply may carry. *)
 let contract_window = 1_024
 
-let on_contract_request t ~src ~round =
-  (* Serve not just the requested round but the contiguous window of later
-     rounds we know about: the requester — a replica whose execution
-     stalled, or a fresh primary taking over an instance it was cut off
-     from — has no way to know how far ahead the rest of the cluster ran,
-     so a single request must be able to return the whole in-flight
-     frontier. Contract entries carry their own round numbers, so the
-     window packs into one message. *)
-  let entries = ref [] in
-  let r = ref round in
-  let continue = ref true in
-  while !continue && !r < round + contract_window do
-    let c =
-      Contract.build ~round:!r
-        ~accepted:(fun x -> accepted_anywhere t ~round:!r ~instance:x)
-        ~z:t.cfg.z
+let on_contract_request t ~src ~round ~instance =
+  if instance >= 0 && instance < t.cfg.z then begin
+    (* Serve the requester's gap in [instance] alone: the requester — a
+       replica whose execution stalled on [instance], or a fresh primary
+       taking [instance] over — already holds every other instance's
+       rounds, or asks for them separately. It cannot know how far ahead
+       the rest of the cluster ran, so the reply carries the contiguous
+       window of [instance]'s rounds from [round] up to the first round
+       this replica lacks (at most [contract_window] of them). Contract
+       entries carry their own round numbers, so the window packs into one
+       message. *)
+    let rec window r acc =
+      match
+        if r < round + contract_window then accepted_anywhere t ~round:r ~instance
+        else None
+      with
+      | None -> List.rev acc
+      | Some (batch, cert) ->
+          window (r + 1)
+            ({
+               Msg.ce_instance = instance;
+               ce_round = r;
+               ce_batch = batch;
+               ce_cert_replicas = cert;
+             }
+            :: acc)
     in
-    match c.Contract.entries with
-    | [] -> continue := false
+    (match window round [] with
+    | [] -> ()
     | es ->
-        entries := List.rev_append es !entries;
-        incr r
-  done;
-  (match List.rev !entries with
-  | [] -> ()
-  | es ->
-      let msg = Msg.Contract { round; entries = es } in
-      let size = Msg.contract_entries_size es in
-      Metrics.record_contract_bytes t.metrics size;
-      if Engine.tracing t.engine then
-        trace t ~instance:(-1)
-          (Rcc_trace.Event.Contract_sent
-             { round; entries = List.length es; bytes = size });
-      t.send ~size ~dst:src msg);
-  (* A contract request is the voice of a replica pulling itself out of a
-     stall (healed partition, restart): besides its missing round
-     frontier, ship it our certified coordinator views directly, so it
-     converges on the primary set without waiting out the heartbeat
-     gossip it may keep missing under backlog. *)
-  for x = 0 to t.cfg.z - 1 do
-    if t.views.(x) > 0 then send_view_sync t ~dst:src ~instance:x
-  done
+        let msg = Msg.Contract { round; entries = es } in
+        let size = Msg.contract_entries_size es in
+        Metrics.record_contract_bytes t.metrics size;
+        if Engine.tracing t.engine then
+          trace t ~instance:(-1)
+            (Rcc_trace.Event.Contract_sent
+               { round; entries = List.length es; bytes = size });
+        t.send ~size ~dst:src msg);
+    (* A contract request is the voice of a replica pulling itself out of
+       a stall (healed partition, restart): besides its missing rounds,
+       ship it our certified coordinator views directly, so it converges
+       on the primary set without waiting out the heartbeat gossip it may
+       keep missing under backlog. *)
+    for x = 0 to t.cfg.z - 1 do
+      if t.views.(x) > 0 then send_view_sync t ~dst:src ~instance:x
+    done
+  end
 
 let on_round_executed t ~round accs =
   history_store t round accs;

@@ -120,7 +120,17 @@ val gossip_views : t -> unit
 
 val on_contract : t -> Rcc_messages.Msg.t -> unit
 
-val on_contract_request : t -> src:replica_id -> round:round -> unit
+val on_contract_request :
+  t -> src:replica_id -> round:round -> instance:instance_id -> unit
+(** A peer lacks [instance]'s batches from [round] on (a stalled replica
+    asks once per instance missing at its stalled round; a fresh primary
+    asks for the instance it takes over). Reply to [src] with one
+    contract holding [instance]'s consecutive accepted rounds starting at
+    [round]; the window stops at the first round this replica lacks or
+    after a bounded number of rounds, and carries no other instance's
+    entries. Nothing is sent when the window is empty. Certified views
+    are shipped alongside. A request whose [instance] is out of range is
+    ignored. *)
 
 val on_round_executed : t -> round:round -> Rcc_replica.Acceptance.t array -> unit
 (** Execute-thread hook: retains the round for contract building and, in

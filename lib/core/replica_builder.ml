@@ -207,11 +207,13 @@ let install_route t =
                 (fun () -> Coordinator.on_contract coordinator msg)
           | None -> ()
         end
-      | Msg.Contract_request { round; _ } -> begin
+      | Msg.Contract_request { round; instance } -> begin
           match t.coordinator with
           | Some coordinator ->
               Cpu.submit_ready exec_server ~ready ~cost:(coordinator_cost msg)
-                (fun () -> Coordinator.on_contract_request coordinator ~src ~round)
+                (fun () ->
+                  Coordinator.on_contract_request coordinator ~src ~round
+                    ~instance)
           | None -> ()
         end
       | Msg.View_sync { instance; view; primary; kmal; cert } -> begin
@@ -584,7 +586,10 @@ let monitor t =
            instance wedges forever. Re-blaming is idempotent at the
            coordinator (accuser bitsets), and re-requesting contracts
            covers exchanges that fired while the peers were themselves
-           mid-recovery and could only return a partial frontier. *)
+           mid-recovery and could only return a partial window. Each
+           request names one missing instance and each reply carries
+           that instance's rounds alone, so what a stall costs the
+           network grows with its gap, not with z. *)
         last_exchange := now;
         List.iter
           (fun x ->
@@ -607,13 +612,16 @@ let monitor t =
                  { instance = x; new_view = view + 1; blamed; round;
                    last_exec = round - 1; signature }))
           missing;
-        (* State-exchange (§3.3's checkpoint recovery): ask peers for the
-           stalled round's contract directly; any replica that executed
-           it answers from its history ring. *)
-        match missing with
-        | x :: _ ->
-            broadcast ~n:cfg.n (Msg.Contract_request { round; instance = x })
-        | [] -> ()
+        (* State-exchange (§3.3's checkpoint recovery): ask peers for
+           each missing instance's rounds from the stalled round on, one
+           request per instance; any replica that holds them answers from
+           its history ring with that instance's window alone. Instances
+           without a hole at the stalled round are not requested: their
+           rounds arrive through normal-case ordering. *)
+        List.iter
+          (fun x ->
+            broadcast ~n:cfg.n (Msg.Contract_request { round; instance = x }))
+          missing
       end
     end;
     Engine.schedule_after engine (max 1 (cfg.heartbeat / 2)) tick

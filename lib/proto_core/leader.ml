@@ -104,8 +104,8 @@ let finish_takeover t ~finish ~propose =
    proposing a fresh batch or a null at such a round forks the instance.
    Under RCC it therefore announces the view at once, so backups adopt
    the new primary, but re-proposes only once the grace period has let
-   its peers' contract replies recover the cluster-wide in-flight
-   frontier (§3.3 state exchange; a reply covers the whole contiguous
+   its peers' contract replies recover the instance's in-flight frontier
+   (§3.3 state exchange; a reply covers this instance's contiguous
    window above the requested round). Standalone protocols have no
    contract machinery and re-propose at once. *)
 let take_over t ~finish ~propose =

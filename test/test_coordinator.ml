@@ -289,18 +289,107 @@ let test_on_contract_rejects_thin_proof () =
   Coordinator.on_contract fx.coordinator (Msg.Contract { round = 4; entries = [ entry ] });
   check Alcotest.(list (triple int int int)) "nothing adopted" [] !(fx.adopted)
 
+(* The contracts a request produced, as (instance, round) pairs per
+   message, in wire order. *)
+let contract_replies fx =
+  List.filter_map
+    (function
+      | Msg.Contract { entries; _ } ->
+          Some
+            (List.map
+               (fun (e : Msg.contract_entry) -> (e.Msg.ce_instance, e.Msg.ce_round))
+               entries)
+      | _ -> None)
+    (List.rev !(fx.broadcasts))
+
 let test_contract_request_answered_from_history () =
   let fx = make () in
   (* Execute round 0 so it lands in coordinator history. *)
   fill_round fx ~z:3 ~round:0 ~except:(-1);
   Engine.run fx.engine ~until:(Engine.ms 100);
-  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0;
-  check Alcotest.bool "contract served" true
+  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:1;
+  (* One entry: the requested instance's round, not all three. *)
+  check
+    Alcotest.(list (list (pair int int)))
+    "only the requested instance" [ [ (1, 0) ] ] (contract_replies fx)
+
+let test_contract_request_window_stops_at_hole () =
+  let fx = make () in
+  (* Rounds 0 and 1 execute (history ring); round 2 lacks instance 1 and
+     round 3 lacks instance 0 (pending at the execute stage). *)
+  fill_round fx ~z:3 ~round:0 ~except:(-1);
+  fill_round fx ~z:3 ~round:1 ~except:(-1);
+  Engine.run fx.engine ~until:(Engine.ms 100);
+  fill_round fx ~z:3 ~round:2 ~except:1;
+  fill_round fx ~z:3 ~round:3 ~except:0;
+  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:0;
+  check
+    Alcotest.(list (list (pair int int)))
+    "instance 0: rounds 0-2, stops at round 3's hole"
+    [ [ (0, 0); (0, 1); (0, 2) ] ]
+    (contract_replies fx);
+  fx.broadcasts := [];
+  (* Instance 1 holds round 3 but not round 2: the window is contiguous. *)
+  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:1;
+  check
+    Alcotest.(list (list (pair int int)))
+    "instance 1: rounds 0-1, stops at round 2's hole"
+    [ [ (1, 0); (1, 1) ] ]
+    (contract_replies fx);
+  fx.broadcasts := [];
+  (* A request starting at a hole has an empty window: no contract. *)
+  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:2 ~instance:1;
+  check
+    Alcotest.(list (list (pair int int)))
+    "empty window, no contract" [] (contract_replies fx)
+
+let test_contract_request_out_of_range () =
+  let fx = make () in
+  fill_round fx ~z:3 ~round:0 ~except:1;
+  List.iter (fun src -> blame fx ~src ~instance:1 ~blamed:1 ~round:0) [ 3; 4; 5 ];
+  fx.broadcasts := [];
+  (* Instance 1 moved to view 1, so an in-range request also ships a
+     View_sync: an out-of-range one must send nothing at all. *)
+  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:3;
+  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:(-1);
+  check Alcotest.int "nothing sent" 0 (List.length !(fx.broadcasts));
+  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:2;
+  check
+    Alcotest.(list (list (pair int int)))
+    "in range: contract" [ [ (2, 0) ] ] (contract_replies fx);
+  check Alcotest.bool "in range: view sync" true
     (List.exists
-       (function
-         | Msg.Contract { round = 0; entries } -> List.length entries = 3
-         | _ -> false)
+       (function Msg.View_sync { instance = 1; _ } -> true | _ -> false)
        !(fx.broadcasts))
+
+let test_dark_victim_requests_each_missing_instance () =
+  (* Replica 3 is kept dark by the primaries of instances 0 and 1. Its
+     execution stalls on both, so its liveness monitor must ask for both
+     instances' rounds, and for no other instance. *)
+  let module Config = Rcc_runtime.Config in
+  let module Cluster = Rcc_runtime.Cluster in
+  let cfg =
+    Config.make ~protocol:Config.MultiP ~n:4 ~batch_size:10 ~clients:40
+      ~records:5_000 ~duration:(Engine.of_seconds 1.0)
+      ~warmup:(Engine.of_seconds 0.25) ~replica_timeout:(Engine.ms 150) ()
+  in
+  let cluster = Cluster.build cfg in
+  List.iter
+    (fun r ->
+      Rcc_replica.Byz.set (Cluster.byz_spec cluster r)
+        (Rcc_replica.Byz.dark_primary ~victims:[ 3 ] ()))
+    [ 0; 1 ];
+  let requested = ref [] in
+  ignore
+    (Rcc_sim.Net.add_drop_rule (Cluster.net cluster) (fun ~src ~dst:_ msg ->
+         (match msg with
+         | Msg.Contract_request { instance; _ } when src = 3 ->
+             requested := instance :: !requested
+         | _ -> ());
+         false));
+  ignore (Cluster.run cluster);
+  check Alcotest.(list int) "both dark instances requested" [ 0; 1 ]
+    (List.sort_uniq compare !requested)
 
 (* --- certificate-backed view sync --------------------------------------- *)
 
@@ -493,6 +582,12 @@ let suite =
       Alcotest.test_case "thin proof rejected" `Quick test_on_contract_rejects_thin_proof;
       Alcotest.test_case "contract request from history" `Quick
         test_contract_request_answered_from_history;
+      Alcotest.test_case "contract request window stops at hole" `Quick
+        test_contract_request_window_stops_at_hole;
+      Alcotest.test_case "contract request out of range" `Quick
+        test_contract_request_out_of_range;
+      Alcotest.test_case "dark victim requests each missing instance" `Slow
+        test_dark_victim_requests_each_missing_instance;
       Alcotest.test_case "view-sync certified adoption" `Quick
         test_view_sync_certified_adoption;
       Alcotest.test_case "view-sync rejects forged certs" `Quick

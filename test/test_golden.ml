@@ -55,15 +55,15 @@ let expected =
     ("multip fault-free",
      "2e9deeb9df86b4cd5488963e78327aa99000741d763252ac5c556b0b55c44489");
     ("multip dark",
-     "2fcff0c913362eacbbcd377e60b35448a7d84b66a5a4ab23dfe37de007c53c7f");
+     "57154be79a6672cd3ec10295eea75e557db386fd9156efae4374f439165d8966");
     ("multip crash:1",
-     "b6ecc42de3f1da106da3905623bc7176110fa4b4546fe0792b6f4a36b1eb1ce4");
+     "b2ef7409f10e6f5f92341339013f8a3653cfe9e72ac8081fb5558c3c3c68ff7f");
     ("multiz fault-free",
      "dd7bd5ebe23d2a7e4967e50dcf217342cab21febae2d270f7e8a442e1a45a1c5");
     ("multiz dark",
-     "1244aaea1862fa0eea1792d064f55b73d4bac6b21478f5a43a8b1d9b9defbf61");
+     "1d17b171c6d46b0dbc2c91ecea882bfd63dfdfefb6a8a6bb020f8d25474eac15");
     ("multiz crash:1",
-     "5204b84f534c51ed25d9d74449936b50df9f3aaa0eee95f8cf993e2b04375083");
+     "41bf1e75b756197ad18d214b7d48e75a3cbb1887fc75264a9c9f179d056025a6");
     ("cft fault-free",
      "aef8d9e21a23837f504ad0ea5f0c05d93a2d58b006088bffcc3346f9dbb21649");
     ("cft dark",
@@ -73,9 +73,9 @@ let expected =
     ("multic fault-free",
      "1f6e3fbbf30e87354c76d1c3ff506bd0278a5dd092de792a58dc8a087b9174a1");
     ("multic dark",
-     "b1efe18747f09ed9b382a811540a32428797f41d71109565a6afdffa6a95b4c6");
+     "01f808956c8efdbd6fb91f7601b1c1bd2c1680123c72d66fb0a4457bb8104c13");
     ("multic crash:1",
-     "de114116cbbf29e7463dc315686ebe6b6098ff5535e158b7db4b7894103ed80b");
+     "d240364821807676ed5205ae95a0073711d77f3a9717da88b0270c554e93f82b");
   ]
 
 let test_golden_reports () =
