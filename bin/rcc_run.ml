@@ -104,7 +104,8 @@ let run protocol n batch_size clients duration warmup replica_timeout
   let tracer =
     Option.map (fun _ -> Rcc_trace.Recorder.create ?capacity:trace_ring ()) trace
   in
-  let report = Rcc_runtime.Cluster.run_config ?tracer cfg in
+  let cluster = Rcc_runtime.Cluster.build ?tracer cfg in
+  let report = Rcc_runtime.Cluster.run cluster in
   (match (trace, tracer) with
   | Some path, Some recorder ->
       if Filename.check_suffix path ".jsonl" then
@@ -117,6 +118,14 @@ let run protocol n batch_size clients duration warmup replica_timeout
           path
   | _ -> ());
   Format.printf "%a@." Rcc_runtime.Report.pp report;
+  (* Virtual time of the first client completion: with a fault active
+     from the start, how long the cluster took to recover. *)
+  (match
+     Rcc_replica.Metrics.first_completion (Rcc_runtime.Cluster.metrics cluster)
+   with
+  | Some at ->
+      Format.printf "first_completion=%.4fs@." (Rcc_sim.Engine.to_seconds at)
+  | None -> Format.printf "first_completion=none@.");
   if timeline then begin
     Format.printf "@.timeline (client txn/s per 100ms):@.";
     Array.iter

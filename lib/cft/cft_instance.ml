@@ -26,11 +26,15 @@ let create env =
         { acks = Quorum.create ~n ~f; acked = false; notified = false })
       ()
   in
-  { env; log; lead = Leader.create env log }
+  { env; log; lead = Leader.create ~certified:true env log }
 
 let primary t = t.lead.Leader.primary
 let view t = t.lead.Leader.view
 let proposed_upto t = Leader.proposed_upto t.lead
+let max_seen t = SL.max_seen t.log
+
+let on_contract_reply t ~src ~max_seen =
+  Leader.on_contract_reply t.lead ~src ~max_seen
 let slot t seq = SL.get t.log seq
 let ph (s : ack_state SL.slot) = s.SL.state
 
@@ -247,8 +251,8 @@ let handle t ~src msg =
   | Msg.Client_request _ | Msg.Order_request _
   | Msg.Commit_cert _ | Msg.Local_commit _ | Msg.Hs_proposal _ | Msg.Hs_vote _
   | Msg.Response _ | Msg.Contract _ | Msg.Contract_request _
-  | Msg.Instance_change _ | Msg.View_sync _ | Msg.Snapshot_request _
-  | Msg.Snapshot_reply _ ->
+  | Msg.Contract_reply _ | Msg.Instance_change _ | Msg.View_sync _
+  | Msg.Snapshot_request _ | Msg.Snapshot_reply _ ->
       ()
 
 let cost_of (costs : Costs.t) msg =
@@ -266,6 +270,6 @@ let cost_of (costs : Costs.t) msg =
   | Msg.Client_request _ | Msg.Order_request _
   | Msg.Commit_cert _ | Msg.Local_commit _ | Msg.Hs_proposal _ | Msg.Hs_vote _
   | Msg.Response _ | Msg.Contract _ | Msg.Contract_request _
-  | Msg.Instance_change _ | Msg.View_sync _ | Msg.Snapshot_request _
-  | Msg.Snapshot_reply _ ->
+  | Msg.Contract_reply _ | Msg.Instance_change _ | Msg.View_sync _
+  | Msg.Snapshot_request _ | Msg.Snapshot_reply _ ->
       costs.Costs.worker_msg

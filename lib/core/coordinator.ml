@@ -13,6 +13,8 @@ type recovery_mode = Optimistic | Pessimistic | View_shift
 type instance_handle = {
   h_set_primary : replica_id -> view:view -> unit;
   h_adopt : round:round -> Rcc_messages.Batch.t -> cert:int list -> unit;
+  h_answered : src:replica_id -> max_seen:round -> unit;
+  h_max_seen : unit -> round;
   h_accepted : round:round -> (Rcc_messages.Batch.t * int list) option;
   h_incomplete : unit -> round list;
   h_primary : unit -> replica_id;
@@ -502,29 +504,39 @@ let on_view_change t ~src ~instance ~view ~blamed ~round ~signature =
 
 (* --- contracts ----------------------------------------------------------- *)
 
+(* Validate a contract and adopt its entries; whether it was valid. *)
+let adopt_contract t contract =
+  match Contract.validate contract ~n:t.cfg.n ~min_cert:t.cfg.min_cert with
+  | Error _ -> false
+  | Ok () ->
+      (if Engine.tracing t.engine then
+         match contract.Contract.entries with
+         | [] -> ()
+         | e :: _ ->
+             trace t ~instance:(-1)
+               (Rcc_trace.Event.Contract_adopted
+                  {
+                    round = e.Msg.ce_round;
+                    entries = List.length contract.Contract.entries;
+                  }));
+      List.iter
+        (fun (e : Msg.contract_entry) ->
+          if e.Msg.ce_instance < t.cfg.z then
+            (t.handles.(e.Msg.ce_instance)).h_adopt ~round:e.Msg.ce_round
+              e.Msg.ce_batch ~cert:e.Msg.ce_cert_replicas)
+        contract.Contract.entries;
+      true
+
 let on_contract t msg =
   match Contract.of_msg msg with
   | None -> ()
-  | Some contract -> (
-      match Contract.validate contract ~n:t.cfg.n ~min_cert:t.cfg.min_cert with
-      | Error _ -> ()
-      | Ok () ->
-          (if Engine.tracing t.engine then
-             match contract.Contract.entries with
-             | [] -> ()
-             | e :: _ ->
-                 trace t ~instance:(-1)
-                   (Rcc_trace.Event.Contract_adopted
-                      {
-                        round = e.Msg.ce_round;
-                        entries = List.length contract.Contract.entries;
-                      }));
-          List.iter
-            (fun (e : Msg.contract_entry) ->
-              if e.Msg.ce_instance < t.cfg.z then
-                (t.handles.(e.Msg.ce_instance)).h_adopt ~round:e.Msg.ce_round
-                  e.Msg.ce_batch ~cert:e.Msg.ce_cert_replicas)
-            contract.Contract.entries)
+  | Some contract -> ignore (adopt_contract t contract)
+
+let on_contract_reply t ~src ~instance ~round ~max_seen entries =
+  if
+    instance >= 0 && instance < t.cfg.z && src >= 0 && src < t.cfg.n
+    && adopt_contract t { Contract.round; entries }
+  then (t.handles.(instance)).h_answered ~src ~max_seen
 
 (* Bound on how many consecutive rounds one contract reply may carry. *)
 let contract_window = 1_024
@@ -537,9 +549,11 @@ let on_contract_request t ~src ~round ~instance =
        rounds, or asks for them separately. It cannot know how far ahead
        the rest of the cluster ran, so the reply carries the contiguous
        window of [instance]'s rounds from [round] up to the first round
-       this replica lacks (at most [contract_window] of them). Contract
-       entries carry their own round numbers, so the window packs into one
-       message. *)
+       this replica lacks (at most [contract_window] of them), plus the
+       highest round this replica has seen in [instance]: an empty
+       window still tells a fresh primary that nothing it lacks is in
+       flight here. Contract entries carry their own round numbers, so
+       the window packs into one message. *)
     let rec window r acc =
       match
         if r < round + contract_window then accepted_anywhere t ~round:r ~instance
@@ -556,17 +570,23 @@ let on_contract_request t ~src ~round ~instance =
              }
             :: acc)
     in
-    (match window round [] with
-    | [] -> ()
-    | es ->
-        let msg = Msg.Contract { round; entries = es } in
-        let size = Msg.contract_entries_size es in
-        Metrics.record_contract_bytes t.metrics size;
-        if Engine.tracing t.engine then
-          trace t ~instance:(-1)
-            (Rcc_trace.Event.Contract_sent
-               { round; entries = List.length es; bytes = size });
-        t.send ~size ~dst:src msg);
+    let es = window round [] in
+    let size = Msg.contract_entries_size es in
+    if es <> [] then begin
+      Metrics.record_contract_bytes t.metrics size;
+      if Engine.tracing t.engine then
+        trace t ~instance:(-1)
+          (Rcc_trace.Event.Contract_sent
+             { round; entries = List.length es; bytes = size })
+    end;
+    t.send ~size ~dst:src
+      (Msg.Contract_reply
+         {
+           instance;
+           round;
+           max_seen = (t.handles.(instance)).h_max_seen ();
+           entries = es;
+         });
     (* A contract request is the voice of a replica pulling itself out of
        a stall (healed partition, restart): besides its missing rounds,
        ship it our certified coordinator views directly, so it converges

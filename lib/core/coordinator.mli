@@ -29,6 +29,11 @@ type recovery_mode = Optimistic | Pessimistic | View_shift
 type instance_handle = {
   h_set_primary : replica_id -> view:view -> unit;
   h_adopt : round:round -> Rcc_messages.Batch.t -> cert:int list -> unit;
+  h_answered : src:replica_id -> max_seen:round -> unit;
+      (** a peer answered this replica's contract request for the
+          instance; its window was adopted first *)
+  h_max_seen : unit -> round;
+      (** the instance's highest round with any slot (-1 if none) *)
   h_accepted : round:round -> (Rcc_messages.Batch.t * int list) option;
   h_incomplete : unit -> round list;
   h_primary : unit -> replica_id;
@@ -125,11 +130,27 @@ val on_contract_request :
 (** A peer lacks [instance]'s batches from [round] on (a stalled replica
     asks once per instance missing at its stalled round; a fresh primary
     asks for the instance it takes over). Reply to [src] with one
-    contract holding [instance]'s consecutive accepted rounds starting at
-    [round]; the window stops at the first round this replica lacks or
-    after a bounded number of rounds, and carries no other instance's
-    entries. Nothing is sent when the window is empty. Certified views
+    CONTRACT-REPLY holding [instance]'s consecutive accepted rounds
+    starting at [round] and this replica's highest round with any slot in
+    [instance]. The window stops at the first round this replica lacks or
+    after a bounded number of rounds, carries no other instance's
+    entries, and may be empty: every request is answered, and only a
+    non-empty window counts toward the contract bytes. Certified views
     are shipped alongside. A request whose [instance] is out of range is
+    ignored. *)
+
+val on_contract_reply :
+  t ->
+  src:replica_id ->
+  instance:instance_id ->
+  round:round ->
+  max_seen:round ->
+  Rcc_messages.Msg.contract_entry list ->
+  unit
+(** [src]'s answer to this replica's request for [instance]: adopt the
+    window like {!on_contract}, then pass the answer to the instance
+    ([h_answered]) — a fresh primary ends its takeover on enough of
+    them. An invalid window, or an out-of-range [instance] or [src], is
     ignored. *)
 
 val on_round_executed : t -> round:round -> Rcc_replica.Acceptance.t array -> unit

@@ -216,6 +216,15 @@ let install_route t =
                     ~instance)
           | None -> ()
         end
+      | Msg.Contract_reply { instance; round; max_seen; entries } -> begin
+          match t.coordinator with
+          | Some coordinator ->
+              Cpu.submit_ready exec_server ~ready ~cost:(coordinator_cost msg)
+                (fun () ->
+                  Coordinator.on_contract_reply coordinator ~src ~instance
+                    ~round ~max_seen entries)
+          | None -> ()
+        end
       | Msg.View_sync { instance; view; primary; kmal; cert } -> begin
           match t.coordinator with
           | Some coordinator ->
@@ -263,6 +272,18 @@ let install_route t =
           in
           Cpu.submit_ready (worker_of x) ~ready ~cost:(P.cost_of costs msg)
             (fun () -> P.handle instances.(x) ~src msg))
+
+(* Null-fill an instance that fell behind: from the execute stage's
+   stalled round (past what it already proposed) up to the pipeline
+   horizon the other instances reached, at most 64 rounds out, so it
+   never throttles the round rate. Shared by the liveness monitor's idle
+   fill and a finished takeover ([Env.null_fill]). *)
+let null_fill exec ~proposed_upto submit =
+  let round = Exec.next_round exec in
+  let horizon = max round (min (Exec.max_pending_round exec) (round + 64)) in
+  for r = max round (proposed_upto + 1) to horizon do
+    submit (Batch.null ~round:r)
+  done
 
 let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
     ~metrics cfg =
@@ -369,6 +390,7 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
                 | Some c -> Coordinator.on_rollback c ~frontier
                 | None -> ());
                 Exec.rollback_to exec ~frontier ~instance:x);
+            null_fill = null_fill exec;
             report_failure =
               (fun ~round ~blamed ->
                 match !coordinator_ref with
@@ -396,6 +418,9 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
               Coordinator.h_set_primary =
                 (fun r ~view -> P.set_primary inst r ~view);
               h_adopt = (fun ~round batch ~cert -> P.adopt inst ~round batch ~cert);
+              h_answered =
+                (fun ~src ~max_seen -> P.on_contract_reply inst ~src ~max_seen);
+              h_max_seen = (fun () -> P.max_seen inst);
               h_accepted = (fun ~round -> P.accepted_batch inst ~round);
               h_incomplete = (fun () -> P.incomplete_rounds inst);
               h_primary = (fun () -> P.primary inst);
@@ -565,15 +590,8 @@ let monitor t =
               && upto < round (* max_int opts a protocol out entirely *)
             then begin
               last_heartbeat.(x) <- round;
-              (* Fill the idle instance up to the pipeline horizon so it
-                 never throttles the round rate; the proposed_upto guard
-                 keeps in-flight rounds untouched. *)
-              let horizon =
-                max round (min (Exec.max_pending_round t.exec) (round + 64))
-              in
-              for r = max round (upto + 1) to horizon do
-                P.submit_batch inst (Batch.null ~round:r)
-              done
+              (* The proposed_upto guard keeps in-flight rounds untouched. *)
+              null_fill t.exec ~proposed_upto:upto (P.submit_batch inst)
             end)
           missing;
       if cfg.unified && stalled > cfg.timeout && now - !last_exchange > cfg.timeout

@@ -289,6 +289,10 @@ let accepted_batch t ~round =
   | Some _ | None -> None
 
 let incomplete_rounds t = SL.incomplete_rounds t.log
+let max_seen t = SL.max_seen t.log
+
+(* No primary takes over: nothing waits on contract replies. *)
+let on_contract_reply _ ~src:_ ~max_seen:_ = ()
 
 (* Rotating leadership: proposals derive from the vote chain, not a
    volatile per-primary sequence counter, so a restarted replica has
@@ -319,8 +323,8 @@ let handle t ~src msg =
   | Msg.View_change _ | Msg.New_view _ | Msg.Order_request _
   | Msg.Commit_cert _ | Msg.Local_commit _ | Msg.Client_request _
   | Msg.Response _ | Msg.Contract _ | Msg.Contract_request _
-  | Msg.Instance_change _ | Msg.View_sync _ | Msg.Snapshot_request _
-  | Msg.Snapshot_reply _ ->
+  | Msg.Contract_reply _ | Msg.Instance_change _ | Msg.View_sync _
+  | Msg.Snapshot_request _ | Msg.Snapshot_reply _ ->
       ()
 
 let cost_of (costs : Costs.t) msg =
@@ -341,6 +345,6 @@ let cost_of (costs : Costs.t) msg =
   | Msg.View_change _ | Msg.New_view _ | Msg.Order_request _
   | Msg.Commit_cert _ | Msg.Local_commit _ | Msg.Client_request _
   | Msg.Response _ | Msg.Contract _ | Msg.Contract_request _
-  | Msg.Instance_change _ | Msg.View_sync _ | Msg.Snapshot_request _
-  | Msg.Snapshot_reply _ ->
+  | Msg.Contract_reply _ | Msg.Instance_change _ | Msg.View_sync _
+  | Msg.Snapshot_request _ | Msg.Snapshot_reply _ ->
       costs.Costs.worker_msg

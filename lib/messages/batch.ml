@@ -181,14 +181,7 @@ let read (r : Wire.reader) =
   let client = Wire.int r in
   let ntxns = Wire.count r ~max:max_txns "txn count" in
   Wire.need r (ntxns * Txn.encoded_size);
-  let txns =
-    Array.init ntxns (fun _ ->
-        let off = r.pos in
-        r.pos <- off + Txn.encoded_size;
-        match Txn.decode r.buf off with
-        | Ok txn -> txn
-        | Error e -> raise (Wire.Malformed e))
-  in
+  let txns = Array.init ntxns (fun _ -> Txn.read r) in
   let digest = Wire.string r ~max:max_int in
   let signature = Wire.string r ~max:max_int in
   of_parts ~id ~client ~txns ~digest ~signature

@@ -38,6 +38,7 @@ let encoded_size msg =
   | Msg.Response { result_digest; history; _ } ->
       24 + str result_digest + 9 + str history
   | Msg.Contract { entries; _ } -> 8 + list_size entry_size entries
+  | Msg.Contract_reply { entries; _ } -> 24 + list_size entry_size entries
   | Msg.Contract_request _ | Msg.Instance_change _ -> 16
   | Msg.View_sync { kmal; cert; _ } -> 24 + ints kmal + list_size vote_size cert
   | Msg.Snapshot_request _ -> 9
@@ -119,6 +120,9 @@ let write b msg =
       tag b '\x0e' |> put_int b round |> put_list b put_entry entries
   | Msg.Contract_request { round; instance } ->
       tag b '\x0f' |> put_int b round |> put_int b instance
+  | Msg.Contract_reply { instance; round; max_seen; entries } ->
+      tag b '\x14' |> put_int b instance |> put_int b round
+      |> put_int b max_seen |> put_list b put_entry entries
   | Msg.Instance_change { client; instance } ->
       tag b '\x10' |> put_int b client |> put_int b instance
   | Msg.View_sync { instance; view; primary; kmal; cert } ->
@@ -260,6 +264,12 @@ let read r =
       let sp_attesters = int_list r in
       let sp_payload = option r string in
       Msg.Snapshot_reply { sp_seq; sp_head; sp_kv; sp_attesters; sp_payload }
+  | '\x14' ->
+      let instance = int r in
+      let round = int r in
+      let max_seen = int r in
+      Msg.Contract_reply
+        { instance; round; max_seen; entries = list r read_entry }
   | c -> raise (Wire.Malformed (Printf.sprintf "unknown tag 0x%02x" (Char.code c)))
 
 let decode = Wire.decode read

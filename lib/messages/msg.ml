@@ -68,6 +68,12 @@ type t =
     }
   | Contract of { round : round; entries : contract_entry list }
   | Contract_request of { round : round; instance : instance_id }
+  | Contract_reply of {
+      instance : instance_id;
+      round : round;
+      max_seen : round;
+      entries : contract_entry list;
+    }
   | Instance_change of { client : client_id; instance : instance_id }
   | View_sync of {
       instance : instance_id;
@@ -121,7 +127,8 @@ let size = function
           0 reproposals
   | Commit_cert { cc_replicas; _ } ->
       header_size + (48 * List.length cc_replicas)
-  | Contract { entries; _ } -> contract_entries_size entries
+  | Contract { entries; _ } | Contract_reply { entries; _ } ->
+      contract_entries_size entries
   (* Per kmal entry a replica id; per certificate vote an accuser id, a
      round, and a 64-byte signature. *)
   | View_sync { kmal; cert; _ } ->
@@ -152,6 +159,7 @@ let kind = function
   | Response _ -> "response"
   | Contract _ -> "contract"
   | Contract_request _ -> "contract_request"
+  | Contract_reply _ -> "contract_reply"
   | Instance_change _ -> "instance_change"
   | View_sync _ -> "view_sync"
   | Snapshot_request _ -> "snapshot_request"
@@ -168,6 +176,7 @@ let instance_of = function
   | Order_request { instance; _ }
   | Local_commit { instance; _ }
   | Contract_request { instance; _ }
+  | Contract_reply { instance; _ }
   | Instance_change { instance; _ }
   | View_sync { instance; _ } ->
       Some instance

@@ -93,6 +93,19 @@ type t =
   (* RCC unification *)
   | Contract of { round : round; entries : contract_entry list }
   | Contract_request of { round : round; instance : instance_id }
+  | Contract_reply of {
+      instance : instance_id;
+      round : round;  (** the requested round *)
+      max_seen : round;
+          (** the sender's highest round with any slot in [instance] (-1
+              if none): a fresh primary that has not seen that far keeps
+              waiting for the rounds it lacks *)
+      entries : contract_entry list;
+          (** [instance]'s consecutive accepted rounds from [round];
+              possibly empty *)
+    }
+      (** Answer to every {!Contract_request}: the requested instance's
+          window plus the sender's watermark for it. *)
   | Instance_change of { client : client_id; instance : instance_id }
   | View_sync of {
       instance : instance_id;
@@ -151,6 +164,6 @@ val kind : t -> string
 
 val instance_of : t -> instance_id option
 (** The RCC instance a message belongs to, when it has one (HotStuff and
-    contract messages do not). *)
+    cross-instance contract messages do not). *)
 
 val pp : Format.formatter -> t -> unit

@@ -39,7 +39,12 @@ let create env =
         })
       ()
   in
-  { env; log; lead = Leader.create env log; ordered = Ordered_batches.create () }
+  {
+    env;
+    log;
+    lead = Leader.create ~certified:true env log;
+    ordered = Ordered_batches.create ();
+  }
 
 let primary t = t.lead.Leader.primary
 let view t = t.lead.Leader.view
@@ -231,10 +236,11 @@ let submit_batch t batch = Leader.submit_batch t.lead batch ~propose:(propose t)
 (* --- view changes ---------------------------------------------------- *)
 
 (* Re-propose every incomplete round in the new view, null-filling the
-   rounds nobody vouched for (under RCC, within the takeover's grace
-   period: another replica may hold — or have executed — the deposed
-   primary's in-flight batch for a round, and a null over it would fork
-   the ledgers). Only the new primary calls this. *)
+   rounds nobody vouched for (under RCC, only once the takeover has
+   heard from its peers or waited out its grace period: another replica
+   may hold — or have executed — the deposed primary's in-flight batch
+   for a round, and a null over it would fork the ledgers). Only the new
+   primary calls this. *)
 let repropose_now t reproposals =
   let view = t.lead.Leader.view in
   (* Announce the new view even with nothing to re-propose, so backups
@@ -351,6 +357,10 @@ let adopt t ~round batch ~cert =
   end
 
 let proposed_upto t = Leader.proposed_upto t.lead
+let max_seen t = SL.max_seen t.log
+
+let on_contract_reply t ~src ~max_seen =
+  Leader.on_contract_reply t.lead ~src ~max_seen
 let fast_forward t ~proof = Leader.fast_forward t.lead ~proof
 let log_stats t = Leader.log_stats t.lead
 let checkpoint_log t = Leader.checkpoint_log t.lead
@@ -363,11 +373,15 @@ let accepted_batch t ~round =
 
 let incomplete_rounds t = SL.incomplete_rounds t.log
 
-(* Standalone PBFT holds through its own view change; under RCC a blame
-   clears the hold instead. *)
+(* Standalone PBFT holds through its own view change. Under RCC the
+   coordinator decides view changes and a blame leaves the hold alone: a
+   primary that blames during its own takeover (its oldest incomplete
+   round predates the view) must still finish it, and a resigned primary
+   must not resume on its stale sequence numbers. *)
 let start t =
   Leader.start t.lead
-    ~on_blame:(fun () -> t.lead.Leader.holding <- not t.env.Env.unified)
+    ~on_blame:(fun () ->
+      if not t.env.Env.unified then t.lead.Leader.holding <- true)
     ~stalled:(fun () -> SL.oldest_incomplete t.log)
 
 (* --- dispatch --------------------------------------------------------- *)
@@ -383,7 +397,8 @@ let handle t ~src msg =
   | Msg.New_view { view; reproposals; _ } -> on_new_view t ~src ~view reproposals
   | Msg.Client_request _ | Msg.Order_request _ | Msg.Commit_cert _
   | Msg.Local_commit _ | Msg.Hs_proposal _ | Msg.Hs_vote _ | Msg.Response _
-  | Msg.Contract _ | Msg.Contract_request _ | Msg.Instance_change _ | Msg.View_sync _ | Msg.Snapshot_request _
+  | Msg.Contract _ | Msg.Contract_request _ | Msg.Contract_reply _
+  | Msg.Instance_change _ | Msg.View_sync _ | Msg.Snapshot_request _
   | Msg.Snapshot_reply _ ->
       ()
 
@@ -402,6 +417,6 @@ let cost_of (costs : Costs.t) msg =
       costs.Costs.worker_msg + costs.Costs.mac_verify
   | Msg.Client_request _ | Msg.Order_request _ | Msg.Hs_proposal _
   | Msg.Hs_vote _ | Msg.Response _ | Msg.Contract _ | Msg.Contract_request _
-  | Msg.Instance_change _ | Msg.View_sync _ | Msg.Snapshot_request _
-  | Msg.Snapshot_reply _ ->
+  | Msg.Contract_reply _ | Msg.Instance_change _ | Msg.View_sync _
+  | Msg.Snapshot_request _ | Msg.Snapshot_reply _ ->
       costs.Costs.worker_msg

@@ -3,9 +3,18 @@ module Msg = Rcc_messages.Msg
 module Env = Rcc_replica.Instance_env
 module SL = Slot_log
 
+(* A unified takeover waiting for its peers' contract replies. *)
+type takeover = {
+  answers : Quorum.t;  (* who answered, this replica included *)
+  mutable reported : int;  (* highest [max_seen] any answer reported *)
+  finish : unit -> unit;
+  propose : Rcc_messages.Batch.t -> unit;
+}
+
 type 'a t = {
   env : Env.t;
   log : 'a SL.t;
+  certified : bool;
   mutable view : int;
   mutable primary : int;
   mutable next_seq : int;
@@ -16,13 +25,15 @@ type 'a t = {
   ckpt : Checkpointing.t;
   held : Held_batches.t;
   mutable running : bool;
+  mutable takeover : takeover option;
 }
 
-let create env log =
+let create ~certified env log =
   let n = env.Env.n and f = env.Env.f in
   {
     env;
     log;
+    certified;
     view = 0;
     primary = env.Env.instance;
     next_seq = 0;
@@ -33,6 +44,7 @@ let create env log =
     ckpt = Checkpointing.create ~n ~f ~interval:env.Env.checkpoint_interval ();
     held = Held_batches.create ();
     running = false;
+    takeover = None;
   }
 
 let is_primary t = t.primary = t.env.Env.self
@@ -89,25 +101,37 @@ let start ?(on_blame = ignore) t ~stalled =
 (* --- primary installation and takeover --------------------------------- *)
 
 (* How long a new primary waits for peers to vouch for in-flight rounds
-   before re-proposing over them. *)
+   before re-proposing over them, when their answers do not settle it. *)
 let recover_grace t = max (Engine.ms 1) (t.env.Env.timeout / 8)
 
 let finish_takeover t ~finish ~propose =
+  t.takeover <- None;
   t.holding <- false;
   t.next_seq <- max t.next_seq (SL.max_seen t.log + 1);
   finish ();
-  Held_batches.flush t.held ~propose
+  Held_batches.flush t.held ~propose;
+  (* The other instances kept running while this one was stalled: catch
+     up to their horizon now rather than at the next monitor tick, or the
+     gap stays for the rest of the run and every round waits on it. *)
+  if t.env.Env.unified then
+    t.env.Env.null_fill ~proposed_upto:(proposed_upto t) propose
 
 (* A primary taking over an instance it was cut off from (partition, dark
    attack) does not know how far the deposed primary ran: peers may have
    accepted — or executed — rounds past this replica's [max_seen], and
    proposing a fresh batch or a null at such a round forks the instance.
    Under RCC it therefore announces the view at once, so backups adopt
-   the new primary, but re-proposes only once the grace period has let
-   its peers' contract replies recover the instance's in-flight frontier
-   (§3.3 state exchange; a reply covers this instance's contiguous
-   window above the requested round). Standalone protocols have no
-   contract machinery and re-propose at once. *)
+   the new primary, and asks its peers for the instance's in-flight
+   frontier (§3.3 state exchange; every peer answers with this instance's
+   contiguous window above the requested round and its own [max_seen]).
+   Where an accepted round is certified by a quorum (PBFT, CFT), n − f
+   answers that report nothing past this replica's [max_seen] once their
+   windows are adopted prove no accepted round is missing, and the
+   takeover ends there ([on_contract_reply]). Otherwise — too few or
+   unsettled answers, or Zyzzyva, whose speculative rounds a single
+   replica may have executed — it re-proposes after the grace period.
+   Standalone protocols have no contract machinery and re-propose at
+   once. *)
 let take_over t ~finish ~propose =
   if t.env.Env.unified then begin
     t.holding <- true;
@@ -117,6 +141,11 @@ let take_over t ~finish ~propose =
     t.env.Env.broadcast
       (Msg.Contract_request
          { round = SL.frontier t.log + 1; instance = t.env.Env.instance });
+    if t.certified then begin
+      let answers = Quorum.create ~n:t.env.Env.n ~f:t.env.Env.f in
+      ignore (Quorum.vote answers t.env.Env.self);
+      t.takeover <- Some { answers; reported = -1; finish; propose }
+    end;
     let view = t.view in
     Engine.schedule_after t.env.Env.engine (recover_grace t) (fun () ->
         if t.view = view && is_primary t && t.holding then
@@ -124,10 +153,20 @@ let take_over t ~finish ~propose =
   end
   else finish_takeover t ~finish ~propose
 
+let on_contract_reply t ~src ~max_seen =
+  match t.takeover with
+  | Some tk when is_primary t && t.holding ->
+      ignore (Quorum.vote tk.answers src);
+      if max_seen > tk.reported then tk.reported <- max_seen;
+      if Quorum.has_all_but_f tk.answers && tk.reported <= SL.max_seen t.log
+      then finish_takeover t ~finish:tk.finish ~propose:tk.propose
+  | Some _ | None -> ()
+
 let install_view t ~view ~primary ~on_install ~finish ~propose =
   t.view <- view;
   t.primary <- primary;
   t.holding <- false;
+  t.takeover <- None;
   on_install ();
   (* Held batches flush at the end of the takeover if this replica leads
      the new view; a backup must not sit on them — its clients' requests

@@ -11,24 +11,42 @@
     hook.
 
     Takeover. Under RCC, a replica installed as primary stops proposing
-    ([holding]), announces the view with an empty NEW-VIEW, asks its
+    ([holding]), announces the view with an empty NEW-VIEW and asks its
     peers for the in-flight frontier (one CONTRACT-REQUEST for
-    [frontier + 1]), and re-proposes only after a grace period of
-    [timeout / 8], if it is still primary of that view and still
-    holding. Standalone, it re-proposes at once, and its re-propose step
+    [frontier + 1]). Every peer answers with the instance's contiguous
+    window above that round and its own [max_seen]. Where accepted
+    rounds are quorum-certified ([certified]: PBFT, CFT), the takeover
+    completes as soon as n − f replicas, this one included, have
+    answered and, with their windows adopted, no answer reports a round
+    past this replica's [max_seen]: any accepted round was then seen by
+    one of them. Otherwise it completes after a grace period of
+    [timeout / 8], if the replica is still primary of that view and
+    still holding; Zyzzyva ([certified = false]) always waits the grace,
+    since a speculative round executed by one replica need not be in any
+    n − f answers. Under RCC no blame hook touches [holding], so a
+    watchdog blame never ends a takeover.
+    Standalone, the primary re-proposes at once, and its re-propose step
     announces the view. Completing the takeover clears [holding], moves
-    [next_seq] past every round seen, runs the instance's re-propose step
-    and flushes the held batches in submission order. *)
+    [next_seq] past every round seen, runs the instance's re-propose
+    step, flushes the held batches in submission order and, under RCC,
+    null-fills the instance up to the horizon the other instances
+    reached ([Env.null_fill]). *)
+
+type takeover
+(** A unified takeover waiting for its peers' answers. *)
 
 type 'a t = {
   env : Rcc_replica.Instance_env.t;
   log : 'a Slot_log.t;  (** the instance's slot log *)
+  certified : bool;
+      (** an accepted round is backed by a quorum, so n − f answers can
+          end a takeover *)
   mutable view : Rcc_common.Ids.view;
   mutable primary : Rcc_common.Ids.replica_id;
   mutable next_seq : Rcc_common.Ids.round;  (** primary: next round to propose *)
   mutable holding : bool;
       (** hold submitted batches instead of proposing: set through a
-          takeover's grace period, after [resign_primary], and by a PBFT
+          unified takeover, after [resign_primary], and by a PBFT
           replica running its own view change *)
   vc_votes : Quorum.Tally.t;  (** standalone view change: new view -> voters *)
   mutable vc_sent_for : Rcc_common.Ids.view;
@@ -37,9 +55,11 @@ type 'a t = {
   ckpt : Checkpointing.t;
   held : Held_batches.t;
   mutable running : bool;  (** watchdog armed *)
+  mutable takeover : takeover option;  (** pending unified takeover *)
 }
 
-val create : Rcc_replica.Instance_env.t -> 'a Slot_log.t -> 'a t
+val create :
+  certified:bool -> Rcc_replica.Instance_env.t -> 'a Slot_log.t -> 'a t
 (** View 0 led by replica [env.instance] (P_x initially runs on replica
     x, §4). *)
 
@@ -78,6 +98,12 @@ val install_view :
     prune the view-change votes. The new primary then takes over (see
     above); [finish] is its re-propose step and [propose] re-submits the
     held batches. *)
+
+val on_contract_reply :
+  'a t -> src:Rcc_common.Ids.replica_id -> max_seen:Rcc_common.Ids.round -> unit
+(** Count [src]'s answer to a pending takeover's CONTRACT-REQUEST (its
+    window already adopted) and complete the takeover once the answers
+    settle it (see above). No-op without a pending takeover. *)
 
 val resign_primary : 'a t -> unit
 (** A restarted primary's sequencing state is stale: hold every batch

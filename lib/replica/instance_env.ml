@@ -42,6 +42,12 @@ type t = {
           [frontier]; the execute stage must unwind them (and the
           coordinator forget its retained copies) before the new view's
           orders re-execute. *)
+  null_fill : proposed_upto:round -> (Rcc_messages.Batch.t -> unit) -> unit;
+      (** Propose null batches through the given proposer, from the
+          execute stage's stalled round (past [proposed_upto]) up to the
+          horizon the other instances already reached, so an instance
+          that fell behind does not throttle the round rate. The liveness
+          monitor's idle fill and a finished unified takeover share it. *)
   sign_blame : view:view -> blamed:replica_id -> round:round -> string;
       (** Sign this replica's accusation against [blamed] for this
           instance with its own key (the coordinator's blame digest), so

@@ -42,6 +42,16 @@ module type S = sig
   val incomplete_rounds : t -> round list
   (** Rounds started but not yet accepted, oldest first. *)
 
+  val max_seen : t -> round
+  (** Highest round with any slot activity (-1 if none): the watermark a
+      contract reply reports for this instance. *)
+
+  val on_contract_reply : t -> src:replica_id -> max_seen:round -> unit
+  (** [src] answered this replica's CONTRACT-REQUEST for the instance,
+      reporting its {!max_seen}; the reply's rounds were adopted first. A
+      fresh unified primary counts these answers to end its takeover (see
+      {!Rcc_proto_core.Leader}); everyone else ignores them. *)
+
   val proposed_upto : t -> round
   (** Highest round this instance's primary has proposed (-1 if none);
       used by the liveness monitor to fill idle instances with null

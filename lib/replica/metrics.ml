@@ -26,6 +26,7 @@ type t = {
   mutable view_changes : int;
   mutable collusions : int;
   mutable contract_bytes : int;
+  mutable first_completion : Engine.time;  (* -1 until one completes *)
 }
 
 let bucket = 0.1 (* seconds *)
@@ -54,6 +55,7 @@ let create ~n ?(instances = 1) ~warmup () =
     view_changes = 0;
     collusions = 0;
     contract_bytes = 0;
+    first_completion = -1;
   }
 
 let warmup t = t.warmup
@@ -69,6 +71,7 @@ let sub t instance =
    [committed_txns]/[throughput] count, and the full-run view (warmup
    merged back in) is explicit. *)
 let record_completion ?(instance = -1) t ~now ~ntxns ~latency =
+  if t.first_completion < 0 then t.first_completion <- now;
   let time = Engine.to_seconds now in
   if now >= t.warmup then begin
     Stats.Series.add t.throughput ~time (float_of_int ntxns);
@@ -104,6 +107,9 @@ let record_rollback ?(instance = -1) t ~rounds ~txns =
 
 let record_collusion_detected t = t.collusions <- t.collusions + 1
 let record_contract_bytes t b = t.contract_bytes <- t.contract_bytes + b
+
+let first_completion t =
+  if t.first_completion < 0 then None else Some t.first_completion
 
 let committed_txns t = t.txns
 let committed_batches t = t.batches

@@ -44,6 +44,11 @@ val record_rollback : ?instance:int -> t -> rounds:int -> txns:int -> unit
 val record_collusion_detected : t -> unit
 val record_contract_bytes : t -> int -> unit
 
+val first_completion : t -> Rcc_sim.Engine.time option
+(** When the first client request completed, warmup included; [None]
+    if none did. After a crash at the start of a run, how long recovery
+    took. *)
+
 val committed_txns : t -> int
 val committed_batches : t -> int
 

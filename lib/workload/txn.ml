@@ -19,15 +19,15 @@ let encode t =
   encode_into buf 0 t;
   Bytes.unsafe_to_string buf
 
-let decode buf off =
-  if String.length buf < off + encoded_size then Error "txn: truncated"
-  else
-    let u64 i = Int64.to_int (Rcc_common.Bytes_util.get_u64be buf (off + i)) in
-    let key = u64 0 in
-    match u64 8 with
-    | 0 -> Ok { key; op = Read }
-    | 1 -> Ok { key; op = Write (u64 16) }
-    | tag -> Error (Printf.sprintf "txn: bad op tag %d" tag)
+let read r =
+  let module Wire = Rcc_common.Wire in
+  let key = Wire.int r in
+  match Wire.int r with
+  | 0 ->
+      Wire.skip r 8;
+      { key; op = Read }
+  | 1 -> { key; op = Write (Wire.int r) }
+  | tag -> raise (Wire.Malformed (Printf.sprintf "txn: bad op tag %d" tag))
 
 let apply store t =
   match t.op with

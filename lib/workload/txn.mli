@@ -16,8 +16,10 @@ val encode_into : Bytes.t -> int -> t -> unit
 
 val encoded_size : int
 
-val decode : string -> int -> (t, string) result
-(** [decode buf off] parses the encoding written by {!encode}. *)
+val read : Rcc_common.Wire.reader -> t
+(** Parse the encoding written by {!encode}, raising
+    {!Rcc_common.Wire.Malformed} on a truncated input or an unknown op
+    tag. *)
 
 val wire_size : int
 (** Bytes one transaction occupies inside a request batch. Calibrated so a

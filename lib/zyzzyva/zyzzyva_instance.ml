@@ -31,7 +31,7 @@ let create env =
   {
     env;
     log;
-    lead = Leader.create env log;
+    lead = Leader.create ~certified:false env log;
     history = "";
     committed = -1;
     ordered = Ordered_batches.create ();
@@ -273,6 +273,10 @@ let adopt t ~round batch ~cert:_ =
     | Some _ | None -> ()
 
 let proposed_upto t = Leader.proposed_upto t.lead
+let max_seen t = SL.max_seen t.log
+
+let on_contract_reply t ~src ~max_seen =
+  Leader.on_contract_reply t.lead ~src ~max_seen
 
 let fast_forward t ~proof =
   Leader.fast_forward t.lead ~proof;
@@ -323,8 +327,8 @@ let handle t ~src msg =
   | Msg.Pre_prepare _ | Msg.Prepare _ | Msg.Commit _
   | Msg.Client_request _ | Msg.Local_commit _ | Msg.Hs_proposal _
   | Msg.Hs_vote _ | Msg.Response _ | Msg.Contract _ | Msg.Contract_request _
-  | Msg.Instance_change _ | Msg.View_sync _ | Msg.Snapshot_request _
-  | Msg.Snapshot_reply _ ->
+  | Msg.Contract_reply _ | Msg.Instance_change _ | Msg.View_sync _
+  | Msg.Snapshot_request _ | Msg.Snapshot_reply _ ->
       ()
 
 let cost_of (costs : Costs.t) msg =
@@ -343,6 +347,7 @@ let cost_of (costs : Costs.t) msg =
       costs.Costs.worker_msg + costs.Costs.mac_verify
   | Msg.Pre_prepare _ | Msg.Prepare _ | Msg.Commit _
   | Msg.Client_request _ | Msg.Hs_proposal _ | Msg.Hs_vote _ | Msg.Response _
-  | Msg.Contract _ | Msg.Contract_request _ | Msg.Instance_change _ | Msg.View_sync _ | Msg.Snapshot_request _
+  | Msg.Contract _ | Msg.Contract_request _ | Msg.Contract_reply _
+  | Msg.Instance_change _ | Msg.View_sync _ | Msg.Snapshot_request _
   | Msg.Snapshot_reply _ ->
       costs.Costs.worker_msg

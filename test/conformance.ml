@@ -20,7 +20,10 @@
    - for primary-backup instances ([Info.takeover]): [resign_primary]
      holds proposals until [set_primary], and a fresh unified primary
      recovers the in-flight frontier from its peers (one CONTRACT-REQUEST
-     for [frontier + 1]) before it proposes anything. *)
+     for [frontier + 1]) before it proposes anything: until n - f
+     answers settle it where accepted rounds are quorum-certified
+     ([Info.certified]), or else until the grace period ends — and a
+     watchdog blame does not cut that short. *)
 
 module Batch = Rcc_messages.Batch
 
@@ -31,6 +34,10 @@ module Make
       val takeover : bool
       (** Primary-backup leadership ([resign_primary] / [set_primary]
           hold and take over); false for rotating-leader protocols. *)
+
+      val certified : bool
+      (** Accepted rounds carry a quorum certificate, so n - f contract
+          answers can end a unified takeover. *)
     end) =
 struct
   module H = Harness.Make (P)
@@ -171,10 +178,13 @@ struct
     check Alcotest.bool "set_primary flushes the held batch" true
       (has_accepted t ~replica:2 93)
 
-  (* The unified takeover (§3.4): announce the view, ask peers once for
-     the frontier's successor, and propose only after the grace period
-     ([timeout / 8]) — flushing batches held meanwhile. *)
-  let test_unified_takeover () =
+  (* The unified takeover (§3.4): announce the view, ask the peers once
+     for the frontier's successor, and flush the batches held meanwhile
+     when it ends. [answers] are delivered 1 ms after the install as
+     (peer, rounds past that peer's own [max_seen] it reports). Returns
+     whether the new primary proposed inside the grace period
+     ([timeout / 8]). *)
+  let takeover_proposes_early ~answers =
     let timeout = Rcc_sim.Engine.ms 200 in
     let t = H.create ~timeout ~n:4 ~unified:true () in
     H.submit t ~replica:0 (Harness.make_batch 7);
@@ -185,6 +195,12 @@ struct
     let grace = timeout / 8 in
     install_all t 1 ~view:1;
     H.submit t ~replica:1 (Harness.make_batch 94);
+    Rcc_sim.Engine.schedule_after t.H.engine (Rcc_sim.Engine.ms 1) (fun () ->
+        List.iter
+          (fun (src, ahead) ->
+            P.on_contract_reply (H.inst t 1) ~src
+              ~max_seen:(P.max_seen (H.inst t src) + ahead))
+          answers);
     Rcc_sim.Engine.run t.H.engine ~until:(t0 + grace - 1);
     let since_takeover =
       List.filter (fun (at, _) -> at >= t0) (H.sent t ~replica:1)
@@ -198,11 +214,60 @@ struct
     in
     check Alcotest.(list int) "one contract request for frontier + 1" [ 1 ]
       contract_requests;
-    check Alcotest.bool "no proposal inside the grace period" false
-      (List.exists (fun (_, m) -> is_proposal m) since_takeover);
+    let early = List.exists (fun (_, m) -> is_proposal m) since_takeover in
     H.run t 0.3;
+    check Alcotest.bool "held batch flushed when the takeover ends" true
+      (has_accepted t ~replica:2 94);
+    early
+
+  let test_unified_takeover () =
+    check Alcotest.bool
+      (if Info.certified then
+         "n - f clean answers end the takeover before timeout / 8"
+       else "a speculative instance always waits the grace period")
+      Info.certified
+      (takeover_proposes_early ~answers:[ (2, 0); (3, 0) ]);
+    check Alcotest.bool "fewer than n - f answers wait the grace period" false
+      (takeover_proposes_early ~answers:[ (2, 0); (2, 0) ]);
+    check Alcotest.bool "an answer past max_seen waits the grace period" false
+      (takeover_proposes_early ~answers:[ (2, 0); (3, 1) ])
+
+  (* A watchdog blame inside a takeover does not end it: under RCC the
+     coordinator decides view changes, so the new primary still waits for
+     its peers (here: the grace period, as no answers arrive), re-proposes
+     its incomplete rounds and flushes its held batches. PBFT's blame
+     used to clear the hold flag instead, which skipped all three. Replica
+     1 blames itself at 0.3 s for round 0, which only replicas 0 and 1 saw
+     and which its takeover re-proposes. Zyzzyva backups accept on the
+     primary's order alone, so only the certified protocols stall here. *)
+  let test_blame_keeps_takeover () =
+    let timeout = Rcc_sim.Engine.ms 200 in
+    let t = H.create ~timeout ~n:4 ~unified:true () in
+    H.kill t 2;
+    H.kill t 3;
+    H.submit t ~replica:0 (Harness.make_batch 7);
+    H.run t 0.1;
+    H.kill t 0;
+    H.revive t 2;
+    H.revive t 3;
+    H.run t 0.29;
+    let t0 = Rcc_sim.Engine.now t.H.engine in
+    let blames () = List.length (H.node t 1).H.failures in
+    let before = blames () in
+    install_all t 1 ~view:1;
+    H.submit t ~replica:1 (Harness.make_batch 95);
+    Rcc_sim.Engine.run t.H.engine ~until:(t0 + (timeout / 8) - 1);
+    check Alcotest.bool "the new primary blamed inside its takeover" true
+      (blames () > before);
+    check Alcotest.bool "no proposal inside the grace period" false
+      (List.exists
+         (fun (at, m) -> at >= t0 && is_proposal m)
+         (H.sent t ~replica:1));
+    H.run t 0.6;
+    check Alcotest.bool "round 0 re-proposed and accepted" true
+      (has_accepted t ~replica:2 7);
     check Alcotest.bool "held batch flushed after the grace period" true
-      (has_accepted t ~replica:2 94)
+      (has_accepted t ~replica:2 95)
 
   (* Every backend must leave the same structured footprint: a round is
      proposed, then accepted, then executed, at non-decreasing simulated
@@ -269,12 +334,19 @@ struct
           `Quick test_held_survives_reinstall;
         Alcotest.test_case "trace order" `Quick test_trace_order;
       ]
+      @ (if Info.takeover then
+           [
+             Alcotest.test_case
+               "resign_primary holds proposals until set_primary" `Quick
+               test_resign_holds;
+             Alcotest.test_case "unified takeover" `Quick test_unified_takeover;
+           ]
+         else [])
       @
-      if Info.takeover then
+      if Info.certified then
         [
-          Alcotest.test_case "resign_primary holds proposals until set_primary"
-            `Quick test_resign_holds;
-          Alcotest.test_case "unified takeover" `Quick test_unified_takeover;
+          Alcotest.test_case "blame inside takeover" `Quick
+            test_blame_keeps_takeover;
         ]
       else [] )
 end
@@ -285,6 +357,7 @@ module Pbft =
     (struct
       let name = "pbft"
       let takeover = true
+      let certified = true
     end)
 
 module Zyzzyva =
@@ -293,6 +366,7 @@ module Zyzzyva =
     (struct
       let name = "zyzzyva"
       let takeover = true
+      let certified = false
     end)
 
 module Cft =
@@ -301,6 +375,7 @@ module Cft =
     (struct
       let name = "cft"
       let takeover = true
+      let certified = true
     end)
 
 module Hotstuff =
@@ -309,6 +384,7 @@ module Hotstuff =
     (struct
       let name = "hotstuff"
       let takeover = false
+      let certified = false
     end)
 
 (* Regression for the layer the functor suites build on: gc_upto used to

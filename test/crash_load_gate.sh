@@ -7,6 +7,13 @@
 # batches the requester already holds breaks the byte bound, and enough
 # of it starves the execute thread until nothing commits.
 #
+# It also bounds recovery time: the primary is dead from the start, so
+# no client request completes before the replacement, and the first
+# completion must come within 50 ms of the 250 ms replica timeout. The
+# liveness monitor's tick granularity costs up to 37.5 ms of that; a
+# takeover that sits out a fixed grace period (timeout / 8 = 31.25 ms)
+# on top does not fit.
+#
 #   dune build bin/rcc_run.exe
 #   sh test/crash_load_gate.sh
 #
@@ -14,10 +21,12 @@
 
 run=${1:-_build/default/bin/rcc_run.exe}
 n=16
+timeout=0.25
+margin=0.05
 out=$("$run" -p multip -n $n --clients 10000 --arrival-rate 300000 \
-  --fault crash:1 --replica-timeout 0.25 --duration 3) || exit 1
-printf '%s\n' "$out" | grep -E '^(committed|contracts)='
-printf '%s\n' "$out" | awk -v n=$n '
+  --fault crash:1 --replica-timeout $timeout --duration 3) || exit 1
+printf '%s\n' "$out" | grep -E '^(committed|contracts|first_completion)='
+printf '%s\n' "$out" | awk -v n=$n -v timeout=$timeout -v margin=$margin '
   { for (i = 1; i <= NF; i++) { split($i, kv, "="); v[kv[1]] = kv[2] } }
   END {
     committed = v["committed"] + 0
@@ -32,7 +41,13 @@ printf '%s\n' "$out" | awk -v n=$n '
         contracts, bound, n, repl
       ok = 0
     }
-    if (ok) printf "PASS: %d txns committed, %.0f B of contracts (bound %.0f B)\n",
-      committed, contracts, bound
+    first = v["first_completion"]; sub(/s$/, "", first)
+    if (first == "" || first == "none" || first + 0 > timeout + margin) {
+      printf "FAIL: first completion at %s, later than the %.2f s timeout + %.3f s\n",
+        v["first_completion"], timeout, margin
+      ok = 0
+    }
+    if (ok) printf "PASS: %d txns committed, %.0f B of contracts (bound %.0f B), first completion %.4f s\n",
+      committed, contracts, bound, first
     exit !ok
   }'

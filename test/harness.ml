@@ -115,6 +115,8 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
                   node.accepted []
               in
               List.iter (Hashtbl.remove node.accepted) doomed);
+          (* One instance and no execute stage: no horizon to catch up to. *)
+          null_fill = (fun ~proposed_upto:_ _ -> ());
           sign_blame = (fun ~view:_ ~blamed:_ ~round:_ -> "");
           byz = Rcc_replica.Byz.copy (byz self);
           unified;
@@ -139,6 +141,7 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
   let node t i = t.nodes.(i)
   let inst t i = t.nodes.(i).inst
   let kill t i = t.dead.(i) <- true
+  let revive t i = t.dead.(i) <- false
 
   let accepted_batch_id t ~replica ~round =
     match Hashtbl.find_opt t.nodes.(replica).accepted round with

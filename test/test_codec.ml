@@ -92,6 +92,17 @@ let gen_msg =
          return (Msg.Contract { round; entries }));
         (let* round = gen_small and* instance = gen_small in
          return (Msg.Contract_request { round; instance }));
+        (let* instance = gen_small in
+         let* round = gen_small
+         and* max_seen = int_range (-1) 1_000_000
+         and* entries =
+           list_size (int_range 0 3)
+             (let* ce_round = gen_small and* ce_batch = gen_batch
+              and* ce_cert_replicas = gen_ids in
+              return
+                Msg.{ ce_instance = instance; ce_round; ce_batch; ce_cert_replicas })
+         in
+         return (Msg.Contract_reply { instance; round; max_seen; entries }));
         (let* client = gen_small and* instance = gen_small in
          return (Msg.Instance_change { client; instance }));
         (let* instance = gen_small and* view = gen_small and* primary = gen_small
@@ -185,9 +196,10 @@ let test_encoded_size () =
 (* One message of every constructor, with fixed fields: batches with and
    without txns (a null one too), optional batch and payload both ways,
    empty and non-empty lists. The SHA-256 of the concatenated encodings
-   was recorded before the codec moved onto the shared wire layer; a
-   writer and reader changed together would still round-trip, so this
-   pins the bytes themselves. *)
+   was recorded before the codec moved onto the shared wire layer, and
+   re-recorded when CONTRACT-REPLY (tag 0x14) joined the list, with every
+   other message's bytes unchanged; a writer and reader changed together
+   would still round-trip, so this pins the bytes themselves. *)
 let golden_msgs () =
   let batch id n =
     Batch.create ~id ~client:(id mod 7)
@@ -236,6 +248,12 @@ let golden_msgs () =
           ] };
     Msg.Contract { round = 43; entries = [] };
     Msg.Contract_request { round = 44; instance = 45 };
+    Msg.Contract_reply
+      { instance = 1; round = 57; max_seen = 59;
+        entries =
+          [ { Msg.ce_instance = 1; ce_round = 57; ce_batch = batch 7 2;
+              ce_cert_replicas = [ 0; 2 ] } ] };
+    Msg.Contract_reply { instance = 2; round = 58; max_seen = -1; entries = [] };
     Msg.Instance_change { client = 46; instance = 47 };
     Msg.View_sync
       { instance = 48; view = 49; primary = 50; kmal = [ 3; 1 ];
@@ -256,9 +274,9 @@ let test_golden_bytes () =
   let msgs = golden_msgs () in
   let encoded = List.map Codec.encode msgs in
   check Alcotest.string "sha256 of every constructor's encoding"
-    "450666e5d29dac2a61959c200f87e1f3e167c76b395dcfb6c28aeb618ac0e608"
+    "fda4e4ec52a5c66a838d60de53234c15bee8cd3f8950ed2f0f70d1965bdae2c4"
     (Rcc_crypto.Sha256.hex_digest (String.concat "" encoded));
-  check Alcotest.int "total bytes" 2802
+  check Alcotest.int "total bytes" 3092
     (List.fold_left (fun acc s -> acc + String.length s) 0 encoded);
   List.iter2
     (fun msg s ->
@@ -271,19 +289,27 @@ let test_golden_bytes () =
 
 (* A length field of 0x3FFF_FFFF_FFFF_FFFF (max_int once read) made
    [pos + len] wrap around, so the bounds check passed and [String.sub]
-   raised. *)
+   raised. Each probe puts that value in a different length or count
+   field. *)
 let test_max_length_probe () =
-  let b = Buffer.create 33 in
-  Buffer.add_char b '\x03';
-  Buffer.add_string b (String.make 24 '\x00');
-  Buffer.add_string b "\x3f\xff\xff\xff\xff\xff\xff\xff";
-  let probe = Buffer.contents b in
-  check Alcotest.int "probe length" 33 (String.length probe);
-  check Alcotest.bool "oversized length is an error" true
-    (match Codec.decode probe with
-    | Error _ -> true
-    | Ok _ -> false
-    | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e))
+  let huge = "\x3f\xff\xff\xff\xff\xff\xff\xff" in
+  let zeros n = String.make (8 * n) '\x00' in
+  let probe label ~len bytes =
+    check Alcotest.int (label ^ ": probe length") len (String.length bytes);
+    check Alcotest.bool (label ^ ": oversized length is an error") true
+      (match Codec.decode bytes with
+      | Error _ -> true
+      | Ok _ -> false
+      | exception e -> Alcotest.failf "%s raised %s" label (Printexc.to_string e))
+  in
+  (* A PREPARE's digest length. *)
+  probe "prepare digest" ~len:33 ("\x03" ^ zeros 3 ^ huge);
+  (* A CONTRACT-REPLY's entry count, after instance, round and max_seen. *)
+  probe "contract-reply entries" ~len:33 ("\x14" ^ zeros 3 ^ huge);
+  (* The txn count of the batch inside a CONTRACT-REPLY's one entry,
+     after the entry's instance and round and the batch's id and client. *)
+  probe "contract-reply batch txns" ~len:73
+    ("\x14" ^ zeros 3 ^ "\x00\x00\x00\x00\x00\x00\x00\x01" ^ zeros 4 ^ huge)
 
 let suite =
   ( "codec",

@@ -24,6 +24,7 @@ type fixture = {
   kc : Rcc_crypto.Keychain.t;
   set_primary_log : (int * int) list ref;  (* (instance, new primary) *)
   adopted : (int * int * int) list ref;  (* (instance, round, batch id) *)
+  answered : (int * int * int) list ref;  (* (instance, src, max_seen) *)
   broadcasts : Msg.t list ref;
   metrics : Rcc_replica.Metrics.t;
 }
@@ -47,6 +48,7 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
   in
   let set_primary_log = ref [] in
   let adopted = ref [] in
+  let answered = ref [] in
   let broadcasts = ref [] in
   let primaries = Array.init z (fun x -> x) in
   let handles =
@@ -59,6 +61,9 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
           h_adopt =
             (fun ~round b ~cert:_ ->
               adopted := (x, round, b.Batch.id) :: !adopted);
+          h_answered =
+            (fun ~src ~max_seen -> answered := (x, src, max_seen) :: !answered);
+          h_max_seen = (fun () -> 10 + x);
           h_accepted = (fun ~round:_ -> None);
           h_incomplete = (fun () -> []);
           h_primary = (fun () -> primaries.(x));
@@ -82,7 +87,17 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
   in
   Exec.set_on_executed exec (fun round accs ->
       Coordinator.on_round_executed coordinator ~round accs);
-  { engine; coordinator; exec; kc; set_primary_log; adopted; broadcasts; metrics }
+  {
+    engine;
+    coordinator;
+    exec;
+    kc;
+    set_primary_log;
+    adopted;
+    answered;
+    broadcasts;
+    metrics;
+  }
 
 (* A properly signed accusation from [src] at the instance's CURRENT view
    (what an honest replica's liveness monitor produces). *)
@@ -289,12 +304,12 @@ let test_on_contract_rejects_thin_proof () =
   Coordinator.on_contract fx.coordinator (Msg.Contract { round = 4; entries = [ entry ] });
   check Alcotest.(list (triple int int int)) "nothing adopted" [] !(fx.adopted)
 
-(* The contracts a request produced, as (instance, round) pairs per
+(* The replies a request produced, as (instance, round) pairs per
    message, in wire order. *)
 let contract_replies fx =
   List.filter_map
     (function
-      | Msg.Contract { entries; _ } ->
+      | Msg.Contract_reply { entries; _ } ->
           Some
             (List.map
                (fun (e : Msg.contract_entry) -> (e.Msg.ce_instance, e.Msg.ce_round))
@@ -337,11 +352,62 @@ let test_contract_request_window_stops_at_hole () =
     [ [ (1, 0); (1, 1) ] ]
     (contract_replies fx);
   fx.broadcasts := [];
-  (* A request starting at a hole has an empty window: no contract. *)
+  (* A request starting at a hole has an empty window, answered all the
+     same. *)
   Coordinator.on_contract_request fx.coordinator ~src:5 ~round:2 ~instance:1;
   check
     Alcotest.(list (list (pair int int)))
-    "empty window, no contract" [] (contract_replies fx)
+    "empty window, empty reply" [ [] ] (contract_replies fx)
+
+(* Every request is answered, an empty window too: the reply names the
+   instance and the responder's watermark for it, which is what lets a
+   fresh primary end its takeover without waiting out the grace period.
+   Only a window that carries rounds counts as contract bytes. *)
+let test_contract_request_empty_window_answered () =
+  let fx = make () in
+  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:2;
+  (match !(fx.broadcasts) with
+  | [ Msg.Contract_reply { instance; round; max_seen; entries } ] ->
+      check Alcotest.int "instance" 2 instance;
+      check Alcotest.int "requested round" 0 round;
+      check Alcotest.int "the instance's watermark" 12 max_seen;
+      check Alcotest.int "no entries" 0 (List.length entries)
+  | msgs ->
+      Alcotest.failf "expected one reply, got %d messages" (List.length msgs));
+  check Alcotest.int "an empty reply is not contract bytes" 0
+    (Rcc_replica.Metrics.contract_bytes fx.metrics);
+  fill_round fx ~z:3 ~round:0 ~except:(-1);
+  Engine.run fx.engine ~until:(Engine.ms 100);
+  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:2;
+  check Alcotest.bool "a non-empty window is" true
+    (Rcc_replica.Metrics.contract_bytes fx.metrics > 0)
+
+(* A reply is adopted like a contract, then handed to its instance as an
+   answer; a reply whose window fails validation is not an answer. *)
+let test_contract_reply_adopted_then_answered () =
+  let fx = make () in
+  let entry cert =
+    {
+      Msg.ce_instance = 1;
+      ce_round = 4;
+      ce_batch = batch 9;
+      ce_cert_replicas = cert;
+    }
+  in
+  Coordinator.on_contract_reply fx.coordinator ~src:3 ~instance:1 ~round:4
+    ~max_seen:6 [ entry [ 0; 1; 2 ] ];
+  check Alcotest.(list (triple int int int)) "adopted" [ (1, 4, 9) ]
+    !(fx.adopted);
+  check Alcotest.(list (triple int int int)) "answered" [ (1, 3, 6) ]
+    !(fx.answered);
+  Coordinator.on_contract_reply fx.coordinator ~src:4 ~instance:1 ~round:4
+    ~max_seen:6 [ entry [] ];
+  Coordinator.on_contract_reply fx.coordinator ~src:4 ~instance:3 ~round:4
+    ~max_seen:6 [];
+  Coordinator.on_contract_reply fx.coordinator ~src:7 ~instance:1 ~round:4
+    ~max_seen:6 [];
+  check Alcotest.int "thin proof, bad instance or bad sender: no answer" 1
+    (List.length !(fx.answered))
 
 let test_contract_request_out_of_range () =
   let fx = make () in
@@ -584,6 +650,10 @@ let suite =
         test_contract_request_answered_from_history;
       Alcotest.test_case "contract request window stops at hole" `Quick
         test_contract_request_window_stops_at_hole;
+      Alcotest.test_case "contract request: empty window answered" `Quick
+        test_contract_request_empty_window_answered;
+      Alcotest.test_case "contract reply: adopted, then answered" `Quick
+        test_contract_reply_adopted_then_answered;
       Alcotest.test_case "contract request out of range" `Quick
         test_contract_request_out_of_range;
       Alcotest.test_case "dark victim requests each missing instance" `Slow

@@ -57,13 +57,13 @@ let expected =
     ("multip dark",
      "57154be79a6672cd3ec10295eea75e557db386fd9156efae4374f439165d8966");
     ("multip crash:1",
-     "b2ef7409f10e6f5f92341339013f8a3653cfe9e72ac8081fb5558c3c3c68ff7f");
+     "af255f5f17a4fc5ef5dd1a099d37b0cd89e3f47daf1c4617787b15f5b6efe854");
     ("multiz fault-free",
      "dd7bd5ebe23d2a7e4967e50dcf217342cab21febae2d270f7e8a442e1a45a1c5");
     ("multiz dark",
      "1d17b171c6d46b0dbc2c91ecea882bfd63dfdfefb6a8a6bb020f8d25474eac15");
     ("multiz crash:1",
-     "41bf1e75b756197ad18d214b7d48e75a3cbb1887fc75264a9c9f179d056025a6");
+     "2f403f28b6c95b619ac9b9077efa976835a52468334519e49fcac6f73fa88a4c");
     ("cft fault-free",
      "aef8d9e21a23837f504ad0ea5f0c05d93a2d58b006088bffcc3346f9dbb21649");
     ("cft dark",
@@ -75,7 +75,7 @@ let expected =
     ("multic dark",
      "01f808956c8efdbd6fb91f7601b1c1bd2c1680123c72d66fb0a4457bb8104c13");
     ("multic crash:1",
-     "d240364821807676ed5205ae95a0073711d77f3a9717da88b0270c554e93f82b");
+     "b7416edb570bb64eac4b2099251a6d587b24ff67b192762fb123adc35ae975a1");
   ]
 
 let test_golden_reports () =

@@ -259,6 +259,111 @@ let test_report_fields_consistent () =
   check Alcotest.bool "messages flowed" true (report.Report.messages > 0);
   check Alcotest.string "protocol name" "pbft" report.Report.protocol
 
+(* Instance 1's primary crashes mid-run under open-loop load. Its
+   successor's takeover ends on its peers' answers, long before the next
+   liveness-monitor tick could queue a null fill, so the takeover must
+   fill the instance itself, up to the horizon the other instance reached
+   while it was stalled. Without that fill the instance stays that many
+   rounds behind for the rest of the run, and every round waits on it. *)
+let test_takeover_closes_round_gap () =
+  let run ~crash =
+    let cfg =
+      Config.make ~protocol:Config.MultiP ~n:4 ~batch_size:10 ~clients:4_000
+        ~records:5_000 ~duration:(Engine.of_seconds 1.2)
+        ~warmup:(Engine.of_seconds 0.8) ~replica_timeout:(Engine.ms 100)
+        ~arrival_rate:5_000. ~arrival_process:Config.Poisson
+        ~max_in_flight:4_000 ~seed:1 ()
+    in
+    let tracer = Rcc_trace.Recorder.create ~capacity:4_000_000 () in
+    let c = Cluster.build ~tracer cfg in
+    if crash then begin
+      let victim = Cluster.primary_of_instance c 1 in
+      Engine.schedule_at (Cluster.engine c) (Engine.of_seconds 0.3) (fun () ->
+          Rcc_sim.Net.set_dead (Cluster.net c) victim true)
+    end;
+    let report = Cluster.run c in
+    check Alcotest.int "trace ring kept every event" 0
+      (Rcc_trace.Recorder.dropped tracer);
+    (c, report, Rcc_trace.Recorder.to_list tracer)
+  in
+  let c, report, events = run ~crash:true in
+  let heir = Cluster.primary_of_instance c 1 in
+  check Alcotest.bool "instance 1 has a new primary" true (heir <> 1);
+  let module E = Rcc_trace.Event in
+  let at_heir f =
+    List.filter_map
+      (fun (e : E.t) -> if e.E.replica = heir then f e else None)
+      events
+  in
+  let takeover =
+    List.hd
+      (at_heir (fun e ->
+           match e.E.payload with
+           | E.Primary_change { primary; _ } when e.E.instance = 1 && primary = heir
+             ->
+               Some e.E.at
+           | _ -> None))
+  in
+  (* The horizon: the highest round instance 0 had accepted at [heir]
+     when the takeover began (execution was stalled on instance 1 below
+     it, so every such round was pending). *)
+  let horizon =
+    List.fold_left max (-1)
+      (at_heir (fun e ->
+           match e.E.payload with
+           | E.Slot_accept { round; _ } when e.E.instance = 0 && e.E.at < takeover
+             ->
+               Some round
+           | _ -> None))
+  in
+  (* Rounds [heir] opened in instance 1 within 5 ms of the takeover: the
+     takeover's own work, since the monitor ticks every 12.5 ms and the
+     grace period is 12.5 ms. *)
+  let opened =
+    at_heir (fun e ->
+        match e.E.payload with
+        | E.Slot_propose { round }
+          when e.E.instance = 1 && e.E.at >= takeover
+               && e.E.at < takeover + Engine.ms 5 ->
+            Some round
+        | _ -> None)
+  in
+  check Alcotest.bool "the takeover ended before the grace period" true
+    (opened <> []);
+  let filled = List.fold_left max (-1) opened in
+  check Alcotest.bool
+    (Printf.sprintf "instance 1 filled to the horizon (%d >= %d)" filled horizon)
+    true (filled >= horizon);
+  (* And it stays closed: both instances end the run level. *)
+  let last instance =
+    List.fold_left max (-1)
+      (at_heir (fun e ->
+           match e.E.payload with
+           | E.Slot_propose { round } when e.E.instance = instance -> Some round
+           | _ -> None))
+  in
+  check Alcotest.bool
+    (Printf.sprintf "no gap at the end (instance 0 at %d, 1 at %d)" (last 0)
+       (last 1))
+    true
+    (abs (last 0 - last 1) <= 4);
+  (* Post-recovery latency is back to normal on every instance: a gap of
+     g rounds shows as g inter-arrival times of waiting on the instance
+     ahead. *)
+  let _, healthy, _ = run ~crash:false in
+  Array.iter
+    (fun (i : Report.instance_stats) ->
+      check Alcotest.bool
+        (Printf.sprintf
+           "instance %d: post-recovery p50 %.2f ms within 5x of fault-free \
+            %.2f ms"
+           i.Report.instance
+           (i.Report.i_p50_latency *. 1e3)
+           (healthy.Report.p50_latency *. 1e3))
+        true
+        (i.Report.i_p50_latency <= 5.0 *. healthy.Report.p50_latency))
+    report.Report.per_instance
+
 let suite =
   ( "integration",
     [
@@ -279,6 +384,8 @@ let suite =
       Alcotest.test_case "dark victim" `Slow test_multip_dark_victim_stalls_but_service_lives;
       Alcotest.test_case "crashed primary replaced" `Slow
         test_multip_crashed_primary_replaced;
+      Alcotest.test_case "takeover closes round gap" `Slow
+        test_takeover_closes_round_gap;
       Alcotest.test_case "report reads a live replica" `Slow
         test_report_reads_live_replica;
       Alcotest.test_case "collusion recovery" `Slow test_collusion_recovery_end_to_end;

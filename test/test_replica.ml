@@ -528,6 +528,7 @@ let test_quorum_helpers () =
       accept = (fun _ -> ());
       report_failure = (fun ~round:_ ~blamed:_ -> ());
       rollback = (fun ~frontier:_ -> ());
+      null_fill = (fun ~proposed_upto:_ _ -> ());
       sign_blame = (fun ~view:_ ~blamed:_ ~round:_ -> "");
       byz = Byz.honest;
       unified = false;
