@@ -126,6 +126,8 @@ let run protocol n batch_size clients duration warmup replica_timeout
   | Some at ->
       Format.printf "first_completion=%.4fs@." (Rcc_sim.Engine.to_seconds at)
   | None -> Format.printf "first_completion=none@.");
+  if journal then
+    Format.printf "journal_area=%d@." (Rcc_runtime.Cluster.journal_area cluster);
   if timeline then begin
     Format.printf "@.timeline (client txn/s per 100ms):@.";
     Array.iter

@@ -137,6 +137,9 @@ let disk t r = t.disks.(r)
 
 let journal_of t r = Builder.journal t.replicas.(r)
 
+let journal_area t =
+  Array.fold_left (fun acc d -> acc + Sim_disk.journal_bytes d) 0 t.disks
+
 (* Journal-writer totals over the *current* incarnations (a restart drops
    the orphan's counters) plus disk-level fault totals, which persist. *)
 let journal_totals t =
@@ -305,7 +308,10 @@ let build ?tracer (cfg : Config.t) =
       byz = byz_of cfg self;
       journal =
         (if cfg.Config.journal then
-           Some (Journal.attach ~engine ~costs ~disk:disks.(self) ~self ())
+           Some
+             (Journal.attach ~engine ~costs ~disk:disks.(self) ~self
+                ~primaries:(List.init cfg.Config.z Fun.id)
+                ())
          else None);
     }
   in

@@ -93,3 +93,6 @@ val restarts : t -> int
 val disk : t -> Rcc_common.Ids.replica_id -> Rcc_journal.Sim_disk.t
 val journal_of :
   t -> Rcc_common.Ids.replica_id -> Rcc_journal.Journal.t option
+
+val journal_area : t -> int
+(** Journal-area bytes the disks hold now, summed over replicas. *)

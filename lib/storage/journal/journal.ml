@@ -122,6 +122,39 @@ let int_record kind v = frame kind 8 (fun b -> Wire.put_int b v)
 let view_record primaries =
   frame 'V' (Wire.int_list_size primaries) (fun b -> Wire.put_int_list b primaries)
 
+(* The round compaction compares a record against: a round record's
+   round, a stable record's floor, a rollback record's frontier. View
+   records never hold a replay up, so they carry [-1]. *)
+let record_round record =
+  match record.[String.length record_magic] with
+  | 'R' | 'A' | 'B' -> Int64.to_int (String.get_int64_be record header_len)
+  | _ -> -1
+
+(* --- snapshot slots ------------------------------------------------------ *)
+
+(* The snapshot a slot blob holds, if its framing checksum, decode and
+   chain verification against the genesis [primaries] all pass. *)
+let slot_snapshot ~primaries blob =
+  let r = Wire.reader blob ~pos:0 ~limit:(String.length blob) in
+  match
+    Wire.magic r snap_magic;
+    let len = Wire.int r in
+    let sum = r.pos in
+    Wire.skip r checksum_len;
+    if
+      len = r.limit - r.pos
+      && String.equal
+           (String.sub blob sum checksum_len)
+           (checksum blob ~off:r.pos ~len [])
+    then Rcc_storage.Snapshot.decode (String.sub blob r.pos len)
+    else Error "bad slot"
+  with
+  | Ok snap -> (
+      match Rcc_storage.Snapshot.verify ~primaries snap with
+      | Ok _ -> Some snap
+      | Error _ -> None)
+  | Error _ | (exception Wire.Malformed _) -> None
+
 (* --- writer ------------------------------------------------------------- *)
 
 type t = {
@@ -129,11 +162,15 @@ type t = {
   costs : Costs.t;
   disk : Sim_disk.t;
   self : Rcc_common.Ids.replica_id;
+  primaries : Rcc_common.Ids.replica_id list option;
+      (* genesis configuration slots are read back against *)
   io : Cpu.server;
   mutable pending : string list;  (* newest first *)
   mutable pending_records : int;
   mutable pending_bytes : int;
   mutable pending_hi : int;  (* highest round in the pending buffer *)
+  mutable pending_floor : int;  (* highest stable floor buffered *)
+  mutable pending_rollback : int;  (* lowest rollback frontier buffered *)
   mutable flush_scheduled : bool;
   mutable halted : bool;
   mutable last_primaries : Rcc_common.Ids.replica_id list;
@@ -142,19 +179,23 @@ type t = {
   mutable bytes_flushed : int;
   mutable snapshots_written : int;
   mutable durable : int;
+  mutable durable_floor : int;
 }
 
-let attach ~engine ~costs ~disk ~self () =
+let attach ~engine ~costs ~disk ~self ?primaries () =
   {
     engine;
     costs;
     disk;
     self;
+    primaries;
     io = Cpu.server engine ~owner:self ~name:(Printf.sprintf "r%d-disk" self) ();
     pending = [];
     pending_records = 0;
     pending_bytes = 0;
     pending_hi = -1;
+    pending_floor = -1;
+    pending_rollback = max_int;
     flush_scheduled = false;
     halted = false;
     last_primaries = [];
@@ -163,6 +204,7 @@ let attach ~engine ~costs ~disk ~self () =
     bytes_flushed = 0;
     snapshots_written = 0;
     durable = -1;
+    durable_floor = -1;
   }
 
 let io_cost t nbytes =
@@ -180,15 +222,29 @@ let trace_new_faults t before =
       log
   end
 
+(* Drop the area below the anchor, the newest verified slot no rollback
+   can reach: its seq is at most a stable floor this writer made
+   durable, and rollbacks never go below the stable floor. Recovery
+   installs that slot or a newer one, and skips every round below it. *)
+let compact t =
+  let below = Sim_disk.promote_anchor t.disk ~floor:t.durable_floor in
+  let dropped = Sim_disk.compact t.disk ~below in
+  if dropped > 0 && Engine.tracing t.engine then
+    Engine.trace t.engine ~replica:t.self ~instance:(-1)
+      (Rcc_trace.Event.Journal_compacted { below; dropped_bytes = dropped })
+
 let flush t =
   if (not t.halted) && t.pending_records > 0 then begin
     let records = List.rev t.pending in
     let nrec = t.pending_records in
     let nbytes = t.pending_bytes in
     let hi = t.pending_hi in
+    let floor = t.pending_floor and rollback = t.pending_rollback in
     t.pending <- [];
     t.pending_records <- 0;
     t.pending_bytes <- 0;
+    t.pending_floor <- -1;
+    t.pending_rollback <- max_int;
     t.flush_scheduled <- false;
     (* The records become durable when the fsync completes on the disk
        lane; a crash in between loses them, exactly like a real page
@@ -196,15 +252,20 @@ let flush t =
     Cpu.submit t.io ~cost:(io_cost t nbytes) (fun () ->
         if not t.halted then begin
           let before = Sim_disk.faults_injected t.disk in
-          Sim_disk.append t.disk records;
+          Sim_disk.append t.disk ~round_of:record_round records;
           trace_new_faults t before;
+          (* A durable rollback erases the slots holding unwound state. *)
+          if rollback < max_int then
+            Sim_disk.invalidate_above t.disk ~frontier:rollback;
           t.flushes <- t.flushes + 1;
           t.bytes_flushed <- t.bytes_flushed + nbytes;
           if hi > t.durable then t.durable <- hi;
+          if floor > t.durable_floor then t.durable_floor <- floor;
           if Engine.tracing t.engine then
             Engine.trace t.engine ~replica:t.self ~instance:(-1)
               (Rcc_trace.Event.Journal_flush
-                 { records = nrec; bytes = nbytes; durable = t.durable })
+                 { records = nrec; bytes = nbytes; durable = t.durable });
+          compact t
         end)
   end
 
@@ -231,8 +292,13 @@ let log_round t ~round ~primaries ordered =
   end;
   append t ~round (round_record ~round ~primaries ordered)
 
-let log_rollback t ~frontier = append t (int_record 'B' frontier)
-let log_stable t ~floor = append t (int_record 'A' floor)
+let log_rollback t ~frontier =
+  t.pending_rollback <- min t.pending_rollback frontier;
+  append t (int_record 'B' frontier)
+
+let log_stable t ~floor =
+  t.pending_floor <- max t.pending_floor floor;
+  append t (int_record 'A' floor)
 
 let write_snapshot t ~seq snapshot =
   if not t.halted then begin
@@ -251,13 +317,30 @@ let write_snapshot t ~seq snapshot =
     Cpu.submit t.io ~cost:(io_cost t (String.length blob)) (fun () ->
         if not t.halted then begin
           let before = Sim_disk.faults_injected t.disk in
-          Sim_disk.write_snapshot t.disk ~seq blob;
+          (* Read the slot back as recovery would; only a slot that
+             passes can become the anchor. Bytes stored exactly as
+             encoded decode to [snapshot] itself (the codec round-trips)
+             under a checksum computed over them, so only their chain is
+             left to verify; bytes the disk changed take the full load. *)
+          let check =
+            match t.primaries with
+            | None -> None
+            | Some primaries ->
+                Some
+                  (fun stored ->
+                    if stored == blob then
+                      Result.is_ok
+                        (Rcc_storage.Snapshot.verify ~primaries snapshot)
+                    else Option.is_some (slot_snapshot ~primaries stored))
+          in
+          Sim_disk.write_snapshot t.disk ?check ~seq blob;
           trace_new_faults t before;
           t.snapshots_written <- t.snapshots_written + 1;
           if Engine.tracing t.engine then
             Engine.trace t.engine ~replica:t.self ~instance:(-1)
               (Rcc_trace.Event.Journal_snapshot
-                 { seq; bytes = String.length blob })
+                 { seq; bytes = String.length blob });
+          compact t
         end)
   end
 
@@ -368,29 +451,9 @@ type recovery = {
    verification all pass; a corrupted slot falls through to the older
    one. *)
 let load_snapshot disk ~primaries =
-  let unwrap blob =
-    let r = Wire.reader blob ~pos:0 ~limit:(String.length blob) in
-    match
-      Wire.magic r snap_magic;
-      let len = Wire.int r in
-      let sum = r.pos in
-      Wire.skip r checksum_len;
-      if
-        len = r.limit - r.pos
-        && String.equal
-             (String.sub blob sum checksum_len)
-             (checksum blob ~off:r.pos ~len [])
-      then Rcc_storage.Snapshot.decode (String.sub blob r.pos len)
-      else Error "bad slot"
-    with
-    | Ok snap -> (
-        match Rcc_storage.Snapshot.verify ~primaries snap with
-        | Ok _ -> Some snap
-        | Error _ -> None)
-    | Error _ | (exception Wire.Malformed _) -> None
-  in
   List.fold_left
-    (fun acc (_, blob) -> match acc with Some _ -> acc | None -> unwrap blob)
+    (fun acc (_, blob) ->
+      match acc with Some _ -> acc | None -> slot_snapshot ~primaries blob)
     None
     (Sim_disk.snapshots disk)
 

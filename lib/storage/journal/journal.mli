@@ -8,7 +8,27 @@
     forced by a byte threshold) and charges one modeled fsync plus
     per-byte sequential-write cost to a dedicated disk lane, off the
     execute path. Periodically the builder persists a full checkpoint
-    {!Rcc_storage.Snapshot} into one of the disk's two alternating slots.
+    {!Rcc_storage.Snapshot} into one of the disk's two slots.
+
+    The journal area is bounded. When a snapshot write completes, the
+    writer reads the slot back and checks it as {!load_snapshot} would
+    (framing checksum, decode, chain verification); a slot that passes
+    is verified. The anchor is the newest verified slot whose seq is at
+    most the highest stable floor this writer made durable: rollbacks
+    never go below the stable floor, so no rollback can erase it, and
+    the disk never overwrites it. After every flush and snapshot write
+    the writer drops the area oldest-first below the anchor's seq,
+    stopping at the first record whose round (a round record's round, a
+    stable record's floor, a rollback record's frontier) is not below
+    it, and at the first torn or corrupt record. Recovery installs the
+    anchor or a newer slot and skips every record the drop could have
+    taken, so it returns the same result from the compacted disk as
+    from the same disk uncompacted. The read-back and the drop charge no
+    modeled time and count as no write.
+
+    A flush that makes a rollback record durable also erases every slot
+    above its frontier ({!Sim_disk.invalidate_above}): those slots hold
+    state the rollback unwound.
 
     Recovery ({!recover}) rebuilds a fresh replica's state from the disk
     alone, through its execute stage: {!Rcc_replica.Exec.install_snapshot}
@@ -46,11 +66,15 @@ val attach :
   costs:Rcc_sim.Costs.t ->
   disk:Sim_disk.t ->
   self:Rcc_common.Ids.replica_id ->
+  ?primaries:Rcc_common.Ids.replica_id list ->
   unit ->
   t
 (** Attach a journal writer for one incarnation over a persistent disk.
     Creates the disk-lane CPU server; buffered state dies with the
-    incarnation ({!halt}), the disk does not. *)
+    incarnation ({!halt}), the disk does not. [primaries] is the genesis
+    configuration snapshot slots are read back against; without it the
+    slots this writer writes are never verified, so none of them becomes
+    the anchor. *)
 
 val log_round :
   t ->
@@ -62,6 +86,10 @@ val log_round :
     a view record whenever [primaries] changed since the last round. *)
 
 val log_rollback : t -> frontier:Rcc_common.Ids.round -> unit
+(** Append a rollback record. [frontier] must be at or above every
+    stable floor logged so far: rounds below the stable floor are never
+    rolled back. *)
+
 val log_stable : t -> floor:Rcc_common.Ids.round -> unit
 
 val write_snapshot : t -> seq:Rcc_common.Ids.round -> Rcc_storage.Snapshot.t -> unit

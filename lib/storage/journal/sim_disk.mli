@@ -14,15 +14,24 @@
     - {b lost} (misdirected): the write lands nowhere, but later writes
       continue — recovery sees a gap.
 
-    The journal area is append-only; checkpoint snapshots live in two
-    alternating slots so a fault while writing one never destroys the
-    other (the classic A/B superblock discipline).
-
-    Storing costs the host no copy: the area keeps each stored record
+    The journal area is a FIFO of flush segments, compacted from the
+    front. Each stored record carries the round its writer tagged it
+    with; {!compact} drops records oldest-first while they are intact
+    and tagged below a point, and stops at the first record a fault
+    touched, so a reader's scan halts exactly where it halted before.
+    Storing costs the host no copy: a segment keeps each stored record
     (or a torn record's surviving prefix) as the string it was handed,
-    in a list with a byte count, and {!journal} concatenates them only
-    when the area is read back. The stored bytes are exactly those of a
-    contiguous append-only area. *)
+    and {!journal} concatenates the live records only when the area is
+    read back. The stored bytes are exactly those of a contiguous area
+    whose prefix was cut.
+
+    Checkpoint snapshots live in two slots. A write may carry a
+    read-back check; a slot that passes it is {e verified}. The
+    {e anchor} is a verified slot the writer promoted
+    ({!promote_anchor}); a write never overwrites it, so a corrupt newer
+    slot is the next victim, not the last good one. Without an anchor a
+    write takes the older slot (the classic A/B superblock discipline).
+    A fault while writing one slot never destroys the other. *)
 
 type faults = {
   torn : float;  (** probability a flush tears mid-record *)
@@ -39,26 +48,51 @@ type t
 val create : seed:int -> t
 (** A fresh, empty, fault-free disk; [seed] drives the fault stream. *)
 
+val create_shadow : seed:int -> t
+(** Like {!create}, but {!compact} never drops anything: the
+    uncompacted reference a compacting disk is checked against. *)
+
 val set_faults : t -> faults -> unit
 (** Replace the fault model (e.g. the nemesis turning a disk bad
     mid-run). *)
 
-val append : t -> string list -> unit
+val append : t -> ?round_of:(string -> int) -> string list -> unit
 (** One group-commit flush: append the records in order, each subject to
     the fault model. A torn fault persists a strict prefix of the record
-    and discards the rest of the flush. *)
+    and discards the rest of the flush. [round_of] tags each stored
+    record, from the bytes it was handed, with the round {!compact}
+    compares (default [max_int]: never compacted). *)
+
+val compact : t -> below:int -> int
+(** Drop stored records from the front of the area while each is intact
+    and tagged below [below]; returns the bytes dropped. Costs
+    O(dropped), draws nothing from the fault stream and counts as no
+    write. A {!create_shadow} disk drops nothing. *)
 
 val journal : t -> string
 (** Everything the journal area currently holds, in append order. The
     concatenation is built here, on read (recovery and tests). *)
 
 val journal_bytes : t -> int
+(** Bytes the area holds now, after compaction. *)
 
-val write_snapshot : t -> seq:int -> string -> unit
-(** Write a checkpoint blob into the older of the two snapshot slots
-    (never overwriting the newest good one). Subject to the corrupt and
-    lost fault modes; snapshot writes do not tear (the slot header is
-    written last, so a torn slot reads as absent). *)
+val write_snapshot :
+  t -> ?check:(string -> bool) -> seq:int -> string -> unit
+(** Write a checkpoint blob into a snapshot slot: never the anchor, and
+    without one the older slot. Subject to the corrupt and lost fault
+    modes; snapshot writes do not tear (the slot header is written last,
+    so a torn slot reads as absent). [check] reads the stored blob back:
+    the slot is verified iff it returns [true] (default: never). *)
+
+val promote_anchor : t -> floor:int -> int
+(** Make the newest verified slot with [seq <= floor] the anchor, if it
+    is newer than the current one, and return the anchor's [seq] ([-1]
+    when there is none). The caller vouches that no rollback goes below
+    [floor]. *)
+
+val invalidate_above : t -> frontier:int -> unit
+(** Erase every slot with [seq > frontier]: a durable rollback to
+    [frontier] unwound the state they hold. *)
 
 val snapshots : t -> (int * string) list
 (** Present snapshot slots as [(seq, blob)], newest first. *)

@@ -46,6 +46,7 @@ type payload =
   | Journal_snapshot of { seq : int; bytes : int }
   | Journal_fault of { kind : string }
   | Journal_truncated of { durable : int; dropped : int }
+  | Journal_compacted of { below : int; dropped_bytes : int }
   | Journal_replay_begin of { seq : int }
   | Journal_replay_round of { round : int; txns : int }
   | Journal_replay_complete of { frontier : int; rounds : int; txns : int }
@@ -87,6 +88,7 @@ let name = function
   | Journal_snapshot _ -> "journal_snapshot"
   | Journal_fault _ -> "journal_fault"
   | Journal_truncated _ -> "journal_truncated"
+  | Journal_compacted _ -> "journal_compacted"
   | Journal_replay_begin _ -> "journal_replay_begin"
   | Journal_replay_round _ -> "journal_replay_round"
   | Journal_replay_complete _ -> "journal_replay_complete"

@@ -72,6 +72,9 @@ type payload =
       (** recovery hit a torn/corrupt record: the journal is truncated to
           the last valid record ([durable] rounds provable, [dropped]
           bytes discarded) *)
+  | Journal_compacted of { below : int; dropped_bytes : int }
+      (** the writer dropped [dropped_bytes] of journal area holding
+          rounds below [below], the seq of the disk's anchor slot *)
   | Journal_replay_begin of { seq : int }
       (** restart-from-disk recovery started from snapshot boundary
           [seq] (0 = no usable snapshot) *)

@@ -45,7 +45,7 @@ let is_rare = function
   | Event.St_verified _ | Event.St_installed _ | Event.St_rejected _
   | Event.Rollback_begin _ | Event.Rollback_round _
   | Event.Rollback_complete _ | Event.Journal_snapshot _
-  | Event.Journal_fault _ | Event.Journal_truncated _
+  | Event.Journal_fault _ | Event.Journal_truncated _ | Event.Journal_compacted _
   | Event.Journal_replay_begin _ | Event.Journal_replay_complete _ ->
       true
 

@@ -80,6 +80,8 @@ let payload_args (p : Event.payload) =
       Printf.sprintf "\"kind\":\"%s\"" (escape kind)
   | Event.Journal_truncated { durable; dropped } ->
       Printf.sprintf "\"durable\":%d,\"dropped\":%d" durable dropped
+  | Event.Journal_compacted { below; dropped_bytes } ->
+      Printf.sprintf "\"below\":%d,\"dropped_bytes\":%d" below dropped_bytes
   | Event.Journal_replay_begin { seq } -> Printf.sprintf "\"seq\":%d" seq
   | Event.Journal_replay_round { round; txns } ->
       Printf.sprintf "\"round\":%d,\"txns\":%d" round txns

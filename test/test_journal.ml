@@ -70,7 +70,7 @@ let mk_rounds ~seed ?(speculative = false) n =
 
 (* A bare execute stage over fresh state, wired like the builder's (its
    store keeps the undo journal rollback replay depends on). *)
-let fresh_exec engine =
+let fresh_exec ?checkpoint_interval engine =
   let ledger = Ledger.create ~primaries in
   let store = Kv.create () in
   let txn_table = Txn_table.create () in
@@ -83,9 +83,20 @@ let fresh_exec engine =
       ~metrics:
         (Rcc_replica.Metrics.create ~n:1 ~instances:(List.length primaries)
            ~warmup:0 ())
-      ()
+      ?checkpoint_interval ()
   in
   (exec, ledger, store, txn_table)
+
+(* The builder's wiring of an execute stage to its journal. *)
+let persist_to j =
+  {
+    Exec.p_round =
+      (fun ~round ordered -> Journal.log_round j ~round ~primaries ordered);
+    p_rollback = (fun ~frontier -> Journal.log_rollback j ~frontier);
+    p_stable = (fun ~floor -> Journal.log_stable j ~floor);
+    p_snapshot =
+      (fun snap -> Journal.write_snapshot j ~seq:snap.Snapshot.seq snap);
+  }
 
 (* Recover a fresh incarnation's execute stage from [disk]. *)
 let recover_exec ?(engine = Engine.create ()) disk =
@@ -187,6 +198,52 @@ let test_disk_snapshot_slots () =
     "lost snapshot write leaves slots intact"
     [ (384, "CCCC"); (256, "BBBB") ]
     (Sim_disk.snapshots disk)
+
+(* A verified slot promoted to anchor is never the victim; compaction
+   drops intact records below a point and stops at the first faulted
+   one; a rollback erases the slots above its frontier. *)
+let test_disk_anchor_and_compaction () =
+  let disk = Sim_disk.create ~seed:3 in
+  let ok _ = true in
+  Sim_disk.write_snapshot disk ~check:ok ~seq:4 "AAAA";
+  check Alcotest.int "no anchor above the floor" (-1)
+    (Sim_disk.promote_anchor disk ~floor:3);
+  check Alcotest.int "anchor at the floor" 4
+    (Sim_disk.promote_anchor disk ~floor:4);
+  Sim_disk.write_snapshot disk ~check:ok ~seq:8 "BBBB";
+  Sim_disk.write_snapshot disk ~seq:12 "CCCC";
+  check
+    Alcotest.(list (pair int string))
+    "the anchor survives two newer writes"
+    [ (12, "CCCC"); (4, "AAAA") ]
+    (Sim_disk.snapshots disk);
+  check Alcotest.int "an unverified slot is never promoted" 4
+    (Sim_disk.promote_anchor disk ~floor:20);
+  Sim_disk.invalidate_above disk ~frontier:9;
+  check
+    Alcotest.(list (pair int string))
+    "rollback to 9 erases the slot at 12" [ (4, "AAAA") ]
+    (Sim_disk.snapshots disk);
+  let round_of s = int_of_string (String.sub s 0 1) in
+  Sim_disk.append disk ~round_of [ "0a"; "1b" ];
+  Sim_disk.append disk ~round_of [ "2c"; "5d" ];
+  Sim_disk.set_faults disk { Sim_disk.torn = 0.0; corrupt = 1.0; lost = 0.0 };
+  Sim_disk.append disk ~round_of [ "3e" ];
+  Sim_disk.set_faults disk Sim_disk.no_faults;
+  Sim_disk.append disk ~round_of [ "4f" ];
+  check Alcotest.int "stops at the first record not below" 6
+    (Sim_disk.compact disk ~below:4);
+  check Alcotest.string "suffix kept" "5d" (String.sub (Sim_disk.journal disk) 0 2);
+  check Alcotest.int "then at the corrupt record" 2
+    (Sim_disk.compact disk ~below:6);
+  check Alcotest.int "never past it" 0 (Sim_disk.compact disk ~below:9);
+  check Alcotest.int "bytes = area length"
+    (String.length (Sim_disk.journal disk))
+    (Sim_disk.journal_bytes disk);
+  let shadow = Sim_disk.create_shadow ~seed:3 in
+  Sim_disk.append shadow ~round_of [ "0a" ];
+  check Alcotest.int "a shadow disk never compacts" 0
+    (Sim_disk.compact shadow ~below:9)
 
 (* One seed at 5% of each fault, 200 flushes of 1-4 records of 0-599
    bytes and a snapshot write every 50 flushes. The digests were
@@ -319,6 +376,41 @@ let test_replay_rollback () =
   check Alcotest.string "rollback undone: state = keep + redone only"
     (Kv.state_digest (oracle_store (keep @ redone)))
     (Kv.state_digest store)
+
+(* Speculative rounds 0-5 with a slot written at boundary 4 and a stable
+   floor of 2, then a rollback to round 2 made durable, then a crash:
+   recovery must rebuild the post-rollback state, not the unwound state
+   the slot holds. *)
+let test_rollback_erases_newer_slot () =
+  let engine = Engine.create () in
+  let disk = Sim_disk.create ~seed:13 in
+  let live, live_ledger, live_store, _ =
+    fresh_exec ~checkpoint_interval:1 engine
+  in
+  let j = Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 () in
+  Exec.set_persist live (persist_to j);
+  List.iter
+    (fun (_, slots) -> Array.iter (Exec.notify live) slots)
+    (mk_rounds ~seed:61 ~speculative:true 6);
+  Exec.on_stable live ~instance:0 ~seq:2;
+  Exec.on_stable live ~instance:1 ~seq:2;
+  Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
+  check
+    Alcotest.(list int)
+    "slot written at the boundary" [ 4 ]
+    (List.map fst (Sim_disk.snapshots disk));
+  Exec.rollback_to live ~frontier:2 ~instance:0;
+  Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
+  Journal.halt j;
+  check Alcotest.int "live replica unwound to round 2" 2
+    (Ledger.next_round live_ledger);
+  let rv, ledger, store, _ = recover_fresh disk in
+  check Alcotest.int "recovered to the rollback frontier" 2
+    rv.Journal.r_frontier;
+  check Alcotest.string "KV = the post-rollback live replica's"
+    (Kv.state_digest live_store) (Kv.state_digest store);
+  check Alcotest.string "head = the post-rollback live replica's"
+    (Ledger.head_hash live_ledger) (Ledger.head_hash ledger)
 
 let test_replay_stops_at_unproven_speculation () =
   let engine = Engine.create () in
@@ -614,14 +706,7 @@ let test_recovered_dedup_survives_eviction () =
   let disk = Sim_disk.create ~seed:12 in
   let live, live_ledger, live_store, _ = fresh_exec engine in
   let j = Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 () in
-  Exec.set_persist live
-    {
-      Exec.p_round =
-        (fun ~round ordered -> Journal.log_round j ~round ~primaries ordered);
-      p_rollback = (fun ~frontier -> Journal.log_rollback j ~frontier);
-      p_stable = (fun ~floor -> Journal.log_stable j ~floor);
-      p_snapshot = (fun _ -> ());
-    };
+  Exec.set_persist live { (persist_to j) with Exec.p_snapshot = (fun _ -> ()) };
   Array.iter (Exec.notify live) round0;
   Engine.run engine ~until:(Engine.ms 100);
   (* A fresh incarnation recovers from the disk. *)
@@ -654,6 +739,192 @@ let test_recovered_dedup_survives_eviction () =
   check Alcotest.string "same ledger head as the live replica"
     (Ledger.head_hash live_ledger) (Ledger.head_hash ledger)
 
+(* --- compaction: differential recovery oracle ------------------------------ *)
+
+(* One writer step, as the execute stage issues them. *)
+type writer_op =
+  | W_round of bool  (** the next round; speculative or not *)
+  | W_stable of int  (** raise the stable floor by up to this much *)
+  | W_rollback of int  (** roll back to a frontier at or above the floor *)
+  | W_view  (** swap the primaries later rounds are journaled with *)
+  | W_snapshot  (** capture the state after every round so far *)
+  | W_tick of int  (** let this many µs of disk time pass *)
+  | W_faults of Sim_disk.faults
+
+let writer_ops ~seed ~len =
+  let rng = Rng.create seed in
+  List.init len (fun _ ->
+      match Rng.int rng 20 with
+      | k when k < 7 -> W_round (Rng.int rng 3 = 0)
+      | k when k < 10 -> W_stable (Rng.int rng 6)
+      | 10 -> W_rollback (Rng.int rng 8)
+      | 11 -> W_view
+      | k when k < 15 -> W_snapshot
+      | k when k < 18 -> W_tick (Rng.int rng 600)
+      | _ -> W_faults (Sim_disk.uniform_faults [| 0.0; 0.0; 0.05; 0.3 |].(Rng.int rng 4)))
+
+(* The checkpoint a replica that executed [history] would capture. *)
+let snapshot_of history =
+  let exec, ledger, store, _ = execute_live history in
+  let seq = List.length history in
+  {
+    Snapshot.seq;
+    blocks = Ledger.prefix ledger ~upto:seq;
+    kv = Some (Kv.entries store);
+    replied = Exec.replied_entries exec;
+  }
+
+(* Drive the same writer sequence into a compacting disk and a shadow
+   disk with the same seed, so both draw the same fault stream; then
+   crash (or drain) both writers. *)
+let run_writer ~seed ops ~crash =
+  let engine = Engine.create () in
+  let disk = Sim_disk.create ~seed and shadow = Sim_disk.create_shadow ~seed in
+  let journals =
+    List.map
+      (fun disk ->
+        Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 ~primaries ())
+      [ disk; shadow ]
+  in
+  let each f = List.iter f journals in
+  let rng = Rng.create (seed + 1) and next_id = ref (1 + (1_000 * seed)) in
+  let history = ref [] (* newest first *) and floor = ref 0 in
+  let view = ref primaries in
+  let next () = List.length !history in
+  List.iter
+    (function
+      | W_round speculative ->
+          let round = next () in
+          let slots = mk_round ~next_id ~rng ~speculative round in
+          history := (round, slots) :: !history;
+          each (fun j -> Journal.log_round j ~round ~primaries:!view slots)
+      | W_stable k ->
+          floor := min (next ()) (!floor + k);
+          each (fun j -> Journal.log_stable j ~floor:!floor)
+      | W_rollback k ->
+          if next () > !floor then begin
+            let frontier = !floor + (k mod (next () - !floor)) in
+            history := List.filter (fun (r, _) -> r < frontier) !history;
+            each (fun j -> Journal.log_rollback j ~frontier)
+          end
+      | W_view -> view := List.rev !view
+      | W_snapshot ->
+          if next () > 0 then begin
+            let snap = snapshot_of (List.rev !history) in
+            each (fun j -> Journal.write_snapshot j ~seq:snap.Snapshot.seq snap)
+          end
+      | W_tick us -> Engine.run engine ~until:(Engine.now engine + Engine.us us)
+      | W_faults f -> List.iter (fun d -> Sim_disk.set_faults d f) [ disk; shadow ])
+    ops;
+  if crash then each Journal.halt
+  else Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
+  (disk, shadow)
+
+(* Recovery from each disk: the [recovery] record, KV digest and head. *)
+let recovered disk =
+  let rv, (_, ledger, store, _) = recover_exec disk in
+  (rv, Kv.state_digest store, Ledger.head_hash ledger)
+
+(* Cases where compaction dropped bytes, and where it did so on a disk
+   that had taken a fault: the oracle must exercise both. *)
+let oracle_compacted = ref 0
+let oracle_compacted_faulty = ref 0
+
+(* Recovery from the compacted disk must equal recovery from the same
+   disk never compacted: the same [recovery] record, KV digest and
+   ledger head. *)
+let prop_compaction_oracle =
+  qtest ~count:300 "compacted recovery == uncompacted recovery"
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 10 80) bool)
+    (fun (seed, len, crash) ->
+      let disk, shadow = run_writer ~seed (writer_ops ~seed ~len) ~crash in
+      if Sim_disk.journal_bytes disk < Sim_disk.journal_bytes shadow then begin
+        incr oracle_compacted;
+        if Sim_disk.faults_injected disk > 0 then incr oracle_compacted_faulty
+      end;
+      Sim_disk.fault_log disk = Sim_disk.fault_log shadow
+      && recovered disk = recovered shadow)
+
+(* The two ways compaction could lose what recovery needs, each pinned
+   by a fixed writer sequence: anchoring a slot that does not read back,
+   and dropping past a faulted record. *)
+let test_compaction_edges () =
+  let corrupt = { Sim_disk.no_faults with Sim_disk.corrupt = 1.0 } in
+  let rounds n = List.init n (fun _ -> W_round false) in
+  let same what ~compacts ops =
+    let disk, shadow = run_writer ~seed:5 ops ~crash:false in
+    let (rv, kv, head) = recovered disk and (rv', kv', head') = recovered shadow in
+    check Alcotest.int (what ^ ": frontier") rv'.Journal.r_frontier
+      rv.Journal.r_frontier;
+    check Alcotest.int (what ^ ": dropped bytes") rv'.Journal.r_dropped_bytes
+      rv.Journal.r_dropped_bytes;
+    check Alcotest.bool (what ^ ": same recovery") true (rv = rv');
+    check Alcotest.string (what ^ ": same KV") kv' kv;
+    check Alcotest.string (what ^ ": same head") head' head;
+    check Alcotest.bool (what ^ ": compacted") compacts
+      (Sim_disk.journal_bytes disk < Sim_disk.journal_bytes shadow)
+  in
+  (* Slot 2 anchors and the area drops below it; the slot written at 4
+     is corrupt, so recovery falls back to slot 2 and needs rounds 2-3. *)
+  same "corrupt slot" ~compacts:true
+    (rounds 2 @ [ W_snapshot ] @ rounds 2
+    @ [ W_stable 4; W_tick 1_000; W_faults corrupt; W_snapshot; W_tick 1_000 ]);
+  (* The first flush is corrupt: the scan stops there, so compaction
+     must too, however far below the anchor the records lie. *)
+  same "corrupt record" ~compacts:false
+    ([ W_faults corrupt ] @ rounds 1 @ [ W_tick 1_000; W_faults Sim_disk.no_faults ]
+    @ rounds 3 @ [ W_snapshot; W_stable 4; W_tick 1_000 ]
+    @ rounds 1)
+
+let test_oracle_coverage () =
+  check Alcotest.bool "some cases compacted" true (!oracle_compacted >= 60);
+  check Alcotest.bool "some compacted a faulty disk" true
+    (!oracle_compacted_faulty >= 30)
+
+(* --- bounded footprint ------------------------------------------------------ *)
+
+(* A journaled MultiZ cluster run for T and for 2T: the journal areas
+   after 2T exceed those after T by at most two boundary periods of
+   rounds per replica, where an append-only area would have doubled. *)
+let test_bounded_footprint () =
+  let n = 4 and checkpoint_interval = 16 in
+  let run seconds =
+    let cfg =
+      Rcc_runtime.Config.make ~protocol:Rcc_runtime.Config.MultiZ ~n
+        ~batch_size:10 ~clients:40 ~records:1_000
+        ~duration:(Engine.of_seconds seconds)
+        ~warmup:(Engine.of_seconds 0.05) ~journal:true ~seed:3 ()
+    in
+    let c =
+      Rcc_runtime.Cluster.build
+        { cfg with Rcc_runtime.Config.checkpoint_interval }
+    in
+    ignore (Rcc_runtime.Cluster.run c);
+    let flushed = ref 0 in
+    for r = 0 to n - 1 do
+      Option.iter
+        (fun j -> flushed := !flushed + Journal.bytes_flushed j)
+        (Rcc_runtime.Cluster.journal_of c r)
+    done;
+    ( Rcc_runtime.Cluster.journal_area c,
+      !flushed,
+      Ledger.next_round (Rcc_runtime.Cluster.ledger c 0) )
+  in
+  let area_t, flushed_t, rounds_t = run 0.15 in
+  let area_2t, flushed_2t, _ = run 0.3 in
+  check Alcotest.bool "the run crossed eight boundaries" true
+    (rounds_t > 8 * 4 * checkpoint_interval);
+  let per_period = flushed_t / rounds_t * 4 * checkpoint_interval in
+  check Alcotest.bool "the area after T is not the whole journal" true
+    (area_t < flushed_t / 2);
+  check Alcotest.bool "journal grew with the run" true
+    (flushed_2t - flushed_t > 2 * per_period);
+  check Alcotest.bool
+    (Printf.sprintf "area after 2T (%d B) within two periods of after T (%d B)"
+       area_2t area_t)
+    true
+    (area_2t <= area_t + (2 * per_period))
+
 (* --- golden bytes --------------------------------------------------------- *)
 
 (* A fixed writer sequence on an honest disk: plain rounds, a speculative
@@ -661,7 +932,9 @@ let test_recovered_dedup_survives_eviction () =
    primaries (which writes a view record) and a snapshot slot. The
    digests were recorded before the journal moved onto the shared wire
    layer; a writer and reader changed together would still round-trip,
-   so this pins the bytes themselves. *)
+   so this pins the bytes themselves. The area is pinned before the
+   snapshot write, and again after it: the slot (seq 3, at the durable
+   floor) becomes the anchor, and the area below round 3 is dropped. *)
 let test_journal_golden () =
   let rng = Rng.create 77 in
   let next_id = ref 500 in
@@ -676,7 +949,9 @@ let test_journal_golden () =
   in
   let engine = Engine.create () in
   let disk = Sim_disk.create ~seed:21 in
-  let j = Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 () in
+  let j =
+    Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 ~primaries ()
+  in
   for round = 0 to 2 do
     Journal.log_round j ~round ~primaries [| fresh 0 round; fresh 1 round |]
   done;
@@ -691,16 +966,24 @@ let test_journal_golden () =
     [| fresh 0 3; slot ~round:3 1 (Batch.null ~round:3) |];
   Journal.log_round j ~round:4 ~primaries:[ 1; 2 ] [| fresh 0 4; fresh 1 4 |];
   Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
-  Journal.write_snapshot j ~seq:3 (small_snapshot ());
-  Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
   let sha = Rcc_crypto.Sha256.hex_digest in
   check Alcotest.string "journal area" "a056966646f90a3f6b1d748ff599b537dc98853443ae89faebe701ae3883c6ba" (sha (Sim_disk.journal disk));
   check Alcotest.int "journal bytes" 3022 (Sim_disk.journal_bytes disk);
+  let full = Sim_disk.journal disk in
+  check Alcotest.int "rounds scanned" 6
+    (List.length (Journal.scan_rounds full));
+  Journal.write_snapshot j ~seq:3 (small_snapshot ());
+  Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
   check
     Alcotest.(list (pair int string))
     "snapshot slot" [ (3, "5a845a2dc8c09bdef3c1b21322e3cb925e84e785cc382ed5588c1e44674590d1") ]
     (List.map (fun (seq, blob) -> (seq, sha blob)) (Sim_disk.snapshots disk));
-  check Alcotest.int "rounds scanned" 6
+  let compacted = Sim_disk.journal disk in
+  check Alcotest.string "compacted area" "10cbda381689e849aa42e8fbfb84b6a54bbec7728b3e7739d96daedeac5f59a1" (sha compacted);
+  check Alcotest.int "compacted bytes" 1492 (Sim_disk.journal_bytes disk);
+  check Alcotest.bool "a suffix of the full area" true
+    (String.ends_with ~suffix:compacted full);
+  check Alcotest.int "rounds left: both round 3s and round 4" 3
     (List.length (Journal.scan_rounds (Sim_disk.journal disk)))
 
 (* Framed records whose checksums hold but whose bodies carry a length or
@@ -742,11 +1025,15 @@ let suite =
       Alcotest.test_case "sim-disk determinism" `Quick test_disk_determinism;
       Alcotest.test_case "sim-disk snapshot slots" `Quick
         test_disk_snapshot_slots;
+      Alcotest.test_case "sim-disk anchor and compaction" `Quick
+        test_disk_anchor_and_compaction;
       Alcotest.test_case "sim-disk golden bytes" `Quick test_disk_golden;
       Alcotest.test_case "group commit crash" `Quick test_group_commit_crash;
       Alcotest.test_case "replay matches execution" `Quick
         test_replay_matches_execution;
       Alcotest.test_case "rollback record" `Quick test_replay_rollback;
+      Alcotest.test_case "rollback erases newer slots" `Quick
+        test_rollback_erases_newer_slot;
       Alcotest.test_case "unproven speculation truncates" `Quick
         test_replay_stops_at_unproven_speculation;
       Alcotest.test_case "snapshot + suffix" `Quick test_snapshot_plus_suffix;
@@ -766,4 +1053,9 @@ let suite =
       Alcotest.test_case "journal golden bytes" `Quick test_journal_golden;
       Alcotest.test_case "max-length probe" `Quick test_max_length_probe;
       prop_crash_point;
+      Alcotest.test_case "compaction edge cases" `Quick test_compaction_edges;
+      prop_compaction_oracle;
+      Alcotest.test_case "compaction oracle coverage" `Quick
+        test_oracle_coverage;
+      Alcotest.test_case "bounded footprint" `Slow test_bounded_footprint;
     ] )
