@@ -16,7 +16,8 @@
                            (excludes wall time), the fixed-seed determinism
                            fingerprint CI compares against bench/simperf.digest
    - heap/net/codec/journal/conflict/snapshot microbench rows (ns/op and
-     words/op), and the kv-store row (build ns and footprint words)
+     words/op), and the kv-store and round-history rows (build ns and
+     footprint words)
 
    Wall time is [Sys.time] (process CPU time): the simulator is
    single-threaded and this keeps the harness dependency-free. *)
@@ -339,6 +340,65 @@ let bench_kv_store () =
   let words = float_of_int (Obj.reachable_words (Obj.repr (build ()))) in
   { m_name = "kv-store"; m_ns = ns; m_words = words }
 
+(* One op = one replica's round history and txn table after 512 rounds
+   of n = 16, z = 6 (PBFT certs of 2f + 1 = 11 replicas, every batch
+   executed), built into a [Round_history] at the default
+   [history_capacity]. Like the kv-store row, [m_words] is a footprint:
+   [Obj.reachable_words] of both stores, less the batches, which every
+   replica of a cluster shares. CI gates it against bench/history.words. *)
+let bench_round_history () =
+  let z = 6 and rounds = 512 in
+  let cert = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
+  let batches =
+    Array.init (rounds * z) (fun i ->
+        Batch.of_parts ~id:i ~client:(i mod 1_000) ~txns:[||]
+          ~digest:(Rcc_crypto.Sha256.digest (string_of_int i))
+          ~signature:"")
+  in
+  let build () =
+    let history =
+      Rcc_core.Round_history.create ~z
+        ~capacity:
+          (Config.make ~protocol:Config.MultiP ~n:16 ()).Config.history_capacity
+    in
+    let table = Rcc_storage.Txn_table.create ~z in
+    for round = 0 to rounds - 1 do
+      let accs =
+        Array.init z (fun instance ->
+            let batch = batches.((round * z) + instance) in
+            Rcc_storage.Txn_table.record table
+              {
+                Rcc_storage.Txn_table.round;
+                instance;
+                client = batch.Batch.client;
+                batch_digest = batch.Batch.digest;
+                response_digest =
+                  Rcc_crypto.Sha256.digest (string_of_int ((round * z) + instance));
+                txn_count = 100;
+              };
+            {
+              Rcc_replica.Acceptance.instance;
+              round;
+              batch;
+              (* each replica builds its own cert list *)
+              cert = List.map Fun.id cert;
+              speculative = false;
+              history = "";
+            })
+      in
+      Rcc_core.Round_history.store history ~round accs
+    done;
+    (history, table)
+  in
+  let ns, _ = measure ~iters:5 (fun () -> ignore (build ())) in
+  let stores = build () in
+  let words =
+    Obj.reachable_words (Obj.repr (stores, batches))
+    - Obj.reachable_words (Obj.repr batches)
+    - 3 (* the pair *)
+  in
+  { m_name = "round-history"; m_ns = ns; m_words = float_of_int words }
+
 (* --- JSON output -------------------------------------------------------- *)
 
 let json_of_entry ~label smoke micros =
@@ -465,6 +525,7 @@ let () =
         bench_conflict ();
         bench_snapshot ();
         bench_kv_store ();
+        bench_round_history ();
       ]
     in
     List.iter

@@ -58,9 +58,9 @@ type t = {
   mutable collusion_timer : Engine.timer option;
   mutable replacements : int;
   mutable shifts : int;
-  (* Ring of recently executed rounds, for building contracts about rounds
-     the execute thread has already passed. *)
-  history : (round * Acceptance.t array) option array;
+  (* Recently executed rounds, for building contracts about rounds the
+     execute thread has already passed. *)
+  history : Round_history.t;
 }
 
 let create cfg ~engine ~keychain ~handles ~exec ~metrics ~broadcast ~send =
@@ -86,7 +86,7 @@ let create cfg ~engine ~keychain ~handles ~exec ~metrics ~broadcast ~send =
     collusion_timer = None;
     replacements = 0;
     shifts = 0;
-    history = Array.make (max 16 cfg.history_capacity) None;
+    history = Round_history.create ~z:cfg.z ~capacity:cfg.history_capacity;
   }
 
 let trace t ~instance payload =
@@ -109,36 +109,21 @@ let blame_digest ~instance ~view ~blamed ~round =
 
 (* --- round history ----------------------------------------------------- *)
 
-let history_store t round accs =
-  t.history.(round mod Array.length t.history) <- Some (round, accs)
-
-let history_find t round instance =
-  match t.history.(round mod Array.length t.history) with
-  | Some (r, accs) when r = round ->
-      Array.find_opt (fun (a : Acceptance.t) -> a.instance = instance) accs
-  | Some _ | None -> None
-
 (* Speculative rollback unwound rounds [>= frontier]: the retained copies
    describe orderings the view change just invalidated, so contract
    building and recovery must stop serving them. The rounds re-enter the
-   ring via [on_round_executed] when they re-execute. *)
-let on_rollback t ~frontier =
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Some (r, _) when r >= frontier -> t.history.(i) <- None
-      | Some _ | None -> ())
-    t.history
+   history via [on_round_executed] when they re-execute. *)
+let on_rollback t ~frontier = Round_history.rollback t.history ~frontier
 
 (* This replica's knowledge of instance [x]'s round-[r] batch: a pending
    acceptance at the execute thread, an already-executed round in the
-   history ring, or the instance's own log. *)
+   history, or the instance's own log. *)
 let accepted_anywhere t ~round ~instance =
   match Exec.accepted t.exec ~round ~instance with
   | Some a -> Some (a.Acceptance.batch, a.Acceptance.cert)
   | None -> (
-      match history_find t round instance with
-      | Some a -> Some (a.Acceptance.batch, a.Acceptance.cert)
+      match Round_history.find t.history ~round ~instance with
+      | Some _ as found -> found
       | None -> (t.handles.(instance)).h_accepted ~round)
 
 (* --- unified replacement (§3.4.2) -------------------------------------- *)
@@ -598,7 +583,7 @@ let on_contract_request t ~src ~round ~instance =
   end
 
 let on_round_executed t ~round accs =
-  history_store t round accs;
+  Round_history.store t.history ~round accs;
   (* Blame evidence is scoped to the stall it complains about: once
      execution advances past the blamed round, the complaint has been
      cured (partition healed, contract adopted) and the accusations must

@@ -299,7 +299,7 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
     Rcc_storage.Kv_store.init_records store ~count:cfg.records;
   let initial_primaries = List.init cfg.z (fun x -> x) in
   let ledger = Rcc_storage.Ledger.create ~primaries:initial_primaries in
-  let txn_table = Rcc_storage.Txn_table.create () in
+  let txn_table = Rcc_storage.Txn_table.create ~z:cfg.z in
   let coordinator_ref = ref None in
   let primaries () =
     match !coordinator_ref with

@@ -1,5 +1,7 @@
 (** Side table of executed requests and responses, indexed by round
-    (the ledger stores proofs, not payloads — §6). *)
+    (the ledger stores proofs, not payloads — §6): flat columns with
+    one cell per (round, instance), so a round's rows need no sort and
+    a rollback visits only the rounds it drops. *)
 
 type entry = {
   round : Rcc_common.Ids.round;
@@ -12,8 +14,15 @@ type entry = {
 
 type t
 
-val create : unit -> t
+val create : z:int -> t
+(** A table for rounds of [z] instances. *)
+
 val record : t -> entry -> unit
+(** Add the row of [(entry.round, entry.instance)], replacing any row
+    already recorded there (the execute stage records each once).
+    @raise Invalid_argument if the round is negative or the instance
+    is outside [\[0, z)]. *)
+
 val find : t -> round:Rcc_common.Ids.round -> entry list
 (** Entries of a round, in instance order. *)
 

@@ -37,7 +37,7 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
   let metrics = Rcc_replica.Metrics.create ~n ~warmup:0 () in
   let store = Rcc_storage.Kv_store.create () in
   let ledger = Rcc_storage.Ledger.create ~primaries:(List.init z (fun x -> x)) in
-  let txn_table = Rcc_storage.Txn_table.create () in
+  let txn_table = Rcc_storage.Txn_table.create ~z in
   let server = Rcc_sim.Cpu.server engine ~name:"exec" () in
   let exec =
     Exec.create ~engine ~costs:Rcc_sim.Costs.default ~server ~z ~self:0 ~store
@@ -426,7 +426,13 @@ let test_contract_request_out_of_range () =
   check Alcotest.bool "in range: view sync" true
     (List.exists
        (function Msg.View_sync { instance = 1; _ } -> true | _ -> false)
-       !(fx.broadcasts))
+       !(fx.broadcasts));
+  (* A round below 0 names nothing: the window is empty. *)
+  fx.broadcasts := [];
+  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:(-5) ~instance:0;
+  check
+    Alcotest.(list (list (pair int int)))
+    "negative round: empty window" [ [] ] (contract_replies fx)
 
 let test_dark_victim_requests_each_missing_instance () =
   (* Replica 3 is kept dark by the primaries of instances 0 and 1. Its
@@ -627,6 +633,199 @@ let test_stale_accusers_expire_with_window () =
   check Alcotest.int "no phantom collusion" 0
     (Rcc_replica.Metrics.collusions_detected fx.metrics)
 
+(* --- round history vs the per-round ring it replaced --------------------- *)
+
+module Round_history = Rcc_core.Round_history
+module Acceptance = Rcc_replica.Acceptance
+
+(* The history as it was: one boxed acceptance array per round, in a
+   ring of [max 16 capacity] rounds preallocated up front. *)
+module Ring_model = struct
+  type t = (int * Acceptance.t array) option array
+
+  let create ~capacity : t = Array.make (max 16 capacity) None
+  let store (t : t) ~round accs = t.(round mod Array.length t) <- Some (round, accs)
+
+  let find (t : t) ~round ~instance =
+    match t.(round mod Array.length t) with
+    | Some (r, accs) when r = round ->
+        Array.find_opt (fun (a : Acceptance.t) -> a.instance = instance) accs
+        |> Option.map (fun (a : Acceptance.t) -> (a.batch, a.cert))
+    | Some _ | None -> None
+
+  let rollback (t : t) ~frontier =
+    Array.iteri
+      (fun i slot ->
+        match slot with
+        | Some (r, _) when r >= frontier -> t.(i) <- None
+        | Some _ | None -> ())
+      t
+end
+
+let batch_pool = Array.init 32 (fun k -> Batch.null ~round:k)
+
+type history_op =
+  | Store_next of (int * int * int list) list  (* (instance, batch, cert) *)
+  | Store_at of int * (int * int * int list) list
+  | Find of int * int
+  | Rollback of int
+
+let gen_history_case =
+  let open QCheck2.Gen in
+  let* z = int_range 1 6 in
+  let* capacity = oneofl [ 1; 16; 20; 24; 48; 64; 100 ] in
+  let* n = oneofl [ 4; 16; 64 ] in
+  let span = 3 * max 16 capacity in
+  let member = int_range 0 (n - 1) in
+  let cert =
+    oneof
+      [
+        (* Quorum.to_list: ascending, distinct *)
+        map (List.sort_uniq compare) (list_size (int_range 0 n) member);
+        (* Zyzzyva's [primary; self]: unsorted when primary > self *)
+        map2 (fun p s -> [ p; s ]) member member;
+        (* a primary's own [p; p] *)
+        map (fun p -> [ p; p ]) member;
+        list_size (int_range 0 6) member;
+      ]
+  in
+  let accs =
+    list_size (int_range 0 (z + 2))
+      (triple (int_range 0 (z - 1)) (int_range 0 (Array.length batch_pool - 1)) cert)
+  in
+  let op =
+    frequency
+      [
+        (6, map (fun a -> Store_next a) accs);
+        (2, map2 (fun r a -> Store_at (r, a)) (int_range 0 (span - 1)) accs);
+        (3, map2 (fun r x -> Find (r, x)) (int_range 0 (span - 1)) (int_range 0 (z - 1)));
+        (1, map (fun f -> Rollback f) (int_range (-2) (span - 1)));
+      ]
+  in
+  let+ ops = list_size (int_range 0 150) op in
+  (z, capacity, n, ops)
+
+let print_history_case (z, capacity, n, ops) =
+  let accs l =
+    String.concat "; "
+      (List.map
+         (fun (x, b, c) ->
+           Printf.sprintf "(%d, b%d, [%s])" x b
+             (String.concat ";" (List.map string_of_int c)))
+         l)
+  in
+  Printf.sprintf "z=%d capacity=%d n=%d\n%s" z capacity n
+    (String.concat "\n"
+       (List.map
+          (function
+            | Store_next a -> "store_next " ^ accs a
+            | Store_at (r, a) -> Printf.sprintf "store %d %s" r (accs a)
+            | Find (r, x) -> Printf.sprintf "find %d %d" r x
+            | Rollback f -> Printf.sprintf "rollback %d" f)
+          ops))
+
+let same_found a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (ba, ca), Some (bb, cb) -> ba == bb && ca = cb
+  | _ -> false
+
+let history_matches_ring =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print:print_history_case
+       ~name:"history == ring model"
+       gen_history_case
+       (fun (z, capacity, _n, ops) ->
+         let h = Round_history.create ~z ~capacity in
+         let m = Ring_model.create ~capacity in
+         let cap = max 16 capacity in
+         let cursor = ref 0 and top = ref 0 in
+         let slots = ref (Round_history.slots h) in
+         let store round spec =
+           let accs =
+             Array.of_list
+               (List.map
+                  (fun (instance, b, cert) ->
+                    {
+                      Acceptance.instance;
+                      round;
+                      batch = batch_pool.(b);
+                      cert;
+                      speculative = false;
+                      history = "";
+                    })
+                  spec)
+           in
+           Round_history.store h ~round accs;
+           Ring_model.store m ~round accs;
+           top := max !top round
+         in
+         let agree round instance =
+           same_found
+             (Round_history.find h ~round ~instance)
+             (Ring_model.find m ~round ~instance)
+           || QCheck2.Test.fail_reportf "find round %d instance %d differs" round
+                instance
+         in
+         List.iter
+           (fun op ->
+             (match op with
+             | Store_next a ->
+                 store !cursor a;
+                 incr cursor
+             | Store_at (r, a) -> store r a
+             | Find (r, x) -> ignore (agree r x)
+             | Rollback frontier ->
+                 Round_history.rollback h ~frontier;
+                 Ring_model.rollback m ~frontier;
+                 cursor := max 0 (min !cursor frontier));
+             let s = Round_history.slots h in
+             if s < !slots || s > cap || cap mod s <> 0 then
+               QCheck2.Test.fail_reportf "slots %d (was %d, capacity %d)" s !slots cap;
+             slots := s)
+           ops;
+         for round = 0 to !top + 1 do
+           for instance = 0 to z - 1 do
+             ignore (agree round instance)
+           done
+         done;
+         true))
+
+let test_history_certs_exact () =
+  let h = Round_history.create ~z:5 ~capacity:16_384 in
+  let certs =
+    [| [ 0; 2; 4; 5; 7; 8; 9; 11; 12; 13; 15 ]; [ 5; 1 ]; [ 3; 3 ];
+       [ 0; 31; 61; 62; 63 ]; [] |]
+  in
+  for round = 0 to 511 do
+    Round_history.store h ~round
+      (Array.mapi
+         (fun instance cert ->
+           {
+             Acceptance.instance;
+             round;
+             batch = batch_pool.(instance);
+             cert;
+             speculative = true;
+             history = "";
+           })
+         certs)
+  done;
+  check Alcotest.int "grew to the rounds held, not the capacity" 512
+    (Round_history.slots h);
+  Array.iteri
+    (fun instance cert ->
+      match Round_history.find h ~round:300 ~instance with
+      | Some (b, c) ->
+          check Alcotest.bool "batch pointer" true (b == batch_pool.(instance));
+          check Alcotest.(list int) "cert read back exactly" cert c
+      | None -> Alcotest.fail "round 300 not retained")
+    certs;
+  Round_history.rollback h ~frontier:300;
+  check Alcotest.bool "rolled back" true
+    (Round_history.find h ~round:300 ~instance:0 = None
+    && Round_history.find h ~round:299 ~instance:0 <> None)
+
 let suite =
   ( "coordinator",
     [
@@ -671,4 +870,7 @@ let suite =
         test_view_shift_distinct_primaries;
       Alcotest.test_case "stale accusers expire with window" `Quick
         test_stale_accusers_expire_with_window;
+      history_matches_ring;
+      Alcotest.test_case "history certs read back exactly" `Quick
+        test_history_certs_exact;
     ] )

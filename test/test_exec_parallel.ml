@@ -344,7 +344,7 @@ let run_exec ~checkpoint_interval ~sched_kind ~z ~batches ~order =
   Rcc_storage.Kv_store.init_records store ~count:64;
   let primaries = List.init z (fun i -> i) in
   let ledger = Rcc_storage.Ledger.create ~primaries in
-  let txn_table = Rcc_storage.Txn_table.create () in
+  let txn_table = Rcc_storage.Txn_table.create ~z in
   let metrics = Metrics.create ~n:1 ~instances:z ~warmup:0 () in
   let responses = ref [] in
   let respond client msg =
@@ -480,7 +480,7 @@ let run_fork_heal ~checkpoint_interval ~sched_kind ~z ~fork ~final ~frontier
   let ledger = Rcc_storage.Ledger.create ~primaries in
   let exec =
     Exec.create ~engine ~costs:Costs.default ~server ~z ~self:0 ~store ~ledger
-      ~txn_table:(Rcc_storage.Txn_table.create ())
+      ~txn_table:(Rcc_storage.Txn_table.create ~z)
       ~current_primaries:(fun () -> primaries)
       ~respond:(fun _ _ -> ())
       ~metrics:(Metrics.create ~n:1 ~instances:z ~warmup:0 ())
@@ -599,7 +599,7 @@ let bare_exec ?(parallel = false) ~z () =
   let ledger = Rcc_storage.Ledger.create ~primaries in
   let exec =
     Exec.create ~engine ~costs:Costs.default ~server ~z ~self:0 ~store ~ledger
-      ~txn_table:(Rcc_storage.Txn_table.create ())
+      ~txn_table:(Rcc_storage.Txn_table.create ~z)
       ~current_primaries:(fun () -> primaries)
       ~respond:(fun _ _ -> ())
       ~metrics:(Metrics.create ~n:1 ~instances:z ~warmup:0 ())

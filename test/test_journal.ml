@@ -73,7 +73,7 @@ let mk_rounds ~seed ?(speculative = false) n =
 let fresh_exec ?checkpoint_interval engine =
   let ledger = Ledger.create ~primaries in
   let store = Kv.create () in
-  let txn_table = Txn_table.create () in
+  let txn_table = Txn_table.create ~z:(List.length primaries) in
   let exec =
     Exec.create ~engine ~costs:Costs.default
       ~server:(Rcc_sim.Cpu.server engine ~name:"exec" ())

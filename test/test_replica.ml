@@ -46,7 +46,7 @@ let make_exec ?(z = 2) ?reorder () =
   let engine = Engine.create () in
   let store = Rcc_storage.Kv_store.create () in
   let ledger = Rcc_storage.Ledger.create ~primaries:(List.init z (fun x -> x)) in
-  let txn_table = Rcc_storage.Txn_table.create () in
+  let txn_table = Rcc_storage.Txn_table.create ~z in
   let responses = ref [] in
   let executed = ref [] in
   let exec =

@@ -397,7 +397,7 @@ let test_rollback_recaptures_boundaries () =
         Exec.create ~engine ~costs:Rcc_sim.Costs.default
           ~server:(Rcc_sim.Cpu.server engine ~name:"exec" ())
           ~z:2 ~self:0 ~store ~ledger
-          ~txn_table:(Rcc_storage.Txn_table.create ())
+          ~txn_table:(Rcc_storage.Txn_table.create ~z:2)
           ~current_primaries:(fun () -> primaries)
           ~respond:(fun _ _ -> ())
           ~metrics:(Rcc_replica.Metrics.create ~n:1 ~instances:2 ~warmup:0 ())

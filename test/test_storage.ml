@@ -323,7 +323,7 @@ let entry ~round ~instance =
   }
 
 let test_txn_table () =
-  let table = Txn_table.create () in
+  let table = Txn_table.create ~z:2 in
   Txn_table.record table (entry ~round:0 ~instance:1);
   Txn_table.record table (entry ~round:0 ~instance:0);
   Txn_table.record table (entry ~round:2 ~instance:0);
@@ -336,6 +336,128 @@ let test_txn_table () =
     (List.map (fun e -> e.Txn_table.instance) round0);
   check Alcotest.(list int) "missing round" []
     (List.map (fun e -> e.Txn_table.instance) (Txn_table.find table ~round:7))
+
+(* The table as it was: boxed rows in per-round lists of a Hashtbl,
+   sorted by instance on every [find], a whole-table fold per rollback. *)
+module Txn_model = struct
+  type t = { by_round : (int, Txn_table.entry list ref) Hashtbl.t; mutable txns : int }
+
+  let create () = { by_round = Hashtbl.create 16; txns = 0 }
+
+  let record t (e : Txn_table.entry) =
+    t.txns <- t.txns + e.txn_count;
+    match Hashtbl.find_opt t.by_round e.round with
+    | Some l -> l := e :: !l
+    | None -> Hashtbl.replace t.by_round e.round (ref [ e ])
+
+  let find t ~round =
+    match Hashtbl.find_opt t.by_round round with
+    | None -> []
+    | Some l ->
+        List.sort
+          (fun (a : Txn_table.entry) (b : Txn_table.entry) -> compare a.instance b.instance)
+          !l
+
+  let remove_from t ~round =
+    let doomed =
+      Hashtbl.fold (fun r _ acc -> if r >= round then r :: acc else acc) t.by_round []
+    in
+    let removed = ref 0 in
+    List.iter
+      (fun r ->
+        List.iter
+          (fun (e : Txn_table.entry) -> removed := !removed + e.txn_count)
+          !(Hashtbl.find t.by_round r);
+        Hashtbl.remove t.by_round r)
+      doomed;
+    t.txns <- t.txns - !removed;
+    (List.length doomed, !removed)
+
+  let rounds t = Hashtbl.length t.by_round
+end
+
+type txn_op = Record of int * int * int * int | Remove_from of int | Find_round of int
+
+let txn_table_model =
+  let gen =
+    let open QCheck2.Gen in
+    let* z = int_range 1 6 in
+    let op =
+      frequency
+        [
+          ( 8,
+            map
+              (fun (round, instance, client, count) -> Record (round, instance, client, count))
+              (quad (int_range 0 79) (int_range 0 (z - 1)) (int_range (-1) 9)
+                 (int_range 0 100)) );
+          (1, map (fun r -> Remove_from r) (int_range (-2) 85));
+          (2, map (fun r -> Find_round r) (int_range (-1) 85));
+        ]
+    in
+    pair (return z) (list_size (int_range 0 200) op)
+  in
+  let print (z, ops) =
+    Printf.sprintf "z=%d\n%s" z
+      (String.concat "\n"
+         (List.map
+            (function
+              | Record (r, x, c, n) -> Printf.sprintf "record r=%d x=%d client=%d txns=%d" r x c n
+              | Remove_from r -> Printf.sprintf "remove_from %d" r
+              | Find_round r -> Printf.sprintf "find %d" r)
+            ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print ~name:"txn table == hashtable model" gen
+       (fun (z, ops) ->
+         let t = Txn_table.create ~z and m = Txn_model.create () in
+         let same_rows round =
+           Txn_table.find t ~round = Txn_model.find m ~round
+           || QCheck2.Test.fail_reportf "find %d differs" round
+         in
+         List.iter
+           (fun op ->
+             (match op with
+             | Record (round, instance, client, txn_count) ->
+                 (* The execute stage records each (round, instance) once
+                    between rollbacks. *)
+                 if
+                   not
+                     (List.exists
+                        (fun (e : Txn_table.entry) -> e.instance = instance)
+                        (Txn_model.find m ~round))
+                 then begin
+                   let e =
+                     {
+                       Txn_table.round;
+                       instance;
+                       client;
+                       batch_digest = Printf.sprintf "b%d.%d" round instance;
+                       response_digest = Printf.sprintf "r%d" client;
+                       txn_count;
+                     }
+                   in
+                   Txn_table.record t e;
+                   Txn_model.record m e
+                 end
+             | Remove_from round ->
+                 let got = Txn_table.remove_from t ~round in
+                 let want = Txn_model.remove_from m ~round in
+                 if got <> want then
+                   QCheck2.Test.fail_reportf "remove_from %d: (%d, %d), model (%d, %d)"
+                     round (fst got) (snd got) (fst want) (snd want)
+             | Find_round round -> ignore (same_rows round));
+             if
+               Txn_table.total_txns t <> m.Txn_model.txns
+               || Txn_table.rounds t <> Txn_model.rounds m
+             then
+               QCheck2.Test.fail_reportf "totals: (%d txns, %d rounds), model (%d, %d)"
+                 (Txn_table.total_txns t) (Txn_table.rounds t) m.Txn_model.txns
+                 (Txn_model.rounds m))
+           ops;
+         for round = -1 to 86 do
+           ignore (same_rows round)
+         done;
+         true))
 
 (* --- ledger persistence ----------------------------------------------------- *)
 
@@ -635,4 +757,5 @@ let suite =
       Alcotest.test_case "ledger rejects bad" `Quick test_ledger_rejects_bad_blocks;
       Alcotest.test_case "ledger iter" `Quick test_ledger_iter;
       Alcotest.test_case "txn table" `Quick test_txn_table;
+      txn_table_model;
     ] )
