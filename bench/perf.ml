@@ -342,10 +342,10 @@ let bench_kv_store () =
 
 (* One op = one replica's round history and txn table after 512 rounds
    of n = 16, z = 6 (PBFT certs of 2f + 1 = 11 replicas, every batch
-   executed), built into a [Round_history] at the default
-   [history_capacity]. Like the kv-store row, [m_words] is a footprint:
-   [Obj.reachable_words] of both stores, less the batches, which every
-   replica of a cluster shares. CI gates it against bench/history.words. *)
+   executed), built into a [Round_history] at
+   [Coordinator.history_capacity]. Like the kv-store row, [m_words] is a
+   footprint: [Obj.reachable_words] of both stores, less the batches,
+   which every replica of a cluster shares. CI gates it against bench/history.words. *)
 let bench_round_history () =
   let z = 6 and rounds = 512 in
   let cert = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
@@ -358,8 +358,7 @@ let bench_round_history () =
   let build () =
     let history =
       Rcc_core.Round_history.create ~z
-        ~capacity:
-          (Config.make ~protocol:Config.MultiP ~n:16 ()).Config.history_capacity
+        ~capacity:Rcc_core.Coordinator.history_capacity
     in
     let table = Rcc_storage.Txn_table.create ~z in
     for round = 0 to rounds - 1 do

@@ -132,4 +132,3 @@ let listed flags =
 let tainted t = listed t.byz_tainted
 let dead_now t = listed t.crashed
 let ever_crashed t = listed t.was_crashed
-let events_applied t = t.applied

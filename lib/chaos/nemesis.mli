@@ -28,5 +28,3 @@ val dead_now : t -> Rcc_common.Ids.replica_id list
 
 val ever_crashed : t -> Rcc_common.Ids.replica_id list
 
-val events_applied : t -> int
-(** Scripted actions fired so far (for progress reporting). *)

@@ -41,13 +41,6 @@ let put_u32be b off v =
   Bytes.set b (off + 2) (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xff));
   Bytes.set b (off + 3) (Char.chr (Int32.to_int v land 0xff))
 
-let get_u32be s off =
-  let b i = Int32.of_int (Char.code s.[off + i]) in
-  Int32.logor
-    (Int32.shift_left (b 0) 24)
-    (Int32.logor
-       (Int32.shift_left (b 1) 16)
-       (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
 
 let put_u64be b off v =
   for i = 0 to 7 do

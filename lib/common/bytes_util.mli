@@ -10,7 +10,6 @@ val xor : string -> string -> string
 (** Byte-wise xor of equal-length strings. *)
 
 val put_u32be : bytes -> int -> int32 -> unit
-val get_u32be : string -> int -> int32
 val put_u64be : bytes -> int -> int64 -> unit
 val get_u64be : string -> int -> int64
 

@@ -27,9 +27,12 @@ val of_msg : Rcc_messages.Msg.t -> t option
 
 val validate : t -> n:int -> min_cert:int -> (unit, string) result
 (** Structural check: instances in range and each entry's proof backed by
-    at least [min_cert] replicas. PBFT-backed instances use
-    [min_cert = n - 2f] (the non-faulty majority any accepted request must
-    reach, requirement R1); speculative instances carry thinner proofs. *)
+    at least [min_cert] distinct replicas (a certifier named twice counts
+    once). PBFT-backed instances use [min_cert = n - 2f] (the non-faulty
+    majority any accepted request must reach, requirement R1);
+    speculative instances carry thinner proofs: MultiZ's [min_cert = 2]
+    takes a backup's [[primary; self]] but not a primary's own
+    [[p; p]]. *)
 
 val size : t -> int
 (** Wire size (≈175 KB for the paper's 32-replica, batch-100 setup). *)

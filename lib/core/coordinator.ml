@@ -107,6 +107,13 @@ let replacements t = t.replacements
 let blame_digest ~instance ~view ~blamed ~round =
   Printf.sprintf "vc|%d|%d|%d|%d" instance view blamed round
 
+let sign_blame keychain ~signer ~instance ~view ~blamed ~round =
+  Signature.sign
+    (Keychain.replica_secret keychain signer)
+    (blame_digest ~instance ~view ~blamed ~round)
+
+let history_capacity = 16_384
+
 (* --- round history ----------------------------------------------------- *)
 
 (* Speculative rollback unwound rounds [>= frontier]: the retained copies
@@ -132,6 +139,22 @@ let clear_blames t x =
   Bitset.clear t.blames.(x);
   Array.fill t.blame_sigs.(x) 0 t.cfg.n None;
   t.blame_round.(x) <- max_int
+
+(* Seat [primary] at [view] on instance [x], counting [replaced] primary
+   replacements: the one step behind a blame quorum, an adopted
+   [View_sync] and a view shift. The instance's blames are about the
+   primary it leaves, so they go with it. *)
+let install_view t x ~view ~primary ~replaced =
+  t.replacements <- t.replacements + replaced;
+  for _ = 1 to replaced do
+    Metrics.record_view_change ~instance:x t.metrics
+  done;
+  t.views.(x) <- view;
+  t.primaries.(x) <- primary;
+  if Engine.tracing t.engine then
+    trace t ~instance:x (Rcc_trace.Event.Primary_change { primary; view });
+  clear_blames t x;
+  (t.handles.(x)).h_set_primary primary ~view
 
 (* Deterministic primary rotation: instance [x] draws its primaries from
    the residue class {r | r mod z = x}, in ascending order, starting at
@@ -186,19 +209,11 @@ let rec process_replacements t =
                 { Msg.bv_accuser = src; bv_round = round; bv_sig = s } :: !votes
           | None -> ());
       t.certs.(x) <- List.rev !votes;
-      t.views.(x) <- t.views.(x) + 1;
-      let fresh = primary_for t.cfg ~instance:x ~view:t.views.(x) in
-      t.primaries.(x) <- fresh;
-      t.replacements <- t.replacements + 1;
-      Metrics.record_view_change ~instance:x t.metrics;
-      if Engine.tracing t.engine then begin
+      if Engine.tracing t.engine then
         trace t ~instance:x (Rcc_trace.Event.Kmal { culprit = deposed });
-        trace t ~instance:x
-          (Rcc_trace.Event.Primary_change
-             { primary = fresh; view = t.views.(x) })
-      end;
-      clear_blames t x;
-      (t.handles.(x)).h_set_primary fresh ~view:t.views.(x);
+      let view = t.views.(x) + 1 in
+      install_view t x ~view ~primary:(primary_for t.cfg ~instance:x ~view)
+        ~replaced:1;
       process_replacements t
   | _ :: _ -> ()
 
@@ -271,13 +286,7 @@ let view_shift t =
     in
     let fresh = pick 0 in
     Bitset.add taken fresh |> ignore;
-    t.primaries.(x) <- fresh;
-    t.views.(x) <- t.views.(x) + 1;
-    if Engine.tracing t.engine then
-      trace t ~instance:x
-        (Rcc_trace.Event.Primary_change { primary = fresh; view = t.views.(x) });
-    clear_blames t x;
-    (t.handles.(x)).h_set_primary fresh ~view:t.views.(x)
+    install_view t x ~view:(t.views.(x) + 1) ~primary:fresh ~replaced:0
   done
 
 let on_collusion_detected t =
@@ -328,17 +337,21 @@ and evaluate_collusion t =
 
 (* --- evidence intake ----------------------------------------------------- *)
 
-let send_view_sync t ~dst ~instance =
-  let msg =
-    Msg.View_sync
-      {
-        instance;
-        view = t.views.(instance);
-        primary = t.primaries.(instance);
-        kmal = Bitset.to_list t.kmal;
-        cert = t.certs.(instance);
-      }
-  in
+(* This replica's certified view of [instance], for a peer that missed
+   the step (a blame naming a deposed primary, a contract request) and
+   for the heartbeat's anti-entropy gossip. *)
+let view_sync t x =
+  Msg.View_sync
+    {
+      instance = x;
+      view = t.views.(x);
+      primary = t.primaries.(x);
+      kmal = Bitset.to_list t.kmal;
+      cert = t.certs.(x);
+    }
+
+let send_view_sync t ~dst x =
+  let msg = view_sync t x in
   t.send ~size:(Msg.size msg) ~dst msg
 
 (* Periodic anti-entropy: replicas that were crashed or partitioned
@@ -348,61 +361,95 @@ let send_view_sync t ~dst ~instance =
 let gossip_views t =
   for x = 0 to t.cfg.z - 1 do
     if t.views.(x) > 0 then begin
-      let msg =
-        Msg.View_sync
-          {
-            instance = x;
-            view = t.views.(x);
-            primary = t.primaries.(x);
-            kmal = Bitset.to_list t.kmal;
-            cert = t.certs.(x);
-          }
-      in
+      let msg = view_sync t x in
       t.broadcast ~size:(Msg.size msg) msg
     end
   done
 
-let register_blame t ~src ~instance ~view ~blamed ~round ~signature =
-  if
-    instance >= 0 && instance < t.cfg.z && src >= 0 && src < t.cfg.n
-    (* Authenticity first: an unauthenticated accusation counts toward
-       nothing — not a replacement quorum, not collusion evidence. The
-       claimed view is part of the signed digest, so a byzantine replica
-       cannot re-label a replica's old blame as evidence about the
-       current primary. *)
-    && Signature.verify
-         (Keychain.replica_public t.keychain src)
-         (blame_digest ~instance ~view ~blamed ~round)
-         signature
-  then begin
-    if Engine.tracing t.engine then
-      trace t ~instance (Rcc_trace.Event.Blame { round; blamed; accuser = src });
-    if round < Exec.next_round t.exec then begin
-      (* A blame about a round we already executed says nothing about the
-         current primary — counting it toward a replacement quorum lets a
-         single replica catching up after a crash push instances through
-         spurious view changes. But it IS the signature of Example 3.3:
-         a victim that colluding primaries keep in the dark stays stuck
-         at an old round while the rest of the cluster advances, so such
-         accusers still feed collusion detection (which never replaces a
-         single primary on its own). *)
-      if Bitset.add t.stale_accusers src then arm_collusion_timer t
-    end
-    else if view = t.views.(instance) && blamed = t.primaries.(instance)
-    then begin
-      Bitset.add t.blames.(instance) src |> ignore;
-      t.blame_sigs.(instance).(src) <- Some (round, signature);
-      if round < t.blame_round.(instance) then t.blame_round.(instance) <- round;
-      if Bitset.count t.blames.(instance) >= t.cfg.f + 1 then
-        enqueue_replacement t ~instance ~round:t.blame_round.(instance)
-      else arm_collusion_timer t
-    end
-    else if Bitset.mem t.kmal blamed && src <> t.cfg.self then
-      (* The accuser blames a primary we already deposed: it missed a
-         replacement's blame quorum (partitioned or crashed at the time).
-         Ship it our certified view so the coordinator state converges. *)
-      send_view_sync t ~dst:src ~instance
+(* Count the accusation a VIEW-CHANGE carries: [src]'s, whose signature
+   the caller verified, or this replica's own, which it just made. *)
+let count_blame t ~src (msg : Msg.t) =
+  match msg with
+  | View_change { instance; new_view; blamed; round; signature; _ } ->
+      if Engine.tracing t.engine then
+        trace t ~instance
+          (Rcc_trace.Event.Blame { round; blamed; accuser = src });
+      if round < Exec.next_round t.exec then begin
+        (* A blame about a round we already executed says nothing about
+           the current primary — counting it toward a replacement quorum
+           lets a single replica catching up after a crash push
+           instances through spurious view changes. But it IS the
+           signature of Example 3.3: a victim that colluding primaries
+           keep in the dark stays stuck at an old round while the rest
+           of the cluster advances, so such accusers still feed
+           collusion detection (which never replaces a single primary on
+           its own). *)
+        if Bitset.add t.stale_accusers src then arm_collusion_timer t
+      end
+      else if
+        new_view - 1 = t.views.(instance) && blamed = t.primaries.(instance)
+      then begin
+        Bitset.add t.blames.(instance) src |> ignore;
+        t.blame_sigs.(instance).(src) <- Some (round, signature);
+        if round < t.blame_round.(instance) then
+          t.blame_round.(instance) <- round;
+        if Bitset.count t.blames.(instance) >= t.cfg.f + 1 then
+          enqueue_replacement t ~instance ~round:t.blame_round.(instance)
+        else arm_collusion_timer t
+      end
+      else if Bitset.mem t.kmal blamed && src <> t.cfg.self then
+        (* The accuser blames a primary we already deposed: it missed a
+           replacement's blame quorum (partitioned or crashed at the
+           time). Ship it our certified view so the coordinator state
+           converges. *)
+        send_view_sync t ~dst:src instance
+  | _ -> ()
+
+(* This replica's accusation of [blamed] for [instance]'s [round], as the
+   VIEW-CHANGE that carries it: signed once, over the view being left. *)
+let own_blame t ~instance ~round ~blamed =
+  let view = t.views.(instance) in
+  Msg.View_change
+    {
+      instance;
+      new_view = view + 1;
+      blamed;
+      round;
+      last_exec = Exec.next_round t.exec - 1;
+      signature =
+        sign_blame t.keychain ~signer:t.cfg.self ~instance ~view ~blamed ~round;
+    }
+
+let accuse ?(announce = ignore) t ~instance ~round ~blamed =
+  if instance >= 0 && instance < t.cfg.z then begin
+    let msg = own_blame t ~instance ~round ~blamed in
+    announce msg;
+    count_blame t ~src:t.cfg.self msg
   end
+
+(* Blame each missing instance's primary, then ask the peers for each
+   one's rounds from the stalled round on (§3.3's state exchange): a
+   reply carries that instance's window alone, so what a stall costs the
+   network grows with its gap, not with z. Instances without a hole at
+   the stalled round are not requested: their rounds arrive through
+   normal-case ordering. *)
+let on_stall t ~round ~missing =
+  List.iter
+    (fun x ->
+      let msg = own_blame t ~instance:x ~round ~blamed:t.primaries.(x) in
+      count_blame t ~src:t.cfg.self msg;
+      t.broadcast msg)
+    missing;
+  List.iter
+    (fun x -> t.broadcast (Msg.Contract_request { round; instance = x }))
+    missing
+
+let false_blame t ~blamed =
+  match Array.find_index (fun p -> p = blamed) t.primaries with
+  | Some instance ->
+      t.broadcast
+        (own_blame t ~instance ~round:(Exec.next_round t.exec) ~blamed)
+  | None -> ()
 
 (* Does [cert] prove the view step [view - 1 -> view]? Under the
    deterministic rotation the deposed primary is a pure function of
@@ -434,19 +481,10 @@ let verify_cert t ~instance ~view cert =
 let on_view_sync t ~instance ~view ~primary ~kmal ~cert =
   if instance >= 0 && instance < t.cfg.z && view > t.views.(instance) then begin
     let adopt primary =
-      let skipped = view - t.views.(instance) in
-      t.replacements <- t.replacements + skipped;
-      for _ = 1 to skipped do
-        Metrics.record_view_change ~instance t.metrics
-      done;
-      if Engine.tracing t.engine then
-        trace t ~instance (Rcc_trace.Event.Primary_change { primary; view });
-      t.primaries.(instance) <- primary;
-      t.views.(instance) <- view;
       t.pending_replace <-
         List.filter (fun (_, x) -> x <> instance) t.pending_replace;
-      clear_blames t instance;
-      (t.handles.(instance)).h_set_primary primary ~view;
+      install_view t instance ~view ~primary
+        ~replaced:(view - t.views.(instance));
       process_replacements t
     in
     match t.cfg.recovery with
@@ -473,20 +511,6 @@ let on_view_sync t ~instance ~view ~primary ~kmal ~cert =
         adopt primary
   end
 
-let on_local_failure t ~instance ~round ~blamed =
-  if instance >= 0 && instance < t.cfg.z then begin
-    let view = t.views.(instance) in
-    let signature =
-      Signature.sign
-        (Keychain.replica_secret t.keychain t.cfg.self)
-        (blame_digest ~instance ~view ~blamed ~round)
-    in
-    register_blame t ~src:t.cfg.self ~instance ~view ~blamed ~round ~signature
-  end
-
-let on_view_change t ~src ~instance ~view ~blamed ~round ~signature =
-  register_blame t ~src ~instance ~view ~blamed ~round ~signature
-
 (* --- contracts ----------------------------------------------------------- *)
 
 (* Validate a contract and adopt its entries; whether it was valid. *)
@@ -511,11 +535,6 @@ let adopt_contract t contract =
               e.Msg.ce_batch ~cert:e.Msg.ce_cert_replicas)
         contract.Contract.entries;
       true
-
-let on_contract t msg =
-  match Contract.of_msg msg with
-  | None -> ()
-  | Some contract -> ignore (adopt_contract t contract)
 
 let on_contract_reply t ~src ~instance ~round ~max_seen entries =
   if
@@ -578,9 +597,34 @@ let on_contract_request t ~src ~round ~instance =
        on the primary set without waiting out the heartbeat gossip it may
        keep missing under backlog. *)
     for x = 0 to t.cfg.z - 1 do
-      if t.views.(x) > 0 then send_view_sync t ~dst:src ~instance:x
+      if t.views.(x) > 0 then send_view_sync t ~dst:src x
     done
   end
+
+let on_msg t ~src (msg : Msg.t) =
+  match msg with
+  | View_change { instance; new_view; blamed; round; signature; _ } ->
+      (* A peer's accusation counts only if authentic: an unsigned one
+         feeds neither a replacement quorum nor collusion evidence. The
+         view being left is part of the signed digest, so a byzantine
+         replica cannot re-label a replica's old blame as evidence about
+         the current primary. *)
+      if
+        instance >= 0 && instance < t.cfg.z && src >= 0 && src < t.cfg.n
+        && Signature.verify
+             (Keychain.replica_public t.keychain src)
+             (blame_digest ~instance ~view:(new_view - 1) ~blamed ~round)
+             signature
+      then count_blame t ~src msg
+  | Contract _ ->
+      Option.iter (fun c -> ignore (adopt_contract t c)) (Contract.of_msg msg)
+  | Contract_request { round; instance } ->
+      on_contract_request t ~src ~round ~instance
+  | Contract_reply { instance; round; max_seen; entries } ->
+      on_contract_reply t ~src ~instance ~round ~max_seen entries
+  | View_sync { instance; view; primary; kmal; cert } ->
+      on_view_sync t ~instance ~view ~primary ~kmal ~cert
+  | _ -> ()
 
 let on_round_executed t ~round accs =
   Round_history.store t.history ~round accs;

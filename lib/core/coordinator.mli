@@ -1,7 +1,9 @@
 (** The coordinator thread: unification (§3.4).
 
     Maintains the paper's per-replica internal state
-    [(primary, kmal, replace)] and provides:
+    [(primary, kmal, replace)]. It is the one module that builds, signs,
+    counts and routes RCC's recovery messages (blames, contracts,
+    contract requests and replies, view syncs), and provides:
 
     - {b Unified multi-leader election} (§3.4.2): view-change evidence is
       counted per instance; once f+1 distinct replicas blame an instance's
@@ -47,7 +49,9 @@ type config = {
   collusion_wait : Rcc_sim.Engine.time;  (** extra wait before declaring collusion (5 s in §7.5.3) *)
   recovery : recovery_mode;
   min_cert : int;  (** accept-proof threshold for incoming contracts *)
-  history_capacity : int;  (** executed rounds retained for contract building *)
+  history_capacity : int;
+      (** executed rounds retained for contract building; a replica's
+          coordinator takes {!history_capacity} *)
 }
 
 type t
@@ -68,53 +72,84 @@ val primary_of : t -> instance_id -> replica_id
 val view_of : t -> instance_id -> view
 val known_malicious : t -> replica_id list
 
-val blame_digest :
-  instance:instance_id -> view:view -> blamed:replica_id -> round:round -> string
-(** What a blame signature commits to: the instance, the view being left
+val sign_blame :
+  Rcc_crypto.Keychain.t ->
+  signer:replica_id ->
+  instance:instance_id ->
+  view:view ->
+  blamed:replica_id ->
+  round:round ->
+  string
+(** [signer]'s signature on its accusation of [blamed] for [instance]'s
+    [round]. The signed digest binds the instance, the view being left
     (so a quorum cannot be replayed after the rotation pool wraps), the
-    blamed primary, and the round the failure was detected in. Exposed so
-    protocol instances and the liveness monitor sign their accusations
-    with the same digest the coordinator verifies. *)
+    blamed primary and the round; the coordinator verifies peers' blames
+    and certificate votes against the same digest. *)
+
+val history_capacity : int
+(** Executed rounds a replica retains for contract building. *)
 
 val cert_of : t -> instance_id -> Rcc_messages.Msg.blame_vote list
 (** The f+1 blame-quorum evidence behind [instance]'s latest view step
     (empty at view 0 and under [View_shift]); what {!gossip_views} ships. *)
 
-val on_local_failure : t -> instance:instance_id -> round:round -> blamed:replica_id -> unit
-(** An instance at this replica detected its primary faulty (R2). The
-    coordinator signs the accusation with its own replica key. *)
-
-val on_view_change :
+val accuse :
+  ?announce:(Rcc_messages.Msg.t -> unit) ->
   t ->
-  src:replica_id ->
   instance:instance_id ->
-  view:view ->
-  blamed:replica_id ->
   round:round ->
-  signature:string ->
+  blamed:replica_id ->
   unit
-(** Evidence from another replica's instance: [view] is the view the
-    accuser is leaving ([new_view - 1] on the wire) and [signature] its
-    signature over {!blame_digest}. Unauthenticated or wrong-view
-    accusations count toward nothing. *)
+(** This replica accuses [blamed] of failing [instance]'s [round] (R2):
+    the accusation is signed once, over the view being left, passed as a
+    VIEW-CHANGE to [announce] (an instance's detected failure broadcasts
+    it through the instance's worker), then counted here without being
+    re-verified. Counting may install a new primary at once, so the
+    VIEW-CHANGE goes out first. Records one [blame] trace event. *)
 
-val on_view_sync :
-  t ->
-  instance:instance_id ->
-  view:view ->
-  primary:replica_id ->
-  kmal:replica_id list ->
-  cert:Rcc_messages.Msg.blame_vote list ->
-  unit
-(** A peer's current coordinator view for [instance], sent in reply to a
-    blame that named an already-deposed primary, as heartbeat gossip, or
-    piggybacked on a contract reply. Adopted only if strictly newer than
-    ours AND — under the deterministic rotation — backed by a verifying
-    f+1 blame-quorum certificate for the final view step; the primary and
-    the skipped-view kmal additions are recomputed from the rotation, so
-    a byzantine sender can forge neither view adoption nor primary
-    placement. [View_shift] (no rotation) keeps the legacy trusting
-    behaviour as an ablation arm. *)
+val on_stall : t -> round:round -> missing:instance_id list -> unit
+(** The liveness monitor's escalation of a stall past the replica
+    timeout at [round]: for each [missing] instance, accuse its primary
+    (counted here, then broadcast), then broadcast one CONTRACT-REQUEST
+    per missing instance for its rounds from [round] on. *)
+
+val false_blame : t -> blamed:replica_id -> unit
+(** Figure 12's false alarm: broadcast a signed accusation of [blamed]
+    for the instance it leads, at this replica's stalled round, without
+    counting it here. The attack lies under its own key; it forges
+    nothing. No-op if [blamed] leads no instance. *)
+
+val on_msg : t -> src:replica_id -> Rcc_messages.Msg.t -> unit
+(** A recovery message from peer [src]; any other message is ignored.
+    - VIEW-CHANGE: [src]'s accusation, counted only if its signature
+      verifies for the view it leaves ([new_view - 1]) and the instance
+      is in range.
+    - CONTRACT: validated, then each entry adopted into its instance.
+    - CONTRACT-REQUEST: [src] lacks the instance's batches from the
+      round on (a stalled replica asks once per instance missing at its
+      stalled round; a fresh primary asks for the instance it takes
+      over). Answered with one CONTRACT-REPLY holding the instance's
+      consecutive accepted rounds from there and this replica's highest
+      round with any slot in it. The window stops at the first round
+      this replica lacks or after a bounded number of rounds, carries no
+      other instance's entries, and may be empty: every request is
+      answered, and only a non-empty window counts toward the contract
+      bytes. Certified views are shipped alongside. An out-of-range
+      instance is ignored.
+    - CONTRACT-REPLY: [src]'s answer to this replica's request; the
+      window is adopted like a contract, then passed to the instance
+      ([h_answered]), and a fresh primary ends its takeover on enough of
+      them. An invalid window, or an out-of-range instance or [src], is
+      ignored.
+    - VIEW-SYNC: a peer's coordinator view of one instance, sent in
+      reply to a blame naming an already-deposed primary, as heartbeat
+      gossip, or with a contract reply. Adopted only if strictly newer
+      than ours and, under the deterministic rotation, backed by a
+      verifying f+1 blame-quorum certificate for the final view step.
+      The primary and the skipped views' kmal additions are recomputed
+      from the rotation, so a byzantine sender can forge neither view
+      adoption nor primary placement. [View_shift] (no rotation) keeps
+      the trusting behaviour as an ablation arm. *)
 
 val gossip_views : t -> unit
 (** Broadcast a {!Rcc_messages.Msg.View_sync} for every instance whose
@@ -122,36 +157,6 @@ val gossip_views : t -> unit
     monitor's heartbeat as anti-entropy: blame-triggered syncs only fire
     while traffic is unhealthy, so without gossip a replica that slept
     through the last replacement would stay stale forever. *)
-
-val on_contract : t -> Rcc_messages.Msg.t -> unit
-
-val on_contract_request :
-  t -> src:replica_id -> round:round -> instance:instance_id -> unit
-(** A peer lacks [instance]'s batches from [round] on (a stalled replica
-    asks once per instance missing at its stalled round; a fresh primary
-    asks for the instance it takes over). Reply to [src] with one
-    CONTRACT-REPLY holding [instance]'s consecutive accepted rounds
-    starting at [round] and this replica's highest round with any slot in
-    [instance]. The window stops at the first round this replica lacks or
-    after a bounded number of rounds, carries no other instance's
-    entries, and may be empty: every request is answered, and only a
-    non-empty window counts toward the contract bytes. Certified views
-    are shipped alongside. A request whose [instance] is out of range is
-    ignored. *)
-
-val on_contract_reply :
-  t ->
-  src:replica_id ->
-  instance:instance_id ->
-  round:round ->
-  max_seen:round ->
-  Rcc_messages.Msg.contract_entry list ->
-  unit
-(** [src]'s answer to this replica's request for [instance]: adopt the
-    window like {!on_contract}, then pass the answer to the instance
-    ([h_answered]) — a fresh primary ends its takeover on enough of
-    them. An invalid window, or an out-of-range [instance] or [src], is
-    ignored. *)
 
 val on_round_executed : t -> round:round -> Rcc_replica.Acceptance.t array -> unit
 (** Execute-thread hook: retains the round for contract building and, in

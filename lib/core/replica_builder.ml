@@ -16,13 +16,11 @@ type config = {
   self : replica_id;
   costs : Rcc_sim.Costs.t;
   timeout : Rcc_sim.Engine.time;
-  heartbeat : Rcc_sim.Engine.time;
   collusion_wait : Rcc_sim.Engine.time;
   checkpoint_interval : int;
   unified : bool;
   recovery : Coordinator.recovery_mode;
   min_cert : int;
-  history_capacity : int;
   use_permutation : bool;
   exec_on_worker : bool;
   (* Parallel execution (conflict-aware scheduler). [parallel_exec =
@@ -100,47 +98,13 @@ let current_primary t x =
 (* Figure 12's false-alarm attack: on witnessing any view-change, a
    byzantine replica accuses the non-faulty primaries on its list, each
    exactly once. *)
-let maybe_false_blame t broadcast =
+let maybe_false_blame t coordinator =
   match t.cfg.byz.Rcc_replica.Byz.false_blame with
   | [] -> ()
   | targets ->
       if not t.false_blames_sent then begin
         t.false_blames_sent <- true;
-        List.iter
-          (fun blamed ->
-            (* Locate the instance the target currently leads. *)
-            let rec find x =
-              if x >= t.cfg.z then None
-              else if current_primary t x = blamed then Some x
-              else find (x + 1)
-            in
-            match find 0 with
-            | None -> ()
-            | Some instance ->
-                (* The accusation is authenticated — the attack is lying,
-                   not forging: the blamer signs a false claim under its
-                   own key, exactly what a real byzantine replica can do. *)
-                let round = Exec.next_round t.exec in
-                let view =
-                  match t.coordinator with
-                  | Some c -> Coordinator.view_of c instance
-                  | None -> 0
-                in
-                let signature =
-                  Rcc_crypto.Signature.sign
-                    (Rcc_crypto.Keychain.replica_secret t.keychain t.cfg.self)
-                    (Coordinator.blame_digest ~instance ~view ~blamed ~round)
-                in
-                broadcast
-                  (Msg.View_change
-                     {
-                       instance;
-                       new_view = view + 1;
-                       blamed;
-                       round;
-                       last_exec = round - 1;
-                       signature;
-                     }))
+        List.iter (fun blamed -> Coordinator.false_blame coordinator ~blamed)
           targets
       end
 
@@ -157,6 +121,22 @@ let install_route t =
   let coordinator_cost (msg : Msg.t) =
     costs.Costs.worker_msg + costs.Costs.mac_verify
     + Costs.hash_cost costs (Msg.size msg)
+  in
+  (* RCC's recovery messages are the coordinator's, on the execute
+     thread; protocol traffic goes to the worker of the instance it
+     names. *)
+  let to_coordinator c ~src ~ready msg =
+    Cpu.submit_ready exec_server ~ready ~cost:(coordinator_cost msg) (fun () ->
+        Coordinator.on_msg c ~src msg)
+  in
+  let to_instance ~src ~ready msg =
+    let x =
+      match Msg.instance_of msg with
+      | Some instance -> clamp_instance cfg instance
+      | None -> 0
+    in
+    Cpu.submit_ready (worker_of x) ~ready ~cost:(P.cost_of costs msg)
+      (fun () -> P.handle instances.(x) ~src msg)
   in
   Node.set_route t.node (fun ~src ~ready msg ->
       match msg with
@@ -185,55 +165,17 @@ let install_route t =
                   if Batch.verify batch ~public:(Rcc_crypto.Keychain.client_public t.keychain batch.Batch.client)
                   then P.submit_batch instances.(x) batch)
         end
-      | Msg.View_change { instance; new_view; blamed; round; signature; _ } -> begin
-          (match t.coordinator with
-          | Some coordinator ->
-              Cpu.submit_ready exec_server ~ready ~cost:(coordinator_cost msg)
-                (fun () ->
-                  Coordinator.on_view_change coordinator ~src ~instance
-                    ~view:(new_view - 1) ~blamed ~round ~signature)
-          | None ->
-              let x = clamp_instance cfg instance in
-              Cpu.submit_ready (worker_of x) ~ready ~cost:(P.cost_of costs msg)
-                (fun () -> P.handle instances.(x) ~src msg));
-          if cfg.byz.Rcc_replica.Byz.false_blame <> [] then
-            let _send, broadcast = Node.sender t.node ~worker:exec_server in
-            maybe_false_blame t (fun m -> broadcast ~n:cfg.n m)
-        end
-      | Msg.Contract _ -> begin
+      | Msg.View_change _ -> begin
+          (* Standalone, a view change is the instance's own election. *)
           match t.coordinator with
-          | Some coordinator ->
-              Cpu.submit_ready exec_server ~ready ~cost:(coordinator_cost msg)
-                (fun () -> Coordinator.on_contract coordinator msg)
-          | None -> ()
+          | Some c ->
+              to_coordinator c ~src ~ready msg;
+              maybe_false_blame t c
+          | None -> to_instance ~src ~ready msg
         end
-      | Msg.Contract_request { round; instance } -> begin
-          match t.coordinator with
-          | Some coordinator ->
-              Cpu.submit_ready exec_server ~ready ~cost:(coordinator_cost msg)
-                (fun () ->
-                  Coordinator.on_contract_request coordinator ~src ~round
-                    ~instance)
-          | None -> ()
-        end
-      | Msg.Contract_reply { instance; round; max_seen; entries } -> begin
-          match t.coordinator with
-          | Some coordinator ->
-              Cpu.submit_ready exec_server ~ready ~cost:(coordinator_cost msg)
-                (fun () ->
-                  Coordinator.on_contract_reply coordinator ~src ~instance
-                    ~round ~max_seen entries)
-          | None -> ()
-        end
-      | Msg.View_sync { instance; view; primary; kmal; cert } -> begin
-          match t.coordinator with
-          | Some coordinator ->
-              Cpu.submit_ready exec_server ~ready ~cost:(coordinator_cost msg)
-                (fun () ->
-                  Coordinator.on_view_sync coordinator ~instance ~view
-                    ~primary ~kmal ~cert)
-          | None -> ()
-        end
+      | Msg.Contract _ | Msg.Contract_request _ | Msg.Contract_reply _
+      | Msg.View_sync _ ->
+          Option.iter (fun c -> to_coordinator c ~src ~ready msg) t.coordinator
       | Msg.Instance_change { client; instance } ->
           (* §3.6: accept the defection unless the instance is already
              at its adopted-client capacity (anti-flooding). *)
@@ -255,23 +197,11 @@ let install_route t =
              The observation itself is a frontier comparison — free —
              so it rides the normal worker dispatch below. *)
           Transfer.observe_checkpoint t.transfer ~seq;
-          let x =
-            match Msg.instance_of msg with
-            | Some instance -> clamp_instance cfg instance
-            | None -> 0
-          in
-          Cpu.submit_ready (worker_of x) ~ready ~cost:(P.cost_of costs msg)
-            (fun () -> P.handle instances.(x) ~src msg)
+          to_instance ~src ~ready msg
       | Msg.Pre_prepare _ | Msg.Prepare _ | Msg.Commit _
       | Msg.New_view _ | Msg.Order_request _ | Msg.Commit_cert _
       | Msg.Hs_proposal _ | Msg.Hs_vote _ ->
-          let x =
-            match Msg.instance_of msg with
-            | Some instance -> clamp_instance cfg instance
-            | None -> 0
-          in
-          Cpu.submit_ready (worker_of x) ~ready ~cost:(P.cost_of costs msg)
-            (fun () -> P.handle instances.(x) ~src msg))
+          to_instance ~src ~ready msg)
 
 (* Null-fill an instance that fell behind: from the execute stage's
    stalled round (past what it already proposed) up to the pipeline
@@ -392,16 +322,15 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
                 Exec.rollback_to exec ~frontier ~instance:x);
             null_fill = null_fill exec;
             report_failure =
-              (fun ~round ~blamed ->
+              (fun ~announce ~round ~blamed ->
                 match !coordinator_ref with
                 | Some c ->
-                    Coordinator.on_local_failure c ~instance:x ~round ~blamed
+                    let announce =
+                      if announce then Some (fun msg -> broadcast ~n:cfg.n msg)
+                      else None
+                    in
+                    Coordinator.accuse ?announce c ~instance:x ~round ~blamed
                 | None -> ());
-            sign_blame =
-              (fun ~view ~blamed ~round ->
-                Rcc_crypto.Signature.sign
-                  (Rcc_crypto.Keychain.replica_secret keychain cfg.self)
-                  (Coordinator.blame_digest ~instance:x ~view ~blamed ~round));
             byz = cfg.byz;
             unified = cfg.unified;
           }
@@ -437,7 +366,7 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
             collusion_wait = cfg.collusion_wait;
             recovery = cfg.recovery;
             min_cert = cfg.min_cert;
-            history_capacity = cfg.history_capacity;
+            history_capacity = Coordinator.history_capacity;
           }
           ~engine ~keychain ~handles ~exec ~metrics
           ~broadcast:(fun ?size msg -> broadcast ?size ~n:cfg.n msg)
@@ -520,12 +449,18 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
   install_route t;
   t
 
+(* How often the liveness monitor looks, and how long the execute thread
+   may stall on an instance this replica leads before it proposes a null
+   batch there. *)
+let heartbeat = Engine.ms 25
+
 (* Round-lockstep liveness monitor. Execution waits for all z instances
    each round (§3.4.1), so an instance without traffic — an idle or
    client-ignoring primary, or a crashed one — would stall every
    replica. Primaries fill short stalls of their own instances with
-   null batches; in unified mode a stall past the replica timeout blames
-   the missing instances' primaries so the coordinator can replace them. *)
+   null batches; in unified mode a stall past the replica timeout goes
+   to the coordinator ([Coordinator.on_stall]), which blames the missing
+   instances' primaries and asks the peers for their rounds. *)
 let monitor t =
   let (I ((module P), instances)) = t.instances in
   let cfg = t.cfg in
@@ -559,10 +494,8 @@ let monitor t =
                   let bv_accuser = (cfg.self + 1 + i) mod cfg.n in
                   let bv_round = round in
                   let bv_sig =
-                    Rcc_crypto.Signature.sign
-                      (Rcc_crypto.Keychain.replica_secret t.keychain cfg.self)
-                      (Coordinator.blame_digest ~instance:x ~view:(view - 1)
-                         ~blamed ~round)
+                    Coordinator.sign_blame t.keychain ~signer:cfg.self
+                      ~instance:x ~view:(view - 1) ~blamed ~round
                   in
                   { Msg.bv_accuser; bv_round; bv_sig })
             in
@@ -579,7 +512,7 @@ let monitor t =
     else begin
       let stalled = now - !last_change in
       let missing = Exec.missing_instances t.exec ~round in
-      if stalled > cfg.heartbeat then
+      if stalled > heartbeat then
         List.iter
           (fun x ->
             let inst = instances.(x) in
@@ -594,58 +527,26 @@ let monitor t =
               null_fill t.exec ~proposed_upto:upto (P.submit_batch inst)
             end)
           missing;
-      if cfg.unified && stalled > cfg.timeout && now - !last_exchange > cfg.timeout
-      then begin
-        (* Escalate once per timeout period for as long as the stall
-           lasts — NOT once per round. A round can stay stalled through
-           a replacement (the replacement's own repropose can be lost
-           to the same link fault that caused the stall), and then the
-           new primary must be blamable for the same round or the
-           instance wedges forever. Re-blaming is idempotent at the
-           coordinator (accuser bitsets), and re-requesting contracts
-           covers exchanges that fired while the peers were themselves
-           mid-recovery and could only return a partial window. Each
-           request names one missing instance and each reply carries
-           that instance's rounds alone, so what a stall costs the
-           network grows with its gap, not with z. *)
-        last_exchange := now;
-        List.iter
-          (fun x ->
-            let blamed = current_primary t x in
-            let view =
-              match t.coordinator with
-              | Some c -> Coordinator.view_of c x
-              | None -> 0
-            in
-            (match t.coordinator with
-            | Some c -> Coordinator.on_local_failure c ~instance:x ~round ~blamed
-            | None -> ());
-            let signature =
-              Rcc_crypto.Signature.sign
-                (Rcc_crypto.Keychain.replica_secret t.keychain cfg.self)
-                (Coordinator.blame_digest ~instance:x ~view ~blamed ~round)
-            in
-            broadcast ~n:cfg.n
-              (Msg.View_change
-                 { instance = x; new_view = view + 1; blamed; round;
-                   last_exec = round - 1; signature }))
-          missing;
-        (* State-exchange (§3.3's checkpoint recovery): ask peers for
-           each missing instance's rounds from the stalled round on, one
-           request per instance; any replica that holds them answers from
-           its history ring with that instance's window alone. Instances
-           without a hole at the stalled round are not requested: their
-           rounds arrive through normal-case ordering. *)
-        List.iter
-          (fun x ->
-            broadcast ~n:cfg.n (Msg.Contract_request { round; instance = x }))
-          missing
-      end
+      match t.coordinator with
+      | Some c when stalled > cfg.timeout && now - !last_exchange > cfg.timeout
+        ->
+          (* Escalate once per timeout period for as long as the stall
+             lasts — NOT once per round. A round can stay stalled through
+             a replacement (the replacement's own repropose can be lost
+             to the same link fault that caused the stall), and then the
+             new primary must be blamable for the same round or the
+             instance wedges forever. Re-blaming is idempotent at the
+             coordinator (accuser bitsets), and re-requesting contracts
+             covers exchanges that fired while the peers were themselves
+             mid-recovery and could only return a partial window. *)
+          last_exchange := now;
+          Coordinator.on_stall c ~round ~missing
+      | Some _ | None -> ()
     end;
-    Engine.schedule_after engine (max 1 (cfg.heartbeat / 2)) tick
+    Engine.schedule_after engine (max 1 (heartbeat / 2)) tick
     end
   in
-  Engine.schedule_after engine cfg.heartbeat tick
+  Engine.schedule_after engine heartbeat tick
 
 let start t =
   let (I ((module P), instances)) = t.instances in

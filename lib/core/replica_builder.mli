@@ -17,19 +17,18 @@ type config = {
   z : int;
   self : replica_id;
   costs : Rcc_sim.Costs.t;
-  timeout : Rcc_sim.Engine.time;  (** replica watchdog (10 s in §7.5) *)
-  heartbeat : Rcc_sim.Engine.time;
-      (** if the execute thread stalls on an instance this replica leads
-          for longer than this, the primary proposes a null batch so idle
-          instances cannot block the round lockstep; a stall past
-          [timeout] escalates to a coordinator blame of the missing
-          instances' primaries *)
+  timeout : Rcc_sim.Engine.time;
+      (** replica watchdog (10 s in §7.5); in unified mode a stall of the
+          execute thread past it escalates to the coordinator
+          ({!Coordinator.on_stall}). Every 25 ms heartbeat, a primary
+          whose instance the execute thread has waited on that long
+          proposes null batches, so idle instances cannot block the
+          round lockstep. *)
   collusion_wait : Rcc_sim.Engine.time;  (** coordinator wait (5 s in §7.5.3) *)
   checkpoint_interval : int;
   unified : bool;  (** true = RCC unification; false = standalone protocol *)
   recovery : Coordinator.recovery_mode;
   min_cert : int;
-  history_capacity : int;
   use_permutation : bool;  (** §3.4.1 digest-seeded execution order *)
   exec_on_worker : bool;
       (** standalone Zyzzyva: the single worker thread handles ordering

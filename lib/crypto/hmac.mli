@@ -6,9 +6,6 @@
 val mac : key:string -> string -> string
 (** 32-byte binary tag. *)
 
-val mac_list : key:string -> string list -> string
-(** Tag over the concatenation of the parts. *)
-
 val verify : key:string -> string -> tag:string -> bool
 
 type keyed
@@ -18,6 +15,7 @@ type keyed
 val derive : key:string -> keyed
 
 val mac_keyed : keyed -> string list -> string
-(** [mac_keyed (derive ~key) parts] = [mac_list ~key parts]. *)
+(** Tag over the concatenation of [parts]; [mac_keyed (derive ~key) [m]]
+    = [mac ~key m]. *)
 
 val verify_keyed : keyed -> string list -> tag:string -> bool

@@ -64,6 +64,7 @@ let replica_secret t r = fst t.replica_keys.(r)
 let replica_public t r = snd t.replica_keys.(r)
 let client_secret t c = fst (client_key t c)
 let client_public t c = snd (client_key t c)
+(* The CMAC key replicas [i] and [j] share; symmetric. *)
 let mac_key t i j = t.mac_keys.(pair_index t.n i j)
 let mac t ~src ~dst msg = Cmac.mac (mac_key t src dst) msg
 let mac_verify t ~src ~dst msg ~tag = Cmac.verify (mac_key t src dst) msg ~tag

@@ -16,10 +16,6 @@ val replica_public : t -> Rcc_common.Ids.replica_id -> Signature.public_key
 val client_secret : t -> Rcc_common.Ids.client_id -> Signature.secret_key
 val client_public : t -> Rcc_common.Ids.client_id -> Signature.public_key
 
-val mac_key : t -> Rcc_common.Ids.replica_id -> Rcc_common.Ids.replica_id -> Cmac.key
-(** [mac_key t i j] is the shared CMAC key between replicas [i] and [j];
-    symmetric in its arguments. *)
-
 val mac : t -> src:Rcc_common.Ids.replica_id -> dst:Rcc_common.Ids.replica_id -> string -> string
 val mac_verify :
   t -> src:Rcc_common.Ids.replica_id -> dst:Rcc_common.Ids.replica_id -> string -> tag:string -> bool

@@ -91,6 +91,7 @@ type t =
       sp_payload : string option;
     }
 
+(* The paper's size for batch-free protocol messages. *)
 let header_size = 250
 
 (* Batch-carrying messages add 150 B of framing over the plain header so

@@ -148,9 +148,6 @@ type t =
               full serialized snapshot *)
     }
 
-val header_size : int
-(** 250 bytes — the paper's size for batch-free protocol messages. *)
-
 val size : t -> int
 (** Wire size in bytes under the §7.2 model. *)
 

@@ -48,7 +48,6 @@ let create env =
 
 let primary t = t.lead.Leader.primary
 let view t = t.lead.Leader.view
-let in_view_change t = t.lead.Leader.holding
 let stable_checkpoint t = Checkpointing.stable t.lead.Leader.ckpt
 let slot t seq = SL.get t.log seq
 let ph (s : phase SL.slot) = s.SL.state
@@ -140,7 +139,8 @@ let on_pre_prepare t ~src ~view ~seq batch =
     | Some d when not (String.equal d batch.Batch.digest) ->
         (* Equivocation evidence: the primary proposed two different
            batches for one round. *)
-        t.env.Env.report_failure ~round:seq ~blamed:l.Leader.primary
+        t.env.Env.report_failure ~announce:false ~round:seq
+          ~blamed:l.Leader.primary
     | Some _ | None ->
         if Option.is_none s.SL.batch then begin
           s.SL.batch <- Some batch;

@@ -19,7 +19,6 @@
 
 include Rcc_replica.Instance_intf.S
 
-val in_view_change : t -> bool
 val stable_checkpoint : t -> Rcc_common.Ids.round
 val prepared_round : t -> round:Rcc_common.Ids.round -> bool
 

@@ -20,7 +20,6 @@ let create ~n ~f ~interval () =
   }
 
 let stable t = t.stable
-let provable_stable t = t.provable
 let log t = t.log
 
 let due t log =

@@ -20,9 +20,6 @@ val create : n:int -> f:int -> interval:int -> unit -> t
 val stable : t -> Rcc_common.Ids.round
 (** The stable checkpoint round; -1 initially. *)
 
-val provable_stable : t -> Rcc_common.Ids.round
-(** Highest round with [f+1] checkpoint votes; -1 initially. *)
-
 val log : t -> Rcc_storage.Checkpoint_store.t
 (** The proofs recorded as checkpoints became stable. *)
 

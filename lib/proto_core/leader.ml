@@ -56,6 +56,9 @@ let submit_batch t batch ~propose =
 
 (* --- failure detection ------------------------------------------------- *)
 
+(* The standalone election counts VIEW-CHANGE votes by their
+   authenticated sender, so the message carries no signature; under RCC
+   the coordinator signs and broadcasts the accusation instead. *)
 let broadcast_view_change t ~round =
   let new_view = t.view + 1 in
   t.vc_sent_for <- max t.vc_sent_for new_view;
@@ -67,17 +70,16 @@ let broadcast_view_change t ~round =
          blamed = t.primary;
          round;
          last_exec = SL.frontier t.log;
-         signature = t.env.Env.sign_blame ~view:t.view ~blamed:t.primary ~round;
+         signature = "";
        });
-  if not t.env.Env.unified then
-    ignore (Quorum.vote (Quorum.Tally.votes t.vc_votes new_view) t.env.Env.self)
+  ignore (Quorum.vote (Quorum.Tally.votes t.vc_votes new_view) t.env.Env.self)
 
 let detect_failure ?(on_blame = ignore) t ~round =
   if t.last_failure_report < round then begin
     t.last_failure_report <- round;
     on_blame ();
-    broadcast_view_change t ~round;
-    t.env.Env.report_failure ~round ~blamed:t.primary
+    if not t.env.Env.unified then broadcast_view_change t ~round;
+    t.env.Env.report_failure ~announce:true ~round ~blamed:t.primary
   end
 
 let rec watchdog ~on_blame t ~stalled =

@@ -75,15 +75,17 @@ val submit_batch :
     this way and are sent only once. No-op on backups. *)
 
 val broadcast_view_change : 'a t -> round:Rcc_common.Ids.round -> unit
-(** Broadcast a signed VIEW-CHANGE blaming the primary for [round],
-    asking for view [view + 1]; standalone, count this replica's own
+(** Standalone view change: broadcast a VIEW-CHANGE blaming the primary
+    for [round], asking for view [view + 1], and count this replica's own
     vote. *)
 
 val detect_failure :
   ?on_blame:(unit -> unit) -> 'a t -> round:Rcc_common.Ids.round -> unit
 (** Blame the primary for [round] unless a round at or past it was
-    already reported in this view: run [on_blame], broadcast the
-    VIEW-CHANGE, and report the failure upward. *)
+    already reported in this view: run [on_blame], then accuse the
+    primary through [Env.report_failure ~announce:true] (under RCC the
+    coordinator signs and broadcasts the VIEW-CHANGE; standalone
+    {!broadcast_view_change} runs first). *)
 
 val install_view :
   'a t ->

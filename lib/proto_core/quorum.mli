@@ -21,9 +21,7 @@ val to_list : t -> Rcc_common.Ids.replica_id list
 (** The voters, ascending — the accept certificate. *)
 
 val quorum_2f1 : t -> int
-val weak_f1 : t -> int
 val majority : t -> int
-val all_but_f : t -> int
 
 val reached : t -> int -> bool
 (** [reached t k] — at least [k] distinct votes counted. *)

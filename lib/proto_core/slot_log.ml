@@ -111,7 +111,6 @@ let remove t round =
 
 let max_seen t = t.max_seen
 let frontier t = t.frontier
-let last_progress t = t.last_progress
 let touch t = t.last_progress <- Engine.now t.engine
 
 let drain t ~accept =

@@ -62,9 +62,7 @@ val oldest_incomplete :
 (** The oldest round blocking the frontier, with the time it has been
     stalled since: a slot with partial evidence blames from its creation
     time; a round never heard of at all (replica kept in the dark) falls
-    back to [last_progress]. *)
-
-val last_progress : 'a t -> Rcc_sim.Engine.time
+    back to the last recorded progress ({!touch}). *)
 
 val touch : 'a t -> unit
 (** Record progress now (accept, view install) for watchdog blaming. *)

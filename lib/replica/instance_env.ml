@@ -33,9 +33,12 @@ type t = {
       (** This instance's checkpoint became stable for rounds [< seq];
           the execute stage uses the per-instance frontiers to bound its
           duplicate-reply cache. *)
-  report_failure : round:round -> blamed:replica_id -> unit;
-      (** Local failure detection; routed to the RCC coordinator (unified
-          mode) or handled by the instance's own view-change logic. *)
+  report_failure : announce:bool -> round:round -> blamed:replica_id -> unit;
+      (** This replica accuses [blamed] of failing [round] (R2). Under RCC
+          the coordinator signs the accusation, broadcasts it as a
+          VIEW-CHANGE through this instance's worker if [announce], and
+          counts it; standalone the instance runs its own view change and
+          this only traces. *)
   rollback : frontier:round -> unit;
       (** A certified view change exposed an ordering conflicting with
           this instance's executed speculative rounds at or above
@@ -48,10 +51,6 @@ type t = {
           horizon the other instances already reached, so an instance
           that fell behind does not throttle the round rate. The liveness
           monitor's idle fill and a finished unified takeover share it. *)
-  sign_blame : view:view -> blamed:replica_id -> round:round -> string;
-      (** Sign this replica's accusation against [blamed] for this
-          instance with its own key (the coordinator's blame digest), so
-          outgoing view-change messages carry verifiable evidence. *)
   byz : Byz.t;  (** how this replica misbehaves when primary *)
   unified : bool;
       (** true under RCC: primary replacement is decided by the
@@ -69,7 +68,9 @@ let trace t payload =
 
 (* Wrap the upward callbacks so every protocol emits accept / blame
    trace events without per-protocol code. Builders call
-   [P.create (instrument env)] — the instance never knows. *)
+   [P.create (instrument env)] — the instance never knows. Under RCC the
+   coordinator records the blame it counts, so only a standalone
+   accusation is traced here. *)
 let instrument t =
   {
     t with
@@ -85,8 +86,9 @@ let instrument t =
                });
         t.accept a);
     report_failure =
-      (fun ~round ~blamed ->
-        if tracing t then
-          trace t (Rcc_trace.Event.Blame { round; blamed; accuser = t.self });
-        t.report_failure ~round ~blamed);
+      (if t.unified then t.report_failure
+       else fun ~announce ~round ~blamed ->
+         if tracing t then
+           trace t (Rcc_trace.Event.Blame { round; blamed; accuser = t.self });
+         t.report_failure ~announce ~round ~blamed);
   }

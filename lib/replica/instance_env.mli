@@ -33,9 +33,12 @@ type t = {
       (** This instance's checkpoint became stable for rounds [< seq];
           the execute stage uses the per-instance frontiers to bound its
           duplicate-reply cache. *)
-  report_failure : round:round -> blamed:replica_id -> unit;
-      (** Local failure detection; routed to the RCC coordinator (unified
-          mode) or handled by the instance's own view-change logic. *)
+  report_failure : announce:bool -> round:round -> blamed:replica_id -> unit;
+      (** This replica accuses [blamed] of failing [round] (R2). Under RCC
+          the coordinator signs the accusation, broadcasts it as a
+          VIEW-CHANGE through this instance's worker if [announce], and
+          counts it; standalone the instance runs its own view change and
+          this only traces. *)
   rollback : frontier:round -> unit;
       (** A certified view change exposed an ordering conflicting with
           this instance's executed speculative rounds at or above
@@ -48,10 +51,6 @@ type t = {
           horizon the other instances already reached, so an instance
           that fell behind does not throttle the round rate. The liveness
           monitor's idle fill and a finished unified takeover share it. *)
-  sign_blame : view:view -> blamed:replica_id -> round:round -> string;
-      (** Sign this replica's accusation against [blamed] for this
-          instance with its own key (the coordinator's blame digest), so
-          outgoing view-change messages carry verifiable evidence. *)
   byz : Byz.t;  (** how this replica misbehaves when primary *)
   unified : bool;
       (** true under RCC: primary replacement is decided by the
@@ -74,8 +73,9 @@ val trace : t -> Rcc_trace.Event.payload -> unit
     No-op without a tracer. *)
 
 val instrument : t -> t
-(** The same env with [accept] and [report_failure] wrapped to emit
-    {!Rcc_trace.Event.Slot_accept} / {!Rcc_trace.Event.Blame} trace
-    events before forwarding. Builders pass [instrument env] to
-    [P.create] so every protocol traces its acceptance path without
-    per-protocol code. *)
+(** The same env with [accept] wrapped to emit a
+    {!Rcc_trace.Event.Slot_accept} trace event before forwarding, and,
+    standalone, [report_failure] a {!Rcc_trace.Event.Blame} one (under
+    RCC the coordinator records the blames it counts). Builders pass
+    [instrument env] to [P.create] so every protocol traces its
+    acceptance path without per-protocol code. *)

@@ -166,11 +166,6 @@ let primaries_view t r =
   | None ->
       List.init t.cfg.Config.z (Builder.current_primary t.replicas.(r))
 
-let known_malicious_view t r =
-  match coordinator_of t r with
-  | Some c -> Rcc_core.Coordinator.known_malicious c
-  | None -> []
-
 (* --- fault wiring -------------------------------------------------------- *)
 
 (* Byzantine behaviour of replica [self] under the configured fault. Each
@@ -279,7 +274,6 @@ let build ?tracer (cfg : Config.t) =
       self;
       costs;
       timeout = cfg.Config.replica_timeout;
-      heartbeat = cfg.Config.heartbeat;
       collusion_wait = cfg.Config.collusion_wait;
       checkpoint_interval = cfg.Config.checkpoint_interval;
       unified =
@@ -293,7 +287,6 @@ let build ?tracer (cfg : Config.t) =
         | Config.Cft | Config.MultiC -> (cfg.Config.n / 2) + 1
         | Config.Pbft | Config.Zyzzyva | Config.Hotstuff | Config.MultiP ->
             cfg.Config.n - (2 * cfg.Config.f));
-      history_capacity = cfg.Config.history_capacity;
       use_permutation = cfg.Config.use_permutation;
       exec_on_worker = (cfg.Config.protocol = Config.Zyzzyva);
       sign_speculative = (cfg.Config.protocol = Config.Zyzzyva);

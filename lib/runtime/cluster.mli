@@ -55,9 +55,6 @@ val primaries_view :
 (** The primary set as believed by replica [r] (per-instance, in instance
     order). *)
 
-val known_malicious_view :
-  t -> Rcc_common.Ids.replica_id -> Rcc_common.Ids.replica_id list
-
 val replacements_of : t -> Rcc_common.Ids.replica_id -> int
 (** Unified primary replacements performed by replica [r]'s coordinator. *)
 

@@ -48,7 +48,6 @@ type t = {
   replica_timeout : Rcc_sim.Engine.time;
   client_timeout : Rcc_sim.Engine.time;
   collusion_wait : Rcc_sim.Engine.time;
-  heartbeat : Rcc_sim.Engine.time;
   recovery : Rcc_core.Coordinator.recovery_mode;
   use_permutation : bool;
   records : int;
@@ -59,7 +58,6 @@ type t = {
   gbps : float;
   cores : int;
   checkpoint_interval : int;
-  history_capacity : int;
   instance_change_after : int;
   seed : int;
   fault : fault;
@@ -78,7 +76,7 @@ type t = {
 let make ?(batch_size = 100) ?(clients = 240)
     ?(duration = Engine.of_seconds 3.0) ?(warmup = Engine.of_seconds 1.0)
     ?(replica_timeout = Engine.s 10) ?(client_timeout = Engine.s 15)
-    ?(collusion_wait = Engine.s 5) ?(heartbeat = Engine.ms 25)
+    ?(collusion_wait = Engine.s 5)
     ?(recovery = Rcc_core.Coordinator.Optimistic) ?(use_permutation = true)
     ?(records = 500_000) ?(write_ratio = 0.9) ?(theta = 0.9) ?z ?(seed = 42)
     ?(instance_change_after = 3) ?(fault = No_fault)
@@ -107,7 +105,6 @@ let make ?(batch_size = 100) ?(clients = 240)
     replica_timeout;
     client_timeout;
     collusion_wait;
-    heartbeat;
     recovery;
     use_permutation;
     records;
@@ -118,7 +115,6 @@ let make ?(batch_size = 100) ?(clients = 240)
     gbps = 4.0;
     cores = 16;
     checkpoint_interval = 128;
-    history_capacity = 16_384;
     instance_change_after;
     seed;
     fault;

@@ -66,8 +66,6 @@ type t = {
   replica_timeout : Rcc_sim.Engine.time;
   client_timeout : Rcc_sim.Engine.time;
   collusion_wait : Rcc_sim.Engine.time;
-  heartbeat : Rcc_sim.Engine.time;
-      (** idle-instance null-batch heartbeat; see Replica_builder *)
   recovery : Rcc_core.Coordinator.recovery_mode;
   use_permutation : bool;
   records : int;
@@ -78,7 +76,6 @@ type t = {
   gbps : float;
   cores : int;
   checkpoint_interval : int;
-  history_capacity : int;
   instance_change_after : int;
   seed : int;
   fault : fault;
@@ -109,7 +106,6 @@ val make :
   ?replica_timeout:Rcc_sim.Engine.time ->
   ?client_timeout:Rcc_sim.Engine.time ->
   ?collusion_wait:Rcc_sim.Engine.time ->
-  ?heartbeat:Rcc_sim.Engine.time ->
   ?recovery:Rcc_core.Coordinator.recovery_mode ->
   ?use_permutation:bool ->
   ?records:int ->

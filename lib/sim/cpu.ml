@@ -38,8 +38,6 @@ let submit_ready t ~ready ~cost job =
 
 let submit t ~cost job = submit_ready t ~ready:(Engine.now t.engine) ~cost job
 
-let free_at t = t.free_at
-
 let backlog t =
   let lag = t.free_at - Engine.now t.engine in
   if lag > 0 then lag else 0
@@ -73,11 +71,6 @@ let earliest t =
 let pool_submit t ~cost job = submit (earliest t) ~cost job
 let pool_submit_ready t ~ready ~cost job = submit_ready (earliest t) ~ready ~cost job
 let pool_reserve t ~ready ~cost = reserve (earliest t) ~ready ~cost
-let pool_servers t = t.servers
-let pool_size t = Array.length t.servers
-
-let pool_busy_time t =
-  Array.fold_left (fun acc s -> acc + s.busy_ns) 0 t.servers
 
 (* Mean busy fraction across the pool: k servers each busy 100% report
    1.0, matching the single-server convention. *)

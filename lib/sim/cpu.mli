@@ -26,8 +26,6 @@ val reserve : server -> ready:Engine.time -> cost:Engine.time -> Engine.time
 (** Account for work without scheduling a callback; returns the completion
     time. Used to chain pipeline stages into a single event. *)
 
-val free_at : server -> Engine.time
-
 val backlog : server -> Engine.time
 (** Nanoseconds of queued work ahead of a job submitted now. *)
 
@@ -52,11 +50,5 @@ val pool_submit_ready :
     the conflict scan finishes, not when its acceptances arrived. *)
 
 val pool_reserve : pool -> ready:Engine.time -> cost:Engine.time -> Engine.time
-val pool_servers : pool -> server array
-val pool_size : pool -> int
-
-val pool_busy_time : pool -> Engine.time
-(** Cumulative busy nanoseconds summed over the pool. *)
-
 val pool_utilization : pool -> since:Engine.time -> float
 (** Mean busy fraction across the pool's servers since [since]. *)

@@ -26,7 +26,6 @@ type 'msg t = {
   mutable delays : (src:int -> dst:int -> Engine.time) array;
   mutable dups : (src:int -> dst:int -> 'msg -> int) array;
   mutable next_rule_id : int;
-  mutable legacy_drop : rule_id option;
   (* Memo of the last NIC serialization computed: broadcasts send the
      same size n-1 times in a row, so the float math runs once per
      distinct size instead of once per copy. *)
@@ -60,7 +59,6 @@ let create engine ?(describe = fun _ -> ("msg", -1)) ~nodes ~latency ~jitter
     delays = [||];
     dups = [||];
     next_rule_id = 0;
-    legacy_drop = None;
     ser_size = -1;
     ser_cost = 0;
     messages = 0;
@@ -105,16 +103,6 @@ let add_dup_rule t f = add_rule t (Duplicate f)
 let remove_rule t id =
   t.rules <- List.filter (fun (id', _) -> id' <> id) t.rules;
   recompile t
-
-let set_drop_rule t rule =
-  (match t.legacy_drop with
-  | Some id ->
-      remove_rule t id;
-      t.legacy_drop <- None
-  | None -> ());
-  match rule with
-  | None -> ()
-  | Some f -> t.legacy_drop <- Some (add_drop_rule t f)
 
 let messages_sent t = t.messages
 let bytes_sent t = t.bytes

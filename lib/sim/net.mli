@@ -73,10 +73,5 @@ val add_dup_rule : 'msg t -> (src:int -> dst:int -> 'msg -> int) -> rule_id
 val remove_rule : 'msg t -> rule_id -> unit
 (** Remove a rule by id; unknown ids are ignored. *)
 
-val set_drop_rule : 'msg t -> (src:int -> dst:int -> 'msg -> bool) option -> unit
-(** Legacy shim over {!add_drop_rule}/{!remove_rule}: installs the rule in
-    a dedicated slot, replacing (or clearing, on [None]) the previous one.
-    Rules added with {!add_drop_rule} are unaffected. *)
-
 val messages_sent : 'msg t -> int
 val bytes_sent : 'msg t -> int

@@ -98,7 +98,7 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
                            acceptance.Rcc_replica.Acceptance.batch.Batch.txns;
                      }));
           report_failure =
-            (fun ~round ~blamed ->
+            (fun ~announce:_ ~round ~blamed ->
               let node = node_of self in
               node.failures <- (round, blamed) :: node.failures);
           rollback =
@@ -117,7 +117,6 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
               List.iter (Hashtbl.remove node.accepted) doomed);
           (* One instance and no execute stage: no horizon to catch up to. *)
           null_fill = (fun ~proposed_upto:_ _ -> ());
-          sign_blame = (fun ~view:_ ~blamed:_ ~round:_ -> "");
           byz = Rcc_replica.Byz.copy (byz self);
           unified;
         }

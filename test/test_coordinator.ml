@@ -104,12 +104,31 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
 let blame fx ~src ~instance ~blamed ~round =
   let view = Coordinator.view_of fx.coordinator instance in
   let signature =
-    Rcc_crypto.Signature.sign
-      (Rcc_crypto.Keychain.replica_secret fx.kc src)
-      (Coordinator.blame_digest ~instance ~view ~blamed ~round)
+    Coordinator.sign_blame fx.kc ~signer:src ~instance ~view ~blamed ~round
   in
-  Coordinator.on_view_change fx.coordinator ~src ~instance ~view ~blamed ~round
-    ~signature
+  Coordinator.on_msg fx.coordinator ~src
+    (Msg.View_change
+       {
+         instance;
+         new_view = view + 1;
+         blamed;
+         round;
+         last_exec = round - 1;
+         signature;
+       })
+
+let contract_request fx ~src ~round ~instance =
+  Coordinator.on_msg fx.coordinator ~src
+    (Msg.Contract_request { round; instance })
+
+let contract_reply fx ~src ~instance ~round ~max_seen entries =
+  Coordinator.on_msg fx.coordinator ~src
+    (Msg.Contract_reply { instance; round; max_seen; entries })
+
+(* A VIEW-SYNC from replica 6; adoption never depends on its sender. *)
+let view_sync coordinator ~instance ~view ~primary ~kmal ~cert =
+  Coordinator.on_msg coordinator ~src:6
+    (Msg.View_sync { instance; view; primary; kmal; cert })
 
 (* The f+1 certificate for the view step [view - 1 -> view]: each accuser
    signs the blame digest naming the rotation's view-(view-1) primary.
@@ -121,10 +140,8 @@ let cert_for fx ~instance ~view ~deposed ~accusers =
         Msg.bv_accuser = src;
         bv_round = 0;
         bv_sig =
-          Rcc_crypto.Signature.sign
-            (Rcc_crypto.Keychain.replica_secret fx.kc src)
-            (Coordinator.blame_digest ~instance ~view:(view - 1) ~blamed:deposed
-               ~round:0);
+          Coordinator.sign_blame fx.kc ~signer:src ~instance ~view:(view - 1)
+            ~blamed:deposed ~round:0;
       })
     accusers
 
@@ -152,7 +169,7 @@ let test_unified_replacement () =
   blame fx ~src:3 ~instance:1 ~blamed:1 ~round:0;
   blame fx ~src:4 ~instance:1 ~blamed:1 ~round:0;
   check Alcotest.(list (pair int int)) "not yet (f blames)" [] !(fx.set_primary_log);
-  Coordinator.on_local_failure fx.coordinator ~instance:1 ~round:0 ~blamed:1;
+  Coordinator.accuse fx.coordinator ~instance:1 ~round:0 ~blamed:1;
   (* n=7, z=3: instance 1's residue class is {1, 4}; view 1 picks 4. *)
   check
     Alcotest.(list (pair int int))
@@ -162,6 +179,50 @@ let test_unified_replacement () =
   check Alcotest.(list int) "primaries updated" [ 0; 4; 2 ]
     (Coordinator.primaries fx.coordinator);
   check Alcotest.int "replacement counted" 1 (Coordinator.replacements fx.coordinator)
+
+(* This replica's own accusations, as an instance's watchdog ([accuse])
+   and the liveness monitor ([on_stall]) make them: each records one
+   blame event and is signed once. [accuse] hands the VIEW-CHANGE to its
+   announcer before counting it; [on_stall] broadcasts each VIEW-CHANGE
+   after counting it, then one CONTRACT-REQUEST per missing instance.
+   The signature that goes out is the one counted: a peer holding two
+   other blames replaces instance 1's primary on the announced one. *)
+let test_own_accusations () =
+  let fx = make () in
+  let tracer = Rcc_trace.Recorder.create () in
+  Engine.set_tracer fx.engine tracer;
+  let announced = ref [] in
+  Coordinator.accuse fx.coordinator
+    ~announce:(fun msg -> announced := msg :: !announced)
+    ~instance:1 ~round:0 ~blamed:1;
+  Coordinator.on_stall fx.coordinator ~round:0 ~missing:[ 0; 2 ];
+  let blames =
+    List.filter_map
+      (fun (e : Rcc_trace.Event.t) ->
+        match e.Rcc_trace.Event.payload with
+        | Rcc_trace.Event.Blame { blamed; accuser; _ } -> Some (blamed, accuser)
+        | _ -> None)
+      (Rcc_trace.Recorder.to_list tracer)
+  in
+  check
+    Alcotest.(list (pair int int))
+    "one blame event per accusation" [ (1, 0); (0, 0); (2, 0) ] blames;
+  check
+    Alcotest.(list string)
+    "stall: accusations, then requests"
+    [ "view_change"; "view_change"; "contract_request"; "contract_request" ]
+    (List.rev_map Msg.kind !(fx.broadcasts));
+  let peer = make () in
+  fill_round peer ~z:3 ~round:0 ~except:1;
+  blame peer ~src:3 ~instance:1 ~blamed:1 ~round:0;
+  blame peer ~src:4 ~instance:1 ~blamed:1 ~round:0;
+  (match !announced with
+  | [ (Msg.View_change { instance = 1; new_view = 1; blamed = 1; _ } as msg) ]
+    ->
+      Coordinator.on_msg peer.coordinator ~src:0 msg
+  | _ -> Alcotest.fail "expected one VIEW-CHANGE for instance 1 at view 0");
+  check Alcotest.int "the announced accusation verifies" 1
+    (Coordinator.replacements peer.coordinator)
 
 let test_replacement_rotates_within_residue_class () =
   let fx = make () in
@@ -292,7 +353,8 @@ let test_on_contract_adopts () =
       ce_cert_replicas = [ 0; 1; 2 ];
     }
   in
-  Coordinator.on_contract fx.coordinator (Msg.Contract { round = 4; entries = [ entry ] });
+  Coordinator.on_msg fx.coordinator ~src:3
+    (Msg.Contract { round = 4; entries = [ entry ] });
   check Alcotest.(list (triple int int int)) "adopted" [ (1, 4, 9) ] !(fx.adopted)
 
 let test_on_contract_rejects_thin_proof () =
@@ -301,7 +363,8 @@ let test_on_contract_rejects_thin_proof () =
   let entry =
     { Msg.ce_instance = 1; ce_round = 4; ce_batch = batch 9; ce_cert_replicas = [] }
   in
-  Coordinator.on_contract fx.coordinator (Msg.Contract { round = 4; entries = [ entry ] });
+  Coordinator.on_msg fx.coordinator ~src:3
+    (Msg.Contract { round = 4; entries = [ entry ] });
   check Alcotest.(list (triple int int int)) "nothing adopted" [] !(fx.adopted)
 
 (* The replies a request produced, as (instance, round) pairs per
@@ -322,7 +385,7 @@ let test_contract_request_answered_from_history () =
   (* Execute round 0 so it lands in coordinator history. *)
   fill_round fx ~z:3 ~round:0 ~except:(-1);
   Engine.run fx.engine ~until:(Engine.ms 100);
-  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:1;
+  contract_request fx ~src:5 ~round:0 ~instance:1;
   (* One entry: the requested instance's round, not all three. *)
   check
     Alcotest.(list (list (pair int int)))
@@ -337,7 +400,7 @@ let test_contract_request_window_stops_at_hole () =
   Engine.run fx.engine ~until:(Engine.ms 100);
   fill_round fx ~z:3 ~round:2 ~except:1;
   fill_round fx ~z:3 ~round:3 ~except:0;
-  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:0;
+  contract_request fx ~src:5 ~round:0 ~instance:0;
   check
     Alcotest.(list (list (pair int int)))
     "instance 0: rounds 0-2, stops at round 3's hole"
@@ -345,7 +408,7 @@ let test_contract_request_window_stops_at_hole () =
     (contract_replies fx);
   fx.broadcasts := [];
   (* Instance 1 holds round 3 but not round 2: the window is contiguous. *)
-  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:1;
+  contract_request fx ~src:5 ~round:0 ~instance:1;
   check
     Alcotest.(list (list (pair int int)))
     "instance 1: rounds 0-1, stops at round 2's hole"
@@ -354,7 +417,7 @@ let test_contract_request_window_stops_at_hole () =
   fx.broadcasts := [];
   (* A request starting at a hole has an empty window, answered all the
      same. *)
-  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:2 ~instance:1;
+  contract_request fx ~src:5 ~round:2 ~instance:1;
   check
     Alcotest.(list (list (pair int int)))
     "empty window, empty reply" [ [] ] (contract_replies fx)
@@ -365,7 +428,7 @@ let test_contract_request_window_stops_at_hole () =
    Only a window that carries rounds counts as contract bytes. *)
 let test_contract_request_empty_window_answered () =
   let fx = make () in
-  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:2;
+  contract_request fx ~src:5 ~round:0 ~instance:2;
   (match !(fx.broadcasts) with
   | [ Msg.Contract_reply { instance; round; max_seen; entries } ] ->
       check Alcotest.int "instance" 2 instance;
@@ -378,7 +441,7 @@ let test_contract_request_empty_window_answered () =
     (Rcc_replica.Metrics.contract_bytes fx.metrics);
   fill_round fx ~z:3 ~round:0 ~except:(-1);
   Engine.run fx.engine ~until:(Engine.ms 100);
-  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:2;
+  contract_request fx ~src:5 ~round:0 ~instance:2;
   check Alcotest.bool "a non-empty window is" true
     (Rcc_replica.Metrics.contract_bytes fx.metrics > 0)
 
@@ -394,17 +457,17 @@ let test_contract_reply_adopted_then_answered () =
       ce_cert_replicas = cert;
     }
   in
-  Coordinator.on_contract_reply fx.coordinator ~src:3 ~instance:1 ~round:4
+  contract_reply fx ~src:3 ~instance:1 ~round:4
     ~max_seen:6 [ entry [ 0; 1; 2 ] ];
   check Alcotest.(list (triple int int int)) "adopted" [ (1, 4, 9) ]
     !(fx.adopted);
   check Alcotest.(list (triple int int int)) "answered" [ (1, 3, 6) ]
     !(fx.answered);
-  Coordinator.on_contract_reply fx.coordinator ~src:4 ~instance:1 ~round:4
+  contract_reply fx ~src:4 ~instance:1 ~round:4
     ~max_seen:6 [ entry [] ];
-  Coordinator.on_contract_reply fx.coordinator ~src:4 ~instance:3 ~round:4
+  contract_reply fx ~src:4 ~instance:3 ~round:4
     ~max_seen:6 [];
-  Coordinator.on_contract_reply fx.coordinator ~src:7 ~instance:1 ~round:4
+  contract_reply fx ~src:7 ~instance:1 ~round:4
     ~max_seen:6 [];
   check Alcotest.int "thin proof, bad instance or bad sender: no answer" 1
     (List.length !(fx.answered))
@@ -416,10 +479,10 @@ let test_contract_request_out_of_range () =
   fx.broadcasts := [];
   (* Instance 1 moved to view 1, so an in-range request also ships a
      View_sync: an out-of-range one must send nothing at all. *)
-  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:3;
-  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:(-1);
+  contract_request fx ~src:5 ~round:0 ~instance:3;
+  contract_request fx ~src:5 ~round:0 ~instance:(-1);
   check Alcotest.int "nothing sent" 0 (List.length !(fx.broadcasts));
-  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:0 ~instance:2;
+  contract_request fx ~src:5 ~round:0 ~instance:2;
   check
     Alcotest.(list (list (pair int int)))
     "in range: contract" [ [ (2, 0) ] ] (contract_replies fx);
@@ -429,7 +492,7 @@ let test_contract_request_out_of_range () =
        !(fx.broadcasts));
   (* A round below 0 names nothing: the window is empty. *)
   fx.broadcasts := [];
-  Coordinator.on_contract_request fx.coordinator ~src:5 ~round:(-5) ~instance:0;
+  contract_request fx ~src:5 ~round:(-5) ~instance:0;
   check
     Alcotest.(list (list (pair int int)))
     "negative round: empty window" [ [] ] (contract_replies fx)
@@ -470,7 +533,7 @@ let test_view_sync_certified_adoption () =
   let cert = cert_for fx ~instance:1 ~view:1 ~deposed:1 ~accusers:[ 3; 4; 5 ] in
   (* The sender lies about both the primary and kmal; neither is trusted —
      the rotation recomputes them from the certified view. *)
-  Coordinator.on_view_sync fx.coordinator ~instance:1 ~view:1 ~primary:6
+  view_sync fx.coordinator ~instance:1 ~view:1 ~primary:6
     ~kmal:[ 6 ] ~cert;
   check Alcotest.int "view adopted" 1 (Coordinator.view_of fx.coordinator 1);
   check Alcotest.int "primary from rotation, not sender" 4
@@ -483,7 +546,7 @@ let test_view_sync_certified_adoption () =
 let test_view_sync_rejects_forged_cert () =
   let fx = make () in
   let reject label cert =
-    Coordinator.on_view_sync fx.coordinator ~instance:1 ~view:1 ~primary:4
+    view_sync fx.coordinator ~instance:1 ~view:1 ~primary:4
       ~kmal:[] ~cert;
     check Alcotest.int (label ^ ": view unmoved") 0
       (Coordinator.view_of fx.coordinator 1);
@@ -503,9 +566,8 @@ let test_view_sync_rejects_forged_cert () =
            Msg.bv_accuser = src;
            bv_round = 0;
            bv_sig =
-             Rcc_crypto.Signature.sign
-               (Rcc_crypto.Keychain.replica_secret fx.kc 6)
-               (Coordinator.blame_digest ~instance:1 ~view:0 ~blamed:1 ~round:0);
+             Coordinator.sign_blame fx.kc ~signer:6 ~instance:1 ~view:0
+               ~blamed:1 ~round:0;
          })
        [ 3; 4; 5 ]);
   (* f+1 valid votes from the SAME accuser are one accusation, not a
@@ -514,7 +576,7 @@ let test_view_sync_rejects_forged_cert () =
     (cert_for fx ~instance:1 ~view:1 ~deposed:1 ~accusers:[ 3; 3; 3 ]);
   (* A certificate binds its view step: votes for 0 -> 1 cannot be
      replayed as evidence for 1 -> 2. *)
-  Coordinator.on_view_sync fx.coordinator ~instance:1 ~view:2 ~primary:1
+  view_sync fx.coordinator ~instance:1 ~view:2 ~primary:1
     ~kmal:[]
     ~cert:(cert_for fx ~instance:1 ~view:1 ~deposed:1 ~accusers:[ 3; 4; 5 ]);
   check Alcotest.int "replayed cert rejected" 0
@@ -526,7 +588,7 @@ let test_view_sync_multi_step () =
      least one honest replica stood in that view-1 blame quorum, and
      honest replicas only reach view 1 through a certified step. *)
   let cert = cert_for fx ~instance:1 ~view:2 ~deposed:4 ~accusers:[ 2; 5; 6 ] in
-  Coordinator.on_view_sync fx.coordinator ~instance:1 ~view:2 ~primary:0
+  view_sync fx.coordinator ~instance:1 ~view:2 ~primary:0
     ~kmal:[] ~cert;
   check Alcotest.int "view jumped to 2" 2 (Coordinator.view_of fx.coordinator 1);
   (* Instance 1's pool {1, 4} wraps: view 2 re-seats replica 1. *)
@@ -545,7 +607,7 @@ let test_view_sync_cancels_pending () =
   check Alcotest.int "parked, not replaced" 0
     (Coordinator.replacements fx.coordinator);
   let cert = cert_for fx ~instance:1 ~view:1 ~deposed:1 ~accusers:[ 3; 4; 5 ] in
-  Coordinator.on_view_sync fx.coordinator ~instance:1 ~view:1 ~primary:4
+  view_sync fx.coordinator ~instance:1 ~view:1 ~primary:4
     ~kmal:[] ~cert;
   check Alcotest.int "adopted via sync" 1 (Coordinator.replacements fx.coordinator);
   (* The parked entry must be gone: once instances 0 and 2 accept round 0
@@ -570,7 +632,7 @@ let test_view_sync_converges_replicas () =
   fill_round a ~z:3 ~round:0 ~except:1;
   List.iter (fun src -> blame a ~src ~instance:1 ~blamed:1 ~round:0) [ 3; 4; 5 ];
   let b = make () in
-  Coordinator.on_view_sync b.coordinator ~instance:1
+  view_sync b.coordinator ~instance:1
     ~view:(Coordinator.view_of a.coordinator 1)
     ~primary:(Coordinator.primary_of a.coordinator 1)
     ~kmal:(Coordinator.known_malicious a.coordinator)
@@ -830,6 +892,8 @@ let suite =
   ( "coordinator",
     [
       Alcotest.test_case "unified replacement" `Quick test_unified_replacement;
+      Alcotest.test_case "own accusations signed and traced once" `Quick
+        test_own_accusations;
       Alcotest.test_case "rotates within residue class" `Quick
         test_replacement_rotates_within_residue_class;
       Alcotest.test_case "stale blames ignored" `Quick test_stale_blames_ignored;

@@ -198,6 +198,22 @@ let test_contract_of_msg_other () =
     (Option.is_none
        (Contract.of_msg (Msg.Prepare { instance = 0; view = 0; seq = 0; digest = "" })))
 
+(* A certifier named twice proves one replica: a Zyzzyva primary's own
+   [p; p] accept does not meet MultiZ's min_cert = 2. *)
+let test_contract_duplicate_certifiers () =
+  let entry cert =
+    { Msg.ce_instance = 0; ce_round = 4; ce_batch = batch 0; ce_cert_replicas = cert }
+  in
+  let valid cert =
+    Result.is_ok
+      (Contract.validate { Contract.round = 4; entries = [ entry cert ] } ~n:4
+         ~min_cert:2)
+  in
+  check Alcotest.bool "one replica named twice rejected" false (valid [ 2; 2 ]);
+  check Alcotest.bool "two replicas accepted" true (valid [ 2; 1 ]);
+  check Alcotest.bool "duplicates beside enough distinct accepted" true
+    (valid [ 1; 1; 3 ])
+
 let test_contract_round_mismatch () =
   let entry =
     { Msg.ce_instance = 0; ce_round = 3; ce_batch = batch 0; ce_cert_replicas = [ 0; 1 ] }
@@ -224,4 +240,6 @@ let suite =
       Alcotest.test_case "contract msg roundtrip" `Quick test_contract_msg_roundtrip;
       Alcotest.test_case "contract of_msg other" `Quick test_contract_of_msg_other;
       Alcotest.test_case "contract round mismatch" `Quick test_contract_round_mismatch;
+      Alcotest.test_case "contract duplicate certifiers" `Quick
+        test_contract_duplicate_certifiers;
     ] )

@@ -364,6 +364,71 @@ let test_takeover_closes_round_gap () =
         (i.Report.i_p50_latency <= 5.0 *. healthy.Report.p50_latency))
     report.Report.per_instance
 
+
+(* One accusation, one [blame] event. An instance's watchdog and the
+   liveness monitor both accuse through the coordinator, which records
+   the blame it counts. From 0.3 s replica 3
+   loses instance 1's COMMITs: its watchdog blames the prepared rounds it
+   cannot commit, and its monitor blames the round its execution stalls
+   on. The monitor ticks every 12.5 ms (half its 25 ms heartbeat); with
+   a 101 ms timeout the watchdogs tick at 101 ms + k * 50.5 ms, which
+   meets no monitor tick before 1.2625 s, so the instant of an
+   accusation says which of the two made it. Every accusation is also
+   broadcast, once, as a VIEW-CHANGE to the n - 1 peers. *)
+let test_one_blame_event_per_accusation () =
+  let cfg =
+    Config.make ~protocol:Config.MultiP ~n:4 ~batch_size:10 ~clients:4_000
+      ~records:5_000 ~duration:(Engine.of_seconds 1.2)
+      ~warmup:(Engine.of_seconds 0.8) ~replica_timeout:(Engine.ms 101)
+      ~arrival_rate:5_000. ~arrival_process:Config.Poisson
+      ~max_in_flight:4_000 ~seed:1 ()
+  in
+  let tracer = Rcc_trace.Recorder.create ~capacity:4_000_000 () in
+  let c = Cluster.build ~tracer cfg in
+  ignore
+    (Rcc_sim.Net.add_drop_rule (Cluster.net c) (fun ~src:_ ~dst msg ->
+         dst = 3
+         && Engine.now (Cluster.engine c) > Engine.of_seconds 0.3
+         &&
+         match msg with
+         | Rcc_messages.Msg.Commit { instance = 1; _ } -> true
+         | _ -> false));
+  ignore (Cluster.run c);
+  check Alcotest.int "trace ring kept every event" 0
+    (Rcc_trace.Recorder.dropped tracer);
+  let module E = Rcc_trace.Event in
+  let events = Rcc_trace.Recorder.to_list tracer in
+  let own =
+    List.filter_map
+      (fun (e : E.t) ->
+        match e.E.payload with
+        | E.Blame { round; blamed; accuser } when accuser = e.E.replica ->
+            Some (e.E.at, e.E.replica, e.E.instance, round, blamed)
+        | _ -> None)
+      events
+  in
+  let by_monitor =
+    List.filter (fun (at, _, _, _, _) -> at mod (Engine.ms 25 / 2) = 0) own
+  in
+  check Alcotest.bool "the liveness monitor accused" true (by_monitor <> []);
+  check Alcotest.bool "a watchdog accused" true
+    (List.length by_monitor < List.length own);
+  check Alcotest.int "one blame event per accusation"
+    (List.length (List.sort_uniq compare own))
+    (List.length own);
+  let view_changes =
+    List.length
+      (List.filter
+         (fun (e : E.t) ->
+           match e.E.payload with
+           | E.Net_send { kind = "view_change"; _ } -> true
+           | _ -> false)
+         events)
+  in
+  check Alcotest.int "each accusation broadcast once"
+    (List.length own * (cfg.Config.n - 1))
+    view_changes
+
 let suite =
   ( "integration",
     [
@@ -386,6 +451,8 @@ let suite =
         test_multip_crashed_primary_replaced;
       Alcotest.test_case "takeover closes round gap" `Slow
         test_takeover_closes_round_gap;
+      Alcotest.test_case "one blame event per accusation" `Slow
+        test_one_blame_event_per_accusation;
       Alcotest.test_case "report reads a live replica" `Slow
         test_report_reads_live_replica;
       Alcotest.test_case "collusion recovery" `Slow test_collusion_recovery_end_to_end;

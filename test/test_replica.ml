@@ -526,10 +526,9 @@ let test_quorum_helpers () =
       broadcast = (fun ?sign:_ ?exclude:_ _ -> ());
       respond = (fun _ _ -> ());
       accept = (fun _ -> ());
-      report_failure = (fun ~round:_ ~blamed:_ -> ());
+      report_failure = (fun ~announce:_ ~round:_ ~blamed:_ -> ());
       rollback = (fun ~frontier:_ -> ());
       null_fill = (fun ~proposed_upto:_ _ -> ());
-      sign_blame = (fun ~view:_ ~blamed:_ ~round:_ -> "");
       byz = Byz.honest;
       unified = false;
     }

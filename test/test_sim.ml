@@ -191,9 +191,9 @@ let test_net_drop_rule () =
   let net = make_net ~nodes:2 engine in
   let count = ref 0 in
   Net.register net 1 (fun ~src:_ ~size:_ () -> incr count);
-  Net.set_drop_rule net (Some (fun ~src ~dst:_ _ -> src = 0));
+  let rule = Net.add_drop_rule net (fun ~src ~dst:_ _ -> src = 0) in
   Net.send net ~src:0 ~dst:1 ~size:10 ();
-  Net.set_drop_rule net None;
+  Net.remove_rule net rule;
   Net.send net ~src:0 ~dst:1 ~size:10 ();
   Engine.run engine ~until:Engine.(ms 10);
   check Alcotest.int "only undropped delivered" 1 !count
@@ -264,7 +264,7 @@ let test_net_rules_compose () =
   Engine.run engine ~until:(Engine.ms 4);
   check Alcotest.int "drop rule removed" 1 !got2
 
-let test_net_dup_rule_and_shim () =
+let test_net_dup_rule () =
   let engine = Engine.create () in
   let net = make_net ~latency:0 ~jitter:0 ~nodes:2 engine in
   let count = ref 0 in
@@ -273,19 +273,7 @@ let test_net_dup_rule_and_shim () =
   Net.send net ~src:0 ~dst:1 ~size:100 ();
   Engine.run engine ~until:(Engine.ms 1);
   check Alcotest.int "two extra copies" 3 !count;
-  Net.remove_rule net dup;
-  (* The legacy set_drop_rule slot replaces itself and clears on None,
-     without touching rules added through add_drop_rule. *)
-  let keep = Net.add_drop_rule net (fun ~src ~dst:_ _msg -> src = 9) in
-  Net.set_drop_rule net (Some (fun ~src:_ ~dst:_ _msg -> true));
-  Net.send net ~src:0 ~dst:1 ~size:100 ();
-  Engine.run engine ~until:(Engine.ms 2);
-  check Alcotest.int "shim rule drops" 3 !count;
-  Net.set_drop_rule net None;
-  Net.send net ~src:0 ~dst:1 ~size:100 ();
-  Engine.run engine ~until:(Engine.ms 3);
-  check Alcotest.int "shim cleared" 4 !count;
-  Net.remove_rule net keep
+  Net.remove_rule net dup
 
 (* Model-based property: the virtual-timestamp server behaves exactly like
    a reference FIFO queue — completion_i = max(ready_i, completion_{i-1})
@@ -367,8 +355,7 @@ let suite =
       Alcotest.test_case "net revive fresh incarnation" `Quick
         test_net_revive_fresh_incarnation;
       Alcotest.test_case "net rules compose" `Quick test_net_rules_compose;
-      Alcotest.test_case "net dup rule and shim" `Quick
-        test_net_dup_rule_and_shim;
+      Alcotest.test_case "net dup rule" `Quick test_net_dup_rule;
       cpu_matches_fifo_model;
       Alcotest.test_case "costs scaling" `Quick test_costs_scaling;
     ] )
