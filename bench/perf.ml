@@ -7,6 +7,8 @@
 
      dune exec bench/perf.exe -- --smoke --label "PR 4 baseline"
      dune exec bench/perf.exe -- --smoke --digest-only   # CI determinism gate
+     dune exec bench/perf.exe -- --heap   # live heap of one multiz-journal
+                                          # cluster, by component
 
    Reported per entry:
    - events/sec            simulator events retired per wall-clock second
@@ -16,8 +18,8 @@
                            (excludes wall time), the fixed-seed determinism
                            fingerprint CI compares against bench/simperf.digest
    - heap/net/codec/journal/conflict/snapshot microbench rows (ns/op and
-     words/op), and the kv-store and round-history rows (build ns and
-     footprint words)
+     words/op), and the disk-footprint, kv-store and round-history rows
+     (build ns and footprint words)
 
    Wall time is [Sys.time] (process CPU time): the simulator is
    single-threaded and this keeps the harness dependency-free. *)
@@ -195,45 +197,86 @@ let bench_msg_size () =
   let ns, words = measure ~iters:200_000 (fun () -> ignore (Msg.size msg)) in
   { m_name = "msg-size-contract"; m_ns = ns; m_words = words }
 
-(* One op = one committed round of z = 6 acceptances of 100-txn batches
-   through [Journal.log_round], flushes included; each block of 64 rounds
-   runs on a fresh engine and disk. The batches are built once, so their
-   cached payloads are shared across blocks as across replicas, and the
-   row is the per-replica cost. CI gates its words/op against
-   bench/journal.words. *)
-let bench_journal () =
-  let secret, _ = Rcc_crypto.Signature.keygen (Rcc_common.Rng.create 3) in
-  let primaries = List.init 6 Fun.id in
-  let rounds = 64 in
-  let ordered =
-    Array.init rounds (fun round ->
-        Array.init 6 (fun instance ->
-            {
-              Rcc_replica.Acceptance.instance;
-              round;
-              batch =
-                Batch.create ~id:((round * 6) + instance) ~client:instance
-                  ~txns:(bench_txns ()) ~secret;
-              cert = List.init 11 Fun.id;
-              speculative = false;
-              history = "";
-            }))
+(* 64 committed rounds of z = 6 acceptances of 100-txn batches, PBFT
+   certs of 11 replicas, built once: the journal rows below share the
+   batches (and so their cached payloads) across every writer, as the
+   replicas of a cluster do. *)
+let journal_rounds =
+  lazy
+    (let secret, _ = Rcc_crypto.Signature.keygen (Rcc_common.Rng.create 3) in
+     Array.init 64 (fun round ->
+         Array.init 6 (fun instance ->
+             {
+               Rcc_replica.Acceptance.instance;
+               round;
+               batch =
+                 Batch.create ~id:((round * 6) + instance) ~client:instance
+                   ~txns:(bench_txns ()) ~secret;
+               cert = List.init 11 Fun.id;
+               speculative = false;
+               history = "";
+             })))
+
+let journal_primaries = List.init 6 Fun.id
+
+(* Journal [journal_rounds] through a fresh writer over [disk]; the
+   caller runs the engine until the group-commit flushes complete. *)
+let journal_all ~engine ~self disk =
+  let j =
+    Rcc_journal.Journal.attach ~engine ~costs:Rcc_sim.Costs.default ~disk
+      ~self ()
   in
+  Array.iteri
+    (fun round accs ->
+      Rcc_journal.Journal.log_round j ~round ~primaries:journal_primaries accs)
+    (Lazy.force journal_rounds)
+
+(* One op = one committed round of [journal_rounds] through
+   [Journal.log_round], flushes included; each block of 64 rounds runs on
+   a fresh engine and disk, and the row is the per-replica cost. CI gates
+   its words/op against bench/journal.words. *)
+let bench_journal () =
+  let rounds = Array.length (Lazy.force journal_rounds) in
   let ns, words =
     measure ~iters:40 (fun () ->
         let engine = Engine.create () in
-        let j =
-          Rcc_journal.Journal.attach ~engine ~costs:Rcc_sim.Costs.default
-            ~disk:(Rcc_journal.Sim_disk.create ~seed:1) ~self:0 ()
-        in
-        Array.iteri
-          (fun round accs ->
-            Rcc_journal.Journal.log_round j ~round ~primaries accs)
-          ordered;
+        journal_all ~engine ~self:0 (Rcc_journal.Sim_disk.create ~seed:1);
         Engine.run engine ~until:(Engine.now engine + Engine.ms 10))
   in
   let per = float_of_int rounds in
   { m_name = "journal-log-round"; m_ns = ns /. per; m_words = words /. per }
+
+(* One op = 16 disks, one per replica of an n = 16 cluster, each
+   journaling [journal_rounds]. Like the kv-store row, [m_words] is a
+   footprint: [Obj.reachable_words] of the 16 disks, less the batches
+   they journal. A disk that copies each batch's encoded txns into its
+   records holds them 16 times over; one that keeps them by reference
+   holds only its framing. CI gates it against bench/disk.words. *)
+let bench_disk_footprint () =
+  let batches =
+    Array.map
+      (Array.map (fun (a : Rcc_replica.Acceptance.t) -> a.batch))
+      (Lazy.force journal_rounds)
+  in
+  let build () =
+    let engine = Engine.create () in
+    let disks =
+      Array.init 16 (fun self ->
+          let disk = Rcc_journal.Sim_disk.create ~seed:self in
+          journal_all ~engine ~self disk;
+          disk)
+    in
+    Engine.run engine ~until:(Engine.now engine + Engine.ms 10);
+    disks
+  in
+  let ns, _ = measure ~iters:3 (fun () -> ignore (build ())) in
+  let disks = build () in
+  let words =
+    Obj.reachable_words (Obj.repr (disks, batches))
+    - Obj.reachable_words (Obj.repr batches)
+    - 3 (* the pair *)
+  in
+  { m_name = "disk-footprint"; m_ns = ns; m_words = float_of_int words }
 
 (* One op = [Conflict.partition] of one parallel-lowconflict scheduler
    window: 8 rounds of z = 6 100-txn batches, YCSB theta 0.3 over 2M
@@ -303,15 +346,18 @@ let bench_snapshot () =
         clients = primaries;
       }
   done;
-  let snap =
-    {
-      Rcc_storage.Snapshot.seq = 256;
-      blocks = Rcc_storage.Ledger.prefix ledger ~upto:256;
-      kv = Some (Array.init 50_000 (fun k -> (k, k * 7, 1)));
-      replied =
-        List.init 120 (fun c ->
-            (c, Rcc_crypto.Sha256.digest (string_of_int c), 250, "r"));
-    }
+  let boundary =
+    Rcc_storage.Snapshot.boundary ~seq:256
+      ~head:(Rcc_storage.Ledger.head_hash ledger)
+      ~kv:
+        (Some
+           (Rcc_storage.Snapshot.kv_section
+              (Array.init 50_000 (fun k -> (k, k * 7, 1)))))
+  in
+  let blocks = Rcc_storage.Ledger.prefix ledger ~upto:256 in
+  let replied =
+    List.init 120 (fun c ->
+        (c, Rcc_crypto.Sha256.digest (string_of_int c), 250, "r"))
   in
   let engine = Engine.create () in
   let j =
@@ -320,7 +366,7 @@ let bench_snapshot () =
   in
   let ns, words =
     measure ~iters:20 (fun () ->
-        Rcc_journal.Journal.write_snapshot j ~seq:256 snap;
+        Rcc_journal.Journal.write_snapshot j boundary ~blocks ~replied;
         Engine.run engine ~until:(Engine.now engine + Engine.ms 100))
   in
   { m_name = "snapshot-write"; m_ns = ns; m_words = words }
@@ -398,6 +444,53 @@ let bench_round_history () =
   in
   { m_name = "round-history"; m_ns = ns; m_words = float_of_int words }
 
+(* --- heap breakdown ----------------------------------------------------- *)
+
+(* [--heap]: one cluster built and run with the multiz-journal workload's
+   rated configuration (bench/e2e/spec.ml at its first rated seed,
+   [sub_seed 42 0] = 672), then its reachable heap split by component,
+   summed over replicas. Components share blocks (a snapshot slot and the
+   boundary it was written from share the KV section), so each is charged
+   what it reaches beyond the components listed before it; "the rest" is
+   what the cluster reaches beyond all of them. *)
+let heap_breakdown () =
+  let cfg =
+    Config.make ~protocol:Config.MultiZ ~n:16 ~batch_size:100 ~clients:10_000
+      ~duration:(Engine.of_seconds 0.55) ~warmup:(Engine.of_seconds 0.15)
+      ~records:500_000 ~write_ratio:0.9 ~theta:0.9 ~exec_mode:Config.Exec_serial
+      ~exec_threads:4 ~exec_window:8 ~arrival_rate:300_000.0
+      ~arrival_process:Config.Poisson ~max_in_flight:10_000 ~journal:true
+      ~seed:672 ()
+  in
+  let cfg = { cfg with Config.checkpoint_interval = 48 } in
+  let c = Rcc_runtime.Cluster.build cfg in
+  ignore (Rcc_runtime.Cluster.run c);
+  let module C = Rcc_runtime.Cluster in
+  let disk_part part r = part (Rcc_journal.Sim_disk.stored (C.disk c r)) in
+  let per f = Obj.repr (Array.init cfg.Config.n f) in
+  let words root = Obj.reachable_words (Obj.repr root) in
+  let mb w = float_of_int (w * (Sys.word_size / 8)) *. 1e-6 in
+  let line name w = Printf.printf "%-16s %8.1f MB\n" name (mb w) in
+  let roots =
+    List.fold_left
+      (fun prior (name, root) ->
+        let roots = root :: prior in
+        line name (words roots - words prior);
+        roots)
+      []
+      [
+        ("ledgers", per (C.ledger c));
+        ("KV stores", per (C.store c));
+        ("txn tables", per (C.txn_table c));
+        ("journal areas", per (disk_part fst));
+        ("snapshot slots", per (disk_part snd));
+        ("boundaries", per (C.boundaries c));
+      ]
+  in
+  let total = words (c, roots) in
+  line "the rest" (total - words roots);
+  line "cluster" total
+
 (* --- JSON output -------------------------------------------------------- *)
 
 let json_of_entry ~label smoke micros =
@@ -457,6 +550,7 @@ let () =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 16 * 1024 * 1024 };
   let smoke_only = ref false in
   let digest_only = ref false in
+  let heap = ref false in
   let label = ref "" in
   let out = ref "BENCH_simperf.json" in
   (* 120 is the historical smoke population; --clients 240 is the second
@@ -470,6 +564,9 @@ let () =
     | "--digest-only" :: rest ->
         digest_only := true;
         parse rest
+    | "--heap" :: rest ->
+        heap := true;
+        parse rest
     | "--label" :: l :: rest ->
         label := l;
         parse rest
@@ -482,7 +579,7 @@ let () =
     | arg :: _ ->
         Printf.eprintf
           "unknown argument %S\n\
-           usage: perf.exe [--smoke] [--digest-only] [--clients N] \
+           usage: perf.exe [--smoke] [--digest-only] [--heap] [--clients N] \
            [--label STR] [--out FILE]\n"
           arg;
         exit 2
@@ -491,7 +588,8 @@ let () =
   let duration =
     Engine.of_seconds (if !smoke_only || !digest_only then 0.5 else 2.0)
   in
-  if !digest_only then begin
+  if !heap then heap_breakdown ()
+  else if !digest_only then begin
     (* CI determinism gate: print only the fixed-seed report digest. *)
     let smoke = run_smoke ~duration ~clients:!clients in
     print_string smoke.s_digest;
@@ -521,6 +619,7 @@ let () =
         bench_codec ();
         bench_msg_size ();
         bench_journal ();
+        bench_disk_footprint ();
         bench_conflict ();
         bench_snapshot ();
         bench_kv_store ();

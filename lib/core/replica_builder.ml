@@ -282,10 +282,7 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
             (fun ~frontier -> Rcc_journal.Journal.log_rollback j ~frontier);
           p_stable =
             (fun ~floor -> Rcc_journal.Journal.log_stable j ~floor);
-          p_snapshot =
-            (fun snap ->
-              Rcc_journal.Journal.write_snapshot j
-                ~seq:snap.Rcc_storage.Snapshot.seq snap);
+          p_snapshot = Rcc_journal.Journal.write_snapshot j;
         }
   | None -> ());
   let instances =

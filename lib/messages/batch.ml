@@ -157,23 +157,29 @@ let size t = t.wire
 
 let max_txns = 1_000_000
 
-let encoded_size t =
-  24
-  + (Array.length t.txns * Txn.encoded_size)
-  + Wire.string_size t.digest
-  + Wire.string_size t.signature
+let payload_offset = 24
+
+let framing_size t =
+  payload_offset + Wire.string_size t.digest + Wire.string_size t.signature
+
+let encoded_size t = framing_size t + (Array.length t.txns * Txn.encoded_size)
+
+let write_head b t off =
+  Wire.put_int b t.id off
+  |> Wire.put_int b t.client
+  |> Wire.put_int b (Array.length t.txns)
+
+let write_tail b t off =
+  Wire.put_string b t.digest off |> Wire.put_string b t.signature
 
 (* The txns are copied from the cached payload when there is one and
    encoded in place otherwise, so writing never fills the cache. *)
 let write b t off =
-  let off =
-    Wire.put_int b t.id off
-    |> Wire.put_int b t.client
-    |> Wire.put_int b (Array.length t.txns)
-  in
+  let off = write_head b t off in
   (if t.payload = "" then put_txns b t.txns off else Wire.put_raw b t.payload off)
-  |> Wire.put_string b t.digest
-  |> Wire.put_string b t.signature
+  |> write_tail b t
+
+let write_framing b t off = write_head b t off |> write_tail b t
 
 (* Digest and signature are bounded by the reader's limit alone. *)
 let read (r : Wire.reader) =

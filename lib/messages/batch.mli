@@ -102,6 +102,18 @@ val write : Bytes.t -> t -> int -> int
     [write] never fills it, so a writer that wants the encoding shared
     calls {!payload} first. *)
 
+val payload_offset : int
+(** Where the encoded transactions start inside a record: 24 bytes in. *)
+
+val framing_size : t -> int
+(** {!encoded_size} less the encoded transactions. *)
+
+val write_framing : Bytes.t -> t -> int -> int
+(** {!write} with the encoded transactions cut out: stores
+    [framing_size t] bytes at [off]. A writer that keeps {!payload} by
+    reference splices it back at [off + payload_offset] to get the
+    record {!write} emits. *)
+
 val read : Rcc_common.Wire.reader -> t
 (** Parse one record into an unsealed batch ({!of_parts}). At most
     1 000 000 transactions; raises {!Rcc_common.Wire.Malformed}. *)

@@ -17,7 +17,11 @@ type persist = {
       (* ledger truncated back to [frontier] *)
   p_stable : floor:int -> unit;
       (* cross-instance stable floor advanced *)
-  p_snapshot : Rcc_storage.Snapshot.t -> unit;
+  p_snapshot :
+    Rcc_storage.Snapshot.boundary ->
+    blocks:Rcc_storage.Block.t array ->
+    replied:Rcc_storage.Snapshot.replied ->
+    unit;
       (* a checkpoint boundary was captured *)
 }
 
@@ -197,7 +201,7 @@ let capture_boundary t ~round =
   if at_boundary t seq then begin
     assert (settled t);
     let kv =
-      if t.materialize then Some (Rcc_storage.Kv_store.entries t.store)
+      if t.materialize then Some (Rcc_storage.Snapshot.capture_kv t.store)
       else None
     in
     let b =
@@ -208,13 +212,9 @@ let capture_boundary t ~round =
       b :: List.filteri (fun i _ -> i < boundary_capacity - 1) t.boundaries;
     match t.persist with
     | Some p ->
-        p.p_snapshot
-          {
-            Rcc_storage.Snapshot.seq;
-            blocks = Rcc_storage.Ledger.prefix t.ledger ~upto:seq;
-            kv;
-            replied = replied_entries t;
-          }
+        p.p_snapshot b
+          ~blocks:(Rcc_storage.Ledger.prefix t.ledger ~upto:seq)
+          ~replied:(replied_entries t)
     | None -> ()
   end
 

@@ -52,9 +52,14 @@ type persist = {
   p_stable : floor:Rcc_common.Ids.round -> unit;
       (** the cross-instance stable checkpoint floor advanced to
           [floor] *)
-  p_snapshot : Rcc_storage.Snapshot.t -> unit;
-      (** a checkpoint boundary was captured: the snapshot holds its KV
-          copy, the ledger prefix and the duplicate-reply cache *)
+  p_snapshot :
+    Rcc_storage.Snapshot.boundary ->
+    blocks:Rcc_storage.Block.t array ->
+    replied:Rcc_storage.Snapshot.replied ->
+    unit;
+      (** a checkpoint boundary was captured: the boundary (with its
+          encoded KV section), the ledger prefix up to it and the
+          duplicate-reply cache *)
 }
 (** Observer seam for the durable write-ahead journal: the journal layer
     (which lives above this library) registers callbacks instead of this

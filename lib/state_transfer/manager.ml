@@ -303,9 +303,7 @@ let on_fetch t ~src ~sr_seq =
             (fun (_, _, r, _) -> r < b.b_seq)
             (t.hooks.replied_entries ())
         in
-        let blob =
-          Snapshot.encode { Snapshot.seq = b.b_seq; blocks; kv = b.b_kv; replied }
-        in
+        let blob = Snapshot.encode_boundary b ~blocks ~replied in
         let blob = if t.hooks.corrupt_reply () then corrupt blob else blob in
         t.bytes_out <- t.bytes_out + String.length blob;
         trace t

@@ -36,8 +36,9 @@ let max_slots = 10_000
 (* The payload spans of the body at [s.[off .. off + len - 1]], in body
    order: one per batch with txns in a round record, none in the other
    kinds. Walks the layout [round_record] writes without decoding a txn;
-   raises [Wire.Malformed] where it does not parse. The writer and
-   [scan] both derive the checksum from this one walk. *)
+   raises [Wire.Malformed] where it does not parse. The writer never
+   walks it: it stores each payload by reference beside the framing
+   ([round_record]), so its checksum is over the framing as written. *)
 let payload_spans kind s ~off ~len =
   if kind <> 'R' then []
   else begin
@@ -77,54 +78,78 @@ let payload_bound s (sp : Batch.span) =
 
 (* --- record encoding ---------------------------------------------------- *)
 
-(* [frame kind len fill]: a record whose [len]-byte body [fill b off]
-   writes at [off], in one buffer of the record's exact size. *)
-let frame kind len fill =
+(* [frame kind ~len ~spliced fill]: the framing of a record whose body
+   holds [len] bytes of its own, which [fill b off] writes at [off], and
+   [spliced] bytes of payloads stored beside it. One buffer of the
+   framing's exact size; its checksum is over the framing body, which is
+   the body minus its payload spans. *)
+let frame kind ~len ~spliced fill =
   let b = Bytes.create (header_len + len) in
   let off =
-    Wire.put_raw b record_magic 0 |> Wire.put_byte b kind |> Wire.put_int b len
+    Wire.put_raw b record_magic 0
+    |> Wire.put_byte b kind
+    |> Wire.put_int b (len + spliced)
   in
   let stop = fill b (off + checksum_len) in
   assert (stop = header_len + len);
   let s = Bytes.unsafe_to_string b in
-  let spans = payload_spans kind s ~off:header_len ~len in
-  Bytes.blit_string (checksum s ~off:header_len ~len spans) 0 b off checksum_len;
+  Bytes.blit_string (checksum s ~off:header_len ~len []) 0 b off checksum_len;
   s
 
 let round_record ~round ~primaries (ordered : Acceptance.t array) =
   (* round, primaries, slot count; per slot instance, speculative flag,
      certificate and batch. Each batch's txns are encoded once, into its
-     cached payload, and copied from there by every replica. *)
+     cached payload, which every replica's record holds by reference:
+     the framing here is the batch record less its txns, and the payload
+     is spliced back in where [Batch.write] would have put it. *)
+  let payloads =
+    Array.map (fun (a : Acceptance.t) -> Batch.payload a.batch) ordered
+  in
   let len =
     Array.fold_left
       (fun acc (a : Acceptance.t) ->
-        ignore (Batch.payload a.batch);
-        acc + 9 + Wire.int_list_size a.cert + Batch.encoded_size a.batch)
+        acc + 9 + Wire.int_list_size a.cert + Batch.framing_size a.batch)
       (8 + Wire.int_list_size primaries + 8)
       ordered
   in
-  frame 'R' len (fun b off ->
-      let off =
-        Wire.put_int b round off
-        |> Wire.put_int_list b primaries
-        |> Wire.put_int b (Array.length ordered)
-      in
-      Array.fold_left
-        (fun off (a : Acceptance.t) ->
-          Wire.put_int b a.instance off
-          |> Wire.put_bool b a.speculative
-          |> Wire.put_int_list b a.cert
-          |> Batch.write b a.batch)
-        off ordered)
+  let spliced =
+    Array.fold_left (fun acc p -> acc + String.length p) 0 payloads
+  in
+  let at = Array.make (Array.length ordered) 0 in
+  let framing =
+    frame 'R' ~len ~spliced (fun b off ->
+        let off =
+          Wire.put_int b round off
+          |> Wire.put_int_list b primaries
+          |> Wire.put_int b (Array.length ordered)
+        in
+        let off = ref off in
+        Array.iteri
+          (fun i (a : Acceptance.t) ->
+            let o =
+              Wire.put_int b a.instance !off
+              |> Wire.put_bool b a.speculative
+              |> Wire.put_int_list b a.cert
+            in
+            at.(i) <- o + Batch.payload_offset;
+            off := Batch.write_framing b a.batch o)
+          ordered;
+        !off)
+  in
+  Sim_disk.spliced ~frame:framing ~at payloads
 
-let int_record kind v = frame kind 8 (fun b -> Wire.put_int b v)
+let int_record kind v =
+  Sim_disk.flat (frame kind ~len:8 ~spliced:0 (fun b -> Wire.put_int b v))
 
 let view_record primaries =
-  frame 'V' (Wire.int_list_size primaries) (fun b -> Wire.put_int_list b primaries)
+  Sim_disk.flat
+    (frame 'V' ~len:(Wire.int_list_size primaries) ~spliced:0 (fun b ->
+         Wire.put_int_list b primaries))
 
-(* The round compaction compares a record against: a round record's
-   round, a stable record's floor, a rollback record's frontier. View
-   records never hold a replay up, so they carry [-1]. *)
+(* The round compaction compares a record against, read from its
+   framing: a round record's round, a stable record's floor, a rollback
+   record's frontier. View records never hold a replay up, so they carry
+   [-1]. *)
 let record_round record =
   match record.[String.length record_magic] with
   | 'R' | 'A' | 'B' -> Int64.to_int (String.get_int64_be record header_len)
@@ -165,7 +190,7 @@ type t = {
   primaries : Rcc_common.Ids.replica_id list option;
       (* genesis configuration slots are read back against *)
   io : Cpu.server;
-  mutable pending : string list;  (* newest first *)
+  mutable pending : Sim_disk.record list;  (* newest first *)
   mutable pending_records : int;
   mutable pending_bytes : int;
   mutable pending_hi : int;  (* highest round in the pending buffer *)
@@ -274,7 +299,7 @@ let append t ?round record =
     t.appends <- t.appends + 1;
     t.pending <- record :: t.pending;
     t.pending_records <- t.pending_records + 1;
-    t.pending_bytes <- t.pending_bytes + String.length record;
+    t.pending_bytes <- t.pending_bytes + Sim_disk.length record;
     (match round with
     | Some r when r > t.pending_hi -> t.pending_hi <- r
     | _ -> ());
@@ -300,28 +325,44 @@ let log_stable t ~floor =
   t.pending_floor <- max t.pending_floor floor;
   append t (int_record 'A' floor)
 
-let write_snapshot t ~seq snapshot =
+let write_snapshot t (b : Rcc_storage.Snapshot.boundary) ~blocks ~replied =
   if not t.halted then begin
-    (* [snap_magic | u64 body length | checksum | body], the body encoded
-       in place and checksummed where it lies. *)
-    let len = Rcc_storage.Snapshot.encoded_size snapshot in
-    let out = Bytes.create (snap_header_len + len) in
-    ignore (Wire.put_raw out snap_magic 0 |> Wire.put_int out len);
-    let stop =
-      Rcc_storage.Snapshot.encode_into snapshot out ~off:snap_header_len
+    (* A buffered rollback must be durable before a slot that follows it:
+       flushing now puts it on the disk lane ahead of the slot, so no
+       crash can leave a slot of post-rollback state over a journal that
+       still ends in the rounds the rollback unwound. *)
+    if t.pending_rollback < max_int then flush t;
+    (* [snap_magic | u64 body length | checksum | body]: the body is
+       encoded around the boundary's KV section, which the slot holds by
+       reference; the checksum covers the whole body, section included. *)
+    let seq = b.b_seq and kv = Option.value b.b_kv ~default:"" in
+    let out, at =
+      Rcc_storage.Snapshot.encode_around_kv ~header:snap_header_len b ~blocks
+        ~replied
     in
-    assert (stop = Bytes.length out);
-    let blob = Bytes.unsafe_to_string out in
-    Bytes.blit_string (checksum blob ~off:snap_header_len ~len []) 0 out
+    let stop = Bytes.length out in
+    ignore
+      (Wire.put_raw out snap_magic 0
+      |> Wire.put_int out (stop - snap_header_len + String.length kv));
+    let framing = Bytes.unsafe_to_string out in
+    let ctx = Rcc_crypto.Sha256.init () in
+    Rcc_crypto.Sha256.update_sub ctx framing snap_header_len
+      (at - snap_header_len);
+    Rcc_crypto.Sha256.update ctx kv;
+    Rcc_crypto.Sha256.update_sub ctx framing at (stop - at);
+    Bytes.blit_string (Rcc_crypto.Sha256.finalize ctx) 0 out
       (snap_header_len - checksum_len) checksum_len;
-    Cpu.submit t.io ~cost:(io_cost t (String.length blob)) (fun () ->
+    let blob = Sim_disk.spliced ~frame:framing ~at:[| at |] [| kv |] in
+    let bytes = Sim_disk.length blob in
+    Cpu.submit t.io ~cost:(io_cost t bytes) (fun () ->
         if not t.halted then begin
           let before = Sim_disk.faults_injected t.disk in
           (* Read the slot back as recovery would; only a slot that
              passes can become the anchor. Bytes stored exactly as
-             encoded decode to [snapshot] itself (the codec round-trips)
-             under a checksum computed over them, so only their chain is
-             left to verify; bytes the disk changed take the full load. *)
+             written decode to the boundary's state (the codec
+             round-trips) under a checksum computed over them, so only
+             their chain is left to verify; bytes the disk changed take
+             the full load. *)
           let check =
             match t.primaries with
             | None -> None
@@ -329,17 +370,19 @@ let write_snapshot t ~seq snapshot =
                 Some
                   (fun stored ->
                     if stored == blob then
-                      Result.is_ok
-                        (Rcc_storage.Snapshot.verify ~primaries snapshot)
-                    else Option.is_some (slot_snapshot ~primaries stored))
+                      Array.length blocks = seq
+                      && Result.is_ok
+                           (Rcc_storage.Snapshot.chain_head ~primaries blocks)
+                    else
+                      Option.is_some
+                        (slot_snapshot ~primaries (Sim_disk.to_string stored)))
           in
           Sim_disk.write_snapshot t.disk ?check ~seq blob;
           trace_new_faults t before;
           t.snapshots_written <- t.snapshots_written + 1;
           if Engine.tracing t.engine then
             Engine.trace t.engine ~replica:t.self ~instance:(-1)
-              (Rcc_trace.Event.Journal_snapshot
-                 { seq; bytes = String.length blob });
+              (Rcc_trace.Event.Journal_snapshot { seq; bytes });
           compact t
         end)
   end

@@ -50,14 +50,18 @@
     over exactly them ({!Rcc_messages.Batch.digest_of_txns}). So the txn
     bytes are hashed once, by the client, rather than by every
     journaling replica, and their encoding is cached in the batch
-    ({!Rcc_messages.Batch.payload}) and shared. Recovery rejects a round
+    ({!Rcc_messages.Batch.payload}) and shared: the stored round record
+    is its framing with each payload spliced in by reference
+    ({!Sim_disk.spliced}), so n replicas journaling one batch hold its
+    txn bytes once. Recovery rejects a round
     record whose checksum fails or whose payload does not hash to its
     stored digest. Each batch in a round record is a
     {!Rcc_messages.Batch.write} record, the one {!Rcc_messages.Codec}
     puts in messages, and every field is {!Rcc_common.Wire} framing.
     Snapshot slots use a whole-body checksum with magic "RJS1" around a
     {!Rcc_storage.Snapshot.encode} blob, because [Snapshot.verify] pins
-    the chain but not the KV/reply bytes. *)
+    the chain but not the KV/reply bytes. The slot holds the boundary's
+    encoded KV section by reference, spliced into that blob. *)
 
 type t
 
@@ -92,9 +96,18 @@ val log_rollback : t -> frontier:Rcc_common.Ids.round -> unit
 
 val log_stable : t -> floor:Rcc_common.Ids.round -> unit
 
-val write_snapshot : t -> seq:Rcc_common.Ids.round -> Rcc_storage.Snapshot.t -> unit
-(** Persist a checkpoint covering rounds [< seq] into a snapshot slot
-    (charged to the disk lane like a flush). *)
+val write_snapshot :
+  t ->
+  Rcc_storage.Snapshot.boundary ->
+  blocks:Rcc_storage.Block.t array ->
+  replied:Rcc_storage.Snapshot.replied ->
+  unit
+(** Persist the checkpoint at a boundary (state after rounds [< b_seq],
+    with the ledger prefix [blocks] and the reply cache [replied]) into a
+    snapshot slot, charged to the disk lane like a flush. The slot holds
+    the boundary's encoded KV section by reference. A rollback record
+    still buffered is flushed first, so it reaches the disk before the
+    slot does. *)
 
 val halt : t -> unit
 (** Crash semantics: un-flushed buffered records are lost, scheduled

@@ -3,12 +3,58 @@ type faults = { torn : float; corrupt : float; lost : float }
 let no_faults = { torn = 0.0; corrupt = 0.0; lost = 0.0 }
 let uniform_faults p = { torn = p; corrupt = p; lost = p }
 
+(* [pieces.(i)] belongs at offset [at.(i)] of [frame]; offsets ascend. *)
+type record = { frame : string; at : int array; pieces : string array }
+
+let flat frame = { frame; at = [||]; pieces = [||] }
+
+let spliced ~frame ~at pieces =
+  let n = Array.length at in
+  if n <> Array.length pieces then
+    invalid_arg "Sim_disk.spliced: one offset per piece";
+  for i = 0 to n - 1 do
+    if at.(i) < (if i = 0 then 0 else at.(i - 1)) || at.(i) > String.length frame
+    then invalid_arg "Sim_disk.spliced: offsets out of order"
+  done;
+  { frame; at; pieces }
+
+let length r =
+  Array.fold_left
+    (fun acc p -> acc + String.length p)
+    (String.length r.frame) r.pieces
+
+(* Write the record's bytes at [off]; returns the offset past them. *)
+let blit r b off =
+  let from = ref 0 and off = ref off in
+  let put s pos len =
+    Bytes.blit_string s pos b !off len;
+    off := !off + len
+  in
+  Array.iteri
+    (fun i a ->
+      put r.frame !from (a - !from);
+      from := a;
+      put r.pieces.(i) 0 (String.length r.pieces.(i)))
+    r.at;
+  put r.frame !from (String.length r.frame - !from);
+  !off
+
+let to_string r =
+  if Array.length r.at = 0 then r.frame
+  else begin
+    let b = Bytes.create (length r) in
+    ignore (blit r b 0);
+    Bytes.unsafe_to_string b
+  end
+
+let empty = flat ""
+
 (* One flush's stored records, in append order, each tagged with the
    round compaction compares. Records [intact, count) include the first
    one a fault touched (and everything after it): compaction never
    passes it. *)
 type segment = {
-  records : string array;  (* sized for the flush; [count] were stored *)
+  records : record array;  (* sized for the flush; [count] were stored *)
   rounds : int array;
   mutable count : int;
   mutable intact : int;
@@ -20,7 +66,7 @@ type t = {
   mutable area_bytes : int;
   compaction : bool;
   mutable slot_seq : int array;  (* -1 = slot empty *)
-  mutable slot_blob : string array;
+  mutable slot_blob : record array;
   slot_ok : bool array;  (* the slot passed its read-back check *)
   mutable anchor : int;  (* slot index, -1 = none *)
   rng : Rcc_common.Rng.t;
@@ -36,7 +82,7 @@ let make ~compaction ~seed =
     area_bytes = 0;
     compaction;
     slot_seq = [| -1; -1 |];
-    slot_blob = [| ""; "" |];
+    slot_blob = [| empty; empty |];
     slot_ok = [| false; false |];
     anchor = -1;
     rng = Rcc_common.Rng.create seed;
@@ -56,26 +102,30 @@ let inject t kind =
 
 let roll t p = p > 0.0 && Rcc_common.Rng.float t.rng 1.0 < p
 
-(* Flip one byte somewhere in the record — never a no-op flip. *)
+(* Flip one byte somewhere in the record — never a no-op flip. The
+   drawn position ranges over the whole record, pieces included; the
+   faulty bytes are the disk's own copy. *)
 let corrupt_record t record =
-  let n = String.length record in
+  let n = length record in
   if n = 0 then record
   else begin
     let pos = Rcc_common.Rng.int t.rng n in
-    let b = Bytes.of_string record in
+    let b = Bytes.create n in
+    ignore (blit record b 0);
     Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
-    Bytes.to_string b
+    flat (Bytes.unsafe_to_string b)
   end
 
-(* Stored records are kept as they are, never copied into one area;
-   [journal] concatenates them when recovery reads the disk back. *)
+(* Stored records are kept as they were handed over, pieces by
+   reference, never copied into one area; [journal] concatenates them
+   when recovery reads the disk back. *)
 let store t seg ~round_of ~ok record stored_as =
   let i = seg.count in
   if (not ok) && seg.intact > i then seg.intact <- i;
   seg.records.(i) <- stored_as;
-  seg.rounds.(i) <- round_of record;
+  seg.rounds.(i) <- round_of record.frame;
   seg.count <- i + 1;
-  t.area_bytes <- t.area_bytes + String.length stored_as
+  t.area_bytes <- t.area_bytes + length stored_as
 
 let rec append_records t seg ~round_of = function
   | [] -> ()
@@ -88,10 +138,11 @@ let rec append_records t seg ~round_of = function
         (* Power loss mid-flush: a strict prefix of this record lands,
            nothing after it does. *)
         inject t "torn";
-        let n = String.length record in
+        let n = length record in
         let keep = if n <= 1 then 0 else Rcc_common.Rng.int t.rng n in
         if keep > 0 then
-          store t seg ~round_of ~ok:false record (String.sub record 0 keep)
+          store t seg ~round_of ~ok:false record
+            (flat (String.sub (to_string record) 0 keep))
       end
       else if roll t t.faults.corrupt then begin
         inject t "corrupt";
@@ -110,7 +161,7 @@ let append t ?(round_of = untagged) records =
   let n = List.length records in
   let seg =
     {
-      records = Array.make n "";
+      records = Array.make n empty;
       rounds = Array.make n 0;
       count = 0;
       intact = n;
@@ -127,8 +178,8 @@ let compact t ~below =
     let i = seg.first in
     if i = seg.count then ignore (Queue.pop t.area)
     else if i < seg.intact && seg.rounds.(i) < below then begin
-      dropped := !dropped + String.length seg.records.(i);
-      seg.records.(i) <- "";
+      dropped := !dropped + length seg.records.(i);
+      seg.records.(i) <- empty;
       seg.first <- i + 1
     end
     else blocked := true
@@ -141,9 +192,7 @@ let journal t =
   Queue.iter
     (fun seg ->
       for i = seg.first to seg.count - 1 do
-        let r = seg.records.(i) in
-        Bytes.blit_string r 0 b !pos (String.length r);
-        pos := !pos + String.length r
+        pos := blit seg.records.(i) b !pos
       done)
     t.area;
   Bytes.unsafe_to_string b
@@ -186,7 +235,7 @@ let invalidate_above t ~frontier =
   for i = 0 to 1 do
     if t.slot_seq.(i) > frontier then begin
       t.slot_seq.(i) <- -1;
-      t.slot_blob.(i) <- "";
+      t.slot_blob.(i) <- empty;
       t.slot_ok.(i) <- false;
       if t.anchor = i then t.anchor <- -1
     end
@@ -198,8 +247,23 @@ let snapshots t =
       (fun (seq, _) -> seq >= 0)
       [ (t.slot_seq.(0), t.slot_blob.(0)); (t.slot_seq.(1), t.slot_blob.(1)) ]
   in
-  List.sort (fun (a, _) (b, _) -> compare b a) slots
+  List.map
+    (fun (seq, blob) -> (seq, to_string blob))
+    (List.sort (fun (a, _) (b, _) -> compare b a) slots)
 
 let writes t = t.writes
 let faults_injected t = t.injected
 let fault_log t = List.rev t.log
+
+let stored t =
+  let area =
+    Queue.fold
+      (fun acc seg ->
+        let acc = ref acc in
+        for i = seg.first to seg.count - 1 do
+          acc := seg.records.(i) :: !acc
+        done;
+        !acc)
+      [] t.area
+  in
+  (List.rev area, [ t.slot_blob.(0); t.slot_blob.(1) ])

@@ -19,11 +19,15 @@
     with; {!compact} drops records oldest-first while they are intact
     and tagged below a point, and stops at the first record a fault
     touched, so a reader's scan halts exactly where it halted before.
-    Storing costs the host no copy: a segment keeps each stored record
-    (or a torn record's surviving prefix) as the string it was handed,
-    and {!journal} concatenates the live records only when the area is
-    read back. The stored bytes are exactly those of a contiguous area
-    whose prefix was cut.
+    Storing costs the host no copy. A writer hands the disk a {!record}:
+    its own framing bytes with shared immutable pieces (a batch's encoded
+    transactions, a checkpoint's KV section) spliced in by reference.
+    The disk keeps the record as it was handed, so bytes the process
+    already holds are stored once however many disks hold them.
+    {!journal} and {!snapshots} concatenate the pieces only when the disk
+    is read back. A torn or corrupt fault is the one place the disk makes
+    a private copy: the faulty bytes are its own flat record. The stored
+    bytes are exactly those of a contiguous area whose prefix was cut.
 
     Checkpoint snapshots live in two slots. A write may carry a
     read-back check; a slot that passes it is {e verified}. The
@@ -43,6 +47,24 @@ val no_faults : faults
 val uniform_faults : float -> faults
 (** [uniform_faults p] sets all three probabilities to [p]. *)
 
+type record
+(** Bytes handed to the disk: framing with shared pieces spliced in. *)
+
+val flat : string -> record
+(** A record of the string's bytes alone. *)
+
+val spliced : frame:string -> at:int array -> string array -> record
+(** [spliced ~frame ~at pieces] is [frame] with [pieces.(i)] inserted at
+    offset [at.(i)] of [frame] (offsets ascending, at most
+    [String.length frame]). The record holds the pieces by reference: they
+    must never be mutated. *)
+
+val length : record -> int
+(** Bytes of the record, pieces included. *)
+
+val to_string : record -> string
+(** The record's bytes, pieces concatenated in place. *)
+
 type t
 
 val create : seed:int -> t
@@ -56,12 +78,14 @@ val set_faults : t -> faults -> unit
 (** Replace the fault model (e.g. the nemesis turning a disk bad
     mid-run). *)
 
-val append : t -> ?round_of:(string -> int) -> string list -> unit
+val append : t -> ?round_of:(string -> int) -> record list -> unit
 (** One group-commit flush: append the records in order, each subject to
     the fault model. A torn fault persists a strict prefix of the record
-    and discards the rest of the flush. [round_of] tags each stored
-    record, from the bytes it was handed, with the round {!compact}
-    compares (default [max_int]: never compacted). *)
+    and discards the rest of the flush. Fault draws range over a record's
+    whole length, pieces included. [round_of] tags each stored record,
+    from the framing it was handed (its bytes without the pieces), with
+    the round {!compact} compares
+    (default [max_int]: never compacted). *)
 
 val compact : t -> below:int -> int
 (** Drop stored records from the front of the area while each is intact
@@ -77,12 +101,14 @@ val journal_bytes : t -> int
 (** Bytes the area holds now, after compaction. *)
 
 val write_snapshot :
-  t -> ?check:(string -> bool) -> seq:int -> string -> unit
+  t -> ?check:(record -> bool) -> seq:int -> record -> unit
 (** Write a checkpoint blob into a snapshot slot: never the anchor, and
     without one the older slot. Subject to the corrupt and lost fault
     modes; snapshot writes do not tear (the slot header is written last,
     so a torn slot reads as absent). [check] reads the stored blob back:
-    the slot is verified iff it returns [true] (default: never). *)
+    the slot is verified iff it returns [true] (default: never). It is
+    handed the very record that was written unless a fault changed the
+    bytes, so a writer can recognize its own blob physically. *)
 
 val promote_anchor : t -> floor:int -> int
 (** Make the newest verified slot with [seq <= floor] the anchor, if it
@@ -95,7 +121,8 @@ val invalidate_above : t -> frontier:int -> unit
     [frontier] unwound the state they hold. *)
 
 val snapshots : t -> (int * string) list
-(** Present snapshot slots as [(seq, blob)], newest first. *)
+(** Present snapshot slots as [(seq, blob)], newest first; each blob is
+    concatenated here, on read. *)
 
 val writes : t -> int
 (** Flushes + snapshot writes attempted. *)
@@ -103,3 +130,7 @@ val writes : t -> int
 val faults_injected : t -> int
 val fault_log : t -> string list
 (** Kinds of the injected faults, oldest first (for test assertions). *)
+
+val stored : t -> record list * record list
+(** The live journal-area records and both slot records, as the disk keeps
+    them (pieces shared): for heap footprint accounting. *)

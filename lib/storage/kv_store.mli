@@ -49,7 +49,7 @@ val iter : t -> (int -> int -> int -> unit) -> unit
 
 val entries : t -> (int * int * int) array
 (** The whole table as [(key, value, version)] triples in canonical
-    order; the snapshot wire representation. *)
+    order, as a decoded {!Snapshot.t} holds it. *)
 
 val install : t -> (int * int * int) array -> unit
 (** Replace the entire table with the given triples (state transfer

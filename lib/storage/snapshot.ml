@@ -2,60 +2,67 @@ module Wire = Rcc_common.Wire
 
 let magic = "RCCS1\n"
 
+type replied =
+  (Rcc_common.Ids.client_id * string * Rcc_common.Ids.round * string) list
+
 type t = {
   seq : Rcc_common.Ids.round;
   blocks : Block.t array;
   kv : (int * int * int) array option;
-  replied : (Rcc_common.Ids.client_id * string * Rcc_common.Ids.round * string) list;
+  replied : replied;
 }
 
 (* --- digests ------------------------------------------------------------ *)
 
 (* One canonical KV triple: three big-endian u64s, as three
-   [Wire.put_int]s would write them. The bulk of a large snapshot and of
-   its digest, so the stores are inline here rather than calls. *)
-let[@inline] put_triple buf off (key, value, version) =
+   [Wire.put_int]s would write them. The bulk of a large snapshot, so the
+   stores are inline here rather than calls. *)
+let[@inline] put_triple buf off key value version =
   Bytes.set_int64_be buf off (Int64.of_int key);
   Bytes.set_int64_be buf (off + 8) (Int64.of_int value);
   Bytes.set_int64_be buf (off + 16) (Int64.of_int version);
   off + 24
 
-(* The triples go through one reused buffer, a chunk of them per SHA-256
-   update: the digest is over the same byte stream as hashing each
-   field's u64 on its own. *)
-let kv_chunk = 256
+let triple_size = 24
 
-let kv_digest = function
+let kv_section entries =
+  let buf = Bytes.create (triple_size * Array.length entries) in
+  ignore
+    (Array.fold_left
+       (fun off (key, value, version) -> put_triple buf off key value version)
+       0 entries);
+  Bytes.unsafe_to_string buf
+
+let capture_kv store =
+  let buf = Bytes.create (triple_size * Kv_store.size store) in
+  let off = ref 0 in
+  Kv_store.iter store (fun key value version ->
+      off := put_triple buf !off key value version);
+  Bytes.unsafe_to_string buf
+
+let kv_section_digest = function
   | None -> ""
-  | Some entries ->
+  | Some section ->
       let ctx = Rcc_crypto.Sha256.init () in
       Rcc_crypto.Sha256.update ctx "rcc-snapshot-kv";
-      let buf = Bytes.create (24 * kv_chunk) in
-      let flush len =
-        Rcc_crypto.Sha256.update_sub ctx (Bytes.unsafe_to_string buf) 0 len
-      in
-      let off =
-        Array.fold_left
-          (fun off triple ->
-            if off < Bytes.length buf then put_triple buf off triple
-            else begin
-              flush off;
-              put_triple buf 0 triple
-            end)
-          0 entries
-      in
-      flush off;
+      Rcc_crypto.Sha256.update ctx section;
       Rcc_crypto.Sha256.finalize ctx
+
+let kv_digest kv = kv_section_digest (Option.map kv_section kv)
 
 type boundary = {
   b_seq : Rcc_common.Ids.round;
   b_head : string;
-  b_kv : (int * int * int) array option;
+  b_kv : string option;
   b_kv_digest : string Lazy.t;
 }
 
 let boundary ~seq ~head ~kv =
-  { b_seq = seq; b_head = head; b_kv = kv; b_kv_digest = lazy (kv_digest kv) }
+  (match kv with
+  | Some s when String.length s mod triple_size <> 0 ->
+      invalid_arg "Snapshot.boundary: KV section not whole triples"
+  | _ -> ());
+  { b_seq = seq; b_head = head; b_kv = kv; b_kv_digest = lazy (kv_section_digest kv) }
 
 (* Walk the chain exactly as [Ledger.validate] does, but standalone — a
    requester must reject a forged prefix BEFORE installing it. Returns
@@ -83,52 +90,97 @@ let max_entries = 10_000_000
 let max_kv = 100_000_000
 
 (* magic, seq, block count, blocks; kv flag [and count, triples]; reply
-   count and per entry client, digest, round, result. *)
-let encoded_size t =
-  let blocks =
-    Array.fold_left (fun acc b -> acc + Block.record_size b) 0 t.blocks
-  in
-  let kv =
-    match t.kv with Some e -> 1 + 8 + (24 * Array.length e) | None -> 1
-  in
-  let replied =
-    List.fold_left
-      (fun acc (_, digest, _, result) ->
-        acc + 16 + Wire.string_size digest + Wire.string_size result)
-      8 t.replied
-  in
-  String.length magic + 8 + 8 + blocks + kv + replied
+   count and per entry client, digest, round, result. The KV triples are
+   the one part a boundary holds pre-encoded. *)
+let head_size blocks =
+  Array.fold_left
+    (fun acc b -> acc + Block.record_size b)
+    (String.length magic + 8 + 8) blocks
 
-let encode_into t buf ~off =
+let replied_size replied =
+  List.fold_left
+    (fun acc (_, digest, _, result) ->
+      acc + 16 + Wire.string_size digest + Wire.string_size result)
+    8 replied
+
+let kv_header_size = function Some _ -> 1 + 8 | None -> 1
+
+let encoded_size t =
+  head_size t.blocks
+  + kv_header_size t.kv
+  + (match t.kv with Some e -> triple_size * Array.length e | None -> 0)
+  + replied_size t.replied
+
+let write_head buf off ~seq ~blocks =
   let off =
     Wire.put_raw buf magic off
-    |> Wire.put_int buf t.seq
-    |> Wire.put_int buf (Array.length t.blocks)
+    |> Wire.put_int buf seq
+    |> Wire.put_int buf (Array.length blocks)
   in
-  let off = Array.fold_left (fun off b -> Block.write buf b off) off t.blocks in
-  let off =
-    match t.kv with
-    | Some entries ->
-        let off =
-          Wire.put_bool buf true off |> Wire.put_int buf (Array.length entries)
-        in
-        Array.fold_left (put_triple buf) off entries
-    | None -> Wire.put_bool buf false off
-  in
+  Array.fold_left (fun off b -> Block.write buf b off) off blocks
+
+(* The KV flag, then the triple count when there is a section. *)
+let write_kv_header buf off ~triples =
+  if triples < 0 then Wire.put_bool buf false off
+  else Wire.put_bool buf true off |> Wire.put_int buf triples
+
+let write_replied buf off replied =
   List.fold_left
     (fun off (client, digest, round, result) ->
       Wire.put_int buf client off
       |> Wire.put_string buf digest
       |> Wire.put_int buf round
       |> Wire.put_string buf result)
-    (Wire.put_int buf (List.length t.replied) off)
-    t.replied
+    (Wire.put_int buf (List.length replied) off)
+    replied
+
+let encode_into t buf ~off =
+  let off = write_head buf off ~seq:t.seq ~blocks:t.blocks in
+  let off =
+    match t.kv with
+    | Some entries ->
+        Array.fold_left
+          (fun off (key, value, version) -> put_triple buf off key value version)
+          (write_kv_header buf off ~triples:(Array.length entries))
+          entries
+    | None -> write_kv_header buf off ~triples:(-1)
+  in
+  write_replied buf off t.replied
 
 let encode t =
   let buf = Bytes.create (encoded_size t) in
   let stop = encode_into t buf ~off:0 in
   assert (stop = Bytes.length buf);
   Bytes.unsafe_to_string buf
+
+(* A boundary's state with [header] bytes reserved in front; the KV
+   section is copied in when [with_kv], otherwise left out at the
+   returned offset. *)
+let encode_boundary_into ~header ~with_kv b ~blocks ~replied =
+  let section = Option.value b.b_kv ~default:"" in
+  let size =
+    header + head_size blocks + kv_header_size b.b_kv
+    + (if with_kv then String.length section else 0)
+    + replied_size replied
+  in
+  let buf = Bytes.create size in
+  let triples =
+    match b.b_kv with Some s -> String.length s / triple_size | None -> -1
+  in
+  let at =
+    write_head buf header ~seq:b.b_seq ~blocks |> write_kv_header buf ~triples
+  in
+  let off = if with_kv then Wire.put_raw buf section at else at in
+  let stop = write_replied buf off replied in
+  assert (stop = size);
+  (buf, at)
+
+let encode_boundary b ~blocks ~replied =
+  Bytes.unsafe_to_string
+    (fst (encode_boundary_into ~header:0 ~with_kv:true b ~blocks ~replied))
+
+let encode_around_kv ~header b ~blocks ~replied =
+  encode_boundary_into ~header ~with_kv:false b ~blocks ~replied
 
 (* --- decode ------------------------------------------------------------- *)
 

@@ -25,7 +25,18 @@
     (then the triple count and each triple as three u64s), the reply
     count and per entry client, digest, round and result. {!decode}
     bounds every count and length: 10 000 000 blocks, replies and bytes
-    per reply string, 100 000 000 KV triples. *)
+    per reply string, 100 000 000 KV triples.
+
+    Two forms hold the state. The decoded {!t} boxes each triple; it is
+    what {!decode} returns and what an installer applies. A captured
+    {!boundary} holds the KV section already encoded, the triples' exact
+    bytes in the layout above ({!kv_section}), so serving or persisting
+    it copies or splices that string and never re-encodes the table. *)
+
+type replied =
+  (Rcc_common.Ids.client_id * string * Rcc_common.Ids.round * string) list
+(** duplicate-reply cache entries
+    [(client, batch digest, round, result digest)] *)
 
 type t = {
   seq : Rcc_common.Ids.round;  (** state after rounds [< seq] *)
@@ -33,24 +44,33 @@ type t = {
   kv : (int * int * int) array option;
       (** [(key, value, version)] in {!Kv_store.entries} canonical order;
           [None] when the serving replica does not materialize state *)
-  replied :
-    (Rcc_common.Ids.client_id * string * Rcc_common.Ids.round * string) list;
-      (** duplicate-reply cache entries
-          [(client, batch digest, round, result digest)] *)
+  replied : replied;
 }
 
+val kv_section : (int * int * int) array -> string
+(** The KV section's triples as {!encode} writes them: key, value and
+    version as three big-endian u64s, 24 bytes per triple. *)
+
+val capture_kv : Kv_store.t -> string
+(** {!kv_section} of {!Kv_store.entries}, encoded straight from the
+    store's columns: no triple is boxed. *)
+
 val kv_digest : (int * int * int) array option -> string
-(** Digest over the canonical KV triples; [""] for [None]. This is the
+(** Digest over the triples' {!kv_section}; [""] for [None]. This is the
     value a captured {!boundary} attests and {!Msg.Snapshot_reply}
     carries as [sp_kv]. *)
 
 type boundary = private {
   b_seq : Rcc_common.Ids.round;  (** state after rounds [< b_seq] *)
   b_head : string;  (** ledger head hash at the boundary *)
-  b_kv : (int * int * int) array option;
-      (** canonical KV triples; [None] when state is not materialized *)
+  b_kv : string option;
+      (** the encoded KV section ({!kv_section}, canonical order);
+          [None] when state is not materialized. A donor serves these
+          bytes and the journal splices them into its slot, so the table
+          is held once, encoded, however many readers share it. *)
   b_kv_digest : string Lazy.t;
-      (** {!kv_digest} of [b_kv], computed on first use: offers are rare,
+      (** {!kv_digest} of the triples [b_kv] encodes, hashed straight
+          from the section and computed on first use: offers are rare,
           and digesting the table at every boundary would tax the
           fault-free hot path for nothing *)
 }
@@ -62,10 +82,9 @@ type boundary = private {
     time. *)
 
 val boundary :
-  seq:Rcc_common.Ids.round ->
-  head:string ->
-  kv:(int * int * int) array option ->
-  boundary
+  seq:Rcc_common.Ids.round -> head:string -> kv:string option -> boundary
+(** Raises [Invalid_argument] when [kv] is not a whole number of
+    triples. *)
 
 val chain_head : primaries:Rcc_common.Ids.replica_id list -> Block.t array ->
   (string, string) result
@@ -75,13 +94,20 @@ val chain_head : primaries:Rcc_common.Ids.replica_id list -> Block.t array ->
 val encoded_size : t -> int
 (** Exact length of {!encode}'s output. *)
 
-val encode_into : t -> Bytes.t -> off:int -> int
-(** [encode_into t buf ~off] writes {!encode}'s bytes into [buf] at [off]
-    and returns [off + encoded_size t], so a caller framing the snapshot
-    (the journal's slot blob) encodes it in place with no copy. *)
-
 val encode : t -> string
-(** One exact-size buffer filled by {!encode_into}. *)
+(** One exact-size buffer of {!encoded_size} bytes. *)
+
+val encode_boundary : boundary -> blocks:Block.t array -> replied:replied -> string
+(** {!encode} of the state at a boundary, its KV section copied in as it
+    is, never re-encoded: what a donor serves. *)
+
+val encode_around_kv :
+  header:int -> boundary -> blocks:Block.t array -> replied:replied ->
+  Bytes.t * int
+(** {!encode_boundary}'s bytes with [header] bytes reserved in front for
+    the caller and the KV section's triples left out; returns the buffer
+    and the offset where [b_kv] belongs. The journal splices the
+    boundary's string back in there rather than copying it. *)
 
 val decode : string -> (t, string) result
 

@@ -94,9 +94,16 @@ let persist_to j =
       (fun ~round ordered -> Journal.log_round j ~round ~primaries ordered);
     p_rollback = (fun ~frontier -> Journal.log_rollback j ~frontier);
     p_stable = (fun ~floor -> Journal.log_stable j ~floor);
-    p_snapshot =
-      (fun snap -> Journal.write_snapshot j ~seq:snap.Snapshot.seq snap);
+    p_snapshot = Journal.write_snapshot j;
   }
+
+(* Journal a checkpoint given as a decoded snapshot, through the boundary
+   the execute stage would have captured for it. *)
+let write_snap j (snap : Snapshot.t) =
+  Journal.write_snapshot j
+    (Snapshot.boundary ~seq:snap.seq ~head:""
+       ~kv:(Option.map Snapshot.kv_section snap.kv))
+    ~blocks:snap.blocks ~replied:snap.replied
 
 (* Recover a fresh incarnation's execute stage from [disk]. *)
 let recover_exec ?(engine = Engine.create ()) disk =
@@ -145,10 +152,21 @@ let log_and_flush ~engine ~disk rounds =
 
 (* --- Sim_disk ----------------------------------------------------------- *)
 
+(* [s] as framing with its middle third spliced in by reference: the same
+   bytes in the stored form a journal record takes. *)
+let splice_middle s =
+  let n = String.length s in
+  let a = n / 3 and b = 2 * n / 3 in
+  Sim_disk.spliced
+    ~frame:(String.sub s 0 a ^ String.sub s b (n - b))
+    ~at:[| a |]
+    [| String.sub s a (b - a) |]
+
 let test_disk_determinism () =
   let fill disk =
     for i = 0 to 19 do
-      Sim_disk.append disk [ Printf.sprintf "record-%d" i; "tail" ]
+      Sim_disk.append disk
+        (List.map Sim_disk.flat [ Printf.sprintf "record-%d" i; "tail" ])
     done
   in
   let a = Sim_disk.create ~seed:7 and b = Sim_disk.create ~seed:7 in
@@ -176,15 +194,15 @@ let test_disk_determinism () =
 
 let test_disk_snapshot_slots () =
   let disk = Sim_disk.create ~seed:3 in
-  Sim_disk.write_snapshot disk ~seq:128 "AAAA";
-  Sim_disk.write_snapshot disk ~seq:256 "BBBB";
+  Sim_disk.write_snapshot disk ~seq:128 (Sim_disk.flat "AAAA");
+  Sim_disk.write_snapshot disk ~seq:256 (Sim_disk.flat "BBBB");
   check
     Alcotest.(list (pair int string))
     "two slots, newest first"
     [ (256, "BBBB"); (128, "AAAA") ]
     (Sim_disk.snapshots disk);
   (* The third write recycles the OLDER slot; the newest survives. *)
-  Sim_disk.write_snapshot disk ~seq:384 "CCCC";
+  Sim_disk.write_snapshot disk ~seq:384 (Sim_disk.flat "CCCC");
   check
     Alcotest.(list (pair int string))
     "older slot recycled"
@@ -192,7 +210,7 @@ let test_disk_snapshot_slots () =
     (Sim_disk.snapshots disk);
   (* A lost write must never destroy the existing slots. *)
   Sim_disk.set_faults disk { Sim_disk.torn = 0.0; corrupt = 0.0; lost = 1.0 };
-  Sim_disk.write_snapshot disk ~seq:512 "DDDD";
+  Sim_disk.write_snapshot disk ~seq:512 (Sim_disk.flat "DDDD");
   check
     Alcotest.(list (pair int string))
     "lost snapshot write leaves slots intact"
@@ -205,13 +223,13 @@ let test_disk_snapshot_slots () =
 let test_disk_anchor_and_compaction () =
   let disk = Sim_disk.create ~seed:3 in
   let ok _ = true in
-  Sim_disk.write_snapshot disk ~check:ok ~seq:4 "AAAA";
+  Sim_disk.write_snapshot disk ~check:ok ~seq:4 (Sim_disk.flat "AAAA");
   check Alcotest.int "no anchor above the floor" (-1)
     (Sim_disk.promote_anchor disk ~floor:3);
   check Alcotest.int "anchor at the floor" 4
     (Sim_disk.promote_anchor disk ~floor:4);
-  Sim_disk.write_snapshot disk ~check:ok ~seq:8 "BBBB";
-  Sim_disk.write_snapshot disk ~seq:12 "CCCC";
+  Sim_disk.write_snapshot disk ~check:ok ~seq:8 (Sim_disk.flat "BBBB");
+  Sim_disk.write_snapshot disk ~seq:12 (Sim_disk.flat "CCCC");
   check
     Alcotest.(list (pair int string))
     "the anchor survives two newer writes"
@@ -225,12 +243,12 @@ let test_disk_anchor_and_compaction () =
     "rollback to 9 erases the slot at 12" [ (4, "AAAA") ]
     (Sim_disk.snapshots disk);
   let round_of s = int_of_string (String.sub s 0 1) in
-  Sim_disk.append disk ~round_of [ "0a"; "1b" ];
-  Sim_disk.append disk ~round_of [ "2c"; "5d" ];
+  Sim_disk.append disk ~round_of (List.map Sim_disk.flat [ "0a"; "1b" ]);
+  Sim_disk.append disk ~round_of (List.map Sim_disk.flat [ "2c"; "5d" ]);
   Sim_disk.set_faults disk { Sim_disk.torn = 0.0; corrupt = 1.0; lost = 0.0 };
-  Sim_disk.append disk ~round_of [ "3e" ];
+  Sim_disk.append disk ~round_of (List.map Sim_disk.flat [ "3e" ]);
   Sim_disk.set_faults disk Sim_disk.no_faults;
-  Sim_disk.append disk ~round_of [ "4f" ];
+  Sim_disk.append disk ~round_of (List.map Sim_disk.flat [ "4f" ]);
   check Alcotest.int "stops at the first record not below" 6
     (Sim_disk.compact disk ~below:4);
   check Alcotest.string "suffix kept" "5d" (String.sub (Sim_disk.journal disk) 0 2);
@@ -241,14 +259,15 @@ let test_disk_anchor_and_compaction () =
     (String.length (Sim_disk.journal disk))
     (Sim_disk.journal_bytes disk);
   let shadow = Sim_disk.create_shadow ~seed:3 in
-  Sim_disk.append shadow ~round_of [ "0a" ];
+  Sim_disk.append shadow ~round_of (List.map Sim_disk.flat [ "0a" ]);
   check Alcotest.int "a shadow disk never compacts" 0
     (Sim_disk.compact shadow ~below:9)
 
 (* One seed at 5% of each fault, 200 flushes of 1-4 records of 0-599
-   bytes and a snapshot write every 50 flushes. The digests were
-   recorded before the journal area became a record list; the stored
-   bytes, fault rolls and slots must not move. *)
+   bytes and a snapshot write every 50 flushes, each record and blob
+   handed over with its middle third spliced in. The digests were
+   recorded when the disk stored flat strings; the stored bytes, fault
+   rolls and slots must not move. *)
 let test_disk_golden () =
   let rng = Rng.create 2024 in
   let disk = Sim_disk.create ~seed:11 in
@@ -261,10 +280,10 @@ let test_disk_golden () =
           String.init (Rng.int rng 600) (fun k ->
               Char.chr (((i * 31) + (j * 7) + k) land 0xff)))
     in
-    Sim_disk.append disk records;
+    Sim_disk.append disk (List.map splice_middle records);
     if i mod 50 = 49 then
       Sim_disk.write_snapshot disk ~seq:(i + 1)
-        (String.init (1000 + Rng.int rng 3000) (fun k ->
+        (splice_middle @@ String.init (1000 + Rng.int rng 3000) (fun k ->
              Char.chr (((k * 13) + i) land 0xff)))
   done;
   let sha = Rcc_crypto.Sha256.hex_digest in
@@ -454,7 +473,7 @@ let test_snapshot_plus_suffix () =
       replied = [];
     }
   in
-  Journal.write_snapshot j ~seq:8 snap;
+  write_snap j snap;
   Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
   check Alcotest.int "snapshot written" 1 (Journal.snapshots_written j);
   let rv, ledger2, store2, _ = recover_fresh disk in
@@ -471,7 +490,7 @@ let test_snapshot_plus_suffix () =
      never poison recovery. *)
   Sim_disk.set_faults disk { Sim_disk.torn = 0.0; corrupt = 1.0; lost = 0.0 };
   let snap9 = { snap with Snapshot.seq = 9; blocks = Ledger.prefix ledger ~upto:9 } in
-  Journal.write_snapshot j ~seq:9 snap9;
+  write_snap j snap9;
   Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
   Sim_disk.set_faults disk Sim_disk.no_faults;
   let rv3, _, store3, _ = recover_fresh disk in
@@ -493,11 +512,13 @@ let small_snapshot () =
     replied = [ (1, String.make 32 'd', 2, "r"); (4, "", 0, "") ];
   }
 
+let small_base = lazy (small_snapshot ())
+
 let written_slot snap =
   let engine = Engine.create () in
   let disk = Sim_disk.create ~seed:9 in
   let j = Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 () in
-  Journal.write_snapshot j ~seq:snap.Snapshot.seq snap;
+  write_snap j snap;
   Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
   disk
 
@@ -526,7 +547,7 @@ let test_snapshot_slot_flip_sweep () =
     let b = Bytes.of_string blob in
     Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
     let disk = Sim_disk.create ~seed:10 in
-    Sim_disk.write_snapshot disk ~seq:3 (Bytes.to_string b);
+    Sim_disk.write_snapshot disk ~seq:3 (Sim_disk.flat (Bytes.to_string b));
     if Journal.load_snapshot disk ~primaries <> None then
       Alcotest.failf "flip at byte %d of the slot blob accepted" pos
   done
@@ -706,7 +727,7 @@ let test_recovered_dedup_survives_eviction () =
   let disk = Sim_disk.create ~seed:12 in
   let live, live_ledger, live_store, _ = fresh_exec engine in
   let j = Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 () in
-  Exec.set_persist live { (persist_to j) with Exec.p_snapshot = (fun _ -> ()) };
+  Exec.set_persist live { (persist_to j) with Exec.p_snapshot = (fun _ ~blocks:_ ~replied:_ -> ()) };
   Array.iter (Exec.notify live) round0;
   Engine.run engine ~until:(Engine.ms 100);
   (* A fresh incarnation recovers from the disk. *)
@@ -811,7 +832,7 @@ let run_writer ~seed ops ~crash =
       | W_snapshot ->
           if next () > 0 then begin
             let snap = snapshot_of (List.rev !history) in
-            each (fun j -> Journal.write_snapshot j ~seq:snap.Snapshot.seq snap)
+            each (fun j -> write_snap j snap)
           end
       | W_tick us -> Engine.run engine ~until:(Engine.now engine + Engine.us us)
       | W_faults f -> List.iter (fun d -> Sim_disk.set_faults d f) [ disk; shadow ])
@@ -925,6 +946,382 @@ let test_bounded_footprint () =
     true
     (area_2t <= area_t + (2 * per_period))
 
+(* --- rollback before a slot ------------------------------------------------ *)
+
+(* Speculative rounds 0-2 execute, instance 0 rolls back to round 2 and
+   re-proposes rounds 2 and 3, so round 3's commit captures boundary 4
+   while the rollback record is still buffered. The replica then halts
+   at the first disk completion after the rollback. Whichever write that
+   was, the disk must not hold a slot above the rollback's frontier
+   unless it also holds the rollback. *)
+let test_rollback_flushed_before_slot () =
+  let engine = Engine.create () in
+  let disk = Sim_disk.create ~seed:15 in
+  let live, _, _, _ = fresh_exec ~checkpoint_interval:1 engine in
+  let j = Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 () in
+  Exec.set_persist live (persist_to j);
+  let rng = Rng.create 62 and next_id = ref 62_000_000 in
+  let propose round =
+    Array.iter (Exec.notify live) (mk_round ~next_id ~rng ~speculative:true round)
+  in
+  List.iter propose [ 0; 1; 2 ];
+  Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
+  check Alcotest.int "rounds 0-2 durable" 2 (Journal.durable_round j);
+  Exec.rollback_to live ~frontier:2 ~instance:0;
+  List.iter propose [ 2; 3 ];
+  let writes = Sim_disk.writes disk in
+  let deadline = Engine.now engine + Engine.ms 100 in
+  while Sim_disk.writes disk = writes && Engine.now engine < deadline do
+    Engine.run engine ~until:(Engine.now engine + Engine.us 1)
+  done;
+  Journal.halt j;
+  Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
+  check
+    Alcotest.(list int)
+    "boundary 4 captured after the rollback" [ 4 ]
+    (List.map (fun (b : Snapshot.boundary) -> b.b_seq) (Exec.boundaries live));
+  let journal = Sim_disk.journal disk in
+  let rollback_durable =
+    List.exists
+      (fun p -> String.sub journal p 5 = "RJL1B")
+      (List.init (max 0 (String.length journal - 4)) Fun.id)
+  in
+  check Alcotest.bool "the first completion made the rollback durable" true
+    rollback_durable;
+  check
+    Alcotest.(list int)
+    "no slot above the frontier without the rollback" []
+    (List.filter_map
+       (fun (seq, _) -> if seq > 2 && not rollback_durable then Some seq else None)
+       (Sim_disk.snapshots disk))
+
+(* --- stored form: differential against the flat-string disk ---------------- *)
+
+(* The disk as it was when every stored record and slot was one flat
+   string: the reference the spliced stored form must match byte for
+   byte, fault for fault. *)
+module Flat_disk = struct
+  type segment = {
+    records : string array;
+    rounds : int array;
+    mutable count : int;
+    mutable intact : int;
+    mutable first : int;
+  }
+
+  type t = {
+    area : segment Queue.t;
+    mutable area_bytes : int;
+    slot_seq : int array;
+    slot_blob : string array;
+    slot_ok : bool array;
+    mutable anchor : int;
+    rng : Rng.t;
+    mutable faults : Sim_disk.faults;
+    mutable log : string list;
+  }
+
+  let create ~seed =
+    {
+      area = Queue.create ();
+      area_bytes = 0;
+      slot_seq = [| -1; -1 |];
+      slot_blob = [| ""; "" |];
+      slot_ok = [| false; false |];
+      anchor = -1;
+      rng = Rng.create seed;
+      faults = Sim_disk.no_faults;
+      log = [];
+    }
+
+  let roll t p = p > 0.0 && Rng.float t.rng 1.0 < p
+
+  let corrupt_record t record =
+    let n = String.length record in
+    if n = 0 then record
+    else begin
+      let pos = Rng.int t.rng n in
+      let b = Bytes.of_string record in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
+      Bytes.to_string b
+    end
+
+  let store t seg ~round_of ~ok record stored_as =
+    let i = seg.count in
+    if (not ok) && seg.intact > i then seg.intact <- i;
+    seg.records.(i) <- stored_as;
+    seg.rounds.(i) <- round_of record;
+    seg.count <- i + 1;
+    t.area_bytes <- t.area_bytes + String.length stored_as
+
+  let rec append_records t seg ~round_of = function
+    | [] -> ()
+    | record :: rest ->
+        if roll t t.faults.lost then begin
+          t.log <- "lost" :: t.log;
+          append_records t seg ~round_of rest
+        end
+        else if roll t t.faults.torn then begin
+          t.log <- "torn" :: t.log;
+          let n = String.length record in
+          let keep = if n <= 1 then 0 else Rng.int t.rng n in
+          if keep > 0 then
+            store t seg ~round_of ~ok:false record (String.sub record 0 keep)
+        end
+        else if roll t t.faults.corrupt then begin
+          t.log <- "corrupt" :: t.log;
+          store t seg ~round_of ~ok:false record (corrupt_record t record);
+          append_records t seg ~round_of rest
+        end
+        else begin
+          store t seg ~round_of ~ok:true record record;
+          append_records t seg ~round_of rest
+        end
+
+  let append t ~round_of records =
+    let n = List.length records in
+    let seg =
+      {
+        records = Array.make n "";
+        rounds = Array.make n 0;
+        count = 0;
+        intact = n;
+        first = 0;
+      }
+    in
+    append_records t seg ~round_of records;
+    if seg.count > 0 then Queue.push seg t.area
+
+  let compact t ~below =
+    let dropped = ref 0 and blocked = ref false in
+    while (not !blocked) && not (Queue.is_empty t.area) do
+      let seg = Queue.peek t.area in
+      let i = seg.first in
+      if i = seg.count then ignore (Queue.pop t.area)
+      else if i < seg.intact && seg.rounds.(i) < below then begin
+        dropped := !dropped + String.length seg.records.(i);
+        seg.records.(i) <- "";
+        seg.first <- i + 1
+      end
+      else blocked := true
+    done;
+    t.area_bytes <- t.area_bytes - !dropped;
+    !dropped
+
+  let journal t =
+    let b = Buffer.create t.area_bytes in
+    Queue.iter
+      (fun seg ->
+        for i = seg.first to seg.count - 1 do
+          Buffer.add_string b seg.records.(i)
+        done)
+      t.area;
+    Buffer.contents b
+
+  let write_snapshot t ~check ~seq blob =
+    if roll t t.faults.lost then t.log <- "lost" :: t.log
+    else begin
+      let blob =
+        if roll t t.faults.corrupt then begin
+          t.log <- "corrupt" :: t.log;
+          corrupt_record t blob
+        end
+        else blob
+      in
+      let victim =
+        if t.anchor >= 0 then 1 - t.anchor
+        else if t.slot_seq.(0) <= t.slot_seq.(1) then 0
+        else 1
+      in
+      t.slot_seq.(victim) <- seq;
+      t.slot_blob.(victim) <- blob;
+      t.slot_ok.(victim) <- check blob
+    end
+
+  let promote_anchor t ~floor =
+    for i = 0 to 1 do
+      if
+        t.slot_ok.(i)
+        && t.slot_seq.(i) <= floor
+        && (t.anchor < 0 || t.slot_seq.(i) > t.slot_seq.(t.anchor))
+      then t.anchor <- i
+    done;
+    if t.anchor < 0 then -1 else t.slot_seq.(t.anchor)
+
+  let invalidate_above t ~frontier =
+    for i = 0 to 1 do
+      if t.slot_seq.(i) > frontier then begin
+        t.slot_seq.(i) <- -1;
+        t.slot_blob.(i) <- "";
+        t.slot_ok.(i) <- false;
+        if t.anchor = i then t.anchor <- -1
+      end
+    done
+
+  let snapshots t =
+    List.sort
+      (fun (a, _) (b, _) -> compare b a)
+      (List.filter
+         (fun (seq, _) -> seq >= 0)
+         [ (t.slot_seq.(0), t.slot_blob.(0)); (t.slot_seq.(1), t.slot_blob.(1)) ])
+
+  let fault_log t = List.rev t.log
+end
+
+(* A record as alternating chunks: framing, piece, framing, ... The first
+   framing chunk is never empty, as a journal record's header is not. *)
+let random_chunks rng =
+  List.init
+    (1 + (2 * Rng.int rng 4))
+    (fun i ->
+      String.init
+        ((if i = 0 then 1 else 0) + Rng.int rng (if i mod 2 = 1 then 200 else 40))
+        (fun _ -> Char.chr (Rng.int rng 256)))
+
+let spliced_of_chunks chunks =
+  let frame = Buffer.create 64 and at = ref [] and pieces = ref [] in
+  List.iteri
+    (fun i c ->
+      if i mod 2 = 0 then Buffer.add_string frame c
+      else begin
+        at := Buffer.length frame :: !at;
+        pieces := c :: !pieces
+      end)
+    chunks;
+  Sim_disk.spliced ~frame:(Buffer.contents frame)
+    ~at:(Array.of_list (List.rev !at))
+    (Array.of_list (List.rev !pieces))
+
+type disk_op =
+  | D_append of string list list
+  | D_compact of int
+  | D_snapshot of int * string list
+  | D_promote of int
+  | D_invalidate of int
+
+let disk_ops rng ~len =
+  List.init len (fun _ ->
+      match Rng.int rng 10 with
+      | k when k < 4 -> D_append (List.init (1 + Rng.int rng 4) (fun _ -> random_chunks rng))
+      | 4 | 5 -> D_compact (Rng.int rng 16)
+      | 6 | 7 -> D_snapshot (Rng.int rng 16, random_chunks rng)
+      | 8 -> D_promote (Rng.int rng 16)
+      | _ -> D_invalidate (Rng.int rng 16))
+
+(* The same random operation sequence on the spliced disk and the flat
+   reference, at one fault rate: every read-back, count and return value
+   must agree after every step. *)
+let prop_stored_form =
+  qtest ~count:200 "spliced disk == flat-string disk"
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 0 2) (int_range 1 60))
+    (fun (seed, rate, len) ->
+      let faults = Sim_disk.uniform_faults [| 0.0; 0.05; 0.3 |].(rate) in
+      let disk = Sim_disk.create ~seed and flat = Flat_disk.create ~seed in
+      Sim_disk.set_faults disk faults;
+      flat.Flat_disk.faults <- faults;
+      let round_of s = Char.code s.[0] mod 16 in
+      let check s = Hashtbl.hash s land 3 <> 0 in
+      let same what a b =
+        if a <> b then QCheck2.Test.fail_reportf "%s differs" what
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | D_append records ->
+              Sim_disk.append disk ~round_of (List.map spliced_of_chunks records);
+              Flat_disk.append flat ~round_of (List.map (String.concat "") records)
+          | D_compact below ->
+              same "compact" (Sim_disk.compact disk ~below)
+                (Flat_disk.compact flat ~below)
+          | D_snapshot (seq, chunks) ->
+              Sim_disk.write_snapshot disk
+                ~check:(fun r -> check (Sim_disk.to_string r))
+                ~seq (spliced_of_chunks chunks);
+              Flat_disk.write_snapshot flat ~check ~seq (String.concat "" chunks)
+          | D_promote floor ->
+              same "promote_anchor"
+                (Sim_disk.promote_anchor disk ~floor)
+                (Flat_disk.promote_anchor flat ~floor)
+          | D_invalidate frontier ->
+              Sim_disk.invalidate_above disk ~frontier;
+              Flat_disk.invalidate_above flat ~frontier);
+          same "journal" (Sim_disk.journal disk) (Flat_disk.journal flat);
+          same "journal_bytes" (Sim_disk.journal_bytes disk)
+            flat.Flat_disk.area_bytes;
+          same "snapshots" (Sim_disk.snapshots disk) (Flat_disk.snapshots flat);
+          same "fault_log" (Sim_disk.fault_log disk) (Flat_disk.fault_log flat))
+        (disk_ops (Rng.create (seed + 1)) ~len);
+      true)
+
+(* A boundary's spliced slot holds exactly [Snapshot.encode] of the state
+   it was captured from, and its KV digest is the one the per-field
+   encoding gives: SHA-256 over a domain tag and each triple's three
+   u64s. *)
+let prop_spliced_snapshot =
+  qtest ~count:60 "spliced slot bytes == Snapshot.encode"
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 3))
+    (fun (seed, shape) ->
+      let rng = Rng.create seed in
+      let base = Lazy.force small_base in
+      let store = Kv.create () in
+      for _ = 1 to Rng.int rng 300 do
+        let key =
+          match Rng.int rng 4 with
+          | 0 -> (1 lsl 22) + Rng.int rng 1000
+          | 1 -> -1 - Rng.int rng 1000
+          | _ -> Rng.int rng 5000
+        in
+        Kv.write store ~key ~value:(Rng.int rng 1_000_000)
+      done;
+      let kv = if shape = 0 then None else Some (Kv.entries store) in
+      let snap =
+        {
+          base with
+          Snapshot.kv;
+          replied =
+            List.init (Rng.int rng 5) (fun c ->
+                (c, String.make (Rng.int rng 40) 'd', Rng.int rng 3, "r"));
+        }
+      in
+      let section = Option.map (fun _ -> Snapshot.capture_kv store) kv in
+      let b = Snapshot.boundary ~seq:snap.seq ~head:"" ~kv:section in
+      let reference_digest =
+        match kv with
+        | None -> ""
+        | Some entries ->
+            let ctx = Rcc_crypto.Sha256.init () in
+            Rcc_crypto.Sha256.update ctx "rcc-snapshot-kv";
+            Array.iter
+              (fun (k, v, ver) ->
+                List.iter
+                  (fun x ->
+                    let u = Bytes.create 8 in
+                    Bytes.set_int64_be u 0 (Int64.of_int x);
+                    Rcc_crypto.Sha256.update ctx (Bytes.to_string u))
+                  [ k; v; ver ])
+              entries;
+            Rcc_crypto.Sha256.finalize ctx
+      in
+      let engine = Engine.create () in
+      let disk = Sim_disk.create ~seed:9 in
+      let j =
+        Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 ~primaries ()
+      in
+      Journal.write_snapshot j b ~blocks:snap.blocks ~replied:snap.replied;
+      Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
+      let encoded = Snapshot.encode snap in
+      section = Option.map Snapshot.kv_section kv
+      && Snapshot.encode_boundary b ~blocks:snap.blocks ~replied:snap.replied
+         = encoded
+      && (match Sim_disk.snapshots disk with
+         | [ (seq, blob) ] ->
+             seq = snap.seq
+             && String.sub blob 20 (String.length blob - 20) = encoded
+         | _ -> false)
+      && Journal.load_snapshot disk ~primaries = Some snap
+      && Lazy.force b.b_kv_digest = reference_digest
+      && Snapshot.kv_digest kv = reference_digest)
+
 (* --- golden bytes --------------------------------------------------------- *)
 
 (* A fixed writer sequence on an honest disk: plain rounds, a speculative
@@ -972,7 +1369,7 @@ let test_journal_golden () =
   let full = Sim_disk.journal disk in
   check Alcotest.int "rounds scanned" 6
     (List.length (Journal.scan_rounds full));
-  Journal.write_snapshot j ~seq:3 (small_snapshot ());
+  write_snap j (small_snapshot ());
   Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
   check
     Alcotest.(list (pair int string))
@@ -1034,6 +1431,8 @@ let suite =
       Alcotest.test_case "rollback record" `Quick test_replay_rollback;
       Alcotest.test_case "rollback erases newer slots" `Quick
         test_rollback_erases_newer_slot;
+      Alcotest.test_case "rollback flushed before a slot" `Quick
+        test_rollback_flushed_before_slot;
       Alcotest.test_case "unproven speculation truncates" `Quick
         test_replay_stops_at_unproven_speculation;
       Alcotest.test_case "snapshot + suffix" `Quick test_snapshot_plus_suffix;
@@ -1057,5 +1456,7 @@ let suite =
       prop_compaction_oracle;
       Alcotest.test_case "compaction oracle coverage" `Quick
         test_oracle_coverage;
+      prop_stored_form;
+      prop_spliced_snapshot;
       Alcotest.test_case "bounded footprint" `Slow test_bounded_footprint;
     ] )

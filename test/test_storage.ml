@@ -692,11 +692,8 @@ let snapshot_encode_oracle =
   qtest ~count:60 "snapshot: encode = Buffer oracle, encoded_size exact"
     gen_snapshot (fun snap ->
       let enc = Snapshot.encode snap in
-      let buf = Bytes.make (Snapshot.encoded_size snap + 10) '#' in
       String.equal enc (Oracle.encode snap)
       && Snapshot.encoded_size snap = String.length enc
-      && Snapshot.encode_into snap buf ~off:3 = 3 + String.length enc
-      && String.equal (Bytes.sub_string buf 3 (String.length enc)) enc
       && Snapshot.decode enc = Ok snap)
 
 let kv_digest_oracle =
