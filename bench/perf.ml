@@ -14,12 +14,14 @@
    - events/sec            simulator events retired per wall-clock second
    - sim_ns_per_wall_ms    simulated nanoseconds advanced per wall millisecond
    - words_per_event       minor-heap words allocated per event (Gc.minor_words)
+   - sha256_blocks_per_event  SHA-256 compressions per event (exact; CI
+                           gates it against bench/hash.blocks)
    - report_digest         SHA-256 over the deterministic report fields
                            (excludes wall time), the fixed-seed determinism
                            fingerprint CI compares against bench/simperf.digest
-   - heap/net/codec/journal/conflict/snapshot microbench rows (ns/op and
-     words/op), and the disk-footprint, kv-store and round-history rows
-     (build ns and footprint words)
+   - heap/net/codec/journal/conflict/snapshot microbench rows (ns/op,
+     words/op and SHA-256 blocks/op), and the disk-footprint, kv-store and
+     round-history rows (build ns and footprint words)
 
    Wall time is [Sys.time] (process CPU time): the simulator is
    single-threaded and this keeps the harness dependency-free. *)
@@ -70,6 +72,7 @@ type smoke = {
   s_wall : float;
   s_sim_ns : int;
   s_minor_words : float;
+  s_blocks : int;  (* SHA-256 compressions *)
   s_throughput : float;
   s_digest : string;
 }
@@ -82,43 +85,54 @@ let run_smoke ~duration ~clients =
   let cfg = smoke_config ~duration ~clients in
   Gc.full_major ();
   let words0 = Gc.minor_words () in
+  let blocks0 = Rcc_crypto.Sha256.compressions () in
   let report = Rcc_runtime.Cluster.run_config cfg in
   let words1 = Gc.minor_words () in
+  let blocks1 = Rcc_crypto.Sha256.compressions () in
   {
     s_events = report.Report.sim_events;
     s_wall = report.Report.wall_seconds;
     s_sim_ns = duration;
     s_minor_words = words1 -. words0;
+    s_blocks = blocks1 - blocks0;
     s_throughput = report.Report.throughput;
     s_digest = report_digest report;
   }
 
 (* --- microbenches ------------------------------------------------------- *)
 
-(* ns/op and minor-words/op over [iters] calls of [f], called once per op.
-   Coarse by design: this is an allocation regression tripwire and a
-   trajectory row, not a Bechamel-grade estimate (bench/micro.ml has
-   those). *)
+(* ns/op, minor-words/op and SHA-256 blocks/op over [iters] calls of
+   [f], called once per op. Coarse by design: this is an allocation and
+   hash-work regression tripwire and a trajectory row, not a
+   Bechamel-grade estimate (bench/micro.ml has those). Blocks are exact:
+   [Sha256.compressions] counts every 64-byte compression. *)
 let measure ~iters f =
   Gc.full_major ();
   let words0 = Gc.minor_words () in
+  let blocks0 = Rcc_crypto.Sha256.compressions () in
   let t0 = Sys.time () in
   for _ = 1 to iters do
     f ()
   done;
   let wall = Sys.time () -. t0 in
   let words = Gc.minor_words () -. words0 in
+  let blocks = Rcc_crypto.Sha256.compressions () - blocks0 in
   let n = float_of_int iters in
-  (wall *. 1e9 /. n, words /. n)
+  (wall *. 1e9 /. n, words /. n, float_of_int blocks /. n)
 
-type micro_row = { m_name : string; m_ns : float; m_words : float }
+type micro_row = {
+  m_name : string;
+  m_ns : float;
+  m_words : float;
+  m_blocks : float;  (* SHA-256 compressions per op *)
+}
 
 let bench_heap () =
   let n = 1024 in
   let h = Heap.create ~capacity:(2 * n) ~dummy:0 () in
   let prios = Array.init n (fun i -> (i * 7919) land 0xffff) in
   (* One op = push n then pop n; report per push+pop pair. *)
-  let ns, words =
+  let ns, words, blocks =
     measure ~iters:200 (fun () ->
         for i = 0 to n - 1 do
           Heap.push h ~priority:prios.(i) i
@@ -129,7 +143,12 @@ let bench_heap () =
         done)
   in
   let per = float_of_int n in
-  { m_name = "heap-push-pop"; m_ns = ns /. per; m_words = words /. per }
+  {
+    m_name = "heap-push-pop";
+    m_ns = ns /. per;
+    m_words = words /. per;
+    m_blocks = blocks /. per;
+  }
 
 let make_net ~rules =
   let engine = Engine.create () in
@@ -153,7 +172,7 @@ let bench_net ~rules =
   (* One op = a 15-destination broadcast, drained to a bounded horizon
      (running to [max_int] would park [now] there and overflow the next
      send's schedule). *)
-  let ns, words =
+  let ns, words, blocks =
     measure ~iters:2000 (fun () ->
         for dst = 1 to 15 do
           Net.send net ~src:0 ~dst ~size:5400 ()
@@ -165,6 +184,7 @@ let bench_net ~rules =
     m_name = (if rules then "net-send-3rules" else "net-send-0rules");
     m_ns = ns /. per;
     m_words = words /. per;
+    m_blocks = blocks /. per;
   }
 
 let bench_txns () =
@@ -174,12 +194,17 @@ let bench_codec () =
   let secret, _ = Rcc_crypto.Signature.keygen (Rcc_common.Rng.create 3) in
   let batch = Batch.create ~id:1 ~client:0 ~txns:(bench_txns ()) ~secret in
   let msg = Msg.Pre_prepare { instance = 0; view = 0; seq = 9; batch } in
-  let ns, words =
+  let ns, words, blocks =
     measure ~iters:2000 (fun () ->
         let wire = Codec.encode msg in
         match Codec.decode wire with Ok _ -> () | Error e -> failwith e)
   in
-  { m_name = "codec-roundtrip-100txn"; m_ns = ns; m_words = words }
+  {
+    m_name = "codec-roundtrip-100txn";
+    m_ns = ns;
+    m_words = words;
+    m_blocks = blocks;
+  }
 
 let bench_msg_size () =
   let secret, _ = Rcc_crypto.Signature.keygen (Rcc_common.Rng.create 3) in
@@ -194,8 +219,15 @@ let bench_msg_size () =
         })
   in
   let msg = Msg.Contract { round = 12; entries } in
-  let ns, words = measure ~iters:200_000 (fun () -> ignore (Msg.size msg)) in
-  { m_name = "msg-size-contract"; m_ns = ns; m_words = words }
+  let ns, words, blocks =
+    measure ~iters:200_000 (fun () -> ignore (Msg.size msg))
+  in
+  {
+    m_name = "msg-size-contract";
+    m_ns = ns;
+    m_words = words;
+    m_blocks = blocks;
+  }
 
 (* 64 committed rounds of z = 6 acceptances of 100-txn batches, PBFT
    certs of 11 replicas, built once: the journal rows below share the
@@ -237,14 +269,19 @@ let journal_all ~engine ~self disk =
    its words/op against bench/journal.words. *)
 let bench_journal () =
   let rounds = Array.length (Lazy.force journal_rounds) in
-  let ns, words =
+  let ns, words, blocks =
     measure ~iters:40 (fun () ->
         let engine = Engine.create () in
         journal_all ~engine ~self:0 (Rcc_journal.Sim_disk.create ~seed:1);
         Engine.run engine ~until:(Engine.now engine + Engine.ms 10))
   in
   let per = float_of_int rounds in
-  { m_name = "journal-log-round"; m_ns = ns /. per; m_words = words /. per }
+  {
+    m_name = "journal-log-round";
+    m_ns = ns /. per;
+    m_words = words /. per;
+    m_blocks = blocks /. per;
+  }
 
 (* One op = 16 disks, one per replica of an n = 16 cluster, each
    journaling [journal_rounds]. Like the kv-store row, [m_words] is a
@@ -269,14 +306,19 @@ let bench_disk_footprint () =
     Engine.run engine ~until:(Engine.now engine + Engine.ms 10);
     disks
   in
-  let ns, _ = measure ~iters:3 (fun () -> ignore (build ())) in
+  let ns, _, blocks = measure ~iters:3 (fun () -> ignore (build ())) in
   let disks = build () in
   let words =
     Obj.reachable_words (Obj.repr (disks, batches))
     - Obj.reachable_words (Obj.repr batches)
     - 3 (* the pair *)
   in
-  { m_name = "disk-footprint"; m_ns = ns; m_words = float_of_int words }
+  {
+    m_name = "disk-footprint";
+    m_ns = ns;
+    m_words = float_of_int words;
+    m_blocks = blocks;
+  }
 
 (* One op = [Conflict.partition] of one parallel-lowconflict scheduler
    window: 8 rounds of z = 6 100-txn batches, YCSB theta 0.3 over 2M
@@ -310,10 +352,15 @@ let bench_conflict () =
         })
   in
   ignore (Rcc_replica.Conflict.partition items);
-  let ns, words =
+  let ns, words, blocks =
     measure ~iters:200 (fun () -> ignore (Rcc_replica.Conflict.partition items))
   in
-  { m_name = "conflict-partition"; m_ns = ns; m_words = words }
+  {
+    m_name = "conflict-partition";
+    m_ns = ns;
+    m_words = words;
+    m_blocks = blocks;
+  }
 
 (* One op = [Journal.write_snapshot] of a checkpoint at round 256 with
    50 000 materialized records and 120 reply-cache entries (the shape of
@@ -364,12 +411,12 @@ let bench_snapshot () =
     Rcc_journal.Journal.attach ~engine ~costs:Rcc_sim.Costs.default
       ~disk:(Rcc_journal.Sim_disk.create ~seed:1) ~self:0 ()
   in
-  let ns, words =
+  let ns, words, blocks =
     measure ~iters:20 (fun () ->
         Rcc_journal.Journal.write_snapshot j boundary ~blocks ~replied;
         Engine.run engine ~until:(Engine.now engine + Engine.ms 100))
   in
-  { m_name = "snapshot-write"; m_ns = ns; m_words = words }
+  { m_name = "snapshot-write"; m_ns = ns; m_words = words; m_blocks = blocks }
 
 (* One op = [Kv_store.init_records ~count:500_000] into a fresh store
    (the default YCSB table). Unlike the other rows, [m_words] is the
@@ -382,9 +429,9 @@ let bench_kv_store () =
     Rcc_storage.Kv_store.init_records s ~count:500_000;
     s
   in
-  let ns, _ = measure ~iters:5 (fun () -> ignore (build ())) in
+  let ns, _, blocks = measure ~iters:5 (fun () -> ignore (build ())) in
   let words = float_of_int (Obj.reachable_words (Obj.repr (build ()))) in
-  { m_name = "kv-store"; m_ns = ns; m_words = words }
+  { m_name = "kv-store"; m_ns = ns; m_words = words; m_blocks = blocks }
 
 (* One op = one replica's round history and txn table after 512 rounds
    of n = 16, z = 6 (PBFT certs of 2f + 1 = 11 replicas, every batch
@@ -435,14 +482,19 @@ let bench_round_history () =
     done;
     (history, table)
   in
-  let ns, _ = measure ~iters:5 (fun () -> ignore (build ())) in
+  let ns, _, blocks = measure ~iters:5 (fun () -> ignore (build ())) in
   let stores = build () in
   let words =
     Obj.reachable_words (Obj.repr (stores, batches))
     - Obj.reachable_words (Obj.repr batches)
     - 3 (* the pair *)
   in
-  { m_name = "round-history"; m_ns = ns; m_words = float_of_int words }
+  {
+    m_name = "round-history";
+    m_ns = ns;
+    m_words = float_of_int words;
+    m_blocks = blocks;
+  }
 
 (* --- heap breakdown ----------------------------------------------------- *)
 
@@ -505,13 +557,17 @@ let json_of_entry ~label smoke micros =
     (float_of_int smoke.s_sim_ns /. (smoke.s_wall *. 1e3));
   Printf.bprintf b "      \"words_per_event\": %.2f,\n"
     (smoke.s_minor_words /. float_of_int smoke.s_events);
+  Printf.bprintf b "      \"sha256_blocks_per_event\": %.4f,\n"
+    (float_of_int smoke.s_blocks /. float_of_int smoke.s_events);
   Printf.bprintf b "      \"throughput_txn_s\": %.0f,\n" smoke.s_throughput;
   Printf.bprintf b "      \"report_digest\": %S\n" smoke.s_digest;
   Printf.bprintf b "    },\n    \"micro\": {\n";
   List.iteri
-    (fun i { m_name; m_ns; m_words } ->
-      Printf.bprintf b "      %S: { \"ns_per_op\": %.1f, \"words_per_op\": %.2f }%s\n"
-        m_name m_ns m_words
+    (fun i { m_name; m_ns; m_words; m_blocks } ->
+      Printf.bprintf b
+        "      %S: { \"ns_per_op\": %.1f, \"words_per_op\": %.2f, \
+         \"sha256_blocks_per_op\": %.2f }%s\n"
+        m_name m_ns m_words m_blocks
         (if i = List.length micros - 1 then "" else ","))
     micros;
   Printf.bprintf b "    }\n  }";
@@ -605,10 +661,12 @@ let () =
       (Engine.to_seconds duration);
     let smoke = run_smoke ~duration ~clients:!clients in
     Printf.eprintf
-      "[simperf]   %d events in %.2fs wall = %.0f events/s, %.2f words/event\n%!"
+      "[simperf]   %d events in %.2fs wall = %.0f events/s, %.2f words/event, \
+       %.4f SHA-256 blocks/event\n%!"
       smoke.s_events smoke.s_wall
       (float_of_int smoke.s_events /. smoke.s_wall)
-      (smoke.s_minor_words /. float_of_int smoke.s_events);
+      (smoke.s_minor_words /. float_of_int smoke.s_events)
+      (float_of_int smoke.s_blocks /. float_of_int smoke.s_events);
     Printf.eprintf "[simperf]   report digest %s\n%!" smoke.s_digest;
     Printf.eprintf "[simperf] microbenches...\n%!";
     let micros =
@@ -627,9 +685,10 @@ let () =
       ]
     in
     List.iter
-      (fun { m_name; m_ns; m_words } ->
-        Printf.eprintf "[simperf]   %-24s %10.1f ns/op %8.2f words/op\n%!"
-          m_name m_ns m_words)
+      (fun { m_name; m_ns; m_words; m_blocks } ->
+        Printf.eprintf
+          "[simperf]   %-24s %10.1f ns/op %8.2f words/op %8.2f blocks/op\n%!"
+          m_name m_ns m_words m_blocks)
       micros;
     let entry = json_of_entry ~label smoke micros in
     append_entry ~path:!out entry;

@@ -117,9 +117,14 @@ type t = {
 
 (* Snapshot boundaries are sparser than checkpoint boundaries: capturing
    one copies the KV table, so doing it every checkpoint would tax the
-   fault-free hot path for a state few peers will ever fetch. *)
+   fault-free hot path for a state few peers will ever fetch. Offers
+   advertise only the newest capture, but a requester fetches the seq
+   f + 1 offers agreed on, and a donor can capture again before the
+   fetch arrives: in the gated 4-replica MultiP chaos smoke a fetch came
+   two captures after its offer, so three are kept. Each older capture
+   would only pin its KV section. *)
 let boundary_multiple = 4
-let boundary_capacity = 4
+let boundary_capacity = 3
 
 let create ~engine ~costs ~server ~z ~self ~store ~ledger ~txn_table
     ~current_primaries ~respond ~metrics ?(reorder = fun a -> a)

@@ -114,7 +114,7 @@ val set_persist : t -> persist -> unit
 (** Register the durable-journal observer (see {!persist}). *)
 
 val boundaries : t -> Rcc_storage.Snapshot.boundary list
-(** The newest captured checkpoint boundaries (at most four), newest
+(** The newest captured checkpoint boundaries (at most three), newest
     first. A boundary is captured when the round before it commits, from
     state settled exactly there; a rollback drops those past its resume
     point, and re-execution captures them again. *)

@@ -18,15 +18,23 @@ let flush_bytes = 65_536
 
 (* --- record layout -------------------------------------------------------
 
-   [magic | kind | u64 body length | checksum | body]. The checksum is the
-   first [checksum_len] bytes of a SHA-256 over the body minus its payload
-   spans ([payload_spans]): a round record's batches keep their encoded
-   txns outside it, because each batch's stored digest is already a
-   SHA-256 over exactly those bytes ([Batch.digest_of_txns]), and [scan]
-   checks that binding instead. Every other byte of every record,
-   digests and signatures included, is under the checksum. An honest
-   disk always passes: a batch with txns was built by [Batch.create],
-   which computed its digest from them, and a null batch has no txns. *)
+   [magic | kind | u64 body length | checksum | body]. The checksum is an
+   XXH64 ([Xxh64]), stored big-endian in [checksum_len] bytes, over the
+   body minus its payload spans ([payload_spans]): a round record's
+   batches keep their encoded txns outside it, because each batch's
+   stored digest is already a SHA-256 over exactly those bytes
+   ([Batch.digest_of_txns]), and [scan] checks that binding instead.
+   Every other byte of every record, digests and signatures included, is
+   under the checksum. An honest disk always passes: a batch with txns
+   was built by [Batch.create], which computed its digest from them, and
+   a null batch has no txns.
+
+   The checksum is not cryptographic because it need not be: the disk's
+   faults are random tears, bit flips and lost writes, which a 64-bit
+   hash misses with probability 2^-64, and nothing adversarial writes to
+   a replica's own disk. What other replicas attest or sign (batch
+   digests, the payload binding, block hashes, chain heads, the KV
+   digest in offers) stays SHA-256. *)
 
 let header_len = String.length record_magic + 1 + 8 + checksum_len
 let snap_header_len = String.length snap_magic + 8 + checksum_len
@@ -58,17 +66,22 @@ let payload_spans kind s ~off ~len =
     List.rev !spans
   end
 
+(* The checksum of the body at [s.[off .. off + len - 1]] less [spans]:
+   XXH64 over the rest as one stream. One scratch state, reset per use:
+   the simulator is single-threaded and this never calls out. *)
+let sum = Xxh64.create ()
+
 let checksum s ~off ~len spans =
-  let ctx = Rcc_crypto.Sha256.init () in
+  Xxh64.reset sum;
   let rest =
     List.fold_left
       (fun pos (sp : Batch.span) ->
-        Rcc_crypto.Sha256.update_sub ctx s pos (sp.p_off - pos);
+        Xxh64.update_sub sum s pos (sp.p_off - pos);
         sp.p_off + sp.p_len)
       off spans
   in
-  Rcc_crypto.Sha256.update_sub ctx s rest (off + len - rest);
-  String.sub (Rcc_crypto.Sha256.finalize ctx) 0 checksum_len
+  Xxh64.update_sub sum s rest (off + len - rest);
+  Xxh64.finalize sum
 
 let payload_bound s (sp : Batch.span) =
   let ctx = Rcc_crypto.Sha256.init () in
@@ -93,7 +106,7 @@ let frame kind ~len ~spliced fill =
   let stop = fill b (off + checksum_len) in
   assert (stop = header_len + len);
   let s = Bytes.unsafe_to_string b in
-  Bytes.blit_string (checksum s ~off:header_len ~len []) 0 b off checksum_len;
+  Bytes.set_int64_be b off (checksum s ~off:header_len ~len []);
   s
 
 let round_record ~round ~primaries (ordered : Acceptance.t array) =
@@ -164,12 +177,11 @@ let slot_snapshot ~primaries blob =
   match
     Wire.magic r snap_magic;
     let len = Wire.int r in
-    let sum = r.pos in
+    let stored = r.pos in
     Wire.skip r checksum_len;
     if
       len = r.limit - r.pos
-      && String.equal
-           (String.sub blob sum checksum_len)
+      && Int64.equal (String.get_int64_be blob stored)
            (checksum blob ~off:r.pos ~len [])
     then Rcc_storage.Snapshot.decode (String.sub blob r.pos len)
     else Error "bad slot"
@@ -345,13 +357,12 @@ let write_snapshot t (b : Rcc_storage.Snapshot.boundary) ~blocks ~replied =
       (Wire.put_raw out snap_magic 0
       |> Wire.put_int out (stop - snap_header_len + String.length kv));
     let framing = Bytes.unsafe_to_string out in
-    let ctx = Rcc_crypto.Sha256.init () in
-    Rcc_crypto.Sha256.update_sub ctx framing snap_header_len
-      (at - snap_header_len);
-    Rcc_crypto.Sha256.update ctx kv;
-    Rcc_crypto.Sha256.update_sub ctx framing at (stop - at);
-    Bytes.blit_string (Rcc_crypto.Sha256.finalize ctx) 0 out
-      (snap_header_len - checksum_len) checksum_len;
+    Xxh64.reset sum;
+    Xxh64.update_sub sum framing snap_header_len (at - snap_header_len);
+    Xxh64.update sum kv;
+    Xxh64.update_sub sum framing at (stop - at);
+    Bytes.set_int64_be out (snap_header_len - checksum_len)
+      (Xxh64.finalize sum);
     let blob = Sim_disk.spliced ~frame:framing ~at:[| at |] [| kv |] in
     let bytes = Sim_disk.length blob in
     Cpu.submit t.io ~cost:(io_cost t bytes) (fun () ->
@@ -444,11 +455,11 @@ let record_at s p =
     Wire.magic r record_magic;
     let kind = Wire.byte r in
     let len = Wire.count r ~max:max_body "body length" in
-    let sum = r.pos and off = r.pos + checksum_len in
+    let stored = r.pos and off = r.pos + checksum_len in
     Wire.skip r (checksum_len + len);
     let spans = payload_spans kind s ~off ~len in
     if
-      String.equal (String.sub s sum checksum_len) (checksum s ~off ~len spans)
+      Int64.equal (String.get_int64_be s stored) (checksum s ~off ~len spans)
       && List.for_all (payload_bound s) spans
     then Some (parse_body kind s ~off ~len, off + len)
     else None

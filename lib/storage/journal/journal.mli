@@ -42,8 +42,11 @@
     transfer.
 
     Record framing: each record is [magic "RJL1" | type byte | u64 body
-    length | 8-byte checksum | body]. The checksum is a SHA-256 prefix
-    over the whole body of stable, rollback and view records. In a round
+    length | 8-byte checksum | body]. The checksum is an {!Xxh64} of the
+    whole body of stable, rollback and view records, stored big-endian.
+    It guards against the disk's own random faults only, which is all a
+    replica's own disk can do to it, so it need not be cryptographic;
+    what other replicas attest or sign stays SHA-256. In a round
     record it covers every body byte except each batch's encoded txns:
     ids, certificates, flags, digests and signatures. Those txn bytes
     are bound by the batch's stored 32-byte digest, which is a SHA-256
@@ -58,10 +61,12 @@
     stored digest. Each batch in a round record is a
     {!Rcc_messages.Batch.write} record, the one {!Rcc_messages.Codec}
     puts in messages, and every field is {!Rcc_common.Wire} framing.
-    Snapshot slots use a whole-body checksum with magic "RJS1" around a
-    {!Rcc_storage.Snapshot.encode} blob, because [Snapshot.verify] pins
-    the chain but not the KV/reply bytes. The slot holds the boundary's
-    encoded KV section by reference, spliced into that blob. *)
+    Snapshot slots use a whole-body {!Xxh64} checksum with magic "RJS1"
+    around a {!Rcc_storage.Snapshot.encode} blob, because
+    [Snapshot.verify] pins the chain but not the KV/reply bytes. The slot
+    holds the boundary's encoded KV section by reference, spliced into
+    that blob, and the checksum streams the framing head, the section and
+    the framing tail as one input. *)
 
 type t
 

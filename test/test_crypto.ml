@@ -200,6 +200,176 @@ let sha_distinct =
   qtest "sha256: injective on samples" QCheck2.Gen.(pair string string)
     (fun (a, b) -> a = b || Sha256.digest a <> Sha256.digest b)
 
+(* --- digest memo ---------------------------------------------------------- *)
+
+(* Random sequences of memo traffic, each digest checked against the
+   rolled reference kernel above, which has no memo: fresh inputs below,
+   at and above [memo_limit]; repeats; the same bytes split differently
+   across [digest_list] parts; an input hashed after another one forced
+   into its slot (an eviction) and then hashed again; and a buffer
+   hashed, mutated in place and hashed again. At the end every digest
+   handed out still equals its reference: none was overwritten. *)
+type memo_op =
+  | Fresh of string
+  | Again of int
+  | Split of int * int list
+  | Collide of int
+  | Mutate of int * int * int
+
+let gen_memo_input =
+  let limit = Sha256.memo_limit in
+  QCheck2.Gen.(
+    oneof
+      [
+        string_size (int_range 0 64);
+        string_size (int_range 0 limit);
+        string_size (oneofl [ limit - 1; limit; limit + 1 ]);
+        string_size (int_range (limit + 1) (2 * limit));
+      ])
+
+let gen_memo_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun s -> Fresh s) gen_memo_input);
+        (3, map (fun i -> Again i) nat);
+        ( 2,
+          map2
+            (fun i cuts -> Split (i, cuts))
+            nat
+            (list_size (int_range 0 5) nat) );
+        (1, map (fun i -> Collide i) nat);
+        ( 1,
+          map3
+            (fun i j mask -> Mutate (i, j, mask))
+            nat nat
+            (oneof [ pure 0x80; pure 0x01; int_range 1 255 ]) );
+      ])
+
+(* A short input other than [s] that maps to [s]'s memo slot. *)
+let slot_mate s =
+  let want = Sha256.memo_slot s in
+  let rec go k =
+    let c = "mate" ^ string_of_int k in
+    if c <> s && Sha256.memo_slot c = want then c else go (k + 1)
+  in
+  go 0
+
+let memo_oracle =
+  qtest ~count:150 "sha256 memo: digest/digest_list = uncached reference"
+    QCheck2.Gen.(list_size (int_range 1 40) gen_memo_op)
+    (fun ops ->
+      let inputs = ref [| "" |] in
+      let handed = ref [] in
+      let ok = ref true in
+      let hash_checked f msg =
+        let d = f () in
+        handed := (d, msg) :: !handed;
+        if not (String.equal d (ref_digest msg)) then ok := false
+      in
+      let nth i = !inputs.(i mod Array.length !inputs) in
+      let remember s = inputs := Array.append !inputs [| s |] in
+      List.iter
+        (function
+          | Fresh s ->
+              remember s;
+              hash_checked (fun () -> Sha256.digest s) s
+          | Again i ->
+              let s = nth i in
+              hash_checked (fun () -> Sha256.digest s) s
+          | Split (i, cuts) ->
+              let s = nth i in
+              let len = String.length s in
+              let cuts =
+                List.sort_uniq compare
+                  (List.map (fun c -> c mod (len + 1)) cuts)
+              in
+              let parts, last =
+                List.fold_left
+                  (fun (acc, pos) cut ->
+                    (String.sub s pos (cut - pos) :: acc, cut))
+                  ([], 0) cuts
+              in
+              let parts = List.rev (String.sub s last (len - last) :: parts) in
+              hash_checked (fun () -> Sha256.digest_list parts) s
+          | Collide i -> (
+              let s = nth i in
+              match Sha256.memo_slot s with
+              | None -> hash_checked (fun () -> Sha256.digest s) s
+              | Some _ ->
+                  let mate = slot_mate s in
+                  hash_checked (fun () -> Sha256.digest s) s;
+                  hash_checked (fun () -> Sha256.digest mate) mate;
+                  hash_checked (fun () -> Sha256.digest_list [ s ]) s)
+          | Mutate (i, j, mask) ->
+              let s = nth i in
+              if s <> "" then begin
+                let buf = Bytes.of_string s in
+                let in_place () = Sha256.digest (Bytes.unsafe_to_string buf) in
+                hash_checked in_place s;
+                let j = j mod Bytes.length buf in
+                let flipped = Char.code (Bytes.get buf j) lxor mask in
+                Bytes.set buf j (Char.chr flipped);
+                let s' = Bytes.to_string buf in
+                remember s';
+                hash_checked in_place s';
+                hash_checked (fun () -> Sha256.digest s) s
+              end)
+        ops;
+      !ok
+      && List.for_all (fun (d, msg) -> String.equal d (ref_digest msg)) !handed)
+
+(* Inputs one bit apart share a slot only by chance, except the bits a
+   word-folding slot hash could drop: flip each bit of every byte of a
+   24-byte key (the shape [Kv_store.state_digest] hashes) in a buffer
+   hashed in place, the key hashed again after each flip. *)
+let test_memo_bit_flips () =
+  let key = Bytes.make 24 '\x00' in
+  Bytes.set_int64_be key 0 5L;
+  Bytes.set_int64_be key 8 7L;
+  Bytes.set_int64_be key 16 1L;
+  let base = Bytes.to_string key in
+  for j = 0 to Bytes.length key - 1 do
+    for bit = 0 to 7 do
+      Bytes.blit_string base 0 key 0 (String.length base);
+      check Alcotest.string "base" (Bytes_util.hex (ref_digest base))
+        (Bytes_util.hex (Sha256.digest (Bytes.unsafe_to_string key)));
+      Bytes.set key j (Char.chr (Char.code (Bytes.get key j) lxor (1 lsl bit)));
+      let flipped = Bytes.to_string key in
+      check Alcotest.string
+        (Printf.sprintf "byte %d bit %d" j bit)
+        (Bytes_util.hex (ref_digest flipped))
+        (Bytes_util.hex (Sha256.digest (Bytes.unsafe_to_string key)))
+    done
+  done
+
+(* The counter is exact: a miss on a 40-byte input runs one compression,
+   a hit runs none, and an input past the limit is never memoized. *)
+let test_memo_counts () =
+  let blocks f =
+    let before = Sha256.compressions () in
+    ignore (f ());
+    Sha256.compressions () - before
+  in
+  let s = String.init 40 (fun i -> Char.chr (i + 7)) in
+  let mate = slot_mate s in
+  ignore (Sha256.digest mate);
+  check Alcotest.int "miss" 1 (blocks (fun () -> Sha256.digest s));
+  check Alcotest.int "hit" 0 (blocks (fun () -> Sha256.digest s));
+  check Alcotest.int "hit through digest_list" 0
+    (blocks (fun () ->
+         Sha256.digest_list [ String.sub s 0 9; String.sub s 9 31 ]));
+  check Alcotest.int "evicted by a slot mate" 1
+    (blocks (fun () -> Sha256.digest mate));
+  check Alcotest.int "miss after eviction" 1
+    (blocks (fun () -> Sha256.digest s));
+  let long = String.make (Sha256.memo_limit + 1) 'x' in
+  check Alcotest.int "past the limit, twice" 18
+    (blocks (fun () -> Sha256.digest long)
+    + blocks (fun () -> Sha256.digest long));
+  check Alcotest.bool "a hit shares the stored digest" true
+    (Sha256.digest s == Sha256.digest s)
+
 (* --- HMAC-SHA256 (RFC 4231) ------------------------------------------------ *)
 
 let test_hmac_rfc4231 () =
@@ -386,6 +556,11 @@ let suite =
       sha_kernel_oracle;
       sha_incremental;
       sha_distinct;
+      memo_oracle;
+      Alcotest.test_case "sha256 memo: one-bit flips" `Quick
+        test_memo_bit_flips;
+      Alcotest.test_case "sha256 memo: exact compression counts" `Quick
+        test_memo_counts;
       Alcotest.test_case "hmac RFC 4231" `Quick test_hmac_rfc4231;
       hmac_verify_props;
       Alcotest.test_case "aes FIPS 197" `Quick test_aes_fips197;

@@ -1322,14 +1322,63 @@ let prop_spliced_snapshot =
       && Lazy.force b.b_kv_digest = reference_digest
       && Snapshot.kv_digest kv = reference_digest)
 
+(* --- disk checksum -------------------------------------------------------- *)
+
+module Xxh64 = Rcc_journal.Xxh64
+
+(* Published XXH64 (seed 0) values: the empty input, inputs below one
+   32-byte stripe, and one past it. *)
+let test_xxh64_vectors () =
+  List.iter
+    (fun (input, want) ->
+      check Alcotest.string (Printf.sprintf "XXH64 %S" input) want
+        (Printf.sprintf "%016Lx" (Xxh64.digest input)))
+    [
+      ("", "ef46db3751d8e999");
+      ("a", "d24ec4f1a98c6e5b");
+      ("abc", "44bc2cf5ad770999");
+      ("Nobody inspects the spammish repetition", "fbcea83c8a378bf1");
+    ]
+
+(* The slot checksum streams three pieces (framing head, KV section,
+   framing tail) and the record checksum the gaps between payloads: any
+   split of the same bytes, through [update] or [update_sub] of a wider
+   string, and a reused state, must give the one-shot value. *)
+let prop_xxh64_streaming =
+  qtest ~count:300 "XXH64: streaming over any split = one-shot"
+    QCheck2.Gen.(
+      pair (string_size (int_range 0 300)) (list_size (int_range 0 8) nat))
+    (fun (msg, cuts) ->
+      let len = String.length msg in
+      let cuts =
+        List.sort_uniq compare (List.map (fun c -> c mod (len + 1)) cuts)
+      in
+      let wide = "<<" ^ msg ^ ">>" in
+      let t = Xxh64.create () in
+      Xxh64.update t "stale bytes from an earlier stream";
+      Xxh64.reset t;
+      let last =
+        List.fold_left
+          (fun pos cut ->
+            if pos mod 2 = 0 then Xxh64.update_sub t wide (2 + pos) (cut - pos)
+            else Xxh64.update t (String.sub msg pos (cut - pos));
+            cut)
+          0 cuts
+      in
+      Xxh64.update_sub t wide (2 + last) (len - last);
+      Int64.equal (Xxh64.finalize t) (Xxh64.digest msg)
+      && Int64.equal (Xxh64.finalize t) (Xxh64.digest msg))
+
 (* --- golden bytes --------------------------------------------------------- *)
 
 (* A fixed writer sequence on an honest disk: plain rounds, a speculative
    round holding a null batch, a rollback, a stable floor, a change of
    primaries (which writes a view record) and a snapshot slot. The
    digests were recorded before the journal moved onto the shared wire
-   layer; a writer and reader changed together would still round-trip,
-   so this pins the bytes themselves. The area is pinned before the
+   layer, and re-recorded when its checksums became XXH64 (only the 8
+   checksum bytes of each record and slot moved); a writer and reader
+   changed together would still round-trip, so this pins the bytes
+   themselves. The area is pinned before the
    snapshot write, and again after it: the slot (seq 3, at the durable
    floor) becomes the anchor, and the area below round 3 is dropped. *)
 let test_journal_golden () =
@@ -1364,7 +1413,7 @@ let test_journal_golden () =
   Journal.log_round j ~round:4 ~primaries:[ 1; 2 ] [| fresh 0 4; fresh 1 4 |];
   Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
   let sha = Rcc_crypto.Sha256.hex_digest in
-  check Alcotest.string "journal area" "a056966646f90a3f6b1d748ff599b537dc98853443ae89faebe701ae3883c6ba" (sha (Sim_disk.journal disk));
+  check Alcotest.string "journal area" "e5b8408b5875c126592b0f23279445e4a3521575ca128576f8286e852bcb823b" (sha (Sim_disk.journal disk));
   check Alcotest.int "journal bytes" 3022 (Sim_disk.journal_bytes disk);
   let full = Sim_disk.journal disk in
   check Alcotest.int "rounds scanned" 6
@@ -1373,10 +1422,10 @@ let test_journal_golden () =
   Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
   check
     Alcotest.(list (pair int string))
-    "snapshot slot" [ (3, "5a845a2dc8c09bdef3c1b21322e3cb925e84e785cc382ed5588c1e44674590d1") ]
+    "snapshot slot" [ (3, "d0ff200370243a835da1aa57059a64d7e2e1df05a4cea8e7daada9dd665eba08") ]
     (List.map (fun (seq, blob) -> (seq, sha blob)) (Sim_disk.snapshots disk));
   let compacted = Sim_disk.journal disk in
-  check Alcotest.string "compacted area" "10cbda381689e849aa42e8fbfb84b6a54bbec7728b3e7739d96daedeac5f59a1" (sha compacted);
+  check Alcotest.string "compacted area" "c61c25bb58f2aae1b5f1861b7e169131ab125fc6dd1de35d9f26204a81a6b02b" (sha compacted);
   check Alcotest.int "compacted bytes" 1492 (Sim_disk.journal_bytes disk);
   check Alcotest.bool "a suffix of the full area" true
     (String.ends_with ~suffix:compacted full);
@@ -1389,11 +1438,12 @@ let test_journal_golden () =
 let test_max_length_probe () =
   let huge = "\x3f\xff\xff\xff\xff\xff\xff\xff" in
   let record kind body =
-    let len = Bytes.create 8 in
+    let len = Bytes.create 8 and sum = Bytes.create 8 in
     Bytes.set_int64_be len 0 (Int64.of_int (String.length body));
+    Bytes.set_int64_be sum 0 (Rcc_journal.Xxh64.digest body);
     String.concat ""
       [ "RJL1"; String.make 1 kind; Bytes.to_string len;
-        String.sub (Rcc_crypto.Sha256.digest body) 0 8; body ]
+        Bytes.to_string sum; body ]
   in
   let u64 v = Rcc_common.Bytes_util.u64_string (Int64.of_int v) in
   List.iter
@@ -1449,6 +1499,8 @@ let suite =
         test_round_record_digest_mismatch;
       Alcotest.test_case "recovered reply cache settles evicted batches"
         `Quick test_recovered_dedup_survives_eviction;
+      Alcotest.test_case "XXH64 vectors" `Quick test_xxh64_vectors;
+      prop_xxh64_streaming;
       Alcotest.test_case "journal golden bytes" `Quick test_journal_golden;
       Alcotest.test_case "max-length probe" `Quick test_max_length_probe;
       prop_crash_point;

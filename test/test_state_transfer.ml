@@ -380,6 +380,60 @@ let write_acc ~round ~instance ~value =
    2 and re-execute it with different batches. The rollback unwinds both
    boundaries; a donor must then offer and serve the re-executed state,
    never the captured-then-unwound one. *)
+(* An execute stage with z = 2 over a 16-record store, capturing a
+   boundary every 4 rounds (checkpoint interval 1). *)
+let boundary_exec engine ~sched ~ledger ~store =
+  Kv.init_records store ~count:16;
+  Exec.create ~engine ~costs:Rcc_sim.Costs.default
+    ~server:(Rcc_sim.Cpu.server engine ~name:"exec" ())
+    ~z:2 ~self:0 ~store ~ledger
+    ~txn_table:(Rcc_storage.Txn_table.create ~z:2)
+    ~current_primaries:(fun () -> primaries)
+    ~respond:(fun _ _ -> ())
+    ~metrics:(Rcc_replica.Metrics.create ~n:1 ~instances:2 ~warmup:0 ())
+    ~sched ~checkpoint_interval:1 ()
+
+let boundary_seqs exec =
+  List.map (fun (b : Snapshot.boundary) -> b.b_seq) (Exec.boundaries exec)
+
+(* Offers advertise only the newest boundary, so the donor keeps the
+   newest three: the older two still serve a fetch that raced up to two
+   new captures, and nothing older is pinned. *)
+let test_boundaries_keep_three () =
+  let engine = Engine.create () in
+  let ledger = Ledger.create ~primaries and store = Kv.create () in
+  let exec = boundary_exec engine ~sched:Exec.Serial ~ledger ~store in
+  for round = 0 to 15 do
+    for instance = 0 to 1 do
+      Exec.notify exec (write_acc ~round ~instance ~value:round)
+    done
+  done;
+  Engine.run engine ~until:(Engine.of_seconds 1.);
+  check Alcotest.int "executed" 16 (Ledger.length ledger);
+  check (Alcotest.list Alcotest.int) "four captures keep three" [ 16; 12; 8 ]
+    (boundary_seqs exec);
+  let w = make_world ~ledger ~boundaries:(fun () -> Exec.boundaries exec) () in
+  let served () =
+    match !(w.sent) with
+    | (Some 0, Msg.Snapshot_reply { sp_seq; sp_payload = Some blob; _ }) :: _ ->
+        Some (sp_seq, blob)
+    | _ -> None
+  in
+  Manager.on_msg w.mgr ~src:0 (Msg.Snapshot_request { sr_seq = 8; fetch = true });
+  (match served () with
+  | Some (8, blob) -> (
+      match Snapshot.decode blob with
+      | Ok snap ->
+          check Alcotest.int "served snapshot seq" 8 snap.Snapshot.seq;
+          check Alcotest.bool "served blob verifies" true
+            (Result.is_ok (Snapshot.verify ~primaries snap))
+      | Error e -> Alcotest.failf "decode: %s" e)
+  | _ -> Alcotest.fail "the third-newest boundary was not served");
+  w.sent := [];
+  Manager.on_msg w.mgr ~src:0 (Msg.Snapshot_request { sr_seq = 4; fetch = true });
+  check Alcotest.bool "a rotated-out boundary is not served" true
+    (served () = None)
+
 let test_rollback_recaptures_boundaries () =
   List.iter
     (fun parallel ->
@@ -392,17 +446,7 @@ let test_rollback_recaptures_boundaries () =
       in
       let ledger = Ledger.create ~primaries in
       let store = Kv.create () in
-      Kv.init_records store ~count:16;
-      let exec =
-        Exec.create ~engine ~costs:Rcc_sim.Costs.default
-          ~server:(Rcc_sim.Cpu.server engine ~name:"exec" ())
-          ~z:2 ~self:0 ~store ~ledger
-          ~txn_table:(Rcc_storage.Txn_table.create ~z:2)
-          ~current_primaries:(fun () -> primaries)
-          ~respond:(fun _ _ -> ())
-          ~metrics:(Rcc_replica.Metrics.create ~n:1 ~instances:2 ~warmup:0 ())
-          ~sched ~checkpoint_interval:1 ()
-      in
+      let exec = boundary_exec engine ~sched ~ledger ~store in
       for round = 0 to 7 do
         for instance = 0 to 1 do
           Exec.notify exec (write_acc ~round ~instance ~value:1)
@@ -412,7 +456,7 @@ let test_rollback_recaptures_boundaries () =
       let unwound = Ledger.head_hash ledger in
       Exec.rollback_to exec ~frontier:2 ~instance:1;
       check (Alcotest.list Alcotest.int) "rollback drops unwound boundaries" []
-        (List.map (fun (b : Snapshot.boundary) -> b.b_seq) (Exec.boundaries exec));
+        (boundary_seqs exec);
       for round = 2 to 7 do
         Exec.notify exec (write_acc ~round ~instance:1 ~value:99)
       done;
@@ -420,7 +464,7 @@ let test_rollback_recaptures_boundaries () =
       check Alcotest.int "re-executed" 8 (Ledger.length ledger);
       check (Alcotest.list Alcotest.int) "re-execution captures them again"
         [ 8; 4 ]
-        (List.map (fun (b : Snapshot.boundary) -> b.b_seq) (Exec.boundaries exec));
+        (boundary_seqs exec);
       let head_at seq =
         match Snapshot.chain_head ~primaries (Ledger.prefix ledger ~upto:seq) with
         | Ok h -> h
@@ -628,6 +672,8 @@ let suite =
         test_manager_rejects_head_mismatch;
       Alcotest.test_case "install invalidates caches" `Quick
         test_install_invalidates_caches;
+      Alcotest.test_case "boundaries: four captures keep three" `Quick
+        test_boundaries_keep_three;
       Alcotest.test_case "rollback re-captures boundaries donors serve" `Quick
         test_rollback_recaptures_boundaries;
       Alcotest.test_case "parallel exec: replicas capture identical boundaries"
