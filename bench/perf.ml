@@ -231,7 +231,7 @@ let bench_msg_size () =
 
 (* 64 committed rounds of z = 6 acceptances of 100-txn batches, PBFT
    certs of 11 replicas, built once: the journal rows below share the
-   batches (and so their cached payloads) across every writer, as the
+   batches (and so their payloads) across every writer, as the
    replicas of a cluster do. *)
 let journal_rounds =
   lazy
@@ -444,7 +444,7 @@ let bench_round_history () =
   let cert = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
   let batches =
     Array.init (rounds * z) (fun i ->
-        Batch.of_parts ~id:i ~client:(i mod 1_000) ~txns:[||]
+        Batch.of_parts ~id:i ~client:(i mod 1_000) ~payload:""
           ~digest:(Rcc_crypto.Sha256.digest (string_of_int i))
           ~signature:"")
   in
@@ -494,6 +494,36 @@ let bench_round_history () =
     m_ns = ns;
     m_words = float_of_int words;
     m_blocks = blocks;
+  }
+
+(* One op = 64 batches of 100 txns made by [Batch.create]. Like the
+   kv-store row, [m_words] is a footprint: [Obj.reachable_words] of the
+   64 batches, per batch. Every executed batch stays reachable for the
+   whole run (the coordinator's round history keeps it for contract
+   recovery), so this is what a batch costs the heap; it grows if a
+   batch keeps its transactions in a second form beside the payload its
+   digest covers. CI gates it against bench/batch.words. *)
+let bench_batch_footprint () =
+  let secret, _ = Rcc_crypto.Signature.keygen (Rcc_common.Rng.create 3) in
+  let count = 64 in
+  let build () =
+    Array.init count (fun b ->
+        Batch.create ~id:b ~client:b
+          ~txns:
+            (Array.init 100 (fun i ->
+                 Rcc_workload.Txn.{ key = (b * 100) + i; op = Write (i * 31) }))
+          ~secret)
+  in
+  let ns, _, blocks = measure ~iters:20 (fun () -> ignore (build ())) in
+  let words =
+    Obj.reachable_words (Obj.repr (build ())) - (count + 1) (* the array *)
+  in
+  let per = float_of_int count in
+  {
+    m_name = "batch-footprint";
+    m_ns = ns /. per;
+    m_words = float_of_int words /. per;
+    m_blocks = blocks /. per;
   }
 
 (* --- heap breakdown ----------------------------------------------------- *)
@@ -682,6 +712,7 @@ let () =
         bench_snapshot ();
         bench_kv_store ();
         bench_round_history ();
+        bench_batch_footprint ();
       ]
     in
     List.iter

@@ -41,6 +41,10 @@ type t = {
   broadcast : ?size:int -> Msg.t -> unit;
   send : ?size:int -> dst:replica_id -> Msg.t -> unit;
   primaries : replica_id array;
+  (* [primaries] as a list, rebuilt only when a primary is seated: every
+     executed round's block and journal record stores it, and they all
+     share this one. *)
+  mutable primaries_list : replica_id list;
   views : int array;
   kmal : Bitset.t;
   blames : Bitset.t array;  (* per instance: distinct accusers of its primary *)
@@ -65,6 +69,7 @@ type t = {
 
 let create cfg ~engine ~keychain ~handles ~exec ~metrics ~broadcast ~send =
   assert (Array.length handles = cfg.z);
+  let primaries = Array.init cfg.z (fun x -> (handles.(x)).h_primary ()) in
   {
     cfg;
     engine;
@@ -74,7 +79,8 @@ let create cfg ~engine ~keychain ~handles ~exec ~metrics ~broadcast ~send =
     metrics;
     broadcast;
     send;
-    primaries = Array.init cfg.z (fun x -> (handles.(x)).h_primary ());
+    primaries;
+    primaries_list = Array.to_list primaries;
     views = Array.make cfg.z 0;
     kmal = Bitset.create cfg.n;
     blames = Array.init cfg.z (fun _ -> Bitset.create cfg.n);
@@ -92,7 +98,7 @@ let create cfg ~engine ~keychain ~handles ~exec ~metrics ~broadcast ~send =
 let trace t ~instance payload =
   Engine.trace t.engine ~replica:t.cfg.self ~instance payload
 
-let primaries t = Array.to_list t.primaries
+let primaries t = t.primaries_list
 let primary_of t x = t.primaries.(x)
 let view_of t x = t.views.(x)
 let cert_of t x = t.certs.(x)
@@ -151,6 +157,7 @@ let install_view t x ~view ~primary ~replaced =
   done;
   t.views.(x) <- view;
   t.primaries.(x) <- primary;
+  t.primaries_list <- Array.to_list t.primaries;
   if Engine.tracing t.engine then
     trace t ~instance:x (Rcc_trace.Event.Primary_change { primary; view });
   clear_blames t x;

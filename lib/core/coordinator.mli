@@ -68,6 +68,9 @@ val create :
   t
 
 val primaries : t -> replica_id list
+(** The primary of each instance, in instance order: one list, shared by
+    every caller until a primary is next seated. *)
+
 val primary_of : t -> instance_id -> replica_id
 val view_of : t -> instance_id -> view
 val known_malicious : t -> replica_id list

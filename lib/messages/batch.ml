@@ -3,36 +3,40 @@ type key_sets = { rset : int array; wset : int array }
 type t = {
   id : int;
   client : Rcc_common.Ids.client_id;
-  txns : Rcc_workload.Txn.t array;
+  payload : string;
   digest : string;
   signature : Rcc_crypto.Signature.signature;
-  wire : int;
   mutable keys : key_sets option;
-  mutable payload : string;
-  seal_txns : Rcc_workload.Txn.t array;
+  seal_payload : string;
   seal_digest : string;
 }
 
 module Txn = Rcc_workload.Txn
 module Wire = Rcc_common.Wire
 
-let put_txns b txns off =
-  let n = Array.length txns in
-  for i = 0 to n - 1 do
-    Txn.encode_into b (off + (i * Txn.encoded_size)) txns.(i)
-  done;
-  off + (n * Txn.encoded_size)
-
-(* All transactions in one flat buffer: the bytes [digest] hashes and the
-   journal stores. *)
+(* All transactions in one flat buffer: the bytes [digest] hashes, the
+   journal stores and execution reads. *)
 let encode_txns txns =
-  let buf = Bytes.create (Array.length txns * Txn.encoded_size) in
-  ignore (put_txns buf txns 0);
+  let n = Array.length txns in
+  let buf = Bytes.create (n * Txn.encoded_size) in
+  for i = 0 to n - 1 do
+    Txn.encode_into buf (i * Txn.encoded_size) txns.(i)
+  done;
   Bytes.unsafe_to_string buf
 
 let digest_of_txns txns = Rcc_crypto.Sha256.digest (encode_txns txns)
 
-let wire_size ~ntxns = ntxns * Rcc_workload.Txn.wire_size
+let txn_count t = String.length t.payload / Txn.encoded_size
+
+let txns t =
+  Array.init (txn_count t) (fun i -> Txn.decode_at t.payload (i * Txn.encoded_size))
+
+let apply store t =
+  for i = 0 to txn_count t - 1 do
+    ignore (Txn.apply_at store t.payload (i * Txn.encoded_size))
+  done
+
+let wire_size ~ntxns = ntxns * Txn.wire_size
 
 (* --- read/write key sets ------------------------------------------------ *)
 
@@ -55,74 +59,65 @@ let sorted_dedup a n =
     if !w = n then a else Array.sub a 0 !w
   end
 
-let compute_key_sets txns =
-  let n = Array.length txns in
+let compute_key_sets payload =
+  let n = String.length payload / Txn.encoded_size in
   if n = 0 then empty_keys
   else begin
     let r = Array.make n 0 and w = Array.make n 0 in
     let nr = ref 0 and nw = ref 0 in
-    Array.iter
-      (fun (txn : Rcc_workload.Txn.t) ->
-        match txn.Rcc_workload.Txn.op with
-        | Rcc_workload.Txn.Read ->
-            r.(!nr) <- txn.Rcc_workload.Txn.key;
-            incr nr
-        | Rcc_workload.Txn.Write _ ->
-            w.(!nw) <- txn.Rcc_workload.Txn.key;
-            incr nw)
-      txns;
+    for i = 0 to n - 1 do
+      let off = i * Txn.encoded_size in
+      if Txn.is_write_at payload off then begin
+        w.(!nw) <- Txn.key_at payload off;
+        incr nw
+      end
+      else begin
+        r.(!nr) <- Txn.key_at payload off;
+        incr nr
+      end
+    done;
     { rset = sorted_dedup r !nr; wset = sorted_dedup w !nw }
   end
 
-(* Computed on first use and cached in the record (like [wire], but lazy:
-   serial execution never needs key sets, so fault-free serial runs pay
+(* Computed on first use and cached in the record (lazy: serial
+   execution never needs key sets, so fault-free serial runs pay
    nothing). The cache is per-record, so unlike the digest memo it cannot
    alias across batches. *)
 let key_sets t =
   match t.keys with
   | Some k -> k
   | None ->
-      let k = compute_key_sets t.txns in
+      let k = compute_key_sets t.payload in
       t.keys <- Some k;
       k
 
-(* Encoded on the first journal write and shared by every replica that
-   journals the record; runs without a journal never encode. "" stands
-   for "not yet encoded", which is also the encoding of no txns. *)
-let payload t =
-  if t.payload = "" && Array.length t.txns > 0 then
-    t.payload <- encode_txns t.txns;
-  t.payload
-
+(* The records die young: only their encoding is kept. *)
 let create ~id ~client ~txns ~secret =
-  let digest = digest_of_txns txns in
+  let payload = encode_txns txns in
+  let digest = Rcc_crypto.Sha256.digest payload in
   {
     id;
     client;
-    txns;
+    payload;
     digest;
     signature = Rcc_crypto.Signature.sign secret digest;
-    wire = wire_size ~ntxns:(Array.length txns);
     keys = None;
-    payload = "";
-    seal_txns = txns;
+    seal_payload = payload;
     seal_digest = digest;
   }
 
 (* The seal's digest is a private copy, never physically the record's, so
    [verify] recomputes; it still equals [digest] structurally, so a
    decoded batch compares equal to the one that was encoded. *)
-let of_parts ~id ~client ~txns ~digest ~signature =
+let of_parts ~id ~client ~payload ~digest ~signature =
   {
     id;
     client;
-    txns;
+    payload;
     digest;
     signature;
-    wire = wire_size ~ntxns:(Array.length txns);
     keys = None;
-    payload = "";
-    seal_txns = txns;
+    seal_payload = payload;
     seal_digest = Bytes.to_string (Bytes.of_string digest);
   }
 
@@ -130,7 +125,7 @@ let null_client = -1
 
 let null ~round =
   {
-    (of_parts ~id:(-round - 1) ~client:null_client ~txns:[||]
+    (of_parts ~id:(-round - 1) ~client:null_client ~payload:""
        ~digest:(Rcc_crypto.Sha256.digest ("rcc-null" ^ string_of_int round))
        ~signature:(String.make Rcc_crypto.Signature.signature_size '\x00'))
     with
@@ -140,16 +135,16 @@ let null ~round =
 let is_null t = t.client = null_client
 
 (* The simulator passes messages by reference, so the batch a replica
-   verifies is usually the record [create] sealed: its [txns] and
+   verifies is usually the record [create] sealed: its [payload] and
    [digest] are physically the pair that was hashed, and hashing again
    would give the same bytes. Any other record, including a
-   [{b with txns}] or [{b with digest}] copy, is recomputed. *)
+   [{b with payload}] or [{b with digest}] copy, is recomputed. *)
 let verify t ~public =
-  ((t.txns == t.seal_txns && t.digest == t.seal_digest)
-  || String.equal t.digest (digest_of_txns t.txns))
+  ((t.payload == t.seal_payload && t.digest == t.seal_digest)
+  || String.equal t.digest (Rcc_crypto.Sha256.digest t.payload))
   && Rcc_crypto.Signature.verify public t.digest t.signature
 
-let size t = t.wire
+let size t = wire_size ~ntxns:(txn_count t)
 
 (* --- binary record ------------------------------------------------------ *)
 
@@ -162,35 +157,39 @@ let payload_offset = 24
 let framing_size t =
   payload_offset + Wire.string_size t.digest + Wire.string_size t.signature
 
-let encoded_size t = framing_size t + (Array.length t.txns * Txn.encoded_size)
+let encoded_size t = framing_size t + String.length t.payload
 
 let write_head b t off =
   Wire.put_int b t.id off
   |> Wire.put_int b t.client
-  |> Wire.put_int b (Array.length t.txns)
+  |> Wire.put_int b (txn_count t)
 
 let write_tail b t off =
   Wire.put_string b t.digest off |> Wire.put_string b t.signature
 
-(* The txns are copied from the cached payload when there is one and
-   encoded in place otherwise, so writing never fills the cache. *)
-let write b t off =
-  let off = write_head b t off in
-  (if t.payload = "" then put_txns b t.txns off else Wire.put_raw b t.payload off)
-  |> write_tail b t
+let write b t off = write_head b t off |> Wire.put_raw b t.payload |> write_tail b t
 
 let write_framing b t off = write_head b t off |> write_tail b t
 
-(* Digest and signature are bounded by the reader's limit alone. *)
+(* Digest and signature are bounded by the reader's limit alone. The txns
+   stay the bytes they arrived as, once each is checked to be what
+   [Txn.encode_into] writes: a batch keeps no other form of them, so a
+   non-canonical encoding would execute as a txn whose encoding is other
+   bytes than the ones its digest covers. *)
 let read (r : Wire.reader) =
   let id = Wire.int r in
   let client = Wire.int r in
   let ntxns = Wire.count r ~max:max_txns "txn count" in
-  Wire.need r (ntxns * Txn.encoded_size);
-  let txns = Array.init ntxns (fun _ -> Txn.read r) in
+  let len = ntxns * Txn.encoded_size in
+  Wire.need r len;
+  for i = 0 to ntxns - 1 do
+    Txn.check_at r.buf (r.pos + (i * Txn.encoded_size))
+  done;
+  let payload = String.sub r.buf r.pos len in
+  r.pos <- r.pos + len;
   let digest = Wire.string r ~max:max_int in
   let signature = Wire.string r ~max:max_int in
-  of_parts ~id ~client ~txns ~digest ~signature
+  of_parts ~id ~client ~payload ~digest ~signature
 
 type span = { p_off : int; p_len : int; d_off : int; d_len : int }
 

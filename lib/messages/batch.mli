@@ -1,8 +1,9 @@
 (** Client request batches.
 
-    A batch is one client's request: an ordered array of transactions, a
-    SHA-256 digest over their encoding, and the client's signature over the
-    digest (§6 "Batching"). Batches are the unit of consensus. *)
+    A batch is one client's request: the encoding of an ordered sequence
+    of transactions, a SHA-256 digest over exactly those bytes, and the
+    client's signature over the digest (§6 "Batching"). Batches are the
+    unit of consensus. *)
 
 type key_sets = {
   rset : int array;  (** keys read, ascending, deduplicated *)
@@ -14,26 +15,23 @@ type key_sets = {
 type t = {
   id : int;  (** globally unique request identifier *)
   client : Rcc_common.Ids.client_id;
-  txns : Rcc_workload.Txn.t array;
-  digest : string;  (** SHA-256 over the encoded transactions *)
+  payload : string;
+      (** the transactions, each as its {!Rcc_workload.Txn.encoded_size}
+          bytes: exactly the bytes [digest] covers, and the batch's only
+          copy of them *)
+  digest : string;  (** SHA-256 over [payload] *)
   signature : Rcc_crypto.Signature.signature;  (** client's, over the digest *)
-  wire : int;
-      (** cached {!wire_size} of [txns] — [Msg.size] queries it on every
-          send, so it is computed once at construction *)
   mutable keys : key_sets option;
       (** cached {!key_sets}, computed on first use; serial execution
           never touches it *)
-  mutable payload : string;
-      (** cached {!payload}, [""] until first use; only the journal uses
-          it *)
-  seal_txns : Rcc_workload.Txn.t array;
+  seal_payload : string;
   seal_digest : string;
-      (** the [(txns, digest)] pair {!create} hashed. {!verify} skips the
-          hash when both fields are still physically this pair. *)
+      (** the [(payload, digest)] pair {!create} hashed. {!verify} skips
+          the hash when both fields are still physically this pair. *)
 }
-(** Like [keys] and [payload], a batch with other transactions is built
-    with {!create} or {!of_parts}, never as [{b with txns}]: the caches
-    would still describe [b]'s transactions. *)
+(** Like [keys], a batch with other transactions is built with {!create}
+    or {!of_parts}, never as [{b with payload}]: the cache would still
+    describe [b]'s transactions. *)
 
 val create :
   id:int ->
@@ -41,15 +39,18 @@ val create :
   txns:Rcc_workload.Txn.t array ->
   secret:Rcc_crypto.Signature.secret_key ->
   t
+(** Encode [txns] into the payload, hash and sign it. The batch keeps
+    the encoding, not the records. *)
 
 val of_parts :
   id:int ->
   client:Rcc_common.Ids.client_id ->
-  txns:Rcc_workload.Txn.t array ->
+  payload:string ->
   digest:string ->
   signature:Rcc_crypto.Signature.signature ->
   t
-(** A batch read back from bytes (codec, journal). It is not sealed:
+(** A batch from its parts, [payload] a whole number of canonical
+    transaction encodings (as {!read} checks). It is not sealed:
     {!verify} recomputes its digest. *)
 
 val null : round:Rcc_common.Ids.round -> t
@@ -63,22 +64,30 @@ val is_null : t -> bool
 
 val digest_of_txns : Rcc_workload.Txn.t array -> string
 (** SHA-256 over the concatenated {!Rcc_workload.Txn.encode_into} bytes,
-    i.e. over {!payload}. *)
+    i.e. over the [payload] {!create} builds from them. *)
+
+val txn_count : t -> int
+(** Transactions in the batch, from the length of [payload]. *)
+
+val txns : t -> Rcc_workload.Txn.t array
+(** The transactions decoded from [payload] into fresh records. Nothing
+    on the replica path calls it: execution and conflict analysis read
+    the payload in place. *)
 
 val key_sets : t -> key_sets
 (** The batch's read/write key sets, sorted ascending and deduplicated;
     computed on first use and cached in the record. *)
-
-val payload : t -> string
-(** The encoded transactions, the exact bytes [digest] covers; computed on
-    first use and cached in the record. *)
 
 val verify : t -> public:Rcc_crypto.Signature.public_key -> bool
 (** Check that the digest covers the transactions and the client signed
     it. The digest is recomputed unless the record is sealed. *)
 
 val size : t -> int
-(** The cached [wire] field. *)
+(** {!wire_size} of the batch's transactions. *)
+
+val apply : Rcc_storage.Kv_store.t -> t -> unit
+(** Execute the transactions against the store in order, reading each
+    from [payload] in place ({!Rcc_workload.Txn.apply_at}). *)
 
 val wire_size : ntxns:int -> int
 (** Bytes a batch occupies inside a message; 100 transactions give the
@@ -88,19 +97,15 @@ val wire_size : ntxns:int -> int
 
     The one layout of a batch inside codec messages and journal round
     records: id, client, txn count, the encoded transactions
-    ({!payload}), then digest and signature as length-prefixed strings
+    ([payload]), then digest and signature as length-prefixed strings
     ({!Rcc_common.Wire}). *)
 
 val encoded_size : t -> int
-(** Exact length of the record {!write} emits; does not encode the
-    transactions. *)
+(** Exact length of the record {!write} emits. *)
 
 val write : Bytes.t -> t -> int -> int
 (** [write buf t off] stores [t]'s record at [off] and returns
-    [off + encoded_size t]. The transactions are copied from the
-    {!payload} cache when it is filled and encoded in place otherwise;
-    [write] never fills it, so a writer that wants the encoding shared
-    calls {!payload} first. *)
+    [off + encoded_size t]. *)
 
 val payload_offset : int
 (** Where the encoded transactions start inside a record: 24 bytes in. *)
@@ -110,13 +115,15 @@ val framing_size : t -> int
 
 val write_framing : Bytes.t -> t -> int -> int
 (** {!write} with the encoded transactions cut out: stores
-    [framing_size t] bytes at [off]. A writer that keeps {!payload} by
+    [framing_size t] bytes at [off]. A writer that keeps [payload] by
     reference splices it back at [off + payload_offset] to get the
     record {!write} emits. *)
 
 val read : Rcc_common.Wire.reader -> t
-(** Parse one record into an unsealed batch ({!of_parts}). At most
-    1 000 000 transactions; raises {!Rcc_common.Wire.Malformed}. *)
+(** Parse one record into an unsealed batch ({!of_parts}) whose payload
+    is a copy of the record's encoded transactions. At most 1 000 000
+    transactions, each of which must pass
+    {!Rcc_workload.Txn.check_at}; raises {!Rcc_common.Wire.Malformed}. *)
 
 type span = {
   p_off : int;  (** offset of the encoded transactions *)

@@ -203,7 +203,7 @@ let live_words t =
     words :=
       !words + 16
       + (match s.batch with
-        | Some b -> 8 + (2 * Array.length b.Batch.txns)
+        | Some b -> 8 + (2 * Batch.txn_count b)
         | None -> 0)
   in
   Array.iter (function Some s -> slot s | None -> ()) t.ring;

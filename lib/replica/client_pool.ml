@@ -278,7 +278,7 @@ let rec complete t c =
       t.completed <- t.completed + 1;
       let now = Engine.now t.engine in
       Metrics.record_completion ~instance:t.instance.(c) t.metrics ~now
-        ~ntxns:(Array.length batch.Batch.txns)
+        ~ntxns:(Batch.txn_count batch)
         ~latency:(now - sent_at);
       (match t.ol with
       | None -> send_next t c

@@ -236,7 +236,7 @@ let partition items =
     let r = find parent i in
     members.(r) <- items.(i) :: members.(r);
     s.txns.(r) <-
-      s.txns.(r) + Array.length items.(i).acc.Acceptance.batch.Batch.txns
+      s.txns.(r) + Batch.txn_count items.(i).acc.Acceptance.batch
   done;
   let groups = ref [] in
   for r = n - 1 downto 0 do

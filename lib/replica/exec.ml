@@ -232,7 +232,7 @@ let slots t round =
       a
 
 let member_cost t (a : Acceptance.t) =
-  let ntxns = Array.length a.batch.Batch.txns in
+  let ntxns = Batch.txn_count a.batch in
   t.costs.Costs.exec_batch_overhead
   + (ntxns * t.costs.Costs.txn_exec)
   + t.costs.Costs.response_create
@@ -294,9 +294,7 @@ let execute_member t (w : wround) rank (a : Acceptance.t) =
   else begin
     if t.materialize then begin
       Rcc_storage.Kv_store.journal_round t.store w.w_round;
-      Array.iter
-        (fun txn -> ignore (Rcc_workload.Txn.apply t.store txn))
-        batch.Batch.txns
+      Batch.apply t.store batch
     end;
     let result_digest =
       Rcc_crypto.Sha256.digest_list
@@ -321,7 +319,7 @@ let run_member t (w : wround) rank (a : Acceptance.t) =
          {
            round = w.w_round;
            batch = a.batch.Batch.id;
-           txns = Array.length a.batch.Batch.txns;
+           txns = Batch.txn_count a.batch;
          });
   execute_member t w rank a
 
@@ -351,7 +349,7 @@ let append_round t (w : wround) ~primaries =
             client = batch.Batch.client;
             batch_digest = batch.Batch.digest;
             response_digest = w.reply_digest.(rank);
-            txn_count = Array.length batch.Batch.txns;
+            txn_count = Batch.txn_count batch;
           })
     w.ordered;
   Rcc_storage.Ledger.append_exn t.ledger
@@ -379,7 +377,7 @@ let commit_round t (w : wround) =
     Array.iteri
       (fun rank (a : Acceptance.t) ->
         let batch = a.batch in
-        let ntxns = Array.length batch.Batch.txns in
+        let ntxns = Batch.txn_count batch in
         if w.did_exec.(rank) then begin
           t.executed_txns <- t.executed_txns + ntxns;
           Metrics.record_exec t.metrics ~replica:t.self
@@ -828,7 +826,7 @@ let replay_round t ~round ~primaries ordered =
   Array.iteri
     (fun rank (a : Acceptance.t) ->
       if w.did_exec.(rank) then
-        txns := !txns + Array.length a.batch.Batch.txns)
+        txns := !txns + Batch.txn_count a.batch)
     ordered;
   !txns
 

@@ -82,7 +82,7 @@ let instrument t =
                {
                  round = a.round;
                  batch = a.batch.Rcc_messages.Batch.id;
-                 txns = Array.length a.batch.Rcc_messages.Batch.txns;
+                 txns = Rcc_messages.Batch.txn_count a.batch;
                });
         t.accept a);
     report_failure =

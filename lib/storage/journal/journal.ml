@@ -111,12 +111,12 @@ let frame kind ~len ~spliced fill =
 
 let round_record ~round ~primaries (ordered : Acceptance.t array) =
   (* round, primaries, slot count; per slot instance, speculative flag,
-     certificate and batch. Each batch's txns are encoded once, into its
-     cached payload, which every replica's record holds by reference:
-     the framing here is the batch record less its txns, and the payload
-     is spliced back in where [Batch.write] would have put it. *)
+     certificate and batch. Each batch's txns are its payload, which
+     every replica's record holds by reference: the framing here is the
+     batch record less its txns, and the payload is spliced back in
+     where [Batch.write] would have put it. *)
   let payloads =
-    Array.map (fun (a : Acceptance.t) -> Batch.payload a.batch) ordered
+    Array.map (fun (a : Acceptance.t) -> a.batch.Batch.payload) ordered
   in
   let len =
     Array.fold_left
@@ -563,7 +563,7 @@ let recover ~engine ~self ~disk ~exec ~primaries () =
                        txns =
                          Array.fold_left
                            (fun acc (a : Acceptance.t) ->
-                             acc + Array.length a.batch.Batch.txns)
+                             acc + Batch.txn_count a.batch)
                            0 ordered;
                      })
             end

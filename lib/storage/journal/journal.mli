@@ -52,8 +52,8 @@
     are bound by the batch's stored 32-byte digest, which is a SHA-256
     over exactly them ({!Rcc_messages.Batch.digest_of_txns}). So the txn
     bytes are hashed once, by the client, rather than by every
-    journaling replica, and their encoding is cached in the batch
-    ({!Rcc_messages.Batch.payload}) and shared: the stored round record
+    journaling replica, and the batch's own encoding of them (its
+    [payload], the batch's only copy) is shared: the stored round record
     is its framing with each payload spliced in by reference
     ({!Sim_disk.spliced}), so n replicas journaling one batch hold its
     txn bytes once. Recovery rejects a round

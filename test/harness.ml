@@ -94,8 +94,8 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
                        round = acceptance.Rcc_replica.Acceptance.round;
                        batch = acceptance.Rcc_replica.Acceptance.batch.Batch.id;
                        txns =
-                         Array.length
-                           acceptance.Rcc_replica.Acceptance.batch.Batch.txns;
+                         Batch.txn_count
+                           acceptance.Rcc_replica.Acceptance.batch;
                      }));
           report_failure =
             (fun ~announce:_ ~round ~blamed ->

@@ -105,7 +105,7 @@ let rec complete t client out =
   t.completed <- t.completed + 1;
   let now = Engine.now t.engine in
   Rcc_replica.Metrics.record_completion ~instance:client.instance t.metrics ~now
-    ~ntxns:(Array.length out.batch.Batch.txns)
+    ~ntxns:(Batch.txn_count out.batch)
     ~latency:(now - out.sent_at);
   send_next t client
 

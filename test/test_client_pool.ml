@@ -324,7 +324,7 @@ let install_responders net ~p ~count =
                       batch_id = batch.Rcc_messages.Batch.id;
                       round = 0;
                       result_digest = "ok";
-                      txn_count = Array.length batch.Rcc_messages.Batch.txns;
+                      txn_count = Rcc_messages.Batch.txn_count batch;
                       speculative = p.speculative;
                       history = "";
                     }

@@ -28,7 +28,7 @@ let gen_batch =
     let* id = int_range (-100) 1_000_000 in
     let* client = int_range (-1) 1_000 in
     let+ txns = array_size (int_range 0 8) gen_txn in
-    Batch.{ (Batch.create ~id ~client:(max client 0) ~txns ~secret) with client })
+    { (Batch.create ~id ~client:(max client 0) ~txns ~secret) with Batch.client })
 
 let gen_digest = QCheck2.Gen.(map Rcc_crypto.Sha256.digest string)
 let gen_small = QCheck2.Gen.int_range 0 10_000
@@ -181,12 +181,35 @@ let test_batch_payload_survives () =
   let msg = Msg.Pre_prepare { instance = 1; view = 2; seq = 3; batch } in
   match Codec.decode (Codec.encode msg) with
   | Ok (Msg.Pre_prepare { batch = b; _ }) ->
-      check Alcotest.int "txn count" 5 (Array.length b.Batch.txns);
+      check Alcotest.int "txn count" 5 (Batch.txn_count b);
       check Alcotest.bool "txns equal" true
-        (Array.for_all2 Rcc_workload.Txn.equal batch.Batch.txns b.Batch.txns);
+        (Array.for_all2 Rcc_workload.Txn.equal txns (Batch.txns b));
       check Alcotest.string "digest survives" batch.Batch.digest b.Batch.digest;
       check Alcotest.string "signature survives" batch.Batch.signature b.Batch.signature
   | Ok _ | Error _ -> Alcotest.fail "wrong decode"
+
+(* A read whose value field is not zero is no encoding [Txn.encode_into]
+   writes. When a batch decoded into records it lost that value, so its
+   re-encoding missed the digest the client signed and [verify] failed;
+   a batch that keeps the bytes it arrived as must refuse them at decode
+   instead, even under a valid digest and signature. *)
+let test_noncanonical_read_rejected () =
+  let module Txn = Rcc_workload.Txn in
+  let u64 v = Rcc_common.Bytes_util.u64_string (Int64.of_int v) in
+  let write = Txn.encode { key = 4; op = Write 8 } in
+  let msg payload =
+    let digest = Rcc_crypto.Sha256.digest payload in
+    let batch =
+      Batch.of_parts ~id:1 ~client:2 ~payload ~digest
+        ~signature:(Rcc_crypto.Signature.sign secret digest)
+    in
+    Codec.encode (Msg.Client_request { instance = 0; batch })
+  in
+  let canonical = write ^ u64 7 ^ u64 0 ^ u64 0 in
+  check Alcotest.bool "canonical read decodes" true
+    (Result.is_ok (Codec.decode (msg canonical)));
+  check Alcotest.bool "read carrying a value rejected" true
+    (Result.is_error (Codec.decode (msg (write ^ u64 7 ^ u64 0 ^ u64 1))))
 
 let test_encoded_size () =
   let msg = Msg.Local_commit { instance = 0; seq = 1; client = 2 } in
@@ -321,6 +344,8 @@ let suite =
       Alcotest.test_case "trailing bytes" `Quick test_trailing_bytes_rejected;
       Alcotest.test_case "unknown tag" `Quick test_unknown_tag_rejected;
       Alcotest.test_case "batch payload" `Quick test_batch_payload_survives;
+      Alcotest.test_case "non-canonical read rejected" `Quick
+        test_noncanonical_read_rejected;
       Alcotest.test_case "encoded_size" `Quick test_encoded_size;
       Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
       Alcotest.test_case "max-length probe" `Quick test_max_length_probe;

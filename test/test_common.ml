@@ -347,6 +347,55 @@ let u64_roundtrip =
   qtest "u64: roundtrip" QCheck2.Gen.int64 (fun v ->
       Bytes_util.get_u64be (Bytes_util.u64_string v) 0 = v)
 
+(* The byte loops [Bytes_util] used before it switched to the stdlib's
+   endian-aware accessors, kept as the reference for those. *)
+module Byte_loop = struct
+  let put_u32be b off v =
+    for i = 0 to 3 do
+      Bytes.set b (off + i)
+        (Char.chr
+           (Int32.to_int (Int32.shift_right_logical v (8 * (3 - i))) land 0xff))
+    done
+
+  let put_u64be b off v =
+    for i = 0 to 7 do
+      Bytes.set b (off + i)
+        (Char.chr
+           (Int64.to_int (Int64.shift_right_logical v (8 * (7 - i))) land 0xff))
+    done
+
+  let get_u64be s off =
+    let rec go i acc =
+      if i = 8 then acc
+      else
+        go (i + 1)
+          (Int64.logor (Int64.shift_left acc 8)
+             (Int64.of_int (Char.code s.[off + i])))
+    in
+    go 0 0L
+end
+
+(* Stores at a random offset of a 16-byte buffer over garbage, so a
+   writer that touched a byte outside its field would show too. *)
+let u64_primitives_match_loop =
+  qtest ~count:500 "u64: primitives == byte loop"
+    QCheck2.Gen.(triple int64 int32 (pair (int_range 0 8) string))
+    (fun (v, w, (off, junk)) ->
+      let fresh () =
+        Bytes.init 16 (fun i ->
+            if i < String.length junk then junk.[i] else Char.chr (i * 37 land 0xff))
+      in
+      let a = fresh () and b = fresh () in
+      Bytes_util.put_u64be a off v;
+      Byte_loop.put_u64be b off v;
+      let c = fresh () and d = fresh () in
+      Bytes_util.put_u32be c off w;
+      Byte_loop.put_u32be d off w;
+      let s = Bytes.to_string (fresh ()) in
+      Bytes.equal a b && Bytes.equal c d
+      && String.equal (Bytes_util.u64_string v) (Bytes.to_string (Bytes.sub b off 8))
+      && Int64.equal (Bytes_util.get_u64be s off) (Byte_loop.get_u64be s off))
+
 let test_xor () =
   check Alcotest.string "xor self is zero"
     (String.make 4 '\x00')
@@ -435,6 +484,7 @@ let suite =
       Alcotest.test_case "series buckets" `Quick test_series_buckets;
       hex_roundtrip;
       u64_roundtrip;
+      u64_primitives_match_loop;
       Alcotest.test_case "xor" `Quick test_xor;
       wire_roundtrip;
       Alcotest.test_case "wire bounds" `Quick test_wire_bounds;

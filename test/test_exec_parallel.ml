@@ -106,7 +106,7 @@ let oracle_partition (items : Conflict.item array) =
               (fun i -> (items.(i).Conflict.round, items.(i).Conflict.rank))
               mem,
             List.fold_left
-              (fun t i -> t + Array.length (batch i).Batch.txns)
+              (fun t i -> t + Batch.txn_count (batch i))
               0 mem,
             !keys ))
     (List.init n Fun.id)

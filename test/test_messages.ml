@@ -83,68 +83,163 @@ let test_hs_proposal_size () =
   check Alcotest.int "phase 0 carries batch" 5400 with_batch;
   check Alcotest.int "later phases small" 250 without
 
+let encode_all txns =
+  String.concat "" (Array.to_list (Array.map Rcc_workload.Txn.encode txns))
+
 let test_batch_verify () =
   let b = batch_of 10 in
   check Alcotest.bool "valid batch verifies" true (Batch.verify b ~public);
-  let forged = { b with Batch.txns = [| Rcc_workload.Txn.{ key = 9; op = Read } |] } in
+  let forged =
+    { b with Batch.payload = Rcc_workload.Txn.(encode { key = 9; op = Read }) }
+  in
   check Alcotest.bool "tampered txns rejected" false (Batch.verify forged ~public);
   let resigned =
-    Batch.create ~id:1 ~client:0 ~txns:b.Batch.txns ~secret:other_secret
+    Batch.create ~id:1 ~client:0 ~txns:(Batch.txns b) ~secret:other_secret
   in
   check Alcotest.bool "wrong signer rejected" false (Batch.verify resigned ~public)
 
-(* [verify] trusts a record's own seal only while its [txns] and [digest]
-   are physically the pair [create] hashed. *)
+(* [verify] trusts a record's own seal only while its [payload] and
+   [digest] are physically the pair [create] hashed. *)
 let test_batch_seal () =
   let b = batch_of 10 in
-  let forged_txns = Array.copy b.Batch.txns in
+  let forged_txns = Batch.txns b in
   forged_txns.(0) <- Rcc_workload.Txn.{ key = 0; op = Write 99 };
-  check Alcotest.bool "{b with txns} rejected" false
-    (Batch.verify { b with Batch.txns = forged_txns } ~public);
+  let forged = encode_all forged_txns in
+  check Alcotest.bool "{b with payload} rejected" false
+    (Batch.verify { b with Batch.payload = forged } ~public);
   check Alcotest.bool "{b with digest} rejected" false
     (Batch.verify
        { b with Batch.digest = Batch.digest_of_txns forged_txns }
        ~public);
-  check Alcotest.bool "consistent txns and digest, old signature" false
+  check Alcotest.bool "consistent payload and digest, old signature" false
     (Batch.verify
        {
          b with
-         Batch.txns = forged_txns;
+         Batch.payload = forged;
          digest = Batch.digest_of_txns forged_txns;
        }
        ~public);
-  check Alcotest.bool "equal copy of the txns recomputed and accepted" true
-    (Batch.verify { b with Batch.txns = Array.copy b.Batch.txns } ~public);
-  let parts txns digest =
-    Batch.of_parts ~id:b.Batch.id ~client:b.Batch.client ~txns ~digest
+  check Alcotest.bool "equal copy of the payload recomputed and accepted" true
+    (Batch.verify
+       { b with Batch.payload = Bytes.to_string (Bytes.of_string b.Batch.payload) }
+       ~public);
+  let parts payload digest =
+    Batch.of_parts ~id:b.Batch.id ~client:b.Batch.client ~payload ~digest
       ~signature:b.Batch.signature
   in
   check Alcotest.bool "decoded batch verifies" true
-    (Batch.verify (parts b.Batch.txns b.Batch.digest) ~public);
+    (Batch.verify (parts b.Batch.payload b.Batch.digest) ~public);
   check Alcotest.bool "decoded batch with a stale digest rejected" false
-    (Batch.verify (parts forged_txns b.Batch.digest) ~public);
+    (Batch.verify (parts forged b.Batch.digest) ~public);
   check Alcotest.bool "decoded batch compares equal to the original" true
-    (parts b.Batch.txns b.Batch.digest = b)
+    (parts b.Batch.payload b.Batch.digest = b)
 
 let test_batch_payload () =
+  let txns = Array.init 7 (fun i -> Rcc_workload.Txn.{ key = i; op = Write i }) in
   let b = batch_of 7 in
   check Alcotest.int "24 bytes per txn" (7 * Rcc_workload.Txn.encoded_size)
-    (String.length (Batch.payload b));
+    (String.length b.Batch.payload);
+  check Alcotest.int "txn count" 7 (Batch.txn_count b);
   check Alcotest.string "digest covers exactly the payload"
     (Rcc_common.Bytes_util.hex b.Batch.digest)
-    (Rcc_crypto.Sha256.hex_digest (Batch.payload b));
-  check Alcotest.bool "cached" true (Batch.payload b == Batch.payload b);
+    (Rcc_crypto.Sha256.hex_digest b.Batch.payload);
+  check Alcotest.string "payload is the txns' encodings" (encode_all txns)
+    b.Batch.payload;
   check Alcotest.string "null batch has none" ""
-    (Batch.payload (Batch.null ~round:3))
+    (Batch.null ~round:3).Batch.payload
 
 let test_null_batch () =
   let null = Batch.null ~round:7 in
   check Alcotest.bool "is_null" true (Batch.is_null null);
   check Alcotest.bool "regular batch not null" false (Batch.is_null (batch_of 1));
-  check Alcotest.int "no txns" 0 (Array.length null.Batch.txns);
+  check Alcotest.int "no txns" 0 (Batch.txn_count null);
   let null2 = Batch.null ~round:8 in
   check Alcotest.bool "distinct rounds, distinct digests" false
     (String.equal null.Batch.digest null2.Batch.digest)
+
+(* --- payload batch == record model ---------------------------------------
+
+   A batch keeps its transactions only as [payload]. The model is the
+   record array they were made from: its encodings, its key sets as
+   [Batch.compute_key_sets] built them from records, and [Txn.apply] of
+   each record. *)
+
+module Txn = Rcc_workload.Txn
+module Kv = Rcc_storage.Kv_store
+module Codec = Rcc_messages.Codec
+
+let model_key_sets txns =
+  let keys want =
+    Array.to_list txns
+    |> List.filter_map (fun (t : Txn.t) ->
+           match t.op with
+           | Txn.Read when not want -> Some t.key
+           | Txn.Write _ when want -> Some t.key
+           | Txn.Read | Txn.Write _ -> None)
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  { Batch.rset = keys false; wset = keys true }
+
+let gen_txn =
+  QCheck2.Gen.(
+    let* key = oneof [ int_range 0 40; int_range 0 5_000; int ] in
+    let* write = bool in
+    if write then
+      let+ v = oneof [ int_range 0 1_000_000; int ] in
+      Txn.{ key; op = Write v }
+    else return Txn.{ key; op = Read })
+
+(* A created batch, a null one, or a created one sent through the codec:
+   with the records it was made from ([||] for a null batch). *)
+let gen_case =
+  QCheck2.Gen.(
+    let* txns = array_size (int_range 0 40) gen_txn and* how = int_range 0 9 in
+    let created = Batch.create ~id:3 ~client:1 ~txns ~secret in
+    return
+      (match how with
+      | 0 -> ("null", [||], Batch.null ~round:(Array.length txns))
+      | 1 | 2 | 3 | 4 -> ("created", txns, created)
+      | _ -> (
+          match
+            Codec.decode
+              (Codec.encode (Msg.Client_request { instance = 0; batch = created }))
+          with
+          | Ok (Msg.Client_request { batch; _ }) -> ("decoded", txns, batch)
+          | Ok _ | Error _ -> failwith "codec roundtrip failed")))
+
+let payload_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"batch: payload batch == record model"
+       ~print:(fun (how, txns, _) ->
+         Printf.sprintf "%s batch of %s" how
+           (String.concat " " (Array.to_list (Array.map (Format.asprintf "%a" Txn.pp) txns))))
+       gen_case
+       (fun (how, txns, b) ->
+         let fail what = QCheck2.Test.fail_reportf "%s: %s" how what in
+         let store_digest apply =
+           let kv = Kv.create () in
+           Kv.init_records kv ~count:16;
+           apply kv;
+           Kv.state_digest kv
+         in
+         if b.Batch.payload <> encode_all txns then fail "payload";
+         if Batch.txn_count b <> Array.length txns then fail "txn_count";
+         if not (Array.for_all2 Txn.equal (Batch.txns b) txns) then fail "txns";
+         if Batch.key_sets b <> model_key_sets txns then fail "key_sets";
+         if
+           store_digest (fun kv -> Batch.apply kv b)
+           <> store_digest (fun kv -> Array.iter (fun t -> ignore (Txn.apply kv t)) txns)
+         then fail "state_digest";
+         (match
+            Codec.decode (Codec.encode (Msg.Pre_prepare { instance = 1; view = 0; seq = 2; batch = b }))
+          with
+         | Ok (Msg.Pre_prepare { batch = d; _ }) ->
+             if d <> { b with Batch.keys = None } then fail "codec roundtrip";
+             if Batch.verify d ~public <> Batch.verify b ~public then
+               fail "verify after decode"
+         | Ok _ | Error _ -> fail "codec decode");
+         if Batch.verify b ~public <> not (Batch.is_null b) then fail "verify";
+         true))
 
 let test_instance_of_and_kind () =
   check Alcotest.(option int) "prepare instance" (Some 3)
@@ -192,7 +287,7 @@ let size_monotone =
 let test_batch_digest_matches_txns () =
   let b = batch_of 5 in
   check Alcotest.string "digest = digest_of_txns"
-    (Rcc_common.Bytes_util.hex (Batch.digest_of_txns b.Batch.txns))
+    (Rcc_common.Bytes_util.hex (Batch.digest_of_txns (Batch.txns b)))
     (Rcc_common.Bytes_util.hex b.Batch.digest)
 
 let suite =
@@ -208,4 +303,5 @@ let suite =
       Alcotest.test_case "instance_of/kind/pp" `Quick test_instance_of_and_kind;
       size_monotone;
       Alcotest.test_case "batch digest" `Quick test_batch_digest_matches_txns;
+      payload_model;
     ] )

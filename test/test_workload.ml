@@ -113,6 +113,51 @@ let txn_encode_distinct =
       let a = txn k1 v1 and b = txn k2 v2 in
       Txn.equal a b || Txn.encode a <> Txn.encode b)
 
+(* The normalizer as [Zipf.create] summed it before it was memoized. *)
+let zeta_fresh n theta =
+  let acc = ref 0.0 in
+  for i = 1 to n do
+    acc := !acc +. (1.0 /. (float_of_int i ** theta))
+  done;
+  !acc
+
+let test_zipf_memo () =
+  let same what want got =
+    check Alcotest.int64 what (Int64.bits_of_float want) (Int64.bits_of_float got)
+  in
+  let a = Zipf.create ~n:5000 ~theta:0.9 in
+  same "first build" (zeta_fresh 5000 0.9) (Zipf.zetan a);
+  let b = Zipf.create ~n:5000 ~theta:0.9 in
+  same "same key space, remembered" (zeta_fresh 5000 0.9) (Zipf.zetan b);
+  same "other theta recomputed" (zeta_fresh 5000 0.3)
+    (Zipf.zetan (Zipf.create ~n:5000 ~theta:0.3));
+  same "other n recomputed" (zeta_fresh 4999 0.3)
+    (Zipf.zetan (Zipf.create ~n:4999 ~theta:0.3));
+  same "back to the first" (zeta_fresh 5000 0.9)
+    (Zipf.zetan (Zipf.create ~n:5000 ~theta:0.9));
+  let rng () = Rcc_common.Rng.create 3 in
+  let ra = rng () and rb = rng () in
+  for _ = 1 to 100 do
+    check Alcotest.int "remembered generator draws the same" (Zipf.next a ra)
+      (Zipf.next b rb)
+  done
+
+let test_txn_check_at () =
+  let u64 v = Rcc_common.Bytes_util.u64_string v in
+  let rejected what s =
+    match Txn.check_at s 0 with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Rcc_common.Wire.Malformed _ -> ()
+  in
+  Txn.check_at (u64 5L ^ u64 0L ^ u64 0L) 0;
+  Txn.check_at (u64 5L ^ u64 1L ^ u64 (-7L)) 0;
+  rejected "read with a value" (u64 5L ^ u64 0L ^ u64 9L);
+  rejected "read with a value past 63 bits" (u64 5L ^ u64 0L ^ u64 Int64.min_int);
+  rejected "op tag 2" (u64 5L ^ u64 2L ^ u64 0L);
+  rejected "op tag with bit 63" (u64 5L ^ u64 Int64.min_int ^ u64 0L);
+  rejected "key past 63 bits" (u64 Int64.max_int ^ u64 1L ^ u64 0L);
+  rejected "value past 63 bits" (u64 5L ^ u64 1L ^ u64 Int64.min_int)
+
 let test_txn_equal_pp () =
   let a = Txn.{ key = 1; op = Write 2 } in
   check Alcotest.bool "equal self" true (Txn.equal a a);
@@ -129,9 +174,11 @@ let suite =
       Alcotest.test_case "zipf determinism" `Quick test_zipf_determinism;
       Alcotest.test_case "zipf validation" `Quick test_zipf_validation;
       Alcotest.test_case "zipf skew monotone" `Quick test_zipf_skew_monotone_in_theta;
+      Alcotest.test_case "zipf normalizer memo" `Quick test_zipf_memo;
       Alcotest.test_case "ycsb write ratio" `Quick test_ycsb_write_ratio;
       Alcotest.test_case "ycsb batch/store" `Quick test_ycsb_batch_and_store;
       Alcotest.test_case "txn apply" `Quick test_txn_apply;
       txn_encode_distinct;
+      Alcotest.test_case "txn check_at" `Quick test_txn_check_at;
       Alcotest.test_case "txn equal/pp" `Quick test_txn_equal_pp;
     ] )
