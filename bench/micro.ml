@@ -8,8 +8,6 @@ open Toolkit
 let payload = String.init 5400 (fun i -> Char.chr (i land 0xff))
 let small = String.init 250 (fun i -> Char.chr ((i * 7) land 0xff))
 
-let cmac_key = Rcc_crypto.Cmac.of_aes_key (String.init 16 Char.chr)
-
 let signing_key, public_key =
   Rcc_crypto.Signature.keygen (Rcc_common.Rng.create 99)
 
@@ -72,8 +70,6 @@ let tests =
       (Staged.stage (fun () -> ignore (Rcc_crypto.Sha256.digest payload)));
     Test.make ~name:"sha256-250B"
       (Staged.stage (fun () -> ignore (Rcc_crypto.Sha256.digest small)));
-    Test.make ~name:"cmac-aes-250B"
-      (Staged.stage (fun () -> ignore (Rcc_crypto.Cmac.mac cmac_key small)));
     Test.make ~name:"hmac-sha256-250B"
       (Staged.stage (fun () -> ignore (Rcc_crypto.Hmac.mac ~key:"k" small)));
     Test.make ~name:"sign-250B"

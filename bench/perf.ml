@@ -1,16 +1,15 @@
 (* Wall-clock performance harness for the simulator's hot paths.
 
    Runs a fixed-seed smoke cluster plus allocation-counting microbenches
-   over the three inner loops (event heap, Net.send, codec) and appends
-   one entry to BENCH_simperf.json, so the repository carries a perf
-   trajectory across PRs:
+   over the three inner loops (event heap, Net.send, codec) and writes
+   the run as one JSON object, to FILE with --out and to stdout without:
 
-     dune exec bench/perf.exe -- --smoke --label "PR 4 baseline"
+     dune exec bench/perf.exe -- --smoke --label ci --out simperf.json
      dune exec bench/perf.exe -- --smoke --digest-only   # CI determinism gate
      dune exec bench/perf.exe -- --heap   # live heap of one multiz-journal
                                           # cluster, by component
 
-   Reported per entry:
+   Reported per run:
    - events/sec            simulator events retired per wall-clock second
    - sim_ns_per_wall_ms    simulated nanoseconds advanced per wall millisecond
    - words_per_event       minor-heap words allocated per event (Gc.minor_words)
@@ -575,60 +574,33 @@ let heap_breakdown () =
 
 (* --- JSON output -------------------------------------------------------- *)
 
-let json_of_entry ~label smoke micros =
+let json_of_run ~label smoke micros =
   let b = Buffer.create 1024 in
-  Printf.bprintf b "  {\n    \"label\": %S,\n" label;
-  Printf.bprintf b "    \"smoke\": {\n";
-  Printf.bprintf b "      \"sim_events\": %d,\n" smoke.s_events;
-  Printf.bprintf b "      \"wall_seconds\": %.4f,\n" smoke.s_wall;
-  Printf.bprintf b "      \"events_per_sec\": %.0f,\n"
+  Printf.bprintf b "{\n  \"label\": %S,\n" label;
+  Printf.bprintf b "  \"smoke\": {\n";
+  Printf.bprintf b "    \"sim_events\": %d,\n" smoke.s_events;
+  Printf.bprintf b "    \"wall_seconds\": %.4f,\n" smoke.s_wall;
+  Printf.bprintf b "    \"events_per_sec\": %.0f,\n"
     (float_of_int smoke.s_events /. smoke.s_wall);
-  Printf.bprintf b "      \"sim_ns_per_wall_ms\": %.0f,\n"
+  Printf.bprintf b "    \"sim_ns_per_wall_ms\": %.0f,\n"
     (float_of_int smoke.s_sim_ns /. (smoke.s_wall *. 1e3));
-  Printf.bprintf b "      \"words_per_event\": %.2f,\n"
+  Printf.bprintf b "    \"words_per_event\": %.2f,\n"
     (smoke.s_minor_words /. float_of_int smoke.s_events);
-  Printf.bprintf b "      \"sha256_blocks_per_event\": %.4f,\n"
+  Printf.bprintf b "    \"sha256_blocks_per_event\": %.4f,\n"
     (float_of_int smoke.s_blocks /. float_of_int smoke.s_events);
-  Printf.bprintf b "      \"throughput_txn_s\": %.0f,\n" smoke.s_throughput;
-  Printf.bprintf b "      \"report_digest\": %S\n" smoke.s_digest;
-  Printf.bprintf b "    },\n    \"micro\": {\n";
+  Printf.bprintf b "    \"throughput_txn_s\": %.0f,\n" smoke.s_throughput;
+  Printf.bprintf b "    \"report_digest\": %S\n" smoke.s_digest;
+  Printf.bprintf b "  },\n  \"micro\": {\n";
   List.iteri
     (fun i { m_name; m_ns; m_words; m_blocks } ->
       Printf.bprintf b
-        "      %S: { \"ns_per_op\": %.1f, \"words_per_op\": %.2f, \
+        "    %S: { \"ns_per_op\": %.1f, \"words_per_op\": %.2f, \
          \"sha256_blocks_per_op\": %.2f }%s\n"
         m_name m_ns m_words m_blocks
         (if i = List.length micros - 1 then "" else ","))
     micros;
-  Printf.bprintf b "    }\n  }";
+  Printf.bprintf b "  }\n}\n";
   Buffer.contents b
-
-(* BENCH_simperf.json is a JSON array of entries; appending keeps the
-   trajectory. Text-level splice so we need no JSON parser. *)
-let append_entry ~path entry =
-  let existing =
-    if Sys.file_exists path then (
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      String.trim s)
-    else ""
-  in
-  let body =
-    if existing = "" || existing = "[]" then Printf.sprintf "[\n%s\n]\n" entry
-    else begin
-      let len = String.length existing in
-      if existing.[len - 1] <> ']' then
-        failwith (path ^ ": not a JSON array; refusing to append");
-      Printf.sprintf "%s,\n%s\n]\n"
-        (String.trim (String.sub existing 0 (len - 1)))
-        entry
-    end
-  in
-  let oc = open_out_bin path in
-  output_string oc body;
-  close_out oc
 
 (* --- main ---------------------------------------------------------------- *)
 
@@ -638,7 +610,7 @@ let () =
   let digest_only = ref false in
   let heap = ref false in
   let label = ref "" in
-  let out = ref "BENCH_simperf.json" in
+  let out = ref "" in
   (* 120 is the historical smoke population; --clients 240 is the second
      determinism gate (the default closed-loop sweep population). *)
   let clients = ref 120 in
@@ -721,7 +693,12 @@ let () =
           "[simperf]   %-24s %10.1f ns/op %8.2f words/op %8.2f blocks/op\n%!"
           m_name m_ns m_words m_blocks)
       micros;
-    let entry = json_of_entry ~label smoke micros in
-    append_entry ~path:!out entry;
-    Printf.eprintf "[simperf] appended %S -> %s\n%!" label !out
+    let json = json_of_run ~label smoke micros in
+    if !out = "" then print_string json
+    else begin
+      let oc = open_out_bin !out in
+      output_string oc json;
+      close_out oc;
+      Printf.eprintf "[simperf] wrote %S -> %s\n%!" label !out
+    end
   end

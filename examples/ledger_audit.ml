@@ -1,7 +1,7 @@
 (* Auditing the blockchain after a run: validate the hash chain, check
    that all replicas agree block-by-block, inspect the per-round proof
-   structure, and archive blocks through the wire codec (what a cold
-   -storage / audit pipeline would persist).
+   structure, archive a round marker through the wire codec, and ship the
+   chain in a state-transfer snapshot that is re-verified from genesis.
 
      dune exec examples/ledger_audit.exe
 *)
@@ -11,6 +11,7 @@ module Cluster = Rcc_runtime.Cluster
 module Ledger = Rcc_storage.Ledger
 module Block = Rcc_storage.Block
 module Txn_table = Rcc_storage.Txn_table
+module Snapshot = Rcc_storage.Snapshot
 module Msg = Rcc_messages.Msg
 module Codec = Rcc_messages.Codec
 
@@ -87,22 +88,27 @@ let () =
         round (String.length archived)
   | Ok _ | Error _ -> Printf.printf "\narchive round-trip FAILED\n");
 
-  (* 6. Persist the whole chain to disk and reload it cold, re-validating
-     every hash link on the way in. *)
-  let path = Filename.temp_file "rcc-audit" ".ledger" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let ledger0 = Cluster.ledger cluster 0 in
-      Rcc_storage.Ledger_io.save_file ledger0 ~primaries:[ 0; 1 ] ~path;
-      let bytes =
-        String.length (Rcc_storage.Ledger_io.save ledger0 ~primaries:[ 0; 1 ])
-      in
-      match Rcc_storage.Ledger_io.load_file ~path with
-      | Ok reloaded ->
-          Printf.printf
-            "\npersisted %d blocks to disk (%d bytes), reloaded and re-validated: %b\n"
-            (Ledger.length reloaded) bytes
-            (String.equal (Ledger.head_hash reloaded) (Ledger.head_hash ledger0))
-      | Error e -> Printf.printf "\nreload FAILED: %s\n" e);
+  (* 6. Ship the whole chain as state transfer does, in a snapshot blob,
+     and verify it cold, re-walking every hash link from genesis. *)
+  let ledger0 = Cluster.ledger cluster 0 in
+  let seq = Ledger.length ledger0 in
+  let blob =
+    Snapshot.encode
+      {
+        Snapshot.seq;
+        blocks = Ledger.prefix ledger0 ~upto:seq;
+        kv = None;
+        replied = [];
+      }
+  in
+  let verified =
+    Result.bind (Snapshot.decode blob) (Snapshot.verify ~primaries:[ 0; 1 ])
+  in
+  (match verified with
+  | Ok head ->
+      Printf.printf
+        "\nshipped %d blocks as a snapshot (%d bytes), re-verified from genesis: %b\n"
+        seq (String.length blob)
+        (String.equal head (Ledger.head_hash ledger0))
+  | Error e -> Printf.printf "\nverify FAILED: %s\n" e);
   Printf.printf "\naudit complete.\n"

@@ -29,7 +29,6 @@ let create env =
   { env; log; lead = Leader.create ~certified:true env log }
 
 let primary t = t.lead.Leader.primary
-let view t = t.lead.Leader.view
 let proposed_upto t = Leader.proposed_upto t.lead
 let max_seen t = SL.max_seen t.log
 
@@ -230,7 +229,6 @@ let accepted_batch t ~round =
       Some (b, Quorum.to_list (ph s).acks)
   | Some _ | None -> None
 
-let incomplete_rounds t = SL.incomplete_rounds t.log
 
 let fast_forward t ~proof = Leader.fast_forward t.lead ~proof
 let log_stats t = Leader.log_stats t.lead

@@ -16,7 +16,6 @@ type instance_handle = {
   h_answered : src:replica_id -> max_seen:round -> unit;
   h_max_seen : unit -> round;
   h_accepted : round:round -> (Rcc_messages.Batch.t * int list) option;
-  h_incomplete : unit -> round list;
   h_primary : unit -> replica_id;
 }
 

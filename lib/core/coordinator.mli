@@ -37,7 +37,6 @@ type instance_handle = {
   h_max_seen : unit -> round;
       (** the instance's highest round with any slot (-1 if none) *)
   h_accepted : round:round -> (Rcc_messages.Batch.t * int list) option;
-  h_incomplete : unit -> round list;
   h_primary : unit -> replica_id;
 }
 

@@ -32,8 +32,6 @@ type config = {
   sign_speculative : bool;
   records : int;
   materialize_state : bool;
-  input_threads : int;
-  batch_threads : int;
   client_node_of : client_id -> int;
   byz : Rcc_replica.Byz.t;
   (* Durable write-ahead journal for this incarnation, attached over the
@@ -219,8 +217,7 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
     ~metrics cfg =
   let node =
     Node.create ~engine ~net ~costs:cfg.costs ~self:cfg.self ~z:cfg.z
-      ~has_batchers:true ~input_threads:cfg.input_threads
-      ~batch_threads:cfg.batch_threads
+      ~has_batchers:true
       ?exec_pool_size:(if cfg.parallel_exec then Some cfg.exec_threads else None)
       ()
   in
@@ -348,7 +345,6 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
                 (fun ~src ~max_seen -> P.on_contract_reply inst ~src ~max_seen);
               h_max_seen = (fun () -> P.max_seen inst);
               h_accepted = (fun ~round -> P.accepted_batch inst ~round);
-              h_incomplete = (fun () -> P.incomplete_rounds inst);
               h_primary = (fun () -> P.primary inst);
             })
           instances

@@ -44,8 +44,6 @@ type config = {
       (** sign speculative responses (standalone Zyzzyva commit path) *)
   records : int;  (** YCSB table size *)
   materialize_state : bool;  (** whether this replica applies txns for real *)
-  input_threads : int;
-  batch_threads : int;
   client_node_of : client_id -> int;
   byz : Rcc_replica.Byz.t;
   journal : Rcc_journal.Journal.t option;

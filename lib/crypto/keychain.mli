@@ -1,9 +1,10 @@
 (** Key material for a replicated service (§6 "Cryptographic Constructs").
 
     One keychain holds, for a service with [n] replicas and [clients]
-    clients: an ED25519-style signing pair per replica and per client, and a
-    pairwise CMAC-AES key per replica pair, all derived deterministically
-    from a seed. *)
+    clients, an ED25519-style signing pair per replica and per client, all
+    derived deterministically from a seed. The paper's replica-to-replica
+    CMAC-AES tags are modeled by their CPU cost alone (the simulator's
+    [Costs.mac_gen] / [Costs.mac_verify]), so no MAC keys are kept. *)
 
 type t
 
@@ -15,7 +16,3 @@ val replica_secret : t -> Rcc_common.Ids.replica_id -> Signature.secret_key
 val replica_public : t -> Rcc_common.Ids.replica_id -> Signature.public_key
 val client_secret : t -> Rcc_common.Ids.client_id -> Signature.secret_key
 val client_public : t -> Rcc_common.Ids.client_id -> Signature.public_key
-
-val mac : t -> src:Rcc_common.Ids.replica_id -> dst:Rcc_common.Ids.replica_id -> string -> string
-val mac_verify :
-  t -> src:Rcc_common.Ids.replica_id -> dst:Rcc_common.Ids.replica_id -> string -> tag:string -> bool

@@ -62,7 +62,6 @@ let blacklisted t r = Bitset.mem t.blacklist r
 (* The instance interface's notion of primary: ourselves (every replica
    leads its own residue class). *)
 let primary t = t.env.Env.self
-let view _ = 0
 let slot t seq = SL.get t.log seq
 let hs (s : hs SL.slot) = s.SL.state
 
@@ -288,7 +287,6 @@ let accepted_batch t ~round =
   | Some { SL.accepted = true; batch = Some b; _ } -> Some (b, [])
   | Some _ | None -> None
 
-let incomplete_rounds t = SL.incomplete_rounds t.log
 let max_seen t = SL.max_seen t.log
 
 (* No primary takes over: nothing waits on contract replies. *)

@@ -47,7 +47,6 @@ let create env =
   }
 
 let primary t = t.lead.Leader.primary
-let view t = t.lead.Leader.view
 let stable_checkpoint t = Checkpointing.stable t.lead.Leader.ckpt
 let slot t seq = SL.get t.log seq
 let ph (s : phase SL.slot) = s.SL.state
@@ -371,7 +370,6 @@ let accepted_batch t ~round =
       Some (b, Quorum.to_list (ph s).commits)
   | Some _ | None -> None
 
-let incomplete_rounds t = SL.incomplete_rounds t.log
 
 (* Standalone PBFT holds through its own view change. Under RCC the
    coordinator decides view changes and a blame leaves the hold alone: a

@@ -129,8 +129,8 @@ let drain t ~accept =
 let gc_upto t upto =
   (* Never collect past the accept frontier: a slot above it is not
      covered by any stable checkpoint yet, and dropping it would make
-     [incomplete_rounds]/[oldest_incomplete] re-report the round as
-     missing — re-arming stall escalation against an innocent primary. *)
+     [oldest_incomplete] re-report the round as missing — re-arming
+     stall escalation against an innocent primary. *)
   let upto = if upto > t.frontier then t.frontier else upto in
   if Engine.tracing t.engine then
     trace t (Rcc_trace.Event.Checkpoint_stable { upto });
@@ -209,16 +209,6 @@ let live_words t =
   Array.iter (function Some s -> slot s | None -> ()) t.ring;
   Hashtbl.iter (fun _ s -> slot s) t.stale;
   !words
-
-let incomplete_rounds t =
-  let acc = ref [] in
-  for round = t.max_seen downto t.frontier + 1 do
-    match find_opt t round with
-    | Some s when not s.accepted -> acc := round :: !acc
-    | Some _ -> ()
-    | None -> acc := round :: !acc
-  done;
-  !acc
 
 let oldest_incomplete t =
   let rec go round =

@@ -53,10 +53,6 @@ val drain : 'a t -> accept:('a slot -> bool) -> bool
     digest) before granting. Stops at the first missing or refused slot;
     [touch]es the log iff the frontier moved. Returns whether it moved. *)
 
-val incomplete_rounds : 'a t -> Rcc_common.Ids.round list
-(** Rounds above the frontier not yet accepted (missing slots included),
-    oldest first — the [Instance_intf.S.incomplete_rounds] contract. *)
-
 val oldest_incomplete :
   'a t -> (Rcc_common.Ids.round * Rcc_sim.Engine.time) option
 (** The oldest round blocking the frontier, with the time it has been
@@ -71,7 +67,7 @@ val gc_upto : 'a t -> Rcc_common.Ids.round -> unit
 (** Drop every slot [<= min upto (frontier t)] (rounds covered by a
     stable checkpoint). The clamp means a caller can never collect
     not-yet-accepted rounds, which would otherwise be re-reported as
-    incomplete by {!incomplete_rounds}/{!oldest_incomplete}. *)
+    incomplete by {!oldest_incomplete}. *)
 
 val fast_forward : 'a t -> round:Rcc_common.Ids.round -> unit
 (** Jump past an installed snapshot: collect every slot [< round] and

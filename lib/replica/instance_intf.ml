@@ -24,8 +24,6 @@ module type S = sig
 
   val primary : t -> replica_id
 
-  val view : t -> view
-
   val set_primary : t -> replica_id -> view:view -> unit
   (** Unified replacement (RCC coordinator) installs a new primary; the
       instance resumes from its incomplete rounds. *)
@@ -38,9 +36,6 @@ module type S = sig
     t -> round:round -> (Rcc_messages.Batch.t * int list) option
   (** The batch this replica accepted in [round] with its certifiers, used
       to build contracts. *)
-
-  val incomplete_rounds : t -> round list
-  (** Rounds started but not yet accepted, oldest first. *)
 
   val max_seen : t -> round
   (** Highest round with any slot activity (-1 if none): the watermark a

@@ -16,8 +16,11 @@ type t = {
   mutable halted : bool;
 }
 
-let create ~engine ~net ~costs ~self ~z ~has_batchers ~input_threads ~batch_threads
-    ?exec_pool_size () =
+let input_threads = 3
+let output_threads = 3
+let batch_threads = 2
+
+let create ~engine ~net ~costs ~self ~z ~has_batchers ?exec_pool_size () =
   let name kind = Printf.sprintf "r%d-%s" self kind in
   let t =
     {

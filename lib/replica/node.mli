@@ -8,6 +8,17 @@
 
 type t
 
+val input_threads : int
+(** Input threads parsing received messages: 3, the paper's layout. *)
+
+val output_threads : int
+(** Output threads: 3. They take cores (the runtime's contention factor
+    counts them) but are not servers: each send's marshalling and MAC
+    cost is charged to the sending worker and the NIC serializes it. *)
+
+val batch_threads : int
+(** Batch threads on a node that batches client requests: 2. *)
+
 val create :
   engine:Rcc_sim.Engine.t ->
   net:Rcc_messages.Msg.t Rcc_sim.Net.t ->
@@ -15,8 +26,6 @@ val create :
   self:Rcc_common.Ids.replica_id ->
   z:int ->
   has_batchers:bool ->
-  input_threads:int ->
-  batch_threads:int ->
   ?exec_pool_size:int ->
   unit ->
   t

@@ -240,7 +240,7 @@ let build ?tracer (cfg : Config.t) =
       ~describe:(fun msg ->
         (Msg.kind msg, Option.value (Msg.instance_of msg) ~default:(-1)))
       ~nodes:(cfg.Config.n + machines)
-      ~latency:cfg.Config.latency ~jitter:cfg.Config.jitter ~gbps:cfg.Config.gbps
+      ~latency:cfg.Config.latency ~jitter:Config.jitter ~gbps:Config.gbps
       ~rng:(Rcc_common.Rng.split rng)
       ()
   in
@@ -295,8 +295,6 @@ let build ?tracer (cfg : Config.t) =
       parallel_exec = (cfg.Config.exec_mode = Config.Exec_parallel);
       exec_threads = cfg.Config.exec_threads;
       exec_window = cfg.Config.exec_window;
-      input_threads = 3;
-      batch_threads = 2;
       client_node_of;
       byz = byz_of cfg self;
       journal =

@@ -54,9 +54,6 @@ type t = {
   write_ratio : float;
   theta : float;
   latency : Rcc_sim.Engine.time;
-  jitter : Rcc_sim.Engine.time;
-  gbps : float;
-  cores : int;
   checkpoint_interval : int;
   instance_change_after : int;
   seed : int;
@@ -111,9 +108,6 @@ let make ?(batch_size = 100) ?(clients = 240)
     write_ratio;
     theta;
     latency = Engine.us 100;
-    jitter = Engine.us 60;
-    gbps = 4.0;
-    cores = 16;
     checkpoint_interval = 128;
     instance_change_after;
     seed;
@@ -156,7 +150,11 @@ let quorum t =
   | Pbft | Hotstuff | MultiP | Cft | MultiC ->
       Rcc_replica.Client_pool.Majority_fplus1
 
-(* Input (3) + output (3) + batch (2) + z workers + execute + checkpoint
+let jitter = Engine.us 60
+let gbps = 4.0
+let cores = 16 (* per replica machine, §7.1 *)
+
+(* Input + output + batch threads, z workers, execute and checkpoint
    threads versus the machine's cores (§7.1 gives the baselines the same
    12-thread layout). Oversubscription inflates CPU costs at half the
    excess ratio: the workers are not all runnable at once. *)
@@ -168,6 +166,9 @@ let contention_factor t =
     | Exec_serial -> 1
     | Exec_parallel -> t.exec_threads + 1
   in
-  let threads = 3 + 3 + 2 + t.z + exec_threads + 1 in
-  let pressure = float_of_int threads /. float_of_int t.cores in
+  let threads =
+    Rcc_replica.Node.(input_threads + output_threads + batch_threads)
+    + t.z + exec_threads + 1
+  in
+  let pressure = float_of_int threads /. float_of_int cores in
   if pressure <= 1.0 then 1.0 else 1.0 +. (0.5 *. (pressure -. 1.0))

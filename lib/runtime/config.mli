@@ -2,7 +2,8 @@
 
     Defaults mirror the paper: YCSB with half a million records, 90%
     writes, Zipf 0.9; batch size 100; replica/client timeouts of 10 s /
-    15 s; Google-Cloud-class network (10 Gbit NICs, ~100 µs one-way).
+    15 s; Google-Cloud-class network (~100 µs one-way; NICs modeled at
+    {!gbps} Gbit/s).
     Simulated durations are shorter than the paper's 180 s (steady state is
     reached within fractions of a second; see DESIGN.md). *)
 
@@ -72,9 +73,6 @@ type t = {
   write_ratio : float;
   theta : float;
   latency : Rcc_sim.Engine.time;
-  jitter : Rcc_sim.Engine.time;
-  gbps : float;
-  cores : int;
   checkpoint_interval : int;
   instance_change_after : int;
   seed : int;
@@ -141,6 +139,12 @@ val open_loop : t -> bool
 
 val client_arrival : t -> Rcc_replica.Client_pool.arrival
 (** The pool-level arrival mode this config selects. *)
+
+val jitter : Rcc_sim.Engine.time
+(** Bound of the uniform per-message network jitter: 60 µs. *)
+
+val gbps : float
+(** Every node's NIC bandwidth, in Gbit/s: 4. *)
 
 val contention_factor : t -> float
 (** Thread-count / core-count pressure used to scale CPU costs (§3.1's

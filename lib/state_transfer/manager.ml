@@ -211,6 +211,8 @@ let on_offer t ~src ~sp_seq ~sp_head ~sp_kv ~sp_attesters =
 
 let on_full_reply t ~src ~sp_seq blob =
   match t.phase with
+  | Fetching fx when fx.fx_donor = src && fx.fx_seq = sp_seq && blob = "" ->
+      reject t fx ~donor:src ~reason:"not held"
   | Fetching fx when fx.fx_donor = src && fx.fx_seq = sp_seq -> begin
       t.bytes_in <- t.bytes_in + String.length blob;
       match Snapshot.decode blob with
@@ -285,19 +287,33 @@ let corrupt blob =
   done;
   Bytes.unsafe_to_string b
 
+(* An empty payload: this donor cannot serve [sr_seq], so the requester
+   fails over now instead of waiting out its per-donor timeout. *)
+let refuse t ~src ~sr_seq =
+  t.hooks.send ~dst:src
+    (Msg.Snapshot_reply
+       {
+         sp_seq = sr_seq;
+         sp_head = "";
+         sp_kv = "";
+         sp_attesters = [];
+         sp_payload = Some "";
+       })
+
 let on_fetch t ~src ~sr_seq =
   match
     List.find_opt
       (fun (b : Snapshot.boundary) -> b.b_seq = sr_seq)
       (t.hooks.boundaries ())
   with
-  | None -> ()  (* boundary rotated out; the requester's timeout fails over *)
+  | None -> refuse t ~src ~sr_seq  (* boundary rotated out *)
   | Some b ->
       let blocks = t.hooks.blocks_prefix ~upto:b.b_seq in
       (* A donor that itself installed a snapshot may hold a ledger
          shorter than its boundary claims only transiently; never serve a
          partial prefix. *)
-      if Array.length blocks = b.b_seq then begin
+      if Array.length blocks <> b.b_seq then refuse t ~src ~sr_seq
+      else begin
         let replied =
           List.filter
             (fun (_, _, r, _) -> r < b.b_seq)

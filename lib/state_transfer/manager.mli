@@ -21,8 +21,9 @@
       it — and the boundary is far enough ahead to be worth installing,
       the requester fetches the full blob from one offerer. A donor that
       times out or serves a blob failing verification is dropped and the
-      next offerer tried; when offerers run out the manager returns to
-      idle and re-probes.
+      next offerer tried; so is, at once, a donor that answers with an
+      empty payload because the boundary has rotated out of its captures.
+      When offerers run out the manager returns to idle and re-probes.
 
     Verification before install is pure recomputation: the blob must
     decode, its chain must link genesis-to-head covering exactly [seq]

@@ -36,7 +36,7 @@ val encode : t -> string
 
 (** {2 Stored record}
 
-    The full block, as {!Ledger_io} files and {!Snapshot}s store it:
+    The full block, as {!Snapshot}s store it:
     round, previous hash, the proofs (instance and both digests), the
     primaries and the clients, in {!Rcc_common.Wire} framing. *)
 

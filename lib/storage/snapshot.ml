@@ -105,12 +105,6 @@ let replied_size replied =
 
 let kv_header_size = function Some _ -> 1 + 8 | None -> 1
 
-let encoded_size t =
-  head_size t.blocks
-  + kv_header_size t.kv
-  + (match t.kv with Some e -> triple_size * Array.length e | None -> 0)
-  + replied_size t.replied
-
 let write_head buf off ~seq ~blocks =
   let off =
     Wire.put_raw buf magic off
@@ -133,25 +127,6 @@ let write_replied buf off replied =
       |> Wire.put_string buf result)
     (Wire.put_int buf (List.length replied) off)
     replied
-
-let encode_into t buf ~off =
-  let off = write_head buf off ~seq:t.seq ~blocks:t.blocks in
-  let off =
-    match t.kv with
-    | Some entries ->
-        Array.fold_left
-          (fun off (key, value, version) -> put_triple buf off key value version)
-          (write_kv_header buf off ~triples:(Array.length entries))
-          entries
-    | None -> write_kv_header buf off ~triples:(-1)
-  in
-  write_replied buf off t.replied
-
-let encode t =
-  let buf = Bytes.create (encoded_size t) in
-  let stop = encode_into t buf ~off:0 in
-  assert (stop = Bytes.length buf);
-  Bytes.unsafe_to_string buf
 
 (* A boundary's state with [header] bytes reserved in front; the KV
    section is copied in when [with_kv], otherwise left out at the
@@ -178,6 +153,12 @@ let encode_boundary_into ~header ~with_kv b ~blocks ~replied =
 let encode_boundary b ~blocks ~replied =
   Bytes.unsafe_to_string
     (fst (encode_boundary_into ~header:0 ~with_kv:true b ~blocks ~replied))
+
+(* The head is not part of the encoding. *)
+let encode t =
+  encode_boundary
+    (boundary ~seq:t.seq ~head:"" ~kv:(Option.map kv_section t.kv))
+    ~blocks:t.blocks ~replied:t.replied
 
 let encode_around_kv ~header b ~blocks ~replied =
   encode_boundary_into ~header ~with_kv:false b ~blocks ~replied

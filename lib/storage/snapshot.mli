@@ -91,15 +91,13 @@ val chain_head : primaries:Rcc_common.Ids.replica_id list -> Block.t array ->
 (** Head hash a standalone chain pins, walking it from the genesis
     derived from [primaries]; [Error] when rounds or links are broken. *)
 
-val encoded_size : t -> int
-(** Exact length of {!encode}'s output. *)
+val encode_boundary : boundary -> blocks:Block.t array -> replied:replied -> string
+(** The state at a boundary in one exact-size buffer, its KV section
+    copied in as it is, never re-encoded: what a donor serves. *)
 
 val encode : t -> string
-(** One exact-size buffer of {!encoded_size} bytes. *)
-
-val encode_boundary : boundary -> blocks:Block.t array -> replied:replied -> string
-(** {!encode} of the state at a boundary, its KV section copied in as it
-    is, never re-encoded: what a donor serves. *)
+(** {!encode_boundary} of a decoded snapshot: its triples become a KV
+    section first. For tests and tools; donors serve boundaries. *)
 
 val encode_around_kv :
   header:int -> boundary -> blocks:Block.t array -> replied:replied ->

@@ -38,7 +38,6 @@ let create env =
   }
 
 let primary t = t.lead.Leader.primary
-let view t = t.lead.Leader.view
 let committed_upto t = t.committed
 let history_digest t = t.history
 let slot t seq = SL.get t.log seq
@@ -297,13 +296,6 @@ let accepted_batch t ~round =
   | Some { SL.accepted = true; batch = Some b; _ } ->
       Some (b, [ t.lead.Leader.primary; t.env.Env.self ])
   | Some _ | None -> None
-
-let incomplete_rounds t =
-  let acc = ref [] in
-  for seq = SL.max_seen t.log downto next_accept t do
-    acc := seq :: !acc
-  done;
-  !acc
 
 (* The watchdog blames the frontier slot (created on demand so a round we
    only heard about indirectly still gets a stall clock). *)

@@ -11,9 +11,8 @@
      accept the same batch);
    - [adopt] is idempotent — a second adopt of a decided round cannot
      change it (R4: contract recovery never rewrites history);
-   - [incomplete_rounds] lists unaccepted rounds oldest-first so the
-     coordinator can null-fill and contracts can target the right gap
-     (R3: every started round eventually terminates);
+   - [max_seen] reports no round before any activity, so a contract
+     reply's watermark never claims rounds the instance has not seen;
    - batches submitted mid-leader-transfer are held and flushed, not
      dropped (the liveness half of R3 under unified recovery), including
      when the holding primary is re-installed as primary;
@@ -49,10 +48,8 @@ struct
     let inst = H.inst t 2 in
     check Alcotest.bool "no accepted batch before any accept" true
       (Option.is_none (P.accepted_batch inst ~round:0));
-    check
-      Alcotest.(list int)
-      "no incomplete rounds before any activity" []
-      (P.incomplete_rounds inst)
+    check Alcotest.int "no round seen before any activity" (-1)
+      (P.max_seen inst)
 
   let test_accept_visibility () =
     let t = H.create ~n:4 () in
@@ -71,11 +68,10 @@ struct
             7 b.Batch.id
       | None ->
           Alcotest.fail "accepted_batch must be available after accept");
-      check
-        Alcotest.(list int)
-        (Printf.sprintf "replica %d has no incomplete rounds" r)
-        []
-        (P.incomplete_rounds (H.inst t r))
+      check Alcotest.int
+        (Printf.sprintf "replica %d has seen no round past the accepted one" r)
+        0
+        (P.max_seen (H.inst t r))
     done
 
   let test_adopt_idempotence () =
@@ -102,24 +98,6 @@ struct
     | Some (b, _) ->
         Alcotest.failf "adopt produced an unrelated batch %d" b.Batch.id
     | None -> Alcotest.fail "round must stay decided"
-
-  let test_incomplete_ordering () =
-    let t = H.create ~n:4 () in
-    let inst = H.inst t 0 in
-    P.adopt inst ~round:3 (Harness.make_batch 13) ~cert:[ 0; 1; 2 ];
-    let rounds = P.incomplete_rounds inst in
-    check
-      Alcotest.(list int)
-      "incomplete rounds oldest first" (List.sort compare rounds) rounds;
-    (* The holes below the adopted round must all be reported; in-order
-       protocols may additionally report round 3 itself until the gap
-       fills. *)
-    check
-      Alcotest.(list int)
-      "holes below the adopted round" [ 0; 1; 2 ]
-      (List.filter (fun r -> r < 3) rounds);
-    check Alcotest.bool "nothing past the known frontier" true
-      (List.for_all (fun r -> r <= 3) rounds)
 
   (* Whether [replica] accepted batch [id] in one of the first rounds. *)
   let has_accepted t ~replica id =
@@ -326,8 +304,6 @@ struct
         Alcotest.test_case "accepted_batch after accept" `Quick
           test_accept_visibility;
         Alcotest.test_case "adopt idempotence" `Quick test_adopt_idempotence;
-        Alcotest.test_case "incomplete_rounds ordering" `Quick
-          test_incomplete_ordering;
         Alcotest.test_case "held-batch flush after set_primary" `Quick
           test_held_batch_flush;
         Alcotest.test_case "held batch survives re-install as primary"
@@ -415,9 +391,9 @@ let test_slot_log_gc_clamped_to_frontier () =
       (Option.is_some (SL.find_opt log round))
   done;
   check
-    Alcotest.(list int)
-    "incomplete rounds still reported" [ 5; 6; 7; 8; 9 ]
-    (SL.incomplete_rounds log);
+    Alcotest.(option int)
+    "oldest incomplete round still reported" (Some 5)
+    (Option.map fst (SL.oldest_incomplete log));
   (* A gc below the frontier stays a plain prefix collection. *)
   ignore (SL.drain log ~accept:(fun _ -> true));
   SL.gc_upto log 7;

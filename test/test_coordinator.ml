@@ -65,7 +65,6 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
             (fun ~src ~max_seen -> answered := (x, src, max_seen) :: !answered);
           h_max_seen = (fun () -> 10 + x);
           h_accepted = (fun ~round:_ -> None);
-          h_incomplete = (fun () -> []);
           h_primary = (fun () -> primaries.(x));
         })
   in

@@ -86,7 +86,10 @@ let test_standalone_view_change () =
   H.run t 1.0;
   check Alcotest.int "new primary is replica 1" 1 (P.primary (H.inst t 1));
   check Alcotest.int "backups agree on primary" 1 (P.primary (H.inst t 2));
-  check Alcotest.bool "new view installed" true (P.view (H.inst t 2) >= 1);
+  check Alcotest.bool "new view installed" true
+    (List.exists
+       (function _, Rcc_messages.Msg.Prepare { view; _ } -> view >= 1 | _ -> false)
+       (H.sent t ~replica:2));
   (* The re-proposal delivered the round to the dark replicas. *)
   check Alcotest.(option int) "victim completed round 0 after re-proposal"
     (Some 1)
@@ -186,18 +189,6 @@ let test_checkpoint_gc () =
         (List.length proof.Rcc_storage.Checkpoint_store.attesters >= 2)
   | None -> Alcotest.fail "no stable checkpoint proof")
 
-let test_incomplete_rounds () =
-  let byz self =
-    if self = 0 then Byz.dark_primary ~victims:[ 3 ] () else Byz.honest
-  in
-  let t = H.create ~n:4 ~byz ~unified:true () in
-  H.submit t ~replica:0 (Harness.make_batch 0);
-  H.run t 0.01;
-  check Alcotest.(list int) "victim reports round 0 incomplete" [ 0 ]
-    (P.incomplete_rounds (H.inst t 3));
-  check Alcotest.(list int) "healthy replica has none" []
-    (P.incomplete_rounds (H.inst t 1))
-
 let test_wrong_view_messages_ignored () =
   let t = H.create ~n:4 () in
   let inst = H.inst t 1 in
@@ -261,7 +252,6 @@ let suite =
       Alcotest.test_case "equivocation never commits" `Quick
         test_equivocating_primary_never_commits;
       Alcotest.test_case "checkpoint GC" `Quick test_checkpoint_gc;
-      Alcotest.test_case "incomplete rounds" `Quick test_incomplete_rounds;
       Alcotest.test_case "wrong-view messages ignored" `Quick
         test_wrong_view_messages_ignored;
       Alcotest.test_case "prepared predicate" `Quick test_prepared_predicate;

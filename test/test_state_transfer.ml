@@ -343,6 +343,31 @@ let test_manager_rejects_corrupt_then_recovers () =
   check Alcotest.int "one reject" 1 stats.Manager.rejects;
   check Alcotest.int "one install" 1 stats.Manager.installs
 
+(* A donor whose boundary has rotated out of its captures answers the
+   fetch at once with an empty payload, and the requester fails over to
+   the next offerer on it instead of waiting out the per-donor timeout. *)
+let test_manager_refused_fetch_fails_over () =
+  let donor = make_world () in
+  Manager.on_msg donor.mgr ~src:3
+    (Msg.Snapshot_request { sr_seq = donor_rounds; fetch = true });
+  let refusal =
+    match !(donor.sent) with
+    | [ (Some 3, (Msg.Snapshot_reply { sp_payload = Some ""; _ } as msg)) ] -> msg
+    | _ -> Alcotest.fail "donor without the boundary did not refuse at once"
+  in
+  let w = make_world () in
+  let snap, head = donor_snapshot () in
+  let kvd = Snapshot.kv_digest snap.Snapshot.kv in
+  let first = stall_and_probe w ~head ~kv_digest:kvd in
+  Manager.on_msg w.mgr ~src:first refusal;
+  (match fetch_target w with
+  | Some second when second <> first ->
+      full_reply_from w ~src:second (Snapshot.encode snap) ~head ~kv_digest:kvd
+  | Some _ | None -> Alcotest.fail "refusal did not fail over to the next donor");
+  check Alcotest.int "installed without waiting" 1 !(w.installed);
+  check Alcotest.int "refusal counted as reject" 1
+    (Manager.stats w.mgr).Manager.rejects
+
 (* A forged head that f+1 colluding offerers agree on still cannot be
    installed: the blob's recomputed head won't match it (chain check), and
    a blob doctored to match would need a SHA-256 break. *)
@@ -431,8 +456,9 @@ let test_boundaries_keep_three () =
   | _ -> Alcotest.fail "the third-newest boundary was not served");
   w.sent := [];
   Manager.on_msg w.mgr ~src:0 (Msg.Snapshot_request { sr_seq = 4; fetch = true });
+  (* Not served: refused at once with an empty payload. *)
   check Alcotest.bool "a rotated-out boundary is not served" true
-    (served () = None)
+    (served () = Some (4, ""))
 
 let test_rollback_recaptures_boundaries () =
   List.iter
@@ -670,6 +696,8 @@ let suite =
         test_manager_rejects_corrupt_then_recovers;
       Alcotest.test_case "manager head mismatch rejected" `Quick
         test_manager_rejects_head_mismatch;
+      Alcotest.test_case "manager refused fetch fails over" `Quick
+        test_manager_refused_fetch_fails_over;
       Alcotest.test_case "install invalidates caches" `Quick
         test_install_invalidates_caches;
       Alcotest.test_case "boundaries: four captures keep three" `Quick

@@ -459,71 +459,13 @@ let txn_table_model =
          done;
          true))
 
-(* --- ledger persistence ----------------------------------------------------- *)
+(* --- block records ------------------------------------------------------ *)
 
-module Ledger_io = Rcc_storage.Ledger_io
-
-let sample_ledger () =
-  let ledger = Ledger.create ~primaries:[ 0; 1 ] in
-  for round = 0 to 9 do
-    Ledger.append_exn ledger (block ~round ~prev:(Ledger.head_hash ledger))
-  done;
-  ledger
-
-let test_ledger_io_roundtrip () =
-  let ledger = sample_ledger () in
-  let saved = Ledger_io.save ledger ~primaries:[ 0; 1 ] in
-  match Ledger_io.load saved with
-  | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok loaded ->
-      check Alcotest.int "length" (Ledger.length ledger) (Ledger.length loaded);
-      check Alcotest.string "head hash"
-        (Rcc_common.Bytes_util.hex (Ledger.head_hash ledger))
-        (Rcc_common.Bytes_util.hex (Ledger.head_hash loaded));
-      (* The loaded ledger accepts further appends. *)
-      Ledger.append_exn loaded (block ~round:10 ~prev:(Ledger.head_hash loaded));
-      check Alcotest.int "appendable" 11 (Ledger.length loaded)
-
-let test_ledger_io_rejects_corruption () =
-  let ledger = sample_ledger () in
-  let saved = Ledger_io.save ledger ~primaries:[ 0; 1 ] in
-  check Alcotest.bool "bad magic" true
-    (Result.is_error (Ledger_io.load ("XXXX" ^ saved)));
-  check Alcotest.bool "truncated" true
-    (Result.is_error (Ledger_io.load (String.sub saved 0 (String.length saved / 2))));
-  check Alcotest.bool "trailing garbage" true
-    (Result.is_error (Ledger_io.load (saved ^ "z")));
-  (* Flip one byte inside a block body: the hash chain must catch it. *)
-  let corrupted = Bytes.of_string saved in
-  let mid = String.length saved / 2 in
-  Bytes.set corrupted mid
-    (Char.chr (Char.code (Bytes.get corrupted mid) lxor 0x01));
-  check Alcotest.bool "bit flip detected" true
-    (Result.is_error (Ledger_io.load (Bytes.to_string corrupted)));
-  (* Wrong genesis parameters break the chain root. *)
-  let wrong_genesis =
-    Ledger_io.save ledger ~primaries:[ 0; 2 ]
-  in
-  check Alcotest.bool "wrong genesis rejected" true
-    (Result.is_error (Ledger_io.load wrong_genesis))
-
-let test_ledger_io_files () =
-  let ledger = sample_ledger () in
-  let path = Filename.temp_file "rcc-ledger" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Ledger_io.save_file ledger ~primaries:[ 0; 1 ] ~path;
-      match Ledger_io.load_file ~path with
-      | Ok loaded -> check Alcotest.int "file roundtrip" 10 (Ledger.length loaded)
-      | Error e -> Alcotest.failf "file load failed: %s" e);
-  check Alcotest.bool "missing file is an error" true
-    (Result.is_error (Ledger_io.load_file ~path:"/nonexistent/rcc.bin"))
-
-(* A fixed 50-block ledger whose saved bytes are pinned by SHA-256; the
-   digest was recorded from the Buffer-based writer the exact-size one
-   replaced. *)
-let test_ledger_io_golden () =
+(* A fixed 50-block chain whose stored records ({!Block.write}, as a
+   snapshot carries them) are pinned by SHA-256; the digest is the block
+   section of the former ledger file format, recorded from the
+   Buffer-based writer the exact-size one replaced. *)
+let test_block_records_golden () =
   let ledger = Ledger.create ~primaries:[ 0; 1; 2 ] in
   for round = 0 to 49 do
     Ledger.append_exn ledger
@@ -535,10 +477,15 @@ let test_ledger_io_golden () =
         clients = List.init (round mod 3) (fun c -> (c * 17) + round);
       }
   done;
-  check Alcotest.string "saved bytes"
-    "9d1f1df0ef886c10045727df14ce43588b34ad8f198c34ad9adc56aa6d4a05d0"
-    (Rcc_crypto.Sha256.hex_digest
-       (Ledger_io.save ledger ~primaries:[ 0; 1; 2 ]))
+  let blocks = Ledger.prefix ledger ~upto:50 in
+  let buf =
+    Bytes.create (Array.fold_left (fun n b -> n + Block.record_size b) 0 blocks)
+  in
+  let stop = Array.fold_left (fun off b -> Block.write buf b off) 0 blocks in
+  check Alcotest.int "exact size" (Bytes.length buf) stop;
+  check Alcotest.string "record bytes"
+    "6ddaccda60e268eee6fac4e88168a22b64e998134afe0e40a32431726a02db96"
+    (Rcc_crypto.Sha256.hex_digest (Bytes.unsafe_to_string buf))
 
 (* Inputs whose length or count fields read 0x3FFF_FFFF_FFFF_FFFF
    (max_int once read): every decoder returns an error, never raises. *)
@@ -551,17 +498,15 @@ let test_max_length_probes () =
     | Ok _ -> Alcotest.failf "%s: probe accepted" what
     | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
   in
-  let ledger what input = rejects ("ledger " ^ what) Ledger_io.load input in
-  let block_head = u64 0 ^ u64 1 ^ u64 0 in
-  ledger "primaries" ("RCCL1\n" ^ huge);
-  ledger "block count" ("RCCL1\n" ^ u64 0 ^ huge);
-  ledger "prev hash" ("RCCL1\n" ^ u64 0 ^ u64 1 ^ u64 0 ^ huge);
-  ledger "proof count" ("RCCL1\n" ^ u64 0 ^ block_head ^ huge);
-  ledger "proof digest" ("RCCL1\n" ^ u64 0 ^ block_head ^ u64 1 ^ u64 0 ^ huge);
-  ledger "clients" ("RCCL1\n" ^ u64 0 ^ block_head ^ u64 0 ^ u64 0 ^ huge);
   let snap what input = rejects ("snapshot " ^ what) Rcc_storage.Snapshot.decode input in
   snap "block count" ("RCCS1\n" ^ u64 0 ^ huge);
   snap "prev hash" ("RCCS1\n" ^ u64 1 ^ u64 1 ^ u64 0 ^ huge);
+  (* One block at round 0 with an empty previous hash, then its fields. *)
+  let block = "RCCS1\n" ^ u64 1 ^ u64 1 ^ u64 0 ^ u64 0 in
+  snap "proof count" (block ^ huge);
+  snap "proof digest" (block ^ u64 1 ^ u64 0 ^ huge);
+  snap "block primaries" (block ^ u64 0 ^ huge);
+  snap "block clients" (block ^ u64 0 ^ u64 0 ^ huge);
   snap "kv count" ("RCCS1\n" ^ u64 0 ^ u64 0 ^ "\x01" ^ huge);
   snap "replied count" ("RCCS1\n" ^ u64 0 ^ u64 0 ^ "\x00" ^ huge);
   snap "reply digest" ("RCCS1\n" ^ u64 0 ^ u64 0 ^ "\x00" ^ u64 1 ^ u64 3 ^ huge);
@@ -689,12 +634,9 @@ let gen_snapshot =
     (list_size (int_range 0 40) reply)
 
 let snapshot_encode_oracle =
-  qtest ~count:60 "snapshot: encode = Buffer oracle, encoded_size exact"
-    gen_snapshot (fun snap ->
+  qtest ~count:60 "snapshot: encode = Buffer oracle" gen_snapshot (fun snap ->
       let enc = Snapshot.encode snap in
-      String.equal enc (Oracle.encode snap)
-      && Snapshot.encoded_size snap = String.length enc
-      && Snapshot.decode enc = Ok snap)
+      String.equal enc (Oracle.encode snap) && Snapshot.decode enc = Ok snap)
 
 let kv_digest_oracle =
   qtest ~count:100 "snapshot: kv_digest = per-field oracle" gen_kv (fun kv ->
@@ -733,10 +675,8 @@ let test_checkpoint_store_ring_eviction () =
 let suite =
   ( "storage",
     [
-      Alcotest.test_case "ledger io roundtrip" `Quick test_ledger_io_roundtrip;
-      Alcotest.test_case "ledger io corruption" `Quick test_ledger_io_rejects_corruption;
-      Alcotest.test_case "ledger io files" `Quick test_ledger_io_files;
-      Alcotest.test_case "ledger io golden bytes" `Quick test_ledger_io_golden;
+      Alcotest.test_case "block records golden bytes" `Quick
+        test_block_records_golden;
       Alcotest.test_case "max-length probes" `Quick test_max_length_probes;
       snapshot_encode_oracle;
       kv_digest_oracle;

@@ -123,8 +123,8 @@ let test_dark_replica_stalls () =
     (H.accepted_batch_id t ~replica:1 ~round:0);
   (* Zyzzyva's fully-dark backup has no local evidence (no prepares exist);
      recovery must come from clients or RCC contracts. *)
-  check Alcotest.(list int) "victim's incomplete rounds empty (no evidence)" []
-    (Z.incomplete_rounds (H.inst t 2))
+  check Alcotest.int "victim saw no round (no evidence)" (-1)
+    (Z.max_seen (H.inst t 2))
 
 let test_adopt_fills_gap () =
   let byz self =
