@@ -226,6 +226,37 @@ let run protocol_sel n duration seed runs scenario_seed smoke transfer restart
       ~replica_timeout:(Engine.ms 250) ~client_timeout:(Engine.ms 400)
       ~collusion_wait:(Engine.ms 150) ~seed ~exec_mode ~exec_threads ~journal ()
   in
+  (* A bundled scenario's two variants, per protocol: the clean script
+     traces to [trace_path], the adverse one to it with [suffix] before
+     any ".jsonl"; [assertion] checks each trace. Tracing is always on,
+     since the verdicts read the events. *)
+  let run_variants ~journal ~assertion ~clean:(clean_label, clean_script)
+      ~adverse:(adverse_label, suffix, adverse_script) =
+    let ring = Option.value trace_ring ~default:131_072 in
+    let variant_path suffix p =
+      if Filename.check_suffix p ".jsonl" then
+        Filename.chop_suffix p ".jsonl" ^ suffix ^ ".jsonl"
+      else p ^ suffix
+    in
+    List.iter
+      (fun protocol ->
+        List.iter
+          (fun (label, adverse, suffix, script) ->
+            let outcome =
+              Runner.run ~canary ~nemesis_seed:seed
+                ?trace_path:(Option.map (variant_path suffix) trace_path)
+                ~trace_ring:ring
+                (smoke_cfg ~journal protocol)
+                (script duration)
+            in
+            note outcome;
+            if not (assertion ~label ~adverse outcome) then failed := true)
+          [
+            (clean_label, false, "", clean_script);
+            (adverse_label, true, suffix, adverse_script);
+          ])
+      protocols
+  in
   (if smoke then
      List.iter
        (fun protocol ->
@@ -233,72 +264,23 @@ let run protocol_sel n duration seed runs scenario_seed smoke transfer restart
            (Runner.run ~canary ~nemesis_seed:seed ?trace_path ?trace_ring
               (smoke_cfg protocol) (smoke_script duration)))
        protocols
-   else if transfer then begin
+   else if transfer then
      (* MultiZ runs this too since speculative rollback landed: with a
         replica partitioned away, clients fall back from the all-n
         speculative quorum to commit certificates, so the healthy
         majority keeps executing and the healed replica faces a
         snapshot-sized gap just like MultiP. *)
-     List.iter
-       (fun protocol ->
-         (* Tracing always on: the scenario's verdict reads the events. *)
-         let ring = Option.value trace_ring ~default:131_072 in
-         let variant_path suffix =
-           match trace_path with
-           | None -> None
-           | Some p when Filename.check_suffix p ".jsonl" ->
-               Some (Filename.chop_suffix p ".jsonl" ^ suffix ^ ".jsonl")
-           | Some p -> Some (p ^ suffix)
-         in
-         let clean =
-           Runner.run ~canary ~nemesis_seed:seed ?trace_path:(variant_path "")
-             ~trace_ring:ring (smoke_cfg protocol) (transfer_script duration)
-         in
-         note clean;
-         if not (assert_transfer ~label:"heal" ~expect_reject:false clean) then
-           failed := true;
-         let corrupt =
-           Runner.run ~canary ~nemesis_seed:seed
-             ?trace_path:(variant_path ".corrupt") ~trace_ring:ring
-             (smoke_cfg protocol)
-             (corrupt_transfer_script duration)
-         in
-         note corrupt;
-         if
-           not (assert_transfer ~label:"corrupt-donor" ~expect_reject:true corrupt)
-         then failed := true)
-       protocols
-   end
+     run_variants ~journal
+       ~assertion:(fun ~label ~adverse ->
+         assert_transfer ~label ~expect_reject:adverse)
+       ~clean:("heal", transfer_script)
+       ~adverse:("corrupt-donor", ".corrupt", corrupt_transfer_script)
    else if restart then
-     List.iter
-       (fun protocol ->
-         let ring = Option.value trace_ring ~default:131_072 in
-         let variant_path suffix =
-           match trace_path with
-           | None -> None
-           | Some p when Filename.check_suffix p ".jsonl" ->
-               Some (Filename.chop_suffix p ".jsonl" ^ suffix ^ ".jsonl")
-           | Some p -> Some (p ^ suffix)
-         in
-         let clean =
-           Runner.run ~canary ~nemesis_seed:seed ?trace_path:(variant_path "")
-             ~trace_ring:ring
-             (smoke_cfg ~journal:true protocol)
-             (restart_script duration)
-         in
-         note clean;
-         if not (assert_restart ~label:"clean-disk" ~faulty:false clean) then
-           failed := true;
-         let faulty =
-           Runner.run ~canary ~nemesis_seed:seed
-             ?trace_path:(variant_path ".faulty") ~trace_ring:ring
-             (smoke_cfg ~journal:true protocol)
-             (faulty_restart_script duration)
-         in
-         note faulty;
-         if not (assert_restart ~label:"faulty-disk" ~faulty:true faulty) then
-           failed := true)
-       protocols
+     run_variants ~journal:true
+       ~assertion:(fun ~label ~adverse ->
+         assert_restart ~label ~faulty:adverse)
+       ~clean:("clean-disk", restart_script)
+       ~adverse:("faulty-disk", ".faulty", faulty_restart_script)
    else
      match scenario_seed with
      | Some scenario_seed ->

@@ -13,7 +13,6 @@ type t = {
   mutable link_rules : Net.rule_id list;  (* delay / drop / dup rules *)
   byz_tainted : bool array;
   crashed : bool array;
-  was_crashed : bool array;
   mutable applied : int;
 }
 
@@ -82,7 +81,6 @@ let apply t action =
       t.link_rules <- id :: t.link_rules
   | Script.Crash r ->
       t.crashed.(r) <- true;
-      t.was_crashed.(r) <- true;
       Net.set_dead (net t) r true
   | Script.Restart r ->
       t.crashed.(r) <- false;
@@ -112,7 +110,6 @@ let install ?(seed = 0x6e656d) cluster script =
       link_rules = [];
       byz_tainted = Array.make n false;
       crashed = Array.make n false;
-      was_crashed = Array.make n false;
       applied = 0;
     }
   in
@@ -131,4 +128,3 @@ let listed flags =
 
 let tainted t = listed t.byz_tainted
 let dead_now t = listed t.crashed
-let ever_crashed t = listed t.was_crashed

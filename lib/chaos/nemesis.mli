@@ -26,5 +26,3 @@ val tainted : t -> Rcc_common.Ids.replica_id list
 val dead_now : t -> Rcc_common.Ids.replica_id list
 (** Replicas currently crashed. *)
 
-val ever_crashed : t -> Rcc_common.Ids.replica_id list
-

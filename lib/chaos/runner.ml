@@ -20,10 +20,10 @@ let passed outcome = outcome.violations = []
    currently byzantine (configured faults stay on; scripted ones may have
    been switched off, which [Nemesis.tainted] still remembers), plus the
    currently-dead set — a crashed replica cannot be expected to agree.
-   Crucially this is [dead_now], not [ever_crashed]: a replica revived or
-   journal-recovered via [Restart_from_disk] drops back out of the dead
-   set and re-enters the agreement / no-divergence checks after its
-   drain window. *)
+   Crucially this is the dead set now, not every replica that ever
+   crashed: a replica revived or journal-recovered via
+   [Restart_from_disk] drops back out of the dead set and re-enters the
+   agreement / no-divergence checks after its drain window. *)
 let excluded cluster nemesis =
   let n = (Cluster.config cluster).Config.n in
   let byz_now =

@@ -3,7 +3,6 @@ module Net = Rcc_sim.Net
 module Msg = Rcc_messages.Msg
 module Batch = Rcc_messages.Batch
 module Bitset = Rcc_common.Bitset
-module Wheel = Rcc_common.Timing_wheel
 
 type quorum = Majority_fplus1 | All_n_speculative
 type arrival_process = Poisson | Uniform
@@ -50,8 +49,6 @@ type open_loop = {
   ol_cap : int;
   ol_gap : float;  (* mean inter-arrival gap, simulated ns per request *)
   ol_rng : Rcc_common.Rng.t;
-  wheel : Wheel.t;
-  mutable wheel_armed : bool;
   (* FIFO ring of idle client ids: arrivals pick the longest-idle client,
      completions append, so load rotates round-robin over the pool. *)
   idle : int array;
@@ -63,7 +60,6 @@ type open_loop = {
   mutable dropped : int;
   queue_depths : Rcc_common.Stats.Histogram.t;
   mutable max_depth : int;
-  client_bits : int;  (* wheel payloads pack (gen << client_bits) | client *)
 }
 
 (* Per-client state lives in parallel arrays (struct-of-arrays), not one
@@ -166,15 +162,15 @@ let issue_request t c =
   t.out_commit_acks.(c) <- None;
   batch
 
-(* --- closed-loop timeouts (one engine timer per request) --------------- *)
+(* --- timeouts (one engine timer per request) ---------------------------- *)
 
-(* Timers are armed per request and never cancelled: a fired timer checks
-   the generation it was armed for and does nothing when stale. This
-   matches the seed pool's event schedule exactly — there, [complete]
-   cancelled its timer, but a cancelled timer still occupies its heap
-   slot and fires as a counted no-op at the same instant — so the
-   determinism digest is preserved while the pool stops keeping per-client
-   timer handles altogether. *)
+(* Both modes arm one timer per request and never cancel it: a fired
+   timer checks the generation it was armed for and does nothing when
+   stale. This matches the seed pool's event schedule exactly — there,
+   [complete] cancelled its timer, but a cancelled timer still occupies
+   its heap slot and fires as a counted no-op at the same instant — so
+   the determinism digest is preserved while the pool stops keeping
+   per-client timer handles altogether. *)
 let rec arm_timer t c =
   let g = t.gen.(c) in
   ignore
@@ -185,11 +181,9 @@ and on_timeout t c g =
   if t.gen.(c) = g && not t.stopped then
     match t.out_batch.(c) with
     | None -> ()
-    | Some batch -> handle_timeout t c batch ~rearm:(fun () -> arm_timer t c)
+    | Some batch -> handle_timeout t c batch
 
-(* Shared timeout policy. [rearm] re-arms whichever timeout mechanism the
-   mode uses (engine timer / wheel entry). *)
-and handle_timeout t c batch ~rearm =
+and handle_timeout t c batch =
   let cc_quorum = (2 * t.cfg.f) + 1 in
   let strong =
     List.find_opt (fun (_, set, _) -> Bitset.count set >= cc_quorum)
@@ -201,7 +195,7 @@ and handle_timeout t c batch ~rearm =
          batches fall back without eating the timeout again. *)
       set_degraded t c true;
       begin_commit_phase t c ~key ~set ~round;
-      rearm ()
+      arm_timer t c
   | (Majority_fplus1 | All_n_speculative), _, _ ->
       (* Resend; after enough failures, defect to another instance
          (§3.6 instance-change). *)
@@ -221,39 +215,7 @@ and handle_timeout t c batch ~rearm =
           ~size:(Msg.size notice) notice
       end;
       send_request t c batch;
-      rearm ()
-
-(* --- open-loop timeouts (timing wheel) --------------------------------- *)
-
-let wheel_payload ol c ~gen = (gen lsl ol.client_bits) lor c
-
-let rec wheel_arm t ol c =
-  Wheel.schedule ol.wheel
-    ~deadline:(Engine.now t.engine + t.cfg.request_timeout)
-    (wheel_payload ol c ~gen:t.gen.(c));
-  if not ol.wheel_armed then begin
-    ol.wheel_armed <- true;
-    Engine.schedule_after t.engine (Wheel.granularity ol.wheel) (fun () ->
-        wheel_tick t ol)
-  end
-
-and wheel_tick t ol =
-  ol.wheel_armed <- false;
-  Wheel.advance ol.wheel ~now:(Engine.now t.engine) (wheel_fire t ol);
-  if (not (Wheel.is_empty ol.wheel)) && not t.stopped then begin
-    ol.wheel_armed <- true;
-    Engine.schedule_after t.engine (Wheel.granularity ol.wheel) (fun () ->
-        wheel_tick t ol)
-  end
-
-and wheel_fire t ol payload =
-  let c = payload land ((1 lsl ol.client_bits) - 1) in
-  let g = payload lsr ol.client_bits in
-  if t.gen.(c) = g && not t.stopped then
-    match t.out_batch.(c) with
-    | None -> ()
-    | Some batch ->
-        handle_timeout t c batch ~rearm:(fun () -> wheel_arm t ol c)
+      arm_timer t c
 
 (* --- request lifecycle ------------------------------------------------- *)
 
@@ -321,7 +283,7 @@ let rec on_arrival t ol =
       ol.injected <- ol.injected + 1;
       let batch = issue_request t c in
       send_request t c batch;
-      wheel_arm t ol c
+      arm_timer t c
     end
     else
       (* Every client is busy (or the in-flight cap is hit): the offered
@@ -384,10 +346,6 @@ let handle_local_commit t c ~src =
 
 (* --- assembly ---------------------------------------------------------- *)
 
-let bits_for clients =
-  let rec go b = if 1 lsl b >= clients then b else go (b + 1) in
-  go 1
-
 let create ~engine ~net ~keychain ~metrics ~primary_of_instance cfg =
   let zipf = Rcc_workload.Zipf.create ~n:cfg.records ~theta:cfg.theta in
   let gens =
@@ -411,11 +369,6 @@ let create ~engine ~net ~keychain ~metrics ~primary_of_instance cfg =
             ol_cap = cap;
             ol_gap = 1e9 *. float_of_int cfg.batch_size /. rate;
             ol_rng = Rcc_common.Rng.create (cfg.seed + 7001);
-            wheel =
-              Wheel.create
-                ~granularity:(max 1 (cfg.request_timeout / 8))
-                ();
-            wheel_armed = false;
             idle = Array.init cfg.clients (fun c -> c);
             idle_head = 0;
             idle_len = cfg.clients;
@@ -425,7 +378,6 @@ let create ~engine ~net ~keychain ~metrics ~primary_of_instance cfg =
             dropped = 0;
             queue_depths = Rcc_common.Stats.Histogram.create ();
             max_depth = 0;
-            client_bits = bits_for cfg.clients;
           }
   in
   let t =

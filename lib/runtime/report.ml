@@ -70,16 +70,6 @@ type t = {
       (* empty or length 1 when the run has a single logical instance *)
 }
 
-let header () =
-  Printf.sprintf "%-9s %4s %6s %12s %10s %10s %10s %8s"
-    "protocol" "n" "batch" "tput(txn/s)" "avg_lat" "p50_lat" "p99_lat" "rounds"
-
-let row t =
-  Printf.sprintf "%-9s %4d %6d %12.0f %9.2fms %9.2fms %9.2fms %8d"
-    t.protocol t.n t.batch_size t.throughput
-    (t.avg_latency *. 1e3) (t.p50_latency *. 1e3) (t.p99_latency *. 1e3)
-    t.ledger_rounds
-
 let pp_instance fmt s =
   Format.fprintf fmt
     "  instance %d: %.0f txn/s, lat avg %.2f ms (p50 %.2f, p99 %.2f), \

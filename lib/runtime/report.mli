@@ -74,6 +74,4 @@ type t = {
       (** per-instance breakdown; printed by {!pp} when longer than 1 *)
 }
 
-val header : unit -> string
-val row : t -> string
 val pp : Format.formatter -> t -> unit

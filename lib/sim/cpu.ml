@@ -38,12 +38,6 @@ let submit_ready t ~ready ~cost job =
 
 let submit t ~cost job = submit_ready t ~ready:(Engine.now t.engine) ~cost job
 
-let backlog t =
-  let lag = t.free_at - Engine.now t.engine in
-  if lag > 0 then lag else 0
-
-let busy_time t = t.busy_ns
-
 let utilization t ~since =
   let span = Engine.now t.engine - since in
   if span <= 0 then 0.0
@@ -68,7 +62,6 @@ let earliest t =
   done;
   t.servers.(!best)
 
-let pool_submit t ~cost job = submit (earliest t) ~cost job
 let pool_submit_ready t ~ready ~cost job = submit_ready (earliest t) ~ready ~cost job
 let pool_reserve t ~ready ~cost = reserve (earliest t) ~ready ~cost
 

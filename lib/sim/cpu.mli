@@ -26,12 +26,6 @@ val reserve : server -> ready:Engine.time -> cost:Engine.time -> Engine.time
 (** Account for work without scheduling a callback; returns the completion
     time. Used to chain pipeline stages into a single event. *)
 
-val backlog : server -> Engine.time
-(** Nanoseconds of queued work ahead of a job submitted now. *)
-
-val busy_time : server -> Engine.time
-(** Cumulative busy nanoseconds, for utilization reporting. *)
-
 val utilization : server -> since:Engine.time -> float
 (** Busy fraction of wall time since [since] (clamped to [0, 1]); callers
     should pass the run start. *)
@@ -41,7 +35,6 @@ type pool
     earliest-free dispatch. *)
 
 val pool : Engine.t -> ?owner:int -> name:string -> size:int -> unit -> pool
-val pool_submit : pool -> cost:Engine.time -> (unit -> unit) -> unit
 
 val pool_submit_ready :
   pool -> ready:Engine.time -> cost:Engine.time -> (unit -> unit) -> unit

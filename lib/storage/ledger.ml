@@ -69,11 +69,6 @@ let validate t =
   in
   go 0 t.genesis
 
-let iter t f =
-  for i = 0 to t.used - 1 do
-    f !(t.blocks).(i)
-  done
-
 let prefix t ~upto =
   let n = min (max upto 0) t.used in
   Array.init n (fun i -> !(t.blocks).(i))

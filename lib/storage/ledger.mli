@@ -23,8 +23,6 @@ val get : t -> Rcc_common.Ids.round -> Block.t option
 val validate : t -> (unit, string) result
 (** Re-checks the whole hash chain. *)
 
-val iter : t -> (Block.t -> unit) -> unit
-
 val prefix : t -> upto:int -> Block.t array
 (** The first [min upto (length t)] blocks, for serving a snapshot of the
     chain up to a checkpoint boundary. *)

@@ -14,26 +14,38 @@
 # takeover that sits out a fixed grace period (timeout / 8 = 31.25 ms)
 # on top does not fit.
 #
+# The run is deterministic, so beyond the bounds every field printed
+# below except the host-time wall= must match test/crash_load_gate.expected
+# byte for byte: a number can only move through a reviewed edit to that
+# file, as with test/chaos_verdicts.expected.
+#
 #   dune build bin/rcc_run.exe
 #   sh test/crash_load_gate.sh
 #
 # The first argument overrides the rcc_run binary. Takes about 5 s.
 
 run=${1:-_build/default/bin/rcc_run.exe}
+expected=$(dirname "$0")/crash_load_gate.expected
 n=16
 timeout=0.25
 margin=0.05
 out=$("$run" -p multip -n $n --clients 10000 --arrival-rate 300000 \
   --fault crash:1 --replica-timeout $timeout --duration 3) || exit 1
-printf '%s\n' "$out" | grep -E '^(committed|contracts|first_completion)='
-printf '%s\n' "$out" | awk -v n=$n -v timeout=$timeout -v margin=$margin '
+fields=$(printf '%s\n' "$out" | grep -E '^(committed|contracts|first_completion)=')
+printf '%s\n' "$fields"
+same=1
+if ! printf '%s\n' "$fields" | sed 's/ wall=[^ ]*//' | diff -u "$expected" -; then
+  echo "FAIL: printed fields differ from $expected"
+  same=0
+fi
+printf '%s\n' "$out" | awk -v n=$n -v timeout=$timeout -v margin=$margin -v same=$same '
   { for (i = 1; i <= NF; i++) { split($i, kv, "="); v[kv[1]] = kv[2] } }
   END {
     committed = v["committed"] + 0
     contracts = v["contracts"]; sub(/B$/, "", contracts); contracts += 0
     repl = v["replacements"] + 0
     bound = 175000 * n * repl
-    ok = 1
+    ok = same
     if (committed <= 0) { print "FAIL: committed nothing"; ok = 0 }
     if (v["ledger_valid"] != "true") { print "FAIL: ledger not valid"; ok = 0 }
     if (contracts > bound) {

@@ -1,11 +1,10 @@
-(* The flat-array client pool and its timing wheel.
+(* The flat-array client pool.
 
-   Three layers of coverage:
-   - Timing_wheel units: bucket-order firing, past-due parking, multi-lap
-     entries, reentrant scheduling from a fire callback.
+   Two layers of coverage:
    - Open-loop pool units: arrival accounting, drops at the in-flight
-     cap, stop silencing the arrival process, wheel-driven retries and
-     the Zyzzyva commit-certificate fallback.
+     cap, stop silencing the arrival process, timeout-driven retries
+     (each at exactly its request's deadline) and the Zyzzyva
+     commit-certificate fallback.
    - A QCheck parity property: closed-loop runs over the SoA pool must
      produce the same completions, instance changes, request count and
      engine event count as the frozen seed pool
@@ -18,76 +17,6 @@ module Net = Rcc_sim.Net
 module Msg = Rcc_messages.Msg
 module Client_pool = Rcc_replica.Client_pool
 module Metrics = Rcc_replica.Metrics
-module Timing_wheel = Rcc_common.Timing_wheel
-
-(* --- timing wheel --------------------------------------------------------- *)
-
-let fired_payloads w ~now =
-  let acc = ref [] in
-  Timing_wheel.advance w ~now (fun p -> acc := p :: !acc);
-  List.rev !acc
-
-let test_wheel_fires_in_bucket_order () =
-  let w = Timing_wheel.create ~granularity:10 () in
-  (* Insert out of order; buckets fire in time order, insertion order
-     within one bucket. *)
-  Timing_wheel.schedule w ~deadline:95 1;
-  Timing_wheel.schedule w ~deadline:15 2;
-  Timing_wheel.schedule w ~deadline:12 3;
-  Timing_wheel.schedule w ~deadline:55 4;
-  check (list int) "nothing due yet" [] (fired_payloads w ~now:5);
-  check (list int) "one bucket, insertion order" [ 2; 3 ]
-    (fired_payloads w ~now:20);
-  check int "two left" 2 (Timing_wheel.pending w);
-  check (list int) "remaining fire in time order" [ 4; 1 ]
-    (fired_payloads w ~now:100);
-  check bool "drained" true (Timing_wheel.is_empty w)
-
-let test_wheel_respects_exact_deadline () =
-  let w = Timing_wheel.create ~granularity:10 () in
-  (* An entry whose bucket is reached but whose deadline is still in the
-     future must wait for a later advance. *)
-  Timing_wheel.schedule w ~deadline:18 7;
-  check (list int) "same bucket, deadline not reached" []
-    (fired_payloads w ~now:12);
-  check (list int) "fires once the deadline passes" [ 7 ]
-    (fired_payloads w ~now:18)
-
-let test_wheel_past_due_fires_next_advance () =
-  let w = Timing_wheel.create ~granularity:10 () in
-  ignore (fired_payloads w ~now:500);
-  (* Scheduling behind the wheel's position parks the entry in the
-     current bucket: it fires on the very next sweep. *)
-  Timing_wheel.schedule w ~deadline:40 9;
-  check (list int) "past-due entry fires" [ 9 ] (fired_payloads w ~now:501)
-
-let test_wheel_multi_lap_entries_survive () =
-  (* slots=4, granularity=10: the ring covers 40 time units. A deadline
-     370 ahead hashes into a bucket the sweep visits nine times before
-     the entry is actually due — it must stay parked until then. *)
-  let w = Timing_wheel.create ~slots:4 ~granularity:10 () in
-  Timing_wheel.schedule w ~deadline:370 1;
-  Timing_wheel.schedule w ~deadline:25 2;
-  check (list int) "near entry only" [ 2 ] (fired_payloads w ~now:100);
-  check (list int) "far entry still parked" [] (fired_payloads w ~now:360);
-  check (list int) "far entry fires on its lap" [ 1 ]
-    (fired_payloads w ~now:375)
-
-let test_wheel_reentrant_schedule_not_recursive () =
-  let w = Timing_wheel.create ~granularity:10 () in
-  let log = ref [] in
-  Timing_wheel.schedule w ~deadline:45 1;
-  (* The fire callback re-arms a deadline BEHIND the sweep position
-     (tick 3 while the head sits at tick 4). It must not fire inside
-     this advance, and must not strand in a just-passed ring bucket for
-     a full lap either: it fires on the very next sweep. *)
-  Timing_wheel.advance w ~now:50 (fun p ->
-      log := p :: !log;
-      if p = 1 then Timing_wheel.schedule w ~deadline:30 2);
-  check (list int) "only the original fired" [ 1 ] (List.rev !log);
-  check int "retry is pending" 1 (Timing_wheel.pending w);
-  check (list int) "retry fires on the next sweep" [ 2 ]
-    (fired_payloads w ~now:51)
 
 (* --- pool fixture ---------------------------------------------------------- *)
 
@@ -96,6 +25,8 @@ type fixture = {
   net : Msg.t Net.t;
   pool : Client_pool.t;
   requests : (int * Msg.t) list ref;  (* (dst replica, message) *)
+  deliveries : (int * Engine.time) list ref;
+      (* (batch id, arrival time) of every Client_request, newest first *)
 }
 
 let make_pool ?(quorum = Client_pool.Majority_fplus1) ?(n = 4)
@@ -107,10 +38,15 @@ let make_pool ?(quorum = Client_pool.Majority_fplus1) ?(n = 4)
     Net.create engine ~nodes:(n + machines) ~latency:(Engine.us 10) ~jitter:0
       ~gbps:10.0 ~rng:(Rcc_common.Rng.create 3) ()
   in
-  let requests = ref [] in
+  let requests = ref [] and deliveries = ref [] in
   for replica = 0 to n - 1 do
     Net.register net replica (fun ~src:_ ~size:_ msg ->
-        requests := (replica, msg) :: !requests)
+        requests := (replica, msg) :: !requests;
+        match msg with
+        | Msg.Client_request { batch; _ } ->
+            deliveries :=
+              (batch.Rcc_messages.Batch.id, Engine.now engine) :: !deliveries
+        | _ -> ())
   done;
   let keychain = Rcc_crypto.Keychain.create ~seed:8 ~n ~clients in
   let metrics = Metrics.create ~n ~warmup:0 () in
@@ -135,7 +71,7 @@ let make_pool ?(quorum = Client_pool.Majority_fplus1) ?(n = 4)
         arrival;
       }
   in
-  { engine; net; pool; requests }
+  { engine; net; pool; requests; deliveries }
 
 let respond fx ~n ~replica ~client ~batch_id ?(digest = "same")
     ?(speculative = false) () =
@@ -227,7 +163,7 @@ let test_open_loop_stop_silences_arrivals () =
     (stats fx).Client_pool.offered_batches
 
 let test_open_loop_wheel_retries_and_instance_change () =
-  (* Nobody answers: wheel-driven timeouts must resend and, after
+  (* Nobody answers: request timeouts must resend and, after
      instance_change_after = 2 resends, defect to the other instance —
      the same policy the closed-loop engine timers implement. *)
   let fx =
@@ -243,10 +179,50 @@ let test_open_loop_wheel_retries_and_instance_change () =
   check bool "instance changes recorded" true
     (Client_pool.instance_changes fx.pool > 0)
 
+let test_open_loop_resend_at_exact_deadline () =
+  (* Nobody answers and the cap admits two requests, issued 3 ms apart
+     (uniform, 5 txns per batch at 5000/3 txn/s). Each must be resent
+     exactly request_timeout after it was sent, whatever its arrival
+     instant. Sends and resends are the same size over an idle link, so
+     their arrival times at the replica differ by exactly the send-time
+     gap. *)
+  let timeout = Engine.ms 20 in
+  let fx =
+    make_pool ~request_timeout:timeout
+      ~arrival:(open_loop ~rate:(5000.0 /. 3.0) ~max_in_flight:2 ())
+      ()
+  in
+  Client_pool.start fx.pool;
+  Engine.run fx.engine ~until:(Engine.ms 35);
+  let sends id =
+    List.rev
+      (List.filter_map
+         (fun (b, at) -> if b = id then Some at else None)
+         !(fx.deliveries))
+  in
+  let ids = List.sort_uniq compare (List.map fst !(fx.deliveries)) in
+  check int "two requests injected" 2 (List.length ids);
+  let firsts =
+    List.map
+      (fun id ->
+        match sends id with
+        | [ sent; resent ] ->
+            check int
+              (Printf.sprintf "batch %d resent at sent_at + timeout" id)
+              (sent + timeout) resent;
+            sent
+        | l ->
+            failf "batch %d: expected one send and one resend, got %d" id
+              (List.length l))
+      ids
+  in
+  check bool "issued at different instants" true
+    (List.length (List.sort_uniq compare firsts) = 2)
+
 let test_open_loop_commit_cert_fallback () =
   let n = 4 in
   (* Zyzzyva under open load: 2f+1 = 3 of 4 speculative responses, then a
-     wheel timeout must broadcast the commit certificate; 2f+1
+     request timeout must broadcast the commit certificate; 2f+1
      LOCAL-COMMITs complete the batch. *)
   let fx =
     make_pool ~quorum:Client_pool.All_n_speculative
@@ -485,16 +461,6 @@ let parity_test =
 let suite =
   ( "client_pool",
     [
-      test_case "wheel: bucket firing order" `Quick
-        test_wheel_fires_in_bucket_order;
-      test_case "wheel: exact deadlines" `Quick
-        test_wheel_respects_exact_deadline;
-      test_case "wheel: past-due parks to next sweep" `Quick
-        test_wheel_past_due_fires_next_advance;
-      test_case "wheel: multi-lap entries" `Quick
-        test_wheel_multi_lap_entries_survive;
-      test_case "wheel: reentrant schedule" `Quick
-        test_wheel_reentrant_schedule_not_recursive;
       test_case "open loop: arrivals inject and drop" `Quick
         test_open_loop_arrivals_inject;
       test_case "open loop: in-flight cap" `Quick
@@ -505,6 +471,8 @@ let suite =
         test_open_loop_stop_silences_arrivals;
       test_case "open loop: wheel retries + instance change" `Quick
         test_open_loop_wheel_retries_and_instance_change;
+      test_case "open loop: resend at the exact deadline" `Quick
+        test_open_loop_resend_at_exact_deadline;
       test_case "open loop: commit-certificate fallback" `Quick
         test_open_loop_commit_cert_fallback;
       parity_test;

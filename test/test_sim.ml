@@ -75,7 +75,8 @@ let test_cpu_fifo_queueing () =
   check
     Alcotest.(list (pair string int))
     "completion times" [ ("a", 100); ("b", 150) ] (List.rev !log);
-  check Alcotest.int "busy time" 150 (Cpu.busy_time srv)
+  check (Alcotest.float 1e-9) "busy 150 of 1000 ns" 0.15
+    (Cpu.utilization srv ~since:0)
 
 let test_cpu_idle_gap () =
   let engine = Engine.create () in
@@ -103,20 +104,15 @@ let test_cpu_reserve_chain () =
   let a = Cpu.reserve srv ~ready:0 ~cost:10 in
   let b = Cpu.reserve srv ~ready:0 ~cost:10 in
   check Alcotest.int "first" 10 a;
-  check Alcotest.int "second queues" 20 b;
-  check Alcotest.int "backlog" 20 (Cpu.backlog srv)
+  check Alcotest.int "second queues" 20 b
 
 let test_pool_earliest_dispatch () =
   let engine = Engine.create () in
   let pool = Cpu.pool engine ~name:"in" ~size:2 () in
-  let done_at = ref [] in
-  for _ = 1 to 4 do
-    Cpu.pool_submit pool ~cost:10 (fun () -> done_at := Engine.now engine :: !done_at)
-  done;
-  Engine.run engine ~until:100;
+  let done_at = List.init 4 (fun _ -> Cpu.pool_reserve pool ~ready:0 ~cost:10) in
   (* 4 jobs over 2 servers: two finish at 10, two at 20. *)
   check Alcotest.(list int) "parallel dispatch" [ 10; 10; 20; 20 ]
-    (List.sort compare !done_at)
+    (List.sort compare done_at)
 
 (* --- network -------------------------------------------------------------------- *)
 

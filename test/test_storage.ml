@@ -301,15 +301,6 @@ let test_ledger_rejects_bad_blocks () =
   check Alcotest.bool "wrong prev hash" true
     (Result.is_error (Ledger.append ledger (block ~round:1 ~prev:(String.make 32 'x'))))
 
-let test_ledger_iter () =
-  let ledger = Ledger.create ~primaries:[ 0 ] in
-  for round = 0 to 4 do
-    Ledger.append_exn ledger (block ~round ~prev:(Ledger.head_hash ledger))
-  done;
-  let rounds = ref [] in
-  Ledger.iter ledger (fun b -> rounds := b.Block.round :: !rounds);
-  check Alcotest.(list int) "iterates in order" [ 0; 1; 2; 3; 4 ] (List.rev !rounds)
-
 (* --- txn table ---------------------------------------------------------------------- *)
 
 let entry ~round ~instance =
@@ -692,7 +683,6 @@ let suite =
       Alcotest.test_case "genesis primaries" `Quick test_genesis_depends_on_primaries;
       Alcotest.test_case "ledger append/validate" `Quick test_ledger_append_validate;
       Alcotest.test_case "ledger rejects bad" `Quick test_ledger_rejects_bad_blocks;
-      Alcotest.test_case "ledger iter" `Quick test_ledger_iter;
       Alcotest.test_case "txn table" `Quick test_txn_table;
       txn_table_model;
     ] )
