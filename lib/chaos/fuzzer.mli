@@ -28,6 +28,19 @@ type summary = {
 
 val scenario_seed : master:int -> run:int -> int
 
+val config_for :
+  ?exec_mode:Rcc_runtime.Config.exec_mode ->
+  ?exec_threads:int ->
+  ?journal:bool ->
+  Rcc_runtime.Config.protocol ->
+  n:int ->
+  duration:Rcc_sim.Engine.time ->
+  seed:int ->
+  Rcc_runtime.Config.t
+(** The cluster every scenario runs on: batches of 10, 40 clients, 5 000
+    records, a 250 ms replica and 400 ms client timeout, sized so a
+    primary replacement and client retries fit inside a ~2 s run. *)
+
 val gen_script :
   ?journal:bool ->
   seed:int -> n:int -> duration:Rcc_sim.Engine.time -> unit -> Script.t

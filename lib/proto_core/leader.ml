@@ -19,6 +19,7 @@ type 'a t = {
   mutable primary : int;
   mutable next_seq : int;
   mutable holding : bool;
+  mutable committed : int;
   vc_votes : Quorum.Tally.t;
   mutable vc_sent_for : int;
   mutable last_failure_report : int;
@@ -38,6 +39,7 @@ let create ~certified env log =
     primary = env.Env.instance;
     next_seq = 0;
     holding = false;
+    committed = -1;
     vc_votes = Quorum.Tally.create ~n ~f;
     vc_sent_for = 0;
     last_failure_report = -1;
@@ -118,31 +120,27 @@ let finish_takeover t ~finish ~propose =
   if t.env.Env.unified then
     t.env.Env.null_fill ~proposed_upto:(proposed_upto t) propose
 
-(* A primary taking over an instance it was cut off from (partition, dark
-   attack) does not know how far the deposed primary ran: peers may have
-   accepted — or executed — rounds past this replica's [max_seen], and
-   proposing a fresh batch or a null at such a round forks the instance.
-   Under RCC it therefore announces the view at once, so backups adopt
-   the new primary, and asks its peers for the instance's in-flight
-   frontier (§3.3 state exchange; every peer answers with this instance's
-   contiguous window above the requested round and its own [max_seen]).
-   Where an accepted round is certified by a quorum (PBFT, CFT), n − f
-   answers that report nothing past this replica's [max_seen] once their
-   windows are adopted prove no accepted round is missing, and the
-   takeover ends there ([on_contract_reply]). Otherwise — too few or
-   unsettled answers, or Zyzzyva, whose speculative rounds a single
-   replica may have executed — it re-proposes after the grace period.
-   Standalone protocols have no contract machinery and re-propose at
-   once. *)
+(* The lowest round this replica cannot prove the cluster shares with
+   it. Certified protocols (PBFT, CFT) accept a round only on a quorum
+   certificate, so their whole accepted prefix is proven. Zyzzyva accepts
+   speculatively on the primary's order alone: only a client's commit
+   certificate or a stable checkpoint proves a round, and every accepted
+   round above both may lose to a view change. *)
+let unproven_from t =
+  if t.certified then SL.frontier t.log + 1
+  else max t.committed (Checkpointing.stable t.ckpt) + 1
+
+(* Under RCC a fresh primary waits for its peers' answers to the view
+   install's CONTRACT-REQUEST before proposing. Where an accepted round
+   is certified by a quorum (PBFT, CFT), n − f answers that report
+   nothing past this replica's [max_seen] once their windows are adopted
+   prove no accepted round is missing, and the takeover ends there
+   ([on_contract_reply]). Otherwise — too few or unsettled answers, or
+   Zyzzyva, whose speculative rounds a single replica may have executed —
+   it re-proposes after the grace period. Standalone protocols have no
+   contract machinery and re-propose at once. *)
 let take_over t ~finish ~propose =
   if t.env.Env.unified then begin
-    t.holding <- true;
-    t.env.Env.broadcast
-      (Msg.New_view
-         { instance = t.env.Env.instance; view = t.view; reproposals = [] });
-    t.env.Env.broadcast
-      (Msg.Contract_request
-         { round = SL.frontier t.log + 1; instance = t.env.Env.instance });
     if t.certified then begin
       let answers = Quorum.create ~n:t.env.Env.n ~f:t.env.Env.f in
       ignore (Quorum.vote answers t.env.Env.self);
@@ -176,7 +174,29 @@ let install_view t ~view ~primary ~on_install ~finish ~propose =
   if primary <> t.env.Env.self then Held_batches.clear t.held;
   t.last_failure_report <- -1;
   Quorum.Tally.prune t.vc_votes ~upto:view;
-  if is_primary t then take_over t ~finish ~propose
+  let leads = is_primary t in
+  (* A replica cut off from the instance (partition, dark attack) knows
+     neither how far the deposed primary ran nor whether the rounds it
+     accepted without proof survive: peers may have accepted — or
+     executed — other batches there. Under RCC a new primary holds and
+     announces the view at once, so backups adopt it; then the install
+     asks the peers once for the instance's rounds from the repair floor
+     (§3.3 state exchange): always on the new primary, and on a backup
+     holding accepted rounds from the floor on, so that a conflicting
+     adopted round rolls its speculative suffix back. *)
+  if t.env.Env.unified then begin
+    if leads then begin
+      t.holding <- true;
+      t.env.Env.broadcast
+        (Msg.New_view
+           { instance = t.env.Env.instance; view; reproposals = [] })
+    end;
+    let round = unproven_from t in
+    if leads || SL.frontier t.log >= round then
+      t.env.Env.broadcast
+        (Msg.Contract_request { round; instance = t.env.Env.instance })
+  end;
+  if leads then take_over t ~finish ~propose
 
 (* The lost incarnation may have proposed rounds past the durable
    frontier; re-assigning them would equivocate. *)

@@ -10,12 +10,21 @@
     protocols: its re-propose step, its stall probe and its install-time
     hook.
 
-    Takeover. Under RCC, a replica installed as primary stops proposing
-    ([holding]), announces the view with an empty NEW-VIEW and asks its
-    peers for the in-flight frontier (one CONTRACT-REQUEST for
-    [frontier + 1]). Every peer answers with the instance's contiguous
-    window above that round and its own [max_seen]. Where accepted
-    rounds are quorum-certified ([certified]: PBFT, CFT), the takeover
+    Repair floor. [unproven_from] is the lowest round this replica
+    cannot prove it shares with the cluster: the accept frontier + 1
+    where accepted rounds are quorum-certified ([certified]: PBFT, CFT),
+    and [max committed stable + 1] for Zyzzyva, whose rounds above its
+    last commit certificate and stable checkpoint are speculative.
+
+    Takeover. Under RCC, a view install sends at most one
+    CONTRACT-REQUEST, for [unproven_from]: always from the new primary,
+    and from a backup when it holds accepted rounds at or above the
+    floor (never for PBFT and CFT, whose floor is past their frontier).
+    Every peer answers with the instance's contiguous window from that
+    round and its own [max_seen]; an adopted round that conflicts with a
+    speculative one rolls it back. A replica installed as primary first
+    stops proposing ([holding]) and announces the view with an empty
+    NEW-VIEW. Where accepted rounds are quorum-certified, the takeover
     completes as soon as n − f replicas, this one included, have
     answered and, with their windows adopted, no answer reports a round
     past this replica's [max_seen]: any accepted round was then seen by
@@ -48,6 +57,9 @@ type 'a t = {
       (** hold submitted batches instead of proposing: set through a
           unified takeover, after [resign_primary], and by a PBFT
           replica running its own view change *)
+  mutable committed : Rcc_common.Ids.round;
+      (** highest round a client commit certificate proved; only a
+          speculative instance (Zyzzyva) sets it; -1 initially *)
   vc_votes : Quorum.Tally.t;  (** standalone view change: new view -> voters *)
   mutable vc_sent_for : Rcc_common.Ids.view;
       (** highest new view this replica voted for *)
@@ -87,6 +99,12 @@ val detect_failure :
     coordinator signs and broadcasts the VIEW-CHANGE; standalone
     {!broadcast_view_change} runs first). *)
 
+val unproven_from : 'a t -> Rcc_common.Ids.round
+(** The repair floor (see above): [frontier + 1] when [certified],
+    otherwise [max committed stable + 1]. A view install re-checks the
+    instance from here, and Zyzzyva rolls back only rounds at or above
+    it. *)
+
 val install_view :
   'a t ->
   view:Rcc_common.Ids.view ->
@@ -97,9 +115,10 @@ val install_view :
   unit
 (** Install [primary] for [view]: clear [holding], run [on_install],
     drop the held batches unless this replica leads the new view, and
-    prune the view-change votes. The new primary then takes over (see
-    above); [finish] is its re-propose step and [propose] re-submits the
-    held batches. *)
+    prune the view-change votes. Under RCC, send the install's one
+    CONTRACT-REQUEST (see above). The new primary then takes over;
+    [finish] is its re-propose step and [propose] re-submits the held
+    batches. *)
 
 val on_contract_reply :
   'a t -> src:Rcc_common.Ids.replica_id -> max_seen:Rcc_common.Ids.round -> unit

@@ -18,7 +18,6 @@ type t = {
   log : spec SL.t;  (* frontier = next_accept - 1: accepts strictly in order *)
   lead : spec Leader.t;
   mutable history : string;  (* running history digest *)
-  mutable committed : int;  (* highest round with a client commit cert *)
   ordered : Ordered_batches.t;  (* primary only: retransmission dedup *)
 }
 
@@ -33,12 +32,11 @@ let create env =
     log;
     lead = Leader.create ~certified:false env log;
     history = "";
-    committed = -1;
     ordered = Ordered_batches.create ();
   }
 
 let primary t = t.lead.Leader.primary
-let committed_upto t = t.committed
+let committed_upto t = t.lead.Leader.committed
 let history_digest t = t.history
 let slot t seq = SL.get t.log seq
 let next_accept t = SL.frontier t.log + 1
@@ -99,13 +97,13 @@ let drain_accepts t =
    last surviving slot, tell the execute stage to roll its state back
    (KV undo, ledger truncation), and install the new authoritative batch
    so the drain re-accepts — and re-executes — the corrected suffix.
-   Rounds at or below a commit certificate or stable checkpoint are
-   attested: a conflict there means this replica's whole prefix lost,
-   which is state transfer's job, not rollback's. Returns whether the
-   rollback ran (the new batch only installs when it did). *)
+   Rounds below [Leader.unproven_from] are attested by a commit
+   certificate or stable checkpoint: a conflict there means this
+   replica's whole prefix lost, which is state transfer's job, not
+   rollback's. Returns whether the rollback ran (the new batch only
+   installs when it did). *)
 let conflict_rollback t ~seq batch =
-  let stable = Checkpointing.stable t.lead.Leader.ckpt in
-  if seq > t.committed && seq > stable then begin
+  if seq >= Leader.unproven_from t.lead then begin
     let reseed =
       if seq = 0 then Some ""
       else
@@ -177,7 +175,8 @@ let submit_batch t batch = Leader.submit_batch t.lead batch ~propose:(propose t)
    (relayed through a retrying client) that the primary skipped us. *)
 let on_commit_cert t ~seq ~client ~replicas:_ =
   if seq >= 0 && seq < next_accept t then begin
-    if seq > t.committed then t.committed <- seq;
+    let l = t.lead in
+    if seq > l.Leader.committed then l.Leader.committed <- seq;
     (* Ack the certificate holder directly: the slot may already be
        collected under a stable checkpoint (the cluster raced far ahead
        of this client), and a certificate of 2f+1 matching responses is
@@ -286,7 +285,8 @@ let fast_forward t ~proof =
      fall back to the commit-certificate path, a liveness nuance only.) *)
   t.history <- proof.Rcc_storage.Checkpoint_store.state_digest;
   let round = proof.Rcc_storage.Checkpoint_store.seq in
-  if t.committed < round - 1 then t.committed <- round - 1
+  let l = t.lead in
+  if l.Leader.committed < round - 1 then l.Leader.committed <- round - 1
 
 let log_stats t = Leader.log_stats t.lead
 let checkpoint_log t = Leader.checkpoint_log t.lead

@@ -19,6 +19,7 @@ for args in \
   "--smoke --quick --exec-mode parallel" \
   "--smoke --exec-mode parallel" \
   "--protocol multiz --scenario-seed 7000022" \
+  "--protocol multiz --scenario-seed 7000022 --journal --quick" \
   "--protocol multip --scenario-seed 7000021" \
   "--transfer" \
   "--transfer --exec-mode parallel" \

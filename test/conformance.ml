@@ -19,10 +19,14 @@
    - for primary-backup instances ([Info.takeover]): [resign_primary]
      holds proposals until [set_primary], and a fresh unified primary
      recovers the in-flight frontier from its peers (one CONTRACT-REQUEST
-     for [frontier + 1]) before it proposes anything: until n - f
-     answers settle it where accepted rounds are quorum-certified
-     ([Info.certified]), or else until the grace period ends — and a
-     watchdog blame does not cut that short. *)
+     from its lowest unproven round: [frontier + 1] where accepted rounds
+     are quorum-certified ([Info.certified]), the round after the last
+     commit certificate or stable checkpoint otherwise) before it
+     proposes anything: until n - f answers settle it where accepted
+     rounds are certified, or else until the grace period ends — and a
+     watchdog blame does not cut that short. A backup sends that request
+     only when it holds accepted rounds at or above the floor, which a
+     certified instance never does. *)
 
 module Batch = Rcc_messages.Batch
 
@@ -156,8 +160,17 @@ struct
     check Alcotest.bool "set_primary flushes the held batch" true
       (has_accepted t ~replica:2 93)
 
+  (* Contract requests [replica] sent at or after [since], by round. *)
+  let contract_requests t ~replica ~since =
+    List.filter_map
+      (function
+        | at, Rcc_messages.Msg.Contract_request { round; _ } when at >= since ->
+            Some round
+        | _ -> None)
+      (H.sent t ~replica)
+
   (* The unified takeover (§3.4): announce the view, ask the peers once
-     for the frontier's successor, and flush the batches held meanwhile
+     from the lowest unproven round, and flush the batches held meanwhile
      when it ends. [answers] are delivered 1 ms after the install as
      (peer, rounds past that peer's own [max_seen] it reports). Returns
      whether the new primary proposed inside the grace period
@@ -183,15 +196,14 @@ struct
     let since_takeover =
       List.filter (fun (at, _) -> at >= t0) (H.sent t ~replica:1)
     in
-    let contract_requests =
-      List.filter_map
-        (function
-          | _, Rcc_messages.Msg.Contract_request { round; _ } -> Some round
-          | _ -> None)
-        since_takeover
-    in
-    check Alcotest.(list int) "one contract request for frontier + 1" [ 1 ]
-      contract_requests;
+    (* Round 0 is accepted everywhere: certified, it is proven; under
+       Zyzzyva it is speculative, with no commit certificate or stable
+       checkpoint below it. *)
+    check
+      Alcotest.(list int)
+      "one contract request from the unproven floor"
+      [ (if Info.certified then 1 else 0) ]
+      (contract_requests t ~replica:1 ~since:t0);
     let early = List.exists (fun (_, m) -> is_proposal m) since_takeover in
     H.run t 0.3;
     check Alcotest.bool "held batch flushed when the takeover ends" true
@@ -209,6 +221,32 @@ struct
       (takeover_proposes_early ~answers:[ (2, 0); (2, 0) ]);
     check Alcotest.bool "an answer past max_seen waits the grace period" false
       (takeover_proposes_early ~answers:[ (2, 0); (3, 1) ])
+
+  (* A backup re-checks what it cannot prove when it adopts a view: with
+     rounds accepted past a stable checkpoint, a Zyzzyva backup holds
+     speculative rounds a view change may undo, so it asks its peers once
+     from the round after the checkpoint; a certified backup's accepted
+     prefix is proven, so it asks nothing. *)
+  let test_backup_install_rechecks () =
+    let t = H.create ~n:4 ~unified:true ~checkpoint_interval:4 () in
+    for id = 1 to 6 do
+      H.submit t ~replica:0 (Harness.make_batch id)
+    done;
+    H.run t 0.1;
+    let stable =
+      Rcc_storage.Checkpoint_store.stable_seq (P.checkpoint_log (H.inst t 2))
+    in
+    check Alcotest.bool "a checkpoint below the accepted rounds is stable"
+      true
+      (stable >= 0 && H.accepted_batch_id t ~replica:2 ~round:(stable + 1) <> None);
+    let t0 = Rcc_sim.Engine.now t.H.engine in
+    install_all t 1 ~view:1;
+    check
+      Alcotest.(list int)
+      (if Info.certified then "a certified backup sends no request"
+       else "one request from stable + 1")
+      (if Info.certified then [] else [ stable + 1 ])
+      (contract_requests t ~replica:2 ~since:t0)
 
   (* A watchdog blame inside a takeover does not end it: under RCC the
      coordinator decides view changes, so the new primary still waits for
@@ -316,6 +354,8 @@ struct
                "resign_primary holds proposals until set_primary" `Quick
                test_resign_holds;
              Alcotest.test_case "unified takeover" `Quick test_unified_takeover;
+             Alcotest.test_case "backup install re-checks" `Quick
+               test_backup_install_rechecks;
            ]
          else [])
       @
