@@ -32,8 +32,8 @@ let primary t = t.lead.Leader.primary
 let proposed_upto t = Leader.proposed_upto t.lead
 let max_seen t = SL.max_seen t.log
 
-let on_contract_reply t ~src ~max_seen =
-  Leader.on_contract_reply t.lead ~src ~max_seen
+let on_contract_reply t ~src ~max_seen ~reported =
+  Leader.on_contract_reply t.lead ~src ~max_seen ~reported
 let slot t seq = SL.get t.log seq
 let ph (s : ack_state SL.slot) = s.SL.state
 

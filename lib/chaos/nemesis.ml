@@ -54,6 +54,7 @@ let spec_of_behaviour = function
   | Script.Equivocate -> Byz.equivocator
   | Script.Forge_views -> Byz.view_forger
   | Script.Corrupt_snapshot -> Byz.snapshot_corruptor
+  | Script.Forge_contracts -> Byz.contract_forger
 
 let apply t action =
   t.applied <- t.applied + 1;

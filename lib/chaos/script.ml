@@ -7,6 +7,7 @@ type behaviour =
   | Equivocate
   | Forge_views
   | Corrupt_snapshot
+  | Forge_contracts
 
 type action =
   | Partition of replica_id list list
@@ -59,6 +60,7 @@ let behaviour_to_string = function
   | Equivocate -> "equivocate"
   | Forge_views -> "forge_views"
   | Corrupt_snapshot -> "corrupt_snapshot"
+  | Forge_contracts -> "forge_contracts"
 
 let action_to_string = function
   | Partition groups ->

@@ -21,6 +21,10 @@ type behaviour =
   | Corrupt_snapshot
       (** as a state-transfer donor, serve bit-flipped snapshot payloads;
           requesters must reject them and fail over to another donor *)
+  | Forge_contracts
+      (** answer contract requests with the true window but null batches
+          and every other replica named as certifier; requesters must
+          not adopt one responder's entries *)
 
 type action =
   | Partition of replica_id list list

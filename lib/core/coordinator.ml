@@ -12,8 +12,12 @@ type recovery_mode = Optimistic | Pessimistic | View_shift
 
 type instance_handle = {
   h_set_primary : replica_id -> view:view -> unit;
-  h_adopt : round:round -> Rcc_messages.Batch.t -> cert:int list -> unit;
-  h_answered : src:replica_id -> max_seen:round -> unit;
+  h_adopt : round:round -> Rcc_messages.Batch.t -> witnesses:int list -> unit;
+  h_answered :
+    src:replica_id ->
+    max_seen:round ->
+    reported:(round * Rcc_messages.Batch.t) list ->
+    unit;
   h_max_seen : unit -> round;
   h_accepted : round:round -> (Rcc_messages.Batch.t * int list) option;
   h_primary : unit -> replica_id;
@@ -26,7 +30,6 @@ type config = {
   self : replica_id;
   collusion_wait : Rcc_sim.Engine.time;
   recovery : recovery_mode;
-  min_cert : int;
   history_capacity : int;
 }
 
@@ -64,6 +67,7 @@ type t = {
   (* Recently executed rounds, for building contracts about rounds the
      execute thread has already passed. *)
   history : Round_history.t;
+  contracts : Contract.tally;  (* peers' reports of contract entries *)
 }
 
 let create cfg ~engine ~keychain ~handles ~exec ~metrics ~broadcast ~send =
@@ -92,6 +96,7 @@ let create cfg ~engine ~keychain ~handles ~exec ~metrics ~broadcast ~send =
     replacements = 0;
     shifts = 0;
     history = Round_history.create ~z:cfg.z ~capacity:cfg.history_capacity;
+    contracts = Contract.tally ~n:cfg.n ~f:cfg.f ~z:cfg.z ~self:cfg.self;
   }
 
 let trace t ~instance payload =
@@ -519,37 +524,46 @@ let on_view_sync t ~instance ~view ~primary ~kmal ~cert =
 
 (* --- contracts ----------------------------------------------------------- *)
 
-(* Validate a contract and adopt its entries; whether it was valid. *)
-let adopt_contract t contract =
-  match Contract.validate contract ~n:t.cfg.n ~min_cert:t.cfg.min_cert with
+(* Validate [src]'s contract, count its entries, and adopt each that f + 1
+   distinct responders now report, with them as its witnesses; whether
+   the contract was valid. *)
+let adopt_contract t ~src contract =
+  match Contract.validate contract ~n:t.cfg.n with
   | Error _ -> false
   | Ok () ->
-      (if Engine.tracing t.engine then
-         match contract.Contract.entries with
-         | [] -> ()
-         | e :: _ ->
-             trace t ~instance:(-1)
-               (Rcc_trace.Event.Contract_adopted
-                  {
-                    round = e.Msg.ce_round;
-                    entries = List.length contract.Contract.entries;
-                  }));
+      let { Contract.adopted; disputed } =
+        Contract.count t.contracts ~src ~next:(Exec.next_round t.exec) contract
+      in
+      if Engine.tracing t.engine && (adopted <> [] || disputed > 0) then
+        trace t ~instance:(-1)
+          (Rcc_trace.Event.Contract_adopted
+             {
+               round = contract.Contract.round;
+               entries = List.length adopted;
+               disputed;
+             });
       List.iter
-        (fun (e : Msg.contract_entry) ->
-          if e.Msg.ce_instance < t.cfg.z then
-            (t.handles.(e.Msg.ce_instance)).h_adopt ~round:e.Msg.ce_round
-              e.Msg.ce_batch ~cert:e.Msg.ce_cert_replicas)
-        contract.Contract.entries;
+        (fun ((e : Msg.contract_entry), witnesses) ->
+          (t.handles.(e.Msg.ce_instance)).h_adopt ~round:e.Msg.ce_round
+            e.Msg.ce_batch ~witnesses)
+        adopted;
       true
 
 let on_contract_reply t ~src ~instance ~round ~max_seen entries =
   if
     instance >= 0 && instance < t.cfg.z && src >= 0 && src < t.cfg.n
-    && adopt_contract t { Contract.round; entries }
-  then (t.handles.(instance)).h_answered ~src ~max_seen
-
-(* Bound on how many consecutive rounds one contract reply may carry. *)
-let contract_window = 1_024
+    && adopt_contract t ~src { Contract.round; entries }
+  then
+    (t.handles.(instance)).h_answered ~src ~max_seen
+      ~reported:
+        (List.filter_map
+           (fun (e : Msg.contract_entry) ->
+             if
+               e.Msg.ce_instance = instance
+               && e.Msg.ce_round < round + Contract.window
+             then Some (e.Msg.ce_round, e.Msg.ce_batch)
+             else None)
+           entries)
 
 let on_contract_request t ~src ~round ~instance =
   if instance >= 0 && instance < t.cfg.z then begin
@@ -559,14 +573,14 @@ let on_contract_request t ~src ~round ~instance =
        rounds, or asks for them separately. It cannot know how far ahead
        the rest of the cluster ran, so the reply carries the contiguous
        window of [instance]'s rounds from [round] up to the first round
-       this replica lacks (at most [contract_window] of them), plus the
+       this replica lacks (at most [Contract.window] of them), plus the
        highest round this replica has seen in [instance]: an empty
        window still tells a fresh primary that nothing it lacks is in
        flight here. Contract entries carry their own round numbers, so
        the window packs into one message. *)
     let rec window r acc =
       match
-        if r < round + contract_window then accepted_anywhere t ~round:r ~instance
+        if r < round + Contract.window then accepted_anywhere t ~round:r ~instance
         else None
       with
       | None -> List.rev acc
@@ -623,7 +637,7 @@ let on_msg t ~src (msg : Msg.t) =
              signature
       then count_blame t ~src msg
   | Contract _ ->
-      Option.iter (fun c -> ignore (adopt_contract t c)) (Contract.of_msg msg)
+      Option.iter (fun c -> ignore (adopt_contract t ~src c)) (Contract.of_msg msg)
   | Contract_request { round; instance } ->
       on_contract_request t ~src ~round ~instance
   | Contract_reply { instance; round; max_seen; entries } ->

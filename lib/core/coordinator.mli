@@ -30,10 +30,18 @@ type recovery_mode = Optimistic | Pessimistic | View_shift
 
 type instance_handle = {
   h_set_primary : replica_id -> view:view -> unit;
-  h_adopt : round:round -> Rcc_messages.Batch.t -> cert:int list -> unit;
-  h_answered : src:replica_id -> max_seen:round -> unit;
+  h_adopt : round:round -> Rcc_messages.Batch.t -> witnesses:int list -> unit;
+      (** adopt a contract entry that f + 1 distinct peers reported;
+          [witnesses] are those peers *)
+  h_answered :
+    src:replica_id ->
+    max_seen:round ->
+    reported:(round * Rcc_messages.Batch.t) list ->
+    unit;
       (** a peer answered this replica's contract request for the
-          instance; its window was adopted first *)
+          instance; its window was counted first. [reported] is that
+          window's rounds of the instance, within [Contract.window] of
+          the requested round, with their batches, adopted or not *)
   h_max_seen : unit -> round;
       (** the instance's highest round with any slot (-1 if none) *)
   h_accepted : round:round -> (Rcc_messages.Batch.t * int list) option;
@@ -47,7 +55,6 @@ type config = {
   self : replica_id;
   collusion_wait : Rcc_sim.Engine.time;  (** extra wait before declaring collusion (5 s in §7.5.3) *)
   recovery : recovery_mode;
-  min_cert : int;  (** accept-proof threshold for incoming contracts *)
   history_capacity : int;
       (** executed rounds retained for contract building; a replica's
           coordinator takes {!history_capacity} *)
@@ -126,7 +133,10 @@ val on_msg : t -> src:replica_id -> Rcc_messages.Msg.t -> unit
     - VIEW-CHANGE: [src]'s accusation, counted only if its signature
       verifies for the view it leaves ([new_view - 1]) and the instance
       is in range.
-    - CONTRACT: validated, then each entry adopted into its instance.
+    - CONTRACT: validated and counted ({!Contract.count}); each entry
+      that f + 1 distinct peers, [src] included, now report the same way
+      is adopted into its instance with them as witnesses. One peer's
+      entry is never adopted, whatever certifiers it names.
     - CONTRACT-REQUEST: [src] lacks the instance's batches from the
       round on (a stalled replica asks once per instance missing at its
       stalled round; a fresh primary asks for the instance it takes
@@ -139,10 +149,11 @@ val on_msg : t -> src:replica_id -> Rcc_messages.Msg.t -> unit
       bytes. Certified views are shipped alongside. An out-of-range
       instance is ignored.
     - CONTRACT-REPLY: [src]'s answer to this replica's request; the
-      window is adopted like a contract, then passed to the instance
-      ([h_answered]), and a fresh primary ends its takeover on enough of
-      them. An invalid window, or an out-of-range instance or [src], is
-      ignored.
+      window is counted and adopted like a contract, then the reply is
+      passed to the instance as an answer ([h_answered]) with the
+      instance's reported rounds, adopted or not, and a fresh primary
+      ends its takeover on enough of them. An
+      invalid window, or an out-of-range instance or [src], is ignored.
     - VIEW-SYNC: a peer's coordinator view of one instance, sent in
       reply to a blame naming an already-deposed primary, as heartbeat
       gossip, or with a contract reply. Adopted only if strictly newer

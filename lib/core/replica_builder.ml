@@ -20,7 +20,6 @@ type config = {
   checkpoint_interval : int;
   unified : bool;
   recovery : Coordinator.recovery_mode;
-  min_cert : int;
   use_permutation : bool;
   exec_on_worker : bool;
   (* Parallel execution (conflict-aware scheduler). [parallel_exec =
@@ -213,6 +212,19 @@ let null_fill exec ~proposed_upto submit =
     submit (Batch.null ~round:r)
   done
 
+(* The forged-contract attack on a reply's true window: each batch
+   replaced by a null one, every other replica named as certifier. *)
+let forge_entries cfg entries =
+  let cert = List.filter (( <> ) cfg.self) (List.init cfg.n Fun.id) in
+  List.map
+    (fun (e : Msg.contract_entry) ->
+      {
+        e with
+        Msg.ce_batch = Batch.null ~round:e.Msg.ce_round;
+        ce_cert_replicas = cert;
+      })
+    entries
+
 let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
     ~metrics cfg =
   let node =
@@ -340,9 +352,12 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
             {
               Coordinator.h_set_primary =
                 (fun r ~view -> P.set_primary inst r ~view);
-              h_adopt = (fun ~round batch ~cert -> P.adopt inst ~round batch ~cert);
+              h_adopt =
+                (fun ~round batch ~witnesses ->
+                  P.adopt inst ~round batch ~cert:witnesses);
               h_answered =
-                (fun ~src ~max_seen -> P.on_contract_reply inst ~src ~max_seen);
+                (fun ~src ~max_seen ~reported ->
+                  P.on_contract_reply inst ~src ~max_seen ~reported);
               h_max_seen = (fun () -> P.max_seen inst);
               h_accepted = (fun ~round -> P.accepted_batch inst ~round);
               h_primary = (fun () -> P.primary inst);
@@ -358,12 +373,19 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
             self = cfg.self;
             collusion_wait = cfg.collusion_wait;
             recovery = cfg.recovery;
-            min_cert = cfg.min_cert;
             history_capacity = Coordinator.history_capacity;
           }
           ~engine ~keychain ~handles ~exec ~metrics
           ~broadcast:(fun ?size msg -> broadcast ?size ~n:cfg.n msg)
-          ~send:(fun ?size ~dst msg -> send ?size ~dst msg)
+          ~send:(fun ?size ~dst msg ->
+            match msg with
+            | Msg.Contract_reply r when cfg.byz.Rcc_replica.Byz.forge_contracts ->
+                let forged =
+                  Msg.Contract_reply
+                    { r with entries = forge_entries cfg r.entries }
+                in
+                send ~size:(Msg.size forged) ~dst forged
+            | _ -> send ?size ~dst msg)
       in
       coordinator_ref := Some c;
       Some c

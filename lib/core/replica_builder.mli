@@ -28,7 +28,6 @@ type config = {
   checkpoint_interval : int;
   unified : bool;  (** true = RCC unification; false = standalone protocol *)
   recovery : Coordinator.recovery_mode;
-  min_cert : int;
   use_permutation : bool;  (** §3.4.1 digest-seeded execution order *)
   exec_on_worker : bool;
       (** standalone Zyzzyva: the single worker thread handles ordering

@@ -290,7 +290,7 @@ let accepted_batch t ~round =
 let max_seen t = SL.max_seen t.log
 
 (* No primary takes over: nothing waits on contract replies. *)
-let on_contract_reply _ ~src:_ ~max_seen:_ = ()
+let on_contract_reply _ ~src:_ ~max_seen:_ ~reported:_ = ()
 
 (* Rotating leadership: proposals derive from the vote chain, not a
    volatile per-primary sequence counter, so a restarted replica has

@@ -358,8 +358,8 @@ let adopt t ~round batch ~cert =
 let proposed_upto t = Leader.proposed_upto t.lead
 let max_seen t = SL.max_seen t.log
 
-let on_contract_reply t ~src ~max_seen =
-  Leader.on_contract_reply t.lead ~src ~max_seen
+let on_contract_reply t ~src ~max_seen ~reported =
+  Leader.on_contract_reply t.lead ~src ~max_seen ~reported
 let fast_forward t ~proof = Leader.fast_forward t.lead ~proof
 let log_stats t = Leader.log_stats t.lead
 let checkpoint_log t = Leader.checkpoint_log t.lead

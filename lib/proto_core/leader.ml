@@ -1,5 +1,6 @@
 module Engine = Rcc_sim.Engine
 module Msg = Rcc_messages.Msg
+module Batch = Rcc_messages.Batch
 module Env = Rcc_replica.Instance_env
 module SL = Slot_log
 
@@ -7,8 +8,11 @@ module SL = Slot_log
 type takeover = {
   answers : Quorum.t;  (* who answered, this replica included *)
   mutable reported : int;  (* highest [max_seen] any answer reported *)
+  (* round -> the batch an answer reported accepted there, or [None]
+     once two answers disagree about it *)
+  batches : (int, Batch.t option) Hashtbl.t;
   finish : unit -> unit;
-  propose : Rcc_messages.Batch.t -> unit;
+  propose : Batch.t -> unit;
 }
 
 type 'a t = {
@@ -108,7 +112,24 @@ let start ?(on_blame = ignore) t ~stalled =
    before re-proposing over them, when their answers do not settle it. *)
 let recover_grace t = max (Engine.ms 1) (t.env.Env.timeout / 8)
 
+(* A round an answer reported accepted, and that this replica did not
+   adopt, was executed by that peer: re-propose its batch there rather
+   than a null. Rounds whose answers disagree keep the slot's own batch. *)
 let finish_takeover t ~finish ~propose =
+  Option.iter
+    (fun tk ->
+      Hashtbl.iter
+        (fun round reported ->
+          match reported with
+          | Some (b : Batch.t) when round > SL.frontier t.log ->
+              let s = SL.get t.log round in
+              if not s.SL.accepted then begin
+                s.SL.batch <- Some b;
+                s.SL.digest <- Some b.Batch.digest
+              end
+          | Some _ | None -> ())
+        tk.batches)
+    t.takeover;
   t.takeover <- None;
   t.holding <- false;
   t.next_seq <- max t.next_seq (SL.max_seen t.log + 1);
@@ -132,19 +153,29 @@ let unproven_from t =
 
 (* Under RCC a fresh primary waits for its peers' answers to the view
    install's CONTRACT-REQUEST before proposing. Where an accepted round
-   is certified by a quorum (PBFT, CFT), n − f answers that report
-   nothing past this replica's [max_seen] once their windows are adopted
-   prove no accepted round is missing, and the takeover ends there
-   ([on_contract_reply]). Otherwise — too few or unsettled answers, or
-   Zyzzyva, whose speculative rounds a single replica may have executed —
-   it re-proposes after the grace period. Standalone protocols have no
+   is certified by a quorum (PBFT, CFT), n − f answers prove no accepted
+   round is missing once nothing they report lies past this replica's
+   [max_seen] or a round they reported, and no two of them disagree on
+   a round it has not accepted; the takeover ends there
+   ([on_contract_reply]) and re-proposes each reported round with its
+   batch. Otherwise — too few or unsettled answers, or Zyzzyva, whose
+   speculative rounds a single replica may have executed — it
+   re-proposes after the grace period. Standalone protocols have no
    contract machinery and re-propose at once. *)
 let take_over t ~finish ~propose =
   if t.env.Env.unified then begin
     if t.certified then begin
       let answers = Quorum.create ~n:t.env.Env.n ~f:t.env.Env.f in
       ignore (Quorum.vote answers t.env.Env.self);
-      t.takeover <- Some { answers; reported = -1; finish; propose }
+      t.takeover <-
+        Some
+          {
+            answers;
+            reported = -1;
+            batches = Hashtbl.create 16;
+            finish;
+            propose;
+          }
     end;
     let view = t.view in
     Engine.schedule_after t.env.Env.engine (recover_grace t) (fun () ->
@@ -153,13 +184,37 @@ let take_over t ~finish ~propose =
   end
   else finish_takeover t ~finish ~propose
 
-let on_contract_reply t ~src ~max_seen =
+(* The answers account for every round they report: none lies past
+   what this replica saw or an answer reported, and none still
+   unaccepted here is disputed. *)
+let settled t tk =
+  let covered = ref (SL.max_seen t.log) and disputed = ref false in
+  Hashtbl.iter
+    (fun round reported ->
+      if round > !covered then covered := round;
+      if Option.is_none reported then
+        match SL.find_opt t.log round with
+        | Some { SL.accepted = true; _ } -> ()
+        | Some _ | None -> disputed := true)
+    tk.batches;
+  tk.reported <= !covered && not !disputed
+
+let on_contract_reply t ~src ~max_seen ~reported =
   match t.takeover with
   | Some tk when is_primary t && t.holding ->
       ignore (Quorum.vote tk.answers src);
       if max_seen > tk.reported then tk.reported <- max_seen;
-      if Quorum.has_all_but_f tk.answers && tk.reported <= SL.max_seen t.log
-      then finish_takeover t ~finish:tk.finish ~propose:tk.propose
+      List.iter
+        (fun (round, (b : Batch.t)) ->
+          if round > SL.frontier t.log then
+            match Hashtbl.find_opt tk.batches round with
+            | None -> Hashtbl.replace tk.batches round (Some b)
+            | Some (Some b') when not (String.equal b'.Batch.digest b.Batch.digest) ->
+                Hashtbl.replace tk.batches round None
+            | Some _ -> ())
+        reported;
+      if Quorum.has_all_but_f tk.answers && settled t tk then
+        finish_takeover t ~finish:tk.finish ~propose:tk.propose
   | Some _ | None -> ()
 
 let install_view t ~view ~primary ~on_install ~finish ~propose =

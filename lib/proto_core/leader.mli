@@ -28,14 +28,23 @@
     completes as soon as n − f replicas, this one included, have
     answered and, with their windows adopted, no answer reports a round
     past this replica's [max_seen]: any accepted round was then seen by
-    one of them. Otherwise it completes after a grace period of
+    one of them. A round an answer reports accepted is in that count:
+    a PBFT round may be accepted at a single honest replica, whose
+    report alone falls short of the f + 1 that adoption needs, so the
+    takeover re-proposes the reported batch there rather than a null.
+    Two answers that report different batches for a round this replica
+    has not accepted hold the takeover to its grace period, and that
+    round keeps the slot's own batch, or a null. Otherwise it completes
+    after a grace period of
     [timeout / 8], if the replica is still primary of that view and
     still holding; Zyzzyva ([certified = false]) always waits the grace,
     since a speculative round executed by one replica need not be in any
     n − f answers. Under RCC no blame hook touches [holding], so a
     watchdog blame never ends a takeover.
     Standalone, the primary re-proposes at once, and its re-propose step
-    announces the view. Completing the takeover clears [holding], moves
+    announces the view. Completing the takeover writes each undisputed
+    reported batch into its slot unless the slot is accepted, clears
+    [holding], moves
     [next_seq] past every round seen, runs the instance's re-propose
     step, flushes the held batches in submission order and, under RCC,
     null-fills the instance up to the horizon the other instances
@@ -121,10 +130,16 @@ val install_view :
     batches. *)
 
 val on_contract_reply :
-  'a t -> src:Rcc_common.Ids.replica_id -> max_seen:Rcc_common.Ids.round -> unit
-(** Count [src]'s answer to a pending takeover's CONTRACT-REQUEST (its
-    window already adopted) and complete the takeover once the answers
-    settle it (see above). No-op without a pending takeover. *)
+  'a t ->
+  src:Rcc_common.Ids.replica_id ->
+  max_seen:Rcc_common.Ids.round ->
+  reported:(Rcc_common.Ids.round * Rcc_messages.Batch.t) list ->
+  unit
+(** Count [src]'s answer to a pending takeover's CONTRACT-REQUEST: its
+    [max_seen] and the batches it [reported] accepted, by round (what
+    f + 1 peers reported was adopted first). Complete the takeover once
+    the answers settle it (see above). No-op without a pending
+    takeover. *)
 
 val resign_primary : 'a t -> unit
 (** A restarted primary's sequencing state is stale: hold every batch

@@ -14,6 +14,7 @@ type t = {
   mutable equivocate : bool;
   mutable forge_views : bool;
   mutable corrupt_snapshot : bool;
+  mutable forge_contracts : bool;
 }
 
 let honest =
@@ -25,6 +26,7 @@ let honest =
     equivocate = false;
     forge_views = false;
     corrupt_snapshot = false;
+    forge_contracts = false;
   }
 
 let dark_primary ~victims ?(from_round = 0) ?until_round () =
@@ -44,6 +46,8 @@ let view_forger = { honest with byzantine = true; forge_views = true }
 
 let snapshot_corruptor = { honest with byzantine = true; corrupt_snapshot = true }
 
+let contract_forger = { honest with byzantine = true; forge_contracts = true }
+
 let copy t = { t with byzantine = t.byzantine }
 
 let set dst src =
@@ -53,7 +57,8 @@ let set dst src =
   dst.ignore_clients <- src.ignore_clients;
   dst.equivocate <- src.equivocate;
   dst.forge_views <- src.forge_views;
-  dst.corrupt_snapshot <- src.corrupt_snapshot
+  dst.corrupt_snapshot <- src.corrupt_snapshot;
+  dst.forge_contracts <- src.forge_contracts
 
 let excludes t ~round victim =
   match t.dark with

@@ -36,6 +36,11 @@ type t = {
   (** As a state-transfer donor, serve bit-flipped snapshot payloads.
       Requesters must reject them by digest and recover from another
       donor. *)
+  mutable forge_contracts : bool;
+  (** Answer every CONTRACT-REQUEST with the true window, but with each
+      batch replaced by a null batch and every other replica named as
+      certifier. Honest requesters must adopt no entry on this replica's
+      word alone. *)
 }
 (** Fields are mutable so the chaos nemesis can flip a replica's behaviour
     mid-run; a replica reads its spec on every decision. Share one record
@@ -56,6 +61,8 @@ val equivocator : t
 val view_forger : t
 
 val snapshot_corruptor : t
+
+val contract_forger : t
 
 val copy : t -> t
 

@@ -30,7 +30,8 @@ module type S = sig
 
   val adopt : t -> round:round -> Rcc_messages.Batch.t -> cert:int list -> unit
   (** Accept a round learned through a recovery contract: mark it
-      replicated and report it upward without re-running consensus. *)
+      replicated and report it upward without re-running consensus.
+      [cert] is the f + 1 or more peers that reported it. *)
 
   val accepted_batch :
     t -> round:round -> (Rcc_messages.Batch.t * int list) option
@@ -41,10 +42,17 @@ module type S = sig
   (** Highest round with any slot activity (-1 if none): the watermark a
       contract reply reports for this instance. *)
 
-  val on_contract_reply : t -> src:replica_id -> max_seen:round -> unit
+  val on_contract_reply :
+    t ->
+    src:replica_id ->
+    max_seen:round ->
+    reported:(round * Rcc_messages.Batch.t) list ->
+    unit
   (** [src] answered this replica's CONTRACT-REQUEST for the instance,
-      reporting its {!max_seen}; the reply's rounds were adopted first. A
-      fresh unified primary counts these answers to end its takeover (see
+      reporting its {!max_seen} and the batches it accepted by round;
+      the reply was counted, and what f + 1 peers reported adopted,
+      first. A fresh unified primary counts these answers to end its
+      takeover and re-proposes a reported batch it did not adopt (see
       {!Rcc_proto_core.Leader}); everyone else ignores them. *)
 
   val proposed_upto : t -> round

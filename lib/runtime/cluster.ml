@@ -189,19 +189,10 @@ let byz_of (cfg : Config.t) self =
          from distinct replicas, spread so no primary collects f+1. *)
       if self = 0 then
         {
-          Byz.byzantine = true;
-          dark =
-            Some
-              {
-                Byz.victims = [ victim ];
-                from_round = at_round;
-                until_round = Some at_round;
-              };
-          false_blame = (if cfg.Config.z > 1 then [ 1 ] else []);
-          ignore_clients = false;
-          equivocate = false;
-          forge_views = false;
-          corrupt_snapshot = false;
+          (Byz.dark_primary ~victims:[ victim ] ~from_round:at_round
+             ~until_round:at_round ())
+          with
+          Byz.false_blame = (if cfg.Config.z > 1 then [ 1 ] else []);
         }
       else begin
         let rec blamer_ids k id acc =
@@ -281,12 +272,6 @@ let build ?tracer (cfg : Config.t) =
         | Config.MultiP | Config.MultiZ | Config.MultiC -> true
         | Config.Pbft | Config.Zyzzyva | Config.Hotstuff | Config.Cft -> false);
       recovery = cfg.Config.recovery;
-      min_cert =
-        (match cfg.Config.protocol with
-        | Config.MultiZ -> 2 (* speculative accept proofs *)
-        | Config.Cft | Config.MultiC -> (cfg.Config.n / 2) + 1
-        | Config.Pbft | Config.Zyzzyva | Config.Hotstuff | Config.MultiP ->
-            cfg.Config.n - (2 * cfg.Config.f));
       use_permutation = cfg.Config.use_permutation;
       exec_on_worker = (cfg.Config.protocol = Config.Zyzzyva);
       sign_speculative = (cfg.Config.protocol = Config.Zyzzyva);

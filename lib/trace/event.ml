@@ -20,7 +20,7 @@ type payload =
   | Kmal of { culprit : int }
   | Blame of { round : int; blamed : int; accuser : int }
   | Contract_sent of { round : int; entries : int; bytes : int }
-  | Contract_adopted of { round : int; entries : int }
+  | Contract_adopted of { round : int; entries : int; disputed : int }
   | Checkpoint_stable of { upto : int }
   | Collusion
   | Violation of { name : string }

@@ -31,7 +31,14 @@ type payload =
   | Kmal of { culprit : int }  (** replica marked known-malicious *)
   | Blame of { round : int; blamed : int; accuser : int }
   | Contract_sent of { round : int; entries : int; bytes : int }
-  | Contract_adopted of { round : int; entries : int }
+  | Contract_adopted of { round : int; entries : int; disputed : int }
+      (** a contract or reply counted: [entries] now stand at f + 1
+          responders and are adopted; [disputed] differ from a digest
+          already reported for their (instance, round). [round] is the
+          contract's own round: the executed round a broadcast contract
+          reports on, or the round a reply answers from (the request's
+          round), not that of its first adopted entry. Emitted only
+          when either count is nonzero. *)
   | Checkpoint_stable of { upto : int }
       (** slots [<= upto] collected under a stable checkpoint *)
   | Collusion  (** coordinator's collusion detector fired *)

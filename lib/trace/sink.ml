@@ -47,8 +47,9 @@ let payload_args (p : Event.payload) =
   | Event.Contract_sent { round; entries; bytes } ->
       Printf.sprintf "\"round\":%d,\"entries\":%d,\"bytes\":%d" round entries
         bytes
-  | Event.Contract_adopted { round; entries } ->
-      Printf.sprintf "\"round\":%d,\"entries\":%d" round entries
+  | Event.Contract_adopted { round; entries; disputed } ->
+      Printf.sprintf "\"round\":%d,\"entries\":%d,\"disputed\":%d" round
+        entries disputed
   | Event.Checkpoint_stable { upto } -> Printf.sprintf "\"upto\":%d" upto
   | Event.Collusion -> ""
   | Event.Violation { name } -> Printf.sprintf "\"name\":\"%s\"" (escape name)

@@ -190,7 +190,8 @@ struct
         List.iter
           (fun (src, ahead) ->
             P.on_contract_reply (H.inst t 1) ~src
-              ~max_seen:(P.max_seen (H.inst t src) + ahead))
+              ~max_seen:(P.max_seen (H.inst t src) + ahead)
+              ~reported:[])
           answers);
     Rcc_sim.Engine.run t.H.engine ~until:(t0 + grace - 1);
     let since_takeover =

@@ -29,7 +29,8 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
   }
 
   let create ?(timeout = Engine.ms 200) ?(byz = fun (_ : int) -> Rcc_replica.Byz.honest)
-      ?(unified = false) ?(checkpoint_interval = 64) ?(trace = false) ~n () =
+      ?(unified = false) ?(checkpoint_interval = 64) ?(trace = false)
+      ?(drop = fun ~src:_ ~dst:_ (_ : Msg.t) -> false) ~n () =
     let f = (n - 1) / 3 in
     let engine = Engine.create () in
     let tracer =
@@ -44,7 +45,7 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
     let nodes : node option array = Array.make n None in
     let node_of i = match nodes.(i) with Some node -> node | None -> assert false in
     let deliver ~src ~dst msg =
-      if (not dead.(src)) && not dead.(dst) then
+      if (not dead.(src)) && (not dead.(dst)) && not (drop ~src ~dst msg) then
         Engine.schedule_after engine latency (fun () ->
             if not dead.(dst) then P.handle (node_of dst).inst ~src msg)
     in

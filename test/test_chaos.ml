@@ -145,14 +145,23 @@ let test_restart_primary_resigns () =
    the fork outlives the heal. *)
 let sweep_heal = ms 900
 
-let sweep_run protocol ~seed ~victim ~start =
+(* With [forger], that replica forges every contract reply from the
+   start, and the run is traced (rare events only) for its disputes. *)
+let sweep_run ?forger protocol ~seed ~victim ~start =
+  let byz =
+    match forger with
+    | Some r -> Script.[ { at = 0; action = Byz_on (r, Forge_contracts) } ]
+    | None -> []
+  in
   Runner.run ~nemesis_seed:seed
+    ?trace_ring:(Option.map (fun _ -> 1) forger)
     (Fuzzer.config_for protocol ~n:4 ~duration:(Engine.of_seconds 1.5) ~seed)
-    Script.
-      [
-        { at = ms start; action = Partition [ [ victim ] ] };
-        { at = sweep_heal; action = Heal };
-      ]
+    (byz
+    @ Script.
+        [
+          { at = ms start; action = Partition [ [ victim ] ] };
+          { at = sweep_heal; action = Heal };
+        ])
 
 (* Four MultiZ cells still report a fork, and only while the partition is
    up: the partitioned primary already held the other instance's round,
@@ -164,9 +173,21 @@ let sweep_run protocol ~seed ~victim ~start =
 let transient_forks =
   [ (1, 0, 330); (1, 0, 400); (7000022, 1, 330); (7000022, 1, 400) ]
 
-let test_sweep_cell protocol ~seed ~victim ~start () =
+let test_sweep_cell ?forger protocol ~seed ~victim ~start () =
   let name = Printf.sprintf "seed %d victim %d start %d ms" seed victim start in
-  let outcome = sweep_run protocol ~seed ~victim ~start in
+  let outcome = sweep_run ?forger protocol ~seed ~victim ~start in
+  Option.iter
+    (fun forger ->
+      check Alcotest.bool (name ^ ": an honest replica disputed a forgery")
+        true
+        (List.exists
+           (fun (e : Event.t) ->
+             match e.Event.payload with
+             | Event.Contract_adopted { disputed; _ } ->
+                 disputed > 0 && e.Event.replica <> forger
+             | _ -> false)
+           outcome.Runner.events))
+    forger;
   if
     protocol = Config.MultiZ && List.mem (seed, victim, start) transient_forks
   then begin
@@ -183,13 +204,10 @@ let test_sweep_cell protocol ~seed ~victim ~start () =
   end
   else assert_passes name outcome
 
-(* A few cells where the partitioned replica leads an instance, run in
-   the quick suite; the rest of the 36-cell grid is [`Slow]. *)
-let quick_cells =
-  [ (Config.MultiZ, 7000022, 0, 300); (Config.MultiZ, 7000022, 1, 300);
-    (Config.MultiZ, 1, 1, 330) ]
-
-let sweep_cases =
+(* One test per cell of protocols x seeds {1, 7000022} x [victims] x
+   [starts], named "[prefix] <protocol> s<seed> v<victim> <start>ms";
+   [quick] cells run in the quick suite, the rest are [`Slow]. *)
+let sweep_grid ?forger ~prefix ~victims ~starts ~quick () =
   List.concat_map
     (fun (protocol, label) ->
       List.concat_map
@@ -199,19 +217,42 @@ let sweep_cases =
               List.map
                 (fun start ->
                   let speed =
-                    if List.mem (protocol, seed, victim, start) quick_cells then
+                    if List.mem (protocol, seed, victim, start) quick then
                       `Quick
                     else `Slow
                   in
                   Alcotest.test_case
-                    (Printf.sprintf "sweep %s s%d v%d %dms" label seed victim
-                       start)
+                    (Printf.sprintf "%s %s s%d v%d %dms" prefix label seed
+                       victim start)
                     speed
-                    (test_sweep_cell protocol ~seed ~victim ~start))
-                [ 300; 330; 400 ])
-            [ 0; 1; 3 ])
+                    (test_sweep_cell ?forger protocol ~seed ~victim ~start))
+                starts)
+            victims)
         [ 1; 7000022 ])
     [ (Config.MultiZ, "multiz"); (Config.MultiP, "multip") ]
+
+(* A few cells where the partitioned replica leads an instance run in
+   the quick suite. *)
+let sweep_cases =
+  sweep_grid ~prefix:"sweep" ~victims:[ 0; 1; 3 ] ~starts:[ 300; 330; 400 ]
+    ~quick:
+      [ (Config.MultiZ, 7000022, 0, 300); (Config.MultiZ, 7000022, 1, 300);
+        (Config.MultiZ, 1, 1, 330) ]
+    ()
+
+(* The forged sweep: the cells whose victim leads an instance, with
+   replica 3 forging every contract reply from the start (its true
+   window, each batch replaced by a null one, every other replica named
+   as certifier). A recovering replica adopts an entry only once f + 1
+   responders report it, so one liar forks nothing; the four transient
+   MultiZ cells stay pinned as in the honest sweep, and an honest
+   replica's trace must count the forgeries as disputed. The quick
+   cells forked under a rule that trusted one responder's certifier
+   list. *)
+let forged_cases =
+  sweep_grid ~forger:3 ~prefix:"forged" ~victims:[ 0; 1 ] ~starts:[ 330; 400 ]
+    ~quick:[ (Config.MultiP, 7000022, 0, 400); (Config.MultiZ, 7000022, 0, 330) ]
+    ()
 
 let transfer_script duration =
   let pct p = duration * p / 100 in
@@ -298,4 +339,4 @@ let suite =
         test_restart_primary_resigns;
       Alcotest.test_case "fuzzer determinism" `Slow test_fuzzer_deterministic;
     ]
-    @ sweep_cases )
+    @ sweep_cases @ forged_cases )

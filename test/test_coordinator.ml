@@ -24,7 +24,10 @@ type fixture = {
   kc : Rcc_crypto.Keychain.t;
   set_primary_log : (int * int) list ref;  (* (instance, new primary) *)
   adopted : (int * int * int) list ref;  (* (instance, round, batch id) *)
+  witnesses : int list list ref;  (* per adoption, newest first *)
   answered : (int * int * int) list ref;  (* (instance, src, max_seen) *)
+  reported : (int * (int * int) list) list ref;
+      (* per answer, newest first: (src, (round, batch id) reported) *)
   broadcasts : Msg.t list ref;
   metrics : Rcc_replica.Metrics.t;
 }
@@ -48,7 +51,9 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
   in
   let set_primary_log = ref [] in
   let adopted = ref [] in
+  let witnesses = ref [] in
   let answered = ref [] in
+  let reported = ref [] in
   let broadcasts = ref [] in
   let primaries = Array.init z (fun x -> x) in
   let handles =
@@ -59,10 +64,15 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
               primaries.(x) <- r;
               set_primary_log := (x, r) :: !set_primary_log);
           h_adopt =
-            (fun ~round b ~cert:_ ->
-              adopted := (x, round, b.Batch.id) :: !adopted);
+            (fun ~round b ~witnesses:w ->
+              adopted := (x, round, b.Batch.id) :: !adopted;
+              witnesses := w :: !witnesses);
           h_answered =
-            (fun ~src ~max_seen -> answered := (x, src, max_seen) :: !answered);
+            (fun ~src ~max_seen ~reported:r ->
+              answered := (x, src, max_seen) :: !answered;
+              reported :=
+                (src, List.map (fun (round, b) -> (round, b.Batch.id)) r)
+                :: !reported);
           h_max_seen = (fun () -> 10 + x);
           h_accepted = (fun ~round:_ -> None);
           h_primary = (fun () -> primaries.(x));
@@ -77,7 +87,6 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
         self = 0;
         collusion_wait;
         recovery;
-        min_cert = 1;
         history_capacity = 64;
       }
       ~engine ~keychain:kc ~handles ~exec ~metrics
@@ -93,7 +102,9 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
     kc;
     set_primary_log;
     adopted;
+    witnesses;
     answered;
+    reported;
     broadcasts;
     metrics;
   }
@@ -342,29 +353,41 @@ let test_pessimistic_contract_every_round () =
   in
   check Alcotest.int "contract per round" 2 contracts
 
+let contract_entry ?(cert = [ 0; 1; 2 ]) id =
+  { Msg.ce_instance = 1; ce_round = 4; ce_batch = batch id; ce_cert_replicas = cert }
+
+let contract fx ~src entry =
+  Coordinator.on_msg fx.coordinator ~src
+    (Msg.Contract { round = 4; entries = [ entry ] })
+
+(* n = 7, f = 2: an entry is adopted once three distinct peers report it,
+   with those three as its witnesses. *)
 let test_on_contract_adopts () =
   let fx = make () in
-  let entry =
-    {
-      Msg.ce_instance = 1;
-      ce_round = 4;
-      ce_batch = batch 9;
-      ce_cert_replicas = [ 0; 1; 2 ];
-    }
-  in
-  Coordinator.on_msg fx.coordinator ~src:3
-    (Msg.Contract { round = 4; entries = [ entry ] });
-  check Alcotest.(list (triple int int int)) "adopted" [ (1, 4, 9) ] !(fx.adopted)
+  contract fx ~src:3 (contract_entry 9);
+  contract fx ~src:4 (contract_entry 9);
+  check Alcotest.(list (triple int int int)) "two responders: nothing" []
+    !(fx.adopted);
+  contract fx ~src:5 (contract_entry 9);
+  check Alcotest.(list (triple int int int)) "the third adopts" [ (1, 4, 9) ]
+    !(fx.adopted);
+  check Alcotest.(list (list int)) "its witnesses" [ [ 3; 4; 5 ] ]
+    !(fx.witnesses)
 
+(* One responder's entry is never adopted, whatever certifiers it names
+   and however often it repeats it. *)
 let test_on_contract_rejects_thin_proof () =
   let fx = make () in
-  (* min_cert is 1 in the fixture; build one with an empty proof. *)
-  let entry =
-    { Msg.ce_instance = 1; ce_round = 4; ce_batch = batch 9; ce_cert_replicas = [] }
-  in
-  Coordinator.on_msg fx.coordinator ~src:3
-    (Msg.Contract { round = 4; entries = [ entry ] });
-  check Alcotest.(list (triple int int int)) "nothing adopted" [] !(fx.adopted)
+  let everyone = List.init 7 Fun.id in
+  for _ = 1 to 5 do
+    contract fx ~src:3 (contract_entry ~cert:everyone 9)
+  done;
+  check Alcotest.(list (triple int int int)) "nothing adopted" [] !(fx.adopted);
+  (* Two more peers disagree with it: still no digest at three. *)
+  contract fx ~src:4 (contract_entry 8);
+  contract fx ~src:5 (contract_entry 7);
+  check Alcotest.(list (triple int int int)) "split: nothing adopted" []
+    !(fx.adopted)
 
 (* The replies a request produced, as (instance, round) pairs per
    message, in wire order. *)
@@ -444,32 +467,82 @@ let test_contract_request_empty_window_answered () =
   check Alcotest.bool "a non-empty window is" true
     (Rcc_replica.Metrics.contract_bytes fx.metrics > 0)
 
-(* A reply is adopted like a contract, then handed to its instance as an
-   answer; a reply whose window fails validation is not an answer. *)
+(* A reply is counted like a contract and handed to its instance as an
+   answer, adopted or not; a Zyzzyva primary's own [p; p] window is one
+   witness and one answer. A reply with an invalid window, an
+   out-of-range instance or an out-of-range sender is not an answer. *)
 let test_contract_reply_adopted_then_answered () =
   let fx = make () in
-  let entry cert =
-    {
-      Msg.ce_instance = 1;
-      ce_round = 4;
-      ce_batch = batch 9;
-      ce_cert_replicas = cert;
-    }
+  let reply ~src cert =
+    contract_reply fx ~src ~instance:1 ~round:4 ~max_seen:6
+      [ contract_entry ~cert 9 ]
   in
-  contract_reply fx ~src:3 ~instance:1 ~round:4
-    ~max_seen:6 [ entry [ 0; 1; 2 ] ];
-  check Alcotest.(list (triple int int int)) "adopted" [ (1, 4, 9) ]
+  reply ~src:1 [ 1; 1 ];
+  reply ~src:3 [ 0; 1; 2 ];
+  check Alcotest.(list (triple int int int)) "two responders: nothing" []
     !(fx.adopted);
-  check Alcotest.(list (triple int int int)) "answered" [ (1, 3, 6) ]
-    !(fx.answered);
-  contract_reply fx ~src:4 ~instance:1 ~round:4
-    ~max_seen:6 [ entry [] ];
-  contract_reply fx ~src:4 ~instance:3 ~round:4
-    ~max_seen:6 [];
-  contract_reply fx ~src:7 ~instance:1 ~round:4
-    ~max_seen:6 [];
-  check Alcotest.int "thin proof, bad instance or bad sender: no answer" 1
-    (List.length !(fx.answered))
+  check Alcotest.(list (triple int int int)) "both answered"
+    [ (1, 3, 6); (1, 1, 6) ] !(fx.answered);
+  check
+    Alcotest.(list (pair int (list (pair int int))))
+    "each answer carries its unadopted report" [ (3, [ (4, 9) ]); (1, [ (4, 9) ]) ]
+    !(fx.reported);
+  reply ~src:4 [ 4 ];
+  check Alcotest.(list (triple int int int)) "the third adopts" [ (1, 4, 9) ]
+    !(fx.adopted);
+  check Alcotest.(list (list int)) "[p; p] is one witness" [ [ 1; 3; 4 ] ]
+    !(fx.witnesses);
+  reply ~src:5 [ 9 ];
+  contract_reply fx ~src:4 ~instance:3 ~round:4 ~max_seen:6 [];
+  contract_reply fx ~src:7 ~instance:1 ~round:4 ~max_seen:6 [];
+  check Alcotest.int "bad certifier, instance or sender: no answer" 3
+    (List.length !(fx.answered));
+  (* Only the requested instance's rounds within the window of the
+     requested round reach the instance. *)
+  contract_reply fx ~src:2 ~instance:1 ~round:4 ~max_seen:6
+    [
+      { (contract_entry 9) with Msg.ce_instance = 2 };
+      { (contract_entry 9) with Msg.ce_round = 4 + Rcc_core.Contract.window };
+      { (contract_entry 9) with Msg.ce_round = 5 };
+    ];
+  check
+    Alcotest.(pair int (list (pair int int)))
+    "other instances and rounds past the window are not reported"
+    (2, [ (5, 9) ])
+    (List.hd !(fx.reported))
+
+(* A forger's null batches disagree with the honest window: the reply is
+   an answer, nothing of it is adopted, and the trace reports each
+   disputed entry. *)
+let test_contract_reply_disputed_traced () =
+  let fx = make () in
+  let tracer = Rcc_trace.Recorder.create () in
+  Engine.set_tracer fx.engine tracer;
+  let reply ~src entries =
+    contract_reply fx ~src ~instance:1 ~round:4 ~max_seen:5 entries
+  in
+  let honest r = { (contract_entry 9) with Msg.ce_round = r } in
+  let forged r =
+    { (honest r) with Msg.ce_batch = Batch.null ~round:r;
+      ce_cert_replicas = [ 0; 1; 2; 4; 5; 6 ] }
+  in
+  reply ~src:3 [ forged 4; forged 5 ];
+  reply ~src:4 [ honest 4; honest 5 ];
+  reply ~src:5 [ honest 4; honest 5 ];
+  reply ~src:6 [ honest 4; honest 5 ];
+  check Alcotest.(list (pair int int)) "honest window adopted" [ (4, 9); (5, 9) ]
+    (List.rev_map (fun (_, r, id) -> (r, id)) !(fx.adopted));
+  let adopted =
+    List.filter_map
+      (fun (e : Rcc_trace.Event.t) ->
+        match e.Rcc_trace.Event.payload with
+        | Rcc_trace.Event.Contract_adopted { entries; disputed; _ } ->
+            Some (entries, disputed)
+        | _ -> None)
+      (Rcc_trace.Recorder.to_list tracer)
+  in
+  check Alcotest.(list (pair int int)) "(adopted, disputed) per traced reply"
+    [ (0, 2); (0, 2); (2, 2) ] adopted
 
 let test_contract_request_out_of_range () =
   let fx = make () in
@@ -916,6 +989,8 @@ let suite =
         test_contract_request_empty_window_answered;
       Alcotest.test_case "contract reply: adopted, then answered" `Quick
         test_contract_reply_adopted_then_answered;
+      Alcotest.test_case "contract reply: disputes traced" `Quick
+        test_contract_reply_disputed_traced;
       Alcotest.test_case "contract request out of range" `Quick
         test_contract_request_out_of_range;
       Alcotest.test_case "dark victim requests each missing instance" `Slow

@@ -177,11 +177,9 @@ let test_contract_build_and_validate () =
   check Alcotest.int "entries for accepted instances" 2
     (List.length contract.Contract.entries);
   check Alcotest.bool "validates" true
-    (Result.is_ok (Contract.validate contract ~n:4 ~min_cert:2));
-  check Alcotest.bool "insufficient proof rejected" true
-    (Result.is_error (Contract.validate contract ~n:4 ~min_cert:4));
+    (Result.is_ok (Contract.validate contract ~n:4));
   check Alcotest.bool "out-of-range certifier rejected" true
-    (Result.is_error (Contract.validate contract ~n:2 ~min_cert:2))
+    (Result.is_error (Contract.validate contract ~n:2))
 
 let test_contract_msg_roundtrip () =
   let contract =
@@ -198,21 +196,38 @@ let test_contract_of_msg_other () =
     (Option.is_none
        (Contract.of_msg (Msg.Prepare { instance = 0; view = 0; seq = 0; digest = "" })))
 
-(* A certifier named twice proves one replica: a Zyzzyva primary's own
-   [p; p] accept does not meet MultiZ's min_cert = 2. *)
+let entry ?(instance = 0) ?(cert = [ 1; 2; 3 ]) ~round id =
+  { Msg.ce_instance = instance; ce_round = round; ce_batch = batch id;
+    ce_cert_replicas = cert }
+
+(* n = 4, f = 1: two matching responders other than replica 0 adopt. *)
+let tally () = Contract.tally ~n:4 ~f:1 ~z:2 ~self:0
+
+let count t ~src ?(next = 0) entries =
+  Contract.count t ~src ~next { Contract.round = 0; entries }
+
+let witnesses (c : Contract.counted) =
+  List.map
+    (fun ((e : Msg.contract_entry), w) -> (e.Msg.ce_instance, e.Msg.ce_round, w))
+    c.Contract.adopted
+
+let adopted = Alcotest.(list (triple int int (list int)))
+
+(* Certifier ids prove nothing a receiver can check: validation counts
+   none, and a responder is one witness whatever it names, a Zyzzyva
+   primary's own [p; p] as much as a full list. *)
 let test_contract_duplicate_certifiers () =
-  let entry cert =
-    { Msg.ce_instance = 0; ce_round = 4; ce_batch = batch 0; ce_cert_replicas = cert }
+  let contract cert =
+    { Contract.round = 4; entries = [ entry ~cert ~round:4 0 ] }
   in
-  let valid cert =
-    Result.is_ok
-      (Contract.validate { Contract.round = 4; entries = [ entry cert ] } ~n:4
-         ~min_cert:2)
-  in
-  check Alcotest.bool "one replica named twice rejected" false (valid [ 2; 2 ]);
-  check Alcotest.bool "two replicas accepted" true (valid [ 2; 1 ]);
-  check Alcotest.bool "duplicates beside enough distinct accepted" true
-    (valid [ 1; 1; 3 ])
+  check Alcotest.bool "[p; p] validates" true
+    (Result.is_ok (Contract.validate (contract [ 2; 2 ]) ~n:4));
+  let t = tally () in
+  check adopted "one [p; p] responder: nothing" []
+    (witnesses (Contract.count t ~src:2 ~next:0 (contract [ 2; 2 ])));
+  check adopted "a second responder: adopted, two witnesses"
+    [ (0, 4, [ 2; 3 ]) ]
+    (witnesses (Contract.count t ~src:3 ~next:0 (contract [ 0; 1; 2; 3 ])))
 
 let test_contract_round_mismatch () =
   let entry =
@@ -220,7 +235,58 @@ let test_contract_round_mismatch () =
   in
   let contract = { Contract.round = 4; entries = [ entry ] } in
   check Alcotest.bool "round mismatch rejected" true
-    (Result.is_error (Contract.validate contract ~n:4 ~min_cert:1))
+    (Result.is_error (Contract.validate contract ~n:4))
+
+(* A responder counts once per (instance, round), however often it
+   repeats itself; this replica's own report never counts. *)
+let test_tally_repeated_responder () =
+  let t = tally () in
+  let e = [ entry ~round:3 7 ] in
+  check adopted "first report" [] (witnesses (count t ~src:1 e));
+  check adopted "same responder again" [] (witnesses (count t ~src:1 e));
+  check adopted "own report" [] (witnesses (count t ~src:0 e));
+  check adopted "out-of-range responder" [] (witnesses (count t ~src:4 e));
+  check adopted "second responder" [ (0, 3, [ 1; 2 ]) ]
+    (witnesses (count t ~src:2 e))
+
+(* Responders that disagree adopt nothing, and each disagreement is
+   counted; a responder's later report replaces its earlier one. *)
+let test_tally_split_digests () =
+  let t = tally () in
+  let c1 = count t ~src:1 [ entry ~round:3 7; entry ~instance:1 ~round:3 9 ] in
+  let c2 = count t ~src:2 [ entry ~round:3 8; entry ~instance:1 ~round:3 9 ] in
+  let c3 = count t ~src:3 [ entry ~round:3 6 ] in
+  check adopted "split round: only the matching instance"
+    [ (1, 3, [ 1; 2 ]) ] (witnesses c2);
+  check Alcotest.(list int) "disputed per reply" [ 0; 1; 1 ]
+    (List.map (fun (c : Contract.counted) -> c.Contract.disputed) [ c1; c2; c3 ]);
+  check adopted "three digests, one each" [] (witnesses c3);
+  check adopted "responder 1 moves to responder 2's digest"
+    [ (0, 3, [ 1; 2 ]) ] (witnesses (count t ~src:1 [ entry ~round:3 8 ]));
+  check adopted "responder 1's old vote is gone" []
+    (witnesses (count t ~src:3 [ entry ~round:3 7 ]))
+
+(* Entries outside [next - window, next + window) are not counted, and
+   a cell keeps one vote per responder: no flood grows the tally. *)
+let test_tally_flood_bounded () =
+  let t = tally () in
+  let empty = Obj.reachable_words (Obj.repr t) in
+  let far = List.init 64 (fun i -> entry ~round:(Contract.window + (i * 97)) i) in
+  ignore (count t ~src:1 far);
+  check adopted "far above: never adopted" [] (witnesses (count t ~src:2 far));
+  let below = List.init 64 (fun i -> entry ~round:i i) in
+  ignore (count t ~src:1 ~next:(Contract.window + 64) below);
+  check adopted "far below: never adopted" []
+    (witnesses (count t ~src:2 ~next:(Contract.window + 64) below));
+  check Alcotest.int "nothing counted, nothing kept" empty
+    (Obj.reachable_words (Obj.repr t));
+  ignore (count t ~src:1 [ entry ~round:5 0 ]);
+  let one = Obj.reachable_words (Obj.repr t) in
+  for id = 1 to 200 do
+    ignore (count t ~src:1 [ entry ~round:5 id ])
+  done;
+  check Alcotest.int "200 digests from one responder: one vote" one
+    (Obj.reachable_words (Obj.repr t))
 
 let suite =
   ( "core",
@@ -242,4 +308,8 @@ let suite =
       Alcotest.test_case "contract round mismatch" `Quick test_contract_round_mismatch;
       Alcotest.test_case "contract duplicate certifiers" `Quick
         test_contract_duplicate_certifiers;
+      Alcotest.test_case "tally: repeated responder" `Quick
+        test_tally_repeated_responder;
+      Alcotest.test_case "tally: split digests" `Quick test_tally_split_digests;
+      Alcotest.test_case "tally: flood bounded" `Quick test_tally_flood_bounded;
     ] )

@@ -61,7 +61,7 @@ let expected =
     ("multiz fault-free",
      "dd7bd5ebe23d2a7e4967e50dcf217342cab21febae2d270f7e8a442e1a45a1c5");
     ("multiz dark",
-     "1d17b171c6d46b0dbc2c91ecea882bfd63dfdfefb6a8a6bb020f8d25474eac15");
+     "ad16b22aaf6788b07dc9057b6a0efc53c37a50ae9ef99525371136d8a0ad6684");
     ("multiz crash:1",
      "2f403f28b6c95b619ac9b9077efa976835a52468334519e49fcac6f73fa88a4c");
     ("cft fault-free",

@@ -149,6 +149,70 @@ let test_adopt_via_contract () =
   check Alcotest.(option int) "victim recovered" (Some 4)
     (H.accepted_batch_id t ~replica:3 ~round:0)
 
+(* The single-holder case under RCC (n = 7, f = 2): replica 6 alone
+   collects 2f + 1 COMMITs for round 0, the others only prepare it, and
+   replica 1, the next primary, never sees the PRE-PREPARE. Replica 6's
+   answer is one report, short of the f + 1 that adoption needs, so the
+   takeover must re-propose its batch at round 0: a null there would
+   fork replica 6's ledger. [answers] reach replica 1 1 ms into its
+   takeover as (peer, batches that peer reports). Returns whether
+   replica 1 proposed inside the grace period. *)
+let single_holder_takeover ~answers =
+  let timeout = Rcc_sim.Engine.ms 200 in
+  let lossy = ref true in
+  let drop ~src:_ ~dst msg =
+    !lossy
+    &&
+    match msg with
+    | Rcc_messages.Msg.Commit _ -> dst <> 6
+    | Rcc_messages.Msg.Pre_prepare _ -> dst = 1
+    | _ -> false
+  in
+  let t = H.create ~timeout ~n:7 ~unified:true ~drop () in
+  H.submit t ~replica:0 (Harness.make_batch 7);
+  H.run t 0.05;
+  check Alcotest.(list (option int)) "replica 6 alone accepted round 0"
+    [ None; None; None; None; None; Some 7 ]
+    (List.init 6 (fun r -> H.accepted_batch_id t ~replica:(r + 1) ~round:0));
+  H.kill t 0;
+  lossy := false;
+  let t0 = Rcc_sim.Engine.now t.H.engine in
+  Array.iter (fun node -> P.set_primary node.H.inst 1 ~view:1) t.H.nodes;
+  Rcc_sim.Engine.schedule_after t.H.engine (Rcc_sim.Engine.ms 1) (fun () ->
+      List.iter
+        (fun (src, reported) ->
+          P.on_contract_reply (H.inst t 1) ~src
+            ~max_seen:(P.max_seen (H.inst t src))
+            ~reported)
+        answers);
+  Rcc_sim.Engine.run t.H.engine ~until:(t0 + (timeout / 8) - 1);
+  let early =
+    List.exists
+      (fun (at, m) ->
+        at >= t0
+        && match m with Rcc_messages.Msg.Pre_prepare _ -> true | _ -> false)
+      (H.sent t ~replica:1)
+  in
+  H.run t 0.5;
+  (t, early)
+
+let test_single_holder_takeover () =
+  let b7 = Harness.make_batch 7 in
+  let t, early =
+    single_holder_takeover
+      ~answers:[ (6, [ (0, b7) ]); (2, []); (3, []); (4, []) ]
+  in
+  check Alcotest.bool "n - f answers with one report end the takeover" true
+    early;
+  check Alcotest.(list (option int)) "every live replica holds batch 7 at round 0"
+    (List.init 6 (fun _ -> Some 7))
+    (List.init 6 (fun r -> H.accepted_batch_id t ~replica:(r + 1) ~round:0));
+  let _, early =
+    single_holder_takeover
+      ~answers:[ (6, [ (0, b7) ]); (5, [ (0, Harness.make_batch 8) ]); (2, []); (3, []) ]
+  in
+  check Alcotest.bool "answers that disagree wait the grace period" false early
+
 let test_equivocating_primary_never_commits () =
   let byz self = if self = 0 then Byz.equivocator else Byz.honest in
   let t = H.create ~n:4 ~byz ~timeout:(Rcc_sim.Engine.ms 50) ~unified:true () in
@@ -249,6 +313,8 @@ let suite =
       Alcotest.test_case "view change re-proposes" `Quick test_view_change_reproposes;
       Alcotest.test_case "unified set_primary" `Quick test_unified_set_primary;
       Alcotest.test_case "adopt via contract" `Quick test_adopt_via_contract;
+      Alcotest.test_case "single holder re-proposed, not nulled" `Quick
+        test_single_holder_takeover;
       Alcotest.test_case "equivocation never commits" `Quick
         test_equivocating_primary_never_commits;
       Alcotest.test_case "checkpoint GC" `Quick test_checkpoint_gc;
