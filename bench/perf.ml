@@ -435,7 +435,7 @@ let bench_kv_store () =
 (* One op = one replica's round history and txn table after 512 rounds
    of n = 16, z = 6 (PBFT certs of 2f + 1 = 11 replicas, every batch
    executed), built into a [Round_history] at
-   [Coordinator.history_capacity]. Like the kv-store row, [m_words] is a
+   [Exec.history_capacity]. Like the kv-store row, [m_words] is a
    footprint: [Obj.reachable_words] of both stores, less the batches,
    which every replica of a cluster shares. CI gates it against bench/history.words. *)
 let bench_round_history () =
@@ -449,8 +449,8 @@ let bench_round_history () =
   in
   let build () =
     let history =
-      Rcc_core.Round_history.create ~z
-        ~capacity:Rcc_core.Coordinator.history_capacity
+      Rcc_replica.Round_history.create ~z
+        ~capacity:Rcc_replica.Exec.history_capacity
     in
     let table = Rcc_storage.Txn_table.create ~z in
     for round = 0 to rounds - 1 do
@@ -477,7 +477,7 @@ let bench_round_history () =
               history = "";
             })
       in
-      Rcc_core.Round_history.store history ~round accs
+      Rcc_replica.Round_history.store history ~round ~floor:max_int accs
     done;
     (history, table)
   in

@@ -42,8 +42,8 @@ let acked_round t ~round =
 
 (* --- checkpointing ---------------------------------------------------- *)
 
-(* Crash-fault slots covered by a stable checkpoint are only needed for
-   contracts, which the coordinator serves from its own history. The vote
+(* Crash-fault slots covered by a stable checkpoint are no longer needed:
+   contracts are built from the execute stage's record. The vote
    digest is the batch digest at the boundary round. *)
 let maybe_checkpoint t =
   match Checkpointing.due t.lead.Leader.ckpt t.log with
@@ -222,12 +222,6 @@ let adopt t ~round batch ~cert =
     List.iter (fun r -> ignore (Quorum.vote (ph s).acks r)) cert;
     accept t s
   end
-
-let accepted_batch t ~round =
-  match SL.find_opt t.log round with
-  | Some ({ SL.accepted = true; batch = Some b; _ } as s) ->
-      Some (b, Quorum.to_list (ph s).acks)
-  | Some _ | None -> None
 
 
 let fast_forward t ~proof = Leader.fast_forward t.lead ~proof

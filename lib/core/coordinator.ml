@@ -19,7 +19,6 @@ type instance_handle = {
     reported:(round * Rcc_messages.Batch.t) list ->
     unit;
   h_max_seen : unit -> round;
-  h_accepted : round:round -> (Rcc_messages.Batch.t * int list) option;
   h_primary : unit -> replica_id;
 }
 
@@ -30,7 +29,6 @@ type config = {
   self : replica_id;
   collusion_wait : Rcc_sim.Engine.time;
   recovery : recovery_mode;
-  history_capacity : int;
 }
 
 type t = {
@@ -64,9 +62,6 @@ type t = {
   mutable collusion_timer : Engine.timer option;
   mutable replacements : int;
   mutable shifts : int;
-  (* Recently executed rounds, for building contracts about rounds the
-     execute thread has already passed. *)
-  history : Round_history.t;
   contracts : Contract.tally;  (* peers' reports of contract entries *)
 }
 
@@ -95,7 +90,6 @@ let create cfg ~engine ~keychain ~handles ~exec ~metrics ~broadcast ~send =
     collusion_timer = None;
     replacements = 0;
     shifts = 0;
-    history = Round_history.create ~z:cfg.z ~capacity:cfg.history_capacity;
     contracts = Contract.tally ~n:cfg.n ~f:cfg.f ~z:cfg.z ~self:cfg.self;
   }
 
@@ -122,26 +116,12 @@ let sign_blame keychain ~signer ~instance ~view ~blamed ~round =
     (Keychain.replica_secret keychain signer)
     (blame_digest ~instance ~view ~blamed ~round)
 
-let history_capacity = 16_384
-
-(* --- round history ----------------------------------------------------- *)
-
-(* Speculative rollback unwound rounds [>= frontier]: the retained copies
-   describe orderings the view change just invalidated, so contract
-   building and recovery must stop serving them. The rounds re-enter the
-   history via [on_round_executed] when they re-execute. *)
-let on_rollback t ~frontier = Round_history.rollback t.history ~frontier
-
-(* This replica's knowledge of instance [x]'s round-[r] batch: a pending
-   acceptance at the execute thread, an already-executed round in the
-   history, or the instance's own log. *)
-let accepted_anywhere t ~round ~instance =
-  match Exec.accepted t.exec ~round ~instance with
-  | Some a -> Some (a.Acceptance.batch, a.Acceptance.cert)
-  | None -> (
-      match Round_history.find t.history ~round ~instance with
-      | Some _ as found -> found
-      | None -> (t.handles.(instance)).h_accepted ~round)
+(* This replica's batch and certifiers for instance [x]'s round [r]:
+   what the execute stage holds, buffered or executed. *)
+let accepted t ~round ~instance =
+  Option.map
+    (fun (a : Acceptance.t) -> (a.batch, a.cert))
+    (Exec.accepted t.exec ~round ~instance)
 
 (* --- unified replacement (§3.4.2) -------------------------------------- *)
 
@@ -255,7 +235,7 @@ let stalled_rounds t =
 let broadcast_contract t ~round =
   let contract =
     Contract.build ~round
-      ~accepted:(fun x -> accepted_anywhere t ~round ~instance:x)
+      ~accepted:(fun x -> accepted t ~round ~instance:x)
       ~z:t.cfg.z
   in
   if contract.Contract.entries <> [] then begin
@@ -580,7 +560,7 @@ let on_contract_request t ~src ~round ~instance =
        the window packs into one message. *)
     let rec window r acc =
       match
-        if r < round + Contract.window then accepted_anywhere t ~round:r ~instance
+        if r < round + Contract.window then accepted t ~round:r ~instance
         else None
       with
       | None -> List.rev acc
@@ -646,8 +626,7 @@ let on_msg t ~src (msg : Msg.t) =
       on_view_sync t ~instance ~view ~primary ~kmal ~cert
   | _ -> ()
 
-let on_round_executed t ~round accs =
-  Round_history.store t.history ~round accs;
+let on_round_executed t ~round =
   (* Blame evidence is scoped to the stall it complains about: once
      execution advances past the blamed round, the complaint has been
      cured (partition healed, contract adopted) and the accusations must

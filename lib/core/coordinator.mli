@@ -44,7 +44,6 @@ type instance_handle = {
           the requested round, with their batches, adopted or not *)
   h_max_seen : unit -> round;
       (** the instance's highest round with any slot (-1 if none) *)
-  h_accepted : round:round -> (Rcc_messages.Batch.t * int list) option;
   h_primary : unit -> replica_id;
 }
 
@@ -55,9 +54,6 @@ type config = {
   self : replica_id;
   collusion_wait : Rcc_sim.Engine.time;  (** extra wait before declaring collusion (5 s in §7.5.3) *)
   recovery : recovery_mode;
-  history_capacity : int;
-      (** executed rounds retained for contract building; a replica's
-          coordinator takes {!history_capacity} *)
 }
 
 type t
@@ -94,9 +90,6 @@ val sign_blame :
     (so a quorum cannot be replayed after the rotation pool wraps), the
     blamed primary and the round; the coordinator verifies peers' blames
     and certificate votes against the same digest. *)
-
-val history_capacity : int
-(** Executed rounds a replica retains for contract building. *)
 
 val cert_of : t -> instance_id -> Rcc_messages.Msg.blame_vote list
 (** The f+1 blame-quorum evidence behind [instance]'s latest view step
@@ -141,8 +134,9 @@ val on_msg : t -> src:replica_id -> Rcc_messages.Msg.t -> unit
       round on (a stalled replica asks once per instance missing at its
       stalled round; a fresh primary asks for the instance it takes
       over). Answered with one CONTRACT-REPLY holding the instance's
-      consecutive accepted rounds from there and this replica's highest
-      round with any slot in it. The window stops at the first round
+      consecutive accepted rounds from there, as the execute stage holds
+      them ({!Rcc_replica.Exec.accepted}: buffered or executed), and
+      this replica's highest round with any slot in it. The window stops at the first round
       this replica lacks or after a bounded number of rounds, carries no
       other instance's entries, and may be empty: every request is
       answered, and only a non-empty window counts toward the contract
@@ -171,15 +165,9 @@ val gossip_views : t -> unit
     while traffic is unhealthy, so without gossip a replica that slept
     through the last replacement would stay stale forever. *)
 
-val on_round_executed : t -> round:round -> Rcc_replica.Acceptance.t array -> unit
-(** Execute-thread hook: retains the round for contract building and, in
-    pessimistic mode, broadcasts the contract. *)
-
-val on_rollback : t -> frontier:round -> unit
-(** Speculative rollback unwound rounds [>= frontier]: drop their
-    retained copies so contracts and recovery stop serving invalidated
-    orderings; the rounds re-enter via {!on_round_executed} when they
-    re-execute under the new view. *)
+val on_round_executed : t -> round:round -> unit
+(** Execute-thread hook: expires cured blames and, in pessimistic mode,
+    broadcasts the contract for [round]. *)
 
 val replacements : t -> int
 (** Unified primary replacements performed. *)

@@ -317,15 +317,7 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
                 send ~dst:(cfg.client_node_of client) msg);
             accept = (fun acceptance -> Exec.notify exec acceptance);
             on_stable = (fun ~seq -> Exec.on_stable exec ~instance:x ~seq);
-            rollback =
-              (fun ~frontier ->
-                (* The coordinator's retained history must drop the
-                   unwound rounds before the execute stage re-buffers
-                   them, or recovery could serve pre-rollback orders. *)
-                (match !coordinator_ref with
-                | Some c -> Coordinator.on_rollback c ~frontier
-                | None -> ());
-                Exec.rollback_to exec ~frontier ~instance:x);
+            rollback = (fun ~frontier -> Exec.rollback_to exec ~frontier ~instance:x);
             null_fill = null_fill exec;
             report_failure =
               (fun ~announce ~round ~blamed ->
@@ -359,7 +351,6 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
                 (fun ~src ~max_seen ~reported ->
                   P.on_contract_reply inst ~src ~max_seen ~reported);
               h_max_seen = (fun () -> P.max_seen inst);
-              h_accepted = (fun ~round -> P.accepted_batch inst ~round);
               h_primary = (fun () -> P.primary inst);
             })
           instances
@@ -373,7 +364,6 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
             self = cfg.self;
             collusion_wait = cfg.collusion_wait;
             recovery = cfg.recovery;
-            history_capacity = Coordinator.history_capacity;
           }
           ~engine ~keychain ~handles ~exec ~metrics
           ~broadcast:(fun ?size msg -> broadcast ?size ~n:cfg.n msg)
@@ -436,12 +426,10 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
   in
   (match coordinator with
   | Some c ->
-      Exec.set_on_executed exec (fun round accs ->
+      Exec.set_on_executed exec (fun round ->
           Transfer.on_executed transfer ~round;
-          Coordinator.on_round_executed c ~round accs)
-  | None ->
-      Exec.set_on_executed exec (fun round _ ->
-          Transfer.on_executed transfer ~round));
+          Coordinator.on_round_executed c ~round)
+  | None -> Exec.set_on_executed exec (fun round -> Transfer.on_executed transfer ~round));
   let t =
     {
       cfg;

@@ -95,8 +95,8 @@ let decide t s null =
 
 (* --- checkpointing ---------------------------------------------------- *)
 
-(* Decided slots covered by a stable checkpoint are only needed for
-   contracts, which the coordinator serves from its own history. The vote
+(* Decided slots covered by a stable checkpoint are no longer needed:
+   contracts are built from the execute stage's record. The vote
    digest is the decided batch digest at the boundary round. *)
 let advance_ckpt t =
   Checkpointing.try_stabilize t.ckpt t.log ~on_stable:t.env.Env.on_stable;
@@ -281,11 +281,6 @@ let adopt t ~round batch ~cert =
 (* HotStuff has its own skip-based pacemaker; opt out of the RCC
    null-batch heartbeat. *)
 let proposed_upto _ = max_int
-
-let accepted_batch t ~round =
-  match SL.find_opt t.log round with
-  | Some { SL.accepted = true; batch = Some b; _ } -> Some (b, [])
-  | Some _ | None -> None
 
 let max_seen t = SL.max_seen t.log
 

@@ -364,12 +364,6 @@ let fast_forward t ~proof = Leader.fast_forward t.lead ~proof
 let log_stats t = Leader.log_stats t.lead
 let checkpoint_log t = Leader.checkpoint_log t.lead
 
-let accepted_batch t ~round =
-  match SL.find_opt t.log round with
-  | Some ({ SL.accepted = true; batch = Some b; _ } as s) ->
-      Some (b, Quorum.to_list (ph s).commits)
-  | Some _ | None -> None
-
 
 (* Standalone PBFT holds through its own view change. Under RCC the
    coordinator decides view changes and a blame leaves the hold alone: a

@@ -58,7 +58,7 @@ type t = {
   respond : Rcc_common.Ids.client_id -> Msg.t -> unit;
   metrics : Metrics.t;
   reorder : Acceptance.t array -> Acceptance.t array;
-  mutable on_executed : int -> Acceptance.t array -> unit;
+  mutable on_executed : int -> unit;
   materialize : bool;
   sign_speculative : bool;
   pending : (int, Acceptance.t option array) Hashtbl.t;
@@ -92,14 +92,15 @@ type t = {
   mutable group_seq : int;
   (* Speculative-rollback state. [gen] fences in-flight parallel windows
      (bumped by [rollback_to]; group callbacks and commit jobs compare
-     against it). [spec_log] keeps each executed round's acceptances
-     (instance-indexed) until the checkpoint frontier passes it, so a
-     rollback can re-buffer the surviving instances' batches for
-     re-execution. [uncommitted] tracks parallel window rounds that
-     executed but have not committed yet — [t.active] alone cannot serve,
-     because [complete_window] clears it before the commit jobs run. *)
+     against it). [history] keeps each committed round's acceptances as
+     they ran: contracts are built from it, and a rollback takes the
+     unwound rounds back from it to re-buffer the surviving instances'
+     batches; it never evicts a round at or above [evict_floor].
+     [uncommitted] tracks parallel window rounds that executed but have
+     not committed yet — [t.active] alone cannot serve, because
+     [complete_window] clears it before the commit jobs run. *)
   mutable gen : int;
-  spec_log : (int, Acceptance.t array) Hashtbl.t;
+  history : Round_history.t;
   uncommitted : (int, wround) Hashtbl.t;
   (* Duplicate-reply cache bound: per-instance stable checkpoint seqs;
      entries whose first execution is behind min over instances are
@@ -125,10 +126,11 @@ type t = {
    would only pin its KV section. *)
 let boundary_multiple = 4
 let boundary_capacity = 3
+let history_capacity = 16_384
 
 let create ~engine ~costs ~server ~z ~self ~store ~ledger ~txn_table
     ~current_primaries ~respond ~metrics ?(reorder = fun a -> a)
-    ?(on_executed = fun _ _ -> ()) ?(materialize = true)
+    ?(on_executed = fun _ -> ()) ?(materialize = true)
     ?(sign_speculative = false) ?(sched = Serial) ?(checkpoint_interval = 0)
     () =
   (* Rollback needs per-round undo records for every KV write. *)
@@ -161,7 +163,7 @@ let create ~engine ~costs ~server ~z ~self ~store ~ledger ~txn_table
     active = None;
     group_seq = 0;
     gen = 0;
-    spec_log = Hashtbl.create 64;
+    history = Round_history.create ~z ~capacity:history_capacity;
     uncommitted = Hashtbl.create 16;
     stable = Array.make z 0;
     evict_floor = 0;
@@ -362,8 +364,8 @@ let append_round t (w : wround) ~primaries =
     }
 
 (* In-order commit of a fully executed round: the state half, then
-   metrics, client responses, the journal, the boundary capture and the
-   coordinator callback. Serial rounds commit in their execute job;
+   metrics, client responses, the round history, the journal, the
+   boundary capture and the coordinator callback. Serial rounds commit in their execute job;
    parallel ones on the scheduler FIFO, so commits retain round order.
    The horizon and ledger guards skip rounds a snapshot install
    superseded while queued. *)
@@ -397,17 +399,13 @@ let commit_round t (w : wround) =
                }))
       w.ordered;
     t.executed_rounds <- t.executed_rounds + 1;
-    (* Re-index by instance: a rollback re-buffers the speculative log
-       into the per-instance pending slots, and the coordinator looks
-       acceptances up by instance. *)
-    let by_instance = Array.make t.z w.ordered.(0) in
-    Array.iter (fun (a : Acceptance.t) -> by_instance.(a.instance) <- a) w.ordered;
-    Hashtbl.replace t.spec_log w.w_round by_instance;
+    Round_history.store t.history ~round:w.w_round ~floor:t.evict_floor
+      w.ordered;
     (match t.persist with
     | Some p -> p.p_round ~round:w.w_round w.ordered
     | None -> ());
     capture_boundary t ~round:w.w_round;
-    t.on_executed w.w_round by_instance
+    t.on_executed w.w_round
   end
 
 (* --- serial scheduling: one-round windows on the execute thread ------- *)
@@ -600,9 +598,11 @@ let missing_instances t ~round =
         !missing
 
 let accepted t ~round ~instance =
-  match Hashtbl.find_opt t.pending round with
-  | Some slots when round >= t.next_round -> slots.(instance)
-  | Some _ | None -> None
+  if round >= t.next_round then
+    match Hashtbl.find_opt t.pending round with
+    | Some slots -> slots.(instance)
+    | None -> None
+  else Round_history.find t.history ~round ~instance
 
 (* --- duplicate-reply cache bound --------------------------------------- *)
 
@@ -632,16 +632,10 @@ let on_stable t ~instance ~seq =
       evict_replied t floor;
       (* Rounds below the cross-instance stable floor can never be rolled
          back (a conflict at or below an instance's stable checkpoint is
-         left to state transfer), so their undo records and speculative
-         acceptances are dead weight. *)
+         left to state transfer), so their undo records are dead weight,
+         and the round history may evict them. *)
       if t.materialize then
         Rcc_storage.Kv_store.forget_below t.store ~round:floor;
-      let dead =
-        Hashtbl.fold
-          (fun round _ acc -> if round < floor then round :: acc else acc)
-          t.spec_log []
-      in
-      List.iter (Hashtbl.remove t.spec_log) dead;
       match t.persist with
       | Some p -> p.p_stable ~floor
       | None -> ()
@@ -727,27 +721,16 @@ let rollback_to t ~frontier ~instance =
   t.executed_rounds <- t.executed_rounds - rb_rounds;
   t.executed_txns <- t.executed_txns - rb_txns;
   (* Re-buffer the unwound rounds' surviving acceptances — committed
-     rounds from the speculative log plus fenced in-flight window rounds
-     — then clear the conflicted instance's slots at or above the
-     frontier: those forked orders are exactly what is being discarded,
-     and its new view re-delivers replacements. *)
-  let rebuffer round (accs : Acceptance.t array) =
-    let sl = slots t round in
-    Array.iter (fun (a : Acceptance.t) -> sl.(a.instance) <- Some a) accs;
-    if round > t.high_water then t.high_water <- round
+     rounds taken back from the round history plus fenced in-flight
+     window rounds — then clear the conflicted instance's slots at or
+     above the frontier: those forked orders are exactly what is being
+     discarded, and its new view re-delivers replacements. *)
+  let rebuffer (a : Acceptance.t) =
+    (slots t a.round).(a.instance) <- Some a;
+    if a.round > t.high_water then t.high_water <- a.round
   in
-  let unwound =
-    Hashtbl.fold
-      (fun round accs acc ->
-        if round >= frontier then (round, accs) :: acc else acc)
-      t.spec_log []
-  in
-  List.iter
-    (fun (round, accs) ->
-      Hashtbl.remove t.spec_log round;
-      rebuffer round accs)
-    unwound;
-  List.iter (fun (w : wround) -> rebuffer w.w_round w.ordered) in_flight;
+  List.iter rebuffer (Round_history.rollback t.history ~frontier);
+  List.iter (fun (w : wround) -> Array.iter rebuffer w.ordered) in_flight;
   Hashtbl.iter
     (fun round sl -> if round >= frontier then sl.(instance) <- None)
     t.pending;
@@ -793,15 +776,6 @@ let install_snapshot t (snap : Rcc_storage.Snapshot.t) =
         t.pending []
     in
     List.iter (Hashtbl.remove t.pending) stale;
-    (* Speculative state below the boundary is superseded wholesale: the
-       install replaced the KV (clearing its undo journal), so covered
-       rounds can never be rolled back or re-buffered. *)
-    let stale_spec =
-      Hashtbl.fold
-        (fun round _ acc -> if round < seq then round :: acc else acc)
-        t.spec_log []
-    in
-    List.iter (Hashtbl.remove t.spec_log) stale_spec;
     t.next_round <- seq;
     (* The snapshot's duplicate-reply cache keeps §3.1 duplicate
        suppression alive across the jump; existing (newer) local entries

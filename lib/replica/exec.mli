@@ -11,8 +11,9 @@
     state, and it does so one way: each batch of a round runs through the
     member step (duplicate check, KV apply, duplicate-reply record) in
     replay order, then the commit step appends the round's block and
-    txn-table rows. Live rounds add responses, metrics, the journal
-    record, the boundary capture and the coordinator callback on top;
+    txn-table rows. Live rounds add responses, metrics, the round
+    history, the journal record, the boundary capture and the
+    coordinator callback on top;
     journal recovery ({!replay_round}) runs the same two steps without
     them. Two schedulers feed that one path:
 
@@ -81,7 +82,7 @@ val create :
   respond:(Rcc_common.Ids.client_id -> Rcc_messages.Msg.t -> unit) ->
   metrics:Metrics.t ->
   ?reorder:(Acceptance.t array -> Acceptance.t array) ->
-  ?on_executed:(Rcc_common.Ids.round -> Acceptance.t array -> unit) ->
+  ?on_executed:(Rcc_common.Ids.round -> unit) ->
   ?materialize:bool ->
   ?sign_speculative:bool ->
   ?sched:sched ->
@@ -90,9 +91,8 @@ val create :
   t
 (** [reorder] implements §3.4.1's execution-order selection; the default
     is instance order. RCC installs the digest-seeded permutation.
-    [on_executed] fires after a round executes (the coordinator retains
-    the round for contracts and drives pessimistic recovery from it); it
-    receives the round's acceptances indexed by instance.
+    [on_executed] fires after a round executes and enters the round
+    history (the coordinator drives pessimistic recovery from it).
     [materialize = false] (large-scale experiments) charges the CPU cost
     of execution without mutating the KV store, so n replicas need not
     hold n copies of the half-million-record YCSB table; the runtime keeps
@@ -106,7 +106,7 @@ val create :
     one every few checkpoint intervals, the multiple fixed in this module
     and nowhere else. *)
 
-val set_on_executed : t -> (Rcc_common.Ids.round -> Acceptance.t array -> unit) -> unit
+val set_on_executed : t -> (Rcc_common.Ids.round -> unit) -> unit
 (** Late wiring for the coordinator, which is constructed after the
     execute thread. *)
 
@@ -140,6 +140,14 @@ val missing_instances : t -> round:Rcc_common.Ids.round -> Rcc_common.Ids.instan
     collusion-detection signal read by the coordinator. *)
 
 val accepted : t -> round:Rcc_common.Ids.round -> instance:Rcc_common.Ids.instance_id -> Acceptance.t option
+(** This replica's acceptance of [instance]'s round [round]: buffered at
+    or past {!next_round}, from the round history below it. The one
+    record contracts are built from. *)
+
+val history_capacity : int
+(** Executed rounds the round history keeps below the cross-instance
+    stable floor ({!Round_history}); rounds at or above it are all kept,
+    for {!rollback_to}. *)
 
 val on_stable : t -> instance:Rcc_common.Ids.instance_id -> seq:Rcc_common.Ids.round -> unit
 (** [instance]'s checkpoint became stable for rounds [< seq]. Once every
@@ -163,8 +171,9 @@ val rollback_to : t -> frontier:Rcc_common.Ids.round -> instance:Rcc_common.Ids.
     Unwinds every executed-but-unstable round at or above [frontier] —
     KV effects are undone from the per-round write journal, ledger blocks
     above the frontier are dropped, and their transaction-table rows and
-    duplicate-reply entries are evicted. The surviving instances'
-    acceptances re-enter the pending buffer and re-execute once
+    duplicate-reply entries are evicted. The round history gives the
+    unwound rounds back, and the surviving instances' acceptances, as
+    they ran, re-enter the pending buffer and re-execute once
     [instance]'s new view re-delivers its orders; an in-flight parallel
     window is fenced the way a snapshot install fences one. The caller
     must keep [frontier] above [instance]'s commit certificate and stable
@@ -191,8 +200,8 @@ val install_snapshot : t -> Rcc_storage.Snapshot.t -> unit
 
     Recovery from disk rebuilds a fresh incarnation's state through the
     same member and commit steps as live execution. Replay sends no
-    responses, records no metrics, writes no journal record, captures no
-    boundary and calls no [on_executed]. *)
+    responses, records no metrics, writes no round history or journal
+    record, captures no boundary and calls no [on_executed]. *)
 
 val replay_round :
   t ->

@@ -33,11 +33,6 @@ module type S = sig
       replicated and report it upward without re-running consensus.
       [cert] is the f + 1 or more peers that reported it. *)
 
-  val accepted_batch :
-    t -> round:round -> (Rcc_messages.Batch.t * int list) option
-  (** The batch this replica accepted in [round] with its certifiers, used
-      to build contracts. *)
-
   val max_seen : t -> round
   (** Highest round with any slot activity (-1 if none): the watermark a
       contract reply reports for this instance. *)

@@ -1,5 +1,4 @@
 module Batch = Rcc_messages.Batch
-module Acceptance = Rcc_replica.Acceptance
 
 (* Marks an empty (slot, instance) cell; never a stored batch, so a
    physical comparison tells the two apart. *)
@@ -17,14 +16,20 @@ type t = {
      -1 and the list itself in [lists] (Zyzzyva's [primary; self]). *)
   mutable bits : int array;
   mutable lists : int list array;
+  (* The history digest and speculative flag ('\001') per cell; empty
+     until the first speculative acceptance, and read as "" and false
+     while empty. *)
+  mutable digests : string array;
+  mutable spec : Bytes.t;
   (* Upper bound on the retained rounds, -1 when none. *)
   mutable hi : int;
 }
 
 let create ~z ~capacity =
   let capacity = max 16 capacity in
-  (* Every size the ring takes divides [capacity], so rounds the
-     full-size ring maps to one slot share a slot at every size. *)
+  (* Every size the ring takes divides [capacity] or is a multiple of
+     it, so rounds the full-size ring maps to one slot share a slot at
+     every size below it. *)
   let rec initial s = if s mod 2 = 0 && s / 2 >= 16 then initial (s / 2) else s in
   let s = initial capacity in
   {
@@ -34,6 +39,8 @@ let create ~z ~capacity =
     batches = Array.make (s * z) vacant;
     bits = Array.make (s * z) 0;
     lists = Array.make (s * z) [];
+    digests = [||];
+    spec = Bytes.empty;
     hi = -1;
   }
 
@@ -56,7 +63,8 @@ let unpack bits =
 let clear_slot t i =
   t.rounds.(i) <- -1;
   Array.fill t.batches (i * t.z) t.z vacant;
-  Array.fill t.lists (i * t.z) t.z []
+  Array.fill t.lists (i * t.z) t.z [];
+  if Array.length t.digests > 0 then Array.fill t.digests (i * t.z) t.z ""
 
 (* Double the ring, re-placing each retained round at [round mod] the
    new size. Retained rounds are distinct modulo the old size, hence
@@ -68,6 +76,9 @@ let grow t =
   let batches = Array.make (s' * z) vacant in
   let bits = Array.make (s' * z) 0 in
   let lists = Array.make (s' * z) [] in
+  let speculated = Array.length t.digests > 0 in
+  let digests = if speculated then Array.make (s' * z) "" else [||] in
+  let spec = if speculated then Bytes.make (s' * z) '\000' else Bytes.empty in
   for i = 0 to s - 1 do
     let r = t.rounds.(i) in
     if r >= 0 then begin
@@ -75,21 +86,31 @@ let grow t =
       rounds.(j) <- r;
       Array.blit t.batches (i * z) batches (j * z) z;
       Array.blit t.bits (i * z) bits (j * z) z;
-      Array.blit t.lists (i * z) lists (j * z) z
+      Array.blit t.lists (i * z) lists (j * z) z;
+      if speculated then begin
+        Array.blit t.digests (i * z) digests (j * z) z;
+        Bytes.blit t.spec (i * z) spec (j * z) z
+      end
     end
   done;
   t.rounds <- rounds;
   t.batches <- batches;
   t.bits <- bits;
-  t.lists <- lists
+  t.lists <- lists;
+  t.digests <- digests;
+  t.spec <- spec
 
-let rec store t ~round accs =
+let rec store t ~round ~floor accs =
   let i = round mod Array.length t.rounds in
   let held = t.rounds.(i) in
-  if held >= 0 && (held - round) mod t.capacity <> 0 then begin
-    (* The full-size ring keeps [held] and [round] apart. *)
+  if
+    held >= 0
+    && ((held - round) mod t.capacity <> 0 || (held >= floor && held <> round))
+  then begin
+    (* The full-size ring keeps [held] and [round] apart, or [held] may
+       still be rolled back. *)
     grow t;
-    store t ~round accs
+    store t ~round ~floor accs
   end
   else begin
     clear_slot t i;
@@ -102,11 +123,34 @@ let rec store t ~round accs =
           t.batches.(base + x) <- a.batch;
           let bits = pack a.cert in
           t.bits.(base + x) <- bits;
-          if bits < 0 then t.lists.(base + x) <- a.cert
+          if bits < 0 then t.lists.(base + x) <- a.cert;
+          if
+            Array.length t.digests = 0 && (a.speculative || a.history <> "")
+          then begin
+            t.digests <- Array.make (Array.length t.batches) "";
+            t.spec <- Bytes.make (Array.length t.batches) '\000'
+          end;
+          if Array.length t.digests > 0 then begin
+            t.digests.(base + x) <- a.history;
+            Bytes.set t.spec (base + x) (if a.speculative then '\001' else '\000')
+          end
         end)
       accs;
     if round > t.hi then t.hi <- round
   end
+
+(* The acceptance in cell [j] of slot [i], which holds a batch. *)
+let cell t i j =
+  let bits = t.bits.(j) in
+  let speculated = Array.length t.digests > 0 in
+  {
+    Acceptance.instance = j - (i * t.z);
+    round = t.rounds.(i);
+    batch = t.batches.(j);
+    cert = (if bits >= 0 then unpack bits else t.lists.(j));
+    speculative = speculated && Bytes.get t.spec j = '\001';
+    history = (if speculated then t.digests.(j) else "");
+  }
 
 let find t ~round ~instance =
   if round < 0 || instance < 0 || instance >= t.z then None
@@ -114,23 +158,29 @@ let find t ~round ~instance =
     let i = round mod Array.length t.rounds in
     let j = (i * t.z) + instance in
     if t.rounds.(i) <> round || t.batches.(j) == vacant then None
-    else
-      let bits = t.bits.(j) in
-      Some (t.batches.(j), if bits >= 0 then unpack bits else t.lists.(j))
+    else Some (cell t i j)
   end
 
 let rollback t ~frontier =
   let lo = max frontier 0 in
+  let dropped = ref [] in
+  let take i =
+    for j = (i * t.z) + t.z - 1 downto i * t.z do
+      if t.batches.(j) != vacant then dropped := cell t i j :: !dropped
+    done;
+    clear_slot t i
+  in
   if t.hi >= lo then begin
     let s = Array.length t.rounds in
     if t.hi - lo >= s then
       for i = 0 to s - 1 do
-        if t.rounds.(i) >= lo then clear_slot t i
+        if t.rounds.(i) >= lo then take i
       done
     else
       for r = lo to t.hi do
         let i = r mod s in
-        if t.rounds.(i) = r then clear_slot t i
+        if t.rounds.(i) = r then take i
       done;
     t.hi <- lo - 1
-  end
+  end;
+  !dropped

@@ -47,8 +47,8 @@ let extend_history t digest =
 
 (* --- checkpointing ---------------------------------------------------- *)
 
-(* Slots covered by a stable checkpoint are only needed for contracts,
-   which the coordinator serves from its own history — collect them. The
+(* Slots covered by a stable checkpoint are no longer needed (contracts
+   are built from the execute stage's record) — collect them. The
    checkpoint digest is the chained speculative history at the boundary,
    so any two replicas voting for one boundary vouch for the same
    execution prefix. *)
@@ -290,12 +290,6 @@ let fast_forward t ~proof =
 
 let log_stats t = Leader.log_stats t.lead
 let checkpoint_log t = Leader.checkpoint_log t.lead
-
-let accepted_batch t ~round =
-  match SL.find_opt t.log round with
-  | Some { SL.accepted = true; batch = Some b; _ } ->
-      Some (b, [ t.lead.Leader.primary; t.env.Env.self ])
-  | Some _ | None -> None
 
 (* The watchdog blames the frontier slot (created on demand so a round we
    only heard about indirectly still gets a stall clock). *)

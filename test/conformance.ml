@@ -6,9 +6,9 @@
    any instance so a new backend proves the behaviors the rest of the
    system assumes:
 
-   - accepted rounds are visible through [accepted_batch] on every
-     replica, matching what was reported upward (R1/R2: all replicas
-     accept the same batch);
+   - every replica reports each accepted round upward once, with the
+     same batch (R1/R2: all replicas accept the same batch) — what the
+     execute stage runs and contracts are built from;
    - [adopt] is idempotent — a second adopt of a decided round cannot
      change it (R4: contract recovery never rewrites history);
    - [max_seen] reports no round before any activity, so a contract
@@ -49,11 +49,10 @@ struct
 
   let test_fresh_instance () =
     let t = H.create ~n:4 () in
-    let inst = H.inst t 2 in
-    check Alcotest.bool "no accepted batch before any accept" true
-      (Option.is_none (P.accepted_batch inst ~round:0));
+    check Alcotest.(option int) "no accepted batch before any accept" None
+      (H.accepted_batch_id t ~replica:2 ~round:0);
     check Alcotest.int "no round seen before any activity" (-1)
-      (P.max_seen inst)
+      (P.max_seen (H.inst t 2))
 
   let test_accept_visibility () =
     let t = H.create ~n:4 () in
@@ -65,13 +64,13 @@ struct
         (Printf.sprintf "replica %d reported the accept upward" r)
         (Some 7)
         (H.accepted_batch_id t ~replica:r ~round:0);
-      (match P.accepted_batch (H.inst t r) ~round:0 with
-      | Some (b, _) ->
-          check Alcotest.int
-            (Printf.sprintf "replica %d serves the batch for contracts" r)
-            7 b.Batch.id
-      | None ->
-          Alcotest.fail "accepted_batch must be available after accept");
+      (match H.accepted t ~replica:r ~round:0 with
+      | Some a ->
+          check Alcotest.(pair int int)
+            (Printf.sprintf "replica %d reported instance 0, round 0" r)
+            (0, 0)
+            (a.Rcc_replica.Acceptance.instance, a.Rcc_replica.Acceptance.round)
+      | None -> Alcotest.fail "an accepted round must be reported upward");
       check Alcotest.int
         (Printf.sprintf "replica %d has seen no round past the accepted one" r)
         0
@@ -83,24 +82,22 @@ struct
     let inst = H.inst t 3 in
     let first = Harness.make_batch 41 and second = Harness.make_batch 42 in
     P.adopt inst ~round:0 first ~cert:[ 0; 1; 2 ];
-    (match P.accepted_batch inst ~round:0 with
-    | Some (b, _) -> check Alcotest.int "adopt decides the round" 41 b.Batch.id
-    | None -> Alcotest.fail "adopt must make the round available");
+    check Alcotest.(option int) "adopt decides the round" (Some 41)
+      (H.accepted_batch_id t ~replica:3 ~round:0);
     P.adopt inst ~round:0 second ~cert:[ 0; 1; 2 ];
     (* Two legal outcomes: quorum protocols keep the first decision (a
        conflicting adopt is simply ignored), while speculative protocols
        may surrender the round to the attested replacement — but then
        they MUST have signalled a rollback so the execute stage unwinds
        the first batch's effects. Silently rewriting is the fork bug. *)
-    match P.accepted_batch inst ~round:0 with
-    | Some (b, _) when b.Batch.id = 41 -> ()
-    | Some (b, _) when b.Batch.id = 42 ->
+    match H.accepted_batch_id t ~replica:3 ~round:0 with
+    | Some 41 -> ()
+    | Some 42 ->
         check
           Alcotest.(list int)
           "conflicting adopt must roll the round back before rewriting"
           [ 0 ] (H.node t 3).H.rollbacks
-    | Some (b, _) ->
-        Alcotest.failf "adopt produced an unrelated batch %d" b.Batch.id
+    | Some id -> Alcotest.failf "adopt produced an unrelated batch %d" id
     | None -> Alcotest.fail "round must stay decided"
 
   (* Whether [replica] accepted batch [id] in one of the first rounds. *)

@@ -143,8 +143,13 @@ module Make (P : Rcc_replica.Instance_intf.S) = struct
   let kill t i = t.dead.(i) <- true
   let revive t i = t.dead.(i) <- false
 
+  (* What [replica] reported upward for [round], as the execute stage
+     and the coordinator's contracts see it. *)
+  let accepted t ~replica ~round =
+    Hashtbl.find_opt t.nodes.(replica).accepted round
+
   let accepted_batch_id t ~replica ~round =
-    match Hashtbl.find_opt t.nodes.(replica).accepted round with
+    match accepted t ~replica ~round with
     | Some a -> Some a.Rcc_replica.Acceptance.batch.Batch.id
     | None -> None
 

@@ -138,8 +138,8 @@ let test_adopt () =
   H.submit t ~replica:0 (Harness.make_batch 4);
   H.run t 0.01;
   let t2 = H.create ~n:4 () in
-  (match C.accepted_batch (H.inst t 1) ~round:0 with
-  | Some (batch, cert) -> C.adopt (H.inst t2 3) ~round:0 batch ~cert
+  (match H.accepted t ~replica:1 ~round:0 with
+  | Some a -> C.adopt (H.inst t2 3) ~round:0 a.Rcc_replica.Acceptance.batch ~cert:a.cert
   | None -> Alcotest.fail "source should have accepted");
   check Alcotest.(option int) "adopted across deployments" (Some 4)
     (H.accepted_batch_id t2 ~replica:3 ~round:0)

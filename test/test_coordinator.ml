@@ -74,7 +74,6 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
                 (src, List.map (fun (round, b) -> (round, b.Batch.id)) r)
                 :: !reported);
           h_max_seen = (fun () -> 10 + x);
-          h_accepted = (fun ~round:_ -> None);
           h_primary = (fun () -> primaries.(x));
         })
   in
@@ -87,14 +86,13 @@ let make ?(n = 7) ?(z = 3) ?(recovery = Coordinator.Optimistic)
         self = 0;
         collusion_wait;
         recovery;
-        history_capacity = 64;
       }
       ~engine ~keychain:kc ~handles ~exec ~metrics
       ~broadcast:(fun ?size:_ msg -> broadcasts := msg :: !broadcasts)
       ~send:(fun ?size:_ ~dst:_ msg -> broadcasts := msg :: !broadcasts)
   in
-  Exec.set_on_executed exec (fun round accs ->
-      Coordinator.on_round_executed coordinator ~round accs);
+  Exec.set_on_executed exec (fun round ->
+      Coordinator.on_round_executed coordinator ~round);
   {
     engine;
     coordinator;
@@ -343,10 +341,9 @@ let test_view_shift_recovery () =
 
 let test_pessimistic_contract_every_round () =
   let fx = make ~recovery:Coordinator.Pessimistic () in
-  Coordinator.on_round_executed fx.coordinator ~round:0
-    [| acceptance ~instance:0 ~round:0 1 |];
-  Coordinator.on_round_executed fx.coordinator ~round:1
-    [| acceptance ~instance:0 ~round:1 2 |];
+  fill_round fx ~z:3 ~round:0 ~except:(-1);
+  fill_round fx ~z:3 ~round:1 ~except:(-1);
+  Engine.run fx.engine ~until:(Engine.ms 100);
   let contracts =
     List.length
       (List.filter (function Msg.Contract _ -> true | _ -> false) !(fx.broadcasts))
@@ -769,7 +766,7 @@ let test_stale_accusers_expire_with_window () =
 
 (* --- round history vs the per-round ring it replaced --------------------- *)
 
-module Round_history = Rcc_core.Round_history
+module Round_history = Rcc_replica.Round_history
 module Acceptance = Rcc_replica.Acceptance
 
 (* The history as it was: one boxed acceptance array per round, in a
@@ -784,23 +781,35 @@ module Ring_model = struct
     match t.(round mod Array.length t) with
     | Some (r, accs) when r = round ->
         Array.find_opt (fun (a : Acceptance.t) -> a.instance = instance) accs
-        |> Option.map (fun (a : Acceptance.t) -> (a.batch, a.cert))
     | Some _ | None -> None
 
-  let rollback (t : t) ~frontier =
+  (* Drops rounds [>= frontier]; returns what [find] served of them. *)
+  let rollback (t : t) ~frontier ~z =
+    let dropped = ref [] in
     Array.iteri
       (fun i slot ->
         match slot with
-        | Some (r, _) when r >= frontier -> t.(i) <- None
+        | Some (r, _) when r >= frontier ->
+            for instance = 0 to z - 1 do
+              Option.iter
+                (fun a -> dropped := a :: !dropped)
+                (find t ~round:r ~instance)
+            done;
+            t.(i) <- None
         | Some _ | None -> ())
-      t
+      t;
+    !dropped
 end
 
 let batch_pool = Array.init 32 (fun k -> Batch.null ~round:k)
+let digest_pool = [| ""; "h0"; "h1" |]
+
+(* (instance, batch, cert, speculative, history digest) *)
+type history_acc = int * int * int list * bool * int
 
 type history_op =
-  | Store_next of (int * int * int list) list  (* (instance, batch, cert) *)
-  | Store_at of int * (int * int * int list) list
+  | Store_next of history_acc list
+  | Store_at of int * history_acc list
   | Find of int * int
   | Rollback of int
 
@@ -809,6 +818,8 @@ let gen_history_case =
   let* z = int_range 1 6 in
   let* capacity = oneofl [ 1; 16; 20; 24; 48; 64; 100 ] in
   let* n = oneofl [ 4; 16; 64 ] in
+  (* Half the cases never speculate, as MultiP and MultiC never do. *)
+  let* speculating = bool in
   let span = 3 * max 16 capacity in
   let member = int_range 0 (n - 1) in
   let cert =
@@ -823,10 +834,19 @@ let gen_history_case =
         list_size (int_range 0 6) member;
       ]
   in
-  let accs =
-    list_size (int_range 0 (z + 2))
-      (triple (int_range 0 (z - 1)) (int_range 0 (Array.length batch_pool - 1)) cert)
+  let spec =
+    if speculating then
+      pair (frequency [ (1, return false); (3, return true) ])
+        (int_range 0 (Array.length digest_pool - 1))
+    else return (false, 0)
   in
+  let acc =
+    map2
+      (fun (x, b, c) (sp, h) -> (x, b, c, sp, h))
+      (triple (int_range 0 (z - 1)) (int_range 0 (Array.length batch_pool - 1)) cert)
+      spec
+  in
+  let accs = list_size (int_range 0 (z + 2)) acc in
   let op =
     frequency
       [
@@ -843,9 +863,10 @@ let print_history_case (z, capacity, n, ops) =
   let accs l =
     String.concat "; "
       (List.map
-         (fun (x, b, c) ->
-           Printf.sprintf "(%d, b%d, [%s])" x b
-             (String.concat ";" (List.map string_of_int c)))
+         (fun (x, b, c, sp, h) ->
+           Printf.sprintf "(%d, b%d, [%s], %b, %S)" x b
+             (String.concat ";" (List.map string_of_int c))
+             sp digest_pool.(h))
          l)
   in
   Printf.sprintf "z=%d capacity=%d n=%d\n%s" z capacity n
@@ -858,11 +879,18 @@ let print_history_case (z, capacity, n, ops) =
             | Rollback f -> Printf.sprintf "rollback %d" f)
           ops))
 
+let same_acceptance (a : Acceptance.t) (b : Acceptance.t) =
+  a.instance = b.instance && a.round = b.round && a.batch == b.batch
+  && a.cert = b.cert && a.speculative = b.speculative && a.history = b.history
+
 let same_found a b =
   match (a, b) with
   | None, None -> true
-  | Some (ba, ca), Some (bb, cb) -> ba == bb && ca = cb
+  | Some a, Some b -> same_acceptance a b
   | _ -> false
+
+let by_cell (a : Acceptance.t) (b : Acceptance.t) =
+  compare (a.round, a.instance) (b.round, b.instance)
 
 let history_matches_ring =
   QCheck_alcotest.to_alcotest
@@ -879,18 +907,19 @@ let history_matches_ring =
            let accs =
              Array.of_list
                (List.map
-                  (fun (instance, b, cert) ->
+                  (fun (instance, b, cert, speculative, d) ->
                     {
                       Acceptance.instance;
                       round;
                       batch = batch_pool.(b);
                       cert;
-                      speculative = false;
-                      history = "";
+                      speculative;
+                      history = digest_pool.(d);
                     })
                   spec)
            in
-           Round_history.store h ~round accs;
+           (* No floor: the ring evicts exactly as the model does. *)
+           Round_history.store h ~round ~floor:max_int accs;
            Ring_model.store m ~round accs;
            top := max !top round
          in
@@ -910,8 +939,16 @@ let history_matches_ring =
              | Store_at (r, a) -> store r a
              | Find (r, x) -> ignore (agree r x)
              | Rollback frontier ->
-                 Round_history.rollback h ~frontier;
-                 Ring_model.rollback m ~frontier;
+                 let got = List.sort by_cell (Round_history.rollback h ~frontier) in
+                 let want = List.sort by_cell (Ring_model.rollback m ~frontier ~z) in
+                 if
+                   not
+                     (List.length got = List.length want
+                     && List.for_all2 same_acceptance got want)
+                 then
+                   QCheck2.Test.fail_reportf
+                     "rollback %d: %d acceptances returned, model %d" frontier
+                     (List.length got) (List.length want);
                  cursor := max 0 (min !cursor frontier));
              let s = Round_history.slots h in
              if s < !slots || s > cap || cap mod s <> 0 then
@@ -932,7 +969,7 @@ let test_history_certs_exact () =
        [ 0; 31; 61; 62; 63 ]; [] |]
   in
   for round = 0 to 511 do
-    Round_history.store h ~round
+    Round_history.store h ~round ~floor:max_int
       (Array.mapi
          (fun instance cert ->
            {
@@ -950,15 +987,75 @@ let test_history_certs_exact () =
   Array.iteri
     (fun instance cert ->
       match Round_history.find h ~round:300 ~instance with
-      | Some (b, c) ->
-          check Alcotest.bool "batch pointer" true (b == batch_pool.(instance));
-          check Alcotest.(list int) "cert read back exactly" cert c
+      | Some a ->
+          check Alcotest.bool "batch pointer" true (a.batch == batch_pool.(instance));
+          check Alcotest.(list int) "cert read back exactly" cert a.cert
       | None -> Alcotest.fail "round 300 not retained")
     certs;
-  Round_history.rollback h ~frontier:300;
+  ignore (Round_history.rollback h ~frontier:300);
   check Alcotest.bool "rolled back" true
     (Round_history.find h ~round:300 ~instance:0 = None
     && Round_history.find h ~round:299 ~instance:0 <> None)
+
+(* The ring never evicts a round at or above the floor it is given (the
+   execute stage passes its cross-instance stable floor): past its
+   capacity it grows instead, so a rollback takes back every round a
+   rollback may unwind. Below the floor the capacity still applies. *)
+let test_rollback_keeps_floor () =
+  let store h ~floor round =
+    Round_history.store h ~round ~floor
+      [| { (acceptance ~instance:0 ~round 0) with batch = batch_pool.(round mod 32) } |]
+  in
+  let h = Round_history.create ~z:1 ~capacity:16 in
+  for round = 0 to 99 do
+    store h ~floor:10 round
+  done;
+  check Alcotest.(list int) "every round from the floor up taken back"
+    (List.init 90 (fun r -> r + 10))
+    (List.map
+       (fun (a : Acceptance.t) -> a.round)
+       (List.sort by_cell (Round_history.rollback h ~frontier:10)));
+  let h = Round_history.create ~z:1 ~capacity:16 in
+  for round = 0 to 99 do
+    store h ~floor:max_int round
+  done;
+  check Alcotest.int "below the floor: the newest capacity rounds" 16
+    (List.length (Round_history.rollback h ~frontier:10));
+  (* The execute stage itself: more rounds than its ring's capacity
+     executed with no stable checkpoint, then instance 1 rolls back from
+     round 50; every later round is re-buffered and re-executes once
+     instance 1 re-delivers it. *)
+  let fx = make () in
+  let rounds = Exec.history_capacity + 100 in
+  let batches = Array.init rounds (fun round -> Batch.null ~round) in
+  let null_acc ~instance ~round batch =
+    { (acceptance ~instance ~round 0) with batch }
+  in
+  for round = 0 to rounds - 1 do
+    for instance = 0 to 2 do
+      Exec.notify fx.exec (null_acc ~instance ~round batches.(round))
+    done
+  done;
+  Engine.run fx.engine ~until:(Engine.of_seconds 100.);
+  check Alcotest.int "all executed" rounds (Exec.executed_rounds fx.exec);
+  Exec.rollback_to fx.exec ~frontier:50 ~instance:1;
+  check Alcotest.int "resumes at the frontier" 50 (Exec.next_round fx.exec);
+  let rebuffered = ref 0 in
+  for round = 50 to rounds - 1 do
+    match Exec.accepted fx.exec ~round ~instance:0 with
+    | Some a when a.batch == batches.(round) -> incr rebuffered
+    | Some _ | None -> ()
+  done;
+  check Alcotest.int "every unwound round re-buffered" (rounds - 50) !rebuffered;
+  for round = 50 to rounds - 1 do
+    Exec.notify fx.exec (null_acc ~instance:1 ~round (Batch.null ~round))
+  done;
+  Engine.run fx.engine ~until:(Engine.of_seconds 200.);
+  check Alcotest.int "re-executed" rounds (Exec.executed_rounds fx.exec);
+  check Alcotest.bool "round 60 as re-delivered" true
+    (match Exec.accepted fx.exec ~round:60 ~instance:1 with
+    | Some a -> a.batch != batches.(60)
+    | None -> false)
 
 let suite =
   ( "coordinator",
@@ -1011,4 +1108,6 @@ let suite =
       history_matches_ring;
       Alcotest.test_case "history certs read back exactly" `Quick
         test_history_certs_exact;
+      Alcotest.test_case "rollback re-buffers from the floor" `Quick
+        test_rollback_keeps_floor;
     ] )

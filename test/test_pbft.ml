@@ -143,8 +143,8 @@ let test_adopt_via_contract () =
   check Alcotest.(option int) "victim in the dark" None
     (H.accepted_batch_id t ~replica:3 ~round:0);
   (* Recovery: adopt the batch with another replica's accept proof. *)
-  (match P.accepted_batch (H.inst t 1) ~round:0 with
-  | Some (batch, cert) -> P.adopt (H.inst t 3) ~round:0 batch ~cert
+  (match H.accepted t ~replica:1 ~round:0 with
+  | Some a -> P.adopt (H.inst t 3) ~round:0 a.Rcc_replica.Acceptance.batch ~cert:a.cert
   | None -> Alcotest.fail "replica 1 should have the batch");
   check Alcotest.(option int) "victim recovered" (Some 4)
     (H.accepted_batch_id t ~replica:3 ~round:0)

@@ -57,7 +57,7 @@ let make_exec ?(z = 2) ?reorder () =
       ~respond:(fun client msg -> responses := (client, msg) :: !responses)
       ~metrics:(Metrics.create ~n:1 ~warmup:0 ())
       ?reorder
-      ~on_executed:(fun round _ -> executed := round :: !executed)
+      ~on_executed:(fun round -> executed := round :: !executed)
       ()
   in
   { engine; exec; responses; executed; store; ledger }

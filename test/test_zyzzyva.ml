@@ -133,8 +133,8 @@ let test_adopt_fills_gap () =
   let t = H.create ~n:4 ~byz ~unified:true () in
   H.submit t ~replica:0 (Harness.make_batch 8);
   H.run t 0.01;
-  (match Z.accepted_batch (H.inst t 1) ~round:0 with
-  | Some (batch, cert) -> Z.adopt (H.inst t 2) ~round:0 batch ~cert
+  (match H.accepted t ~replica:1 ~round:0 with
+  | Some a -> Z.adopt (H.inst t 2) ~round:0 a.Rcc_replica.Acceptance.batch ~cert:a.cert
   | None -> Alcotest.fail "source replica should have accepted");
   check Alcotest.(option int) "victim adopted" (Some 8)
     (H.accepted_batch_id t ~replica:2 ~round:0)
