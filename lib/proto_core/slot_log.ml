@@ -171,20 +171,24 @@ let fast_forward t ~round =
     touch t
   end
 
-(* Speculative rollback: clear every slot at or above [round] and retreat
-   both watermarks so the new view's authoritative orders rebuild them
-   from scratch. The inverse of [drain] progress; rounds below [round]
-   (attested at the caller by a commit certificate or stable checkpoint)
-   are untouched. The stale table only holds rounds below [base], which
-   the caller guarantees is at most [round], so it needs no sweep. *)
+(* Speculative rollback retracts, it never discards: the accepted slots
+   from [round] up to the frontier become unaccepted and the frontier
+   moves back, while every slot keeps its batch and [max_seen] stays. The
+   next [drain] re-accepts the suffix, so orders already re-accepted or
+   buffered above [round] survive a second rollback below them. The
+   inverse of [drain] progress; rounds below [round] (attested at the
+   caller by a commit certificate or stable checkpoint) are untouched.
+   The stale table only holds rounds below [base], which the caller
+   guarantees is at most [round], so it needs no sweep. *)
 let unwind t ~round =
-  if round <= t.max_seen then begin
+  if round <= t.frontier then begin
     let lo = if round > t.base then round else t.base in
-    for r = lo to t.max_seen do
-      t.ring.(idx t r) <- None
+    for r = lo to t.frontier do
+      match t.ring.(idx t r) with
+      | Some s -> s.accepted <- false
+      | None -> ()
     done;
-    t.max_seen <- round - 1;
-    if t.frontier >= round then t.frontier <- round - 1;
+    t.frontier <- round - 1;
     touch t
   end
 

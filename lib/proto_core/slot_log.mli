@@ -76,11 +76,14 @@ val fast_forward : 'a t -> round:Rcc_common.Ids.round -> unit
     above [round] survive. No-op when the frontier is already there. *)
 
 val unwind : 'a t -> round:Rcc_common.Ids.round -> unit
-(** Speculative rollback: clear every slot at or above [round] and move
-    both [max_seen] and the accept frontier back to [round - 1]. The
-    caller must only unwind above its garbage-collection boundary
-    ([round >= base]); rounds below [round] are untouched. No-op when
-    nothing at or above [round] exists. *)
+(** Speculative rollback retracts: mark every accepted slot from [round]
+    up to the accept frontier unaccepted and move the frontier back to
+    [round - 1]. Each slot keeps its batch and [max_seen] stays, so the
+    next {!drain} re-accepts the suffix, including orders re-accepted or
+    buffered above [round] since an earlier rollback. The caller must
+    only unwind above its garbage-collection boundary ([round >= base]);
+    rounds below [round] are untouched. No-op when [round] is past the
+    frontier. *)
 
 val retained_slots : 'a t -> int
 (** Live slots currently held (ring plus stale table) — the quantity

@@ -92,11 +92,13 @@ let drain_accepts t =
 
 (* A certified new view re-ordered [seq] with a different batch than the
    one this replica speculatively accepted — and, accepts being strictly
-   in order, possibly executed: the Zyzzyva fork. Unwind every
-   speculative slot at or above [seq], re-seed the history chain from the
-   last surviving slot, tell the execute stage to roll its state back
-   (KV undo, ledger truncation), and install the new authoritative batch
-   so the drain re-accepts — and re-executes — the corrected suffix.
+   in order, possibly executed: the Zyzzyva fork. Retract every
+   speculative slot at or above [seq] (each keeps its batch), re-seed the
+   history chain from the last surviving slot, tell the execute stage to
+   roll its state back (KV undo, ledger truncation), and install the new
+   authoritative batch so the drain re-accepts — and re-executes — the
+   corrected suffix, orders a rollback above [seq] already repaired
+   included.
    Rounds below [Leader.unproven_from] are attested by a commit
    certificate or stable checkpoint: a conflict there means this
    replica's whole prefix lost, which is state transfer's job, not

@@ -447,8 +447,9 @@ let slot_log_suite =
 
 (* The primary-side retransmission dedup PBFT and Zyzzyva share, judged
    against a real slot log: a resend is re-announced at its original slot
-   while that slot still holds it, skipped once the slot is stable and
-   collected, and ordered afresh once the slot was unwound. *)
+   while that slot still holds it (a rollback retracts the slot but keeps
+   its batch), ordered afresh once the slot holds another batch, and
+   skipped once the slot is stable and collected. *)
 let test_ordered_batches_outcomes () =
   let module SL = Rcc_proto_core.Slot_log in
   let module OB = Rcc_proto_core.Ordered_batches in
@@ -476,8 +477,12 @@ let test_ordered_batches_outcomes () =
     (OB.check ordered log batch);
   check decision "a different batch of the client" OB.Fresh
     (OB.check ordered log resend_other);
+  ignore (SL.drain log ~accept:(fun _ -> true));
   SL.unwind log ~round:3;
-  check decision "slot unwound" OB.Fresh (OB.check ordered log batch);
+  check decision "retracted, still at its slot" (OB.Reannounce 3)
+    (OB.check ordered log batch);
+  (SL.get log 3).SL.batch <- Some resend_other;
+  check decision "slot replaced" OB.Fresh (OB.check ordered log batch);
   (SL.get log 3).SL.batch <- Some batch;
   ignore (SL.drain log ~accept:(fun _ -> true));
   SL.gc_upto log 3;

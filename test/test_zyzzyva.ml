@@ -183,6 +183,32 @@ let agreement_property =
          done;
          !ok))
 
+(* A new primary's conflicting orders for rounds 2 and 1 reach a backup
+   that speculatively accepted the deposed primary's rounds 0-2 in that
+   order: round 2 rolls back first, then round 1. The second rollback
+   retracts the re-accepted round 2 rather than erasing it, so the drain
+   re-accepts both new orders and nothing waits on a re-send. *)
+let test_out_of_order_conflicts () =
+  let t = H.create ~n:4 () in
+  let inst3 = H.inst t 3 in
+  let order ~src ~view ~seq id =
+    Z.handle inst3 ~src
+      (Msg.Order_request
+         { instance = 0; view; seq; batch = Harness.make_batch id; history = "" })
+  in
+  for seq = 0 to 2 do
+    order ~src:0 ~view:0 ~seq seq
+  done;
+  Z.set_primary inst3 1 ~view:1;
+  order ~src:1 ~view:1 ~seq:2 12;
+  order ~src:1 ~view:1 ~seq:1 11;
+  check Alcotest.(list int) "rolled back at 2, then at 1" [ 1; 2 ]
+    (H.node t 3).H.rollbacks;
+  check
+    Alcotest.(list (option int))
+    "the new view's orders accepted" [ Some 0; Some 11; Some 12 ]
+    (List.init 3 (fun round -> H.accepted_batch_id t ~replica:3 ~round))
+
 let suite =
   ( "zyzzyva",
     [
@@ -197,4 +223,5 @@ let suite =
       Alcotest.test_case "dark replica stalls" `Quick test_dark_replica_stalls;
       Alcotest.test_case "adopt fills gap" `Quick test_adopt_fills_gap;
       Alcotest.test_case "set_primary re-proposes" `Quick test_set_primary_reproposes;
+      Alcotest.test_case "out-of-order conflicts" `Quick test_out_of_order_conflicts;
     ] )
