@@ -128,21 +128,25 @@ let conflict_rollback t ~seq batch =
   end
   else false
 
+(* The one path for a slot's authoritative batch, whether the current
+   view's primary ordered it or a contract attested it: the same batch
+   again changes nothing; an empty slot, or an order the deposed primary
+   never got accepted, simply takes it; a different batch where this
+   replica already accepted one is the fork [conflict_rollback]
+   repairs. *)
+let install_order t ~seq batch =
+  let s = slot t seq in
+  match s.SL.batch with
+  | Some prev when prev.Batch.digest = batch.Batch.digest -> ()
+  | Some _ when s.SL.accepted ->
+      if conflict_rollback t ~seq batch then drain_accepts t
+  | Some _ | None ->
+      s.SL.batch <- Some batch;
+      drain_accepts t
+
 let on_order_request t ~src ~view ~seq batch ~history:_ =
-  if src = t.lead.Leader.primary && view = t.lead.Leader.view then begin
-    let s = slot t seq in
-    match s.SL.batch with
-    | None ->
-        s.SL.batch <- Some batch;
-        drain_accepts t
-    | Some prev when prev.Batch.digest = batch.Batch.digest -> ()
-    | Some _ when not s.SL.accepted ->
-        (* A buffered order the deposed primary never got accepted: the
-           new view's order simply replaces it. *)
-        s.SL.batch <- Some batch;
-        drain_accepts t
-    | Some _ -> if conflict_rollback t ~seq batch then drain_accepts t
-  end
+  if src = t.lead.Leader.primary && view = t.lead.Leader.view then
+    install_order t ~seq batch
 
 let reorder ?exclude t seq batch =
   t.env.Env.broadcast ?exclude
@@ -257,20 +261,9 @@ let on_new_view t ~src ~view reproposals =
 
 (* --- recovery --------------------------------------------------------- *)
 
-let adopt t ~round batch ~cert:_ =
-  let s = slot t round in
-  if not s.SL.accepted then begin
-    s.SL.batch <- Some batch;
-    drain_accepts t
-  end
-  else
-    match s.SL.batch with
-    | Some prev when prev.Batch.digest <> batch.Batch.digest ->
-        (* Contract-driven recovery surfaced an attested order conflicting
-           with our speculative acceptance — same fork as a conflicting
-           re-order, same repair. *)
-        if conflict_rollback t ~seq:round batch then drain_accepts t
-    | Some _ | None -> ()
+(* An attested order conflicting with a speculative acceptance is the
+   same fork as a conflicting re-order, with the same repair. *)
+let adopt t ~round batch ~cert:_ = install_order t ~seq:round batch
 
 let proposed_upto t = Leader.proposed_upto t.lead
 let max_seen t = SL.max_seen t.log
