@@ -317,7 +317,8 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
                 send ~dst:(cfg.client_node_of client) msg);
             accept = (fun acceptance -> Exec.notify exec acceptance);
             on_stable = (fun ~seq -> Exec.on_stable exec ~instance:x ~seq);
-            rollback = (fun ~frontier -> Exec.rollback_to exec ~frontier ~instance:x);
+            rollback =
+              (fun ~frontier -> Exec.rollback_to exec ~frontier ~instance:x);
             null_fill = null_fill exec;
             report_failure =
               (fun ~announce ~round ~blamed ->
@@ -429,7 +430,9 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
       Exec.set_on_executed exec (fun round ->
           Transfer.on_executed transfer ~round;
           Coordinator.on_round_executed c ~round)
-  | None -> Exec.set_on_executed exec (fun round -> Transfer.on_executed transfer ~round));
+  | None ->
+      Exec.set_on_executed exec (fun round ->
+          Transfer.on_executed transfer ~round));
   let t =
     {
       cfg;

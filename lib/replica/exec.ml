@@ -365,8 +365,9 @@ let append_round t (w : wround) ~primaries =
 
 (* In-order commit of a fully executed round: the state half, then
    metrics, client responses, the round history, the journal, the
-   boundary capture and the coordinator callback. Serial rounds commit in their execute job;
-   parallel ones on the scheduler FIFO, so commits retain round order.
+   boundary capture and the coordinator callback. Serial rounds commit
+   in their execute job; parallel ones on the scheduler FIFO, so commits
+   retain round order.
    The horizon and ledger guards skip rounds a snapshot install
    superseded while queued. *)
 let commit_round t (w : wround) =
