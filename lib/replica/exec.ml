@@ -246,21 +246,6 @@ let round_cost t slots =
     (Costs.hash_cost t.costs 256 (* block hash *))
     slots
 
-(* digest(batch_digest ^ u64(r) ^ ...) over one flat buffer —
-   byte-identical to the digest_list of the per-voter strings it
-   replaces, minus the intermediate allocations. *)
-let certificate_digest batch_digest cert =
-  let n = String.length batch_digest in
-  let buf = Bytes.create (n + (8 * List.length cert)) in
-  Bytes.blit_string batch_digest 0 buf 0 n;
-  let off = ref n in
-  List.iter
-    (fun r ->
-      Rcc_common.Bytes_util.put_u64be buf !off (Int64.of_int r);
-      off := !off + 8)
-    cert;
-  Rcc_crypto.Sha256.digest (Bytes.unsafe_to_string buf)
-
 (* --- the one replay path ------------------------------------------------ *)
 
 (* Every round — a serial round, a parallel window's round, a round
@@ -338,7 +323,7 @@ let append_round t (w : wround) ~primaries =
         {
           Rcc_storage.Block.instance = a.instance;
           batch_digest = batch.Batch.digest;
-          certificate_digest = certificate_digest batch.Batch.digest a.cert;
+          certificate_digest = Rcc_storage.Block.certificate_placeholder;
         }
         :: !proofs;
       if not (Batch.is_null batch) then

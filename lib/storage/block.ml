@@ -14,6 +14,8 @@ type t = {
   clients : Rcc_common.Ids.client_id list;
 }
 
+let certificate_placeholder = String.make 32 '\000'
+
 let u64 i = Rcc_common.Bytes_util.u64_string (Int64.of_int i)
 
 let genesis_hash ~primaries =

@@ -8,7 +8,9 @@
 type proof = {
   instance : Rcc_common.Ids.instance_id;
   batch_digest : string;  (** digest of the replicated request batch *)
-  certificate_digest : string;  (** digest of the prepare/commit certificate *)
+  certificate_digest : string;
+      (** the prepare/commit certificate's digest, modeled by its size
+          only: executed blocks carry {!certificate_placeholder} *)
 }
 
 type t = {
@@ -18,6 +20,12 @@ type t = {
   primaries : Rcc_common.Ids.replica_id list;
   clients : Rcc_common.Ids.client_id list;
 }
+
+val certificate_placeholder : string
+(** 32 zero bytes, shared by every proof the execute stage builds. No
+    code compares or verifies a certificate digest, and {!hash} leaves it
+    out, so only its size matters: it keeps stored records, journal
+    records and snapshots at the size of a real SHA-256 digest. *)
 
 val genesis_hash : primaries:Rcc_common.Ids.replica_id list -> string
 (** B_G := H(P_1, ..., P_z). *)

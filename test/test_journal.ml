@@ -1376,7 +1376,10 @@ let prop_xxh64_streaming =
    layer, and re-recorded when its checksums became XXH64 (only the 8
    checksum bytes of each record and slot moved); a writer and reader
    changed together would still round-trip, so this pins the bytes
-   themselves. The area is pinned before the
+   themselves. The slot was re-recorded once more when replayed blocks
+   began to carry [Block.certificate_placeholder]: the slot's length is
+   unchanged, only its certificate fields and checksum moved. The area
+   is pinned before the
    snapshot write, and again after it: the slot (seq 3, at the durable
    floor) becomes the anchor, and the area below round 3 is dropped. *)
 let test_journal_golden () =
@@ -1420,7 +1423,7 @@ let test_journal_golden () =
   Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
   check
     Alcotest.(list (pair int string))
-    "snapshot slot" [ (3, "d0ff200370243a835da1aa57059a64d7e2e1df05a4cea8e7daada9dd665eba08") ]
+    "snapshot slot" [ (3, "d1b6fb431b78d9b5199b74c38bd9d8892d6c158ec3dda5568b064dc8a1045191") ]
     (List.map (fun (seq, blob) -> (seq, sha blob)) (Sim_disk.snapshots disk));
   let compacted = Sim_disk.journal disk in
   check Alcotest.string "compacted area" "c61c25bb58f2aae1b5f1861b7e169131ab125fc6dd1de35d9f26204a81a6b02b" (sha compacted);
