@@ -225,7 +225,7 @@ let adopt t ~round batch ~cert =
 
 
 let fast_forward t ~proof = Leader.fast_forward t.lead ~proof
-let log_stats t = Leader.log_stats t.lead
+let retained_slots t = Leader.retained_slots t.lead
 let checkpoint_log t = Leader.checkpoint_log t.lead
 
 let start t =

@@ -72,9 +72,9 @@ let ledger t = t.ledger
 let txn_table t = t.txn_table
 let transfer_stats t = Transfer.stats t.transfer
 
-let log_stats t x =
+let retained_slots t x =
   let (I ((module P), instances)) = t.instances in
-  P.log_stats instances.(x)
+  P.retained_slots instances.(x)
 
 let exec_utilization t ~since =
   Cpu.utilization (Node.exec_server t.node) ~since

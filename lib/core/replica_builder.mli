@@ -96,9 +96,9 @@ val transfer_stats : t -> Rcc_state_transfer.Manager.stats
 (** Snapshot installs / rejects / bytes moved by this replica's
     state-transfer manager (all zero in fault-free runs). *)
 
-val log_stats : t -> instance_id -> int * int
-(** [(retained slots, estimated live words)] of the instance's slot
-    log — how tightly checkpoint GC bounds consensus memory. *)
+val retained_slots : t -> instance_id -> int
+(** Slots the instance's slot log holds — how tightly checkpoint GC
+    bounds consensus memory. *)
 
 val exec_utilization : t -> since:Rcc_sim.Engine.time -> float
 (** Busy fraction of the execute thread since [since] — the ceiling the

@@ -303,7 +303,7 @@ let fast_forward t ~proof =
     t.next_propose <- round + residue
   end
 
-let log_stats t = (SL.retained_slots t.log, SL.live_words t.log)
+let retained_slots t = SL.retained_slots t.log
 let checkpoint_log t = Checkpointing.log t.ckpt
 
 let handle t ~src msg =

@@ -361,7 +361,7 @@ let max_seen t = SL.max_seen t.log
 let on_contract_reply t ~src ~max_seen ~reported =
   Leader.on_contract_reply t.lead ~src ~max_seen ~reported
 let fast_forward t ~proof = Leader.fast_forward t.lead ~proof
-let log_stats t = Leader.log_stats t.lead
+let retained_slots t = Leader.retained_slots t.lead
 let checkpoint_log t = Leader.checkpoint_log t.lead
 
 

@@ -269,5 +269,5 @@ let fast_forward t ~proof =
   Checkpointing.install t.ckpt proof;
   if t.next_seq < round then t.next_seq <- round
 
-let log_stats t = (SL.retained_slots t.log, SL.live_words t.log)
+let retained_slots t = SL.retained_slots t.log
 let checkpoint_log t = Checkpointing.log t.ckpt

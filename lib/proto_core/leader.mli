@@ -167,5 +167,5 @@ val fast_forward : 'a t -> proof:Rcc_storage.Checkpoint_store.proof -> unit
 (** Jump the log past an installed snapshot, adopt its checkpoint proof,
     and keep a lagging primary from re-proposing rounds it covers. *)
 
-val log_stats : 'a t -> int * int
+val retained_slots : 'a t -> int
 val checkpoint_log : 'a t -> Rcc_storage.Checkpoint_store.t

@@ -197,23 +197,6 @@ let retained_slots t =
   Array.iter (function Some _ -> incr n | None -> ()) t.ring;
   !n
 
-(* Coarse live-memory estimate for reports: ring boxes plus, per live
-   slot, its record fields and the dominant payload (the batch's txn
-   array at 2 words each). Not Obj.reachable_words — an O(retained)
-   arithmetic walk with no sharing surprises. *)
-let live_words t =
-  let words = ref (Array.length t.ring + (4 * Hashtbl.length t.stale)) in
-  let slot (s : 'a slot) =
-    words :=
-      !words + 16
-      + (match s.batch with
-        | Some b -> 8 + (2 * Batch.txn_count b)
-        | None -> 0)
-  in
-  Array.iter (function Some s -> slot s | None -> ()) t.ring;
-  Hashtbl.iter (fun _ s -> slot s) t.stale;
-  !words
-
 let oldest_incomplete t =
   let rec go round =
     if round > t.max_seen then None

@@ -88,7 +88,3 @@ val unwind : 'a t -> round:Rcc_common.Ids.round -> unit
 val retained_slots : 'a t -> int
 (** Live slots currently held (ring plus stale table) — the quantity
     checkpoint GC bounds. *)
-
-val live_words : 'a t -> int
-(** Coarse estimate of heap words retained by the log (slot records plus
-    batch payloads), for {!Rcc_runtime.Report} memory visibility. *)

@@ -73,9 +73,9 @@ module type S = sig
       ordinary checkpointing resumes from there. Must not touch rounds
       [>= proof.seq]. *)
 
-  val log_stats : t -> int * int
-  (** [(retained slots, estimated live words)] of the instance's slot
-      log, surfacing how tightly checkpoint GC is bounding memory. *)
+  val retained_slots : t -> int
+  (** Slots the instance's slot log holds, surfacing how tightly
+      checkpoint GC is bounding memory. *)
 
   val checkpoint_log : t -> Rcc_storage.Checkpoint_store.t
   (** The instance's stable-checkpoint proofs — the supporting evidence a

@@ -429,8 +429,8 @@ let run t =
          Rcc_replica.Exec.replied_retained (Builder.exec reporter)
        in
       Array.init (Metrics.instances t.metrics) (fun x ->
-          let i_retained_slots, i_live_words =
-            if x < t.cfg.Config.z then Builder.log_stats reporter x else (0, 0)
+          let i_retained_slots =
+            if x < t.cfg.Config.z then Builder.retained_slots reporter x else 0
           in
           {
             Report.instance = x;
@@ -443,7 +443,6 @@ let run t =
             i_txns = Metrics.instance_txns t.metrics x;
             i_view_changes = Metrics.instance_view_changes t.metrics x;
             i_retained_slots;
-            i_live_words;
             i_replied_retained =
               (if x < Array.length replied_retained then replied_retained.(x)
                else 0);

@@ -10,7 +10,6 @@ type instance_stats = {
   i_txns : int;
   i_view_changes : int;
   i_retained_slots : int;
-  i_live_words : int;
   i_replied_retained : int;
   i_rolled_back_rounds : int;
   i_rolled_back_txns : int;
@@ -73,12 +72,12 @@ type t = {
 let pp_instance fmt s =
   Format.fprintf fmt
     "  instance %d: %.0f txn/s, lat avg %.2f ms (p50 %.2f, p99 %.2f), \
-     txns=%d view_changes=%d slots=%d (~%d words) replied=%d"
+     txns=%d view_changes=%d slots=%d replied=%d"
     s.instance s.i_throughput
     (s.i_avg_latency *. 1e3)
     (s.i_p50_latency *. 1e3)
     (s.i_p99_latency *. 1e3)
-    s.i_txns s.i_view_changes s.i_retained_slots s.i_live_words
+    s.i_txns s.i_view_changes s.i_retained_slots
     s.i_replied_retained;
   (* Fault-free runs never roll back; print the counters only when they
      fired so the baseline report layout is unchanged. *)

@@ -9,7 +9,6 @@ type instance_stats = {
   i_txns : int;
   i_view_changes : int;
   i_retained_slots : int;  (** slot-log entries alive after checkpoint GC *)
-  i_live_words : int;  (** rough heap words those slots pin *)
   i_replied_retained : int;
       (** duplicate-reply cache entries retained for this instance after
           checkpoint-driven eviction (replica 0) *)

@@ -283,7 +283,7 @@ let fast_forward t ~proof =
   let l = t.lead in
   if l.Leader.committed < round - 1 then l.Leader.committed <- round - 1
 
-let log_stats t = Leader.log_stats t.lead
+let retained_slots t = Leader.retained_slots t.lead
 let checkpoint_log t = Leader.checkpoint_log t.lead
 
 (* The watchdog blames the frontier slot (created on demand so a round we

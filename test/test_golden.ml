@@ -47,23 +47,23 @@ let expected =
     ("zyzzyva crash:1",
      "c09343a2e4c188ac82379507309105ee77bb33884feeaa058cc766cb174f8cc4");
     ("hotstuff fault-free",
-     "37b4f20ba413d9044d12dce71ae780147d94a26b3bd1f538a2bb090bf2ba0f87");
+     "ae67b625c875c8a2389034a6d46746f944f733d1d2ab39ebe505510ca8f7661a");
     ("hotstuff dark",
-     "37b4f20ba413d9044d12dce71ae780147d94a26b3bd1f538a2bb090bf2ba0f87");
+     "ae67b625c875c8a2389034a6d46746f944f733d1d2ab39ebe505510ca8f7661a");
     ("hotstuff crash:1",
-     "a743e8d2a3a58d1540ebeb213e19ab043e2956203788af8d8c0f00a0b5694686");
+     "d9e072cadbaff1da3d4ea7aea13102fc792153c62d9f18ff5d199d32747679ac");
     ("multip fault-free",
-     "2e9deeb9df86b4cd5488963e78327aa99000741d763252ac5c556b0b55c44489");
+     "90995f30963403b870484e682a0b942827b91e6e67a6b450b4a97a32743c1233");
     ("multip dark",
-     "57154be79a6672cd3ec10295eea75e557db386fd9156efae4374f439165d8966");
+     "fbf2bdc03664eecdc161b51ef3befa4ed78a54ce5c18ad94239b68ede0268e9d");
     ("multip crash:1",
-     "af255f5f17a4fc5ef5dd1a099d37b0cd89e3f47daf1c4617787b15f5b6efe854");
+     "fef99ef72b1199c7eea9c635b040374ab75a7359b310d81b62588a652ef2e4ef");
     ("multiz fault-free",
-     "dd7bd5ebe23d2a7e4967e50dcf217342cab21febae2d270f7e8a442e1a45a1c5");
+     "727ae84cf8ff00fb76527ddbd3b9b237ed9b9fe947db5bc892e2bbe66966c150");
     ("multiz dark",
-     "ad16b22aaf6788b07dc9057b6a0efc53c37a50ae9ef99525371136d8a0ad6684");
+     "05b3d7a79160ba714e140a396d67748ce25f21eae46981b0ae342fed41dc0b21");
     ("multiz crash:1",
-     "2f403f28b6c95b619ac9b9077efa976835a52468334519e49fcac6f73fa88a4c");
+     "dd310cbcc5a15c42b15d404ff2b4c63e5e1469607f9f33d91ce62b30a92be138");
     ("cft fault-free",
      "aef8d9e21a23837f504ad0ea5f0c05d93a2d58b006088bffcc3346f9dbb21649");
     ("cft dark",
@@ -71,11 +71,11 @@ let expected =
     ("cft crash:1",
      "770e77c81b17c3ab8308e19d6e587557c7bc3346e3dd2299f2e3a530cbe67b22");
     ("multic fault-free",
-     "1f6e3fbbf30e87354c76d1c3ff506bd0278a5dd092de792a58dc8a087b9174a1");
+     "badecf40a4f455473e2af0ba4609bc2c136609f726568c0cce9f748ade1e7598");
     ("multic dark",
-     "01f808956c8efdbd6fb91f7601b1c1bd2c1680123c72d66fb0a4457bb8104c13");
+     "ef19810331c8dea5d1398b2b094e6e5cffbe831e7b2a919b12630d1572dfb8f3");
     ("multic crash:1",
-     "b7416edb570bb64eac4b2099251a6d587b24ff67b192762fb123adc35ae975a1");
+     "0fc76f32db71b8c6ddf7dd298ab4b184a984870aa3e994e6b7da1e63fe01f6c8");
   ]
 
 let test_golden_reports () =
@@ -121,10 +121,10 @@ let parallel_cell protocol =
 let parallel_expected =
   [
     ("multip",
-     ("f2a24581fd26c6f786bca8c42aabdf0a29ed96aba5202afc0e78b51776468e26",
+     ("52bbca8151cf76b65fec227ec98bb6da01e9255b45f89329372351c29f223350",
       276309));
     ("multiz",
-     ("751a1ddca217c4f1ed25785c045546272577836c0ab09dfa393a7d53314ed4b2",
+     ("f43af1a8c33ed1d79463801733e1e27391fc340517464eb379baa4030d67c862",
       323506));
   ]
 
