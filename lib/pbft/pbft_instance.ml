@@ -276,9 +276,31 @@ let gather_reproposals t =
   done;
   !reproposals
 
+(* A backup entering a new view drops what it holds of the old view's
+   unprepared rounds. The new primary may propose any batch there, and a
+   stale digest would make that look like equivocation: a blame instead
+   of progress, and no replacement while too few replicas are reachable
+   to agree on one. Prepared rounds keep their state: a batch that
+   committed anywhere was prepared at f + 1 honest replicas, which still
+   refuse a different one, so no other batch gathers 2f + 1 prepares. *)
+let drop_unprepared t =
+  for seq = SL.frontier t.log + 1 to SL.max_seen t.log do
+    match SL.find_opt t.log seq with
+    | Some s when (not s.SL.accepted) && not (ph s).prepared ->
+        s.SL.batch <- None;
+        s.SL.digest <- None;
+        (ph s).prepare_sent <- false;
+        (ph s).commit_sent <- false;
+        Quorum.clear (ph s).prepares;
+        Quorum.clear (ph s).commits
+    | Some _ | None -> ()
+  done
+
 let set_primary t replica ~view =
   Leader.install_view t.lead ~view ~primary:replica
-    ~on_install:(fun () -> Ordered_batches.reset t.ordered)
+    ~on_install:(fun () ->
+      Ordered_batches.reset t.ordered;
+      if replica <> t.env.Env.self then drop_unprepared t)
     ~finish:(fun () -> repropose_now t (gather_reproposals t))
     ~propose:(propose t)
 

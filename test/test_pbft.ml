@@ -213,6 +213,39 @@ let test_single_holder_takeover () =
   in
   check Alcotest.bool "answers that disagree wait the grace period" false early
 
+(* Replica 1 holds round 0 from view 0 (primary 0) when replica 2 takes
+   over in view 1 and proposes another batch there. Unprepared, the old
+   digest yields: replica 1 prepares the new batch without blaming its
+   primary. Prepared, it keeps refusing the new batch (that old batch may
+   have committed elsewhere) and blames the new primary. *)
+let stale_round_then_new_view ~prepared_before =
+  let t = H.create ~n:4 ~unified:true () in
+  let inst = H.inst t 1 in
+  let old_batch = Harness.make_batch 3 and new_batch = Harness.make_batch 4 in
+  let module Msg = Rcc_messages.Msg in
+  let digest (b : Rcc_messages.Batch.t) = b.Rcc_messages.Batch.digest in
+  P.handle inst ~src:0
+    (Msg.Pre_prepare { instance = 0; view = 0; seq = 0; batch = old_batch });
+  if prepared_before then
+    P.handle inst ~src:3
+      (Msg.Prepare { instance = 0; view = 0; seq = 0; digest = digest old_batch });
+  check Alcotest.bool "prepared in view 0" prepared_before
+    (P.prepared_round inst ~round:0);
+  P.set_primary inst 2 ~view:1;
+  P.handle inst ~src:2
+    (Msg.Pre_prepare { instance = 0; view = 1; seq = 0; batch = new_batch });
+  P.handle inst ~src:3
+    (Msg.Prepare { instance = 0; view = 1; seq = 0; digest = digest new_batch });
+  (P.prepared_round inst ~round:0, (H.node t 1).H.failures)
+
+let test_stale_round_yields_to_new_view () =
+  let prepared, failures = stale_round_then_new_view ~prepared_before:false in
+  check Alcotest.bool "new view's batch prepared" true prepared;
+  check Alcotest.(list (pair int int)) "no blame" [] failures;
+  let _, failures = stale_round_then_new_view ~prepared_before:true in
+  check Alcotest.(list (pair int int)) "a prepared round is defended"
+    [ (0, 2) ] failures
+
 let test_equivocating_primary_never_commits () =
   let byz self = if self = 0 then Byz.equivocator else Byz.honest in
   let t = H.create ~n:4 ~byz ~timeout:(Rcc_sim.Engine.ms 50) ~unified:true () in
@@ -315,6 +348,8 @@ let suite =
       Alcotest.test_case "adopt via contract" `Quick test_adopt_via_contract;
       Alcotest.test_case "single holder re-proposed, not nulled" `Quick
         test_single_holder_takeover;
+      Alcotest.test_case "stale unprepared round yields to a new view" `Quick
+        test_stale_round_yields_to_new_view;
       Alcotest.test_case "equivocation never commits" `Quick
         test_equivocating_primary_never_commits;
       Alcotest.test_case "checkpoint GC" `Quick test_checkpoint_gc;
