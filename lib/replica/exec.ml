@@ -28,13 +28,14 @@ type persist = {
 (* One round being replayed. [ordered] is the round's acceptances in the
    configured deterministic replay order; the reply arrays are filled by
    member execution (out of commit order in a parallel window) and read
-   by the in-order commit. *)
+   by the replies and the in-order commit. *)
 type wround = {
   w_round : int;
   ordered : Acceptance.t array;
   reply_round : int array;
   reply_digest : string array;
   did_exec : bool array;  (* false = duplicate, replied from cache *)
+  mutable ran : int;  (* members executed live so far *)
 }
 
 type window_state = {
@@ -90,15 +91,17 @@ type t = {
   mutable install_horizon : int;
   mutable active : window_state option;
   mutable group_seq : int;
-  (* Speculative-rollback state. [gen] fences in-flight parallel windows
-     (bumped by [rollback_to]; group callbacks and commit jobs compare
-     against it). [history] keeps each committed round's acceptances as
-     they ran: contracts are built from it, and a rollback takes the
-     unwound rounds back from it to re-buffer the surviving instances'
-     batches; it never evicts a round at or above [evict_floor].
-     [uncommitted] tracks parallel window rounds that executed but have
-     not committed yet — [t.active] alone cannot serve, because
-     [complete_window] clears it before the commit jobs run. *)
+  (* Speculative-rollback state. [gen] fences in-flight rounds (bumped by
+     [rollback_to]; serial member completions, group callbacks and
+     commit jobs compare against it). [history] keeps each committed
+     round's acceptances as they ran: contracts are built from it, and a
+     rollback takes the unwound rounds back from it to re-buffer the
+     surviving instances' batches; it never evicts a round at or above
+     [evict_floor]. [uncommitted] tracks rounds whose members have begun
+     executing but that have not committed yet: the serial round in
+     flight, or a parallel window's rounds — [t.active] alone cannot
+     serve, because [complete_window] clears it before the commit jobs
+     run. *)
   mutable gen : int;
   history : Round_history.t;
   uncommitted : (int, wround) Hashtbl.t;
@@ -180,8 +183,9 @@ let boundaries t = t.boundaries
 let at_boundary t seq = t.boundary_every > 0 && seq mod t.boundary_every = 0
 
 (* True when no round is mid-execution: no window in flight and every
-   commit drained. Serial rounds run whole on one server job; the
-   parallel scheduler guarantees it at every boundary. *)
+   commit drained. A serial round leaves [uncommitted] as its last member
+   commits, before the next round's first member can run; the parallel
+   scheduler guarantees it at every boundary. *)
 let settled t = t.active = None && Hashtbl.length t.uncommitted = 0
 
 let replied_entries t =
@@ -240,11 +244,11 @@ let member_cost t (a : Acceptance.t) =
   + t.costs.Costs.response_create
   + if a.speculative && t.sign_speculative then t.costs.Costs.sign else 0
 
-let round_cost t slots =
+let round_cost t ordered =
   Array.fold_left
-    (fun acc a -> acc + member_cost t (Option.get a))
+    (fun acc a -> acc + member_cost t a)
     (Costs.hash_cost t.costs 256 (* block hash *))
-    slots
+    ordered
 
 (* --- the one replay path ------------------------------------------------ *)
 
@@ -261,13 +265,15 @@ let wround round ordered =
     reply_round = Array.make nslots (-1);
     reply_digest = Array.make nslots "";
     did_exec = Array.make nslots false;
+    ran = 0;
   }
 
 (* Duplicate check, KV apply and duplicate-reply recording for one batch.
    A parallel window runs this at group-execution time (other groups are
-   disjoint, so state order within the window is the serial one); client
-   responses, txn-table rows and the ledger block wait for the in-order
-   commit, which reads the reply arrays. *)
+   disjoint, so state order within the window is the serial one); its
+   client responses, txn-table rows and the ledger block wait for the
+   in-order commit, which reads the reply arrays. A serial member replies
+   as soon as it has run. *)
 let execute_member t (w : wround) rank (a : Acceptance.t) =
   let batch = a.batch in
   let key = (batch.Batch.client, batch.Batch.digest) in
@@ -308,7 +314,26 @@ let run_member t (w : wround) rank (a : Acceptance.t) =
            batch = a.batch.Batch.id;
            txns = Batch.txn_count a.batch;
          });
-  execute_member t w rank a
+  execute_member t w rank a;
+  w.ran <- w.ran + 1
+
+(* The client reply of one executed member; none for a null batch or a
+   duplicate whose cached reply was evicted. *)
+let send_reply t (w : wround) rank =
+  let a = w.ordered.(rank) in
+  let batch = a.Acceptance.batch in
+  if (not (Batch.is_null batch)) && w.reply_round.(rank) >= 0 then
+    t.respond batch.Batch.client
+      (Msg.Response
+         {
+           client = batch.Batch.client;
+           batch_id = batch.Batch.id;
+           round = w.reply_round.(rank);
+           result_digest = w.reply_digest.(rank);
+           txn_count = Batch.txn_count batch;
+           speculative = a.speculative;
+           history = a.history;
+         })
 
 (* The state half of a commit: the round's block (every proof enters it —
    the batch was agreed in sequence — even a duplicate's) and the
@@ -349,13 +374,14 @@ let append_round t (w : wround) ~primaries =
     }
 
 (* In-order commit of a fully executed round: the state half, then
-   metrics, client responses, the round history, the journal, the
-   boundary capture and the coordinator callback. Serial rounds commit
-   in their execute job; parallel ones on the scheduler FIFO, so commits
-   retain round order.
+   metrics, client responses ([send_replies]: a parallel window's, which
+   wait for the commit), the round history, the journal, the boundary
+   capture and the coordinator callback. Serial rounds commit with their
+   last member; parallel ones on the scheduler FIFO, so commits retain
+   round order.
    The horizon and ledger guards skip rounds a snapshot install
    superseded while queued. *)
-let commit_round t (w : wround) =
+let commit_round t (w : wround) ~send_replies =
   Hashtbl.remove t.uncommitted w.w_round;
   if
     w.w_round >= t.install_horizon
@@ -364,25 +390,13 @@ let commit_round t (w : wround) =
     append_round t w ~primaries:(t.current_primaries ());
     Array.iteri
       (fun rank (a : Acceptance.t) ->
-        let batch = a.batch in
-        let ntxns = Batch.txn_count batch in
         if w.did_exec.(rank) then begin
+          let ntxns = Batch.txn_count a.batch in
           t.executed_txns <- t.executed_txns + ntxns;
           Metrics.record_exec t.metrics ~replica:t.self
             ~now:(Engine.now t.engine) ~ntxns
         end;
-        if (not (Batch.is_null batch)) && w.reply_round.(rank) >= 0 then
-          t.respond batch.Batch.client
-            (Msg.Response
-               {
-                 client = batch.Batch.client;
-                 batch_id = batch.Batch.id;
-                 round = w.reply_round.(rank);
-                 result_digest = w.reply_digest.(rank);
-                 txn_count = ntxns;
-                 speculative = a.speculative;
-                 history = a.history;
-               }))
+        if send_replies then send_reply t w rank)
       w.ordered;
     t.executed_rounds <- t.executed_rounds + 1;
     Round_history.store t.history ~round:w.w_round ~floor:t.evict_floor
@@ -394,37 +408,72 @@ let commit_round t (w : wround) =
     t.on_executed w.w_round
   end
 
-(* --- serial scheduling: one-round windows on the execute thread ------- *)
+(* --- serial scheduling: one completion per member ---------------------- *)
+
+(* A complete round reserves the execute thread for its whole cost (its
+   members plus the block hash) in FIFO order. Member k completes at the
+   reservation's start plus the costs of members 0..k: it executes then,
+   and its reply leaves at once, because its result depends only on the
+   members before it (§3.4.1). Each completion schedules the next
+   member, so a queued round holds one engine event; the last member
+   also commits the round. While its members run, the round is in
+   [uncommitted]: a rollback undoes and re-buffers it, and its [gen]
+   fence stops the remaining members, as does a snapshot install past
+   it through the horizon. *)
+let rec serial_member t (w : wround) ~gen rank =
+  if gen <> t.gen then ()  (* the rollback re-buffered the round *)
+  else if w.w_round < t.install_horizon then
+    Hashtbl.remove t.uncommitted w.w_round
+  else begin
+    run_member t w rank w.ordered.(rank);
+    send_reply t w rank;
+    let next = rank + 1 in
+    if next = Array.length w.ordered then commit_round t w ~send_replies:false
+    else
+      Engine.schedule_at t.engine
+        (Engine.now t.engine + member_cost t w.ordered.(next))
+        (fun () -> serial_member t w ~gen next)
+  end
+
+(* The first member's completion re-checks the round rather than trusting
+   the submit: a rollback in between may have replaced it (clearing the
+   conflicted instance's slot), or a snapshot install superseded it. The
+   job then skips; the rollback re-submits the rounds from its resume
+   point, and the install holds the round's effects. Fault-free, the
+   check always passes. The replay record is built only here, so a
+   queued round holds just its ordered acceptances. *)
+let start_serial t ~round (ordered : Acceptance.t array) =
+  match Hashtbl.find_opt t.pending round with
+  | Some slots
+    when Array.for_all
+           (fun (a : Acceptance.t) ->
+             match slots.(a.instance) with Some b -> b == a | None -> false)
+           ordered
+         && Rcc_storage.Ledger.next_round t.ledger = round ->
+      Hashtbl.remove t.pending round;
+      let w = wround round ordered in
+      Hashtbl.replace t.uncommitted round w;
+      serial_member t w ~gen:t.gen 0
+  | Some _ | None -> ()
 
 let rec try_advance_serial t =
   match Hashtbl.find_opt t.pending t.next_round with
-  | None -> ()
-  | Some slots ->
-      if Array.for_all Option.is_some slots then begin
-        let round = t.next_round in
-        t.next_round <- round + 1;
-        (* The buffer entry stays until the job runs; [notify] cannot
-           mutate it — its round guard rejects rounds below
-           [next_round]. *)
-        Rcc_sim.Cpu.submit t.server ~cost:(round_cost t slots) (fun () ->
-            (* Re-read at run time, not captured at submit: a rollback in
-               between replaces the round (and clears the conflicted
-               instance's slot), so a stale job either sees an incomplete
-               round and skips, or executes the post-rollback ordering.
-               The ledger guard covers a snapshot install superseding the
-               queued round: its effects are already installed. Fault-free,
-               neither guard fires. *)
-            match Hashtbl.find_opt t.pending round with
-            | Some slots
-              when Array.for_all Option.is_some slots
-                   && Rcc_storage.Ledger.next_round t.ledger = round ->
-                Hashtbl.remove t.pending round;
-                let w = wround round (t.reorder (Array.map Option.get slots)) in
-                Array.iteri (run_member t w) w.ordered;
-                commit_round t w
-            | Some _ | None -> ());
-        try_advance_serial t
-      end
+  | Some slots when Array.for_all Option.is_some slots ->
+      let round = t.next_round in
+      t.next_round <- round + 1;
+      (* The buffer entry stays until the first member runs; [notify]
+         cannot mutate it — its round guard rejects rounds below
+         [next_round]. *)
+      let ordered = t.reorder (Array.map Option.get slots) in
+      let cost = round_cost t ordered in
+      let start =
+        Rcc_sim.Cpu.reserve t.server ~ready:(Engine.now t.engine) ~cost - cost
+      in
+      Engine.schedule_at t.engine
+        (start + member_cost t ordered.(0))
+        (fun () -> start_serial t ~round ordered);
+      try_advance_serial t
+  | Some _ | None -> ()
 
 (* --- parallel scheduling: conflict-partitioned windows ----------------- *)
 
@@ -540,7 +589,7 @@ and complete_window t pool window ws =
         ~cost:(Costs.hash_cost t.costs 256)
         (fun () ->
           if ws.gen = t.gen then begin
-            commit_round t w;
+            commit_round t w ~send_replies:true;
             if Hashtbl.length t.uncommitted = 0 then
               try_advance_parallel t pool window
           end))
@@ -569,6 +618,9 @@ let max_pending_round t =
   if t.high_water > t.next_round - 1 then t.high_water else t.next_round - 1
 
 let executed_rounds t = t.executed_rounds
+
+let executed_members t =
+  Hashtbl.fold (fun _ (w : wround) acc -> acc + w.ran) t.uncommitted 0
 let executed_txns t = t.executed_txns
 
 let missing_instances t ~round =
@@ -688,12 +740,12 @@ let rollback_to t ~frontier ~instance =
         (Rcc_trace.Event.Rollback_round { round = r; txns })
     done
   end;
-  (* Fence any in-flight parallel window: stale group callbacks and
-     commit jobs compare generations and skip themselves. Rounds that
-     already executed inside the fenced window re-enter the buffer below,
-     and their KV effects are undone with the committed suffix — so the
-     undo point is the lowest in-flight round when one sits below the
-     frontier. *)
+  (* Fence the rounds in flight — a serial round's remaining members, a
+     parallel window's groups and commit jobs — which compare
+     generations and skip themselves. Their members that already
+     executed re-enter the buffer below, and their KV effects are undone
+     with the committed suffix — so the undo point is the lowest
+     in-flight round when one sits below the frontier. *)
   t.gen <- t.gen + 1;
   t.active <- None;
   let in_flight = Hashtbl.fold (fun _ w acc -> w :: acc) t.uncommitted [] in
@@ -708,7 +760,7 @@ let rollback_to t ~frontier ~instance =
   t.executed_txns <- t.executed_txns - rb_txns;
   (* Re-buffer the unwound rounds' surviving acceptances — committed
      rounds taken back from the round history plus fenced in-flight
-     window rounds — then clear the conflicted instance's slots at or
+     rounds — then clear the conflicted instance's slots at or
      above the frontier: those forked orders are exactly what is being
      discarded, and its new view re-delivers replacements. *)
   let rebuffer (a : Acceptance.t) =
@@ -748,9 +800,10 @@ let install_snapshot t (snap : Rcc_storage.Snapshot.t) =
   | Some entries when t.materialize ->
       Rcc_storage.Kv_store.install t.store entries
   | Some _ | None -> ());
-  (* Rounds below [seq] are baked into the installed state. A queued
-     serial job or an in-flight window may cover them: raising the
-     horizon makes its members and commits skip themselves. *)
+  (* Rounds below [seq] are baked into the installed state. A queued or
+     in-flight serial round or an in-flight window may cover them:
+     raising the horizon makes its remaining members and commits skip
+     themselves. *)
   if seq > t.install_horizon then t.install_horizon <- seq;
   if seq > t.next_round then begin
     (* Acceptances buffered for covered rounds are obsolete — the

@@ -17,16 +17,24 @@
     journal recovery ({!replay_round}) runs the same two steps without
     them. Two schedulers feed that one path:
 
-    - {!Serial} (the ablation baseline): each round is a one-round window
-      run whole as one job on the execute thread — the global ordering
-      barrier that caps MultiP throughput.
+    - {!Serial} (the ablation baseline): each complete round reserves the
+      execute thread for its whole cost (members plus the block hash), in
+      round order — the global ordering barrier that caps MultiP
+      throughput. Within the reservation its members complete one by one
+      in replay order: member k executes, and its client reply leaves,
+      at the reservation's start plus the costs of members 0..k, since
+      its result depends only on the members before it. The last member
+      commits the round. A queued round holds one engine event; a round
+      in flight is fenced by {!rollback_to} and {!install_snapshot} like
+      a parallel window's round.
     - [Parallel]: a conflict-aware scheduler. Complete consecutive
       rounds are gathered into a window, partitioned into dependency
       groups by read/write key-set intersection ({!Conflict}), and the
       groups' member steps run on a multi-server execute pool in any
       interleaving. The commit steps run in round order on the scheduler
-      lane, so ledger layout, replay order and the report digest are
-      identical to serial execution for any workload. Windows are
+      lane, so ledger layout, replay order and the replies' contents are
+      identical to serial execution for any workload; a window's replies
+      leave at its commits. Windows are
       pipelined one at a time: the next window's conflict scan and pool
       execution overlap the previous window's commit jobs, except across
       a checkpoint boundary — a window never straddles one, and the next
@@ -134,6 +142,12 @@ val max_pending_round : t -> Rcc_common.Ids.round
 val executed_rounds : t -> int
 
 val executed_txns : t -> int
+
+val executed_members : t -> int
+(** Members of rounds in flight (executing, not yet committed) that have
+    executed. Under {!Serial} at most one round is in flight, so the
+    ledger length plus this is the replica's executed position: two
+    replicas at the same position hold the same KV state. *)
 
 val missing_instances : t -> round:Rcc_common.Ids.round -> Rcc_common.Ids.instance_id list
 (** Instances whose acceptance for [round] has not arrived — the

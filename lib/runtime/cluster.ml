@@ -49,6 +49,7 @@ let client_pool t = t.pool
 let ledger t r = Builder.ledger t.replicas.(r)
 let store t r = Builder.store t.replicas.(r)
 let txn_table t r = Builder.txn_table t.replicas.(r)
+let exec t r = Builder.exec t.replicas.(r)
 
 let primary_lookup protocol replicas x =
   match protocol with

@@ -34,6 +34,7 @@ val metrics : t -> Rcc_replica.Metrics.t
 val ledger : t -> Rcc_common.Ids.replica_id -> Rcc_storage.Ledger.t
 val store : t -> Rcc_common.Ids.replica_id -> Rcc_storage.Kv_store.t
 val txn_table : t -> Rcc_common.Ids.replica_id -> Rcc_storage.Txn_table.t
+val exec : t -> Rcc_common.Ids.replica_id -> Rcc_replica.Exec.t
 val primary_of_instance :
   t -> Rcc_common.Ids.instance_id -> Rcc_common.Ids.replica_id
 val replacements : t -> int

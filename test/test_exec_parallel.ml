@@ -583,9 +583,17 @@ let rollback_equivalence_test =
          triple (int_range 0 1_000_000) (int_range 1 8) (int_range 1 8))
        rollback_equivalence_prop)
 
-(* --- watermark --------------------------------------------------------- *)
+(* A bare execute stage whose replies are stamped with the virtual time
+   they leave at. *)
+type timed = {
+  t_engine : Engine.t;
+  t_exec : Exec.t;
+  t_store : Rcc_storage.Kv_store.t;
+  t_ledger : Rcc_storage.Ledger.t;
+  replies : (int * int) list ref;  (* (client, time), newest first *)
+}
 
-let bare_exec ?(parallel = false) ~z () =
+let timed_exec ?(parallel = false) ?(checkpoint_interval = 0) ~z () =
   let engine = Engine.create () in
   let server = Cpu.server engine ~name:"exec" () in
   let sched =
@@ -595,20 +603,26 @@ let bare_exec ?(parallel = false) ~z () =
     else Exec.Serial
   in
   let store = Rcc_storage.Kv_store.create () in
-  let primaries = List.init z (fun i -> i) in
+  Rcc_storage.Kv_store.init_records store ~count:64;
+  let primaries = List.init z Fun.id in
   let ledger = Rcc_storage.Ledger.create ~primaries in
+  let replies = ref [] in
   let exec =
     Exec.create ~engine ~costs:Costs.default ~server ~z ~self:0 ~store ~ledger
       ~txn_table:(Rcc_storage.Txn_table.create ~z)
       ~current_primaries:(fun () -> primaries)
-      ~respond:(fun _ _ -> ())
+      ~respond:(fun client _ ->
+        replies := (client, Engine.now engine) :: !replies)
       ~metrics:(Metrics.create ~n:1 ~instances:z ~warmup:0 ())
-      ~sched ()
+      ~sched ~checkpoint_interval ()
   in
-  (engine, exec)
+  { t_engine = engine; t_exec = exec; t_store = store; t_ledger = ledger;
+    replies }
+
+(* --- watermark --------------------------------------------------------- *)
 
 let test_watermark () =
-  let engine, exec = bare_exec ~z:2 () in
+  let { t_engine = engine; t_exec = exec; _ } = timed_exec ~z:2 () in
   check Alcotest.int "empty: next_round - 1" (-1) (Exec.max_pending_round exec);
   let put round i =
     Exec.notify exec
@@ -651,7 +665,7 @@ let test_watermark () =
 (* --- duplicate-reply cache GC ------------------------------------------ *)
 
 let test_replied_gc () =
-  let engine, exec = bare_exec ~z:2 () in
+  let { t_engine = engine; t_exec = exec; _ } = timed_exec ~z:2 () in
   (* 4 rounds x 2 instances, distinct clients: 8 cache entries. *)
   for round = 0 to 3 do
     for i = 0 to 1 do
@@ -682,7 +696,7 @@ let test_replied_gc () =
 let test_evicted_duplicate_not_reexecuted () =
   List.iter
     (fun parallel ->
-      let engine, exec = bare_exec ~parallel ~z:1 () in
+      let { t_engine = engine; t_exec = exec; _ } = timed_exec ~parallel ~z:1 () in
       let retransmitted = mk_batch ~id:7 ~client:3 [ w 1; w 2 ] in
       Exec.notify exec (acc ~instance:0 ~round:0 retransmitted);
       Engine.run engine ~until:(Engine.of_seconds 1.);
@@ -697,6 +711,186 @@ let test_evicted_duplicate_not_reexecuted () =
       check Alcotest.int "duplicate skipped, the client's next batch ran" 3
         (Exec.executed_txns exec))
     [ false; true ]
+
+(* --- serial member completions ------------------------------------------ *)
+
+(* Round [round] of [z] batches: instance [i] runs [i + 1] txns for
+   client [round * z + i], and every member writes key 0, so the members
+   depend on one another. *)
+let member_round ~z round =
+  Array.init z (fun i ->
+      let client = (round * z) + i in
+      mk_batch ~id:client ~client
+        (List.init (i + 1) (fun t -> w (if t = 0 then 0 else client + t))))
+
+let notify_round fx ~round row =
+  Array.iteri
+    (fun instance b -> Exec.notify fx.t_exec (acc ~instance ~round b))
+    row
+
+let c = Costs.default
+
+(* Instance [i]'s member cost ([i + 1] txns, not speculative). *)
+let member_ns i =
+  c.Costs.exec_batch_overhead + ((i + 1) * c.Costs.txn_exec)
+  + c.Costs.response_create
+
+let block_hash_ns = Costs.hash_cost c 256
+
+(* Members 0..i of a round, the default (instance) replay order. *)
+let through i = List.fold_left ( + ) 0 (List.init (i + 1) member_ns)
+
+let round_ns ~z = through (z - 1) + block_hash_ns
+
+let reply_clients fx = List.rev_map fst !(fx.replies)
+
+(* Two queued rounds: round 1's reservation starts where round 0's whole
+   cost (members plus block hash) ends, and within each round member k's
+   reply leaves at the start plus the costs of members 0..k. *)
+let test_serial_reply_times () =
+  let z = 3 in
+  let fx = timed_exec ~z () in
+  notify_round fx ~round:0 (member_round ~z 0);
+  notify_round fx ~round:1 (member_round ~z 1);
+  Engine.run fx.t_engine ~until:(Engine.of_seconds 1.);
+  let expected =
+    List.concat_map
+      (fun round ->
+        List.init z (fun i -> ((round * z) + i, (round * round_ns ~z) + through i)))
+      [ 0; 1 ]
+  in
+  check
+    Alcotest.(list (pair int int))
+    "each reply at its round's start plus its cumulative member cost"
+    expected
+    (List.rev !(fx.replies));
+  check Alcotest.int "both rounds committed" 2
+    (Rcc_storage.Ledger.length fx.t_ledger)
+
+(* The parallel scheduler's replies still leave at the window's commits.
+   Pinned from the scheduler before serial rounds completed member by
+   member; the parallel path must not move. *)
+let test_parallel_reply_times () =
+  let z = 3 in
+  let fx = timed_exec ~parallel:true ~z () in
+  notify_round fx ~round:0 (member_round ~z 0);
+  notify_round fx ~round:1 (member_round ~z 1);
+  Engine.run fx.t_engine ~until:(Engine.of_seconds 1.);
+  check
+    Alcotest.(list (pair int int))
+    "reply times unchanged"
+    [ (0, 62_700); (1, 62_700); (2, 62_700); (3, 125_400); (4, 125_400);
+      (5, 125_400) ]
+    (List.rev !(fx.replies))
+
+(* A rollback between two members of a round: the fenced members send no
+   reply, the KV state is back at the pre-round state, and the round
+   re-executes to exactly the state of an uninterrupted run. *)
+let test_serial_rollback_mid_round () =
+  let z = 3 in
+  let row = member_round ~z 0 in
+  let direct = timed_exec ~z () in
+  notify_round direct ~round:0 row;
+  Engine.run direct.t_engine ~until:(Engine.of_seconds 1.);
+  let fx = timed_exec ~z () in
+  let pre = Rcc_storage.Kv_store.state_digest fx.t_store in
+  notify_round fx ~round:0 row;
+  Engine.run fx.t_engine ~until:(through 0);
+  check Alcotest.int "member 0 executed" 1 (Exec.executed_members fx.t_exec);
+  check Alcotest.(list int) "member 0 replied" [ 0 ] (reply_clients fx);
+  Exec.rollback_to fx.t_exec ~frontier:1 ~instance:(z - 1);
+  check Alcotest.int "nothing in flight" 0 (Exec.executed_members fx.t_exec);
+  check Alcotest.string "KV state back before the round" pre
+    (Rcc_storage.Kv_store.state_digest fx.t_store);
+  (* The re-submitted round queues behind the fenced reservation. *)
+  Engine.run fx.t_engine ~until:(round_ns ~z);
+  check Alcotest.(list int) "fenced members sent no reply" [ 0 ]
+    (reply_clients fx);
+  Engine.run fx.t_engine ~until:(Engine.of_seconds 1.);
+  check
+    Alcotest.(list (pair int int))
+    "re-execution replies at its own reservation"
+    ((0, through 0) :: List.init z (fun i -> (i, round_ns ~z + through i)))
+    (List.rev !(fx.replies));
+  check Alcotest.string "KV state = uninterrupted run"
+    (Rcc_storage.Kv_store.state_digest direct.t_store)
+    (Rcc_storage.Kv_store.state_digest fx.t_store);
+  check Alcotest.string "ledger head = uninterrupted run"
+    (Rcc_storage.Ledger.head_hash direct.t_ledger)
+    (Rcc_storage.Ledger.head_hash fx.t_ledger);
+  check Alcotest.int "executed once, net" 6 (Exec.executed_txns fx.t_exec)
+
+(* A snapshot install covering the round in flight skips its remaining
+   members: no more replies, no KV writes on top of the installed state,
+   no block appended over the installed chain; the next round runs. *)
+let test_serial_install_mid_round () =
+  let z = 3 in
+  let fx = timed_exec ~z () in
+  notify_round fx ~round:0 (member_round ~z 0);
+  Engine.run fx.t_engine ~until:(through 0);
+  let donor = Rcc_storage.Ledger.create ~primaries:(List.init z Fun.id) in
+  Rcc_storage.Ledger.append_exn donor
+    {
+      Rcc_storage.Block.round = 0;
+      prev_hash = Rcc_storage.Ledger.head_hash donor;
+      proofs = [];
+      primaries = List.init z Fun.id;
+      clients = [];
+    };
+  Exec.install_snapshot fx.t_exec
+    {
+      Rcc_storage.Snapshot.seq = 1;
+      blocks = Rcc_storage.Ledger.prefix donor ~upto:1;
+      kv = Some [| (0, 7, 1) |];
+      replied = [];
+    };
+  let installed = Rcc_storage.Kv_store.state_digest fx.t_store in
+  Engine.run fx.t_engine ~until:(Engine.of_seconds 1.);
+  check Alcotest.(list int) "remaining members sent no reply" [ 0 ]
+    (reply_clients fx);
+  check Alcotest.string "installed KV state untouched" installed
+    (Rcc_storage.Kv_store.state_digest fx.t_store);
+  check Alcotest.string "installed chain kept"
+    (Rcc_storage.Ledger.head_hash donor)
+    (Rcc_storage.Ledger.head_hash fx.t_ledger);
+  check Alcotest.int "nothing in flight" 0 (Exec.executed_members fx.t_exec);
+  check Alcotest.int "the superseded round did not commit" 0
+    (Exec.executed_rounds fx.t_exec);
+  notify_round fx ~round:1 (member_round ~z 1);
+  Engine.run fx.t_engine ~until:(Engine.of_seconds 2.);
+  check Alcotest.int "the next round commits" 2
+    (Rcc_storage.Ledger.length fx.t_ledger);
+  check Alcotest.(list int) "and replies" [ 0; 3; 4; 5 ] (reply_clients fx)
+
+(* Boundaries every 4 rounds (checkpoint interval 1) over 12 queued
+   rounds: each capture runs as its round commits, with no member of the
+   next round executed. *)
+let test_serial_boundary_settled () =
+  let z = 3 in
+  let fx = timed_exec ~checkpoint_interval:1 ~z () in
+  let captures = ref [] in
+  Exec.set_persist fx.t_exec
+    {
+      Exec.p_round = (fun ~round:_ _ -> ());
+      p_rollback = (fun ~frontier:_ -> ());
+      p_stable = (fun ~floor:_ -> ());
+      p_snapshot =
+        (fun b ~blocks:_ ~replied:_ ->
+          captures :=
+            ( b.Rcc_storage.Snapshot.b_seq,
+              Rcc_storage.Ledger.length fx.t_ledger,
+              Exec.executed_members fx.t_exec )
+            :: !captures);
+    };
+  for round = 0 to 11 do
+    notify_round fx ~round (member_round ~z round)
+  done;
+  Engine.run fx.t_engine ~until:(Engine.of_seconds 1.);
+  check
+    Alcotest.(list (triple int int int))
+    "(seq, ledger length, members in flight) at each capture"
+    [ (4, 4, 0); (8, 8, 0); (12, 12, 0) ]
+    (List.rev !captures)
 
 let suite =
   ( "exec_parallel",
@@ -723,4 +917,14 @@ let suite =
         ~name:"parallel = serial (conflicting workloads, any order/threads)"
         ~conflict_free:false;
       rollback_equivalence_test;
+      Alcotest.test_case "serial: replies at cumulative member cost" `Quick
+        test_serial_reply_times;
+      Alcotest.test_case "parallel: reply times unchanged" `Quick
+        test_parallel_reply_times;
+      Alcotest.test_case "serial: rollback between members" `Quick
+        test_serial_rollback_mid_round;
+      Alcotest.test_case "serial: install mid-round skips the rest" `Quick
+        test_serial_install_mid_round;
+      Alcotest.test_case "serial: no capture with a round in flight" `Quick
+        test_serial_boundary_settled;
     ] )

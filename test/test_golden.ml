@@ -35,47 +35,47 @@ let faults =
 let expected =
   [
     ("pbft fault-free",
-     "167511c8bb82274829d045790cc8e288b7ac33419afcfa04cf90e9b85eb87d98");
+     "702eac09505055a6e4d3133bf1ebfc27738ce19ea29de6e0034933be133e54b6");
     ("pbft dark",
-     "834cb3d9f10725680fbaf0cc0ab5316b9feddc9b98b130dbfbcd69ac99bdc30a");
+     "ce0f7b047680ffb3c0ef8dc418e027fa77741700c9605038fd722ab898df4be0");
     ("pbft crash:1",
-     "d9de37e3c5d8f237a60514be30612bc30ed180e84da66d5f44c15be0bb766297");
+     "1f44d2298e96c1660c5bf2211de39ddc39064a935631bfe9164beaa23e3541af");
     ("zyzzyva fault-free",
-     "4bda2bc81aa7b2b88f1d3d7577c62e440eefd31dbd5bcacecca45a3329a1f857");
+     "cffe50c03ad8c40e71740588c389d81ff690f7be9068a15deb22c5362337ab64");
     ("zyzzyva dark",
-     "ecf3a8a29a1b8f9064f19a6fa5b85f407d0604a8ee7b5a793bc437bb4c0c596c");
+     "3fc794397eb01ba07f7d643036d994d4df63f229b76805db27c2983fad953756");
     ("zyzzyva crash:1",
-     "c09343a2e4c188ac82379507309105ee77bb33884feeaa058cc766cb174f8cc4");
+     "21d82c69052d9aee0dffbae095ea198132607902f9bf51e12e382fd6c991f02d");
     ("hotstuff fault-free",
-     "ae67b625c875c8a2389034a6d46746f944f733d1d2ab39ebe505510ca8f7661a");
+     "50ef646dcf458acd7eaf08c6d8536e0b2e7570f70f581414fc09c391479ba4b2");
     ("hotstuff dark",
-     "ae67b625c875c8a2389034a6d46746f944f733d1d2ab39ebe505510ca8f7661a");
+     "50ef646dcf458acd7eaf08c6d8536e0b2e7570f70f581414fc09c391479ba4b2");
     ("hotstuff crash:1",
-     "d9e072cadbaff1da3d4ea7aea13102fc792153c62d9f18ff5d199d32747679ac");
+     "0cbea560a03a197d4cfa9214d786d2e566260940323700e546d1d5b97d51a0e1");
     ("multip fault-free",
-     "90995f30963403b870484e682a0b942827b91e6e67a6b450b4a97a32743c1233");
+     "6e2b32011ba73741b874a0b9def72b745fb15d9fc9a79154d08f324457ddb117");
     ("multip dark",
-     "fbf2bdc03664eecdc161b51ef3befa4ed78a54ce5c18ad94239b68ede0268e9d");
+     "49ac81f5959dbb355213f727a5a03c6b2b77055f8c12e52e86092021a9f73362");
     ("multip crash:1",
-     "fef99ef72b1199c7eea9c635b040374ab75a7359b310d81b62588a652ef2e4ef");
+     "dad212b959b50deda5b8243ce390bba2f04678d8b1f7b32b5f0f0d158c6be7b3");
     ("multiz fault-free",
-     "727ae84cf8ff00fb76527ddbd3b9b237ed9b9fe947db5bc892e2bbe66966c150");
+     "461f7fc992f076ad899d491d893a2cfa3f95930a829df4b17f485521fe86d328");
     ("multiz dark",
-     "05b3d7a79160ba714e140a396d67748ce25f21eae46981b0ae342fed41dc0b21");
+     "9d3d9dbbe9749fb9c070114aaaa0b017ecefba80341c6f680769408ee1ed9d11");
     ("multiz crash:1",
-     "dd310cbcc5a15c42b15d404ff2b4c63e5e1469607f9f33d91ce62b30a92be138");
+     "373f70bea9022a2552024799a685d07ad1289dc52c0f893945aa34e2a5c3180c");
     ("cft fault-free",
-     "aef8d9e21a23837f504ad0ea5f0c05d93a2d58b006088bffcc3346f9dbb21649");
+     "e50bc8c99734f141b366ac63e6d683799089884a42039c300316ae5ee699a816");
     ("cft dark",
-     "8dcf681b3b279b7c2c3adb5680bb2a25be7195958d8e0a46e88d155c2b50ce2a");
+     "b7d82bb9161a6f3078babd9e93a3278073839c47beb6f0e6231fe6f13170439e");
     ("cft crash:1",
-     "770e77c81b17c3ab8308e19d6e587557c7bc3346e3dd2299f2e3a530cbe67b22");
+     "21149eca5a6487f04ddad4274b4cc67615ea1a102a106b15bde225404a4499c6");
     ("multic fault-free",
-     "badecf40a4f455473e2af0ba4609bc2c136609f726568c0cce9f748ade1e7598");
+     "3f6aec2390016d311b4a83f14bcb4b5b10d56cd2a57601e34fc91929dc24c0b2");
     ("multic dark",
-     "ef19810331c8dea5d1398b2b094e6e5cffbe831e7b2a919b12630d1572dfb8f3");
+     "d75a003429424020e68823468fe8ebc49076f5fd7b49d180571960137a3eefb2");
     ("multic crash:1",
-     "0fc76f32db71b8c6ddf7dd298ab4b184a984870aa3e994e6b7da1e63fe01f6c8");
+     "a7f30557ada9a79104f8d7d74e03066dd463dbc9b88d35c7e262a865ddf6cd1f");
   ]
 
 let test_golden_reports () =
