@@ -46,17 +46,8 @@ let acked_round t ~round =
    contracts are built from the execute stage's record. The vote
    digest is the batch digest at the boundary round. *)
 let maybe_checkpoint t =
-  match Checkpointing.due t.lead.Leader.ckpt t.log with
-  | Some target ->
-      let digest =
-        match SL.find_opt t.log target with
-        | Some { SL.batch = Some b; _ } -> b.Batch.digest
-        | Some _ | None -> ""
-      in
-      t.env.Env.broadcast
-        (Msg.Checkpoint
-           { instance = t.env.Env.instance; seq = target; state_digest = digest })
-  | None -> ()
+  Checkpointing.announce t.lead.Leader.ckpt t.log ~env:t.env ~digest:(fun s ->
+      match s.SL.batch with Some b -> b.Batch.digest | None -> "")
 
 let advance_exec_upto t =
   ignore (SL.drain t.log ~accept:(fun s -> s.SL.accepted));

@@ -100,17 +100,8 @@ let decide t s null =
    digest is the decided batch digest at the boundary round. *)
 let advance_ckpt t =
   Checkpointing.try_stabilize t.ckpt t.log ~on_stable:t.env.Env.on_stable;
-  match Checkpointing.due t.ckpt t.log with
-  | Some target ->
-      let digest =
-        match SL.find_opt t.log target with
-        | Some { SL.digest = Some d; _ } -> d
-        | Some _ | None -> ""
-      in
-      t.env.Env.broadcast
-        (Msg.Checkpoint
-           { instance = t.env.Env.instance; seq = target; state_digest = digest })
-  | None -> ()
+  Checkpointing.announce t.ckpt t.log ~env:t.env ~digest:(fun s ->
+      Option.value s.SL.digest ~default:"")
 
 let on_checkpoint t ~src seq digest =
   Checkpointing.on_vote t.ckpt t.log ~src ~seq ~digest

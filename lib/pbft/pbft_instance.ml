@@ -63,17 +63,8 @@ let advance_exec_upto t =
     ~on_stable:t.env.Env.on_stable
 
 let maybe_checkpoint t =
-  match Checkpointing.due t.lead.Leader.ckpt t.log with
-  | Some target ->
-      let digest =
-        match SL.find_opt t.log target with
-        | Some { SL.digest = Some d; _ } -> d
-        | Some _ | None -> ""
-      in
-      t.env.Env.broadcast
-        (Msg.Checkpoint
-           { instance = t.env.Env.instance; seq = target; state_digest = digest })
-  | None -> ()
+  Checkpointing.announce t.lead.Leader.ckpt t.log ~env:t.env ~digest:(fun s ->
+      Option.value s.SL.digest ~default:"")
 
 (* --- normal case ---------------------------------------------------- *)
 

@@ -29,6 +29,20 @@ let due t log =
     let target = exec_upto - (exec_upto mod t.interval) in
     if target > t.stable && target > 0 then Some target else None
 
+(* The one checkpoint announcement: a CHECKPOINT vote for the boundary
+   [due] names, carrying the protocol's digest of that boundary's slot
+   ("" once the slot is gone). *)
+let announce t log ~(env : Rcc_replica.Instance_env.t) ~digest =
+  match due t log with
+  | Some seq ->
+      let state_digest =
+        match Slot_log.find_opt log seq with Some s -> digest s | None -> ""
+      in
+      env.broadcast
+        (Rcc_messages.Msg.Checkpoint
+           { instance = env.instance; seq; state_digest })
+  | None -> ()
+
 (* The one place the stability rule lives: a checkpoint becomes stable
    only once the accept frontier covers it, and a newly stable round [s]
    collects every slot below it before being reported upward. *)

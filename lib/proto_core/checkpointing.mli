@@ -28,6 +28,17 @@ val due : t -> 'a Slot_log.t -> Rcc_common.Ids.round option
     CHECKPOINT vote for), if the log's accepted prefix has crossed one
     that is not yet stable. *)
 
+val announce :
+  t ->
+  'a Slot_log.t ->
+  env:Rcc_replica.Instance_env.t ->
+  digest:('a Slot_log.slot -> string) ->
+  unit
+(** Broadcast the CHECKPOINT vote {!due} names, if any: its digest is
+    [digest] of the log's slot at that round, [""] when the slot is
+    gone. Each protocol picks what it vouches for (a batch digest, a
+    chained history). *)
+
 val on_vote :
   t ->
   'a Slot_log.t ->

@@ -55,17 +55,8 @@ let extend_history t digest =
 let advance_ckpt t =
   let ckpt = t.lead.Leader.ckpt in
   Checkpointing.try_stabilize ckpt t.log ~on_stable:t.env.Env.on_stable;
-  match Checkpointing.due ckpt t.log with
-  | Some target ->
-      let digest =
-        match SL.find_opt t.log target with
-        | Some { SL.state = { history }; _ } -> history
-        | None -> ""
-      in
-      t.env.Env.broadcast
-        (Msg.Checkpoint
-           { instance = t.env.Env.instance; seq = target; state_digest = digest })
-  | None -> ()
+  Checkpointing.announce ckpt t.log ~env:t.env ~digest:(fun s ->
+      s.SL.state.history)
 
 (* Accept pending slots strictly in sequence order, chaining the history
    digest (speculative execution). *)
