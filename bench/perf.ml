@@ -399,12 +399,11 @@ let bench_snapshot () =
         (Some
            (Rcc_storage.Snapshot.kv_section
               (Array.init 50_000 (fun k -> (k, k * 7, 1)))))
+      ~replied:
+        (List.init 120 (fun c ->
+             (c, Rcc_crypto.Sha256.digest (string_of_int c), 250, "r")))
   in
   let blocks = Rcc_storage.Ledger.prefix ledger ~upto:256 in
-  let replied =
-    List.init 120 (fun c ->
-        (c, Rcc_crypto.Sha256.digest (string_of_int c), 250, "r"))
-  in
   let engine = Engine.create () in
   let j =
     Rcc_journal.Journal.attach ~engine ~costs:Rcc_sim.Costs.default
@@ -412,7 +411,7 @@ let bench_snapshot () =
   in
   let ns, words, blocks =
     measure ~iters:20 (fun () ->
-        Rcc_journal.Journal.write_snapshot j boundary ~blocks ~replied;
+        Rcc_journal.Journal.write_snapshot j boundary ~blocks;
         Engine.run engine ~until:(Engine.now engine + Engine.ms 100))
   in
   { m_name = "snapshot-write"; m_ns = ns; m_words = words; m_blocks = blocks }

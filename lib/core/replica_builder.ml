@@ -212,6 +212,20 @@ let null_fill exec ~proposed_upto submit =
     submit (Batch.null ~round:r)
   done
 
+(* Fast-forward every instance past state just installed wholesale — a
+   transferred snapshot or the journal's recovered frontier — so the
+   ledger ends exactly there. One proof shape for both: the seq, the
+   chain head at it, and the replicas vouching for it. *)
+let fast_forward (I ((module P), instances)) ledger ~attesters =
+  let proof =
+    {
+      Rcc_storage.Checkpoint_store.seq = Rcc_storage.Ledger.next_round ledger;
+      state_digest = Rcc_storage.Ledger.head_hash ledger;
+      attesters;
+    }
+  in
+  Array.iter (fun inst -> P.fast_forward inst ~proof) instances
+
 (* The forged-contract attack on a reply's true window: each batch
    replaced by a null one, every other replica named as certifier. *)
 let forge_entries cfg entries =
@@ -400,7 +414,6 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
         broadcast = (fun msg -> broadcast ~n:cfg.n msg);
         boundaries = (fun () -> Exec.boundaries exec);
         blocks_prefix = (fun ~upto -> Rcc_storage.Ledger.prefix ledger ~upto);
-        replied_entries = (fun () -> Exec.replied_entries exec);
         executed_upto = (fun () -> Exec.next_round exec - 1);
         attesters =
           (fun ~seq ->
@@ -418,11 +431,11 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
                 | Some _ | None -> []));
         corrupt_reply = (fun () -> cfg.byz.Rcc_replica.Byz.corrupt_snapshot);
         install =
-          (fun snap ~proof ->
+          (fun snap ~attesters ->
             (* The execute stage's state first, then every instance's
                slot log. *)
             Exec.install_snapshot exec snap;
-            Array.iter (fun inst -> P.fast_forward inst ~proof) instances);
+            fast_forward (I ((module P), instances)) ledger ~attesters);
       }
   in
   (match coordinator with
@@ -595,18 +608,6 @@ let restore t =
           ~primaries:(List.init t.cfg.z (fun x -> x))
           ()
       in
-      let frontier = r.Rcc_journal.Journal.r_frontier in
-      if frontier > 0 then begin
-        let proof =
-          {
-            Rcc_storage.Checkpoint_store.seq = frontier;
-            state_digest =
-              (if t.cfg.materialize_state then
-                 Rcc_storage.Kv_store.state_digest t.store
-               else "");
-            attesters = [];
-          }
-        in
-        Array.iter (fun inst -> P.fast_forward inst ~proof) instances
-      end;
+      if r.Rcc_journal.Journal.r_frontier > 0 then
+        fast_forward t.instances t.ledger ~attesters:[];
       Some r

@@ -18,10 +18,7 @@ type persist = {
   p_stable : floor:int -> unit;
       (* cross-instance stable floor advanced *)
   p_snapshot :
-    Rcc_storage.Snapshot.boundary ->
-    blocks:Rcc_storage.Block.t array ->
-    replied:Rcc_storage.Snapshot.replied ->
-    unit;
+    Rcc_storage.Snapshot.boundary -> blocks:Rcc_storage.Block.t array -> unit;
       (* a checkpoint boundary was captured *)
 }
 
@@ -188,12 +185,6 @@ let at_boundary t seq = t.boundary_every > 0 && seq mod t.boundary_every = 0
    scheduler guarantees it at every boundary. *)
 let settled t = t.active = None && Hashtbl.length t.uncommitted = 0
 
-let replied_entries t =
-  Hashtbl.fold
-    (fun (client, digest) (round, result, _, _) acc ->
-      (client, digest, round, result) :: acc)
-    t.replied []
-
 (* Duplicate-ordered: the batch's reply is cached, or its client already
    had a batch this new settled. *)
 let executed_before t (batch : Batch.t) key =
@@ -205,8 +196,11 @@ let executed_before t (batch : Batch.t) key =
      | None -> false)
 
 (* The one checkpoint producer: once [round]'s block is appended and
-   journaled, a round completing a boundary captures [(seq, head, KV)]
-   for state transfer to serve and the journal to persist. *)
+   journaled, a round completing a boundary captures [(seq, head, KV,
+   duplicate-reply cache)] for state transfer to serve and the journal
+   to persist. The cache is read here, not when a donor serves: the
+   stable floor may evict entries in between, and whether a re-ordered
+   batch executes must not depend on when a peer asked. *)
 let capture_boundary t ~round =
   let seq = round + 1 in
   if at_boundary t seq then begin
@@ -215,17 +209,21 @@ let capture_boundary t ~round =
       if t.materialize then Some (Rcc_storage.Snapshot.capture_kv t.store)
       else None
     in
+    let replied =
+      Hashtbl.fold
+        (fun (client, digest) (round, result, _, _) acc ->
+          (client, digest, round, result) :: acc)
+        t.replied []
+    in
     let b =
       Rcc_storage.Snapshot.boundary ~seq
-        ~head:(Rcc_storage.Ledger.head_hash t.ledger) ~kv
+        ~head:(Rcc_storage.Ledger.head_hash t.ledger) ~kv ~replied
     in
     t.boundaries <-
       b :: List.filteri (fun i _ -> i < boundary_capacity - 1) t.boundaries;
     match t.persist with
     | Some p ->
-        p.p_snapshot b
-          ~blocks:(Rcc_storage.Ledger.prefix t.ledger ~upto:seq)
-          ~replied:(replied_entries t)
+        p.p_snapshot b ~blocks:(Rcc_storage.Ledger.prefix t.ledger ~upto:seq)
     | None -> ()
   end
 

@@ -62,13 +62,10 @@ type persist = {
       (** the cross-instance stable checkpoint floor advanced to
           [floor] *)
   p_snapshot :
-    Rcc_storage.Snapshot.boundary ->
-    blocks:Rcc_storage.Block.t array ->
-    replied:Rcc_storage.Snapshot.replied ->
-    unit;
+    Rcc_storage.Snapshot.boundary -> blocks:Rcc_storage.Block.t array -> unit;
       (** a checkpoint boundary was captured: the boundary (with its
-          encoded KV section), the ledger prefix up to it and the
-          duplicate-reply cache *)
+          encoded KV section and duplicate-reply cache) and the ledger
+          prefix up to it *)
 }
 (** Observer seam for the durable write-ahead journal: the journal layer
     (which lives above this library) registers callbacks instead of this
@@ -124,8 +121,9 @@ val set_persist : t -> persist -> unit
 val boundaries : t -> Rcc_storage.Snapshot.boundary list
 (** The newest captured checkpoint boundaries (at most three), newest
     first. A boundary is captured when the round before it commits, from
-    state settled exactly there; a rollback drops those past its resume
-    point, and re-execution captures them again. *)
+    state settled exactly there (head, KV section and duplicate-reply
+    cache); a rollback drops those past its resume point, and
+    re-execution captures them again. *)
 
 val notify : t -> Acceptance.t -> unit
 (** An instance replicated its round-[r] batch. Idempotent per
@@ -192,12 +190,6 @@ val rollback_to : t -> frontier:Rcc_common.Ids.round -> instance:Rcc_common.Ids.
     window is fenced the way a snapshot install fences one. The caller
     must keep [frontier] above [instance]'s commit certificate and stable
     checkpoint (conflicts at or below stable are state transfer's job). *)
-
-val replied_entries :
-  t ->
-  (Rcc_common.Ids.client_id * string * Rcc_common.Ids.round * string) list
-(** The duplicate-reply cache as [(client, batch digest, round, result
-    digest)] tuples, for bundling into a served snapshot. *)
 
 val install_snapshot : t -> Rcc_storage.Snapshot.t -> unit
 (** Install a verified snapshot covering rounds [< seq] — from a state

@@ -67,11 +67,12 @@ module type S = sig
       rotating-leader protocols with no volatile sequencing state. *)
 
   val fast_forward : t -> proof:Rcc_storage.Checkpoint_store.proof -> unit
-  (** A snapshot covering rounds [< proof.seq] was just installed:
-      collect those slots, advance the accept frontier to [proof.seq - 1],
-      and adopt the transferred (f+1-attested) checkpoint proof so
-      ordinary checkpointing resumes from there. Must not touch rounds
-      [>= proof.seq]. *)
+  (** State covering rounds [< proof.seq] was just installed (a
+      transferred snapshot or a journal recovery): collect those slots,
+      advance the accept frontier to [proof.seq - 1], and adopt the
+      checkpoint proof (the chain head at [proof.seq] and its
+      attesters, none after a recovery) so ordinary checkpointing
+      resumes from there. Must not touch rounds [>= proof.seq]. *)
 
   val retained_slots : t -> int
   (** Slots the instance's slot log holds, surfacing how tightly

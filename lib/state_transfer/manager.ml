@@ -2,7 +2,6 @@ open Rcc_common.Ids
 module Engine = Rcc_sim.Engine
 module Msg = Rcc_messages.Msg
 module Snapshot = Rcc_storage.Snapshot
-module Store = Rcc_storage.Checkpoint_store
 module Event = Rcc_trace.Event
 
 type hooks = {
@@ -18,11 +17,10 @@ type hooks = {
   broadcast : Msg.t -> unit;
   boundaries : unit -> Snapshot.boundary list;
   blocks_prefix : upto:round -> Rcc_storage.Block.t array;
-  replied_entries : unit -> (client_id * string * round * string) list;
   executed_upto : unit -> round;
   attesters : seq:round -> replica_id list;
   corrupt_reply : unit -> bool;
-  install : Snapshot.t -> proof:Store.proof -> unit;
+  install : Snapshot.t -> attesters:replica_id list -> unit;
 }
 
 type stats = {
@@ -233,13 +231,7 @@ let on_full_reply t ~src ~sp_seq blob =
                    was in flight; install only if it still advances us. *)
                 let gap = snap.Snapshot.seq - 1 - t.hooks.executed_upto () in
                 if gap > 0 then begin
-                  t.hooks.install snap
-                    ~proof:
-                      {
-                        Store.seq = snap.Snapshot.seq;
-                        state_digest = head;
-                        attesters = fx.fx_attesters;
-                      };
+                  t.hooks.install snap ~attesters:fx.fx_attesters;
                   t.installs <- t.installs + 1;
                   t.rounds_skipped <- t.rounds_skipped + gap;
                   trace t
@@ -314,12 +306,7 @@ let on_fetch t ~src ~sr_seq =
          partial prefix. *)
       if Array.length blocks <> b.b_seq then refuse t ~src ~sr_seq
       else begin
-        let replied =
-          List.filter
-            (fun (_, _, r, _) -> r < b.b_seq)
-            (t.hooks.replied_entries ())
-        in
-        let blob = Snapshot.encode_boundary b ~blocks ~replied in
+        let blob = Snapshot.encode_boundary b ~blocks in
         let blob = if t.hooks.corrupt_reply () then corrupt blob else blob in
         t.bytes_out <- t.bytes_out + String.length blob;
         trace t

@@ -55,12 +55,9 @@ type hooks = {
   broadcast : Rcc_messages.Msg.t -> unit;
   boundaries : unit -> Rcc_storage.Snapshot.boundary list;
       (** checkpoint boundaries the execute stage captured, newest first;
-          donors serve offers and fetches from these *)
+          donors serve offers and fetches from these, each blob encoding
+          the boundary's own captured state *)
   blocks_prefix : upto:Rcc_common.Ids.round -> Rcc_storage.Block.t array;
-  replied_entries :
-    unit ->
-    (Rcc_common.Ids.client_id * string * Rcc_common.Ids.round * string) list;
-      (** live duplicate-reply cache, for donors to bundle *)
   executed_upto : unit -> Rcc_common.Ids.round;
       (** highest executed round (-1 if none) *)
   attesters : seq:Rcc_common.Ids.round -> Rcc_common.Ids.replica_id list;
@@ -68,11 +65,11 @@ type hooks = {
   corrupt_reply : unit -> bool;
       (** byzantine donor knob: serve bit-flipped snapshot payloads *)
   install : Rcc_storage.Snapshot.t ->
-            proof:Rcc_storage.Checkpoint_store.proof -> unit;
+            attesters:Rcc_common.Ids.replica_id list -> unit;
       (** install a verified snapshot wholesale: ledger, KV table, exec
           frontier, per-instance logs. Runs only after every check above
-          passed; [proof] carries the attested boundary for the
-          instances' checkpoint machinery. *)
+          passed, so the installed chain ends at the attested head;
+          [attesters] are the replicas that vouched for it. *)
 }
 
 type stats = {

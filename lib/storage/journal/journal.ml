@@ -337,7 +337,7 @@ let log_stable t ~floor =
   t.pending_floor <- max t.pending_floor floor;
   append t (int_record 'A' floor)
 
-let write_snapshot t (b : Rcc_storage.Snapshot.boundary) ~blocks ~replied =
+let write_snapshot t (b : Rcc_storage.Snapshot.boundary) ~blocks =
   if not t.halted then begin
     (* A buffered rollback must be durable before a slot that follows it:
        flushing now puts it on the disk lane ahead of the slot, so no
@@ -350,7 +350,6 @@ let write_snapshot t (b : Rcc_storage.Snapshot.boundary) ~blocks ~replied =
     let seq = b.b_seq and kv = Option.value b.b_kv ~default:"" in
     let out, at =
       Rcc_storage.Snapshot.encode_around_kv ~header:snap_header_len b ~blocks
-        ~replied
     in
     let stop = Bytes.length out in
     ignore

@@ -102,14 +102,11 @@ val log_rollback : t -> frontier:Rcc_common.Ids.round -> unit
 val log_stable : t -> floor:Rcc_common.Ids.round -> unit
 
 val write_snapshot :
-  t ->
-  Rcc_storage.Snapshot.boundary ->
-  blocks:Rcc_storage.Block.t array ->
-  replied:Rcc_storage.Snapshot.replied ->
+  t -> Rcc_storage.Snapshot.boundary -> blocks:Rcc_storage.Block.t array ->
   unit
-(** Persist the checkpoint at a boundary (state after rounds [< b_seq],
-    with the ledger prefix [blocks] and the reply cache [replied]) into a
-    snapshot slot, charged to the disk lane like a flush. The slot holds
+(** Persist the checkpoint at a boundary (state after rounds [< b_seq]:
+    its KV section and reply cache, with the ledger prefix [blocks]) into
+    a snapshot slot, charged to the disk lane like a flush. The slot holds
     the boundary's encoded KV section by reference. A rollback record
     still buffered is flushed first, so it reaches the disk before the
     slot does. *)

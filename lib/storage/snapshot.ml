@@ -55,14 +55,21 @@ type boundary = {
   b_head : string;
   b_kv : string option;
   b_kv_digest : string Lazy.t;
+  b_replied : replied;
 }
 
-let boundary ~seq ~head ~kv =
+let boundary ~seq ~head ~kv ~replied =
   (match kv with
   | Some s when String.length s mod triple_size <> 0 ->
       invalid_arg "Snapshot.boundary: KV section not whole triples"
   | _ -> ());
-  { b_seq = seq; b_head = head; b_kv = kv; b_kv_digest = lazy (kv_section_digest kv) }
+  {
+    b_seq = seq;
+    b_head = head;
+    b_kv = kv;
+    b_kv_digest = lazy (kv_section_digest kv);
+    b_replied = replied;
+  }
 
 (* Walk the chain exactly as [Ledger.validate] does, but standalone — a
    requester must reject a forged prefix BEFORE installing it. Returns
@@ -131,12 +138,12 @@ let write_replied buf off replied =
 (* A boundary's state with [header] bytes reserved in front; the KV
    section is copied in when [with_kv], otherwise left out at the
    returned offset. *)
-let encode_boundary_into ~header ~with_kv b ~blocks ~replied =
+let encode_boundary_into ~header ~with_kv b ~blocks =
   let section = Option.value b.b_kv ~default:"" in
   let size =
     header + head_size blocks + kv_header_size b.b_kv
     + (if with_kv then String.length section else 0)
-    + replied_size replied
+    + replied_size b.b_replied
   in
   let buf = Bytes.create size in
   let triples =
@@ -146,22 +153,23 @@ let encode_boundary_into ~header ~with_kv b ~blocks ~replied =
     write_head buf header ~seq:b.b_seq ~blocks |> write_kv_header buf ~triples
   in
   let off = if with_kv then Wire.put_raw buf section at else at in
-  let stop = write_replied buf off replied in
+  let stop = write_replied buf off b.b_replied in
   assert (stop = size);
   (buf, at)
 
-let encode_boundary b ~blocks ~replied =
+let encode_boundary b ~blocks =
   Bytes.unsafe_to_string
-    (fst (encode_boundary_into ~header:0 ~with_kv:true b ~blocks ~replied))
+    (fst (encode_boundary_into ~header:0 ~with_kv:true b ~blocks))
 
 (* The head is not part of the encoding. *)
 let encode t =
   encode_boundary
-    (boundary ~seq:t.seq ~head:"" ~kv:(Option.map kv_section t.kv))
-    ~blocks:t.blocks ~replied:t.replied
+    (boundary ~seq:t.seq ~head:"" ~kv:(Option.map kv_section t.kv)
+       ~replied:t.replied)
+    ~blocks:t.blocks
 
-let encode_around_kv ~header b ~blocks ~replied =
-  encode_boundary_into ~header ~with_kv:false b ~blocks ~replied
+let encode_around_kv ~header b ~blocks =
+  encode_boundary_into ~header ~with_kv:false b ~blocks
 
 (* --- decode ------------------------------------------------------------- *)
 

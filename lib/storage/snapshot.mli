@@ -16,9 +16,13 @@
     digests and primaries are excluded from block identity, so the chain
     alone does not commit to it byte-for-byte. The reply cache is
     unattested, yet it does affect agreed state: it decides whether a
-    batch ordered again executes or is skipped as a duplicate. Its
-    entries carry no batch id, so the installer cannot rebuild which
-    batches the donor has already settled past eviction.
+    batch ordered again executes or is skipped as a duplicate. So it is
+    part of the capture: a {!boundary} holds the cache as it stood when
+    the boundary's last round committed, and a donor's blob and the
+    journal's slot both encode that one list, whatever the stable floor
+    evicted since. Its entries carry no batch id, so the installer still
+    cannot rebuild which batches the donor had settled past eviction
+    before the capture.
 
     Layout, in {!Rcc_common.Wire} framing: magic "RCCS1\n", [seq], the
     block count and one {!Block.write} record per block, a KV flag byte
@@ -73,16 +77,25 @@ type boundary = private {
           from the section and computed on first use: offers are rare,
           and digesting the table at every boundary would tax the
           fault-free hot path for nothing *)
+  b_replied : replied;
+      (** the duplicate-reply cache at the boundary: every entry the
+          execute stage held when it captured, first executed below
+          [b_seq] *)
 }
 (** One checkpoint boundary, captured once by the execute stage the
-    moment execution settles on it. State transfer serves it and the
-    durable journal persists it, so any two honest replicas capturing
-    the same boundary vouch for identical bytes. The ledger prefix and
-    duplicate-reply cache are not part of it: donors read them at serve
-    time. *)
+    moment execution settles on it: the one record of a checkpoint's
+    state. State transfer serves it and the durable journal persists
+    it, so any two honest replicas capturing the same boundary vouch for
+    identical bytes. Only the ledger prefix is not part of it: the chain
+    below [b_seq] is immutable until a rollback past it, which drops the
+    boundary, so donors and the journal read it from the ledger. *)
 
 val boundary :
-  seq:Rcc_common.Ids.round -> head:string -> kv:string option -> boundary
+  seq:Rcc_common.Ids.round ->
+  head:string ->
+  kv:string option ->
+  replied:replied ->
+  boundary
 (** Raises [Invalid_argument] when [kv] is not a whole number of
     triples. *)
 
@@ -91,7 +104,7 @@ val chain_head : primaries:Rcc_common.Ids.replica_id list -> Block.t array ->
 (** Head hash a standalone chain pins, walking it from the genesis
     derived from [primaries]; [Error] when rounds or links are broken. *)
 
-val encode_boundary : boundary -> blocks:Block.t array -> replied:replied -> string
+val encode_boundary : boundary -> blocks:Block.t array -> string
 (** The state at a boundary in one exact-size buffer, its KV section
     copied in as it is, never re-encoded: what a donor serves. *)
 
@@ -100,8 +113,7 @@ val encode : t -> string
     section first. For tests and tools; donors serve boundaries. *)
 
 val encode_around_kv :
-  header:int -> boundary -> blocks:Block.t array -> replied:replied ->
-  Bytes.t * int
+  header:int -> boundary -> blocks:Block.t array -> Bytes.t * int
 (** {!encode_boundary}'s bytes with [header] bytes reserved in front for
     the caller and the KV section's triples left out; returns the buffer
     and the offset where [b_kv] belongs. The journal splices the

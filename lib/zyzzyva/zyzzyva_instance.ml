@@ -264,8 +264,8 @@ let on_contract_reply t ~src ~max_seen ~reported =
 
 let fast_forward t ~proof =
   Leader.fast_forward t.lead ~proof;
-  (* Re-seed the speculative history chain from the attested state digest:
-     every replica installing this snapshot chains identically from here.
+  (* Re-seed the speculative history chain from the proof's chain head:
+     every replica installing this boundary chains identically from here.
      (Never-lagged peers keep their longer chain, so this replica's
      responses stop counting toward speculative certificates — clients
      fall back to the commit-certificate path, a liveness nuance only.) *)

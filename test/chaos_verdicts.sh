@@ -23,6 +23,7 @@ for args in \
   "--protocol multip --scenario-seed 7000021" \
   "--transfer" \
   "--transfer --exec-mode parallel" \
+  "--transfer --journal" \
   "--restart" \
   "--restart --exec-mode parallel"; do
   echo "## rcc_chaos $args"

@@ -875,7 +875,7 @@ let test_serial_boundary_settled () =
       p_rollback = (fun ~frontier:_ -> ());
       p_stable = (fun ~floor:_ -> ());
       p_snapshot =
-        (fun b ~blocks:_ ~replied:_ ->
+        (fun b ~blocks:_ ->
           captures :=
             ( b.Rcc_storage.Snapshot.b_seq,
               Rcc_storage.Ledger.length fx.t_ledger,

@@ -37,13 +37,13 @@ let expected =
     ("pbft fault-free",
      "702eac09505055a6e4d3133bf1ebfc27738ce19ea29de6e0034933be133e54b6");
     ("pbft dark",
-     "ce0f7b047680ffb3c0ef8dc418e027fa77741700c9605038fd722ab898df4be0");
+     "5ba11d7bd23d64ba249a0849c09a3db6bad0d6937697c8437a02530f87234dab");
     ("pbft crash:1",
      "1f44d2298e96c1660c5bf2211de39ddc39064a935631bfe9164beaa23e3541af");
     ("zyzzyva fault-free",
      "cffe50c03ad8c40e71740588c389d81ff690f7be9068a15deb22c5362337ab64");
     ("zyzzyva dark",
-     "3fc794397eb01ba07f7d643036d994d4df63f229b76805db27c2983fad953756");
+     "6c545019aecf72d6d01e6c2c4807b3d77925a5dc3d1cd84d7e87ef0bc7b3cdb1");
     ("zyzzyva crash:1",
      "21d82c69052d9aee0dffbae095ea198132607902f9bf51e12e382fd6c991f02d");
     ("hotstuff fault-free",
@@ -67,13 +67,13 @@ let expected =
     ("cft fault-free",
      "e50bc8c99734f141b366ac63e6d683799089884a42039c300316ae5ee699a816");
     ("cft dark",
-     "b7d82bb9161a6f3078babd9e93a3278073839c47beb6f0e6231fe6f13170439e");
+     "c2677809802c5cfeccf2a5242334b85124fba0c7dc09d6158efe20e96c26e884");
     ("cft crash:1",
      "21149eca5a6487f04ddad4274b4cc67615ea1a102a106b15bde225404a4499c6");
     ("multic fault-free",
      "3f6aec2390016d311b4a83f14bcb4b5b10d56cd2a57601e34fc91929dc24c0b2");
     ("multic dark",
-     "d75a003429424020e68823468fe8ebc49076f5fd7b49d180571960137a3eefb2");
+     "a2f04fcad8f62848d3e3159af1bcf92304fc598043dc1cb3271bb44e7f63f8c0");
     ("multic crash:1",
      "a7f30557ada9a79104f8d7d74e03066dd463dbc9b88d35c7e262a865ddf6cd1f");
   ]

@@ -70,7 +70,7 @@ let mk_rounds ~seed ?(speculative = false) n =
 
 (* A bare execute stage over fresh state, wired like the builder's (its
    store keeps the undo journal rollback replay depends on). *)
-let fresh_exec ?checkpoint_interval engine =
+let fresh_exec ?checkpoint_interval ?(respond = fun _ _ -> ()) engine =
   let ledger = Ledger.create ~primaries in
   let store = Kv.create () in
   let txn_table = Txn_table.create ~z:(List.length primaries) in
@@ -79,7 +79,7 @@ let fresh_exec ?checkpoint_interval engine =
       ~server:(Rcc_sim.Cpu.server engine ~name:"exec" ())
       ~z:(List.length primaries) ~self:0 ~store ~ledger ~txn_table
       ~current_primaries:(fun () -> primaries)
-      ~respond:(fun _ _ -> ())
+      ~respond
       ~metrics:
         (Rcc_replica.Metrics.create ~n:1 ~instances:(List.length primaries)
            ~warmup:0 ())
@@ -102,25 +102,29 @@ let persist_to j =
 let write_snap j (snap : Snapshot.t) =
   Journal.write_snapshot j
     (Snapshot.boundary ~seq:snap.seq ~head:""
-       ~kv:(Option.map Snapshot.kv_section snap.kv))
-    ~blocks:snap.blocks ~replied:snap.replied
+       ~kv:(Option.map Snapshot.kv_section snap.kv)
+       ~replied:snap.replied)
+    ~blocks:snap.blocks
 
 (* Recover a fresh incarnation's execute stage from [disk]. *)
-let recover_exec ?(engine = Engine.create ()) disk =
-  let ((exec, _, _, _) as fresh) = fresh_exec engine in
+let recover_exec ?(engine = Engine.create ()) ?respond disk =
+  let ((exec, _, _, _) as fresh) = fresh_exec ?respond engine in
   (Journal.recover ~engine ~self:0 ~disk ~exec ~primaries (), fresh)
 
 let recover_fresh disk =
   let rv, (_, ledger, store, txn_table) = recover_exec disk in
   (rv, ledger, store, txn_table)
 
+(* Simulated time that drains any workload these tests generate, which
+   leaves the clock short of [max_int] for later scheduling. *)
+let quiesce = Engine.of_seconds 60.
+
 (* The live reference: a fresh execute stage that executes [rounds] and
    runs to quiescence. *)
-let execute_live rounds =
-  let engine = Engine.create () in
-  let ((exec, _, _, _) as live) = fresh_exec engine in
+let execute_live ?(engine = Engine.create ()) ?respond rounds =
+  let ((exec, _, _, _) as live) = fresh_exec ?respond engine in
   List.iter (fun (_, slots) -> Array.iter (Exec.notify exec) slots) rounds;
-  Engine.run engine ~until:max_int;
+  Engine.run engine ~until:(Engine.now engine + quiesce);
   live
 
 (* The in-memory oracle: apply the batches directly, in (round, slot)
@@ -670,10 +674,35 @@ let test_round_record_digest_mismatch () =
 
 (* --- QCheck: random crash points ---------------------------------------- *)
 
+(* Order every durable batch once more, one round past the frontier per
+   durable round, and run to quiescence: the duplicate-reply cache must
+   answer each one from its first execution. Returns the replies sent,
+   as (client, round, result digest). *)
+let reorder_durable exec engine replies durable =
+  let frontier = List.length durable in
+  List.iter
+    (fun (round, slots) ->
+      Array.iter
+        (fun (a : Acceptance.t) ->
+          Exec.notify exec { a with Acceptance.round = frontier + round })
+        slots)
+    durable;
+  Engine.run engine ~until:(Engine.now engine + quiesce);
+  List.rev !replies
+
+let reply_log () =
+  let replies = ref [] in
+  let respond _ = function
+    | Rcc_messages.Msg.Response { client; round; result_digest; _ } ->
+        replies := (client, round, result_digest) :: !replies
+    | _ -> ()
+  in
+  (replies, respond)
+
 (* Recovery must rebuild what live execution of the durable prefix built:
    the oracle's KV state, and the live execute stage's ledger head,
-   txn-table rows and duplicate-reply cache (per-instance counts
-   included). *)
+   txn-table rows and duplicate-reply cache — per-instance counts, and
+   the answer it gives each durable batch ordered again. *)
 let prop_crash_point =
   qtest ~count:40 "replay == execution at random crash points"
     QCheck2.Gen.(
@@ -692,9 +721,16 @@ let prop_crash_point =
         (fun (round, slots) -> Journal.log_round j ~round ~primaries slots)
         lost;
       Journal.halt j;
-      let rv, (exec, ledger, store, txn_table) = recover_exec disk in
-      let live, live_ledger, _, live_table = execute_live durable in
-      let sorted_replies e = List.sort compare (Exec.replied_entries e) in
+      let recovered_engine = Engine.create () and live_engine = Engine.create () in
+      let recovered_replies, respond = reply_log () in
+      let rv, (exec, ledger, store, txn_table) =
+        recover_exec ~engine:recovered_engine ~respond disk
+      in
+      let live_replies, respond = reply_log () in
+      let live, live_ledger, live_store, live_table =
+        execute_live ~engine:live_engine ~respond durable
+      in
+      live_replies := [];
       rv.Journal.r_frontier = durable_n
       && Ledger.next_round ledger = durable_n
       && Result.is_ok (Ledger.validate ledger)
@@ -706,8 +742,13 @@ let prop_crash_point =
            (fun (round, _) ->
              Txn_table.find live_table ~round = Txn_table.find txn_table ~round)
            durable
-      && sorted_replies live = sorted_replies exec
-      && Exec.replied_retained live = Exec.replied_retained exec)
+      && Exec.replied_retained live = Exec.replied_retained exec
+      &&
+      let again = reorder_durable exec recovered_engine recovered_replies durable in
+      again = reorder_durable live live_engine live_replies durable
+      && List.length again = 2 * durable_n
+      && List.for_all (fun (_, round, _) -> round < durable_n) again
+      && String.equal (Kv.state_digest live_store) (Kv.state_digest store))
 
 (* A reply-cache entry rebuilt by replay keeps its batch id and instance,
    so once the stable floor evicts it, a retransmission of the batch that
@@ -725,7 +766,7 @@ let test_recovered_dedup_survives_eviction () =
   let disk = Sim_disk.create ~seed:12 in
   let live, live_ledger, live_store, _ = fresh_exec engine in
   let j = Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 () in
-  Exec.set_persist live { (persist_to j) with Exec.p_snapshot = (fun _ ~blocks:_ ~replied:_ -> ()) };
+  Exec.set_persist live { (persist_to j) with Exec.p_snapshot = (fun _ ~blocks:_ -> ()) };
   Array.iter (Exec.notify live) round0;
   Engine.run engine ~until:(Engine.ms 100);
   (* A fresh incarnation recovers from the disk. *)
@@ -784,13 +825,26 @@ let writer_ops ~seed ~len =
 
 (* The checkpoint a replica that executed [history] would capture. *)
 let snapshot_of history =
-  let exec, ledger, store, _ = execute_live history in
+  let _, ledger, store, _ = execute_live history in
   let seq = List.length history in
+  (* Generated batches never repeat, so the reply cache holds one entry
+     per batch: (client, digest, round, result digest). *)
+  let reply round (a : Acceptance.t) =
+    let digest = a.batch.Batch.digest in
+    ( a.batch.Batch.client,
+      digest,
+      round,
+      Rcc_crypto.Sha256.digest_list
+        [ digest; Rcc_common.Bytes_util.u64_string (Int64.of_int round) ] )
+  in
   {
     Snapshot.seq;
     blocks = Ledger.prefix ledger ~upto:seq;
     kv = Some (Kv.entries store);
-    replied = Exec.replied_entries exec;
+    replied =
+      List.concat_map
+        (fun (round, slots) -> Array.to_list (Array.map (reply round) slots))
+        history;
   }
 
 (* Drive the same writer sequence into a compacting disk and a shadow
@@ -1282,7 +1336,10 @@ let prop_spliced_snapshot =
         }
       in
       let section = Option.map (fun _ -> Snapshot.capture_kv store) kv in
-      let b = Snapshot.boundary ~seq:snap.seq ~head:"" ~kv:section in
+      let b =
+        Snapshot.boundary ~seq:snap.seq ~head:"" ~kv:section
+          ~replied:snap.replied
+      in
       let reference_digest =
         match kv with
         | None -> ""
@@ -1305,12 +1362,11 @@ let prop_spliced_snapshot =
       let j =
         Journal.attach ~engine ~costs:Costs.default ~disk ~self:0 ~primaries ()
       in
-      Journal.write_snapshot j b ~blocks:snap.blocks ~replied:snap.replied;
+      Journal.write_snapshot j b ~blocks:snap.blocks;
       Engine.run engine ~until:(Engine.now engine + Engine.ms 100);
       let encoded = Snapshot.encode snap in
       section = Option.map Snapshot.kv_section kv
-      && Snapshot.encode_boundary b ~blocks:snap.blocks ~replied:snap.replied
-         = encoded
+      && Snapshot.encode_boundary b ~blocks:snap.blocks = encoded
       && (match Sim_disk.snapshots disk with
          | [ (seq, blob) ] ->
              seq = snap.seq
