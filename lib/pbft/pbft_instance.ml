@@ -51,6 +51,15 @@ let stable_checkpoint t = Checkpointing.stable t.lead.Leader.ckpt
 let slot t seq = SL.get t.log seq
 let ph (s : phase SL.slot) = s.SL.state
 
+(* Forget a slot's progress in the current view: its votes and phase
+   flags. The batch and digest are the caller's to set. *)
+let reset_phase (p : phase) =
+  p.prepared <- false;
+  p.prepare_sent <- false;
+  p.commit_sent <- false;
+  Quorum.clear p.prepares;
+  Quorum.clear p.commits
+
 let prepared_round t ~round =
   match SL.find_opt t.log round with Some s -> (ph s).prepared | None -> false
 
@@ -243,11 +252,8 @@ let repropose_now t reproposals =
       let s = slot t seq in
       s.SL.batch <- Some batch;
       s.SL.digest <- Some batch.Batch.digest;
-      (ph s).prepared <- false;
-      (ph s).commit_sent <- false;
+      reset_phase (ph s);
       (ph s).prepare_sent <- true;
-      Quorum.clear (ph s).prepares;
-      Quorum.clear (ph s).commits;
       ignore (Quorum.vote (ph s).prepares t.env.Env.self);
       t.env.Env.broadcast
         (Msg.Pre_prepare { instance = t.env.Env.instance; view; seq; batch }))
@@ -280,10 +286,7 @@ let drop_unprepared t =
     | Some s when (not s.SL.accepted) && not (ph s).prepared ->
         s.SL.batch <- None;
         s.SL.digest <- None;
-        (ph s).prepare_sent <- false;
-        (ph s).commit_sent <- false;
-        Quorum.clear (ph s).prepares;
-        Quorum.clear (ph s).commits
+        reset_phase (ph s)
     | Some _ | None -> ()
   done
 
@@ -337,11 +340,7 @@ let on_new_view t ~src ~view reproposals =
         | Some s when not s.SL.accepted ->
             s.SL.batch <- None;
             s.SL.digest <- None;
-            (ph s).prepared <- false;
-            (ph s).prepare_sent <- false;
-            (ph s).commit_sent <- false;
-            Quorum.clear (ph s).prepares;
-            Quorum.clear (ph s).commits
+            reset_phase (ph s)
         | Some _ | None -> ());
         on_pre_prepare t ~src ~view ~seq batch)
       reproposals
