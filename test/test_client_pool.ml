@@ -1,15 +1,15 @@
-(* The flat-array client pool.
-
-   Two layers of coverage:
-   - Open-loop pool units: arrival accounting, drops at the in-flight
-     cap, stop silencing the arrival process, timeout-driven retries
-     (each at exactly its request's deadline) and the Zyzzyva
-     commit-certificate fallback.
-   - A QCheck parity property: closed-loop runs over the SoA pool must
-     produce the same completions, instance changes, request count and
-     engine event count as the frozen seed pool
-     ([Legacy_client_pool]) across random small configs and responder
-     behaviours. This is the in-tree twin of the perf-digest gate. *)
+(* The flat-array client pool, driven against replicas that answer only
+   when a test says so.
+   - Closed-loop units: each completion issues the next request, a stale
+     timeout does nothing, the resend count restarts with each request
+     and its instance change tells the new primary, and a Zyzzyva client
+     degrades to the commit-certificate path and heals.
+   - Open-loop units: arrival accounting, drops at the in-flight cap,
+     stop silencing the arrival process, timeout-driven retries (each at
+     exactly its request's deadline) and the commit-certificate fallback.
+   The closed loop's whole event schedule is pinned by the perf digests
+   (bench/simperf.digest, bench/simperf240.digest) and the golden report
+   pins (test golden). *)
 
 open Alcotest
 module Engine = Rcc_sim.Engine
@@ -93,6 +93,129 @@ let client_requests fx =
   List.filter
     (fun (_, m) -> match m with Msg.Client_request _ -> true | _ -> false)
     !(fx.requests)
+
+let newest_request fx =
+  match client_requests fx with
+  | (_, Msg.Client_request { batch; _ }) :: _ -> batch
+  | _ -> fail "no request on the wire"
+
+(* Replies from [replicas] to the newest request on the wire. *)
+let answer ?speculative fx ~n replicas =
+  let b = newest_request fx in
+  List.iter
+    (fun replica ->
+      respond fx ~n ~replica ~client:b.Rcc_messages.Batch.client
+        ~batch_id:b.Rcc_messages.Batch.id ?speculative ())
+    replicas
+
+let delivered_ids fx = List.map fst !(fx.deliveries)
+
+(* --- closed-loop pool ------------------------------------------------------ *)
+
+let test_closed_loop_next_request_and_stale_timeout () =
+  let n = 4 in
+  let fx = make_pool ~clients:1 ~request_timeout:(Engine.ms 20) () in
+  Client_pool.start fx.pool;
+  Engine.run fx.engine ~until:(Engine.ms 1);
+  answer fx ~n [ 0 ];
+  Engine.run fx.engine ~until:(Engine.ms 2);
+  check int "f replies are not enough" 0 (Client_pool.completed_batches fx.pool);
+  answer fx ~n [ 1 ];
+  Engine.run fx.engine ~until:(Engine.ms 3);
+  check int "f + 1 matching replies complete" 1
+    (Client_pool.completed_batches fx.pool);
+  check (list int) "the next request follows the completion" [ 1; 0 ]
+    (delivered_ids fx);
+  (* Batch 0's timeout fires at 20 ms with batch 1 outstanding; batch
+     1's own deadline is just past 22 ms. *)
+  Engine.run fx.engine ~until:(Engine.ms 22);
+  check (list int) "a stale timeout resends nothing" [ 1; 0 ] (delivered_ids fx);
+  Engine.run fx.engine ~until:(Engine.ms 23);
+  check (list int) "batch 1 resent at its own deadline" [ 1; 1; 0 ]
+    (delivered_ids fx)
+
+let test_closed_loop_instance_change () =
+  let n = 4 in
+  let fx = make_pool ~clients:1 ~request_timeout:(Engine.ms 20) () in
+  Client_pool.start fx.pool;
+  (* Batch 0 is resent once (20 ms), then completes. *)
+  Engine.run fx.engine ~until:(Engine.ms 25);
+  answer fx ~n [ 0; 1 ];
+  Engine.run fx.engine ~until:(Engine.ms 26);
+  check int "batch 0 completed" 1 (Client_pool.completed_batches fx.pool);
+  (* Batch 1 (sent at 25 ms) is resent at 45 ms: its first resend, not
+     the client's second, so no instance change yet. *)
+  Engine.run fx.engine ~until:(Engine.ms 50);
+  check int "resend count restarts with each request" 0
+    (Client_pool.instance_changes fx.pool);
+  (* The second resend (65 ms) defects to instance 1 (instance_change_after
+     = 2) and tells instance 1's primary, replica 1. *)
+  Engine.run fx.engine ~until:(Engine.ms 70);
+  check int "instance change after two resends" 1
+    (Client_pool.instance_changes fx.pool);
+  check int "client on instance 1" 1 (Client_pool.client_instance fx.pool 0);
+  let notices =
+    List.filter_map
+      (function
+        | dst, Msg.Instance_change { client; instance } ->
+            Some (dst, client, instance)
+        | _ -> None)
+      !(fx.requests)
+  in
+  check (list (triple int int int)) "notice to the new primary" [ (1, 0, 1) ]
+    notices;
+  check int "resend to the new primary" 1 (fst (List.hd (client_requests fx)))
+
+let test_closed_loop_degraded_client () =
+  let n = 4 in
+  let fx =
+    make_pool ~quorum:Client_pool.All_n_speculative ~clients:1
+      ~request_timeout:(Engine.ms 20) ()
+  in
+  let certs () =
+    List.filter_map
+      (function _, Msg.Commit_cert cc -> Some cc | _ -> None)
+      !(fx.requests)
+  in
+  let local_commit replica =
+    let msg = Msg.Local_commit { instance = 0; seq = 0; client = 0 } in
+    Net.send fx.net ~src:replica ~dst:n ~size:(Msg.size msg) msg
+  in
+  Client_pool.start fx.pool;
+  (* Batch 0: 2f + 1 = 3 of 4 speculative replies, then the timeout
+     degrades the client and broadcasts a commit certificate. *)
+  Engine.run fx.engine ~until:(Engine.ms 1);
+  answer ~speculative:true fx ~n [ 0; 1; 2 ];
+  Engine.run fx.engine ~until:(Engine.ms 19);
+  check int "no certificate before the timeout" 0 (List.length (certs ()));
+  Engine.run fx.engine ~until:(Engine.ms 21);
+  check int "certificate to all n" n (List.length (certs ()));
+  List.iter
+    (fun cc ->
+      check int "certificate at the replies' round" 0 cc.Msg.cc_seq;
+      check (list int) "certificate names the quorum" [ 0; 1; 2 ]
+        cc.Msg.cc_replicas)
+    (certs ());
+  local_commit 0;
+  local_commit 1;
+  Engine.run fx.engine ~until:(Engine.ms 22);
+  check int "2f acks are not enough" 0 (Client_pool.completed_batches fx.pool);
+  local_commit 2;
+  Engine.run fx.engine ~until:(Engine.ms 23);
+  check int "2f + 1 acks complete" 1 (Client_pool.completed_batches fx.pool);
+  (* Batch 1, degraded: the certificate goes out at 2f + 1 replies,
+     without waiting for the timeout. *)
+  answer ~speculative:true fx ~n [ 0; 1; 2 ];
+  Engine.run fx.engine ~until:(Engine.ms 24);
+  check int "degraded: certificate at once" (2 * n) (List.length (certs ()));
+  (* The straggler's reply closes the all-n set: complete, and healed. *)
+  answer ~speculative:true fx ~n [ 3 ];
+  Engine.run fx.engine ~until:(Engine.ms 25);
+  check int "all n replies complete" 2 (Client_pool.completed_batches fx.pool);
+  (* Batch 2, healed: 2f + 1 replies wait for the rest again. *)
+  answer ~speculative:true fx ~n [ 0; 1; 2 ];
+  Engine.run fx.engine ~until:(Engine.ms 30);
+  check int "healed: no early certificate" (2 * n) (List.length (certs ()))
 
 (* --- open-loop pool -------------------------------------------------------- *)
 
@@ -258,209 +381,15 @@ let test_open_loop_commit_cert_fallback () =
   check int "completed via commit path" 1
     (Client_pool.completed_batches fx.pool)
 
-(* --- closed-loop parity with the frozen seed pool -------------------------- *)
-
-(* Both pools run in their own world against the same deterministic
-   responder: replica [r] answers batch [id] iff
-   [(id * 31 + r * 17 + salt) mod 8 < level]. Low levels starve quorums
-   (exercising timeouts, resends, instance changes, the Zyzzyva
-   commit-certificate fallback); high levels complete everything. *)
-type responder = { salt : int; level : int; ack_level : int }
-
-let responds rsp ~replica ~batch_id =
-  ((batch_id * 31) + (replica * 17) + rsp.salt) mod 8 < rsp.level
-
-let acks rsp ~replica ~seq = ((seq * 13) + (replica * 7) + rsp.salt) mod 8 < rsp.ack_level
-
-type params = {
-  n : int;
-  clients : int;
-  speculative : bool;
-  timeout_ms : int;
-  seed : int;
-  rsp : responder;
-}
-
-(* Replica handlers shared by both worlds: respond to requests and acks
-   per the responder tables, everything decided by (batch id, replica) so
-   the two runs see byte-identical traffic. *)
-let install_responders net ~p ~count =
-  for replica = 0 to p.n - 1 do
-    Net.register net replica (fun ~src ~size:_ msg ->
-        match msg with
-        | Msg.Client_request { batch; _ } ->
-            incr count;
-            for r = 0 to p.n - 1 do
-              if responds p.rsp ~replica:r ~batch_id:batch.Rcc_messages.Batch.id
-              then begin
-                let reply =
-                  Msg.Response
-                    {
-                      client = batch.Rcc_messages.Batch.client;
-                      batch_id = batch.Rcc_messages.Batch.id;
-                      round = 0;
-                      result_digest = "ok";
-                      txn_count = Rcc_messages.Batch.txn_count batch;
-                      speculative = p.speculative;
-                      history = "";
-                    }
-                in
-                Net.send net ~src:replica ~dst:src ~size:(Msg.size reply) reply
-              end
-            done
-        | Msg.Commit_cert cc ->
-            if acks p.rsp ~replica ~seq:cc.Msg.cc_seq then begin
-              let reply =
-                Msg.Local_commit
-                  {
-                    instance = cc.Msg.cc_instance;
-                    seq = cc.Msg.cc_seq;
-                    client = cc.Msg.cc_client;
-                  }
-              in
-              Net.send net ~src:replica ~dst:src ~size:(Msg.size reply) reply
-            end
-        | _ -> ())
-  done
-
-type outcome = {
-  completed : int;
-  changes : int;
-  requests : int;
-  events : int;
-}
-
-let world_config p =
-  ( Engine.create (),
-    fun engine ->
-      Net.create engine ~nodes:(p.n + 1) ~latency:(Engine.us 10) ~jitter:0
-        ~gbps:10.0
-        ~rng:(Rcc_common.Rng.create 3)
-        () )
-
-let run_new p ~until =
-  let engine, mknet = world_config p in
-  let net = mknet engine in
-  let count = ref 0 in
-  install_responders net ~p ~count;
-  let keychain = Rcc_crypto.Keychain.create ~seed:8 ~n:p.n ~clients:p.clients in
-  let metrics = Metrics.create ~n:p.n ~warmup:0 () in
-  let pool =
-    Client_pool.create ~engine ~net ~keychain ~metrics
-      ~primary_of_instance:(fun i -> i mod p.n)
-      {
-        Client_pool.n = p.n;
-        f = (p.n - 1) / 3;
-        z = 2;
-        clients = p.clients;
-        machines = 1;
-        batch_size = 3;
-        quorum =
-          (if p.speculative then Client_pool.All_n_speculative
-           else Client_pool.Majority_fplus1);
-        request_timeout = Engine.ms p.timeout_ms;
-        instance_change_after = 2;
-        first_node = p.n;
-        records = 100;
-        write_ratio = 0.9;
-        theta = 0.5;
-        seed = p.seed;
-        arrival = Client_pool.Closed_loop;
-      }
-  in
-  Client_pool.start pool;
-  Engine.run engine ~until;
-  (* requests_sent counts sends; the wire count can lag by messages
-     still in flight when the clock stops. *)
-  check bool "requests_sent covers the wire" true
-    (Client_pool.requests_sent pool >= !count);
-  {
-    completed = Client_pool.completed_batches pool;
-    changes = Client_pool.instance_changes pool;
-    requests = !count;
-    events = Engine.events_processed engine;
-  }
-
-let run_legacy p ~until =
-  let engine, mknet = world_config p in
-  let net = mknet engine in
-  (* The frozen pool predates [requests_sent]; both worlds count
-     delivered Client_requests at the replica handlers instead. *)
-  let count = ref 0 in
-  install_responders net ~p ~count;
-  let keychain = Rcc_crypto.Keychain.create ~seed:8 ~n:p.n ~clients:p.clients in
-  let metrics = Metrics.create ~n:p.n ~warmup:0 () in
-  let pool =
-    Legacy_client_pool.create ~engine ~net ~keychain ~metrics
-      ~primary_of_instance:(fun i -> i mod p.n)
-      {
-        Legacy_client_pool.n = p.n;
-        f = (p.n - 1) / 3;
-        z = 2;
-        clients = p.clients;
-        machines = 1;
-        batch_size = 3;
-        quorum =
-          (if p.speculative then Legacy_client_pool.All_n_speculative
-           else Legacy_client_pool.Majority_fplus1);
-        request_timeout = Engine.ms p.timeout_ms;
-        instance_change_after = 2;
-        first_node = p.n;
-        records = 100;
-        write_ratio = 0.9;
-        theta = 0.5;
-        seed = p.seed;
-      }
-  in
-  Legacy_client_pool.start pool;
-  Engine.run engine ~until;
-  {
-    completed = Legacy_client_pool.completed_batches pool;
-    changes = Legacy_client_pool.instance_changes pool;
-    requests = !count;
-    events = Engine.events_processed engine;
-  }
-
-let gen_params =
-  QCheck2.Gen.(
-    let* n = oneofl [ 4; 7 ] in
-    let* clients = int_range 1 5 in
-    let* speculative = bool in
-    let* timeout_ms = int_range 15 60 in
-    let* seed = int_range 0 1000 in
-    let* salt = int_range 0 100 in
-    let* level = int_range 2 8 in
-    let+ ack_level = int_range 4 8 in
-    { n; clients; speculative; timeout_ms; seed; rsp = { salt; level; ack_level } })
-
-let pp_params p =
-  Printf.sprintf
-    "{n=%d clients=%d spec=%b timeout=%dms seed=%d salt=%d level=%d ack=%d}"
-    p.n p.clients p.speculative p.timeout_ms p.seed p.rsp.salt p.rsp.level
-    p.rsp.ack_level
-
-let parity_prop p =
-  let until = Engine.ms 400 in
-  let a = run_new p ~until and b = run_legacy p ~until in
-  if
-    a.completed = b.completed && a.changes = b.changes
-    && a.requests = b.requests && a.events = b.events
-  then true
-  else
-    QCheck2.Test.fail_reportf
-      "%s: new (done=%d chg=%d req=%d ev=%d) vs legacy (done=%d chg=%d req=%d \
-       ev=%d)"
-      (pp_params p) a.completed a.changes a.requests a.events b.completed
-      b.changes b.requests b.events
-
-let parity_test =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:30
-       ~name:"closed-loop SoA pool == frozen seed pool" gen_params parity_prop)
-
 let suite =
   ( "client_pool",
     [
+      test_case "closed loop: next request, stale timeout" `Quick
+        test_closed_loop_next_request_and_stale_timeout;
+      test_case "closed loop: resends and instance change" `Quick
+        test_closed_loop_instance_change;
+      test_case "closed loop: degraded client heals" `Quick
+        test_closed_loop_degraded_client;
       test_case "open loop: arrivals inject and drop" `Quick
         test_open_loop_arrivals_inject;
       test_case "open loop: in-flight cap" `Quick
@@ -475,5 +404,4 @@ let suite =
         test_open_loop_resend_at_exact_deadline;
       test_case "open loop: commit-certificate fallback" `Quick
         test_open_loop_commit_cert_fallback;
-      parity_test;
     ] )
