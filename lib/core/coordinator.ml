@@ -59,7 +59,7 @@ type t = {
   certs : Msg.blame_vote list array;
   stale_accusers : Bitset.t;  (* accusers of rounds we already executed *)
   mutable pending_replace : (round * instance_id) list;  (* sorted *)
-  mutable collusion_timer : Engine.timer option;
+  mutable collusion_armed : bool;  (* an evaluation is scheduled *)
   mutable replacements : int;
   mutable shifts : int;
   contracts : Contract.tally;  (* peers' reports of contract entries *)
@@ -87,7 +87,7 @@ let create cfg ~engine ~keychain ~handles ~exec ~metrics ~broadcast ~send =
     certs = Array.make cfg.z [];
     stale_accusers = Bitset.create cfg.n;
     pending_replace = [];
-    collusion_timer = None;
+    collusion_armed = false;
     replacements = 0;
     shifts = 0;
     contracts = Contract.tally ~n:cfg.n ~f:cfg.f ~z:cfg.z ~self:cfg.self;
@@ -288,22 +288,17 @@ let on_collusion_detected t =
       List.iter (fun round -> broadcast_contract t ~round) (stalled_rounds t)
   | View_shift -> view_shift t
 
-let collusion_pending t =
-  match t.collusion_timer with
-  | Some timer -> Engine.timer_pending timer
-  | None -> false
+let collusion_pending t = t.collusion_armed
 
 let rec arm_collusion_timer t =
-  match t.collusion_timer with
-  | Some timer when Engine.timer_pending timer -> ()
-  | Some _ | None ->
-      t.collusion_timer <-
-        Some
-          (Engine.timer_after t.engine t.cfg.collusion_wait (fun () ->
-               evaluate_collusion t))
+  if not t.collusion_armed then begin
+    t.collusion_armed <- true;
+    Engine.schedule_after t.engine t.cfg.collusion_wait (fun () ->
+        evaluate_collusion t)
+  end
 
 and evaluate_collusion t =
-  t.collusion_timer <- None;
+  t.collusion_armed <- false;
   let strongest = Array.fold_left (fun m b -> max m (Bitset.count b)) 0 t.blames in
   let accusers = distinct_accusers t in
   if accusers >= t.cfg.f + 1 && strongest < t.cfg.f + 1 then begin

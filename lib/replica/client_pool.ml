@@ -162,20 +162,16 @@ let issue_request t c =
   t.out_commit_acks.(c) <- None;
   batch
 
-(* --- timeouts (one engine timer per request) ---------------------------- *)
+(* --- timeouts (one engine event per request) ---------------------------- *)
 
-(* Both modes arm one timer per request and never cancel it: a fired
-   timer checks the generation it was armed for and does nothing when
-   stale. This matches the seed pool's event schedule exactly — there,
-   [complete] cancelled its timer, but a cancelled timer still occupies
-   its heap slot and fires as a counted no-op at the same instant — so
-   the determinism digest is preserved while the pool stops keeping
-   per-client timer handles altogether. *)
+(* Both modes schedule one timeout event per request and never withdraw
+   it: the event carries the generation it was armed for and does
+   nothing when that request has since completed or been reissued, so
+   the pool keeps no per-client timer handle. *)
 let rec arm_timer t c =
   let g = t.gen.(c) in
-  ignore
-    (Engine.timer_after t.engine t.cfg.request_timeout (fun () ->
-         on_timeout t c g))
+  Engine.schedule_after t.engine t.cfg.request_timeout (fun () ->
+      on_timeout t c g)
 
 and on_timeout t c g =
   if t.gen.(c) = g && not t.stopped then
@@ -251,12 +247,11 @@ let rec complete t c =
 and send_next t c =
   if not t.stopped then begin
     let batch = issue_request t c in
-    (* The seed pool initialized each request's timer field with a dummy
-       zero-delay timer it cancelled immediately; the cancelled slot
-       still fired as a counted no-op event. Keep the same push so the
-       closed-loop event schedule — and the report digest — is
-       byte-identical. *)
-    Engine.cancel (Engine.timer_after t.engine 0 (fun () -> ()));
+    (* A zero-delay no-op event per closed-loop request. It changes no
+       modeled number, but the perf digests, the golden report pins and
+       the crash-under-load gate were recorded with it in the event
+       schedule; it goes when those are next re-recorded. *)
+    Engine.schedule_after t.engine 0 ignore;
     send_request t c batch;
     arm_timer t c
   end

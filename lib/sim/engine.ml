@@ -14,12 +14,6 @@ type t = {
   mutable tracer : Rcc_trace.Recorder.t option;
 }
 
-(* The pending action lives in the timer, not in the heap slot: [cancel]
-   drops it immediately, so whatever state the closure captured is not
-   retained until the (possibly far-off) fire time. The heap keeps only
-   the small forwarding closure over the timer itself. *)
-type timer = { mutable action : (unit -> unit) option }
-
 let no_op () = ()
 
 let create () =
@@ -49,19 +43,6 @@ let schedule_at t at f =
 
 let schedule_after t delay f =
   schedule_at t (t.now + if delay < 0 then 0 else delay) f
-
-let timer_after t delay f =
-  let tm = { action = Some f } in
-  schedule_after t delay (fun () ->
-      match tm.action with
-      | None -> ()
-      | Some f ->
-          tm.action <- None;
-          f ());
-  tm
-
-let cancel tm = tm.action <- None
-let timer_pending tm = Option.is_some tm.action
 
 let run t ~until =
   let q = t.queue in

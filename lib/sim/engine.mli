@@ -2,7 +2,13 @@
 
     Time is simulated nanoseconds carried in an OCaml [int] (63 bits spans
     ~292 simulated years). Events with equal timestamps fire in insertion
-    order, so runs are fully deterministic. *)
+    order, so runs are fully deterministic.
+
+    There is one scheduling primitive: push a closure to run at a time
+    ({!schedule_at}, {!schedule_after}). A scheduled event cannot be
+    cancelled; a component that may no longer want it checks its own
+    state when it fires (the client pool's per-client generation, the
+    coordinator's armed flag). *)
 
 type time = int
 (** Simulated nanoseconds since the start of the run. *)
@@ -41,18 +47,7 @@ val schedule_at : t -> time -> (unit -> unit) -> unit
 (** Schedule an event. Scheduling in the past raises [Invalid_argument]. *)
 
 val schedule_after : t -> time -> (unit -> unit) -> unit
-
-type timer
-(** A cancellable one-shot timer. *)
-
-val timer_after : t -> time -> (unit -> unit) -> timer
-
-val cancel : timer -> unit
-(** Cancelling releases the timer's callback immediately (the heap slot
-    keeps only a small forwarding closure until the fire time), so state
-    captured by frequently re-armed timers is not retained. *)
-
-val timer_pending : timer -> bool
+(** [schedule_after t d f] is [schedule_at t (now t + max 0 d) f]. *)
 
 val run : t -> until:time -> unit
 (** Process events in timestamp order until the queue is empty or the next

@@ -327,6 +327,25 @@ let test_collusion_redetects_after_recovery () =
   check Alcotest.int "second episode detected" 2
     (Rcc_replica.Metrics.collusions_detected fx.metrics)
 
+(* One evaluation per collusion window: blames arriving while a window
+   is armed join it and schedule nothing. A window opened at 0 ms
+   evaluates at 10 ms, inconclusive with two accusers, and re-arms for
+   20 ms; a third accuser at 12 ms must wait for that evaluation, not
+   meet one that the 5 ms blame scheduled for 15 ms. *)
+let test_collusion_window_evaluates_once () =
+  let fx = make ~collusion_wait:(Engine.ms 10) () in
+  let detected () = Rcc_replica.Metrics.collusions_detected fx.metrics in
+  blame fx ~src:3 ~instance:1 ~blamed:1 ~round:0;
+  Engine.run fx.engine ~until:(Engine.ms 5);
+  blame fx ~src:4 ~instance:2 ~blamed:2 ~round:0;
+  Engine.run fx.engine ~until:(Engine.ms 12);
+  check Alcotest.int "inconclusive at 10 ms" 0 (detected ());
+  blame fx ~src:5 ~instance:0 ~blamed:0 ~round:0;
+  Engine.run fx.engine ~until:(Engine.ms 19);
+  check Alcotest.int "no evaluation before the window ends" 0 (detected ());
+  Engine.run fx.engine ~until:(Engine.ms 21);
+  check Alcotest.int "detected when the re-armed window ends" 1 (detected ())
+
 let test_view_shift_recovery () =
   let fx = make ~recovery:Coordinator.View_shift () in
   fill_round fx ~z:3 ~round:0 ~except:1;
@@ -1070,6 +1089,8 @@ let suite =
         test_lemma_5_1_order_independence;
       Alcotest.test_case "collusion detection" `Quick
         test_collusion_detected_on_spread_blames;
+      Alcotest.test_case "collusion window evaluates once" `Quick
+        test_collusion_window_evaluates_once;
       Alcotest.test_case "no collusion below f+1" `Quick test_no_collusion_below_threshold;
       Alcotest.test_case "collusion re-detection" `Quick
         test_collusion_redetects_after_recovery;

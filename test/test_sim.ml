@@ -45,16 +45,6 @@ let test_engine_nested_schedule () =
   Engine.run engine ~until:100;
   check Alcotest.int "nested event at 15" 15 !fired
 
-let test_timer_cancel () =
-  let engine = Engine.create () in
-  let fired = ref false in
-  let timer = Engine.timer_after engine 10 (fun () -> fired := true) in
-  check Alcotest.bool "pending" true (Engine.timer_pending timer);
-  Engine.cancel timer;
-  Engine.run engine ~until:100;
-  check Alcotest.bool "cancelled timer silent" false !fired;
-  check Alcotest.bool "not pending" false (Engine.timer_pending timer)
-
 let test_engine_units () =
   check Alcotest.int "us" 1_000 (Engine.us 1);
   check Alcotest.int "ms" 1_000_000 (Engine.ms 1);
@@ -334,7 +324,6 @@ let suite =
       Alcotest.test_case "engine tie fifo" `Quick test_engine_tie_fifo;
       Alcotest.test_case "engine rejects past" `Quick test_engine_past_rejected;
       Alcotest.test_case "engine nested" `Quick test_engine_nested_schedule;
-      Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
       Alcotest.test_case "engine units" `Quick test_engine_units;
       Alcotest.test_case "cpu fifo" `Quick test_cpu_fifo_queueing;
       Alcotest.test_case "cpu idle gap" `Quick test_cpu_idle_gap;
