@@ -65,10 +65,9 @@ type open_loop = {
 (* Per-client state lives in parallel arrays (struct-of-arrays), not one
    heap record per client: at 1M clients the pool's resident footprint is
    a handful of words per client, and idle clients touch nothing but
-   their array slots. The seed's per-request [outstanding] record becomes
-   the [out_*] columns; its physical-equality staleness guard becomes the
-   [gen] counter (bumped per issued request), which timeout callbacks
-   carry and re-check on fire. *)
+   their array slots. The outstanding request lives in the [out_*]
+   columns; the [gen] counter (bumped per issued request) is what
+   timeout events carry and re-check on fire. *)
 type t = {
   engine : Engine.t;
   net : Msg.t Net.t;

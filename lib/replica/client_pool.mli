@@ -6,19 +6,18 @@
 
     - {b Closed loop} (the default, and the paper's §7 methodology): each
       logical client keeps exactly one batched request outstanding,
-      sending the next the moment the previous completes. Closed-loop
-      runs are event-for-event identical to the seed pool, which the
-      perf-digest determinism gate relies on.
+      sending the next the moment the previous completes. The perf
+      digests and the golden report pins fix its event schedule.
     - {b Open loop} ([Open_loop]): requests arrive at a configured
       offered load (txn/s) under a deterministic Poisson or uniform
       process, each arrival claiming the longest-idle client. Arrivals
       beyond [max_in_flight] (or when every client is busy) are counted
       as drops, not queued.
 
-    Both modes time a request out the same way: one engine timer per
-    request, armed when it is sent (and re-armed on each resend), firing
-    exactly [request_timeout] later and ignored if the request has
-    completed by then.
+    Both modes time a request out the same way: one engine event per
+    request, scheduled when it is sent (and again on each resend),
+    firing exactly [request_timeout] later and ignored if the request
+    has completed by then.
 
     Requests go to the primary of the client's assigned instance (§3.1
     client-replica mapping: client [c] is served by instance [c mod z])

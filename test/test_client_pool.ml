@@ -73,22 +73,6 @@ let make_pool ?(quorum = Client_pool.Majority_fplus1) ?(n = 4)
   in
   { engine; net; pool; requests; deliveries }
 
-let respond fx ~n ~replica ~client ~batch_id ?(digest = "same")
-    ?(speculative = false) () =
-  let msg =
-    Msg.Response
-      {
-        client;
-        batch_id;
-        round = 0;
-        result_digest = digest;
-        txn_count = 5;
-        speculative;
-        history = "";
-      }
-  in
-  Net.send fx.net ~src:replica ~dst:n ~size:(Msg.size msg) msg
-
 let client_requests fx =
   List.filter
     (fun (_, m) -> match m with Msg.Client_request _ -> true | _ -> false)
@@ -99,16 +83,36 @@ let newest_request fx =
   | (_, Msg.Client_request { batch; _ }) :: _ -> batch
   | _ -> fail "no request on the wire"
 
-(* Replies from [replicas] to the newest request on the wire. *)
-let answer ?speculative fx ~n replicas =
+(* Matching replies (round 0) from [replicas] to the newest request on
+   the wire. *)
+let answer ?(speculative = false) fx ~n replicas =
   let b = newest_request fx in
+  let msg =
+    Msg.Response
+      {
+        client = b.Rcc_messages.Batch.client;
+        batch_id = b.Rcc_messages.Batch.id;
+        round = 0;
+        result_digest = "same";
+        txn_count = 5;
+        speculative;
+        history = "";
+      }
+  in
   List.iter
-    (fun replica ->
-      respond fx ~n ~replica ~client:b.Rcc_messages.Batch.client
-        ~batch_id:b.Rcc_messages.Batch.id ?speculative ())
+    (fun replica -> Net.send fx.net ~src:replica ~dst:n ~size:(Msg.size msg) msg)
     replicas
 
 let delivered_ids fx = List.map fst !(fx.deliveries)
+
+let certs fx =
+  List.filter_map
+    (function _, Msg.Commit_cert cc -> Some cc | _ -> None)
+    !(fx.requests)
+
+let local_commit fx ~n ~client replica =
+  let msg = Msg.Local_commit { instance = 0; seq = 0; client } in
+  Net.send fx.net ~src:replica ~dst:n ~size:(Msg.size msg) msg
 
 (* --- closed-loop pool ------------------------------------------------------ *)
 
@@ -172,15 +176,7 @@ let test_closed_loop_degraded_client () =
     make_pool ~quorum:Client_pool.All_n_speculative ~clients:1
       ~request_timeout:(Engine.ms 20) ()
   in
-  let certs () =
-    List.filter_map
-      (function _, Msg.Commit_cert cc -> Some cc | _ -> None)
-      !(fx.requests)
-  in
-  let local_commit replica =
-    let msg = Msg.Local_commit { instance = 0; seq = 0; client = 0 } in
-    Net.send fx.net ~src:replica ~dst:n ~size:(Msg.size msg) msg
-  in
+  let certs () = certs fx and local_commit = local_commit fx ~n ~client:0 in
   Client_pool.start fx.pool;
   (* Batch 0: 2f + 1 = 3 of 4 speculative replies, then the timeout
      degrades the client and broadcasts a commit certificate. *)
@@ -259,13 +255,7 @@ let test_open_loop_completion_frees_client () =
   let fx = make_pool ~arrival:(open_loop ~rate:500.0 ~max_in_flight:1 ()) () in
   Client_pool.start fx.pool;
   Engine.run fx.engine ~until:(Engine.ms 15);
-  (match client_requests fx with
-  | (_, Msg.Client_request { batch; _ }) :: _ ->
-      respond fx ~n ~replica:0 ~client:batch.Rcc_messages.Batch.client
-        ~batch_id:batch.Rcc_messages.Batch.id ();
-      respond fx ~n ~replica:1 ~client:batch.Rcc_messages.Batch.client
-        ~batch_id:batch.Rcc_messages.Batch.id ()
-  | _ -> fail "no first arrival on the wire");
+  answer fx ~n [ 0; 1 ];
   Engine.run fx.engine ~until:(Engine.ms 60);
   check int "first batch completed" 1 (Client_pool.completed_batches fx.pool);
   let s = stats fx in
@@ -288,7 +278,7 @@ let test_open_loop_stop_silences_arrivals () =
 let test_open_loop_wheel_retries_and_instance_change () =
   (* Nobody answers: request timeouts must resend and, after
      instance_change_after = 2 resends, defect to the other instance —
-     the same policy the closed-loop engine timers implement. *)
+     the same policy as the closed loop. *)
   let fx =
     make_pool ~request_timeout:(Engine.ms 20)
       ~arrival:(open_loop ~rate:100.0 ())
@@ -355,28 +345,11 @@ let test_open_loop_commit_cert_fallback () =
   in
   Client_pool.start fx.pool;
   Engine.run fx.engine ~until:(Engine.ms 8);
-  let client, batch_id =
-    match client_requests fx with
-    | (_, Msg.Client_request { batch; _ }) :: _ ->
-        (batch.Rcc_messages.Batch.client, batch.Rcc_messages.Batch.id)
-    | _ -> fail "no first arrival on the wire"
-  in
-  List.iter
-    (fun replica ->
-      respond fx ~n ~replica ~client ~batch_id ~speculative:true ())
-    [ 0; 1; 2 ];
+  let client = (newest_request fx).Rcc_messages.Batch.client in
+  answer ~speculative:true fx ~n [ 0; 1; 2 ];
   Engine.run fx.engine ~until:(Engine.ms 40);
-  let certs =
-    List.filter
-      (fun (_, m) -> match m with Msg.Commit_cert _ -> true | _ -> false)
-      !(fx.requests)
-  in
-  check int "commit cert broadcast to all n" n (List.length certs);
-  List.iter
-    (fun replica ->
-      let msg = Msg.Local_commit { instance = 0; seq = 0; client } in
-      Net.send fx.net ~src:replica ~dst:n ~size:(Msg.size msg) msg)
-    [ 0; 1; 2 ];
+  check int "commit cert broadcast to all n" n (List.length (certs fx));
+  List.iter (local_commit fx ~n ~client) [ 0; 1; 2 ];
   Engine.run fx.engine ~until:(Engine.ms 100);
   check int "completed via commit path" 1
     (Client_pool.completed_batches fx.pool)
