@@ -18,7 +18,7 @@
    - report_digest         SHA-256 over the deterministic report fields
                            (excludes wall time), the fixed-seed determinism
                            fingerprint CI compares against bench/simperf.digest
-   - heap/net/codec/journal/conflict/snapshot microbench rows (ns/op,
+   - heap/engine/net/codec/journal/conflict/snapshot microbench rows (ns/op,
      words/op and SHA-256 blocks/op), and the disk-footprint, kv-store and
      round-history rows (build ns and footprint words)
 
@@ -181,6 +181,42 @@ let bench_net ~rules =
   let per = 15.0 in
   {
     m_name = (if rules then "net-send-3rules" else "net-send-0rules");
+    m_ns = ns /. per;
+    m_words = words /. per;
+    m_blocks = blocks /. per;
+  }
+
+(* Engine schedule + run at a fixed live population: 350 events that
+   each re-schedule themselves 1-1000 ns ahead when they fire (about the
+   pending set of a rated cluster), once alone and once above 2 500
+   entries due 15 s out that never fire within the measurement — the
+   completed open-loop requests' client timeouts a run leaves in the
+   heap. One op = one event fired and re-scheduled. *)
+let bench_engine ~dead =
+  let engine = Engine.create () in
+  let live = 350 in
+  let delays = Array.init live (fun i -> 1 + (i * 7919 mod 1000)) in
+  let rec fire i () = Engine.schedule_after engine delays.(i) (fire i) in
+  for i = 0 to live - 1 do
+    Engine.schedule_after engine delays.(i) (fire i)
+  done;
+  for _ = 1 to dead do
+    Engine.schedule_after engine (Engine.s 15) ignore
+  done;
+  let events0 = Engine.events_processed engine in
+  let iters = 200 in
+  let ns, words, blocks =
+    measure ~iters (fun () ->
+        Engine.run engine ~until:(Engine.now engine + Engine.us 5))
+  in
+  let per =
+    float_of_int (Engine.events_processed engine - events0)
+    /. float_of_int iters
+  in
+  {
+    m_name =
+      (if dead = 0 then "engine-schedule-run"
+       else Printf.sprintf "engine-schedule-run-%ddead" dead);
     m_ns = ns /. per;
     m_words = words /. per;
     m_blocks = blocks /. per;
@@ -675,6 +711,8 @@ let () =
         bench_heap ();
         bench_net ~rules:false;
         bench_net ~rules:true;
+        bench_engine ~dead:0;
+        bench_engine ~dead:2_500;
         bench_codec ();
         bench_msg_size ();
         bench_journal ();

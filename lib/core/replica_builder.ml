@@ -468,34 +468,71 @@ let create (module P : Rcc_replica.Instance_intf.S) ~engine ~net ~keychain
   install_route t;
   t
 
-(* How often the liveness monitor looks, and how long the execute thread
-   may stall on an instance this replica leads before it proposes a null
-   batch there. *)
+(* How often the liveness monitor's tick runs (every [heartbeat / 2]),
+   and how long the execute thread may stall on an instance this replica
+   leads before it proposes a null batch there. *)
 let heartbeat = Engine.ms 25
 
 (* Round-lockstep liveness monitor. Execution waits for all z instances
    each round (§3.4.1), so an instance without traffic — an idle or
    client-ignoring primary, or a crashed one — would stall every
-   replica. Primaries fill short stalls of their own instances with
-   null batches; in unified mode a stall past the replica timeout goes
-   to the coordinator ([Coordinator.on_stall]), which blames the missing
-   instances' primaries and asks the peers for their rounds. *)
+   replica. Both halves read one stall clock, [Exec.last_move], the
+   instant the execution frontier last moved:
+   - a tick every [heartbeat / 2] gossips views, drives state transfer,
+     and has a primary fill a stall longer than [heartbeat] on its own
+     instances with null batches;
+   - in unified mode one deadline event, due the instant the stall
+     passes the replica timeout, escalates to the coordinator
+     ([Coordinator.on_stall]), which blames the missing instances'
+     primaries and asks the peers for their rounds. Each firing re-arms
+     it at the next instant an escalation could be due, so one event is
+     pending per replica, never one per round.
+   A halted incarnation stops both. While the network marks the replica
+   dead, neither does any work: the deadline parks, and the first tick
+   after revival resumes it. *)
 let monitor t =
   let (I ((module P), instances)) = t.instances in
   let cfg = t.cfg in
   let engine = Node.engine t.node in
-  let last_round = ref (-1) in
-  let last_change = ref 0 in
   (* 0, not [min_int]: [now - !last_exchange] must not overflow. A stall
      can only be detected after [timeout] of simulated time anyway. *)
   let last_exchange = ref 0 in
+  let parked = ref false in
+  let rec deadline c () =
+    if t.halted then ()
+    else if Node.dead t.node then parked := true
+    else begin
+      let now = Engine.now engine in
+      if
+        now - Exec.last_move t.exec > cfg.timeout
+        && now - !last_exchange > cfg.timeout
+      then begin
+        (* Escalate once per timeout period for as long as the stall
+           lasts — NOT once per round. A round can stay stalled through
+           a replacement (the replacement's own repropose can be lost to
+           the same link fault that caused the stall), and then the new
+           primary must be blamable for the same round or the instance
+           wedges forever. Re-blaming is idempotent at the coordinator
+           (accuser bitsets), and re-requesting contracts covers
+           exchanges that fired while the peers were themselves
+           mid-recovery and could only return a partial window. *)
+        let round = Exec.next_round t.exec in
+        last_exchange := now;
+        Coordinator.on_stall c ~round
+          ~missing:(Exec.missing_instances t.exec ~round)
+      end;
+      (* Past [now] either way: an escalation just moved [last_exchange]
+         to [now], and otherwise the frontier or the last exchange is
+         less than a timeout old. *)
+      Engine.schedule_at engine
+        (max (Exec.last_move t.exec) !last_exchange + cfg.timeout + 1)
+        (deadline c)
+    end
+  in
   let last_heartbeat = Array.make cfg.z (-1) in
   let _send, broadcast = Node.sender t.node ~worker:(Node.exec_server t.node) in
-  let rec tick () =
-    if t.halted then ()
-    else begin
+  let work () =
     let round = Exec.next_round t.exec in
-    let now = Engine.now engine in
     Transfer.tick t.transfer;
     (match t.coordinator with
     | Some c ->
@@ -524,48 +561,35 @@ let monitor t =
           done
         else Coordinator.gossip_views c
     | None -> ());
-    if round <> !last_round then begin
-      last_round := round;
-      last_change := now
-    end
-    else begin
-      let stalled = now - !last_change in
-      let missing = Exec.missing_instances t.exec ~round in
-      if stalled > heartbeat then
-        List.iter
-          (fun x ->
-            let inst = instances.(x) in
-            let upto = P.proposed_upto inst in
-            if
-              current_primary t x = cfg.self
-              && last_heartbeat.(x) < round
-              && upto < round (* max_int opts a protocol out entirely *)
-            then begin
-              last_heartbeat.(x) <- round;
-              (* The proposed_upto guard keeps in-flight rounds untouched. *)
-              null_fill t.exec ~proposed_upto:upto (P.submit_batch inst)
-            end)
-          missing;
-      match t.coordinator with
-      | Some c when stalled > cfg.timeout && now - !last_exchange > cfg.timeout
-        ->
-          (* Escalate once per timeout period for as long as the stall
-             lasts — NOT once per round. A round can stay stalled through
-             a replacement (the replacement's own repropose can be lost
-             to the same link fault that caused the stall), and then the
-             new primary must be blamable for the same round or the
-             instance wedges forever. Re-blaming is idempotent at the
-             coordinator (accuser bitsets), and re-requesting contracts
-             covers exchanges that fired while the peers were themselves
-             mid-recovery and could only return a partial window. *)
-          last_exchange := now;
-          Coordinator.on_stall c ~round ~missing
-      | Some _ | None -> ()
-    end;
-    Engine.schedule_after engine (max 1 (heartbeat / 2)) tick
+    if Engine.now engine - Exec.last_move t.exec > heartbeat then
+      List.iter
+        (fun x ->
+          let inst = instances.(x) in
+          let upto = P.proposed_upto inst in
+          if
+            current_primary t x = cfg.self
+            && last_heartbeat.(x) < round
+            && upto < round (* max_int opts a protocol out entirely *)
+          then begin
+            last_heartbeat.(x) <- round;
+            (* The proposed_upto guard keeps in-flight rounds untouched. *)
+            null_fill t.exec ~proposed_upto:upto (P.submit_batch inst)
+          end)
+        (Exec.missing_instances t.exec ~round);
+    match t.coordinator with
+    | Some c when !parked ->
+        parked := false;
+        deadline c ()
+    | Some _ | None -> ()
+  in
+  let rec tick () =
+    if not t.halted then begin
+      if not (Node.dead t.node) then work ();
+      Engine.schedule_after engine (max 1 (heartbeat / 2)) tick
     end
   in
-  Engine.schedule_after engine heartbeat tick
+  Engine.schedule_after engine heartbeat tick;
+  Option.iter (fun c -> deadline c ()) t.coordinator
 
 let start t =
   let (I ((module P), instances)) = t.instances in

@@ -73,6 +73,9 @@ type t = {
      floor and never roll back, so this needs no undo. *)
   settled_ids : (Rcc_common.Ids.client_id, int) Hashtbl.t;
   mutable next_round : int;
+  (* When the execution frontier last moved: the liveness monitor's stall
+     clock. *)
+  mutable moved_at : Engine.time;
   mutable executed_rounds : int;
   mutable executed_txns : int;
   (* Highest round ever notified — an O(1) watermark replacing the
@@ -156,6 +159,7 @@ let create ~engine ~costs ~server ~z ~self ~store ~ledger ~txn_table
     replied = Hashtbl.create 256;
     settled_ids = Hashtbl.create 256;
     next_round = 0;
+    moved_at = Engine.now engine;
     executed_rounds = 0;
     executed_txns = 0;
     high_water = -1;
@@ -176,6 +180,13 @@ let create ~engine ~costs ~server ~z ~self ~store ~ledger ~txn_table
 let set_on_executed t f = t.on_executed <- f
 let set_persist t p = t.persist <- Some p
 let boundaries t = t.boundaries
+
+(* A move of the frontier other than a round executing (which stamps
+   [moved_at] in [commit_round]): a rollback's resume point, a snapshot's
+   jump, journal replay. *)
+let set_next_round t round =
+  t.next_round <- round;
+  t.moved_at <- Engine.now t.engine
 
 let at_boundary t seq = t.boundary_every > 0 && seq mod t.boundary_every = 0
 
@@ -403,6 +414,7 @@ let commit_round t (w : wround) ~send_replies =
     | Some p -> p.p_round ~round:w.w_round w.ordered
     | None -> ());
     capture_boundary t ~round:w.w_round;
+    t.moved_at <- Engine.now t.engine;
     t.on_executed w.w_round
   end
 
@@ -611,6 +623,7 @@ let notify t (a : Acceptance.t) =
   end
 
 let next_round t = t.next_round
+let last_move t = t.moved_at
 
 let max_pending_round t =
   if t.high_water > t.next_round - 1 then t.high_water else t.next_round - 1
@@ -770,7 +783,7 @@ let rollback_to t ~frontier ~instance =
   Hashtbl.iter
     (fun round sl -> if round >= frontier then sl.(instance) <- None)
     t.pending;
-  t.next_round <- resume;
+  set_next_round t resume;
   (* Boundaries past the resume point captured state that no longer
      exists; re-execution captures them afresh. *)
   t.boundaries <-
@@ -813,7 +826,7 @@ let install_snapshot t (snap : Rcc_storage.Snapshot.t) =
         t.pending []
     in
     List.iter (Hashtbl.remove t.pending) stale;
-    t.next_round <- seq;
+    set_next_round t seq;
     (* The snapshot's duplicate-reply cache keeps §3.1 duplicate
        suppression alive across the jump; existing (newer) local entries
        win. Its entries carry neither the owning instance nor the batch
@@ -832,7 +845,7 @@ let replay_round t ~round ~primaries ordered =
   let w = wround round ordered in
   Array.iteri (execute_member t w) ordered;
   append_round t w ~primaries;
-  t.next_round <- round + 1;
+  set_next_round t (round + 1);
   let txns = ref 0 in
   Array.iteri
     (fun rank (a : Acceptance.t) ->
@@ -844,7 +857,7 @@ let replay_round t ~round ~primaries ordered =
 let replay_rollback t ~frontier =
   if frontier < Rcc_storage.Ledger.next_round t.ledger then begin
     ignore (unwind t ~frontier ~kv_undo:frontier);
-    t.next_round <- Rcc_storage.Ledger.next_round t.ledger
+    set_next_round t (Rcc_storage.Ledger.next_round t.ledger)
   end
 
 let replay_stable t ~floor =

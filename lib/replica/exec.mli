@@ -132,6 +132,12 @@ val notify : t -> Acceptance.t -> unit
 val next_round : t -> Rcc_common.Ids.round
 (** The lowest round not yet scheduled for execution. *)
 
+val last_move : t -> Rcc_sim.Engine.time
+(** When the execution frontier last moved: the last round executed
+    (just before {!set_on_executed}'s callback), {!rollback_to},
+    {!install_snapshot} or journal replay; creation time before any.
+    The liveness monitor's stall clock: nothing has executed since. *)
+
 val max_pending_round : t -> Rcc_common.Ids.round
 (** Highest round with any acceptance buffered (the pipeline horizon);
     [next_round t - 1] when nothing is pending. O(1): maintained as a

@@ -71,6 +71,7 @@ let batchers t = t.batchers
 let set_route t route = t.route <- route
 let halt t = t.halted <- true
 let halted t = t.halted
+let dead t = Net.is_dead t.net t.self
 
 let auth_cost t ~sign ndest =
   let c = t.costs in

@@ -55,6 +55,10 @@ val halt : t -> unit
 
 val halted : t -> bool
 
+val dead : t -> bool
+(** The network marks this node dead (a crash fault, {!Rcc_sim.Net.set_dead}):
+    nothing it sends leaves and nothing reaches it until it is revived. *)
+
 val set_route :
   t -> (src:int -> ready:Rcc_sim.Engine.time -> Rcc_messages.Msg.t -> unit) -> unit
 (** The route function runs at message arrival; [ready] is when the input

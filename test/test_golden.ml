@@ -39,43 +39,43 @@ let expected =
     ("pbft dark",
      "5ba11d7bd23d64ba249a0849c09a3db6bad0d6937697c8437a02530f87234dab");
     ("pbft crash:1",
-     "1f44d2298e96c1660c5bf2211de39ddc39064a935631bfe9164beaa23e3541af");
+     "10edb32171dd7d6f5773fbf3666c9c14798efa17f4cb913984f3893a09d53798");
     ("zyzzyva fault-free",
      "cffe50c03ad8c40e71740588c389d81ff690f7be9068a15deb22c5362337ab64");
     ("zyzzyva dark",
-     "6c545019aecf72d6d01e6c2c4807b3d77925a5dc3d1cd84d7e87ef0bc7b3cdb1");
+     "57d2db15564bfb8cb59cac35a8a143cc2cda66a1c1235e68c7927fe2dd1d6960");
     ("zyzzyva crash:1",
-     "21d82c69052d9aee0dffbae095ea198132607902f9bf51e12e382fd6c991f02d");
+     "c105526fe1b3f148bf80e7ec3e59dc7116af31be84078381c21c5bc408393ca9");
     ("hotstuff fault-free",
      "50ef646dcf458acd7eaf08c6d8536e0b2e7570f70f581414fc09c391479ba4b2");
     ("hotstuff dark",
      "50ef646dcf458acd7eaf08c6d8536e0b2e7570f70f581414fc09c391479ba4b2");
     ("hotstuff crash:1",
-     "0cbea560a03a197d4cfa9214d786d2e566260940323700e546d1d5b97d51a0e1");
+     "025e2463c1d9ed066bb8fff34c21de7a40b69c7d22cc20b610396dbb08d0ef04");
     ("multip fault-free",
-     "6e2b32011ba73741b874a0b9def72b745fb15d9fc9a79154d08f324457ddb117");
+     "6f27e824406c1179f72eafc4a15f47d846b315d8b9e3cfed660f2cc1c4b3e74a");
     ("multip dark",
-     "49ac81f5959dbb355213f727a5a03c6b2b77055f8c12e52e86092021a9f73362");
+     "32becfd2cc651d559c900294f5fce410c18d1b20f0d030865fcf6ff5dc9a0fde");
     ("multip crash:1",
-     "dad212b959b50deda5b8243ce390bba2f04678d8b1f7b32b5f0f0d158c6be7b3");
+     "136139f816bc1f6ea6dc1c77d43861b642cd1ed31583c02942af2383deff4365");
     ("multiz fault-free",
-     "461f7fc992f076ad899d491d893a2cfa3f95930a829df4b17f485521fe86d328");
+     "47d7863962ec2bf9699ff861736712e31bf661fb39d8c969a928a03235dad491");
     ("multiz dark",
-     "9d3d9dbbe9749fb9c070114aaaa0b017ecefba80341c6f680769408ee1ed9d11");
+     "26ceb65dde0494d81bc8565f2b1fffa910892465a83a76884fb86a07efade622");
     ("multiz crash:1",
-     "373f70bea9022a2552024799a685d07ad1289dc52c0f893945aa34e2a5c3180c");
+     "acd029e68ea62a62f918135b7a838034d8b8dcf7f9246183951ea020156c2cb3");
     ("cft fault-free",
      "e50bc8c99734f141b366ac63e6d683799089884a42039c300316ae5ee699a816");
     ("cft dark",
      "c2677809802c5cfeccf2a5242334b85124fba0c7dc09d6158efe20e96c26e884");
     ("cft crash:1",
-     "21149eca5a6487f04ddad4274b4cc67615ea1a102a106b15bde225404a4499c6");
+     "74c73a60b833a808ec1a0f0e2893ccac00240ad1677eaaf2181a9c8b06c3275b");
     ("multic fault-free",
-     "3f6aec2390016d311b4a83f14bcb4b5b10d56cd2a57601e34fc91929dc24c0b2");
+     "ea96cffd7c24608639258c53a14a4707413747a594291b28e88bc8c7752de3f2");
     ("multic dark",
-     "a2f04fcad8f62848d3e3159af1bcf92304fc598043dc1cb3271bb44e7f63f8c0");
+     "f13f555ad26b118425732d4ad5478c85b4ebf4459dc3e41f735f10ec273eec96");
     ("multic crash:1",
-     "a7f30557ada9a79104f8d7d74e03066dd463dbc9b88d35c7e262a865ddf6cd1f");
+     "c7918ffa00b0a96d1f5a05e9bb38d23ef4381b57922b81592a577500a0146cf5");
   ]
 
 let test_golden_reports () =
@@ -121,10 +121,10 @@ let parallel_cell protocol =
 let parallel_expected =
   [
     ("multip",
-     ("52bbca8151cf76b65fec227ec98bb6da01e9255b45f89329372351c29f223350",
+     ("8d233352cf89de9abbf9ae4c6f984c22a6fdbaec10297f3cad7bfffc7db19d6f",
       276309));
     ("multiz",
-     ("f43af1a8c33ed1d79463801733e1e27391fc340517464eb379baa4030d67c862",
+     ("205c4acf1db7f1f0f48672a207c0062703eec29de19fa4415ef558cae07db3e8",
       323506));
   ]
 

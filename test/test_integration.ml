@@ -278,6 +278,43 @@ let test_report_fields_consistent () =
   check Alcotest.bool "messages flowed" true (report.Report.messages > 0);
   check Alcotest.string "protocol name" "pbft" report.Report.protocol
 
+(* A traced 4-replica MultiP run under 5 000 txn/s of open-loop load
+   with a 100 ms replica timeout. [setup] may add faults to the built
+   cluster before it runs. *)
+let traced_run ?(setup = ignore) () =
+  let cfg =
+    Config.make ~protocol:Config.MultiP ~n:4 ~batch_size:10 ~clients:4_000
+      ~records:5_000 ~duration:(Engine.of_seconds 1.2)
+      ~warmup:(Engine.of_seconds 0.8) ~replica_timeout:(Engine.ms 100)
+      ~arrival_rate:5_000. ~arrival_process:Config.Poisson
+      ~max_in_flight:4_000 ~seed:1 ()
+  in
+  let tracer = Rcc_trace.Recorder.create ~capacity:4_000_000 () in
+  let c = Cluster.build ~tracer cfg in
+  setup c;
+  let report = Cluster.run c in
+  check Alcotest.int "trace ring kept every event" 0
+    (Rcc_trace.Recorder.dropped tracer);
+  (c, report, Rcc_trace.Recorder.to_list tracer)
+
+(* Instance 1's primary (replica 1) dies at 0.3 s. *)
+let kill_primary_1 c =
+  Engine.schedule_at (Cluster.engine c) (Engine.of_seconds 0.3) (fun () ->
+      Rcc_sim.Net.set_dead (Cluster.net c) (Cluster.primary_of_instance c 1)
+        true)
+
+(* Every blame a replica made itself: (at, replica, instance, round,
+   blamed). *)
+let own_blames events =
+  let module E = Rcc_trace.Event in
+  List.filter_map
+    (fun (e : E.t) ->
+      match e.E.payload with
+      | E.Blame { round; blamed; accuser } when accuser = e.E.replica ->
+          Some (e.E.at, e.E.replica, e.E.instance, round, blamed)
+      | _ -> None)
+    events
+
 (* Instance 1's primary crashes mid-run under open-loop load. Its
    successor's takeover ends on its peers' answers, long before the next
    liveness-monitor tick could queue a null fill, so the takeover must
@@ -285,27 +322,7 @@ let test_report_fields_consistent () =
    while it was stalled. Without that fill the instance stays that many
    rounds behind for the rest of the run, and every round waits on it. *)
 let test_takeover_closes_round_gap () =
-  let run ~crash =
-    let cfg =
-      Config.make ~protocol:Config.MultiP ~n:4 ~batch_size:10 ~clients:4_000
-        ~records:5_000 ~duration:(Engine.of_seconds 1.2)
-        ~warmup:(Engine.of_seconds 0.8) ~replica_timeout:(Engine.ms 100)
-        ~arrival_rate:5_000. ~arrival_process:Config.Poisson
-        ~max_in_flight:4_000 ~seed:1 ()
-    in
-    let tracer = Rcc_trace.Recorder.create ~capacity:4_000_000 () in
-    let c = Cluster.build ~tracer cfg in
-    if crash then begin
-      let victim = Cluster.primary_of_instance c 1 in
-      Engine.schedule_at (Cluster.engine c) (Engine.of_seconds 0.3) (fun () ->
-          Rcc_sim.Net.set_dead (Cluster.net c) victim true)
-    end;
-    let report = Cluster.run c in
-    check Alcotest.int "trace ring kept every event" 0
-      (Rcc_trace.Recorder.dropped tracer);
-    (c, report, Rcc_trace.Recorder.to_list tracer)
-  in
-  let c, report, events = run ~crash:true in
+  let c, report, events = traced_run ~setup:kill_primary_1 () in
   let heir = Cluster.primary_of_instance c 1 in
   check Alcotest.bool "instance 1 has a new primary" true (heir <> 1);
   let module E = Rcc_trace.Event in
@@ -336,8 +353,8 @@ let test_takeover_closes_round_gap () =
            | _ -> None))
   in
   (* Rounds [heir] opened in instance 1 within 5 ms of the takeover: the
-     takeover's own work, since the monitor ticks every 12.5 ms and the
-     grace period is 12.5 ms. *)
+     takeover's own work, since the monitor's null fill runs on its
+     12.5 ms tick and the grace period is 12.5 ms. *)
   let opened =
     at_heir (fun e ->
         match e.E.payload with
@@ -369,7 +386,7 @@ let test_takeover_closes_round_gap () =
   (* Post-recovery latency is back to normal on every instance: a gap of
      g rounds shows as g inter-arrival times of waiting on the instance
      ahead. *)
-  let _, healthy, _ = run ~crash:false in
+  let _, healthy, _ = traced_run () in
   Array.iter
     (fun (i : Report.instance_stats) ->
       check Alcotest.bool
@@ -384,50 +401,135 @@ let test_takeover_closes_round_gap () =
     report.Report.per_instance
 
 
+(* A replica the network marks dead does no work: its liveness monitor
+   neither ticks nor escalates, so it accuses no one (its coordinator
+   would sign blames that the network then drops). Revived, it resumes:
+   its frontier is far behind, so it escalates at once. *)
+let test_dead_replica_silent () =
+  let by_victim events =
+    List.filter (fun (_, replica, _, _, _) -> replica = 1) (own_blames events)
+  in
+  let c, _, events = traced_run ~setup:kill_primary_1 () in
+  check Alcotest.bool "instance 1 has a new primary" true
+    (Cluster.primary_of_instance c 1 <> 1);
+  check Alcotest.int "the dead replica accused no one" 0
+    (List.length (by_victim events));
+  let revive = Engine.of_seconds 0.9 in
+  let _, _, events =
+    traced_run
+      ~setup:(fun c ->
+        kill_primary_1 c;
+        Engine.schedule_at (Cluster.engine c) revive (fun () ->
+            Rcc_sim.Net.set_dead (Cluster.net c) 1 false))
+      ()
+  in
+  match by_victim events with
+  | (at, _, _, _, _) :: _ ->
+      check Alcotest.bool "revived, it escalates within one tick" true
+        (at >= revive && at <= revive + Engine.ms 25 / 2)
+  | [] -> Alcotest.fail "the revived replica never escalated"
+
+(* The monitor escalates at the stall's exact deadline. From 0.3 s
+   replica 3 receives nothing, so its frontier stops for good at its last
+   move S (the round it then waits on was already in flight, so S may
+   precede the fault), while the other three keep executing. Its monitor blames at
+   S + timeout + 1 ns, then once per timeout (each deadline is the last
+   escalation + timeout + 1 ns) until the run ends. The watchdogs fire on
+   the timeout / 2 grid from time 0, which no monitor blame here meets, so
+   the grid tells the two apart. *)
+let test_monitor_blames_at_exact_deadline () =
+  let timeout = Engine.ms 100 in
+  let c, _, events =
+    traced_run
+      ~setup:(fun c ->
+        ignore
+          (Rcc_sim.Net.add_drop_rule (Cluster.net c) (fun ~src:_ ~dst _ ->
+               dst = 3 && Engine.now (Cluster.engine c) >= Engine.of_seconds 0.3)))
+      ()
+  in
+  let stalled_at = Rcc_replica.Exec.last_move (Cluster.exec c 3) in
+  check Alcotest.bool "replica 3 stalled at the fault" true
+    (abs (stalled_at - Engine.of_seconds 0.3) < Engine.ms 10);
+  let own = own_blames events in
+  let by_monitor =
+    List.filter (fun (at, _, _, _, _) -> at mod (timeout / 2) <> 0) own
+  in
+  let rec deadlines at =
+    if at > Engine.of_seconds 1.2 then []
+    else at :: deadlines (at + timeout + 1)
+  in
+  check
+    Alcotest.(list int)
+    "replica 3: one blame instant per timeout, from S + timeout + 1 ns"
+    (deadlines (stalled_at + timeout + 1))
+    (List.sort_uniq compare
+       (List.filter_map
+          (fun (at, replica, _, _, _) -> if replica = 3 then Some at else None)
+          by_monitor));
+  check Alcotest.int "no monitor blame where rounds advance" 0
+    (List.length
+       (List.filter (fun (_, replica, _, _, _) -> replica <> 3) by_monitor))
+
 (* One accusation, one [blame] event. An instance's watchdog and the
    liveness monitor both accuse through the coordinator, which records
-   the blame it counts. From 0.3 s replica 3
-   loses instance 1's COMMITs: its watchdog blames the prepared rounds it
-   cannot commit, and its monitor blames the round its execution stalls
-   on. The monitor ticks every 12.5 ms (half its 25 ms heartbeat); with
-   a 101 ms timeout the watchdogs tick at 101 ms + k * 50.5 ms, which
-   meets no monitor tick before 1.2625 s, so the instant of an
-   accusation says which of the two made it. Every accusation is also
-   broadcast, once, as a VIEW-CHANGE to the n - 1 peers. *)
+   the blame it counts. From 0.3 s replica 3 loses instance 1's COMMITs,
+   and until 0.45 s the contract replies its monitor asks for: its
+   monitor blames the round its execution stalls on, and as that first
+   exchange goes unanswered, the stall outlives the next watchdog tick
+   and its watchdog blames the prepared round it cannot commit. (With
+   the replies, the exchange ends each stall before a watchdog tick
+   comes.) The monitor escalates at the last frontier move + timeout +
+   1 ns, or at its previous escalation + timeout + 1 ns while the stall
+   lasts, so a blame at one of those instants is the monitor's; the
+   run's drop rule, which sees every send, samples each replica's last
+   frontier move. The watchdogs tick at 101 ms + k * 50.5 ms, which no
+   such instant meets. Every accusation is also broadcast, once, as a
+   VIEW-CHANGE to the n - 1 peers. *)
 let test_one_blame_event_per_accusation () =
+  let timeout = Engine.ms 101 in
   let cfg =
     Config.make ~protocol:Config.MultiP ~n:4 ~batch_size:10 ~clients:4_000
       ~records:5_000 ~duration:(Engine.of_seconds 1.2)
-      ~warmup:(Engine.of_seconds 0.8) ~replica_timeout:(Engine.ms 101)
+      ~warmup:(Engine.of_seconds 0.8) ~replica_timeout:timeout
       ~arrival_rate:5_000. ~arrival_process:Config.Poisson
       ~max_in_flight:4_000 ~seed:1 ()
   in
   let tracer = Rcc_trace.Recorder.create ~capacity:4_000_000 () in
   let c = Cluster.build ~tracer cfg in
+  let moves = Hashtbl.create 256 in
   ignore
     (Rcc_sim.Net.add_drop_rule (Cluster.net c) (fun ~src:_ ~dst msg ->
+         for r = 0 to cfg.Config.n - 1 do
+           Hashtbl.replace moves
+             (r, Rcc_replica.Exec.last_move (Cluster.exec c r))
+             ()
+         done;
+         let now = Engine.now (Cluster.engine c) in
          dst = 3
-         && Engine.now (Cluster.engine c) > Engine.of_seconds 0.3
+         && now > Engine.of_seconds 0.3
          &&
          match msg with
          | Rcc_messages.Msg.Commit { instance = 1; _ } -> true
+         | Rcc_messages.Msg.Contract_reply _ -> now < Engine.of_seconds 0.45
          | _ -> false));
   ignore (Cluster.run c);
   check Alcotest.int "trace ring kept every event" 0
     (Rcc_trace.Recorder.dropped tracer);
   let module E = Rcc_trace.Event in
   let events = Rcc_trace.Recorder.to_list tracer in
-  let own =
-    List.filter_map
-      (fun (e : E.t) ->
-        match e.E.payload with
-        | E.Blame { round; blamed; accuser } when accuser = e.E.replica ->
-            Some (e.E.at, e.E.replica, e.E.instance, round, blamed)
-        | _ -> None)
-      events
-  in
+  let own = own_blames events in
+  (* In time order, so an escalation's predecessor is classified first. *)
+  let escalations = Hashtbl.create 16 in
   let by_monitor =
-    List.filter (fun (at, _, _, _, _) -> at mod (Engine.ms 25 / 2) = 0) own
+    List.filter
+      (fun (at, replica, _, _, _) ->
+        let due = at - timeout - 1 in
+        let mine =
+          Hashtbl.mem moves (replica, due) || Hashtbl.mem escalations (replica, due)
+        in
+        if mine then Hashtbl.replace escalations (replica, at) ();
+        mine)
+      own
   in
   check Alcotest.bool "the liveness monitor accused" true (by_monitor <> []);
   check Alcotest.bool "a watchdog accused" true
@@ -472,6 +574,10 @@ let suite =
         test_takeover_closes_round_gap;
       Alcotest.test_case "one blame event per accusation" `Slow
         test_one_blame_event_per_accusation;
+      Alcotest.test_case "dead replica stays silent" `Slow
+        test_dead_replica_silent;
+      Alcotest.test_case "monitor blames at the exact deadline" `Slow
+        test_monitor_blames_at_exact_deadline;
       Alcotest.test_case "report reads a live replica" `Slow
         test_report_reads_live_replica;
       Alcotest.test_case "collusion recovery" `Slow test_collusion_recovery_end_to_end;
