@@ -278,14 +278,14 @@ let test_report_fields_consistent () =
   check Alcotest.bool "messages flowed" true (report.Report.messages > 0);
   check Alcotest.string "protocol name" "pbft" report.Report.protocol
 
-(* A traced 4-replica MultiP run under 5 000 txn/s of open-loop load
-   with a 100 ms replica timeout. [setup] may add faults to the built
-   cluster before it runs. *)
-let traced_run ?(setup = ignore) () =
+(* A traced 1.2 s run of 4 MultiP replicas under 5 000 txn/s of
+   open-loop load. [setup] may add faults to the built cluster before it
+   runs. *)
+let traced_run ?(timeout = Engine.ms 100) ?(setup = ignore) () =
   let cfg =
     Config.make ~protocol:Config.MultiP ~n:4 ~batch_size:10 ~clients:4_000
       ~records:5_000 ~duration:(Engine.of_seconds 1.2)
-      ~warmup:(Engine.of_seconds 0.8) ~replica_timeout:(Engine.ms 100)
+      ~warmup:(Engine.of_seconds 0.8) ~replica_timeout:timeout
       ~arrival_rate:5_000. ~arrival_process:Config.Poisson
       ~max_in_flight:4_000 ~seed:1 ()
   in
@@ -432,11 +432,11 @@ let test_dead_replica_silent () =
 (* The monitor escalates at the stall's exact deadline. From 0.3 s
    replica 3 receives nothing, so its frontier stops for good at its last
    move S (the round it then waits on was already in flight, so S may
-   precede the fault), while the other three keep executing. Its monitor blames at
-   S + timeout + 1 ns, then once per timeout (each deadline is the last
-   escalation + timeout + 1 ns) until the run ends. The watchdogs fire on
-   the timeout / 2 grid from time 0, which no monitor blame here meets, so
-   the grid tells the two apart. *)
+   precede the fault), while the other three keep executing. Its monitor
+   blames at S + timeout + 1 ns, then once per timeout (each deadline is
+   the last escalation + timeout + 1 ns) until the run ends. The
+   watchdogs fire on the timeout / 2 grid from time 0, which no monitor
+   blame here meets, so the grid tells the two apart. *)
 let test_monitor_blames_at_exact_deadline () =
   let timeout = Engine.ms 100 in
   let c, _, events =
@@ -444,7 +444,8 @@ let test_monitor_blames_at_exact_deadline () =
       ~setup:(fun c ->
         ignore
           (Rcc_sim.Net.add_drop_rule (Cluster.net c) (fun ~src:_ ~dst _ ->
-               dst = 3 && Engine.now (Cluster.engine c) >= Engine.of_seconds 0.3)))
+               dst = 3
+               && Engine.now (Cluster.engine c) >= Engine.of_seconds 0.3)))
       ()
   in
   let stalled_at = Rcc_replica.Exec.last_move (Cluster.exec c 3) in
@@ -455,7 +456,7 @@ let test_monitor_blames_at_exact_deadline () =
     List.filter (fun (at, _, _, _, _) -> at mod (timeout / 2) <> 0) own
   in
   let rec deadlines at =
-    if at > Engine.of_seconds 1.2 then []
+    if at > (Cluster.config c).Config.duration then []
     else at :: deadlines (at + timeout + 1)
   in
   check
@@ -487,36 +488,29 @@ let test_monitor_blames_at_exact_deadline () =
    VIEW-CHANGE to the n - 1 peers. *)
 let test_one_blame_event_per_accusation () =
   let timeout = Engine.ms 101 in
-  let cfg =
-    Config.make ~protocol:Config.MultiP ~n:4 ~batch_size:10 ~clients:4_000
-      ~records:5_000 ~duration:(Engine.of_seconds 1.2)
-      ~warmup:(Engine.of_seconds 0.8) ~replica_timeout:timeout
-      ~arrival_rate:5_000. ~arrival_process:Config.Poisson
-      ~max_in_flight:4_000 ~seed:1 ()
-  in
-  let tracer = Rcc_trace.Recorder.create ~capacity:4_000_000 () in
-  let c = Cluster.build ~tracer cfg in
   let moves = Hashtbl.create 256 in
-  ignore
-    (Rcc_sim.Net.add_drop_rule (Cluster.net c) (fun ~src:_ ~dst msg ->
-         for r = 0 to cfg.Config.n - 1 do
-           Hashtbl.replace moves
-             (r, Rcc_replica.Exec.last_move (Cluster.exec c r))
-             ()
-         done;
-         let now = Engine.now (Cluster.engine c) in
-         dst = 3
-         && now > Engine.of_seconds 0.3
-         &&
-         match msg with
-         | Rcc_messages.Msg.Commit { instance = 1; _ } -> true
-         | Rcc_messages.Msg.Contract_reply _ -> now < Engine.of_seconds 0.45
-         | _ -> false));
-  ignore (Cluster.run c);
-  check Alcotest.int "trace ring kept every event" 0
-    (Rcc_trace.Recorder.dropped tracer);
+  let c, _, events =
+    traced_run ~timeout
+      ~setup:(fun c ->
+        ignore
+          (Rcc_sim.Net.add_drop_rule (Cluster.net c) (fun ~src:_ ~dst msg ->
+               for r = 0 to (Cluster.config c).Config.n - 1 do
+                 Hashtbl.replace moves
+                   (r, Rcc_replica.Exec.last_move (Cluster.exec c r))
+                   ()
+               done;
+               let now = Engine.now (Cluster.engine c) in
+               dst = 3
+               && now > Engine.of_seconds 0.3
+               &&
+               match msg with
+               | Rcc_messages.Msg.Commit { instance = 1; _ } -> true
+               | Rcc_messages.Msg.Contract_reply _ ->
+                   now < Engine.of_seconds 0.45
+               | _ -> false)))
+      ()
+  in
   let module E = Rcc_trace.Event in
-  let events = Rcc_trace.Recorder.to_list tracer in
   let own = own_blames events in
   (* In time order, so an escalation's predecessor is classified first. *)
   let escalations = Hashtbl.create 16 in
@@ -525,7 +519,8 @@ let test_one_blame_event_per_accusation () =
       (fun (at, replica, _, _, _) ->
         let due = at - timeout - 1 in
         let mine =
-          Hashtbl.mem moves (replica, due) || Hashtbl.mem escalations (replica, due)
+          Hashtbl.mem moves (replica, due)
+          || Hashtbl.mem escalations (replica, due)
         in
         if mine then Hashtbl.replace escalations (replica, at) ();
         mine)
@@ -547,7 +542,7 @@ let test_one_blame_event_per_accusation () =
          events)
   in
   check Alcotest.int "each accusation broadcast once"
-    (List.length own * (cfg.Config.n - 1))
+    (List.length own * ((Cluster.config c).Config.n - 1))
     view_changes
 
 let suite =
